@@ -17,9 +17,10 @@ import (
 const (
 	// warmDecodeAllocBudget bounds one zero-copy decode of the
 	// representative in-flight plan (~21 KB, two 40-item payloads, retained
-	// original, provenance trail). Measured: 51 allocs — all slab chunks
-	// and escape materializations, none per-node.
-	warmDecodeAllocBudget = 75
+	// original, provenance trail). Measured: 3 allocs — the node, child and
+	// attribute slabs, each sized from the frame and owned by its tree; no
+	// per-node allocation, and this plan escapes nothing.
+	warmDecodeAllocBudget = 4
 	// planHopAllocBudget bounds the tree-level hop (marshal, size,
 	// arena-backed unmarshal, provenance stamp, re-marshal) the experiments
 	// pay per link. Measured: 111 allocs (was 224 before the zero-copy

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/xmltree"
 )
@@ -158,43 +157,39 @@ func splitFields(s string) []string {
 	return out
 }
 
-// arenaChunk sizes the per-plan operator arena. Operator shells are small
-// (a handful to a few dozen nodes per plan), so one chunk covers almost
-// every plan on the wire and a deep plan costs one allocation per 32
-// operators instead of one per operator.
-const arenaChunk = 32
-
-// nodeArena batch-allocates the mutable operator shell a hop rewrites. The
-// arena is per-unmarshal: operator nodes from one decoded plan sit in a few
-// contiguous blocks (better locality for the rewrite walks), and the blocks
-// are reclaimed together when the plan goes out of scope. Only the shell is
-// arena-backed — data payloads and extra sections stay frozen aliases of
-// the decoder output.
-type nodeArena struct {
-	blk []Node
-}
+// nodeArena batch-allocates the mutable operator shell a hop rewrites: the
+// operator nodes of one unmarshaled tree sit in one contiguous block (better
+// locality for the rewrite walks), sized to that tree and owned by it alone,
+// so retaining an operator retains its own tree and no other plan's. Only the
+// shell is arena-backed — data payloads and extra sections stay frozen aliases
+// of the decoder output.
+type nodeArena []Node
 
 func (a *nodeArena) take() *Node {
-	if len(a.blk) == 0 {
-		a.blk = make([]Node, arenaChunk)
-	}
-	n := &a.blk[0]
-	a.blk = a.blk[1:]
+	n := &(*a)[0]
+	*a = (*a)[1:]
 	return n
 }
 
-// arenaPool recycles arenas across decodes: a delivery chain that unmarshals
-// plan after plan draws nodes from the unused tail of a previous plan's chunk
-// instead of allocating a fresh one each time. Handing an arena back is safe
-// at any point — take never revisits handed-out nodes (blk only advances), so
-// a pooled arena can only give the next decode the still-zeroed remainder.
-var arenaPool = sync.Pool{New: func() interface{} { return &nodeArena{} }}
+// countOps counts the operator elements unmarshalNode visits under e: every
+// element but annotation blocks and the payload items of a <data>.
+func countOps(e *xmltree.Node) int {
+	n := 1
+	if e.Name == "data" {
+		return n
+	}
+	for _, c := range e.Children {
+		if !c.IsText() && c.Name != annotationsElem {
+			n += countOps(c)
+		}
+	}
+	return n
+}
 
 // UnmarshalNode converts an XML element back into an operator subtree.
 func UnmarshalNode(e *xmltree.Node) (*Node, error) {
-	ar := arenaPool.Get().(*nodeArena)
-	defer arenaPool.Put(ar)
-	return unmarshalNode(e, ar)
+	ar := make(nodeArena, countOps(e))
+	return unmarshalNode(e, &ar)
 }
 
 func unmarshalNode(e *xmltree.Node, ar *nodeArena) (*Node, error) {
@@ -303,6 +298,20 @@ func unmarshalNode(e *xmltree.Node, ar *nodeArena) (*Node, error) {
 	return n, nil
 }
 
+// soleElement returns the first element child of c and how many it has,
+// without building the slice Elements would.
+func soleElement(c *xmltree.Node) (first *xmltree.Node, n int) {
+	for _, e := range c.Children {
+		if !e.IsText() {
+			if n == 0 {
+				first = e
+			}
+			n++
+		}
+	}
+	return first, n
+}
+
 // Marshal converts a plan to its XML document form.
 func Marshal(p *Plan) *xmltree.Node {
 	return marshal(p, true)
@@ -339,9 +348,9 @@ func marshal(p *Plan, copyDocs bool) *xmltree.Node {
 }
 
 // Unmarshal parses an <mqp> document back into a Plan. The mutable
-// operator shell (plan and retained original) is allocated from one
-// per-plan arena; everything else — data payloads, extra sections — is
-// frozen and aliased from the document.
+// operator shell (plan and retained original) is allocated from an arena
+// per tree; everything else — data payloads, extra sections — is frozen and
+// aliased from the document.
 func Unmarshal(doc *xmltree.Node) (*Plan, error) {
 	if doc.Name != "mqp" {
 		return nil, fmt.Errorf("algebra: expected <mqp>, got <%s>", doc.Name)
@@ -350,29 +359,27 @@ func Unmarshal(doc *xmltree.Node) (*Plan, error) {
 		ID:     doc.AttrDefault("id", ""),
 		Target: doc.AttrDefault("target", ""),
 	}
-	ar := arenaPool.Get().(*nodeArena)
-	defer arenaPool.Put(ar)
 	for _, c := range doc.Children {
 		if c.IsText() {
 			continue
 		}
 		switch c.Name {
 		case "plan":
-			elems := c.Elements()
-			if len(elems) != 1 {
-				return nil, fmt.Errorf("algebra: <plan> must have exactly one operator, has %d", len(elems))
+			op, n := soleElement(c)
+			if n != 1 {
+				return nil, fmt.Errorf("algebra: <plan> must have exactly one operator, has %d", n)
 			}
-			root, err := unmarshalNode(elems[0], ar)
+			root, err := UnmarshalNode(op)
 			if err != nil {
 				return nil, err
 			}
 			p.Root = root
 		case "original":
-			elems := c.Elements()
-			if len(elems) != 1 {
+			op, n := soleElement(c)
+			if n != 1 {
 				return nil, fmt.Errorf("algebra: <original> must have exactly one operator")
 			}
-			orig, err := unmarshalNode(elems[0], ar)
+			orig, err := UnmarshalNode(op)
 			if err != nil {
 				return nil, err
 			}

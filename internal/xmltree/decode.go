@@ -12,6 +12,9 @@
 // Decode (or the string handed to DecodeString) must stay immutable for the
 // life of any node produced from it. Strings are immutable by construction;
 // a []byte frame is retained by reference and must never be written again.
+// In the other direction a retained node keeps its own frame alive — the
+// tree's slabs and the input — and nothing of any other decode (see the slab
+// sizing note below).
 //
 // Compatibility: Decode is a behavioral mirror of Parse (the encoding/xml
 // reference implementation kept above): on any input the two either produce
@@ -63,6 +66,7 @@ func DecodeString(s string) (*Node, error) {
 	}
 	d := decPool.Get().(*decoder)
 	d.s = s
+	d.sizeSlabs()
 	root, err := d.run()
 	// The whole input is cacheable when the root's clean span covers every
 	// byte of s: no declaration, no surrounding whitespace, canonical body.
@@ -139,15 +143,24 @@ func intern(name string) string {
 
 // --- Decoder state ------------------------------------------------------
 
-// nodeChunkSize batches node and slice allocation: a decode allocates one
-// []Node block per 64 nodes instead of one heap object per node, and child
-// and attribute slices are carved from shared slabs the same way. Blocks are
-// owned by the decoded trees once handed out; leftover block capacity is
-// reused by the next decode from the pool.
-const nodeChunkSize = 64
+// Slab sizing. A decode carves its nodes, child slices and attribute slices
+// out of slabs it allocates for itself and hands over to the tree it builds:
+// a decoded tree owns its slabs, and nothing of them goes back to the pool
+// with the decoder. Retaining any node therefore retains exactly its own
+// frame — tree plus input buffer — and never another frame's.
+//
+// The first slab of each kind is sized from the input: every element, and
+// every text run that becomes a node, sits next to a '<' of its own in all
+// but mixed content, and every attribute has its '=', so two byte counts
+// cover a whole wire frame in one allocation per kind. slabMax clamps those
+// counts, so that a hostile frame of nothing but '<' cannot make the decoder
+// allocate a hundred bytes per input byte before it fails; a document that
+// outgrows a slab gets the next one at twice the size.
+const slabMax = 4096
 
-// scratchMax caps the pooled scratch/slab capacity retained between decodes
-// so one pathological document does not pin large buffers in the pool.
+// scratchMax caps, in bytes, what each pooled buffer (scratch and the four
+// parse stacks) may keep between decodes, so one pathological document does
+// not pin large buffers in the pool.
 const scratchMax = 1 << 16
 
 type openElem struct {
@@ -182,12 +195,17 @@ type decoder struct {
 	ns     map[string]string // live prefix -> URI bindings (xmlns tracking)
 	nsUndo []nsUndo
 
+	// This decode's current slabs, how much of each is handed out, and the
+	// size of the next slab of each kind (see slabMax).
 	nodeChunk []Node
 	nodeUsed  int
+	nodeNext  int
 	kidChunk  []*Node
 	kidUsed   int
+	kidNext   int
 	attrChunk []Attr
 	attrUsed  int
+	attrNext  int
 
 	scratch []byte // unescape staging for values that cannot alias s
 	// wsOnly reports whether the last scanText run was entirely whitespace
@@ -214,29 +232,45 @@ func (d *decoder) release() {
 	d.s = ""
 	d.pos = 0
 	d.root = nil
-	clear(d.open)
-	d.open = d.open[:0]
-	clear(d.kidStk)
-	d.kidStk = d.kidStk[:0]
-	clear(d.attrStk)
-	d.attrStk = d.attrStk[:0]
+	d.nodeChunk, d.kidChunk, d.attrChunk = nil, nil, nil
+	d.nodeUsed, d.kidUsed, d.attrUsed = 0, 0, 0
+	d.open = resetStack(d.open)
+	d.kidStk = resetStack(d.kidStk)
+	d.attrStk = resetStack(d.attrStk)
 	clear(d.ns)
-	clear(d.nsUndo)
-	d.nsUndo = d.nsUndo[:0]
-	if cap(d.scratch) > scratchMax {
-		d.scratch = nil
-	} else {
-		d.scratch = d.scratch[:0]
-	}
+	d.nsUndo = resetStack(d.nsUndo)
+	d.scratch = resetStack(d.scratch)
 	d.muts = 0
 	d.rootSpan = [2]int{}
 	decPool.Put(d)
 }
 
+// resetStack empties a pooled stack for the next decode, or drops it when it
+// grew past scratchMax. The whole backing array is zeroed, not just the live
+// prefix: popped entries still hold nodes and substrings of the frame just
+// decoded, and would keep it alive from the pool.
+func resetStack[T any](s []T) []T {
+	var zero T
+	if cap(s)*int(unsafe.Sizeof(zero)) > scratchMax {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// sizeSlabs sets the first slab sizes from the input (see slabMax). Child
+// pointers number one less than nodes, so the two share an estimate.
+func (d *decoder) sizeSlabs() {
+	d.nodeNext = min(max(strings.Count(d.s, "<"), 1), slabMax)
+	d.kidNext = d.nodeNext
+	d.attrNext = min(max(strings.Count(d.s, "="), 1), slabMax)
+}
+
 func (d *decoder) newNode() *Node {
 	if d.nodeUsed == len(d.nodeChunk) {
-		d.nodeChunk = make([]Node, nodeChunkSize)
+		d.nodeChunk = make([]Node, d.nodeNext)
 		d.nodeUsed = 0
+		d.nodeNext *= 2
 	}
 	n := &d.nodeChunk[d.nodeUsed]
 	d.nodeUsed++
@@ -249,12 +283,9 @@ func (d *decoder) kidSlice(kids []*Node) []*Node {
 		return nil
 	}
 	if len(d.kidChunk)-d.kidUsed < n {
-		size := nodeChunkSize
-		if n > size {
-			size = n
-		}
-		d.kidChunk = make([]*Node, size)
+		d.kidChunk = make([]*Node, max(n, d.kidNext))
 		d.kidUsed = 0
+		d.kidNext *= 2
 	}
 	out := d.kidChunk[d.kidUsed : d.kidUsed+n : d.kidUsed+n]
 	d.kidUsed += n
@@ -268,12 +299,9 @@ func (d *decoder) attrSlice(attrs []Attr) []Attr {
 		return nil
 	}
 	if len(d.attrChunk)-d.attrUsed < n {
-		size := nodeChunkSize
-		if n > size {
-			size = n
-		}
-		d.attrChunk = make([]Attr, size)
+		d.attrChunk = make([]Attr, max(n, d.attrNext))
 		d.attrUsed = 0
+		d.attrNext *= 2
 	}
 	out := d.attrChunk[d.attrUsed : d.attrUsed+n : d.attrUsed+n]
 	d.attrUsed += n
@@ -610,7 +638,7 @@ func (d *decoder) startElement() error {
 			} else {
 				tn := d.newNode()
 				tn.Text = text
-				n.Children = d.kidSlice1(tn)
+				n.Children = d.kidSlice([]*Node{tn})
 			}
 			d.undoNs(nsMark)
 			d.finishSpan(n, start, endClean && !dirty && d.muts == mutsMark)
@@ -647,19 +675,6 @@ func (d *decoder) matchEnd(i int, raw string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// kidSlice1 carves a one-child slice from the slab (the text-only-element
-// fast path).
-func (d *decoder) kidSlice1(n *Node) []*Node {
-	if len(d.kidChunk)-d.kidUsed < 1 {
-		d.kidChunk = make([]*Node, nodeChunkSize)
-		d.kidUsed = 0
-	}
-	out := d.kidChunk[d.kidUsed : d.kidUsed+1 : d.kidUsed+1]
-	d.kidUsed++
-	out[0] = n
-	return out
 }
 
 func (d *decoder) endElement() error {

@@ -208,6 +208,10 @@ func (n *Node) InnerText() string {
 	if n.IsText() {
 		return n.Text
 	}
+	if len(n.Children) == 1 && n.Children[0].IsText() {
+		// <name>text</name>, the shape of nearly every field: no copy.
+		return n.Children[0].Text
+	}
 	var b strings.Builder
 	n.innerText(&b)
 	return b.String()
