@@ -7,7 +7,7 @@
 # over the parser and wire-framing targets.
 GO ?= go
 
-.PHONY: build test test-short bench bench-all bench-chaos bench-runtime bench-route bench-mem loadgen-smoke route-smoke mem-smoke profile race fmt vet chaos chaos-ci chaos-nofault chaos-large chaos-large-ci fuzz-smoke ci
+.PHONY: build test test-short bench bench-all bench-chaos bench-runtime bench-route bench-mem bench-smoke loadgen-smoke route-smoke mem-smoke profile race fmt vet chaos chaos-ci chaos-nofault chaos-large chaos-large-ci fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,14 @@ bench-mem:
 mem-smoke:
 	$(GO) run ./cmd/loadgen -mem -smoke -out -
 
+# CI gate for the benchmark: bench/ is a module of its own that the root
+# `go build ./...` and `go test ./...` never compile, so a change to a
+# package it imports (xmltree's model, say) could break BENCHMARK.json's
+# command unnoticed. The -short smoke runs every simnet workload at toy size
+# against the oracle (it skips tcp_chain, which builds and spawns cmd/mqpd).
+bench-smoke:
+	cd bench && $(GO) test -short
+
 race:
 	$(GO) test -race ./internal/...
 
@@ -149,4 +157,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build test race loadgen-smoke route-smoke mem-smoke chaos-ci chaos-nofault chaos-large-ci fuzz-smoke
+ci: fmt vet build test race bench-smoke loadgen-smoke route-smoke mem-smoke chaos-ci chaos-nofault chaos-large-ci fuzz-smoke

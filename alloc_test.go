@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/algebra"
@@ -21,6 +22,11 @@ const (
 	// attribute slabs, each sized from the frame and owned by its tree; no
 	// per-node allocation, and this plan escapes nothing.
 	warmDecodeAllocBudget = 4
+	// decodedTreeByteBudget bounds what those slabs weigh: the bytes one
+	// cold decode of the same plan allocates. Measured: 123.9 KB — one node
+	// per element, a field's text held in the element (238.6 KB while every
+	// <name>text</name> cost a second node and a child slot).
+	decodedTreeByteBudget = 130_000
 	// planHopAllocBudget bounds the tree-level hop (marshal, size,
 	// arena-backed unmarshal, provenance stamp, re-marshal) the experiments
 	// pay per link. Measured: 111 allocs (was 224 before the zero-copy
@@ -66,6 +72,19 @@ func TestWarmDecodeAllocBudget(t *testing.T) {
 	})
 	if allocs > warmDecodeAllocBudget {
 		t.Fatalf("warm decode allocates %.0f/op; budget is %d — a decode-side regression", allocs, warmDecodeAllocBudget)
+	}
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := xmltree.DecodeString(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > decodedTreeByteBudget {
+		t.Fatalf("decoded tree weighs %d bytes; budget is %d — text nodes are being built again", perOp, decodedTreeByteBudget)
 	}
 }
 

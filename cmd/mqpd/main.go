@@ -60,21 +60,18 @@ func main() {
 		if len(parts) != 2 {
 			log.Fatalf("mqpd: bad -collection %q (want pathExp=file.xml)", c)
 		}
-		f, err := os.Open(parts[1])
+		buf, err := os.ReadFile(parts[1])
 		if err != nil {
 			log.Fatalf("mqpd: %v", err)
 		}
-		doc, err := xmltree.Parse(f)
-		f.Close()
+		// Served items are immutable: the decoder's output is born frozen
+		// (and aliases buf, which nothing writes again), so items are
+		// aliased into plans and fetch replies instead of cloned per request.
+		doc, err := xmltree.Decode(buf)
 		if err != nil {
 			log.Fatalf("mqpd: parse %s: %v", parts[1], err)
 		}
 		items := doc.Elements()
-		for _, it := range items {
-			// Served items are immutable; frozen items are aliased into
-			// plans and fetch replies instead of cloned per request.
-			it.Freeze()
-		}
 		store[parts[0]] = items
 		log.Printf("mqpd: serving %d items as %s%s", len(items), *addr, parts[0])
 	}

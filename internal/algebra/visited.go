@@ -311,7 +311,7 @@ func (v *Visited) Marshal() *xmltree.Node {
 				binary.BigEndian.PutUint64(fp[:], r.Fingerprint)
 				sb.WriteString(base64.RawURLEncoding.EncodeToString(fp[:]))
 			}
-			e.Add(xmltree.TextNode(sb.String()))
+			e.Text = sb.String()
 		}
 	} else {
 		for _, s := range servers {

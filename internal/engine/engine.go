@@ -204,14 +204,14 @@ func keyOf(it *xmltree.Node, kp keyPath) (string, bool) {
 	return strings.TrimSpace(m.InnerText()), true
 }
 
-// component wraps an item's fields under an element named name; join
-// outputs are <tuple> elements with one component per side. Fields of
-// frozen source items are aliased, not copied — the tuple owns only its
-// two wrapper elements.
+// component wraps an item's content — leading text and fields — under an
+// element named name; join outputs are <tuple> elements with one component
+// per side. Fields of frozen source items are aliased, not copied — the
+// tuple owns only its two wrapper elements and their child slices.
 func component(name string, it *xmltree.Node) *xmltree.Node {
-	e := xmltree.Elem(name)
+	e := &xmltree.Node{Name: name, Text: it.Text, Children: make([]*xmltree.Node, 0, len(it.Children))}
 	for _, c := range it.Children {
-		e.Add(c.Share())
+		e.Children = append(e.Children, c.Share())
 	}
 	return e
 }

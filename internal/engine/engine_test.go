@@ -92,6 +92,52 @@ func TestJoin(t *testing.T) {
 	}
 }
 
+// TestJoinKeepsLeadingText: an item's text before its first field is part of
+// the item. It rides into the join component, through a projection of that
+// component, and out in the serialization — for decoded (frozen) and parsed
+// (mutable) inputs alike.
+func TestJoinKeepsLeadingText(t *testing.T) {
+	const sale = `<sale>note <cd>Blue Train</cd><price>13</price> tail</sale>`
+	const listing = `<listing><cd>Blue Train</cd><song>Locomotion</song></listing>`
+	const want = `<tuple><l>note <cd>Blue Train</cd><price>13</price> tail</l>` +
+		`<r><cd>Blue Train</cd><song>Locomotion</song></r></tuple>`
+	for name, parse := range map[string]func(string) (*xmltree.Node, error){
+		"decoded": xmltree.DecodeString, "parsed": xmltree.ParseString,
+	} {
+		l, err := parse(sale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := parse(listing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := algebra.JoinNamed("cd", "cd", "l", "r", algebra.Data(l), algebra.Data(r))
+		got, err := Evaluate(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].String() != want {
+			t.Fatalf("%s: join = %v, want %s", name, got, want)
+		}
+		if l.String() != sale {
+			t.Fatalf("%s: join changed its input: %s", name, l)
+		}
+		got, err = Evaluate(algebra.Project("p", []string{"l", "r/song"}, j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantP := `<p><l>note <cd>Blue Train</cd><price>13</price> tail</l><song>Locomotion</song></p>`
+		if len(got) != 1 || got[0].String() != wantP {
+			t.Fatalf("%s: projection = %v, want %s", name, got, wantP)
+		}
+		rt, err := xmltree.DecodeString(got[0].String())
+		if err != nil || !xmltree.Equal(rt, got[0]) {
+			t.Fatalf("%s: projection does not survive the wire: %v, %s", name, err, rt)
+		}
+	}
+}
+
 func TestJoinOrientationWithSwappedBuild(t *testing.T) {
 	// Left side smaller than right and vice versa must both keep component
 	// orientation (left input under LeftName).

@@ -149,13 +149,13 @@ func intern(name string) string {
 // with the decoder. Retaining any node therefore retains exactly its own
 // frame — tree plus input buffer — and never another frame's.
 //
-// The first slab of each kind is sized from the input: every element, and
-// every text run that becomes a node, sits next to a '<' of its own in all
-// but mixed content, and every attribute has its '=', so two byte counts
-// cover a whole wire frame in one allocation per kind. slabMax clamps those
-// counts, so that a hostile frame of nothing but '<' cannot make the decoder
-// allocate a hundred bytes per input byte before it fails; a document that
-// outgrows a slab gets the next one at twice the size.
+// The first slab of each kind is sized from the input: every element has a
+// '<' that no "</" accounts for (text becomes a node only in mixed content,
+// after a child element), and every attribute has its '=', so three byte
+// counts cover a whole wire frame in one allocation per kind. slabMax clamps
+// those counts, so that a hostile frame of nothing but '<' cannot make the
+// decoder allocate a hundred bytes per input byte before it fails; a document
+// that outgrows a slab gets the next one at twice the size.
 const slabMax = 4096
 
 // scratchMax caps, in bytes, what each pooled buffer (scratch and the four
@@ -261,7 +261,7 @@ func resetStack[T any](s []T) []T {
 // sizeSlabs sets the first slab sizes from the input (see slabMax). Child
 // pointers number one less than nodes, so the two share an estimate.
 func (d *decoder) sizeSlabs() {
-	d.nodeNext = min(max(strings.Count(d.s, "<"), 1), slabMax)
+	d.nodeNext = min(max(strings.Count(d.s, "<")-strings.Count(d.s, "</"), 1), slabMax)
 	d.kidNext = d.nodeNext
 	d.attrNext = min(max(strings.Count(d.s, "="), 1), slabMax)
 }
@@ -620,10 +620,10 @@ func (d *decoder) startElement() error {
 		return nil
 	}
 	// Fast path for the dominant wire shape, <name>text</name>: scan the
-	// text run and, when the matching end tag follows immediately, build
-	// the completed element without touching the open-element stack. A
-	// mismatch (child element, comment, unbalanced tag) falls back to the
-	// generic path with the text already banked.
+	// text run and, when the matching end tag follows immediately, complete
+	// the element — one node, the text its own — without touching the
+	// open-element stack. A mismatch (child element, comment, unbalanced
+	// tag) falls back to the generic path with the text already banked.
 	if d.pos < len(d.s) && d.s[d.pos] != '<' {
 		text, err := d.scanText(-1, false)
 		if err != nil {
@@ -636,9 +636,7 @@ func (d *decoder) startElement() error {
 			if d.wsOnly {
 				dirty = true // whitespace-only content dropped
 			} else {
-				tn := d.newNode()
-				tn.Text = text
-				n.Children = d.kidSlice([]*Node{tn})
+				n.Text = text
 			}
 			d.undoNs(nsMark)
 			d.finishSpan(n, start, endClean && !dirty && d.muts == mutsMark)
@@ -767,11 +765,12 @@ func childElemsClean(n *Node) bool {
 }
 
 // addText applies Parse's text policy to one decoded run: dropped outside
-// the root and when whitespace-only, merged with an adjacent text sibling
-// (runs split by CDATA sections or comments), appended otherwise. Merged
-// text stays mutable until the parent closes and freezes it. Whether the
-// run is whitespace-only was already determined during scanText's
-// validation pass (d.wsOnly), so no re-scan happens here.
+// the root and when whitespace-only, joined to the open element's own Text
+// while it has no children yet, merged with an adjacent text sibling (runs
+// split by CDATA sections or comments), appended otherwise. Merged text
+// stays mutable until the parent closes and freezes it. Whether the run is
+// whitespace-only was already determined during scanText's validation pass
+// (d.wsOnly), so no re-scan happens here.
 func (d *decoder) addText(text string) {
 	if len(d.open) == 0 {
 		// Outside the root element: dropped, and outside every span.
@@ -784,7 +783,12 @@ func (d *decoder) addText(text string) {
 		return
 	}
 	top := &d.open[len(d.open)-1]
-	if k := len(d.kidStk); k > top.kidMark && d.kidStk[k-1].IsText() {
+	k := len(d.kidStk)
+	if k == top.kidMark {
+		top.n.Text += text // still aliases the input when Text was empty
+		return
+	}
+	if d.kidStk[k-1].IsText() {
 		d.kidStk[k-1].Text += text
 		return
 	}

@@ -39,6 +39,8 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		if !Equal(ref, got) {
 			t.Fatalf("tree disagreement:\ninput: %q\nParse:  %q\nDecode: %q", s, ref.String(), got.String())
 		}
+		assertNormal(t, ref, s)
+		assertNormal(t, got, s)
 		if rs, gs := ref.String(), got.String(); rs != gs {
 			t.Fatalf("serialization disagreement:\ninput: %q\nParse:  %q\nDecode: %q", s, rs, gs)
 		}
@@ -60,6 +62,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		if !Equal(got, got2) {
 			t.Fatalf("canonical re-decode differs:\ncanonical: %q", c)
 		}
+		assertNormal(t, got2, c)
 	})
 }
 
@@ -77,8 +80,12 @@ func FuzzDecodeBytes(f *testing.F) {
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("Decode/DecodeString disagreement: %v vs %v on %q", gotErr, wantErr, buf)
 		}
-		if wantErr == nil && !Equal(want, got) {
+		if wantErr != nil {
+			return
+		}
+		if !Equal(want, got) {
 			t.Fatalf("Decode tree differs from DecodeString on %q", buf)
 		}
+		assertNormal(t, got, string(buf))
 	})
 }

@@ -121,6 +121,8 @@ func checkDecodeAgreement(t *testing.T, s string) {
 		t.Fatalf("serialization disagreement on %q:\n  Parse:  %q\n  Decode: %q", s, rs, gs)
 	}
 	assertBornFrozen(t, got, s)
+	assertNormal(t, ref, s)
+	assertNormal(t, got, s)
 }
 
 func assertBornFrozen(t *testing.T, n *Node, input string) {

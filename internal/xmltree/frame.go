@@ -236,11 +236,14 @@ func (e *FrameEncoder) Node(n *Node) {
 		e.Raw(n.String()[1+len(n.Name):])
 		return
 	}
-	if len(n.Children) == 0 {
+	if n.Text == "" && len(n.Children) == 0 {
 		e.Raw("/>")
 		return
 	}
 	e.RawByte('>')
+	if n.Text != "" {
+		e.escaped(n.Text, false)
+	}
 	for _, c := range n.Children {
 		e.Node(c)
 	}

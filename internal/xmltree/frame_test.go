@@ -127,6 +127,7 @@ func TestDecodeCleanSpanMemo(t *testing.T) {
 		`<a>text</a>`,
 		`<mqp id="q"><plan><data><i>1</i></data></plan></mqp>`,
 		`<v s="a:1">x</v>`,
+		`<a>lead<b>x</b>tail<c/></a>`,
 	}
 	for _, s := range clean {
 		n, err := DecodeString(s)
@@ -136,6 +137,7 @@ func TestDecodeCleanSpanMemo(t *testing.T) {
 		if n.memoStr != s {
 			t.Errorf("%q: clean span not memoized (memoStr %q)", s, n.memoStr)
 		}
+		assertNormal(t, n, s)
 	}
 	dirty := []string{
 		`<a ></a>`,             // tag whitespace + non-empty form of empty element
@@ -157,6 +159,7 @@ func TestDecodeCleanSpanMemo(t *testing.T) {
 		if n.memoStr != "" {
 			t.Errorf("%q: non-canonical span wrongly memoized as %q", s, n.memoStr)
 		}
+		assertNormal(t, n, s)
 		ref, err := ParseString(s)
 		if err != nil {
 			t.Fatalf("parse %q: %v", s, err)

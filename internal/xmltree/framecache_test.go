@@ -23,6 +23,7 @@ func TestFrameCacheHit(t *testing.T) {
 	if a != b {
 		t.Fatalf("identical canonical frames decoded to distinct trees")
 	}
+	assertNormal(t, b, frame)
 
 	// A non-canonical input must never be cached (its bytes are not the
 	// tree's serialization), and must still decode correctly each time.

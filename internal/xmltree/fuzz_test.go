@@ -31,6 +31,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Skip("not well-formed")
 		}
+		assertNormal(t, n, s)
 		c := n.String()
 		if got := n.ByteSize(); got != len(c) {
 			t.Fatalf("ByteSize = %d, serialized length = %d\ninput: %q\ncanonical: %q", got, len(c), s, c)
@@ -39,6 +40,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form does not re-parse: %v\ninput: %q\ncanonical: %q", err, s, c)
 		}
+		assertNormal(t, n2, c)
 		c2 := n2.String()
 		if c2 != c {
 			t.Fatalf("canonical form is not a fixpoint\ninput: %q\nfirst:  %q\nsecond: %q", s, c, c2)

@@ -9,6 +9,16 @@
 // name) so that byte sizes are stable across runs; the experiment harness
 // depends on that stability when it reports "bytes shipped".
 //
+// # Normal form: one node per field
+//
+// An element's first child is never a text node: the character data before
+// its first child element is the element's own Text, so a record field
+// <price>13</price> is one node with no child slice. Text nodes remain only
+// for text that follows a child element (mixed content). Every producer —
+// Decode, Parse, Elem, ElemText, Add — emits this form, and Equal, the
+// serializers and InnerText assume it; code that writes Children directly
+// must keep it, exactly as it must call Invalidate.
+//
 // # Ownership: freeze and copy-on-write
 //
 // Plans carry verbatim XML payloads through every peer hop, so the package
@@ -50,14 +60,18 @@ type Attr struct {
 }
 
 // Node is an XML element or a text node. An element has a Name and may carry
-// attributes and children; a text node has Name == "" and its content in
-// Text. The zero value is an empty text node.
+// attributes, leading text and children; a text node has Name == "" and its
+// content in Text. The zero value is an empty text node.
 //
 // Mutate nodes through the methods (SetAttr, Add, ...) when possible: they
-// keep the ByteSize memo coherent. Code that writes the exported fields
-// directly after a node has been serialized must call Invalidate.
+// keep the ByteSize memo coherent and the tree in normal form. Code that
+// writes the exported fields directly must never make a text node an
+// element's first child, and must call Invalidate once the node has been
+// serialized.
 type Node struct {
-	Name     string
+	Name string
+	// Text is a text node's content, or the character data an element holds
+	// before its first child element (all of it, for a leaf field).
 	Text     string
 	Attrs    []Attr
 	Children []*Node
@@ -106,9 +120,23 @@ func (n *Node) invalidate() {
 	}
 }
 
-// Elem constructs an element node with the given children.
+// Elem constructs an element node with the given children. Leading text
+// nodes become the element's Text (the normal form).
 func Elem(name string, children ...*Node) *Node {
-	return &Node{Name: name, Children: children}
+	n := &Node{Name: name}
+	n.Children = n.takeLeadingText(children)
+	return n
+}
+
+// takeLeadingText keeps the normal form on the way in: while n has no
+// children yet, text nodes at the head of kids are folded into n.Text. It
+// returns the kids that remain to be appended.
+func (n *Node) takeLeadingText(kids []*Node) []*Node {
+	for len(n.Children) == 0 && len(kids) > 0 && kids[0].IsText() {
+		n.Text += kids[0].Text
+		kids = kids[1:]
+	}
+	return kids
 }
 
 // ElemAttrs constructs an element that takes ownership of attrs. Marshaling
@@ -119,15 +147,18 @@ func ElemAttrs(name string, attrs ...Attr) *Node {
 	return &Node{Name: name, Attrs: attrs}
 }
 
-// TextNode constructs a text node.
+// TextNode constructs a text node: text that follows a child element. Handed
+// to Elem or Add while the element has no children, it is folded into the
+// element's Text instead of becoming a child.
 func TextNode(text string) *Node {
 	return &Node{Text: text}
 }
 
-// ElemText constructs an element containing a single text child, e.g.
-// ElemText("price", "10") renders as <price>10</price>.
+// ElemText constructs a leaf element holding text, e.g. ElemText("price",
+// "10") renders as <price>10</price>. It is one node: the text is the
+// element's own Text.
 func ElemText(name, text string) *Node {
-	return &Node{Name: name, Children: []*Node{TextNode(text)}}
+	return &Node{Name: name, Text: text}
 }
 
 // IsText reports whether the node is a text node.
@@ -164,10 +195,11 @@ func (n *Node) SetAttr(name, value string) *Node {
 	return n
 }
 
-// Add appends children and returns the node for chaining.
+// Add appends children and returns the node for chaining. Text nodes added
+// while the element has no children extend its Text (the normal form).
 func (n *Node) Add(children ...*Node) *Node {
 	n.invalidate()
-	n.Children = append(n.Children, children...)
+	n.Children = append(n.Children, n.takeLeadingText(children)...)
 	return n
 }
 
@@ -205,12 +237,10 @@ func (n *Node) Elements() []*Node {
 
 // InnerText returns the concatenation of all text beneath the node.
 func (n *Node) InnerText() string {
-	if n.IsText() {
+	if len(n.Children) == 0 {
+		// A text node, or <name>text</name>, the shape of nearly every
+		// field: no copy.
 		return n.Text
-	}
-	if len(n.Children) == 1 && n.Children[0].IsText() {
-		// <name>text</name>, the shape of nearly every field: no copy.
-		return n.Children[0].Text
 	}
 	var b strings.Builder
 	n.innerText(&b)
@@ -218,12 +248,9 @@ func (n *Node) InnerText() string {
 }
 
 func (n *Node) innerText(b *strings.Builder) {
+	b.WriteString(n.Text)
 	for _, c := range n.Children {
-		if c.IsText() {
-			b.WriteString(c.Text)
-		} else {
-			c.innerText(b)
-		}
+		c.innerText(b)
 	}
 }
 
@@ -418,7 +445,7 @@ func Parse(r io.Reader) (*Node, error) {
 				parent.Children[k-1].Text += text
 				continue
 			}
-			parent.Children = append(parent.Children, TextNode(text))
+			parent.Add(TextNode(text)) // the element's own Text while childless
 		}
 	}
 	if root == nil {
@@ -523,11 +550,14 @@ func (n *Node) appendTo(b *bytes.Buffer) {
 			appendAttr(b, a)
 		}
 	}
-	if len(n.Children) == 0 {
+	if n.Text == "" && len(n.Children) == 0 {
 		b.WriteString("/>")
 		return
 	}
 	b.WriteByte('>')
+	if n.Text != "" { // most elements with children have none: skip the call
+		appendEscaped(b, n.Text, false)
+	}
 	for _, c := range n.Children {
 		c.appendTo(b)
 	}
@@ -666,10 +696,13 @@ func (n *Node) byteSize(gen uint64) int {
 			// space, name, `="`, value, `"`
 			size += 1 + len(a.Name) + 2 + len(a.Value) + escapeExtra(a.Value, true) + 1
 		}
-		if len(n.Children) == 0 {
+		if n.Text == "" && len(n.Children) == 0 {
 			size += len("/>")
 		} else {
 			size += len(">")
+			if n.Text != "" {
+				size += len(n.Text) + escapeExtra(n.Text, false)
+			}
 			for _, c := range n.Children {
 				size += c.byteSize(gen)
 			}
@@ -726,15 +759,18 @@ func indentNode(b *strings.Builder, n *Node, depth int) {
 	for _, a := range attrs {
 		b.WriteString(" " + a.Name + `="` + escapeAttr(a.Value) + `"`)
 	}
-	if len(n.Children) == 0 {
+	if n.Text == "" && len(n.Children) == 0 {
 		b.WriteString("/>\n")
 		return
 	}
-	if len(n.Children) == 1 && n.Children[0].IsText() {
-		b.WriteString(">" + escapeText(n.Children[0].Text) + "</" + n.Name + ">\n")
+	if len(n.Children) == 0 {
+		b.WriteString(">" + escapeText(n.Text) + "</" + n.Name + ">\n")
 		return
 	}
 	b.WriteString(">\n")
+	if n.Text != "" {
+		b.WriteString(pad + "  " + escapeText(strings.TrimSpace(n.Text)) + "\n")
+	}
 	for _, c := range n.Children {
 		indentNode(b, c, depth+1)
 	}

@@ -117,8 +117,11 @@ func TestClone(t *testing.T) {
 	if !Equal(a, c) {
 		t.Fatal("clone not equal")
 	}
-	c.Child("b").Children[0].Text = "changed"
-	if Equal(a, c) {
+	if got := c.Child("b"); got.Text != "t" || len(got.Children) != 0 {
+		t.Fatalf("clone of <b>t</b> = Text %q + %d children, want the text on the element", got.Text, len(got.Children))
+	}
+	c.Child("b").Text = "changed"
+	if Equal(a, c) || a.Child("b").Text != "t" {
 		t.Fatal("clone shares storage with original")
 	}
 }
@@ -251,7 +254,7 @@ func TestByteSizeCacheInvalidation(t *testing.T) {
 		t.Fatalf("after child SetAttr: ByteSize %d != len(String) %d", got, len(n.String()))
 	}
 	// Direct field writes bypass the mutators; Invalidate restores coherence.
-	n.Child("k").Children[0].Text = "a much longer text value > before"
+	n.Child("k").Text = "a much longer text value > before"
 	Invalidate()
 	if got := n.ByteSize(); got != len(n.String()) {
 		t.Fatalf("after Invalidate: ByteSize %d != len(String) %d", got, len(n.String()))
