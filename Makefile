@@ -26,8 +26,9 @@ test-short: build
 # allocation stats. Each stream is distilled by cmd/benchjson into a clean
 # summary (one record per benchmark, parsed metrics) matching the loadgen
 # reports — BENCH_plan_hop.json, BENCH_decode.json (zero-copy
-# BenchmarkDecode vs the encoding/xml-based BenchmarkParseLegacy, so
-# decode-path wins and regressions are visible on their own) and
+# BenchmarkDecode on a payload-heavy frame and BenchmarkDecodePlan on an
+# attribute-heavy plan frame vs the encoding/xml-based BenchmarkParseLegacy,
+# so decode-path wins and regressions are visible on their own) and
 # BENCH_wire.json (warm codec hop, streaming frame encoder, reused
 # persistent link over real TCP — the numbers behind the "wire hop within
 # ~3x of the tree hop" acceptance bar). The benchmark lines still echo to
@@ -35,7 +36,7 @@ test-short: build
 bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(PlanHop$$|PlanClone|Micro|Canonical|ByteSize)' -benchmem -json . \
 		| $(GO) run ./cmd/benchjson -out BENCH_plan_hop.json
-	$(GO) test -run '^$$' -bench '^Benchmark(Decode|ParseLegacy)$$' -benchmem -json . \
+	$(GO) test -run '^$$' -bench '^Benchmark(Decode|DecodePlan|ParseLegacy)$$' -benchmem -json . \
 		| $(GO) run ./cmd/benchjson -out BENCH_decode.json
 	$(GO) test -run '^$$' -bench '^Benchmark(PlanHopWire$$|PlanHopWireReused$$|StreamEncode$$)' -benchmem -json . \
 		| $(GO) run ./cmd/benchjson -out BENCH_wire.json
@@ -142,11 +143,13 @@ chaos-large-ci:
 	$(GO) run ./cmd/chaos -n 16 -peers 1000 -churn
 
 # Fuzz smoke: 10s per target (canonical-XML parse fixpoint, zero-copy
-# decoder vs reference-parser differential, wire framing, streaming frame
-# encoder vs staged-tree encoder differential).
+# decoder vs reference-parser differential, the decoder's []byte entry point
+# the wire uses, wire framing, streaming frame encoder vs staged-tree encoder
+# differential).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEquivalence$$' -fuzztime 10s ./internal/xmltree
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamEncodeEquivalence$$' -fuzztime 10s ./internal/algebra
 

@@ -271,6 +271,61 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// decodePlanWireFixture is a frame shaped like the ones area_fanout routes:
+// a plan shell of annotated <url> and <urn> leaves under one selection, its
+// retained original, a visited section with a dozen answered-area <a s= u=/>
+// records and a dozen-visit provenance trail. It is nearly all names and
+// attribute values and carries no payload, the shape BenchmarkDecode's data
+// documents hide.
+func decodePlanWireFixture(b testing.TB) []byte {
+	b.Helper()
+	var leaves []*algebra.Node
+	visited := algebra.NewVisited()
+	trail := &provenance.Trail{}
+	key := []byte("bench-key")
+	for i := 0; i < 12; i++ {
+		server := fmt.Sprintf("seller%03d:9020", i)
+		urn := fmt.Sprintf("urn:InterestArea:(USA.OR.City%d,Music.CDs)", i)
+		if i%2 == 0 {
+			leaves = append(leaves, algebra.URN(urn))
+		} else {
+			leaves = append(leaves, algebra.URL(server, fmt.Sprintf("/data[id=%d]", i)).
+				Annotate("origin-urn", urn).Annotate("source", server))
+		}
+		visited.Mark(server, uint64(i)*0x9e3779b97f4a7c15)
+		visited.MarkAnswered(server, urn)
+		trail.Append(provenance.Visit{
+			Server: server, Action: provenance.ActionBind, Detail: urn,
+			At: time.Duration(i) * time.Millisecond,
+		}, key)
+	}
+	plan := algebra.NewPlan("area", "buyer:9020", algebra.Display(
+		algebra.Select(algebra.MustParsePredicate("price < 24"), algebra.Union(leaves...))))
+	plan.RetainOriginal()
+	plan.Visited = visited
+	provenance.ToPlan(plan, trail)
+	return []byte(algebra.EncodeString(plan))
+}
+
+// BenchmarkDecodePlan is BenchmarkDecode on the attribute-heavy plan frame:
+// the cold decode a routing hop pays for a plan that carries no data yet.
+func BenchmarkDecodePlan(b *testing.B) {
+	wire := decodePlanWireFixture(b)
+	defer xmltree.SetFrameCacheLimit(xmltree.SetFrameCacheLimit(0))
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc, err := xmltree.Decode(wire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if doc.Name != "mqp" {
+			b.Fatal("bad decode")
+		}
+	}
+}
+
 // BenchmarkParseLegacy is the encoding/xml-based reference decoder on the
 // same input, kept as the baseline the zero-copy decoder is measured
 // against (the acceptance bar is ≥3× faster).

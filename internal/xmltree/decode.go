@@ -27,11 +27,28 @@
 // version and encoding; namespace prefixes are stripped from names, xmlns
 // machinery is dropped, and a prefix bound to the URI "xmlns" hides its
 // attributes exactly as encoding/xml's namespace translation does.
+//
+// How often a byte is read: once, on the frames the wire carries. A text run
+// or attribute value opens with a table scan (byteClass) over plain bytes —
+// valid XML chars that decoding leaves alone and canonical emission does not
+// escape — OR-ing their classes, so "all whitespace?" falls out of the same
+// loop. A run the scan carries to its terminator aliases the input and is
+// never validated or sized again. Any other byte sends the rest of the run to
+// scanText's general loop, the only code that knows entities, CR/LF, CDATA,
+// control and non-ASCII characters; only that tail is validated and
+// escape-sized. '>' is not plain because emission writes "&gt;"; ']' is not
+// plain in character data so that the general loop can start where the scan
+// stopped without remembering a half-seen "]]>". Names: rawName notes a colon
+// or non-ASCII byte as it scans, a name with neither skips the namespace
+// split, and interning goes through a per-decoder cache that may hold only
+// interned strings — it outlives the decode in the pool, and a substring of
+// the frame would pin the frame there.
 package xmltree
 
 import (
 	"encoding/xml"
 	"errors"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,8 +78,9 @@ func Decode(buf []byte) (*Node, error) {
 // aliasing is safe precisely because decoder output is frozen — the tree is
 // immutable no matter how many receive paths share it.
 func DecodeString(s string) (*Node, error) {
-	if root := frameCacheGet(s); root != nil {
-		return root, nil
+	hit, key, cacheOn := frameCacheGet(s)
+	if hit != nil {
+		return hit, nil
 	}
 	d := decPool.Get().(*decoder)
 	d.s = s
@@ -72,8 +90,8 @@ func DecodeString(s string) (*Node, error) {
 	// byte of s: no declaration, no surrounding whitespace, canonical body.
 	whole := err == nil && root.memoStr != "" && d.rootSpan[0] == 0 && d.rootSpan[1] == len(s)
 	d.release()
-	if whole {
-		frameCachePut(s, root)
+	if whole && cacheOn {
+		frameCachePut(key, s, root)
 	}
 	return root, err
 }
@@ -141,6 +159,21 @@ func intern(name string) string {
 	return c
 }
 
+// nameCacheSize is several times the vocabulary one frame uses.
+const nameCacheSize = 128
+
+// intern is the package-level intern behind a direct-mapped cache, so a
+// record-shaped document pays the map hash once per distinct name, not once
+// per element. A slot is verified by string equality and refilled from the
+// global table: it never holds a substring of a frame.
+func (d *decoder) intern(name string) string {
+	slot := &d.names[(uint(len(name))*31+uint(name[0])*7+uint(name[len(name)-1]))%nameCacheSize]
+	if *slot != name {
+		*slot = intern(name)
+	}
+	return *slot
+}
+
 // --- Decoder state ------------------------------------------------------
 
 // Slab sizing. A decode carves its nodes, child slices and attribute slices
@@ -168,6 +201,7 @@ type openElem struct {
 	rawName string // prefixed name as written, for end-tag matching
 	kidMark int    // kidStk length when the element opened
 	nsMark  int    // nsUndo length when the element opened
+	size    int    // canonical bytes of the start tag and the element's own Text so far
 
 	// Clean-span tracking (see finishSpan): where the element's '<' sits in
 	// the input, the transform counter at open, and whether the start tag
@@ -207,11 +241,15 @@ type decoder struct {
 	attrUsed  int
 	attrNext  int
 
+	names [nameCacheSize]string // see intern; kept across release
+
 	scratch []byte // unescape staging for values that cannot alias s
 	// wsOnly reports whether the last scanText run was entirely whitespace
-	// (strings.TrimSpace would empty it); computed during the validation
-	// scan so addText never re-reads the run.
-	wsOnly bool
+	// (strings.TrimSpace would empty it), and escExtra how many bytes
+	// canonical emission adds to it by escaping; both fall out of the scan,
+	// so neither addText nor the size arithmetic re-reads the run.
+	wsOnly   bool
+	escExtra int
 
 	// muts counts byte-transforming events — entity expansion, \r rewriting,
 	// CDATA sections, comments, processing instructions, directives, dropped
@@ -261,9 +299,26 @@ func resetStack[T any](s []T) []T {
 // sizeSlabs sets the first slab sizes from the input (see slabMax). Child
 // pointers number one less than nodes, so the two share an estimate.
 func (d *decoder) sizeSlabs() {
-	d.nodeNext = min(max(strings.Count(d.s, "<")-strings.Count(d.s, "</"), 1), slabMax)
+	d.nodeNext = min(max(strings.Count(d.s, "<")-countCloseTags(d.s), 1), slabMax)
 	d.kidNext = d.nodeNext
 	d.attrNext = min(max(strings.Count(d.s, "="), 1), slabMax)
+}
+
+// countCloseTags is strings.Count(s, "</") eight bytes at a time: unlike the
+// single-byte counts, a two-byte needle gets no SIMD path.
+func countCloseTags(s string) int {
+	const ones, low7 = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
+	n := 0
+	for ; len(s) > 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		// Byte j of y is zero exactly when s[j] is '<' and s[j+1] is '/'.
+		y := (w ^ ones*'<') | ((w>>8 | uint64(s[8])<<56) ^ ones*'/')
+		// Count the zero bytes: the sum leaves a lane's top bit clear only
+		// there, and no carry crosses a lane (each sums to at most 0xfe).
+		n += bits.OnesCount64(^((y&low7 + low7) | y | low7))
+	}
+	return n + strings.Count(s, "</")
 }
 
 func (d *decoder) newNode() *Node {
@@ -376,58 +431,79 @@ func (d *decoder) space() {
 
 // --- Names --------------------------------------------------------------
 
-// isNameByte mirrors encoding/xml's single-byte name alphabet: names are
-// delimited by any ASCII byte outside it, while all multi-byte characters
-// are read and validated rune-wise afterwards.
-func isNameByte(c byte) bool {
-	return 'A' <= c && c <= 'Z' ||
-		'a' <= c && c <= 'z' ||
-		'0' <= c && c <= '9' ||
-		c == '_' || c == ':' || c == '.' || c == '-'
-}
+// Byte classes: one lookup tells a scan all it needs about a byte, and the
+// OR of the classes met along a run answers what used to take a pass each.
+const (
+	// Plain in character data, in a "-quoted and in a '-quoted value: a valid
+	// XML char, not the run's terminator, that decoding does not rewrite ('&',
+	// '\r') and canonical emission does not escape ('>'; in values '"', tab
+	// and newline). See the package header for ']'.
+	clsText = 1 << iota
+	clsDq
+	clsSq
+	clsInk // not whitespace
+	// encoding/xml's name alphabet: any ASCII byte outside it delimits a
+	// name, while multi-byte characters (clsHigh) continue one and are
+	// validated rune-wise afterwards.
+	clsName
+	clsColon
+	clsHigh
+)
 
-// rawName reads one XML name (prefix included). It mirrors readName + the
-// isName character-class check; names containing non-ASCII runes are settled
-// by probing encoding/xml itself, so the exotic cases cannot drift.
-func (d *decoder) rawName() (string, error) {
+var byteClass = func() (t [256]uint8) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = clsText | clsDq | clsSq | clsInk
+	}
+	t[' '] &^= clsInk
+	t['\t'], t['\n'] = clsText, clsText
+	t['<'], t['&'], t['>'] = 0, 0, 0
+	t[']'] &^= clsText
+	t['"'] &^= clsDq | clsSq
+	t['\''] &^= clsSq // '"' too: emission re-quotes with '"'
+	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-:" {
+		t[c] |= clsName
+	}
+	t[':'] |= clsColon
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = clsName | clsHigh
+	}
+	return t
+}()
+
+// rawName reads one XML name (prefix included) and reports whether it is
+// plain — ASCII with no colon, like all of the wire vocabulary. It mirrors
+// readName + the isName character-class check; names containing non-ASCII
+// runes are settled by probing encoding/xml itself, so the exotic cases
+// cannot drift.
+func (d *decoder) rawName() (name string, plain bool, err error) {
 	s := d.s
-	i := d.pos
-	if i >= len(s) {
-		return "", d.eof()
-	}
-	ascii := true
-	start := i
-	for i < len(s) {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if !isNameByte(c) {
-				break
-			}
-		} else {
-			ascii = false
-		}
+	start := d.pos
+	i := start
+	var seen uint8
+	for i < len(s) && byteClass[s[i]]&clsName != 0 {
+		seen |= byteClass[s[i]]
 		i++
-	}
-	if i == start {
-		return "", d.err("expected name")
 	}
 	if i >= len(s) {
 		// The byte after a name is read by the tokenizer before the name is
 		// returned, so a name running into EOF is an unexpected-EOF error.
-		return "", d.eof()
+		return "", false, d.eof()
 	}
-	name := s[start:i]
-	if ascii {
+	if i == start {
+		return "", false, d.err("expected name")
+	}
+	name = s[start:i]
+	if seen&clsHigh == 0 {
 		// ASCII fast path of encoding/xml's name start class: letters,
 		// underscore, or colon. Digits, '.' and '-' may only continue.
 		if c := name[0]; !('A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' || c == ':') {
-			return "", d.err("invalid XML name: " + name)
+			return "", false, d.err("invalid XML name: " + name)
 		}
 	} else if !exoticNameOK(name) {
-		return "", d.err("invalid XML name: " + name)
+		return "", false, d.err("invalid XML name: " + name)
 	}
 	d.pos = i
-	return name, nil
+	return name, seen&(clsColon|clsHigh) == 0, nil
 }
 
 // exoticNameOK validates a name containing non-ASCII bytes by asking the
@@ -464,31 +540,38 @@ func splitName(raw string) (prefix, local string, ok bool) {
 func (d *decoder) startElement() error {
 	start := d.pos - 1 // the '<' consumed by run
 	mutsMark := d.muts
-	raw, err := d.rawName()
+	raw, plain, err := d.rawName()
 	if err != nil {
 		return err
 	}
-	_, local, ok := splitName(raw)
-	if !ok {
-		return d.err("element name " + raw + " has multiple colons")
-	}
-	if !localNameOK(local) {
-		return d.err("element name " + local + " invalid after dropping namespace prefix")
+	local := raw // a plain name is its own valid local name
+	if !plain {
+		var ok bool
+		if _, local, ok = splitName(raw); !ok {
+			return d.err("element name " + raw + " has multiple colons")
+		}
+		if !localNameOK(local) {
+			return d.err("element name " + local + " invalid after dropping namespace prefix")
+		}
 	}
 	if len(d.open) == 0 && d.root != nil {
 		return d.err("multiple root elements")
 	}
 
 	// dirty accumulates every way the start tag can deviate from canonical
-	// form without the byte-size check noticing: a stripped name prefix,
-	// markup whitespace that is not exactly one space per attribute, '='
-	// padding, single-quoted values, dropped or reordered attributes. Clean
-	// spans (finishSpan) must rule all of these out.
-	dirty := raw != local
+	// form without the byte-size check noticing: a stripped name prefix
+	// (local is then a proper suffix of raw), markup whitespace that is not
+	// exactly one space per attribute, '=' padding, single-quoted values,
+	// dropped or reordered attributes. Clean spans (finishSpan) must rule all
+	// of these out.
+	dirty := len(raw) != len(local)
 
 	attrMark := len(d.attrStk)
 	nsMark := len(d.nsUndo)
 	empty := false
+	// attrsPlain holds while no attribute can involve namespace machinery;
+	// valExtra sums what escaping adds to the attribute values.
+	attrsPlain, valExtra := true, 0
 	for {
 		ws := d.pos
 		d.space()
@@ -521,10 +604,11 @@ func (d *decoder) startElement() error {
 		if d.pos != ws+1 || d.s[ws] != ' ' {
 			dirty = true // exactly one plain space precedes each attribute
 		}
-		araw, err := d.rawName()
+		araw, aplain, err := d.rawName()
 		if err != nil {
 			return err
 		}
+		attrsPlain = attrsPlain && aplain && araw != "xmlns"
 		eq := d.pos
 		d.space()
 		if d.pos >= len(d.s) {
@@ -554,44 +638,52 @@ func (d *decoder) startElement() error {
 		if err != nil {
 			return err
 		}
+		valExtra += d.escExtra
 		d.attrStk = append(d.attrStk, Attr{Name: araw, Value: val})
 	}
 
 	// Namespace-declaration pass, in document order, before any attribute
 	// is filtered: later attributes of this element see earlier bindings.
 	rawAttrs := d.attrStk[attrMark:]
-	for _, a := range rawAttrs {
-		prefix, local, ok := splitName(a.Name)
-		if !ok {
-			return d.err("attribute name " + a.Name + " has multiple colons")
-		}
-		if prefix == "xmlns" {
-			d.setNs(local, a.Value)
-		} else if prefix == "" && local == "xmlns" {
-			d.setNs("", a.Value)
+	if !attrsPlain {
+		for _, a := range rawAttrs {
+			prefix, local, ok := splitName(a.Name)
+			if !ok {
+				return d.err("attribute name " + a.Name + " has multiple colons")
+			}
+			if prefix == "xmlns" {
+				d.setNs(local, a.Value)
+			} else if prefix == "" && local == "xmlns" {
+				d.setNs("", a.Value)
+			}
 		}
 	}
 
 	// Filter-and-strip pass, mirroring Parse: xmlns machinery dropped, a
 	// prefix whose bound URI is the literal "xmlns" dropped (encoding/xml's
 	// translation would give those attrs Space "xmlns"), invalid stripped
-	// locals dropped, duplicate locals first-wins.
+	// locals dropped, duplicate locals first-wins. size accumulates the
+	// canonical start tag as the attributes are kept.
 	n := d.newNode()
-	n.Name = intern(local)
+	n.Name = d.intern(local)
+	size := len("<") + len(local)
 	kept := rawAttrs[:0]
 	for _, a := range rawAttrs {
-		prefix, alocal, _ := splitName(a.Name)
-		// Any attribute whose stripped local is "xmlns" is namespace
-		// machinery — prefixed or not (Parse checks the local name after
-		// prefix stripping, so x:xmlns goes too).
-		if prefix == "xmlns" || alocal == "xmlns" {
-			continue
-		}
-		if prefix != "" && prefix != "xml" && d.ns[prefix] == "xmlns" {
-			continue
-		}
-		if !localNameOK(alocal) {
-			continue
+		prefix, alocal := "", a.Name
+		if !attrsPlain {
+			prefix, alocal, _ = splitName(a.Name)
+			// Any attribute whose stripped local is "xmlns" is namespace
+			// machinery — prefixed or not (Parse checks the local name after
+			// prefix stripping, so x:xmlns goes too).
+			if prefix == "xmlns" || alocal == "xmlns" {
+				continue
+			}
+			if prefix != "" && prefix != "xml" && d.ns[prefix] == "xmlns" {
+				continue
+			}
+			if !localNameOK(alocal) {
+				continue
+			}
 		}
 		dup := false
 		for _, k := range kept {
@@ -606,17 +698,23 @@ func (d *decoder) startElement() error {
 		if prefix != "" {
 			dirty = true // prefix stripped from an emitted attribute
 		}
-		kept = append(kept, Attr{Name: intern(alocal), Value: a.Value})
+		kept = append(kept, Attr{Name: d.intern(alocal), Value: a.Value})
+		size += len(` ="`) + len(alocal) + len(a.Value) + len(`"`)
 	}
 	if len(kept) != len(rawAttrs) || !attrsSorted(kept) {
 		dirty = true // attributes dropped, or canonical emission reorders
+		valExtra = 0 // what was summed may include a dropped value
+		for _, a := range kept {
+			valExtra += escapeExtra(a.Value, true)
+		}
 	}
+	size += valExtra
 	n.Attrs = d.attrSlice(kept)
 	d.attrStk = d.attrStk[:attrMark]
 
 	if empty {
 		d.undoNs(nsMark)
-		d.finishSpan(n, start, !dirty && d.muts == mutsMark)
+		d.finishSpan(n, start, size, !dirty && d.muts == mutsMark)
 		return nil
 	}
 	// Fast path for the dominant wire shape, <name>text</name>: scan the
@@ -637,18 +735,19 @@ func (d *decoder) startElement() error {
 				dirty = true // whitespace-only content dropped
 			} else {
 				n.Text = text
+				size += len(text) + d.escExtra
 			}
 			d.undoNs(nsMark)
-			d.finishSpan(n, start, endClean && !dirty && d.muts == mutsMark)
+			d.finishSpan(n, start, size, endClean && !dirty && d.muts == mutsMark)
 			return nil
 		}
 		d.open = append(d.open, openElem{n: n, rawName: raw, kidMark: len(d.kidStk), nsMark: nsMark,
-			start: start, mutsMark: mutsMark, dirty: dirty})
+			size: size, start: start, mutsMark: mutsMark, dirty: dirty})
 		d.addText(text)
 		return nil
 	}
 	d.open = append(d.open, openElem{n: n, rawName: raw, kidMark: len(d.kidStk), nsMark: nsMark,
-		start: start, mutsMark: mutsMark, dirty: dirty})
+		size: size, start: start, mutsMark: mutsMark, dirty: dirty})
 	return nil
 }
 
@@ -687,7 +786,7 @@ func (d *decoder) endElement() error {
 			return d.closeTop(endClean)
 		}
 	}
-	raw, err := d.rawName()
+	raw, _, err := d.rawName()
 	if err != nil {
 		return err
 	}
@@ -721,7 +820,7 @@ func (d *decoder) closeTop(endClean bool) error {
 	n.Children = d.kidSlice(d.kidStk[oe.kidMark:])
 	d.kidStk = d.kidStk[:oe.kidMark]
 	d.undoNs(oe.nsMark)
-	d.finishSpan(n, oe.start, endClean && !oe.dirty && d.muts == oe.mutsMark)
+	d.finishSpan(n, oe.start, oe.size, endClean && !oe.dirty && d.muts == oe.mutsMark)
 	return nil
 }
 
@@ -730,18 +829,33 @@ func (d *decoder) closeTop(endClean bool) error {
 // memoizes the span as the node's serialization, so re-emitting a received
 // subtree is a memcpy instead of a re-walk.
 //
+// size arrives holding the canonical start tag and the element's own escaped
+// Text, summed while they were scanned; with the children's memos and the
+// closing form it is the size memo, and no string is read again for it.
+//
 // Soundness of the clean check: clean means no byte-transforming event fired
 // inside the span (d.muts), the start and end tags have canonical layout,
 // attributes were kept verbatim in sorted order, and every element child
 // proved itself clean (its own memoStr is set, so its bytes are exactly its
-// canonical form). Under those conditions the only ways the span can still
-// differ from the canonical serialization are escaping expansions — a raw
-// '>' in text, a raw tab in an attribute value — which strictly increase
-// the canonical length. memoSize == span length therefore forces the two
-// byte strings to be identical.
-func (d *decoder) finishSpan(n *Node, start int, clean bool) {
-	n.byteSize(frozenGen)
-	if clean && n.memoSize == d.pos-start && childElemsClean(n) {
+// canonical form; a child that failed its check — <a></a>, whose canonical
+// form is <a/> — poisons the parent's span even when sizes happen to agree).
+// Under those conditions the only ways the span can still differ from the
+// canonical serialization are escaping expansions — a raw '>' in text, a raw
+// tab in an attribute value — which strictly increase the canonical length.
+// memoSize == span length therefore forces the two byte strings to be
+// identical.
+func (d *decoder) finishSpan(n *Node, start, size int, clean bool) {
+	for _, c := range n.Children {
+		size += c.memoSize
+		clean = clean && (c.Name == "" || c.memoStr != "")
+	}
+	if n.Text == "" && len(n.Children) == 0 {
+		size += len("/>")
+	} else {
+		size += len("></>") + len(n.Name)
+	}
+	n.memoSize, n.memoGen = size, frozenGen
+	if clean && size == d.pos-start {
 		n.memoStr = d.s[start:d.pos]
 	}
 	if len(d.open) == 0 {
@@ -752,25 +866,14 @@ func (d *decoder) finishSpan(n *Node, start int, clean bool) {
 	d.kidStk = append(d.kidStk, n)
 }
 
-// childElemsClean reports whether every element child carries a clean-span
-// memo; a child that failed its own check (e.g. <a></a>, whose canonical
-// form is <a/>) poisons the parent's span even when sizes happen to agree.
-func childElemsClean(n *Node) bool {
-	for _, c := range n.Children {
-		if c.Name != "" && c.memoStr == "" {
-			return false
-		}
-	}
-	return true
-}
-
 // addText applies Parse's text policy to one decoded run: dropped outside
 // the root and when whitespace-only, joined to the open element's own Text
 // while it has no children yet, merged with an adjacent text sibling (runs
-// split by CDATA sections or comments), appended otherwise. Merged text
-// stays mutable until the parent closes and freezes it. Whether the run is
-// whitespace-only was already determined during scanText's validation pass
-// (d.wsOnly), so no re-scan happens here.
+// split by CDATA sections or comments), appended otherwise. A text node is
+// born frozen like every decoded node, yet keeps growing here, its size memo
+// with it, until the parent closes. Whether the run is whitespace-only and
+// what escaping adds to it were settled by scanText (d.wsOnly, d.escExtra),
+// so no re-scan happens here.
 func (d *decoder) addText(text string) {
 	if len(d.open) == 0 {
 		// Outside the root element: dropped, and outside every span.
@@ -783,18 +886,21 @@ func (d *decoder) addText(text string) {
 		return
 	}
 	top := &d.open[len(d.open)-1]
+	size := len(text) + d.escExtra
 	k := len(d.kidStk)
 	if k == top.kidMark {
 		top.n.Text += text // still aliases the input when Text was empty
+		top.size += size
 		return
 	}
-	if d.kidStk[k-1].IsText() {
-		d.kidStk[k-1].Text += text
-		return
+	n := d.kidStk[k-1]
+	if !n.IsText() {
+		n = d.newNode()
+		n.memoGen = frozenGen
+		d.kidStk = append(d.kidStk, n)
 	}
-	n := d.newNode()
-	n.Text = text
-	d.kidStk = append(d.kidStk, n)
+	n.Text += text
+	n.memoSize += size
 }
 
 // --- Namespace bindings -------------------------------------------------
@@ -824,11 +930,30 @@ func (d *decoder) undoNs(mark int) {
 // up to the next '<' (or EOF at top level); quote >= 0 reads a quoted
 // attribute value through its closing quote; cdata reads through "]]>".
 // The returned string aliases d.s whenever no entity expansion or line-end
-// rewriting touched the run.
+// rewriting touched the run; d.wsOnly and d.escExtra describe it.
+//
+// The run opens with a table scan over its plain bytes (see the package
+// header): the general loop starts where that stops — at the terminator, for
+// most runs — and validation and escape sizing cover only what it read.
 func (d *decoder) scanText(quote int, cdata bool) (string, error) {
 	s := d.s
 	i := d.pos
 	start := i
+	var seen uint8
+	if !cdata {
+		mask := uint8(clsText)
+		switch quote {
+		case '"':
+			mask = clsDq
+		case '\'':
+			mask = clsSq
+		}
+		for i < len(s) && byteClass[s[i]]&mask != 0 {
+			seen |= byteClass[s[i]]
+			i++
+		}
+	}
+	plain := i - start // no ']' or '\r' in it: b0 and b1 may start at zero
 	buf := d.scratch[:0]
 	copied := false
 	var b0, b1 byte
@@ -899,13 +1024,7 @@ func (d *decoder) scanText(quote int, cdata bool) (string, error) {
 	d.pos = i
 	var out string
 	if copied {
-		buf = buf[:len(buf)-trunc]
-		ws, err := validChars(bstr(buf))
-		if err != nil {
-			return "", err
-		}
-		d.wsOnly = ws
-		out = string(buf)
+		out = string(buf[:len(buf)-trunc])
 		d.scratch = buf[:0]
 	} else {
 		end := i
@@ -916,22 +1035,17 @@ func (d *decoder) scanText(quote int, cdata bool) (string, error) {
 			end-- // drop the consumed closing quote
 		}
 		out = s[start:end]
-		ws, err := validChars(out)
+	}
+	d.wsOnly, d.escExtra = seen&clsInk == 0, 0
+	if tail := out[plain:]; tail != "" {
+		ws, err := validChars(tail)
 		if err != nil {
 			return "", err
 		}
-		d.wsOnly = ws
+		d.wsOnly = d.wsOnly && ws
+		d.escExtra = escapeExtra(tail, quote >= 0)
 	}
 	return out, nil
-}
-
-// bstr views a byte slice as a string for validation without copying; the
-// slice is not retained.
-func bstr(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // validChars applies the XML 1.0 character-range and UTF-8 validity checks
@@ -1018,8 +1132,7 @@ func (d *decoder) entity(i int) (string, int, error) {
 	}
 	start := i
 	for i < len(s) {
-		c := s[i]
-		if c < utf8.RuneSelf && !isNameByte(c) {
+		if byteClass[s[i]]&clsName == 0 {
 			break
 		}
 		i++
@@ -1133,7 +1246,7 @@ func (d *decoder) procInst() error {
 	d.muts++ // dropped from the canonical form
 	// PI targets take the raw name class with no namespace split: colons
 	// are unrestricted here, unlike element and attribute names.
-	target, err := d.rawName()
+	target, _, err := d.rawName()
 	if err != nil {
 		return err
 	}

@@ -52,6 +52,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		if got.ByteSize() != len(got.String()) {
 			t.Fatalf("decoded ByteSize %d != serialized length %d: %q", got.ByteSize(), len(got.String()), s)
 		}
+		assertSizedBounded(t, got, s)
 		// And decoding the canonical form must reproduce the tree (the
 		// fixpoint property Parse already guarantees).
 		c := got.String()
@@ -87,5 +88,16 @@ func FuzzDecodeBytes(f *testing.F) {
 			t.Fatalf("Decode tree differs from DecodeString on %q", buf)
 		}
 		assertNormal(t, got, string(buf))
+		assertSizedBounded(t, got, string(buf))
 	})
+}
+
+// assertSizedBounded is assertSized for fuzz inputs: the walk re-serializes
+// every subtree, which is quadratic in depth, so inputs long enough to nest
+// thousands deep keep to the root-level checks.
+func assertSizedBounded(t *testing.T, n *Node, input string) {
+	t.Helper()
+	if len(input) <= 1<<12 {
+		assertSized(t, n, input)
+	}
 }

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -120,21 +121,83 @@ func checkDecodeAgreement(t *testing.T, s string) {
 	if rs != gs {
 		t.Fatalf("serialization disagreement on %q:\n  Parse:  %q\n  Decode: %q", s, rs, gs)
 	}
-	assertBornFrozen(t, got, s)
+	assertSized(t, got, s)
 	assertNormal(t, ref, s)
 	assertNormal(t, got, s)
 }
 
-func assertBornFrozen(t *testing.T, n *Node, input string) {
+// assertSized checks every node of a decoded tree: born frozen, and held
+// against its clone, which is mutable and carries no serialization memo — the
+// size the decoder summed while scanning must be the length of a fresh walk,
+// and every clean-span memo must be that walk's bytes.
+func assertSized(t testing.TB, n *Node, input string) {
 	t.Helper()
 	if !n.Frozen() {
 		t.Fatalf("decoded node <%s>%q not frozen at birth (input %q)", n.Name, n.Text, input)
 	}
-	if got, want := n.ByteSize(), len(n.String()); got != want {
-		t.Fatalf("decoded node <%s> ByteSize = %d, want %d (input %q)", n.Name, got, want, input)
+	want := n.Clone().String()
+	if got := n.ByteSize(); got != len(want) {
+		t.Fatalf("decoded node <%s>%q ByteSize = %d, want %d (input %q)", n.Name, n.Text, got, len(want), input)
+	}
+	if got := n.String(); got != want {
+		t.Fatalf("decoded node <%s> String = %q, want %q (input %q)", n.Name, got, want, input)
 	}
 	for _, c := range n.Children {
-		assertBornFrozen(t, c, input)
+		assertSized(t, c, input)
+	}
+}
+
+// TestDecodeEveryByte puts each of the 256 byte values wherever a scan loop
+// classifies bytes — character data, both kinds of quoted value, element and
+// attribute names — alone and next to everything the table scan hands over
+// to the general loop for, and holds Decode to Parse on each.
+func TestDecodeEveryByte(t *testing.T) {
+	defer SetFrameCacheLimit(SetFrameCacheLimit(0))
+	specials := []string{"", "]]>", "]]", "]", "\r\n", "\r", "&amp;", ">", "x", " "}
+	for c := 0; c < 256; c++ {
+		b := string([]byte{byte(c)})
+		for _, sp := range specials {
+			for _, run := range []string{b + sp, sp + b, sp + b + sp, " " + b + sp + " "} {
+				for _, doc := range []string{
+					"<a>" + run + "</a>",
+					"<a><b/>" + run + "</a>",
+					"<a>" + run + "<b/>" + run + "</a>",
+					"<a>" + run, // the run ends at EOF
+					"<a/>" + run,
+					`<a k="` + run + `"/>`,
+					`<a k='` + run + `'/>`,
+					`<a j="x" k="` + run + `">` + run + `</a>`,
+					`<a k="` + run,
+					"<a><![CDATA[" + run + "]]></a>",
+				} {
+					checkDecodeAgreement(t, doc)
+				}
+			}
+		}
+		for _, name := range []string{b, "n" + b, b + "n", "n" + b + "n", "p:" + b} {
+			checkDecodeAgreement(t, "<"+name+"/>")
+			checkDecodeAgreement(t, "<"+name+">x</"+name+">")
+			checkDecodeAgreement(t, "<a "+name+`="v"/>`)
+			checkDecodeAgreement(t, "<a b=\"1\" "+name+`="v" c="2">x</a>`)
+			checkDecodeAgreement(t, "<a>&"+name+";</a>")
+		}
+	}
+}
+
+// TestCountCloseTags holds the word-at-a-time counter to strings.Count on
+// every length around its word boundaries, '<' as the last byte included.
+func TestCountCloseTags(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 400; trial++ {
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = "</<a/"[rng.Intn(5)]
+			}
+			if s := string(buf); countCloseTags(s) != strings.Count(s, "</") {
+				t.Fatalf("countCloseTags(%q) = %d, want %d", s, countCloseTags(s), strings.Count(s, "</"))
+			}
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ package xmltree
 import (
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultFrameCacheBytes is the startup bound on decoded-frame bytes the
@@ -33,12 +34,15 @@ var frameCache = struct {
 	m     map[uint64]*Node
 	fifo  []uint64
 	bytes int
-	limit int
+	// limit is written under mu and read without it by frameCacheGet, so a
+	// decode with the cache off neither hashes its frame nor takes the lock.
+	limit atomic.Int64
 }{
-	seed:  maphash.MakeSeed(),
-	m:     map[uint64]*Node{},
-	limit: DefaultFrameCacheBytes,
+	seed: maphash.MakeSeed(),
+	m:    map[uint64]*Node{},
 }
+
+func init() { frameCache.limit.Store(DefaultFrameCacheBytes) }
 
 // SetFrameCacheLimit sets the byte bound of the identical-frame cache,
 // flushes all current entries, and returns the previous bound. A limit of 0
@@ -47,38 +51,37 @@ func SetFrameCacheLimit(limit int) int {
 	c := &frameCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.limit
-	c.limit = limit
+	old := int(c.limit.Swap(int64(limit)))
 	clear(c.m)
 	c.fifo = c.fifo[:0]
 	c.bytes = 0
 	return old
 }
 
-func frameCacheGet(s string) *Node {
+// frameCacheGet looks s up and returns its hash for the frameCachePut that
+// follows a miss, so a frame is hashed once; on is false, and nothing was
+// hashed or locked, when the cache is off or the frame is empty.
+func frameCacheGet(s string) (hit *Node, h uint64, on bool) {
 	c := &frameCache
-	if len(s) == 0 {
-		return nil
+	if len(s) == 0 || c.limit.Load() == 0 {
+		return nil, 0, false
 	}
-	h := maphash.String(c.seed, s)
+	h = maphash.String(c.seed, s)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.limit == 0 {
-		return nil
-	}
 	if n, ok := c.m[h]; ok && n.memoStr == s {
-		return n
+		return n, h, true
 	}
-	return nil
+	return nil, h, true
 }
 
-func frameCachePut(s string, root *Node) {
+func frameCachePut(h uint64, s string, root *Node) {
 	c := &frameCache
-	h := maphash.String(c.seed, s)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	limit := int(c.limit.Load())
 	// Oversized frames would evict everything for one entry's benefit.
-	if len(s) == 0 || len(s) > c.limit/2 {
+	if len(s) > limit/2 {
 		return
 	}
 	if old, ok := c.m[h]; ok {
@@ -90,7 +93,7 @@ func frameCachePut(s string, root *Node) {
 		c.m[h] = root
 		return
 	}
-	for c.bytes+len(s) > c.limit && len(c.fifo) > 0 {
+	for c.bytes+len(s) > limit && len(c.fifo) > 0 {
 		k := c.fifo[0]
 		c.fifo = c.fifo[1:]
 		if e, ok := c.m[k]; ok {
