@@ -79,14 +79,20 @@ loadgen-smoke:
 # no-learning client on the same repeated workload; cold/warm hops,
 # msgs/query and the warm shortcut hit rate land in BENCH_route.json. The
 # run fails if the warm phase does not strictly reduce msgs/query.
+# BenchmarkMineTrail then prices the learning step itself: one five-visit
+# trail mined into a table of 16, 256 and 4096 confirmed edges, ns/op flat
+# across the three (its lines echo to the console; CHANGES.md keeps them).
 bench-route:
 	$(GO) run ./cmd/loadgen -route -out BENCH_route.json
+	$(GO) test -run '^$$' -bench '^BenchmarkMineTrail$$' -benchmem ./internal/peer | grep '^Benchmark'
 
-# CI gate for learned routing: the short -route run plus the E15
-# cold-vs-warm experiment in -short mode (internal/experiments.ShortMode).
+# CI gate for learned routing: the short -route run, the E15 cold-vs-warm
+# experiment in -short mode (internal/experiments.ShortMode), and one
+# iteration of BenchmarkMineTrail so it cannot rot.
 route-smoke:
 	$(GO) run ./cmd/loadgen -route -smoke -out -
 	$(GO) test -short -run 'TestAllExperimentsRun/E15' ./internal/experiments
+	$(GO) test -run '^$$' -bench '^BenchmarkMineTrail$$' -benchtime 1x ./internal/peer
 
 # Payload-store memory benchmark (cmd/loadgen -mem): the same dedup-heavy
 # world driven store-off then store-on in one process, comparing live heap

@@ -99,27 +99,35 @@ func TestStreamEncodeMatchesStaged(t *testing.T) {
 	}
 }
 
+// streamFuzzSeeds are FuzzStreamEncodeEquivalence's in-code corpus: <mqp>
+// frames covering every section a plan can carry.
+var streamFuzzSeeds = []string{
+	`<mqp id="q1" target="t:1"><plan><data><item><price>5</price></item></data></plan></mqp>`,
+	`<mqp id="q2" target="t:1"><plan><select pred="price &lt; 10"><url href="h:9020" path="/data"/></select></plan></mqp>`,
+	`<mqp id="q3" target="t:1"><plan><join leftkey="k" leftname="l" rightkey="k" rightname="r">` +
+		`<urn name="urn:a"/><urn name="urn:b"/></join></plan></mqp>`,
+	`<mqp id="q4" target="t:1"><plan><topn by="price" n="3" order="desc"><data/></topn></plan>` +
+		`<original><data/></original><visited b="4">a:1 2 AQ;b:1 1 Ag</visited></mqp>`,
+	`<mqp id="q5" target="t:1"><plan><data><i>cd &amp; entities &gt; here</i></data></plan>` +
+		`<provenance><visit server="s&quot;1"/></provenance></mqp>`,
+	`<mqp id="q6" target="t:1"><plan><data><i><![CDATA[a<b&c]]></i></data></plan></mqp>`,
+	`<mqp id="q7" target="t:1"><plan><count><project as="p" fields="a,b">` +
+		`<annotations><annot k="card" v="12"/></annotations><union><data/><data/></union></project></count></plan></mqp>`,
+	`<mqp id="&#113;8" target="t:1"><plan><display><data><x>&#65;&amp;</x></data></display></plan>` +
+		`<visited>legacy:1 1 AA</visited></mqp>`,
+	`<mqp id="q9" target="t:1"><plan><union><urn name="urn:InterestArea:(USA.OR.Portland,Furniture.Chairs)"/><data/></union></plan>` +
+		`<visited b="6">m:9020 2 FnYrjV5vcIE<a s="s1:9020" u="urn:InterestArea:(USA.OR.Portland,Music.CDs)"/>` +
+		`<a s="s2:9020" u="urn:InterestArea:(*,*)"/></visited></mqp>`,
+}
+
 // FuzzStreamEncodeEquivalence: for any decodable <mqp> frame, the streamed
 // frame bytes must be byte-identical to the staging-tree Encode output —
 // both for the decoded plan (frozen payloads ride as zero-copy segments) and
 // for a fully mutable reconstruction of the same plan.
 func FuzzStreamEncodeEquivalence(f *testing.F) {
-	f.Add(`<mqp id="q1" target="t:1"><plan><data><item><price>5</price></item></data></plan></mqp>`)
-	f.Add(`<mqp id="q2" target="t:1"><plan><select pred="price &lt; 10"><url href="h:9020" path="/data"/></select></plan></mqp>`)
-	f.Add(`<mqp id="q3" target="t:1"><plan><join leftkey="k" leftname="l" rightkey="k" rightname="r">` +
-		`<urn name="urn:a"/><urn name="urn:b"/></join></plan></mqp>`)
-	f.Add(`<mqp id="q4" target="t:1"><plan><topn by="price" n="3" order="desc"><data/></topn></plan>` +
-		`<original><data/></original><visited b="4">a:1 2 AQ;b:1 1 Ag</visited></mqp>`)
-	f.Add(`<mqp id="q5" target="t:1"><plan><data><i>cd &amp; entities &gt; here</i></data></plan>` +
-		`<provenance><visit server="s&quot;1"/></provenance></mqp>`)
-	f.Add(`<mqp id="q6" target="t:1"><plan><data><i><![CDATA[a<b&c]]></i></data></plan></mqp>`)
-	f.Add(`<mqp id="q7" target="t:1"><plan><count><project as="p" fields="a,b">` +
-		`<annotations><annot k="card" v="12"/></annotations><union><data/><data/></union></project></count></plan></mqp>`)
-	f.Add(`<mqp id="&#113;8" target="t:1"><plan><display><data><x>&#65;&amp;</x></data></display></plan>` +
-		`<visited>legacy:1 1 AA</visited></mqp>`)
-	f.Add(`<mqp id="q9" target="t:1"><plan><union><urn name="urn:InterestArea:(USA.OR.Portland,Furniture.Chairs)"/><data/></union></plan>` +
-		`<visited b="6">m:9020 2 FnYrjV5vcIE<a s="s1:9020" u="urn:InterestArea:(USA.OR.Portland,Music.CDs)"/>` +
-		`<a s="s2:9020" u="urn:InterestArea:(*,*)"/></visited></mqp>`)
+	for _, seed := range streamFuzzSeeds {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := DecodeString(s)

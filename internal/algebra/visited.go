@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -428,64 +427,80 @@ func UnmarshalVisited(e *xmltree.Node) (*Visited, error) {
 // carries, so it is stable across a Marshal/Unmarshal round trip — the
 // property that lets a server compare its recorded fingerprint against a
 // plan that has hopped through other servers since.
+//
+// The hash is FNV-1a (64-bit) over little-endian 8-byte integers and
+// length-prefixed strings, written out by hand: the value is on the wire in
+// <visited> records, so it is pinned bit for bit against hash/fnv by
+// TestFingerprintMatchesFNV.
 func Fingerprint(n *Node) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(i int) {
-		v := uint64(i)
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(v >> (8 * b))
-		}
-		h.Write(buf[:])
+	return fingerprintNode(fnvOffset64, n)
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvInt folds i into h as eight little-endian bytes.
+func fnvInt(h uint64, i int) uint64 {
+	v := uint64(i)
+	for b := 0; b < 8; b++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
 	}
-	writeStr := func(s string) {
-		writeInt(len(s))
-		h.Write([]byte(s))
+	return h
+}
+
+// fnvStr folds s into h, length first.
+func fnvStr(h uint64, s string) uint64 {
+	h = fnvInt(h, len(s))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	var walk func(m *Node)
-	walk = func(m *Node) {
-		writeInt(int(m.Kind))
-		writeStr(m.URL)
-		writeStr(m.PathExp)
-		writeStr(m.URN)
-		if m.Pred != nil {
-			writeStr(m.Pred.String())
+	return h
+}
+
+func fingerprintNode(h uint64, m *Node) uint64 {
+	h = fnvInt(h, int(m.Kind))
+	h = fnvStr(h, m.URL)
+	h = fnvStr(h, m.PathExp)
+	h = fnvStr(h, m.URN)
+	if m.Pred != nil {
+		h = fnvStr(h, m.Pred.String())
+	}
+	h = fnvStr(h, joinFields(m.Fields))
+	h = fnvStr(h, m.As)
+	h = fnvStr(h, m.LeftKey)
+	h = fnvStr(h, m.RightKey)
+	h = fnvStr(h, m.LeftName)
+	h = fnvStr(h, m.RightName)
+	h = fnvInt(h, m.N)
+	h = fnvStr(h, m.OrderBy)
+	if m.Desc {
+		h = fnvInt(h, 1)
+	} else {
+		h = fnvInt(h, 0)
+	}
+	if len(m.Annotations) > 0 {
+		keys := make([]string, 0, len(m.Annotations))
+		for k := range m.Annotations {
+			keys = append(keys, k)
 		}
-		writeStr(joinFields(m.Fields))
-		writeStr(m.As)
-		writeStr(m.LeftKey)
-		writeStr(m.RightKey)
-		writeStr(m.LeftName)
-		writeStr(m.RightName)
-		writeInt(m.N)
-		writeStr(m.OrderBy)
-		if m.Desc {
-			writeInt(1)
-		} else {
-			writeInt(0)
-		}
-		if len(m.Annotations) > 0 {
-			keys := make([]string, 0, len(m.Annotations))
-			for k := range m.Annotations {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				writeStr(k)
-				writeStr(m.Annotations[k])
-			}
-		}
-		writeInt(len(m.Docs))
-		for _, d := range m.Docs {
-			// ByteSize is memoized (permanently for the frozen payloads in
-			// flight), so digesting data payloads costs no serialization.
-			writeInt(d.ByteSize())
-		}
-		writeInt(len(m.Children))
-		for _, c := range m.Children {
-			walk(c)
+		sort.Strings(keys)
+		for _, k := range keys {
+			h = fnvStr(h, k)
+			h = fnvStr(h, m.Annotations[k])
 		}
 	}
-	walk(n)
-	return h.Sum64()
+	h = fnvInt(h, len(m.Docs))
+	for _, d := range m.Docs {
+		// ByteSize is memoized (permanently for the frozen payloads in
+		// flight), so digesting data payloads costs no serialization.
+		h = fnvInt(h, d.ByteSize())
+	}
+	h = fnvInt(h, len(m.Children))
+	for _, c := range m.Children {
+		h = fingerprintNode(h, c)
+	}
+	return h
 }

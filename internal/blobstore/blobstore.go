@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"sync"
+	"unsafe"
 
 	"repro/internal/xmltree"
 )
@@ -54,14 +55,16 @@ func ParseFP(s string) (FP, bool) {
 
 // Fingerprint computes a node's fingerprint and the length of its canonical
 // serialization. Frozen subtrees hash their memoized serialization (no
-// re-walk); mutable ones pay one canonical serialization.
+// re-walk); mutable ones pay one canonical serialization. The hash reads the
+// string in place: SHA-256 only reads its input, and a payload can be most
+// of a frame, so a []byte copy of it was a tenth of a join's allocation.
 func Fingerprint(n *xmltree.Node) (FP, int) {
 	s, ok := n.FrozenSerialization()
 	if !ok {
 		s = n.String()
 	}
 	var fp FP
-	sum := sha256.Sum256([]byte(s))
+	sum := sha256.Sum256(unsafe.Slice(unsafe.StringData(s), len(s)))
 	copy(fp[:], sum[:])
 	return fp, len(s)
 }

@@ -1,6 +1,7 @@
 package blobstore
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
@@ -32,6 +33,17 @@ func TestFingerprintStableAcrossForms(t *testing.T) {
 	}
 	if other, _ := Fingerprint(item(2)); other == fpM {
 		t.Fatal("distinct content collided")
+	}
+	// The value is on the wire in <blob> references: the leading 128 bits of
+	// SHA-256 over the canonical bytes, however the hash gets to read them.
+	// The size is the node's ByteSize, which is what lets a caller ask the
+	// size first and skip the hash.
+	sum := sha256.Sum256([]byte(frozen.String()))
+	if want := FP(sum[:16]); fpF != want {
+		t.Fatalf("fingerprint %s, want sha256 prefix %s", fpF, want)
+	}
+	if sizeF != frozen.ByteSize() || sizeM != mutable.ByteSize() {
+		t.Fatalf("size %d/%d, ByteSize %d/%d", sizeF, sizeM, frozen.ByteSize(), mutable.ByteSize())
 	}
 }
 

@@ -237,36 +237,42 @@ func (c *Catalog) Deregister(addr string) int {
 // precision may be lost, recall is not). Absorbing an area the catalog
 // already covers for that server is a no-op, so repeated confirmation does
 // not churn the catalog generation.
-func (c *Catalog) AbsorbLearned(server, areaURN string) error {
+//
+// The returned generation is the one this call's own widening produced, read
+// under the same lock, or zero when the call changed nothing. A caller that
+// remembers the generation it last absorbed under (peer.mineTrail) can so
+// tell its own step from anyone else's mutation: only the latter can have
+// taken coverage away.
+func (c *Catalog) AbsorbLearned(server, areaURN string) (uint64, error) {
 	if server == "" || server == c.self {
-		return fmt.Errorf("catalog: cannot absorb shortcut to %q", server)
+		return 0, fmt.Errorf("catalog: cannot absorb shortcut to %q", server)
 	}
 	area, err := namespace.DecodeURN(areaURN)
 	if err != nil {
-		return fmt.Errorf("catalog: absorb %s: %w", server, err)
+		return 0, fmt.Errorf("catalog: absorb %s: %w", server, err)
 	}
 	if err := c.ns.Validate(area); err != nil {
 		area = c.ns.Generalize(area)
 	}
 	if area.Empty() {
-		return fmt.Errorf("catalog: learned area %q generalizes to nothing this namespace knows", areaURN)
+		return 0, fmt.Errorf("catalog: learned area %q generalizes to nothing this namespace knows", areaURN)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range c.regs {
 		if c.regs[i].Addr == server && c.regs[i].Role == RoleIndex {
 			if c.regs[i].Area.Covers(area) {
-				return nil
+				return 0, nil
 			}
 			cells := append(append([]namespace.Cell(nil), c.regs[i].Area.Cells...), area.Cells...)
 			c.regs[i].Area = namespace.NewArea(cells...)
 			c.invalidateLocked()
-			return nil
+			return c.gen.Load(), nil
 		}
 	}
 	c.regs = append(c.regs, Registration{Addr: server, Role: RoleIndex, Area: area})
 	c.invalidateLocked()
-	return nil
+	return c.gen.Load(), nil
 }
 
 // AddStatement retains an intensional statement.

@@ -52,8 +52,8 @@ func TestAbsorbLearnedCreatesAndGrowsIndexReg(t *testing.T) {
 	or := areaURN(ns, "[USA/OR, Music/CDs]")
 	wa := areaURN(ns, "[USA/WA, Music/CDs]")
 
-	if err := c.AbsorbLearned("idx:1", or); err != nil {
-		t.Fatal(err)
+	if g, err := c.AbsorbLearned("idx:1", or); err != nil || g != c.Generation() {
+		t.Fatalf("absorb = generation %d (catalog at %d), %v", g, c.Generation(), err)
 	}
 	regs := c.Registrations()
 	if len(regs) != 1 || regs[0].Addr != "idx:1" || regs[0].Role != RoleIndex {
@@ -61,15 +61,15 @@ func TestAbsorbLearnedCreatesAndGrowsIndexReg(t *testing.T) {
 	}
 	// Idempotent for covered areas: no generation churn on re-confirmation.
 	gen := c.Generation()
-	if err := c.AbsorbLearned("idx:1", or); err != nil {
-		t.Fatal(err)
+	if g, err := c.AbsorbLearned("idx:1", or); err != nil || g != 0 {
+		t.Fatalf("re-absorbing a covered area = generation %d, %v; want 0 (nothing changed)", g, err)
 	}
 	if c.Generation() != gen {
 		t.Fatal("re-absorbing a covered area churned the generation")
 	}
 	// A genuinely new area widens the same registration.
-	if err := c.AbsorbLearned("idx:1", wa); err != nil {
-		t.Fatal(err)
+	if g, err := c.AbsorbLearned("idx:1", wa); err != nil || g != gen+1 {
+		t.Fatalf("widening = generation %d, %v; want %d", g, err, gen+1)
 	}
 	regs = c.Registrations()
 	if len(regs) != 1 {
@@ -98,13 +98,13 @@ func TestAbsorbLearnedCreatesAndGrowsIndexReg(t *testing.T) {
 func TestAbsorbLearnedRejectsSelfAndGarbage(t *testing.T) {
 	ns := testNS()
 	c := New(ns, "me:1")
-	if err := c.AbsorbLearned("me:1", areaURN(ns, "[USA, *]")); err == nil {
+	if _, err := c.AbsorbLearned("me:1", areaURN(ns, "[USA, *]")); err == nil {
 		t.Fatal("absorbed a shortcut to self")
 	}
-	if err := c.AbsorbLearned("", areaURN(ns, "[USA, *]")); err == nil {
+	if _, err := c.AbsorbLearned("", areaURN(ns, "[USA, *]")); err == nil {
 		t.Fatal("absorbed a shortcut to nowhere")
 	}
-	if err := c.AbsorbLearned("idx:1", "not-a-urn"); err == nil {
+	if _, err := c.AbsorbLearned("idx:1", "not-a-urn"); err == nil {
 		t.Fatal("absorbed an undecodable area")
 	}
 	if len(c.Registrations()) != 0 {
@@ -120,7 +120,7 @@ func TestAbsorbLearnedGeneralizesUnknownArea(t *testing.T) {
 	ns := testNS()
 	c := New(ns, "me:1")
 	// USA/OR/Salem is not in testNS; it generalizes to USA/OR.
-	if err := c.AbsorbLearned("idx:1", "urn:InterestArea:(USA.OR.Salem,Music.CDs)"); err != nil {
+	if _, err := c.AbsorbLearned("idx:1", "urn:InterestArea:(USA.OR.Salem,Music.CDs)"); err != nil {
 		t.Fatal(err)
 	}
 	regs := c.Registrations()

@@ -209,10 +209,10 @@ func (b *blobState) encode(p *Peer, body *xmltree.Node, to string, at time.Durat
 	// substituting: payload-free bodies never probe.
 	checked, capable := false, false
 	algebra.SubstituteBlobs(body, func(doc *xmltree.Node) (string, bool) {
-		fp, size := blobstore.Fingerprint(doc)
-		if size < blobMinBytes {
+		if doc.ByteSize() < blobMinBytes {
 			return "", false
 		}
+		fp, size := blobstore.Fingerprint(doc)
 		if !checked {
 			checked, capable = true, b.ensureCapable(p, to, at)
 		}
@@ -363,7 +363,7 @@ func (p *Peer) blobDecode(msg *simnet.Message) (*xmltree.Node, time.Duration, er
 			return n, err
 		},
 		func(doc *xmltree.Node) *xmltree.Node {
-			if _, size := blobstore.Fingerprint(doc); size < blobMinBytes {
+			if doc.ByteSize() < blobMinBytes {
 				return doc
 			}
 			return b.internWire(msg.From, doc)

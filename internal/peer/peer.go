@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -190,6 +191,14 @@ type Peer struct {
 
 	// shortcuts is the learned routing table, nil unless Config.LearnShortcuts.
 	shortcuts *route.Shortcuts
+	// absorbMu serializes mineTrail's absorb step and guards the stamp its
+	// last full pass left: while the catalog is still at absorbedGen, and for
+	// any plan clock later than absorbRevive, every live confirmed edge of the
+	// table is already covered by the catalog, bar the ones a trail has just
+	// taught and is about to hand in itself.
+	absorbMu     sync.Mutex
+	absorbedGen  uint64
+	absorbRevive time.Duration
 
 	// blobs is the payload-by-reference runtime, nil unless Config.Blobs.
 	blobs *blobState
@@ -233,6 +242,7 @@ func New(cfg Config) (*Peer, error) {
 	}
 	if cfg.LearnShortcuts {
 		p.shortcuts = route.NewShortcuts(route.ShortcutsConfig{})
+		p.absorbRevive = math.MaxInt64 // no full pass yet: every clock needs one
 		pcfg.Shortcuts = p.shortcuts
 	}
 	if cfg.Blobs != nil {
@@ -533,6 +543,21 @@ func (p *Peer) recordResult(plan *algebra.Plan, at time.Duration, hops int) {
 // the paper's meta-index maintenance loop, automated. Mining is message-free:
 // it reads trails already in hand, so enabling it never perturbs network
 // traffic by itself.
+//
+// Absorbing costs what the trail taught, not what the table holds. An edge is
+// absorbed by the trail that first confirms it, absorbing only ever widens a
+// registration, and nothing but another catalog mutation — which moves the
+// generation — can take coverage away. So while the generation stands where
+// the last pass left it, AbsorbLearned on an edge this trail did not touch
+// would change nothing, and only the touched edges are handed to
+// Shortcuts.Confirmed. The full-table pass is made exactly when that argument
+// does not hold: the first time, after any mutation that was not this loop's
+// own (a registration or deregistration heard, a supersede, direct seeding
+// through Catalog()), and when the plan's clock is early enough to bring back
+// an edge the last full pass skipped as expired (plans carry their own
+// clocks, so at can run backwards). Edges put into the table behind
+// mineTrail's back (Shortcuts().Learn) wait for their next confirmation or
+// the next full pass.
 func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 	if p.shortcuts == nil {
 		return
@@ -547,15 +572,18 @@ func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 		}
 	}
 	gen := p.cat.Generation()
+	taught := make([]route.ShortcutEntry, 0, 8)
 	for _, v := range t.Visits {
 		if v.Action == provenance.ActionBind && v.Server != p.addr &&
 			namespace.IsAreaURN(v.Detail) {
 			p.shortcuts.Learn(v.Detail, v.Server, gen, at)
+			taught = append(taught, route.ShortcutEntry{Area: v.Detail, Server: v.Server})
 		}
 	}
 	for _, s := range provenance.SuggestShortcuts(t) {
 		if s.Direct != p.addr && namespace.IsAreaURN(s.Detail) {
 			p.shortcuts.Learn(s.Detail, s.Direct, gen, at)
+			taught = append(taught, route.ShortcutEntry{Area: s.Detail, Server: s.Direct})
 		}
 	}
 	threshold := p.cfg.AbsorbThreshold
@@ -565,12 +593,33 @@ func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 	if threshold < 0 {
 		return
 	}
-	for _, e := range p.shortcuts.Confirmed(threshold, gen, at) {
+	p.absorbMu.Lock()
+	defer p.absorbMu.Unlock()
+	// Read again under the lock: another worker's pass may have widened the
+	// catalog, and moved the stamp with it, since the Learns above.
+	gen = p.cat.Generation()
+	full := gen != p.absorbedGen || at <= p.absorbRevive
+	if full {
+		taught = nil // the whole table
+	} else if len(taught) == 0 {
+		return
+	}
+	edges, revive := p.shortcuts.Confirmed(threshold, gen, at, taught)
+	if full {
+		p.absorbRevive = revive
+	}
+	for _, e := range edges {
 		// AbsorbLearned is idempotent for already-covered edges, so repeated
 		// confirmation does not churn the catalog generation (which would
-		// needlessly invalidate the prepared-plan cache).
-		_ = p.cat.AbsorbLearned(e.Server, e.Area)
+		// needlessly invalidate the prepared-plan cache). One past gen is this
+		// loop's own widening; any other answer means someone else moved the
+		// catalog meanwhile, and leaving the stamp behind makes the next pass
+		// a full one.
+		if g, _ := p.cat.AbsorbLearned(e.Server, e.Area); g == gen+1 {
+			gen = g
+		}
 	}
+	p.absorbedGen = gen
 }
 
 // StuckErrors returns errors from plans that could make no progress here:

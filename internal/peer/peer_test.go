@@ -31,7 +31,7 @@ func items(ss ...string) []*xmltree.Node {
 	return out
 }
 
-func mustPeer(t *testing.T, cfg Config) *Peer {
+func mustPeer(t testing.TB, cfg Config) *Peer {
 	t.Helper()
 	p, err := New(cfg)
 	if err != nil {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -109,7 +110,9 @@ func NewShortcuts(cfg ShortcutsConfig) *Shortcuts {
 // Learn records (or re-confirms) that server answered the area at virtual
 // time at, under catalog generation gen. Re-confirmation bumps the hit
 // count and refreshes both stamps, so a live edge never ages out while the
-// workload keeps proving it right.
+// workload keeps proving it right. Learn only keeps the table: whoever mined
+// the trail hands the edges it taught to Confirmed afterwards, to find the
+// ones now solid enough to absorb.
 func (s *Shortcuts) Learn(area, server string, gen uint64, at time.Duration) {
 	if area == "" || server == "" {
 		return
@@ -165,14 +168,20 @@ func (s *Shortcuts) sortLocked(entries []*ShortcutEntry, at time.Duration) {
 	})
 }
 
-// liveLocked reports whether the entry is still trustworthy at virtual
-// time at under catalog generation gen.
-func (s *Shortcuts) liveLocked(e *ShortcutEntry, gen uint64, at time.Duration) bool {
+// liveUntilLocked is the last virtual time at which the entry is still
+// trustworthy under catalog generation gen.
+func (s *Shortcuts) liveUntilLocked(e *ShortcutEntry, gen uint64) time.Duration {
 	ttl := s.cfg.MaxAge
 	if e.Generation != gen {
 		ttl = s.cfg.StaleAge
 	}
-	return at-e.LearnedAt <= ttl
+	return e.LearnedAt + ttl
+}
+
+// liveLocked reports whether the entry is still trustworthy at virtual
+// time at under catalog generation gen.
+func (s *Shortcuts) liveLocked(e *ShortcutEntry, gen uint64, at time.Duration) bool {
+	return at <= s.liveUntilLocked(e, gen)
 }
 
 // Lookup returns the live learned servers for an area, best-first by
@@ -228,25 +237,60 @@ func (s *Shortcuts) Candidates(root *algebra.Node, self string, gen uint64, at t
 
 // Confirmed returns the live entries with at least minHits confirmations —
 // the edges solid enough to absorb into a real catalog registration so the
-// learning survives this peer.
-func (s *Shortcuts) Confirmed(minHits int, gen uint64, at time.Duration) []ShortcutEntry {
+// learning survives this peer — ordered by area, then server, each once.
+//
+// A nil among asks about the whole table: the full pass, O(table), which
+// peer.mineTrail makes only when its catalog's generation is not the one its
+// last pass ended at. Otherwise among names (by Area and Server) the edges
+// one trail just taught, and only those are looked at, so what a trail costs
+// is what it touched. Asking again about a just-learned edge instead of
+// trusting Learn's moment matters: a later Learn of the same trail may have
+// evicted it.
+//
+// revive is the latest virtual time at which an entry skipped for age alone
+// would still have been live (math.MinInt64 when none was skipped). Virtual
+// time is per plan and can run backwards between plans; a caller that acts
+// once on a full answer and then relies on it must ask again for any
+// at <= revive.
+func (s *Shortcuts) Confirmed(minHits int, gen uint64, at time.Duration, among []ShortcutEntry) (live []ShortcutEntry, revive time.Duration) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []ShortcutEntry
-	for _, entries := range s.byArea {
-		for _, e := range entries {
-			if e.Hits >= minHits && s.liveLocked(e, gen, at) {
-				out = append(out, *e)
+	revive = math.MinInt64
+	consider := func(e *ShortcutEntry) {
+		if e.Hits < minHits {
+			return
+		}
+		if until := s.liveUntilLocked(e, gen); at <= until {
+			live = append(live, *e)
+		} else if until > revive {
+			revive = until
+		}
+	}
+	if among == nil {
+		for _, entries := range s.byArea {
+			for _, e := range entries {
+				consider(e)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Area != out[j].Area {
-			return out[i].Area < out[j].Area
+	for _, k := range among {
+		for _, e := range s.byArea[k.Area] {
+			if e.Server == k.Server {
+				consider(e)
+			}
 		}
-		return out[i].Server < out[j].Server
+	}
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].Area != live[j].Area {
+			return live[i].Area < live[j].Area
+		}
+		return live[i].Server < live[j].Server
 	})
-	return out
+	// A trail can teach one edge twice (a bind visit and a detour to it).
+	live = slices.CompactFunc(live, func(a, b ShortcutEntry) bool {
+		return a.Area == b.Area && a.Server == b.Server
+	})
+	return live, revive
 }
 
 // Invalidate drops every edge pointing at server — the peer deregistered,

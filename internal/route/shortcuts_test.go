@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -101,9 +102,56 @@ func TestShortcutsConfirmed(t *testing.T) {
 	s.Learn("urn:L:USA/OR", "idx-OR:9020", 1, 0)
 	s.Learn("urn:L:USA/OR", "idx-OR:9020", 1, time.Minute)
 	s.Learn("urn:L:USA/WA", "idx-WA:9020", 1, time.Minute)
-	got := s.Confirmed(2, 1, 2*time.Minute)
+	got, revive := s.Confirmed(2, 1, 2*time.Minute, nil)
 	if len(got) != 1 || got[0].Server != "idx-OR:9020" || got[0].Hits != 2 {
 		t.Fatalf("confirmed = %+v, want the 2-hit OR edge only", got)
+	}
+	if revive != math.MinInt64 {
+		t.Fatalf("revive = %v with nothing skipped for age", revive)
+	}
+
+	// Restricted to the edges a trail names: the same filter and order, each
+	// edge once however often it was named, nothing else looked at.
+	s.Learn("urn:L:USA/WA", "idx-WA:9020", 1, time.Minute)
+	among := []ShortcutEntry{
+		{Area: "urn:L:USA/WA", Server: "idx-WA:9020"},
+		{Area: "urn:L:USA/WA", Server: "idx-WA:9020"},
+		{Area: "urn:L:USA/CA", Server: "nobody:1"},
+	}
+	got, _ = s.Confirmed(2, 1, 2*time.Minute, among)
+	if len(got) != 1 || got[0].Server != "idx-WA:9020" || got[0].Hits != 2 {
+		t.Fatalf("confirmed among = %+v, want the WA edge once", got)
+	}
+	if got, _ := s.Confirmed(2, 1, 2*time.Minute, []ShortcutEntry{}); len(got) != 0 {
+		t.Fatalf("confirmed among nothing = %+v", got)
+	}
+
+	// A confirmed edge too old to list is reported through revive: at or
+	// before that clock it would be listed again. Under generation 2 both
+	// edges are on the stale TTL, last live at 1m + 5m.
+	got, revive = s.Confirmed(2, 2, 7*time.Minute, nil)
+	if len(got) != 0 || revive != 6*time.Minute {
+		t.Fatalf("confirmed = %+v, revive = %v; want none, 6m", got, revive)
+	}
+	if got, _ := s.Confirmed(2, 2, revive, nil); len(got) != 2 {
+		t.Fatalf("confirmed at revive = %+v, want both edges back", got)
+	}
+}
+
+// TestShortcutsConfirmedAfterEviction: an edge a trail taught can be gone
+// again before the trail is done — a fifth server for the same area at the
+// same instant evicts the one that sorts last — and Confirmed must not
+// resurrect it from the caller's list.
+func TestShortcutsConfirmedAfterEviction(t *testing.T) {
+	s := NewShortcuts(ShortcutsConfig{})
+	var among []ShortcutEntry
+	for _, srv := range []string{"z:1", "a:1", "b:1", "c:1", "d:1"} {
+		s.Learn("urn:L:USA/OR", srv, 1, 0)
+		among = append(among, ShortcutEntry{Area: "urn:L:USA/OR", Server: srv})
+	}
+	got, _ := s.Confirmed(1, 1, 0, among)
+	if len(got) != 4 || got[3].Server != "d:1" {
+		t.Fatalf("confirmed among = %+v, want a,b,c,d (z evicted)", got)
 	}
 }
 
@@ -172,7 +220,7 @@ func TestShortcutsConcurrent(t *testing.T) {
 					s.Lookup("urn:L:USA/OR", uint64(i%3), at)
 					s.Candidates(root, "self:1", uint64(i%3), at)
 				case 3:
-					s.Confirmed(2, uint64(i%3), at)
+					s.Confirmed(2, uint64(i%3), at, nil)
 					s.Stats()
 					if i%100 == 0 {
 						s.Sweep(uint64(i%3), at)
