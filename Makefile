@@ -150,8 +150,8 @@ chaos-large-ci:
 
 # Fuzz smoke: 10s per target (canonical-XML parse fixpoint, zero-copy
 # decoder vs reference-parser differential, the decoder's []byte entry point
-# the wire uses, wire framing, streaming frame encoder vs staged-tree encoder
-# differential).
+# the wire uses, the link handshake and frame header, streaming frame encoder
+# vs staged-tree encoder differential).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEquivalence$$' -fuzztime 10s ./internal/xmltree

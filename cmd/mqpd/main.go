@@ -1,7 +1,8 @@
 // Command mqpd runs a mutant-query-plan server over real TCP sockets: the
 // same processor that powers the simulated experiments, wired to the
-// network. Each connection carries one XML document: an <mqp> plan to
-// process and forward, or a <registration> to accept into the catalog.
+// network. Peers reach it over persistent multiplexed links (internal/wire);
+// each frame on a link carries one XML document: an <mqp> plan to process and
+// forward, or a <registration> to accept into the catalog.
 //
 // Example (three shells):
 //

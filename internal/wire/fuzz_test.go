@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/xmltree"
 )
 
-// frame length-prefixes a payload the way WriteFrame does.
+// frame prefixes a payload with the bare 4-byte length ReadFrame expects.
 func frame(payload string) []byte {
 	b := make([]byte, 4+len(payload))
 	binary.BigEndian.PutUint32(b, uint32(len(payload)))
@@ -17,41 +19,75 @@ func frame(payload string) []byte {
 	return b
 }
 
-// FuzzRecv drives the receive path (recvAuto: frame auto-detection, length
-// prefix validation, payload bounds, XML parse) with arbitrary bytes. The
-// committed corpus in testdata/fuzz/FuzzRecv pins the framing edge cases:
-// truncated and oversized length prefixes, zero-length frames, payloads cut
-// off mid-frame, and the legacy raw stream.
+// linkFrame is one link frame as it crosses the wire: length, correlation
+// id, payload.
+func linkFrame(corr uint64, payload string) []byte {
+	b := make([]byte, 12+len(payload))
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint64(b[4:12], corr)
+	copy(b[12:], payload)
+	return b
+}
+
+// opened prefixes frame bytes with a dialer's handshake.
+func opened(caps byte, frames []byte) []byte {
+	return append(append([]byte(linkMagic), caps), frames...)
+}
+
+// bufConn is the write half of a connection, captured: what writeLinkFrame
+// needs of a net.Conn (Write and SetWriteDeadline), backed by a buffer.
+type bufConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *bufConn) Write(p []byte) (int, error)      { return c.buf.Write(p) }
+func (c *bufConn) SetWriteDeadline(time.Time) error { return nil }
+
+// FuzzRecv drives the bytes a dialer controls through the server's receive
+// sequence — readHandshake, readLinkFrame, decode — the path every shipped
+// frame crosses. The committed corpus in testdata/fuzz/FuzzRecv pins the
+// edge cases: bad magic and short handshakes, truncated headers, zero and
+// oversized lengths, payloads cut off mid-frame, bytes beyond the frame,
+// with zero and nonzero correlation ids.
 //
-// Properties: malformed input errors, never panics and never blocks; any
-// accepted document survives a WriteFrame/ReadFrame round trip unchanged.
+// Properties: malformed input errors, never panics and never blocks; an
+// accepted document is frozen at birth, and it and its correlation id
+// survive a writeLinkFrame/readLinkFrame round trip unchanged.
 func FuzzRecv(f *testing.F) {
-	f.Add(frame(`<mqp id="q" target="t:1"><plan><data/></plan></mqp>`))
-	f.Add(frame(`<mqp id="q" target="t:1"><plan><urn name="urn:X:Y"/></plan>` +
-		`<visited budget="3"><v fp="deadbeef42" n="2" s="meta:9020"/></visited></mqp>`))
-	f.Add(frame(`<mqp id="q" target="t:1"><plan><urn name="urn:X:Y"/></plan>` +
-		`<visited b="4">meta:9020 FnYrjV5vcIE<a s="s1:9020" u="urn:InterestArea:(USA.OR.Portland,Music.CDs)"/></visited></mqp>`))
-	f.Add(frame(`<mqp id="q" target="t:1"><plan><data/></plan>` +
-		`<visited><a s="s:1" u=""/></visited></mqp>`)) // malformed answered record: empty area
-	f.Add([]byte{0, 0})                             // truncated length prefix
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, '<', 'a'}) // oversized length
-	f.Add([]byte{0, 0, 0, 0})                       // zero-length frame
-	f.Add(frame(`<a><b>x</b></a>`)[:10])            // EOF mid-frame
-	f.Add(frame(`<a/>`)[:4])                        // prefix only, no payload
-	f.Add([]byte(`<a attr="v"><b/>text</a>`))       // legacy raw stream
-	f.Add([]byte("\n\t <a/>"))                      // legacy stream, leading whitespace
-	f.Add([]byte(" \r\n"))                          // whitespace only
-	f.Add(append(frame(`<a/>`), `<trailing/>`...))  // bytes beyond the frame
-	f.Add(frame(`not xml at all`))                  // well-framed junk
-	f.Add(frame(`<open><unclosed></open>`))         // well-framed bad XML
+	f.Add(opened(0, linkFrame(0, `<mqp id="q" target="t:1"><plan><data/></plan></mqp>`)))
+	f.Add(opened(CapBlobRef, linkFrame(7, `<mqp id="q" target="t:1"><plan><urn name="urn:X:Y"/></plan>`+
+		`<visited budget="3"><v fp="deadbeef42" n="2" s="meta:9020"/></visited></mqp>`)))
+	f.Add(opened(0, linkFrame(0, `<mqp id="q" target="t:1"><plan><urn name="urn:X:Y"/></plan>`+
+		`<visited b="4">meta:9020 FnYrjV5vcIE<a s="s1:9020" u="urn:InterestArea:(USA.OR.Portland,Music.CDs)"/></visited></mqp>`)))
+	f.Add(opened(0, linkFrame(1<<63, `<mqp id="q" target="t:1"><plan><data/></plan>`+
+		`<visited><a s="s:1" u=""/></visited></mqp>`))) // malformed answered record: empty area
+	f.Add(opened(0, []byte{0, 0}))                                                      // truncated header
+	f.Add(opened(0, linkFrame(0, `<a/>`)[:12]))                                         // header only, no payload
+	f.Add(opened(0, linkFrame(0, ``)))                                                  // zero-length frame
+	f.Add(opened(0, linkFrame(9, ``)))                                                  // zero-length frame asking for a reply
+	f.Add(opened(0, append([]byte{0xff, 0xff, 0xff, 0xff}, linkFrame(1, `<a`)[4:]...))) // oversized length
+	f.Add(opened(0, linkFrame(3, `<a><b>x</b></a>`)[:18]))                              // EOF mid-frame
+	f.Add([]byte("MUX1\x00"))                                                           // bad magic
+	f.Add([]byte(linkMagic))                                                            // short handshake: no capability byte
+	f.Add([]byte(" \r\n"))                                                              // shorter than the magic
+	f.Add(opened(0, append(linkFrame(2, `<a/>`), `<trailing/>`...)))                    // bytes beyond the frame
+	f.Add(opened(0, linkFrame(0, `not xml at all`)))                                    // well-framed junk
+	f.Add(opened(CapBlobRef, linkFrame(5, `<open><unclosed></open>`)))                  // well-framed bad XML
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		doc, frame, err := recvAuto(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return // malformed input must only error, never panic or hang
+		// Malformed input must only error, never panic or hang.
+		r := bufio.NewReader(bytes.NewReader(data))
+		if err := readHandshake(r); err != nil {
+			return
 		}
-		if frame == nil {
-			t.Fatal("accepted document without a retained frame")
+		corr, payload, err := readLinkFrame(r)
+		if err != nil {
+			return
+		}
+		doc, err := xmltree.Decode(payload)
+		if err != nil {
+			return
 		}
 		if !doc.Frozen() {
 			t.Fatal("received document not frozen at birth")
@@ -61,28 +97,31 @@ func FuzzRecv(f *testing.F) {
 			// raw bytes; such a document legitimately cannot be re-framed.
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, doc); err != nil {
+		enc := xmltree.GetFrameEncoder()
+		defer enc.Release()
+		enc.Node(doc)
+		var conn bufConn
+		if err := writeLinkFrame(&conn, corr, enc); err != nil {
 			t.Fatalf("re-framing an accepted document failed: %v", err)
 		}
-		doc2, _, err := ReadFrame(bytes.NewReader(buf.Bytes()))
+		corr2, payload2, err := readLinkFrame(bufio.NewReader(&conn.buf))
 		if err != nil {
 			t.Fatalf("re-reading a written frame failed: %v", err)
 		}
-		if !xmltree.Equal(doc, doc2) {
-			t.Fatalf("framing round trip changed the document:\n%s\nvs\n%s", doc, doc2)
+		doc2, err := xmltree.Decode(payload2)
+		if err != nil {
+			t.Fatalf("re-decoding a written frame failed: %v", err)
+		}
+		if corr2 != corr || !xmltree.Equal(doc, doc2) {
+			t.Fatalf("framing round trip changed the frame: corr %d vs %d,\n%s\nvs\n%s", corr, corr2, doc, doc2)
 		}
 	})
 }
 
-// TestFrameRoundTrip pins the basic framed path end to end without fuzzing.
+// TestFrameRoundTrip pins ReadFrame on a well-formed frame without fuzzing.
 func TestFrameRoundTrip(t *testing.T) {
 	want := xmltree.MustParse(`<mqp id="x"><plan><urn name="urn:a"/></plan></mqp>`)
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, frame, err := ReadFrame(&buf)
+	got, frame, err := ReadFrame(bytes.NewReader(frame(want.String())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,44 +146,5 @@ func TestReadFrameBounds(t *testing.T) {
 		if _, _, err := ReadFrame(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: ReadFrame accepted %q", name, data)
 		}
-	}
-}
-
-// TestRecvAcceptsBothFormats: the server must understand framed senders and
-// legacy raw-stream senders on the same port — including legacy streams with
-// leading whitespace, which the old EOF-stream parser tolerated.
-func TestRecvAcceptsBothFormats(t *testing.T) {
-	for name, data := range map[string][]byte{
-		"framed":            frame(`<hello who="world"/>`),
-		"legacy":            []byte(`<hello who="world"/>`),
-		"legacy whitespace": []byte("\n\t <hello who=\"world\"/>"),
-	} {
-		doc, frame, err := recvAuto(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if doc.Name != "hello" {
-			t.Fatalf("%s: got %s", name, doc)
-		}
-		if len(frame) == 0 {
-			t.Fatalf("%s: no retained frame", name)
-		}
-	}
-}
-
-// TestWriteFrameAllocs pins the single-Write, near-zero-allocation send
-// path: the frame is staged in a pooled buffer, not rebuilt per call.
-func TestWriteFrameAllocs(t *testing.T) {
-	doc := xmltree.MustParse(`<mqp id="x"><plan><data/></plan></mqp>`)
-	var buf bytes.Buffer
-	buf.Grow(1 << 12)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf.Reset()
-		if err := WriteFrame(&buf, doc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 1 {
-		t.Fatalf("WriteFrame allocates %.0f times per call; the pooled path should be ~0", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,23 +13,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Persistent multiplexed peer links.
-//
-// The one-document-per-connection transport pays a dial, a TCP handshake and
-// a close for every hop. Peers that forward plan after plan to the same
-// neighbors should instead keep one connection per neighbor and multiplex
-// frames over it. A mux link opens with the 4-byte magic "MUX1" (the first
-// byte 'M' cannot begin either legacy format: raw documents start with '<'
-// and a valid length prefix for a ≤MaxFrameBytes frame starts with 0x00), and
-// then carries frames of the form
-//
-//	4-byte big-endian payload length | 8-byte big-endian correlation id | payload
-//
-// in both directions. A frame with correlation id 0 is fire-and-forget; a
-// nonzero id requests a reply frame carrying the same id, where a zero-length
-// reply payload reports a remote handler failure. Concurrent senders share
-// one link: writes are serialized per frame (each under its own
-// WriteTimeout), replies are matched to waiters by correlation id.
+// The dialing end of the protocol (see the package comment): Link is one
+// connection, LinkPool keeps one Link per peer address.
 
 // IdleTimeout is how long a pooled link may sit unused before the pool's
 // opportunistic reaping closes it. The server closes its side of an idle link
@@ -38,24 +22,6 @@ import (
 // is the server closing cleanly at a frame boundary first. A variable so
 // tests can shorten it.
 var IdleTimeout = 45 * time.Second
-
-// linkMagic opens a version-1 multiplexed connection: frames immediately
-// follow the magic and neither side advertises capabilities.
-const linkMagic = "MUX1"
-
-// linkMagic2 opens a version-2 multiplexed connection: the dialer's
-// capability byte follows the magic, the server answers with its own
-// capability byte, and frames follow. A MUX1-only server rejects the
-// unknown magic and closes; the dialer detects the dead handshake and
-// redials as MUX1 with no capabilities — mixed-version deployments
-// degrade to inline-only payloads, never to a broken link.
-const linkMagic2 = "MUX2"
-
-// CapBlobRef advertises that this endpoint holds a content-addressed
-// payload store and accepts <blob fp="..."/> by-reference payload sections
-// (internal/blobstore); senders must keep payloads inline on links whose
-// peer never advertised it.
-const CapBlobRef byte = 0x01
 
 // ErrRemote reports that the remote handler failed on a Call frame. The link
 // itself is healthy: a remote failure is never grounds for a redial.
@@ -71,8 +37,8 @@ var errLinkBroken = errors.New("wire: link broken")
 type Link struct {
 	addr string
 	conn net.Conn
-	// peerCaps is the capability byte the server answered the MUX2
-	// handshake with; zero on MUX1 links (legacy peers advertise nothing).
+	// peerCaps is the capability byte the server answered the handshake
+	// with.
 	peerCaps byte
 
 	// wmu serializes whole frames onto the connection; each frame sets its
@@ -89,61 +55,26 @@ type Link struct {
 }
 
 // PeerCaps returns the capability byte the peer advertised during the
-// handshake (zero on MUX1 links).
+// handshake.
 func (l *Link) PeerCaps() byte { return l.peerCaps }
 
-func dialLink(addr string, caps byte, legacy bool) (*Link, error) {
-	if caps != 0 && !legacy {
-		l, err := dialLink2(addr, caps)
-		if err == nil || !errors.Is(err, errLegacyPeer) {
-			return l, err
-		}
-		// The peer rejected the MUX2 magic (a version-1 endpoint closes on
-		// sight of it); fall through to a fresh MUX1 dial, inline-only.
-	}
+// dialLink connects and performs the handshake: magic, the local capability
+// byte, then one capability byte back from the server before any frame. A
+// server that never answers fails the dial with the read's own error.
+func dialLink(addr string, caps byte) (*Link, error) {
 	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
-	if _, err := conn.Write([]byte(linkMagic)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: link handshake to %s: %w", addr, err)
-	}
-	l := &Link{
-		addr:    addr,
-		conn:    conn,
-		pending: map[uint64]chan []byte{},
-		lastUse: time.Now(),
-	}
-	go l.readLoop()
-	return l, nil
-}
-
-// errLegacyPeer marks a MUX2 handshake the peer cut short — the signature
-// of a version-1 endpoint. The dialer retries as MUX1.
-var errLegacyPeer = errors.New("wire: peer closed the MUX2 handshake")
-
-// dialLink2 performs the version-2 handshake: magic, the local capability
-// byte, then one capability byte back from the server before any frame.
-func dialLink2(addr string, caps byte) (*Link, error) {
-	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
-	if _, err := conn.Write(append([]byte(linkMagic2), caps)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: link handshake to %s: %w", addr, err)
 	}
 	var reply [1]byte
-	_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
-	if _, err := io.ReadFull(conn, reply[:]); err != nil {
-		// The server never answered the capability exchange: a version-1
-		// endpoint rejected the magic and closed. (A genuinely unreachable
-		// host already failed the dial above.)
+	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
+	if _, err = conn.Write(append([]byte(linkMagic), caps)); err == nil {
+		_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
+		_, err = io.ReadFull(conn, reply[:])
+	}
+	if err != nil {
 		conn.Close()
-		return nil, errLegacyPeer
+		return nil, fmt.Errorf("wire: link handshake to %s: %w", addr, err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	l := &Link{
@@ -162,25 +93,11 @@ func dialLink2(addr string, caps byte) (*Link, error) {
 // the link) marks the link broken and wakes every waiter.
 func (l *Link) readLoop() {
 	br := bufio.NewReader(l.conn)
-	var hdr [12]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		corr, payload, err := readLinkFrame(br)
+		if err != nil {
 			l.fail()
 			return
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		corr := binary.BigEndian.Uint64(hdr[4:12])
-		if n > MaxFrameBytes {
-			l.fail()
-			return
-		}
-		var payload []byte
-		if n > 0 {
-			payload = make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				l.fail()
-				return
-			}
 		}
 		l.mu.Lock()
 		ch := l.pending[corr]
@@ -226,23 +143,14 @@ func (l *Link) idle(cutoff time.Time) bool {
 	return len(l.pending) == 0 && l.lastUse.Before(cutoff)
 }
 
-// send writes one frame (header plus the encoder's segments) as a single
-// vectored write under a per-frame write deadline.
+// send writes one frame, serialized against the link's other senders.
 func (l *Link) send(corr uint64, enc *xmltree.FrameEncoder) error {
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(enc.Len()))
-	binary.BigEndian.PutUint64(hdr[4:12], corr)
-	segs := enc.Segments()
-	bufs := make(net.Buffers, 0, len(segs)+1)
-	bufs = append(bufs, hdr[:])
-	bufs = append(bufs, segs...)
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	if l.isBroken() {
 		return errLinkBroken
 	}
-	_ = l.conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
-	if _, err := bufs.WriteTo(l.conn); err != nil {
+	if err := writeLinkFrame(l.conn, corr, enc); err != nil {
 		// A write error leaves the stream position unknowable; the link is
 		// unusable for everyone.
 		l.fail()
@@ -303,14 +211,8 @@ type LinkPool struct {
 	mu    sync.Mutex
 	links map[string]*Link
 	dials map[string]*pendingDial
-	// caps is the capability byte advertised on MUX2 dials; zero keeps
-	// every dial on the version-1 handshake.
+	// caps is the capability byte advertised on every dial.
 	caps byte
-	// legacy remembers addresses whose peer rejected the MUX2 magic, so
-	// each reconnection doesn't re-pay the probe dial. A legacy peer that
-	// upgrades mid-flight stays inline-only until this pool is rebuilt —
-	// correctness is unaffected, by-reference is only an optimization.
-	legacy map[string]bool
 }
 
 // pendingDial single-flights connection establishment: a burst of first
@@ -322,12 +224,12 @@ type pendingDial struct {
 	err  error
 }
 
-// NewLinkPool returns an empty pool speaking the version-1 handshake.
+// NewLinkPool returns an empty pool advertising no capabilities.
 func NewLinkPool() *LinkPool {
-	return &LinkPool{links: map[string]*Link{}, dials: map[string]*pendingDial{}, legacy: map[string]bool{}}
+	return &LinkPool{links: map[string]*Link{}, dials: map[string]*pendingDial{}}
 }
 
-// SetLocalCaps sets the capability byte advertised on future dials (MUX2);
+// SetLocalCaps sets the capability byte advertised on future dials;
 // existing links are unaffected. Call before traffic starts.
 func (p *LinkPool) SetLocalCaps(caps byte) {
 	p.mu.Lock()
@@ -336,8 +238,8 @@ func (p *LinkPool) SetLocalCaps(caps byte) {
 }
 
 // PeerCaps returns the capability byte the peer at addr advertised,
-// dialing a link if none is cached. Zero means a version-1 peer (or a
-// version-2 peer with nothing to advertise): payloads must stay inline.
+// dialing a link if none is cached. Zero means the peer has nothing to
+// advertise: payloads must stay inline.
 func (p *LinkPool) PeerCaps(addr string) (byte, error) {
 	l, _, err := p.get(addr)
 	if err != nil {
@@ -371,20 +273,15 @@ func (p *LinkPool) get(addr string) (l *Link, cached bool, err error) {
 	}
 	d := &pendingDial{done: make(chan struct{})}
 	p.dials[addr] = d
-	caps, legacy := p.caps, p.legacy[addr]
+	caps := p.caps
 	p.mu.Unlock()
 
-	l, err = dialLink(addr, caps, legacy)
+	l, err = dialLink(addr, caps)
 	p.mu.Lock()
 	delete(p.dials, addr)
 	d.l, d.err = l, err
 	if err == nil {
 		p.links[addr] = l
-		if caps != 0 && !legacy && l.PeerCaps() == 0 {
-			// The MUX2 probe fell back (or the peer advertised nothing);
-			// remember so reconnections skip the wasted probe dial.
-			p.legacy[addr] = true
-		}
 	}
 	p.mu.Unlock()
 	close(d.done)
@@ -460,8 +357,7 @@ func (p *LinkPool) SendFrame(addr string, fill func(*xmltree.FrameEncoder)) erro
 	return p.withLink(addr, func(l *Link) error { return l.send(0, enc) })
 }
 
-// Send streams one staged document to addr over the pooled link — the
-// persistent-link replacement for the package-level Send.
+// Send streams one fire-and-forget document to addr over the pooled link.
 func (p *LinkPool) Send(addr string, doc *xmltree.Node) error {
 	return p.SendFrame(addr, func(e *xmltree.FrameEncoder) { e.Node(doc) })
 }

@@ -1,10 +1,11 @@
 package wire
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,24 @@ func listenCounting(t *testing.T, h Handler) (*Server, *countingListener) {
 	go s.loop(h)
 	t.Cleanup(func() { s.Close() })
 	return s, cl
+}
+
+// openLink dials addr and completes the handshake by hand, for tests that
+// then put raw frame bytes on the connection.
+func openLink(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var caps [1]byte
+	if _, err := conn.Write(opened(0, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, caps[:]); err != nil {
+		t.Fatalf("server did not answer the handshake: %v", err)
+	}
+	return conn
 }
 
 // TestLinkConcurrentSenders: many goroutines share one link; every caller
@@ -86,8 +105,8 @@ func TestLinkConcurrentSenders(t *testing.T) {
 }
 
 // TestLinkFireAndForgetAndLegacyCoexist: corr-0 frames stream over one
-// connection, while a legacy one-document sender talks to the same listener
-// through auto-detection.
+// connection and the handler sees every one. (The name is older than the
+// single framing; there is no legacy sender left to coexist with.)
 func TestLinkFireAndForgetAndLegacyCoexist(t *testing.T) {
 	got := make(chan string, 64)
 	srv, cl := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) {
@@ -104,24 +123,20 @@ func TestLinkFireAndForgetAndLegacyCoexist(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Legacy framed sender (dial-per-document) on the same listener.
-	if err := Send(srv.Addr(), xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "legacy"})); err != nil {
-		t.Fatal(err)
-	}
 	seen := map[string]bool{}
-	for i := 0; i < frames+1; i++ {
+	for i := 0; i < frames; i++ {
 		select {
 		case id := <-got:
 			seen[id] = true
 		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out with %d of %d documents", len(seen), frames+1)
+			t.Fatalf("timed out with %d of %d documents", len(seen), frames)
 		}
 	}
-	if !seen["legacy"] || len(seen) != frames+1 {
+	if len(seen) != frames {
 		t.Fatalf("missing documents: %v", seen)
 	}
-	if n := cl.accepts.Load(); n != 2 { // one link + one legacy connection
-		t.Fatalf("accepts = %d, want 2", n)
+	if n := cl.accepts.Load(); n != 1 {
+		t.Fatalf("%d frames used %d connections, want 1", frames, n)
 	}
 }
 
@@ -182,27 +197,15 @@ func TestLinkBrokenRedial(t *testing.T) {
 func TestLinkMidFrameCrashReported(t *testing.T) {
 	srv, _ := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) { return nil, nil })
 
-	// Clean: magic, one whole frame, close at the boundary.
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Write([]byte(linkMagic))
-	payload := []byte(`<mqp id="x"/>`)
-	hdr := make([]byte, 12)
-	hdr[3] = byte(len(payload))
-	conn.Write(hdr)
-	conn.Write(payload)
+	// Clean: handshake, one whole frame, close at the boundary.
+	whole := linkFrame(0, `<mqp id="x"/>`)
+	conn := openLink(t, srv.Addr())
+	conn.Write(whole)
 	conn.Close()
 
-	// Dirty: magic, a header promising 13 bytes, then death after 3.
-	conn2, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn2.Write([]byte(linkMagic))
-	conn2.Write(hdr)
-	conn2.Write(payload[:3])
+	// Dirty: handshake, a header promising 13 bytes, then death after 3.
+	conn2 := openLink(t, srv.Addr())
+	conn2.Write(whole[:12+3])
 	conn2.Close()
 
 	select {
@@ -316,8 +319,8 @@ func TestLinkWriteDeadlinePerFrame(t *testing.T) {
 	}
 	<-got
 
-	// Stalling reader: accepts and then never reads. Filling the kernel
-	// buffers with 4MiB frames must end in a timeout, not a hang.
+	// Stalling reader: answers the handshake and then never reads. Filling
+	// the kernel buffers with 4MiB frames must end in a timeout, not a hang.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -329,9 +332,13 @@ func TestLinkWriteDeadlinePerFrame(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		time.Sleep(10 * time.Second) // never read
+		if readHandshake(conn) != nil {
+			return
+		}
+		conn.Write([]byte{0})
+		time.Sleep(10 * time.Second) // never read again
 	}()
-	l, err := dialLink(ln.Addr().String(), 0, false)
+	l, err := dialLink(ln.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,9 +361,10 @@ func TestLinkWriteDeadlinePerFrame(t *testing.T) {
 	}
 }
 
-// TestMux2CapabilityNegotiation: a capability-bearing pool against a
-// capability-bearing server negotiates MUX2 — both sides see the other's
-// byte — while a zero-cap pool stays on MUX1 and reads zero peer caps.
+// TestMux2CapabilityNegotiation: the handshake carries one capability byte
+// each way. A capability-bearing pool reads the server's byte and the link
+// then carries frames like any other; a pool that advertises nothing still
+// learns what the server holds.
 func TestMux2CapabilityNegotiation(t *testing.T) {
 	srv, cl := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) {
 		return doc, nil
@@ -387,106 +395,66 @@ func TestMux2CapabilityNegotiation(t *testing.T) {
 		t.Fatalf("negotiation + call used %d connections, want 1", n)
 	}
 
-	// A store-less client keeps the version-1 handshake and learns nothing.
+	// The server's answer does not depend on what the dialer advertised, and
+	// a server with nothing to advertise answers zero.
 	plain := NewLinkPool()
 	defer plain.Close()
-	caps, err = plain.PeerCaps(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	if caps, err = plain.PeerCaps(srv.Addr()); err != nil || caps != CapBlobRef {
+		t.Fatalf("store-less dialer read peer caps %#x, %v; want CapBlobRef", caps, err)
 	}
-	if caps != 0 {
-		t.Fatalf("MUX1 link reported peer caps %#x, want 0", caps)
+	bare, _ := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) { return nil, nil })
+	if caps, err = pool.PeerCaps(bare.Addr()); err != nil || caps != 0 {
+		t.Fatalf("capability-less server answered %#x, %v; want 0", caps, err)
 	}
 }
 
-// legacyMux1Server accepts connections speaking ONLY the version-1
-// protocol, closing on any other magic — the behavior of a pre-MUX2 build.
-// It echoes correlated frames so the test can prove the link still works
-// after the fallback.
-func legacyMux1Server(t *testing.T) (addr string, accepts *atomic.Int64) {
-	t.Helper()
+// TestLinkHandshakeStallIsOneDial: a server that accepts and never answers
+// the handshake fails the send with the read deadline's own error after one
+// dial — no second attempt, no lost cause.
+func TestLinkHandshakeStallIsOneDial(t *testing.T) {
+	old := ReadTimeout
+	ReadTimeout = 100 * time.Millisecond
+	defer func() { ReadTimeout = old }()
+
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	accepts = &atomic.Int64{}
+	defer ln.Close()
+	accepted := make(chan net.Conn)
 	go func() {
+		defer close(accepted)
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			accepts.Add(1)
-			go func(conn net.Conn) {
-				defer conn.Close()
-				magic := make([]byte, 4)
-				if _, err := io.ReadFull(conn, magic); err != nil || string(magic) != linkMagic {
-					return // old build: unknown magic, drop the connection
-				}
-				hdr := make([]byte, 12)
-				for {
-					if _, err := io.ReadFull(conn, hdr); err != nil {
-						return
-					}
-					n := binary.BigEndian.Uint32(hdr[0:4])
-					payload := make([]byte, n)
-					if _, err := io.ReadFull(conn, payload); err != nil {
-						return
-					}
-					if corr := binary.BigEndian.Uint64(hdr[4:12]); corr != 0 {
-						if _, err := conn.Write(append(hdr, payload...)); err != nil {
-							return
-						}
-					}
-				}
-			}(conn)
+			accepted <- conn // held open, never answered
 		}
 	}()
-	return ln.Addr().String(), accepts
-}
-
-// TestMux2LegacyFallback: a capability-bearing pool dialing a version-1
-// peer auto-detects the rejected handshake, redials as MUX1 and carries
-// traffic inline-only; the wasted probe dial happens once, not per
-// reconnection.
-func TestMux2LegacyFallback(t *testing.T) {
-	addr, accepts := legacyMux1Server(t)
+	// The pool's dials complete in the listener's backlog whether or not
+	// anyone accepts them, so drain accepts only after the send has failed:
+	// everything queued ahead of the sentinel is the pool's.
 	pool := NewLinkPool()
 	defer pool.Close()
-	pool.SetLocalCaps(CapBlobRef)
-
-	caps, err := pool.PeerCaps(addr)
+	err = pool.Send(ln.Addr().String(), xmltree.Elem("x"))
+	if !errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), "link handshake to "+ln.Addr().String()) {
+		t.Fatalf("send to a stalled handshake = %v, want the handshake's deadline error", err)
+	}
+	sentinel, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if caps != 0 {
-		t.Fatalf("legacy peer advertised caps %#x, want 0", caps)
+	defer sentinel.Close()
+	dials := 0
+	for conn := range accepted {
+		defer conn.Close()
+		if conn.RemoteAddr().String() == sentinel.LocalAddr().String() {
+			break
+		}
+		dials++
 	}
-	doc := xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "legacy"})
-	reply, _, err := pool.Call(addr, func(e *xmltree.FrameEncoder) { e.Node(doc) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.AttrDefault("id", "") != "legacy" {
-		t.Fatalf("reply = %s", reply)
-	}
-	if n := accepts.Load(); n != 2 {
-		t.Fatalf("fallback used %d accepts, want 2 (failed MUX2 probe + MUX1 redial)", n)
-	}
-
-	// Drop the link and force a redial: the pool remembers the peer is
-	// legacy and goes straight to MUX1.
-	pool.mu.Lock()
-	l := pool.links[addr]
-	pool.mu.Unlock()
-	pool.drop(l)
-	// A round trip (not just a dial) so the server has provably accepted
-	// the reconnection before the count is read.
-	if _, _, err := pool.Call(addr, func(e *xmltree.FrameEncoder) { e.Node(doc) }); err != nil {
-		t.Fatal(err)
-	}
-	if n := accepts.Load(); n != 3 {
-		t.Fatalf("reconnection used %d total accepts, want 3 (no second probe)", n)
+	if dials != 1 {
+		t.Fatalf("a stalled handshake cost %d dials, want 1", dials)
 	}
 }

@@ -1,20 +1,29 @@
-// Package wire is the minimal TCP transport used by cmd/mqpd and
-// cmd/mqpquery: one canonical XML document per connection. It exists so the
+// Package wire is the TCP transport cmd/mqpd and cmd/mqpquery use, so the
 // same MQP processor that runs on the simulated network can serve real
-// sockets.
+// sockets. It speaks one protocol: persistent multiplexed links.
 //
-// Framing: Send writes a 4-byte big-endian length prefix followed by the
-// canonical XML bytes, which bounds message size (MaxFrameBytes) and lets a
-// reply travel on the same connection without waiting for a half-close.
-// Recv auto-detects the frame: a first byte of '<' is the legacy
-// EOF-delimited raw stream (older senders keep working), anything else is a
-// length prefix.
+// A peer keeps one connection per neighbor (LinkPool) and multiplexes
+// documents over it instead of paying a dial, a TCP handshake and a close
+// per hop. The dialer opens with the 4-byte magic "MUX2" and its capability
+// byte, the server (Server) answers with its own capability byte, and from
+// then on both directions carry frames of the form
+//
+//	4-byte big-endian payload length | 8-byte big-endian correlation id | payload
+//
+// where the payload is one canonical XML document of at most MaxFrameBytes.
+// A frame with correlation id 0 is fire-and-forget; a nonzero id requests a
+// reply frame carrying the same id, where a zero-length reply payload reports
+// a remote handler failure. Concurrent senders share one link: writes are
+// serialized per frame (each under its own WriteTimeout), replies are matched
+// to waiters by correlation id. A connection that opens with anything but
+// the handshake is reported on Server.Errors and closed. Both ends read
+// frames with readLinkFrame and write them with writeLinkFrame.
 package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -27,76 +36,114 @@ import (
 // DialTimeout bounds connection establishment.
 const DialTimeout = 5 * time.Second
 
-// WriteTimeout bounds how long one frame write may block. On a multiplexed
-// link the deadline is re-armed per frame — a connection that has been open
-// for minutes still gets the full budget for each new frame, and one
-// stalling reader cannot charge its delay to a later sender's frame. A
-// variable (not a const) so tests can shorten it.
+// WriteTimeout bounds how long one frame write may block. The deadline is
+// re-armed per frame — a connection that has been open for minutes still gets
+// the full budget for each new frame, and one stalling reader cannot charge
+// its delay to a later sender's frame. A variable (not a const) so tests can
+// shorten it.
 var WriteTimeout = 30 * time.Second
 
-// ReadTimeout bounds how long Recv may block reading a document — the
-// read-side counterpart of WriteTimeout, so a peer that connects and then
-// stalls cannot pin a handler goroutine forever. A variable (not a const)
-// so tests can shorten it.
+// ReadTimeout bounds each blocking read a peer can stall: the handshake on
+// either end, one frame on the server, and the wait for a Call's reply — so
+// a peer that connects and then goes silent cannot pin a goroutine forever.
+// A link idle past it at a frame boundary is closed by the server. A
+// variable (not a const) so tests can shorten it.
 var ReadTimeout = 30 * time.Second
 
 // MaxFrameBytes bounds a framed document: a peer cannot commit the receiver
 // to an arbitrarily large allocation by lying in the length prefix.
 const MaxFrameBytes = 8 << 20
 
-// Send connects to addr, writes one framed document, and closes. It is the
-// fire-and-forget MQP forwarding primitive. The frame is assembled in one
-// buffer and hits the socket as a single Write, so a plan of any depth costs
-// one syscall, not one per element.
-func Send(addr string, doc *xmltree.Node) error {
-	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
-	if err != nil {
-		return fmt.Errorf("wire: dial %s: %w", addr, err)
+// linkMagic opens every connection; the dialer's capability byte follows it
+// and the server answers with its own before the first frame.
+const linkMagic = "MUX2"
+
+// CapBlobRef advertises that this endpoint holds a content-addressed
+// payload store and accepts <blob fp="..."/> by-reference payload sections
+// (internal/blobstore); senders must keep payloads inline on links whose
+// peer never advertised it.
+const CapBlobRef byte = 0x01
+
+// readHandshake consumes the dialer's opening bytes: the magic and one
+// capability byte.
+func readHandshake(r io.Reader) error {
+	var hello [len(linkMagic) + 1]byte
+	if _, err := io.ReadFull(r, hello[:]); err != nil {
+		return err
 	}
-	defer conn.Close()
-	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
-	if err := WriteFrame(conn, doc); err != nil {
-		return fmt.Errorf("wire: send to %s: %w", addr, err)
+	if string(hello[:len(linkMagic)]) != linkMagic {
+		return fmt.Errorf("bad magic %q", hello[:len(linkMagic)])
 	}
 	return nil
 }
 
-// framePool stages outgoing frames so a send costs no steady-state
-// allocation: header and document share one buffer and hit the writer as a
-// single Write.
-var framePool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-// WriteFrame writes one length-prefixed canonical XML document in a single
-// Write.
-func WriteFrame(w io.Writer, doc *xmltree.Node) error {
-	buf := framePool.Get().(*bytes.Buffer)
-	defer framePool.Put(buf)
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0})
-	if _, err := doc.WriteTo(buf); err != nil {
-		return err
-	}
-	n := buf.Len() - 4
+// readPayload reads exactly n payload bytes, refusing a length beyond
+// MaxFrameBytes before allocating for it. A stream that ends early is an
+// error (io.ErrUnexpectedEOF), never a hang on bytes that will not come.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
 	if n > MaxFrameBytes {
-		return fmt.Errorf("wire: document of %d bytes exceeds frame limit %d", n, MaxFrameBytes)
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b, uint32(n))
-	_, err := w.Write(b)
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("wire: frame payload: %w", err)
+	}
+	return payload, nil
+}
+
+// readLinkFrame reads one frame: the 12-byte header, then the bounded
+// payload. It is the only parser of the link header; server and dialer both
+// read through it (the header is peeked in the reader's own buffer, so a
+// frame costs no allocation but its payload). A zero-length payload is
+// well-formed here — it is how a reply reports a handler failure — so the
+// server rejects it for requests.
+func readLinkFrame(br *bufio.Reader) (corr uint64, payload []byte, err error) {
+	hdr, err := br.Peek(12)
+	if err != nil {
+		return 0, nil, fmt.Errorf("wire: frame header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(hdr[0:4])
+	corr = binary.BigEndian.Uint64(hdr[4:12])
+	_, _ = br.Discard(12) // cannot fail: Peek buffered them
+	payload, err = readPayload(br, n)
+	return corr, payload, err
+}
+
+// writeLinkFrame writes one frame — the header plus the encoder's segments,
+// or the header alone for a zero-length payload when enc is nil — as a
+// single vectored write under a fresh WriteTimeout. It is the only assembler
+// of the link header. The caller has bounded enc.Len() by MaxFrameBytes and
+// serializes writers on conn.
+func writeLinkFrame(conn net.Conn, corr uint64, enc *xmltree.FrameEncoder) error {
+	var hdr [12]byte
+	var segs [][]byte
+	if enc != nil {
+		binary.BigEndian.PutUint32(hdr[0:4], uint32(enc.Len()))
+		segs = enc.Segments()
+	}
+	binary.BigEndian.PutUint64(hdr[4:12], corr)
+	bufs := make(net.Buffers, 0, len(segs)+1)
+	bufs = append(append(bufs, hdr[:]), segs...)
+	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
+	_, err := bufs.WriteTo(conn)
 	return err
 }
 
-// ReadFrame reads one length-prefixed document and returns it together with
-// the retained frame buffer the document's nodes alias. Truncated prefixes,
-// zero-length and oversized frames, and payloads cut off mid-frame are all
-// errors — never a hang on a stream that will not grow, and never a parse of
-// bytes beyond the declared length.
+// ReadFrame reads one document framed by a bare 4-byte big-endian length and
+// returns it together with the retained frame buffer the document's nodes
+// alias. Truncated prefixes, zero-length and oversized frames, and payloads
+// cut off mid-frame are all errors — never a hang on a stream that will not
+// grow, and never a parse of bytes beyond the declared length. Nothing on
+// the link path calls it; the benchmark times it as the decode-one-frame
+// stage.
 //
 // Ownership: the returned frame is retained by the document — names, text
 // and attribute values of the decoded nodes are zero-copy slices into it.
 // The frame must never be modified or reused while any node from the
 // document is reachable (the xmltree born-frozen rule); it is returned so
-// callers can account its exact wire size or archive the raw bytes.
+// callers can account its exact wire size or archive the raw bytes. Documents
+// delivered to a Handler and frames returned by LinkPool.Call follow the same
+// rule.
 func ReadFrame(r io.Reader) (*xmltree.Node, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -104,20 +151,11 @@ func ReadFrame(r io.Reader) (*xmltree.Node, []byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
-		return nil, nil, fmt.Errorf("wire: empty frame")
+		return nil, nil, errEmptyFrame
 	}
-	if n > MaxFrameBytes {
-		return nil, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
-	}
-	// ReadAll over a LimitReader grows the buffer as bytes actually arrive,
-	// so a lying length prefix costs the receiver nothing up front.
-	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	payload, err := readPayload(r, n)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wire: frame payload: %w", err)
-	}
-	if len(payload) != int(n) {
-		return nil, nil, fmt.Errorf("wire: frame truncated: have %d of %d bytes: %w",
-			len(payload), n, io.ErrUnexpectedEOF)
+		return nil, nil, err
 	}
 	doc, err := xmltree.Decode(payload)
 	if err != nil {
@@ -126,66 +164,13 @@ func ReadFrame(r io.Reader) (*xmltree.Node, []byte, error) {
 	return doc, payload, nil
 }
 
-// ReadDoc reads one XML document from r (until EOF) — the legacy unframed
-// stream format. The stream is buffered into the same retained-frame shape
-// as ReadFrame, then zero-copy decoded, so legacy senders feed the exact
-// receive path framed senders do.
-func ReadDoc(r io.Reader) (*xmltree.Node, []byte, error) {
-	buf, err := io.ReadAll(io.LimitReader(r, MaxFrameBytes+1))
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: raw stream: %w", err)
-	}
-	if len(buf) > MaxFrameBytes {
-		return nil, nil, fmt.Errorf("wire: raw document exceeds frame limit %d", MaxFrameBytes)
-	}
-	doc, err := xmltree.Decode(buf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: raw document: %w", err)
-	}
-	return doc, buf, nil
-}
-
-// recvAuto reads one document in either wire format. Leading XML whitespace
-// is skipped first (legacy raw senders may emit it, and the old EOF-stream
-// parser tolerated it); after that, '<' means a raw document and anything
-// else is a frame's length prefix — a valid prefix for a ≤MaxFrameBytes
-// frame always starts with 0x00, so the two formats cannot collide.
-func recvAuto(br *bufio.Reader) (*xmltree.Node, []byte, error) {
-	for {
-		b, err := br.Peek(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch b[0] {
-		case ' ', '\t', '\r', '\n':
-			_, _ = br.ReadByte()
-		case '<':
-			return ReadDoc(br)
-		default:
-			return ReadFrame(br)
-		}
-	}
-}
-
-// Recv reads one document from a connection under ReadTimeout and returns
-// it with its retained frame buffer (see ReadFrame). It is the receive-side
-// primitive symmetric to Send: every server connection goes through it, so
-// a slow or silent sender times out instead of leaking a goroutine. Both
-// framed and legacy raw-stream senders are accepted.
-func Recv(conn net.Conn) (*xmltree.Node, []byte, error) {
-	_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
-	doc, frame, err := recvAuto(bufio.NewReader(conn))
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: recv from %s: %w", conn.RemoteAddr(), err)
-	}
-	return doc, frame, nil
-}
+var errEmptyFrame = errors.New("wire: empty frame")
 
 // Handler processes one received document. A non-nil reply is written back
-// on the same connection before it closes.
+// on the same link when the frame asked for one (nonzero correlation id).
 type Handler func(doc *xmltree.Node) (reply *xmltree.Node, err error)
 
-// Server accepts one-document connections and dispatches to a Handler.
+// Server accepts links and dispatches each frame's document to a Handler.
 type Server struct {
 	ln   net.Listener
 	errs chan error
@@ -197,7 +182,7 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// SetCaps sets the capability byte this server answers MUX2 handshakes
+// SetCaps sets the capability byte this server answers handshakes
 // with (e.g. CapBlobRef when a payload store backs the handler). Call it
 // before traffic; links already negotiated keep their original answer.
 func (s *Server) SetCaps(caps byte) {
@@ -227,7 +212,7 @@ func Listen(addr string, h Handler) (*Server, error) {
 // Addr returns the bound address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Errors exposes handler and accept errors.
+// Errors exposes handler, accept and link errors.
 func (s *Server) Errors() <-chan error { return s.errs }
 
 // Close stops accepting, closes every live connection (persistent links
@@ -285,12 +270,19 @@ func (s *Server) loop(h Handler) {
 		}
 		go func() {
 			defer s.untrack(conn)
-			s.handle(conn, h)
+			s.serveLink(conn, h)
 		}()
 	}
 }
 
-func (s *Server) handle(conn net.Conn, h Handler) {
+// serveLink answers the handshake and then runs the link loop: many frames on
+// one connection, each processed inline and answered on the same connection
+// when it carries a nonzero correlation id. A handler failure poisons only
+// its frame — a zero-length reply reports it to a caller, and the loop reads
+// on. Anything that is not the handshake, and a death mid-frame, is reported
+// and closes the connection; the client going away or idling past ReadTimeout
+// at a frame boundary is the clean end of a link.
+func (s *Server) serveLink(conn net.Conn, h Handler) {
 	defer conn.Close()
 	report := func(err error) {
 		select {
@@ -298,71 +290,17 @@ func (s *Server) handle(conn net.Conn, h Handler) {
 		default:
 		}
 	}
-	// Sniff the transport: a multiplexed link announces itself with the
-	// "MUX1" magic, whose first byte can begin neither legacy format (raw
-	// documents start with '<' or whitespace, and a valid length prefix for
-	// a ≤MaxFrameBytes frame starts with 0x00).
-	_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
 	br := bufio.NewReader(conn)
-	first, err := br.Peek(1)
-	if err != nil {
-		report(fmt.Errorf("wire: recv from %s: %w", conn.RemoteAddr(), err))
-		return
-	}
-	if first[0] == linkMagic[0] {
-		s.serveLink(conn, br, h, report)
-		return
-	}
-	doc, _, err := recvAuto(br)
-	if err != nil {
-		report(fmt.Errorf("wire: recv from %s: %w", conn.RemoteAddr(), err))
-		return
-	}
-	reply, err := h(doc)
-	if err != nil {
-		report(err)
-		return
-	}
-	if reply != nil {
-		if err := WriteFrame(conn, reply); err != nil {
-			report(fmt.Errorf("wire: reply: %w", err))
-		}
-	}
-}
-
-// serveLink runs the multiplexed-link loop: many frames on one connection,
-// each processed inline and answered on the same connection when it carries
-// a nonzero correlation id. A handler failure poisons only its frame — a
-// zero-length reply reports it to a caller, and the loop reads on. The
-// connection closes cleanly when the client side goes away or idles past
-// ReadTimeout at a frame boundary; only a death mid-frame is reported.
-func (s *Server) serveLink(conn net.Conn, br *bufio.Reader, h Handler, report func(error)) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		report(fmt.Errorf("wire: bad link magic from %s", conn.RemoteAddr()))
-		return
-	}
-	switch string(magic[:]) {
-	case linkMagic:
-		// Version 1: no capability exchange, frames follow immediately.
-	case linkMagic2:
-		// Version 2: the dialer's capability byte follows the magic and the
-		// server answers with its own before the first frame.
-		var peer [1]byte
-		if _, err := io.ReadFull(br, peer[:]); err != nil {
-			report(fmt.Errorf("wire: MUX2 capability byte from %s: %w", conn.RemoteAddr(), err))
-			return
-		}
+	_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
+	err := readHandshake(br)
+	if err == nil {
 		_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
-		if _, err := conn.Write([]byte{s.Caps()}); err != nil {
-			report(fmt.Errorf("wire: MUX2 capability reply to %s: %w", conn.RemoteAddr(), err))
-			return
-		}
-	default:
-		report(fmt.Errorf("wire: bad link magic from %s", conn.RemoteAddr()))
+		_, err = conn.Write([]byte{s.Caps()})
+	}
+	if err != nil {
+		report(fmt.Errorf("wire: link handshake from %s: %w", conn.RemoteAddr(), err))
 		return
 	}
-	var hdr [12]byte
 	for {
 		// Waiting for the next frame is bounded by ReadTimeout; reaching it
 		// (or EOF) between frames is the normal end of an idle link.
@@ -373,19 +311,12 @@ func (s *Server) serveLink(conn net.Conn, br *bufio.Reader, h Handler, report fu
 		// A frame has begun: give its header and payload a fresh budget so a
 		// frame that arrives just before the idle deadline is not truncated.
 		_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			report(fmt.Errorf("wire: link frame header from %s: %w", conn.RemoteAddr(), err))
-			return
+		corr, payload, err := readLinkFrame(br)
+		if err == nil && len(payload) == 0 {
+			err = errEmptyFrame
 		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		corr := binary.BigEndian.Uint64(hdr[4:12])
-		if n == 0 || n > MaxFrameBytes {
-			report(fmt.Errorf("wire: link frame of %d bytes from %s out of bounds", n, conn.RemoteAddr()))
-			return
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			report(fmt.Errorf("wire: link frame payload from %s: %w", conn.RemoteAddr(), err))
+		if err != nil {
+			report(fmt.Errorf("wire: link from %s: %w", conn.RemoteAddr(), err))
 			return
 		}
 		doc, err := xmltree.Decode(payload)
@@ -408,27 +339,16 @@ func (s *Server) serveLink(conn net.Conn, br *bufio.Reader, h Handler, report fu
 
 // writeLinkReply answers one correlated frame: the staged reply document, or
 // a zero-length payload reporting a handler failure (or a handler that had
-// nothing to say).
+// nothing to say, or a reply too large to frame).
 func writeLinkReply(conn net.Conn, corr uint64, reply *xmltree.Node, herr error) error {
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[4:12], corr)
-	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
 	if herr != nil || reply == nil {
-		_, err := conn.Write(hdr[:])
-		return err
+		return writeLinkFrame(conn, corr, nil)
 	}
 	enc := xmltree.GetFrameEncoder()
 	defer enc.Release()
 	enc.Node(reply)
 	if enc.Len() > MaxFrameBytes {
-		_, err := conn.Write(hdr[:]) // oversized reply degrades to a failure report
-		return err
+		return writeLinkFrame(conn, corr, nil)
 	}
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(enc.Len()))
-	segs := enc.Segments()
-	bufs := make(net.Buffers, 0, len(segs)+1)
-	bufs = append(bufs, hdr[:])
-	bufs = append(bufs, segs...)
-	_, err := bufs.WriteTo(conn)
-	return err
+	return writeLinkFrame(conn, corr, enc)
 }

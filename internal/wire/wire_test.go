@@ -24,8 +24,10 @@ func TestSendReceive(t *testing.T) {
 	}
 	defer srv.Close()
 
+	pool := NewLinkPool()
+	defer pool.Close()
 	want := xmltree.MustParse(`<hello who="world"/>`)
-	if err := Send(srv.Addr(), want); err != nil {
+	if err := pool.Send(srv.Addr(), want); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -39,7 +41,9 @@ func TestSendReceive(t *testing.T) {
 }
 
 func TestSendToNowhere(t *testing.T) {
-	if err := Send("127.0.0.1:1", xmltree.Elem("x")); err == nil {
+	pool := NewLinkPool()
+	defer pool.Close()
+	if err := pool.Send("127.0.0.1:1", xmltree.Elem("x")); err == nil {
 		t.Fatal("dial to closed port must error")
 	}
 }
@@ -52,7 +56,9 @@ func TestHandlerErrorReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := Send(srv.Addr(), xmltree.Elem("x")); err != nil {
+	pool := NewLinkPool()
+	defer pool.Close()
+	if err := pool.Send(srv.Addr(), xmltree.Elem("x")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -97,7 +103,9 @@ func TestRealTCPRegistration(t *testing.T) {
 		Addr: "seller:9020", Role: catalog.RoleBase, Area: area,
 		Collections: []catalog.Collection{{Name: "cds", PathExp: "/d", Area: area}},
 	}
-	if err := Send(srv.Addr(), catalog.MarshalRegistration(reg)); err != nil {
+	pool := NewLinkPool()
+	defer pool.Close()
+	if err := pool.Send(srv.Addr(), catalog.MarshalRegistration(reg)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -143,24 +151,35 @@ func TestRealTCPMQPChain(t *testing.T) {
 	}
 	defer sink.Close()
 
+	// Every server forwards the way cmd/mqpd does: one pooled link per
+	// downstream peer, the plan streamed through algebra.EncodeFrame.
+	pool := NewLinkPool()
+	defer pool.Close()
+	send := func(dest string, plan *algebra.Plan) error {
+		return pool.SendFrame(dest, func(e *xmltree.FrameEncoder) { algebra.EncodeFrame(plan, e) })
+	}
+	serve := func(proc **mqp.Processor) Handler {
+		return func(doc *xmltree.Node) (*xmltree.Node, error) {
+			plan, err := algebra.Unmarshal(doc)
+			if err != nil {
+				return nil, err
+			}
+			out, err := (*proc).Step(plan)
+			if err != nil {
+				return nil, err
+			}
+			dest := out.NextHop
+			if out.Done {
+				dest = plan.Target
+			}
+			return nil, send(dest, plan)
+		}
+	}
+
 	// Base server with data; address known only after listen, so bind the
 	// processor lazily.
 	var baseProc *mqp.Processor
-	base, err := Listen("127.0.0.1:0", func(doc *xmltree.Node) (*xmltree.Node, error) {
-		plan, err := algebra.Unmarshal(doc)
-		if err != nil {
-			return nil, err
-		}
-		out, err := baseProc.Step(plan)
-		if err != nil {
-			return nil, err
-		}
-		dest := out.NextHop
-		if out.Done {
-			dest = plan.Target
-		}
-		return nil, Send(dest, algebra.Marshal(plan))
-	})
+	base, err := Listen("127.0.0.1:0", serve(&baseProc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,21 +200,7 @@ func TestRealTCPMQPChain(t *testing.T) {
 	metaCat := catalog.New(ns, "meta")
 	metaCat.AddAlias("urn:Demo:CDs", "http://"+base.Addr()+"/data")
 	var metaProc *mqp.Processor
-	meta, err := Listen("127.0.0.1:0", func(doc *xmltree.Node) (*xmltree.Node, error) {
-		plan, err := algebra.Unmarshal(doc)
-		if err != nil {
-			return nil, err
-		}
-		out, err := metaProc.Step(plan)
-		if err != nil {
-			return nil, err
-		}
-		dest := out.NextHop
-		if out.Done {
-			dest = plan.Target
-		}
-		return nil, Send(dest, algebra.Marshal(plan))
-	})
+	meta, err := Listen("127.0.0.1:0", serve(&metaProc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +212,7 @@ func TestRealTCPMQPChain(t *testing.T) {
 
 	plan := algebra.NewPlan("tcp-q", sink.Addr(), algebra.Display(
 		algebra.Select(algebra.MustParsePredicate("price < 10"), algebra.URN("urn:Demo:CDs"))))
-	if err := Send(meta.Addr(), algebra.Marshal(plan)); err != nil {
+	if err := send(meta.Addr(), plan); err != nil {
 		t.Fatal(err)
 	}
 

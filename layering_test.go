@@ -1,0 +1,112 @@
+package repro_test
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// layerRank orders the module's packages: an import between two of them must
+// go strictly down the ranks, so the graph cannot grow a cycle and a lower
+// layer cannot reach up (the codec into the processor, the processor into a
+// peer). A new package fails the test until it is given a rank here.
+var layerRank = map[string]int{
+	"internal/xmltree":   0,
+	"internal/hierarchy": 0,
+
+	"internal/algebra":   1,
+	"internal/namespace": 1,
+	"internal/stats":     1,
+	"internal/simnet":    1,
+	"internal/wire":      1,
+
+	"internal/catalog":    2,
+	"internal/provenance": 2,
+	"internal/blobstore":  2,
+	"internal/engine":     2,
+	"internal/workload":   2,
+	"internal/baseline":   2,
+
+	"internal/route":       3,
+	"internal/mqp":         4,
+	"internal/peer":        5,
+	"internal/chaos":       6,
+	"internal/experiments": 7,
+
+	"pkg":      8,
+	"cmd":      8,
+	"examples": 9,
+}
+
+// transports carry frozen documents and know nothing of what is in them:
+// inside the module they may import xmltree and nothing else.
+var transports = map[string]bool{"internal/wire": true, "internal/simnet": true}
+
+// rankOf ranks an internal package by its own entry and the trees ranked as
+// a whole (pkg, cmd, examples) by their top directory.
+func rankOf(pkg string) (int, bool) {
+	if top, _, _ := strings.Cut(pkg, "/"); top != "internal" {
+		pkg = top
+	}
+	r, ok := layerRank[pkg]
+	return r, ok
+}
+
+// TestImportLayering reads the import clauses of every non-test file in the
+// module (bench/ is a module of its own and is skipped) and holds them to
+// layerRank.
+func TestImportLayering(t *testing.T) {
+	const module = "repro/"
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		pkg := filepath.ToSlash(filepath.Dir(path))
+		if pkg == "." || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		from, ok := rankOf(pkg)
+		if !ok {
+			t.Errorf("%s: package %s has no rank in layerRank", path, pkg)
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, spec := range f.Imports {
+			imp, _ := strconv.Unquote(spec.Path.Value)
+			if !strings.HasPrefix(imp, module) {
+				continue
+			}
+			imp = strings.TrimPrefix(imp, module)
+			if to, ok := rankOf(imp); !ok {
+				t.Errorf("%s imports %s, which has no rank in layerRank", path, imp)
+			} else if to >= from {
+				t.Errorf("%s: %s (rank %d) imports %s (rank %d); imports must go strictly down", path, pkg, from, imp, to)
+			}
+			if transports[pkg] && imp != "internal/xmltree" {
+				t.Errorf("%s: transport %s imports %s; it may import only xmltree", path, pkg, imp)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
