@@ -25,7 +25,9 @@ test-short: build
 # Machinery benchmark suite (hop path, clone, serialization, engine) with
 # allocation stats. Each stream is distilled by cmd/benchjson into a clean
 # summary (one record per benchmark, parsed metrics) matching the loadgen
-# reports — BENCH_plan_hop.json, BENCH_decode.json (zero-copy
+# reports — BENCH_plan_hop.json (with the predicate and fingerprint benches
+# of internal/algebra and internal/engine, which sit on the same hop path),
+# BENCH_decode.json (zero-copy
 # BenchmarkDecode on a payload-heavy frame and BenchmarkDecodePlan on an
 # attribute-heavy plan frame vs the encoding/xml-based BenchmarkParseLegacy,
 # so decode-path wins and regressions are visible on their own) and
@@ -34,7 +36,8 @@ test-short: build
 # ~3x of the tree hop" acceptance bar). The benchmark lines still echo to
 # the console.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(PlanHop$$|PlanClone|Micro|Canonical|ByteSize)' -benchmem -json . \
+	$(GO) test -run '^$$' -bench '^Benchmark(PlanHop$$|PlanClone|Micro|Canonical|ByteSize|Fingerprint$$|ParsePredicate$$|PredicateString$$|SelectEval$$)' \
+		-benchmem -json . ./internal/algebra ./internal/engine \
 		| $(GO) run ./cmd/benchjson -out BENCH_plan_hop.json
 	$(GO) test -run '^$$' -bench '^Benchmark(Decode|DecodePlan|ParseLegacy)$$' -benchmem -json . \
 		| $(GO) run ./cmd/benchjson -out BENCH_decode.json
@@ -151,13 +154,15 @@ chaos-large-ci:
 # Fuzz smoke: 10s per target (canonical-XML parse fixpoint, zero-copy
 # decoder vs reference-parser differential, the decoder's []byte entry point
 # the wire uses, the link handshake and frame header, streaming frame encoder
-# vs staged-tree encoder differential).
+# vs staged-tree encoder differential, predicate render/parse round trip) —
+# six targets.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEquivalence$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamEncodeEquivalence$$' -fuzztime 10s ./internal/algebra
+	$(GO) test -run '^$$' -fuzz '^FuzzPredicateRoundTrip$$' -fuzztime 10s ./internal/algebra
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -12,8 +13,9 @@ import (
 )
 
 // Allocation budgets for the receive-side hot paths. These are regression
-// gates, not aspirations: each bound sits ~25% above the measured value so
-// real regressions fail while noise does not. Run via plain `go test`
+// gates, not aspirations: each bound sits ~25% above the measured value (the
+// two hop budgets, which repeat exactly, two allocations above) so real
+// regressions fail while noise does not. Run via plain `go test`
 // (and therefore `make ci`).
 const (
 	// warmDecodeAllocBudget bounds one zero-copy decode of the
@@ -29,9 +31,17 @@ const (
 	decodedTreeByteBudget = 130_000
 	// planHopAllocBudget bounds the tree-level hop (marshal, size,
 	// arena-backed unmarshal, provenance stamp, re-marshal) the experiments
-	// pay per link. Measured: 111 allocs (was 224 before the zero-copy
-	// receive path; 7937 before PR 2).
-	planHopAllocBudget = 120
+	// pay per link. Measured: 112 allocs (was 224 before the zero-copy
+	// receive path; 7937 before PR 2). The fixture carries no select, so
+	// predicates are budgeted separately below.
+	planHopAllocBudget = 114
+	// selectHopAllocBudget bounds what a server does to a plan whose nine
+	// union branches carry the same pushed-down select (area_fanout's
+	// shape): frame-cache-hit decode, unmarshal, the plan cache's
+	// fingerprint and Equal guard, streamed re-encode. Measured: 26 allocs
+	// (197 while every branch re-parsed its predicate and every use
+	// re-rendered it).
+	selectHopAllocBudget = 28
 	// frameCacheHitAllocBudget bounds a warm decode of a frame already in
 	// the identical-frame cache: hash, byte-compare, alias the frozen tree.
 	// Measured: 0 allocs.
@@ -133,6 +143,35 @@ func TestFrameCacheHitAllocBudget(t *testing.T) {
 	})
 	if allocs > frameCacheHitAllocBudget {
 		t.Fatalf("frame-cache hit allocates %.0f/op; budget is %d — the cache stopped aliasing", allocs, frameCacheHitAllocBudget)
+	}
+}
+
+func TestSelectHopAllocBudget(t *testing.T) {
+	var branches []*algebra.Node
+	for i := 0; i < 9; i++ {
+		branches = append(branches, algebra.Select(algebra.MustParsePredicate("price < 20"),
+			algebra.URL(fmt.Sprintf("s%d:9020", i), "/data[id=1]")))
+	}
+	wire := algebra.EncodeString(algebra.NewPlan("fan", "client:1", algebra.Display(algebra.Union(branches...))))
+	cached, err := algebra.DecodeString(wire) // primes the frame cache too
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := func() {
+		p, err := algebra.DecodeString(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if algebra.Fingerprint(p.Root) != algebra.Fingerprint(cached.Root) || !algebra.Equal(cached.Root, p.Root) {
+			t.Fatal("decoded plan differs from its twin")
+		}
+		if n, err := algebra.EncodeStream(p, io.Discard); err != nil || n != int64(len(wire)) {
+			t.Fatalf("streamed %d bytes: %v", n, err)
+		}
+	}
+	hop()
+	if allocs := testing.AllocsPerRun(20, hop); allocs > selectHopAllocBudget {
+		t.Fatalf("select hop allocates %.0f/op; budget is %d — predicates are being parsed or rendered per use", allocs, selectHopAllocBudget)
 	}
 }
 

@@ -197,6 +197,11 @@ func TestFingerprintMatchesFNV(t *testing.T) {
 			t.Errorf("random plans never produced a %v operator", k)
 		}
 	}
+	// Integers at every byte-length boundary: fnvInt folds the zero high
+	// bytes in one multiplication.
+	for _, n := range []int{0, 1, 255, 256, 65535, 65536, 1<<24 - 1, 1 << 24, 1 << 32, 1<<56 - 1, 1 << 56, -1, -256, 1<<63 - 1, -1 << 63} {
+		check(fmt.Sprintf("topn n=%d", n), TopN(n, "", false, Data()))
+	}
 	for name, p := range streamPlans(t) {
 		check(name, p.Root)
 	}

@@ -78,7 +78,8 @@ type Node struct {
 	// collection (urn:ForSale:Portland-CDs) or an interest-area URN.
 	URN string
 
-	// Select.
+	// Select. Prepared when set by Select or Unmarshal; a literal stored
+	// directly is evaluated interpretively and rendered on every use.
 	Pred Predicate
 
 	// Project: paths of the fields to keep, and the name of the emitted
@@ -121,8 +122,13 @@ func URN(urn string) *Node {
 	return &Node{Kind: KindURN, URN: urn}
 }
 
-// Select creates a selection over its single input.
+// Select creates a selection over its single input. The node holds pred in
+// prepared form, so every later fingerprint, comparison, evaluation and
+// encoding of the plan reads it instead of re-deriving it.
 func Select(pred Predicate, in *Node) *Node {
+	if pred != nil {
+		pred = prepare(pred)
+	}
 	return &Node{Kind: KindSelect, Pred: pred, Children: []*Node{in}}
 }
 

@@ -3,12 +3,23 @@
 // (de)serialization of plans — the paper's "XML serializations of algebraic
 // query plan graphs" — and the rewrite rules the paper's optimizer relies
 // on (push-select-through-union, or-choice, absorption).
+//
+// Predicates have two forms. The literal form is the syntax tree itself —
+// Cmp, And, OrPred, Not, Exists, True values, built by hand or by the parser
+// — whose Eval interprets the tree and whose String renders it on every
+// call; it is the reference the prepared form is differentially tested
+// against. The prepared form (prepared.go) is what ParsePredicate returns and
+// what Select stores: the same tree plus its canonical text, rendered once,
+// and an evaluator with paths parsed and literals classified once. The rule:
+// a select holds a prepared predicate — Select and Unmarshal see to it — and
+// a literal placed in a Node by hand is evaluated interpretively.
 package algebra
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/xmltree"
 )
@@ -87,7 +98,12 @@ func (c Cmp) Eval(item *xmltree.Node) bool {
 	} else {
 		cmp = strings.Compare(v, c.Value)
 	}
-	switch c.Op {
+	return c.Op.holds(cmp)
+}
+
+// holds reports whether a three-way comparison result satisfies the operator.
+func (op CmpOp) holds(cmp int) bool {
+	switch op {
 	case OpEq:
 		return cmp == 0
 	case OpNe:
@@ -105,18 +121,63 @@ func (c Cmp) Eval(item *xmltree.Node) bool {
 }
 
 // String implements Predicate.
-func (c Cmp) String() string {
-	return fmt.Sprintf("%s %s %s", c.Path, c.Op, quoteLiteral(c.Value))
+func (c Cmp) String() string { return render(c) }
+
+// predRenders counts calls into the renderer and predParses runs of the
+// parser, so a test can show the hop path does neither on a warm table.
+var predRenders, predParses atomic.Int64
+
+// render is the one renderer of the surface syntax: every literal's String
+// goes through it, and a prepared predicate keeps its result. ParsePredicate
+// inverts it exactly — the text is what the plan fingerprint digests and what
+// the parse table is keyed by, so a predicate must mean the same after any
+// number of render/parse hops (FuzzPredicateRoundTrip).
+func render(p Predicate) string {
+	predRenders.Add(1)
+	return string(appendPredicate(make([]byte, 0, 64), p))
 }
 
-func quoteLiteral(v string) string {
-	if v == "" {
-		return "''"
+func appendPredicate(b []byte, p Predicate) []byte {
+	switch p := p.(type) {
+	case Cmp:
+		b = append(b, p.Path...)
+		b = append(b, ' ')
+		b = append(b, p.Op.String()...)
+		b = append(b, ' ')
+		return appendLiteral(b, p.Value)
+	case Exists:
+		return append(append(b, "exists "...), p.Path...)
+	case And:
+		b = appendPredicate(append(b, '('), p.L)
+		b = appendPredicate(append(b, " and "...), p.R)
+		return append(b, ')')
+	case OrPred:
+		b = appendPredicate(append(b, '('), p.L)
+		b = appendPredicate(append(b, " or "...), p.R)
+		return append(b, ')')
+	case Not:
+		return appendPredicate(append(b, "not "...), p.P)
+	default:
+		// True, a prepared operand (its kept text), or a foreign Predicate.
+		return append(b, p.String()...)
 	}
+}
+
+// appendLiteral renders a comparison literal: bare when numeric, otherwise
+// quoted with ' and \ escaped — the two bytes the lexer gives meaning to
+// inside quotes.
+func appendLiteral(b []byte, v string) []byte {
 	if _, err := strconv.ParseFloat(v, 64); err == nil {
-		return v
+		return append(b, v...)
 	}
-	return "'" + strings.ReplaceAll(v, "'", "\\'") + "'"
+	b = append(b, '\'')
+	for i := 0; i < len(v); i++ {
+		if v[i] == '\'' || v[i] == '\\' {
+			b = append(b, '\\')
+		}
+		b = append(b, v[i])
+	}
+	return append(b, '\'')
 }
 
 // Exists is true when the path matches at least one node in the item.
@@ -128,7 +189,7 @@ type Exists struct {
 func (e Exists) Eval(item *xmltree.Node) bool { return item.Find(e.Path) != nil }
 
 // String implements Predicate.
-func (e Exists) String() string { return "exists " + e.Path }
+func (e Exists) String() string { return render(e) }
 
 // And is predicate conjunction.
 type And struct {
@@ -139,7 +200,7 @@ type And struct {
 func (a And) Eval(item *xmltree.Node) bool { return a.L.Eval(item) && a.R.Eval(item) }
 
 // String implements Predicate.
-func (a And) String() string { return "(" + a.L.String() + " and " + a.R.String() + ")" }
+func (a And) String() string { return render(a) }
 
 // OrPred is predicate disjunction (named to avoid clashing with the plan
 // Or operator).
@@ -151,7 +212,7 @@ type OrPred struct {
 func (o OrPred) Eval(item *xmltree.Node) bool { return o.L.Eval(item) || o.R.Eval(item) }
 
 // String implements Predicate.
-func (o OrPred) String() string { return "(" + o.L.String() + " or " + o.R.String() + ")" }
+func (o OrPred) String() string { return render(o) }
 
 // Not is predicate negation.
 type Not struct {
@@ -162,7 +223,7 @@ type Not struct {
 func (n Not) Eval(item *xmltree.Node) bool { return !n.P.Eval(item) }
 
 // String implements Predicate.
-func (n Not) String() string { return "not " + n.P.String() }
+func (n Not) String() string { return render(n) }
 
 // True is the always-true predicate.
 type True struct{}
@@ -182,8 +243,43 @@ func (True) String() string { return "true" }
 //	true
 //
 // Operator precedence: not > and > or. Comparisons take a path on the left
-// and a (quoted string or numeric) literal on the right.
+// and a (quoted string or numeric) literal on the right; a path is never
+// quoted. The result is in prepared form, and text seen before is answered
+// from the parse table without parsing (prepared.go).
 func ParsePredicate(s string) (Predicate, error) {
+	slots := parseSlots(s)
+	for _, slot := range slots {
+		if e := slot.Load(); e != nil && e.src == s {
+			return e.pred, nil
+		}
+	}
+	admit := len(s) <= parseTableMaxText
+	if admit {
+		// The tree's paths and bare literals are substrings of what was
+		// lexed, and a table entry outlives the wire frame s may point into.
+		s = strings.Clone(s)
+	}
+	ast, err := parseAST(s)
+	if err != nil {
+		return nil, err
+	}
+	pred := prepare(ast)
+	if admit && len(pred.text) <= parseTableMaxText {
+		if pred.text == s {
+			pred.text = s // canonical on arrival: the entry keeps one copy, not two
+		}
+		slot := slots[0]
+		if slot.Load() != nil && slots[1].Load() == nil {
+			slot = slots[1]
+		}
+		slot.Store(&parseEntry{src: s, pred: pred})
+	}
+	return pred, nil
+}
+
+// parseAST parses s into its literal syntax tree.
+func parseAST(s string) (Predicate, error) {
+	predParses.Add(1)
 	p := &predParser{toks: lexPredicate(s)}
 	pred, err := p.parseOr()
 	if err != nil {
@@ -323,9 +419,9 @@ func (p *predParser) parseUnary() (Predicate, error) {
 		return True{}, nil
 	case strings.EqualFold(p.peek(), "exists"):
 		p.next()
-		path := p.next()
-		if path == "" {
-			return nil, fmt.Errorf("exists: missing path")
+		path, err := p.path("exists")
+		if err != nil {
+			return nil, err
 		}
 		return Exists{Path: path}, nil
 	default:
@@ -333,10 +429,23 @@ func (p *predParser) parseUnary() (Predicate, error) {
 	}
 }
 
-func (p *predParser) parseCmp() (Predicate, error) {
+// path takes the next token as an item path. A quoted token is refused: the
+// renderer writes paths bare, so a quoted path would not survive one render.
+func (p *predParser) path(what string) (string, error) {
 	path := p.next()
 	if path == "" {
-		return nil, fmt.Errorf("missing comparison path")
+		return "", fmt.Errorf("missing %s path", what)
+	}
+	if path[0] == '\'' {
+		return "", fmt.Errorf("quoted %s path %q", what, path[1:])
+	}
+	return path, nil
+}
+
+func (p *predParser) parseCmp() (Predicate, error) {
+	path, err := p.path("comparison")
+	if err != nil {
+		return nil, err
 	}
 	opTok := p.next()
 	var op CmpOp

@@ -441,14 +441,27 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fnvInt folds i into h as eight little-endian bytes.
+// fnvZeros[k] is fnvPrime64^k mod 2^64: folding a zero byte is
+// h = (h ^ 0) * prime, so k of them in a row are one multiplication.
+var fnvZeros = func() (z [9]uint64) {
+	z[0] = 1
+	for k := 1; k < len(z); k++ {
+		z[k] = z[k-1] * fnvPrime64
+	}
+	return z
+}()
+
+// fnvInt folds i into h as eight little-endian bytes. Nearly every integer a
+// plan folds is a kind, a flag, a count or a short string's length: one or
+// two low bytes, then zeros, which fnvZeros folds at once.
 func fnvInt(h uint64, i int) uint64 {
 	v := uint64(i)
-	for b := 0; b < 8; b++ {
+	zeros := 8
+	for ; v != 0; v >>= 8 {
 		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
+		zeros--
 	}
-	return h
+	return h * fnvZeros[zeros]
 }
 
 // fnvStr folds s into h, length first.

@@ -13,7 +13,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -150,54 +149,10 @@ func evalProject(n *algebra.Node) ([]*xmltree.Node, error) {
 	return out, nil
 }
 
-// keyPath is a join key path parsed once per join instead of once per item.
-// Plain child-step paths ("title", "listing/song") are walked without
-// allocating; any other form (predicates, "*", attribute access, malformed)
-// keeps steps nil and goes through Find, which owns the path language.
-type keyPath struct {
-	path  string
-	steps []string
-}
-
-func parseKeyPath(path string) keyPath {
-	kp := keyPath{path: path}
-	p := strings.TrimPrefix(path, "/")
-	if p == "" || strings.ContainsAny(p, "[@*") {
-		return kp
-	}
-	if steps := strings.Split(p, "/"); !slices.Contains(steps, "") {
-		kp.steps = steps
-	}
-	return kp
-}
-
-// firstMatch returns what Find returns for a plain path: the first match in
-// document order, backtracking out of a branch whose later steps match
-// nothing.
-func firstMatch(n *xmltree.Node, steps []string) *xmltree.Node {
-	for _, c := range n.Children {
-		if c.Name != steps[0] {
-			continue
-		}
-		if len(steps) == 1 {
-			return c
-		}
-		if m := firstMatch(c, steps[1:]); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
 // keyOf extracts a join key: the trimmed inner text of the first match.
 // Items with no match carry no key and never join (SQL NULL-like).
-func keyOf(it *xmltree.Node, kp keyPath) (string, bool) {
-	var m *xmltree.Node
-	if kp.steps != nil {
-		m = firstMatch(it, kp.steps)
-	} else {
-		m = it.Find(kp.path)
-	}
+func keyOf(it *xmltree.Node, key algebra.Path) (string, bool) {
+	m := key.First(it)
 	if m == nil {
 		return "", false
 	}
@@ -227,7 +182,7 @@ func evalJoin(n *algebra.Node) ([]*xmltree.Node, error) {
 	}
 	// Classic hash join: build on the smaller side.
 	build, probe := left, right
-	buildKey, probeKey := parseKeyPath(n.LeftKey), parseKeyPath(n.RightKey)
+	buildKey, probeKey := algebra.ParsePath(n.LeftKey), algebra.ParsePath(n.RightKey)
 	swapped := false
 	if len(right) < len(left) {
 		build, probe = right, left

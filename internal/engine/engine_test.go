@@ -419,3 +419,36 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSelectEval prices one selection over a seller-sized (24) and a
+// payload-sized (200) collection, on a plain field and on a field inside a
+// joined tuple's component.
+func BenchmarkSelectEval(b *testing.B) {
+	for _, n := range []int{24, 200} {
+		var sales, tuples []*xmltree.Node
+		for i := 0; i < n; i++ {
+			sales = append(sales, xmltree.MustParse(fmt.Sprintf(
+				`<sale><cd>Album %02d</cd><price>%d</price></sale>`, i, 3+i%40)))
+			tuples = append(tuples, xmltree.MustParse(fmt.Sprintf(
+				`<tuple><sale><cd>Album %02d</cd><price>%d</price></sale><listing><cd>Album %02d</cd><song>Track</song></listing></tuple>`,
+				i, 3+i%40, i)))
+		}
+		for _, c := range []struct {
+			name string
+			sel  *algebra.Node
+		}{
+			{"plain", algebra.Select(algebra.MustParsePredicate("price < 20"), algebra.Data(sales...))},
+			{"nested", algebra.Select(algebra.MustParsePredicate("sale/price < 20"), algebra.Data(tuples...))},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", c.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := Evaluate(c.sel)
+					if err != nil || len(out) == 0 || len(out) == n {
+						b.Fatalf("select kept %d of %d (%v)", len(out), n, err)
+					}
+				}
+			})
+		}
+	}
+}

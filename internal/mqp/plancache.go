@@ -20,9 +20,11 @@
 //     already follow.
 //
 // Only data-free plans are cached (payload-bearing plans would make the
-// equality guard as expensive as the work saved), and only steps that did no
-// remote IO fill entries (a pull's outcome depends on network state, not
-// just on catalog and store).
+// equality guard as expensive as the work saved) — a plan carrying payload
+// is not even looked up, since nothing it could match was ever inserted —
+// and only steps that did no remote IO fill entries (a pull's outcome
+// depends on network state, not just on catalog and store), and only steps
+// that did something: a pure forward has no work to replay.
 package mqp
 
 import (

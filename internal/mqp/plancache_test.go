@@ -219,3 +219,34 @@ func TestPlanCacheConcurrentHits(t *testing.T) {
 		t.Fatalf("stats = %+v, want >= %d hits", s, goroutines*rounds)
 	}
 }
+
+// TestPlanCacheSkipsIdleAndPayloadSteps: a step that bound, fetched, reduced
+// and rewrote nothing (the pure forward) leaves no entry — there is no work
+// to replay — and a plan carrying payload documents, which can never have
+// been inserted, is not even looked up.
+func TestPlanCacheSkipsIdleAndPayloadSteps(t *testing.T) {
+	p := mustProc(t, Config{Self: "F:9020", Catalog: catalog.New(testNS(), "F:9020"),
+		PushSelect: true, Key: []byte("kF"), PlanCacheSize: 8})
+	forward := func(id string, in *algebra.Node) {
+		t.Helper()
+		plan := algebra.NewPlan(id, "client:9020", algebra.Display(
+			algebra.Select(algebra.MustParsePredicate("price < 10"), in)))
+		out, err := p.Step(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.NextHop != "S:9020" || out.Bound+out.Fetched+out.Reduced+out.Rewrites != 0 {
+			t.Fatalf("outcome = %+v, want a pure forward to S:9020", out)
+		}
+	}
+	forward("f1", algebra.URL("http://S:9020/", "/data"))
+	forward("f2", algebra.URL("http://S:9020/", "/data"))
+	if s := p.CacheStats(); s.Entries != 0 || s.Hits != 0 || s.Misses != 2 {
+		t.Fatalf("after two pure forwards: stats = %+v, want no entry and two misses", s)
+	}
+	forward("d1", algebra.JoinNamed("cd", "cd", "sale", "listing",
+		algebra.Data(items(`<sale><cd>Blue Train</cd></sale>`)...), algebra.URL("http://S:9020/", "/data")))
+	if s := p.CacheStats(); s.Entries != 0 || s.Misses != 2 {
+		t.Fatalf("after a payload-bearing plan: stats = %+v, want no lookup", s)
+	}
+}

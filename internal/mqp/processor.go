@@ -415,9 +415,13 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 	// mutation (the last-stop materialization below is the only one).
 	shared := false
 	hit := false
-	cacheable := false
+	// Only data-free plans are cache candidates: payload-bearing ones would
+	// need deep document comparison on every lookup to rule out fingerprint
+	// collisions, which costs more than the stages the cache skips. None is
+	// ever inserted, so none can hit: ask before hashing.
+	cacheable := p.cache != nil && !st.resub && !hasDocs(plan.Root)
 	var fp, gen uint64
-	if p.cache != nil && !st.resub {
+	if cacheable {
 		gen = p.generation()
 		fp = algebra.Fingerprint(plan.Root)
 		if e := p.cache.lookup(fp, plan.Root, gen); e != nil {
@@ -438,14 +442,7 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 				provenance.ToPlan(plan, st.trail)
 			}
 		} else {
-			// Only data-free plans are cache candidates: payload-bearing
-			// ones would need deep document comparison on every lookup to
-			// rule out fingerprint collisions, which costs more than the
-			// stages the cache skips.
-			cacheable = !hasDocs(plan.Root)
-			if cacheable {
-				st.collect = st.trail != nil
-			}
+			st.collect = st.trail != nil
 		}
 	}
 
@@ -506,10 +503,14 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 			return Outcome{}, err
 		}
 
-		if out.Bound+out.Fetched+out.Reduced+out.Rewrites == 0 {
+		idle := out.Bound+out.Fetched+out.Reduced+out.Rewrites == 0
+		if idle {
 			st.record(provenance.ActionForward, "", 0)
 		}
-		if cacheable && !st.remoteIO {
+		// A step that bound, fetched, reduced and rewrote nothing has no work
+		// to replay: caching the pure forward would cost two clones and an
+		// eviction scan to save a catalog miss.
+		if cacheable && !st.remoteIO && !idle {
 			outRoot := plan.Root.Clone()
 			if p.cfg.InternDoc != nil {
 				internDocs(outRoot, p.cfg.InternDoc)

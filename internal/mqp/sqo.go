@@ -86,7 +86,7 @@ func provablyEmpty(pred algebra.Predicate, branch *algebra.Node) bool {
 // histogram's field can take. For And it suffices that either side
 // excludes; Or requires both; other predicate forms are unknown (false).
 func predExcludesRange(pred algebra.Predicate, h *stats.Histogram) bool {
-	switch p := pred.(type) {
+	switch p := algebra.AST(pred).(type) {
 	case algebra.Cmp:
 		if p.Path != h.Path {
 			return false
