@@ -78,22 +78,19 @@ bench-runtime:
 loadgen-smoke:
 	$(GO) run ./cmd/loadgen -smoke -out -
 
-# Learned-routing convergence (cmd/loadgen -route): a learning client vs a
-# no-learning client on the same repeated workload; cold/warm hops,
-# msgs/query and the warm shortcut hit rate land in BENCH_route.json. The
-# run fails if the warm phase does not strictly reduce msgs/query.
-# BenchmarkMineTrail then prices the learning step itself: one five-visit
-# trail mined into a table of 16, 256 and 4096 confirmed edges, ns/op flat
-# across the three (its lines echo to the console; CHANGES.md keeps them).
+# Learned routing. Convergence (warm msgs/query below no-learning, warm hops
+# not above cold, warm hit rate) is E15's assertion and churn_mixed's gated
+# route.shortcut_hit_ratio and hops_per_query; what is left to time here is the
+# learning step itself: BenchmarkMineTrail mines one five-visit trail into a
+# table of 16, 256 and 4096 confirmed edges, ns/op flat across the three (its
+# lines echo to the console; CHANGES.md keeps them).
 bench-route:
-	$(GO) run ./cmd/loadgen -route -out BENCH_route.json
 	$(GO) test -run '^$$' -bench '^BenchmarkMineTrail$$' -benchmem ./internal/peer | grep '^Benchmark'
 
-# CI gate for learned routing: the short -route run, the E15 cold-vs-warm
-# experiment in -short mode (internal/experiments.ShortMode), and one
-# iteration of BenchmarkMineTrail so it cannot rot.
+# CI gate for learned routing: the E15 cold-vs-warm experiment in -short mode
+# (internal/experiments.ShortMode) and one iteration of BenchmarkMineTrail so
+# it cannot rot.
 route-smoke:
-	$(GO) run ./cmd/loadgen -route -smoke -out -
 	$(GO) test -short -run 'TestAllExperimentsRun/E15' ./internal/experiments
 	$(GO) test -run '^$$' -bench '^BenchmarkMineTrail$$' -benchtime 1x ./internal/peer
 

@@ -207,24 +207,15 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "server worker-pool size")
 	cacheSize := flag.Int("plan-cache", 256, "server prepared-plan cache entries")
 	smoke := flag.Bool("smoke", false, "CI smoke mode: short run, relaxed reporting")
-	routeMode := flag.Bool("route", false, "learned-routing bench: repeated workload, cold vs warm (writes BENCH_route.json)")
 	memMode := flag.Bool("mem", false, "payload-store memory bench: dedup-heavy workload, store off vs on (writes BENCH_mem.json)")
 	out := flag.String("out", "", "report path ('-' for stdout only; defaults per mode)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	flag.Parse()
 	if *out == "" {
-		switch {
-		case *routeMode:
-			*out = "BENCH_route.json"
-		case *memMode:
+		*out = "BENCH_runtime.json"
+		if *memMode {
 			*out = "BENCH_mem.json"
-		default:
-			*out = "BENCH_runtime.json"
 		}
-	}
-	if *routeMode {
-		runRouteBench(*out, *smoke)
-		return
 	}
 	if *memMode {
 		runMemBench(*out, *smoke)

@@ -1,8 +1,13 @@
-// Command mqpd runs a mutant-query-plan server over real TCP sockets: the
-// same processor that powers the simulated experiments, wired to the
-// network. Peers reach it over persistent multiplexed links (internal/wire);
-// each frame on a link carries one XML document: an <mqp> plan to process and
-// forward, or a <registration> to accept into the catalog.
+// Command mqpd runs a peer over real TCP sockets: internal/peer, the program
+// the simulated experiments and the chaos harness run, on the TCP Transport
+// instead of a simnet. Neighbors reach it over persistent multiplexed links
+// (internal/wire); each frame carries one XML document, named for what it is:
+// an <mqp> plan to process and forward (past a next hop that cannot be
+// reached, to the next candidate) or, constant and addressed here, a result;
+// a <registration> or <deregister> for the catalog; and the calls <fetch> (a
+// collection's items), <export> (this peer's registration) and <subcats>
+// (refused: the daemon is no category server). A -collection file is an XML
+// document whose root's child elements are the items.
 //
 // Example (three shells):
 //
@@ -13,21 +18,19 @@
 //	mqpd -addr 127.0.0.1:9022 -collection /data=tracks.xml
 //	mqpquery -server 127.0.0.1:9020 -plan query.xml
 //
-// Collections are XML files whose root's child elements are the items.
+// A running daemon logs one line per collection served, one `plan <id> ->
+// <dest>` line per <mqp> it sends (forwarded plan or result), and one line per
+// error: a hostile frame, a broken link, a plan that ended here stuck. What a
+// hop bound, fetched and reduced is in the result's trail, where it is signed.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"strings"
 
-	"repro/internal/algebra"
-	"repro/internal/catalog"
-	"repro/internal/mqp"
-	"repro/internal/route"
-	"repro/internal/wire"
+	"repro/internal/peer"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
 )
@@ -45,16 +48,22 @@ func main() {
 	flag.Var(&collections, "collection", "collection mapping pathExp=items.xml (repeatable)")
 	flag.Parse()
 
-	ns := workload.GarageSaleNamespace()
-	cat := catalog.New(ns, *addr)
-	store := map[string][]*xmltree.Node{}
-
+	// A synchronous, forward-only peer: each link's frames are processed in
+	// order on its own goroutine, and plans travel to the data.
+	net := peer.NewTCP()
+	p, err := peer.New(peer.Config{
+		Addr: *addr, Net: net, NS: workload.GarageSaleNamespace(),
+		PushSelect: true, Key: []byte("mqpd-" + *addr), PlanCacheSize: *planCache,
+	})
+	if err != nil {
+		log.Fatalf("mqpd: %v", err)
+	}
 	for _, a := range aliases {
 		parts := strings.SplitN(a, "=", 2)
 		if len(parts) != 2 {
 			log.Fatalf("mqpd: bad -alias %q (want urn=target)", a)
 		}
-		cat.AddAlias(parts[0], parts[1])
+		p.Catalog().AddAlias(parts[0], parts[1])
 	}
 	for _, c := range collections {
 		parts := strings.SplitN(c, "=", 2)
@@ -65,86 +74,23 @@ func main() {
 		if err != nil {
 			log.Fatalf("mqpd: %v", err)
 		}
-		// Served items are immutable: the decoder's output is born frozen
-		// (and aliases buf, which nothing writes again), so items are
-		// aliased into plans and fetch replies instead of cloned per request.
+		// The decoder's output is born frozen (and aliases buf, which nothing
+		// writes again): items are aliased into plans, never cloned per request.
 		doc, err := xmltree.Decode(buf)
 		if err != nil {
 			log.Fatalf("mqpd: parse %s: %v", parts[1], err)
 		}
 		items := doc.Elements()
-		store[parts[0]] = items
+		p.AddCollection(peer.Collection{Name: parts[0], PathExp: parts[0], Items: items})
 		log.Printf("mqpd: serving %d items as %s%s", len(items), *addr, parts[0])
 	}
 
-	proc, err := mqp.New(mqp.Config{
-		Self:    *addr,
-		Catalog: cat,
-		FetchLocal: func(_ *mqp.StepContext, _ string, pathExp string) ([]*xmltree.Node, int, error) {
-			items, ok := store[pathExp]
-			if !ok {
-				return nil, 0, fmt.Errorf("no collection %q", pathExp)
-			}
-			return items, 0, nil
-		},
-		PushSelect: true,
-		Key:        []byte("mqpd-" + *addr),
-		// The file-backed store is fixed after startup; the catalog's own
-		// generation (registrations, aliases) drives cache invalidation.
-		PlanCacheSize: *planCache,
-	})
-	if err != nil {
+	// The catalog and the store are complete before the first link is accepted.
+	if err := net.Listen(*addr); err != nil {
 		log.Fatalf("mqpd: %v", err)
 	}
-
-	// Forwarded plans ride persistent multiplexed links: one connection per
-	// downstream peer, one vectored write per plan, frozen payload sections
-	// streamed straight from their memoized serializations.
-	pool := wire.NewLinkPool()
-	defer pool.Close()
-
-	srv, err := wire.Listen(*addr, func(doc *xmltree.Node) (*xmltree.Node, error) {
-		switch doc.Name {
-		case "mqp":
-			plan, err := algebra.Unmarshal(doc)
-			if err != nil {
-				return nil, fmt.Errorf("mqpd: bad plan: %w", err)
-			}
-			out, err := proc.Step(plan)
-			if err != nil {
-				return nil, err
-			}
-			dest := out.NextHop
-			if out.Done {
-				dest = plan.Target
-			}
-			if out.Partial {
-				// No productive hop remains: deliver an explicit partial
-				// result instead of forwarding into a routing loop.
-				dest = plan.Target
-				plan = route.Partial(plan)
-			}
-			log.Printf("mqpd: plan %s: bound=%d fetched=%d reduced=%d -> %s",
-				plan.ID, out.Bound, out.Fetched, out.Reduced, dest)
-			return nil, pool.SendFrame(dest, func(e *xmltree.FrameEncoder) {
-				algebra.EncodeFrame(plan, e)
-			})
-		case "registration":
-			reg, err := catalog.UnmarshalRegistration(ns, doc)
-			if err != nil {
-				return nil, fmt.Errorf("mqpd: bad registration: %w", err)
-			}
-			log.Printf("mqpd: registered %s (%s, %s)", reg.Addr, reg.Role, reg.Area)
-			return nil, cat.Register(reg)
-		default:
-			return nil, fmt.Errorf("mqpd: unknown document <%s>", doc.Name)
-		}
-	})
-	if err != nil {
-		log.Fatalf("mqpd: %v", err)
-	}
-	log.Printf("mqpd: listening on %s", srv.Addr())
-	for err := range srv.Errors() {
+	log.Printf("mqpd: listening on %s", net.Addr())
+	for err := range net.Errors() {
 		log.Printf("mqpd: %v", err)
 	}
 }

@@ -2,16 +2,14 @@
 // participant: base server (named XML collections addressed by XPath-like
 // identifiers), index server, meta-index server, and category server. A
 // peer owns a catalog, an MQP processor, and a data store, serves and
-// forwards mutant query plans over a simnet, pushes registrations to
-// authoritative servers (§3.3), and models delayed replication (§4.3).
+// forwards mutant query plans over a Transport — a simnet, or TCP links
+// (tcp.go, which says what a link does not carry yet) — pushes registrations
+// to authoritative servers (§3.3), and models delayed replication (§4.3).
 //
-// Traffic pricing: the simnet models the persistent multiplexed links the
-// real transport (internal/wire.LinkPool) uses — the first message a peer
-// sends to a neighbor pays connection setup, later messages on the same
-// ordered pair pay only a per-frame header, and a crash or partition severs
-// the link so recovery traffic re-pays setup. Forwarding fan-out to the same
-// fallback candidates is therefore much cheaper in bytes than the old
-// dial-per-hop accounting suggested (see simnet.Metrics.LinksOpened).
+// Traffic pricing: the simnet charges what TCP's persistent multiplexed links
+// (internal/wire.LinkPool) cost — connection setup on the first message to a
+// neighbor, a per-frame header on the rest, setup again after a crash or
+// partition severed the link (see simnet.Metrics.LinksOpened).
 package peer
 
 import (
@@ -83,10 +81,18 @@ type Result struct {
 	Partial bool
 }
 
+// Transport is what a peer asks of its network: a handler attached, a one-way
+// send, a request/reply call. *simnet.Network is one; NewTCP makes the other.
+type Transport interface {
+	Add(simnet.Peer)
+	Send(*simnet.Message) error
+	Request(from, to, kind string, body *xmltree.Node, at time.Duration) (*xmltree.Node, time.Duration, error)
+}
+
 // Config assembles a Peer.
 type Config struct {
 	Addr string
-	Net  *simnet.Network
+	Net  Transport
 	NS   *namespace.Namespace
 	// Area is the peer's interest area (may be empty for pure clients).
 	Area namespace.Area
@@ -157,7 +163,7 @@ type Config struct {
 // Peer is one network participant.
 type Peer struct {
 	addr string
-	net  *simnet.Network
+	net  Transport
 	ns   *namespace.Namespace
 	cat  *catalog.Catalog
 	proc *mqp.Processor
@@ -180,10 +186,11 @@ type Peer struct {
 	// reading collections.
 	resMu   sync.Mutex
 	results []Result
-	// stuck records terminal plan failures; stuckSeen dedupes identical
-	// entries (message duplication can redeliver the same doomed plan).
-	stuck     []error
-	stuckSeen map[string]bool
+	// stuck records terminal plan failures, identical entries once (message
+	// duplication can redeliver the same doomed plan): the newest maxStuck of
+	// them, stuckDropped counting the rest.
+	stuck        []error
+	stuckDropped int
 
 	// rt is the worker-pool runtime, nil when Workers == 0 (synchronous
 	// delivery).
@@ -622,6 +629,10 @@ func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 	p.absorbedGen = gen
 }
 
+// maxStuck bounds the stuck record, which must not grow with a daemon's
+// uptime. No chaos or experiment world comes near it (5 on one peer at most).
+const maxStuck = 1024
+
 // StuckErrors returns errors from plans that could make no progress here:
 // processor failures, plans with every next hop unreachable, results that
 // could not be delivered, and forwarding-loop trips. Each error message
@@ -636,18 +647,21 @@ func (p *Peer) StuckErrors() []error {
 // noteStuck records an error that terminated a plan at this peer. Every
 // terminal-failure path routes through here; repeated identical entries
 // (same plan, same failure — e.g. a duplicated delivery of a doomed plan)
-// are recorded once.
+// are recorded once, and past maxStuck the oldest entry makes room.
 func (p *Peer) noteStuck(err error) error {
 	p.resMu.Lock()
 	defer p.resMu.Unlock()
 	key := err.Error()
-	if p.stuckSeen == nil {
-		p.stuckSeen = map[string]bool{}
+	for _, seen := range p.stuck {
+		if seen.Error() == key {
+			return err
+		}
 	}
-	if !p.stuckSeen[key] {
-		p.stuckSeen[key] = true
-		p.stuck = append(p.stuck, err)
+	if len(p.stuck) == maxStuck {
+		p.stuck = p.stuck[:copy(p.stuck, p.stuck[1:])]
+		p.stuckDropped++
 	}
+	p.stuck = append(p.stuck, err)
 	return err
 }
 
@@ -680,19 +694,13 @@ func (p *Peer) SubmitCtx(ctx context.Context, addr string, plan *algebra.Plan) e
 func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 	switch msg.Kind {
 	case KindMQP:
-		return p.handleMQP(msg)
+		if p.rt != nil {
+			return p.rt.enqueue(msg) // onto the worker pool
+		}
+		return p.processMQP(context.Background(), msg)
 	case KindResult:
-		body, fdelay, derr := p.blobDecode(msg)
-		if derr != nil {
-			return p.noteStuck(fmt.Errorf("peer %s: result for plan %q: %w",
-				p.addr, msg.Body.AttrDefault("id", ""), derr))
-		}
-		plan, err := algebra.Unmarshal(body)
-		if err != nil {
-			return fmt.Errorf("peer %s: bad result: %w", p.addr, err)
-		}
-		p.recordResult(plan, msg.At+fdelay, msg.Hops)
-		return nil
+		_, _, err := p.arrive(msg)
+		return err
 	case KindRegister:
 		p.blobLearn(msg.From, msg.Body)
 		reg, err := catalog.UnmarshalRegistration(p.ns, msg.Body)
@@ -722,13 +730,27 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 	}
 }
 
-// handleMQP dispatches a delivered plan: onto the worker pool when one is
-// configured, inline otherwise.
-func (p *Peer) handleMQP(msg *simnet.Message) error {
-	if p.rt != nil {
-		return p.rt.enqueue(msg)
+// arrive opens a delivered plan or result. Payload references are resolved
+// before anything interprets the body (an unresolved <blob> under <data> would
+// be mistaken for payload data); a failed resolution (fetch-on-miss exhausted,
+// only possible under faults) ends the plan here, attributably. A result —
+// which a constant plan addressed to this peer also is, and on TCP the only
+// form one takes — is recorded, and no plan comes back.
+func (p *Peer) arrive(msg *simnet.Message) (*algebra.Plan, time.Duration, error) {
+	body, fdelay, err := p.blobDecode(msg)
+	if err != nil {
+		return nil, 0, p.noteStuck(fmt.Errorf("peer %s: %s %q: %w",
+			p.addr, msg.Kind, msg.Body.AttrDefault("id", ""), err))
 	}
-	return p.processMQP(context.Background(), msg)
+	plan, err := algebra.Unmarshal(body)
+	if err != nil {
+		return nil, 0, fmt.Errorf("peer %s: bad %s: %w", p.addr, msg.Kind, err)
+	}
+	if msg.Kind == KindResult || plan.Target == p.addr && plan.IsConstant() {
+		p.recordResult(plan, msg.At+fdelay, msg.Hops)
+		return nil, 0, nil
+	}
+	return plan, fdelay, nil
 }
 
 // processMQP runs one plan step and routes the outcome: a result home, the
@@ -736,24 +758,9 @@ func (p *Peer) handleMQP(msg *simnet.Message) error {
 // shutdown, per-plan timeout); a canceled step turns into an explicit
 // partial result annotated "canceled".
 func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
-	// Resolve payload references before anything interprets the body: an
-	// unresolved <blob> under <data> would be mistaken for payload data. A
-	// failed resolution (fetch-on-miss exhausted, only possible under
-	// faults) ends the plan here, attributably.
-	mbody, fdelay, derr := p.blobDecode(msg)
-	if derr != nil {
-		return p.noteStuck(fmt.Errorf("peer %s: plan %q: %w",
-			p.addr, msg.Body.AttrDefault("id", ""), derr))
-	}
-	plan, err := algebra.Unmarshal(mbody)
-	if err != nil {
-		return fmt.Errorf("peer %s: bad plan: %w", p.addr, err)
-	}
-	// A constant plan addressed to us is a result that was routed as an
-	// MQP; accept it either way.
-	if plan.Target == p.addr && plan.IsConstant() {
-		p.recordResult(plan, msg.At+fdelay, msg.Hops)
-		return nil
+	plan, fdelay, err := p.arrive(msg)
+	if plan == nil {
+		return err
 	}
 	p.lastAt.Store(int64(msg.At))
 
@@ -845,19 +852,10 @@ func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
 // accounted for — as a partial at its owner, or as a stuck record here if
 // even the partial cannot be delivered.
 func (p *Peer) rejectMQP(msg *simnet.Message, reason string) error {
-	mbody, _, derr := p.blobDecode(msg)
-	if derr != nil {
-		return p.noteStuck(fmt.Errorf("peer %s: plan %q: %w",
-			p.addr, msg.Body.AttrDefault("id", ""), derr))
-	}
-	plan, err := algebra.Unmarshal(mbody)
-	if err != nil {
-		return fmt.Errorf("peer %s: bad plan: %w", p.addr, err)
-	}
-	// A result routed as an MQP costs nothing to accept; never shed it.
-	if plan.Target == p.addr && plan.IsConstant() {
-		p.recordResult(plan, msg.At, msg.Hops)
-		return nil
+	// A result routed as an MQP costs nothing to accept: arrive never sheds it.
+	plan, _, err := p.arrive(msg)
+	if plan == nil {
+		return err
 	}
 	res := route.Partial(plan)
 	res.SetPartialReason(reason)

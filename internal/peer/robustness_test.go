@@ -196,3 +196,24 @@ func TestRemainderChainAcrossStates(t *testing.T) {
 		t.Fatalf("both base servers must contribute: %+v", trail.Visits)
 	}
 }
+
+// TestStuckRecordBounded: the stuck record keeps the newest maxStuck entries,
+// each once, and counts what it dropped — a daemon that fails a million
+// distinct plans holds a thousand of them.
+func TestStuckRecordBounded(t *testing.T) {
+	p := mustPeer(t, Config{Addr: "p:1", Net: simnet.New(), NS: testNS()})
+	const over = 10
+	failed := func(i int) error { return fmt.Errorf("plan \"q%d\" failed", i) }
+	for i := 0; i < maxStuck+over; i++ {
+		p.noteStuck(failed(i))
+		p.noteStuck(failed(i)) // a duplicate is one entry
+	}
+	got := p.StuckErrors()
+	if len(got) != maxStuck || p.stuckDropped != over {
+		t.Fatalf("kept %d, dropped %d; want %d, %d", len(got), p.stuckDropped, maxStuck, over)
+	}
+	first, last := failed(over).Error(), failed(maxStuck+over-1).Error()
+	if got[0].Error() != first || got[maxStuck-1].Error() != last {
+		t.Fatalf("kept %v … %v, want %s … %s", got[0], got[maxStuck-1], first, last)
+	}
+}

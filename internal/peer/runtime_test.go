@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/blobstore"
 	"repro/internal/catalog"
 	"repro/internal/namespace"
 	"repro/internal/simnet"
+	"repro/internal/xmltree"
 )
 
 // runtimeWorld builds the smallest concurrent-runtime topology: one
@@ -224,5 +226,35 @@ func TestResultSnapshotsAreDefensive(t *testing.T) {
 	}
 	if snap[1].Plan.ID != "snap1" || snap[2].Plan.ID != "snap2" {
 		t.Fatalf("snapshot aliased later append: %+v", snap)
+	}
+}
+
+// TestShedResultKeepsFetchDelay: a result routed as an MQP is accepted even
+// by a peer that is shedding, and the fetch-on-miss round trip its payload
+// cost is on the result's clock the same as on every other arrival path.
+func TestShedResultKeepsFetchDelay(t *testing.T) {
+	net, ns := simnet.New(), testNS()
+	sender := mustPeer(t, Config{Addr: "s:1", Net: net, NS: ns, Blobs: blobstore.New()})
+	owner := mustPeer(t, Config{Addr: "o:1", Net: net, NS: ns, Blobs: blobstore.New(), Workers: 1})
+	owner.Close() // from here on every delivered plan is shed
+
+	// The sender believes the owner holds the payload; the owner never saw it.
+	payload := xmltree.MustParse(bigSale("Giant Steps", 9))
+	fp, _ := blobstore.Fingerprint(payload)
+	sender.blobs.capable["o:1"] = true
+	sender.blobs.teach("o:1", fp, payload)
+
+	const at = 100 * time.Millisecond
+	res := algebra.NewPlan("shed-q", "o:1", algebra.Display(algebra.Data(payload)))
+	body := sender.blobEncode(algebra.Marshal(res), "o:1", at)
+	if err := owner.Deliver(net, &simnet.Message{From: "s:1", To: "o:1", Kind: KindMQP, Body: body, At: at}); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := owner.TakeResult()
+	if !ok || owner.BlobNetStats().Fetches != 1 {
+		t.Fatalf("result %v, fetches %d; want the result after one fetch-on-miss", ok, owner.BlobNetStats().Fetches)
+	}
+	if got.At <= at {
+		t.Fatalf("result stamped %v, want later than its arrival at %v by the fetch round trip", got.At, at)
 	}
 }

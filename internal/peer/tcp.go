@@ -1,0 +1,87 @@
+package peer
+
+import (
+	"errors"
+	"fmt"
+	"log"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/simnet"
+	"repro/internal/wire"
+	"repro/internal/xmltree"
+)
+
+// TCP is the Transport over real sockets: a wire.LinkPool outbound and, once
+// Listen has run, a wire.Server inbound, whose Addr and Errors (accept and
+// link errors, hostile frames, every error the peer's Deliver or Serve
+// returned) are this transport's. A frame's document name is its message kind,
+// and a result travels as the <mqp> it is, addressed to its target. A link has
+// no virtual clock and names no sender: a message's At, Hops and From are zero,
+// so a payload store, which answers to From (blob.go), is not usable here yet.
+type TCP struct {
+	*wire.Server
+	pool *wire.LinkPool
+	peer atomic.Pointer[simnet.Peer]
+}
+
+// NewTCP returns a transport that can send; Listen makes it receive.
+func NewTCP() *TCP { return &TCP{pool: wire.NewLinkPool()} }
+
+// Listen starts accepting links on addr. A peer attached before it (peer.New)
+// misses no frame; a frame that finds none attached is an error on Errors().
+func (t *TCP) Listen(addr string) (err error) {
+	t.Server, err = wire.Listen(addr, t.handle)
+	return err
+}
+
+// Close closes the outbound links and the server, waiting out handlers in flight.
+func (t *TCP) Close() error {
+	t.pool.Close()
+	return t.Server.Close()
+}
+
+// Add implements Transport: p handles every frame from here on.
+func (t *TCP) Add(p simnet.Peer) { t.peer.Store(&p) }
+
+func (t *TCP) handle(doc *xmltree.Node) (*xmltree.Node, error) {
+	pp := t.peer.Load()
+	if pp == nil {
+		return nil, fmt.Errorf("peer: <%s> frame before a peer is attached", doc.Name)
+	}
+	p := *pp
+	msg := &simnet.Message{To: p.Addr(), Kind: doc.Name, Body: doc}
+	switch doc.Name {
+	case "registration":
+		msg.Kind = KindRegister
+		fallthrough
+	case KindMQP, KindDeregister:
+		return nil, p.Deliver(nil, msg)
+	}
+	return p.Serve(nil, msg) // which refuses a kind it does not know
+}
+
+// Send implements Transport, logging where each <mqp> goes.
+func (t *TCP) Send(msg *simnet.Message) error {
+	if msg.Body.Name == KindMQP {
+		log.Printf("plan %s -> %s", msg.Body.AttrDefault("id", ""), msg.To)
+	}
+	return linkErr(msg.To, t.pool.Send(msg.To, msg.Body))
+}
+
+// Request implements Transport over the link's correlated call.
+func (t *TCP) Request(_, to, _ string, body *xmltree.Node, at time.Duration) (*xmltree.Node, time.Duration, error) {
+	reply, _, err := t.pool.Call(to, func(e *xmltree.FrameEncoder) { e.Node(body) })
+	return reply, at, linkErr(to, err)
+}
+
+// linkErr reports a link that could not be dialed, shaken hands with or
+// written to the way simnet reports a dead peer: the fallback over NextHops is
+// one piece of code. A failed remote handler (the link is healthy) and an
+// unframable document (nothing touched a link) stay what they are.
+func linkErr(to string, err error) error {
+	if err == nil || errors.Is(err, wire.ErrRemote) || errors.Is(err, wire.ErrFrame) {
+		return err
+	}
+	return simnet.ErrUnreachable{Addr: to}
+}

@@ -27,6 +27,10 @@ var IdleTimeout = 45 * time.Second
 // itself is healthy: a remote failure is never grounds for a redial.
 var ErrRemote = errors.New("wire: remote handler failed")
 
+// ErrFrame reports a document that cannot be framed, empty or beyond
+// MaxFrameBytes: the sender's fault, found before anything touched a link.
+var ErrFrame = errors.New("wire: unframable document")
+
 // errLinkBroken marks a link whose connection already failed; callers inside
 // the pool redial instead of surfacing it.
 var errLinkBroken = errors.New("wire: link broken")
@@ -332,14 +336,9 @@ func (p *LinkPool) withLink(addr string, op func(*Link) error) error {
 func stage(fill func(*xmltree.FrameEncoder)) (*xmltree.FrameEncoder, error) {
 	enc := xmltree.GetFrameEncoder()
 	fill(enc)
-	if enc.Len() == 0 {
+	if n := enc.Len(); n == 0 || n > MaxFrameBytes {
 		enc.Release()
-		return nil, fmt.Errorf("wire: empty frame")
-	}
-	if enc.Len() > MaxFrameBytes {
-		n := enc.Len()
-		enc.Release()
-		return nil, fmt.Errorf("wire: document of %d bytes exceeds frame limit %d", n, MaxFrameBytes)
+		return nil, fmt.Errorf("%w: %d bytes, frame limit %d", ErrFrame, n, MaxFrameBytes)
 	}
 	return enc, nil
 }

@@ -1,6 +1,6 @@
-// Package wire is the TCP transport cmd/mqpd and cmd/mqpquery use, so the
-// same MQP processor that runs on the simulated network can serve real
-// sockets. It speaks one protocol: persistent multiplexed links.
+// Package wire is the link layer under internal/peer's TCP Transport (what
+// cmd/mqpd runs) and under cmd/mqpquery: documents over real sockets, and
+// nothing of what is in them. It speaks one protocol: persistent multiplexed links.
 //
 // A peer keeps one connection per neighbor (LinkPool) and multiplexes
 // documents over it instead of paying a dial, a TCP handshake and a close
