@@ -7,7 +7,7 @@
 # over the parser and wire-framing targets.
 GO ?= go
 
-.PHONY: build test test-short bench bench-all bench-chaos bench-runtime bench-route bench-mem bench-smoke loadgen-smoke route-smoke mem-smoke profile race fmt vet chaos chaos-ci chaos-nofault chaos-large chaos-large-ci fuzz-smoke ci
+.PHONY: build test test-short bench bench-all bench-chaos bench-route bench-smoke route-smoke profile race fmt vet chaos chaos-ci chaos-nofault chaos-large chaos-large-ci fuzz-smoke lines ci
 
 build:
 	$(GO) build ./...
@@ -24,22 +24,22 @@ test-short: build
 
 # Machinery benchmark suite (hop path, clone, serialization, engine) with
 # allocation stats. Each stream is distilled by cmd/benchjson into a clean
-# summary (one record per benchmark, parsed metrics) matching the loadgen
-# reports — BENCH_plan_hop.json (with the predicate and fingerprint benches
-# of internal/algebra and internal/engine, which sit on the same hop path),
-# BENCH_decode.json (zero-copy
-# BenchmarkDecode on a payload-heavy frame and BenchmarkDecodePlan on an
-# attribute-heavy plan frame vs the encoding/xml-based BenchmarkParseLegacy,
-# so decode-path wins and regressions are visible on their own) and
-# BENCH_wire.json (warm codec hop, streaming frame encoder, reused
-# persistent link over real TCP — the numbers behind the "wire hop within
-# ~3x of the tree hop" acceptance bar). The benchmark lines still echo to
-# the console.
+# summary (one record per benchmark, parsed metrics) — BENCH_plan_hop.json
+# (with the predicate and fingerprint benches of internal/algebra and
+# internal/engine, which sit on the same hop path), BENCH_decode.json
+# (zero-copy BenchmarkDecode on a payload-heavy frame and BenchmarkDecodePlan
+# on an attribute-heavy plan frame, and internal/xmltree's BenchmarkParse —
+# ParseString, decode plus clone — against BenchmarkParseLegacy, the
+# encoding/xml reference parser on the same bytes, so decode-path wins and
+# regressions are visible on their own) and BENCH_wire.json (warm codec hop,
+# streaming frame encoder, reused persistent link over real TCP — the numbers
+# behind the "wire hop within ~3x of the tree hop" acceptance bar). The
+# benchmark lines still echo to the console.
 bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(PlanHop$$|PlanClone|Micro|Canonical|ByteSize|Fingerprint$$|ParsePredicate$$|PredicateString$$|SelectEval$$)' \
 		-benchmem -json . ./internal/algebra ./internal/engine \
 		| $(GO) run ./cmd/benchjson -out BENCH_plan_hop.json
-	$(GO) test -run '^$$' -bench '^Benchmark(Decode|DecodePlan|ParseLegacy)$$' -benchmem -json . \
+	$(GO) test -run '^$$' -bench '^Benchmark(Decode|DecodePlan|Parse|ParseLegacy)$$' -benchmem -json . ./internal/xmltree \
 		| $(GO) run ./cmd/benchjson -out BENCH_decode.json
 	$(GO) test -run '^$$' -bench '^Benchmark(PlanHopWire$$|PlanHopWireReused$$|StreamEncode$$)' -benchmem -json . \
 		| $(GO) run ./cmd/benchjson -out BENCH_wire.json
@@ -66,18 +66,6 @@ bench-chaos:
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Concurrent-runtime throughput: one worker-pool peer under a closed-loop
-# multi-query load (cmd/loadgen), reporting plans/s, result latency
-# percentiles and prepared-plan cache hit rate to BENCH_runtime.json.
-bench-runtime:
-	$(GO) run ./cmd/loadgen -out BENCH_runtime.json
-
-# CI gate for the runtime path: a short loadgen run must complete plans
-# (admission control, worker pool, plan cache and result collection all
-# exercised end to end) without writing over the recorded benchmark.
-loadgen-smoke:
-	$(GO) run ./cmd/loadgen -smoke -out -
-
 # Learned routing. Convergence (warm msgs/query below no-learning, warm hops
 # not above cold, warm hit rate) is E15's assertion and churn_mixed's gated
 # route.shortcut_hit_ratio and hops_per_query; what is left to time here is the
@@ -93,19 +81,6 @@ bench-route:
 route-smoke:
 	$(GO) test -short -run 'TestAllExperimentsRun/E15' ./internal/experiments
 	$(GO) test -run '^$$' -bench '^BenchmarkMineTrail$$' -benchtime 1x ./internal/peer
-
-# Payload-store memory benchmark (cmd/loadgen -mem): the same dedup-heavy
-# world driven store-off then store-on in one process, comparing live heap
-# (GC'd HeapAlloc, the portable peak-RSS proxy), dedup ratio and bytes
-# moved by reference. Fails below the 30% resident-memory reduction bar or
-# when no repeat freight goes by reference. Records BENCH_mem.json.
-bench-mem:
-	$(GO) run ./cmd/loadgen -mem -out BENCH_mem.json
-
-# CI gate for the payload store: the short -mem run, same acceptance bars,
-# without writing over the recorded benchmark.
-mem-smoke:
-	$(GO) run ./cmd/loadgen -mem -smoke -out -
 
 # CI gate for the benchmark: bench/ is a module of its own that the root
 # `go build ./...` and `go test ./...` never compile, so a change to a
@@ -168,4 +143,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build test race bench-smoke loadgen-smoke route-smoke mem-smoke chaos-ci chaos-nofault chaos-large-ci fuzz-smoke
+# Root non-test Go lines: the number every PR reports its delta of in
+# CHANGES.md (ROADMAP standing rules). bench/ is a module of its own.
+lines:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+ci: fmt vet build test race bench-smoke route-smoke chaos-ci chaos-nofault chaos-large-ci fuzz-smoke

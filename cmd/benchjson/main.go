@@ -1,7 +1,7 @@
 // Command benchjson converts a `go test -json` benchmark stream (stdin)
-// into a clean machine-readable summary, in the spirit of the loadgen
-// reports (BENCH_runtime.json): one record per benchmark with its parsed
-// metrics, instead of a raw event log that every consumer has to sed apart.
+// into a clean machine-readable summary: one record per benchmark with its
+// parsed metrics, instead of a raw event log that every consumer has to sed
+// apart.
 //
 // Usage:
 //

@@ -183,7 +183,7 @@ func TestPreparedMatchesInterpreted(t *testing.T) {
 		if a, b := Fingerprint(sel), Fingerprint(twin); a != b {
 			t.Fatalf("%s: fingerprints %x and %x", lit, a, b)
 		}
-		if a, b := MarshalNode(sel).String(), MarshalNode(twin).String(); a != b {
+		if a, b := marshalNode(sel).String(), marshalNode(twin).String(); a != b {
 			t.Fatalf("%s: marshals as %q, twin as %q", lit, a, b)
 		}
 		var frames [2]string

@@ -8,25 +8,25 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Streaming plan encoder: the staging-tree-free twin of marshal + WriteTo.
+// Streaming plan encoder: the plan's wire bytes, with no staging tree.
 //
 // EncodeFrame walks the plan directly, emitting canonical markup for the
 // mutable operator shell and handing frozen freight — data payloads, the
 // visited section, extra sections like provenance — to the FrameEncoder as
 // memoized-serialization segments. The bytes produced are identical to
-// Encode's staged output (FuzzStreamEncodeEquivalence enforces this), but a
-// forwarded plan no longer materializes a staging tree, and payloads that
-// crossed the wire before are never re-walked or copied: they ride to the
-// socket as zero-copy segments of one vectored write.
+// Marshal(p).String() (FuzzStreamEncodeEquivalence enforces this), but a
+// forwarded plan materializes no staging tree, and payloads that crossed the
+// wire before are never re-walked or copied: they ride to the socket as
+// zero-copy segments of one vectored write.
 //
 // Attribute emission must match the canonical serializer's sorted order, so
 // each operator lists its attributes alphabetically here (join emits
 // leftkey, leftname, rightkey, rightname; topn emits by, n, order).
 
-// EncodeFrame stages the plan's canonical wire form into enc. It is the
-// streaming equivalent of Encode: same bytes, no staging tree, payloads
-// shared rather than copied — so like Encode, the staged frame must be
-// written out before the plan is mutated again.
+// EncodeFrame stages the plan's canonical wire form into enc: what peers ship
+// each other, whose size the paper's optimization discussion (partial-result
+// size) is about. Payloads are shared rather than copied, so the staged frame
+// must be written out before the plan is mutated again.
 func EncodeFrame(p *Plan, enc *xmltree.FrameEncoder) {
 	enc.Raw("<mqp")
 	enc.Attr("id", p.ID)
@@ -56,14 +56,34 @@ func EncodeFrame(p *Plan, enc *xmltree.FrameEncoder) {
 	enc.Raw("</mqp>")
 }
 
-// EncodeStream writes the plan's canonical wire form to w through a pooled
-// FrameEncoder, returning bytes written. On a gather-capable writer (a TCP
-// connection) the whole document leaves in one writev.
-func EncodeStream(p *Plan, w io.Writer) (int64, error) {
+// framed stages p into a pooled encoder; the caller releases it.
+func framed(p *Plan) *xmltree.FrameEncoder {
 	enc := xmltree.GetFrameEncoder()
-	defer enc.Release()
 	EncodeFrame(p, enc)
+	return enc
+}
+
+// EncodeStream writes the plan's canonical wire form to w, returning bytes
+// written. On a gather-capable writer (a TCP connection) the whole document
+// leaves in one writev.
+func EncodeStream(p *Plan, w io.Writer) (int64, error) {
+	enc := framed(p)
+	defer enc.Release()
 	return enc.WriteTo(w)
+}
+
+// EncodeString returns the plan's canonical XML serialization.
+func EncodeString(p *Plan) string {
+	enc := framed(p)
+	defer enc.Release()
+	return enc.String()
+}
+
+// WireSize returns the serialized byte size of the plan.
+func WireSize(p *Plan) int {
+	enc := framed(p)
+	defer enc.Release()
+	return enc.Len()
 }
 
 // encodeFrameNode emits one operator subtree in canonical form, mirroring

@@ -60,11 +60,12 @@ func streamPlans(t *testing.T) map[string]*Plan {
 }
 
 // TestStreamEncodeMatchesStaged is the frame-equivalence invariant at the
-// algebra layer: EncodeFrame and EncodeStream must produce the staged Encode
-// bytes exactly, for mutable plans and for decoded (frozen-payload) plans.
+// algebra layer: EncodeFrame and EncodeStream must produce the staged
+// Marshal(p).String() bytes exactly, for mutable plans and for decoded
+// (frozen-payload) plans.
 func TestStreamEncodeMatchesStaged(t *testing.T) {
 	for name, p := range streamPlans(t) {
-		want := EncodeString(p)
+		want := Marshal(p).String()
 
 		enc := xmltree.GetFrameEncoder()
 		EncodeFrame(p, enc)
@@ -91,7 +92,7 @@ func TestStreamEncodeMatchesStaged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: EncodeStream: %v", name, err)
 		}
-		if staged := EncodeString(back); buf.String() != staged {
+		if staged := Marshal(back).String(); buf.String() != staged {
 			t.Errorf("%s: decoded plan streams %q, stages %q", name, buf.String(), staged)
 		} else if n != int64(len(staged)) {
 			t.Errorf("%s: EncodeStream reported %d bytes, wrote %d", name, n, len(staged))
@@ -121,7 +122,8 @@ var streamFuzzSeeds = []string{
 }
 
 // FuzzStreamEncodeEquivalence: for any decodable <mqp> frame, the streamed
-// frame bytes must be byte-identical to the staging-tree Encode output —
+// frame bytes must be byte-identical to the staging tree's serialization,
+// Marshal(p).String() —
 // both for the decoded plan (frozen payloads ride as zero-copy segments) and
 // for a fully mutable reconstruction of the same plan.
 func FuzzStreamEncodeEquivalence(f *testing.F) {
@@ -134,7 +136,7 @@ func FuzzStreamEncodeEquivalence(f *testing.F) {
 		if err != nil {
 			return
 		}
-		staged := EncodeString(p)
+		staged := Marshal(p).String()
 		enc := xmltree.GetFrameEncoder()
 		defer enc.Release()
 		EncodeFrame(p, enc)
@@ -142,8 +144,8 @@ func FuzzStreamEncodeEquivalence(f *testing.F) {
 			t.Fatalf("decoded plan: streamed %q != staged %q (input %q)", got, staged, s)
 		}
 
-		// Mutable variant: rebuild the same plan through the reference parser
-		// so no node carries a serialization memo, then compare again.
+		// Mutable variant: rebuild the same plan from ParseString's clone, no
+		// node of which carries a serialization memo, then compare again.
 		doc, err := xmltree.ParseString(staged)
 		if err != nil {
 			t.Fatalf("reparse canonical form: %v", err)
@@ -152,7 +154,7 @@ func FuzzStreamEncodeEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unmarshal canonical form: %v", err)
 		}
-		mstaged := EncodeString(mp)
+		mstaged := Marshal(mp).String()
 		enc.Reset()
 		EncodeFrame(mp, enc)
 		if got := enc.String(); got != mstaged {

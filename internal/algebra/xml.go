@@ -40,22 +40,16 @@ import (
 // annotationsElem is the reserved element name for annotation blocks.
 const annotationsElem = "annotations"
 
-// MarshalNode converts an operator subtree to its XML element form.
-func MarshalNode(n *Node) *xmltree.Node {
-	return marshalNode(n, true)
-}
-
-// marshalNode renders n as XML. Frozen data payloads are always aliased —
-// immutable subtrees are safe to share with any number of documents. With
-// copyDocs false, mutable payloads are shared too instead of deep-cloned —
-// only safe when the produced tree is measured or serialized and then
-// discarded, never retained or mutated.
+// marshalNode renders an operator subtree as XML. Frozen data payloads are
+// aliased — immutable subtrees are safe to share with any number of
+// documents — and mutable ones deep-copied (Share), so the tree is the
+// caller's to edit.
 //
 // The staging tree is built at final size: attribute lists and child slices
 // are allocated exactly once per element (serialization sorts attributes,
 // so emit order is free), which matters because the hop path marshals every
 // plan it forwards.
-func marshalNode(n *Node, copyDocs bool) *xmltree.Node {
+func marshalNode(n *Node) *xmltree.Node {
 	var e *xmltree.Node
 	switch n.Kind {
 	case KindURL:
@@ -118,15 +112,11 @@ func marshalNode(n *Node, copyDocs bool) *xmltree.Node {
 	}
 	if n.Kind == KindData {
 		for _, d := range n.Docs {
-			if copyDocs {
-				kids = append(kids, d.Share())
-			} else {
-				kids = append(kids, d)
-			}
+			kids = append(kids, d.Share())
 		}
 	}
 	for _, c := range n.Children {
-		kids = append(kids, marshalNode(c, copyDocs))
+		kids = append(kids, marshalNode(c))
 	}
 	e.Children = kids
 	return e
@@ -312,18 +302,17 @@ func soleElement(c *xmltree.Node) (first *xmltree.Node, n int) {
 	return first, n
 }
 
-// Marshal converts a plan to its XML document form.
+// Marshal converts a plan to its XML document form: a tree, for callers that
+// edit it before sending (payload-by-reference substitution, fault injection)
+// or hand it to a simulated network as a body. Bytes come from EncodeFrame;
+// FuzzStreamEncodeEquivalence holds the two to the same serialization.
 func Marshal(p *Plan) *xmltree.Node {
-	return marshal(p, true)
-}
-
-func marshal(p *Plan, copyDocs bool) *xmltree.Node {
 	doc := xmltree.ElemAttrs("mqp",
 		xmltree.Attr{Name: "id", Value: p.ID},
 		xmltree.Attr{Name: "target", Value: p.Target})
-	doc.Add(xmltree.Elem("plan", marshalNode(p.Root, copyDocs)))
+	doc.Add(xmltree.Elem("plan", marshalNode(p.Root)))
 	if p.Original != nil {
-		doc.Add(xmltree.Elem("original", marshalNode(p.Original, copyDocs)))
+		doc.Add(xmltree.Elem("original", marshalNode(p.Original)))
 	}
 	if p.Visited != nil && (p.Visited.Len() > 0 || p.Visited.Budget > 0 || p.Visited.AnsweredLen() > 0) {
 		// Emitted whenever there is state to carry — visit records, or just
@@ -338,11 +327,7 @@ func marshal(p *Plan, copyDocs bool) *xmltree.Node {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if copyDocs {
-			doc.Add(p.Extra[k].Share())
-		} else {
-			doc.Add(p.Extra[k])
-		}
+		doc.Add(p.Extra[k].Share())
 	}
 	return doc
 }
@@ -406,27 +391,6 @@ func Unmarshal(doc *xmltree.Node) (*Plan, error) {
 	return p, nil
 }
 
-// Encode serializes the plan as canonical XML to w, returning bytes written.
-// This is the on-the-wire form shipped between peers; its size is what the
-// paper's optimization discussion (partial-result size) is about. The
-// staging tree shares the plan's data payloads (it is discarded after the
-// write), so encoding never deep-copies item bundles.
-func Encode(p *Plan, w io.Writer) (int64, error) {
-	return marshal(p, false).WriteTo(w)
-}
-
-// EncodeString returns the plan's canonical XML serialization.
-func EncodeString(p *Plan) string {
-	return marshal(p, false).String()
-}
-
-// WireSize returns the serialized byte size of the plan. Like Encode, the
-// measurement tree shares payloads and is discarded, so sizing a plan costs
-// one arithmetic tree walk and zero document copies.
-func WireSize(p *Plan) int {
-	return marshal(p, false).ByteSize()
-}
-
 // Decode parses a serialized plan through the zero-copy receive path: the
 // stream is buffered once and the document is decoded straight from that
 // buffer (xmltree.Decode), so plan payloads alias the read bytes instead of
@@ -436,13 +400,6 @@ func Decode(r io.Reader) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeBytes(buf)
-}
-
-// DecodeBytes parses a plan from its XML wire bytes, zero-copy. The buffer
-// is retained by the plan's payloads and must not be modified afterwards
-// (the xmltree.Decode ownership rule).
-func DecodeBytes(buf []byte) (*Plan, error) {
 	doc, err := xmltree.Decode(buf)
 	if err != nil {
 		return nil, err

@@ -119,13 +119,14 @@ func TestXMLDecodeErrors(t *testing.T) {
 
 func TestWireSize(t *testing.T) {
 	p := fig3Plan()
-	if WireSize(p) != len(EncodeString(p)) {
+	want := Marshal(p).String()
+	if WireSize(p) != len(want) {
 		t.Fatal("WireSize must equal serialized length")
 	}
 	var sb strings.Builder
-	n, err := Encode(p, &sb)
-	if err != nil || int(n) != len(EncodeString(p)) {
-		t.Fatalf("Encode wrote %d, err %v", n, err)
+	n, err := EncodeStream(p, &sb)
+	if err != nil || int(n) != len(want) || sb.String() != want {
+		t.Fatalf("EncodeStream wrote %d, err %v", n, err)
 	}
 }
 

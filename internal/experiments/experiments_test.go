@@ -2,9 +2,15 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/algebra"
+	"repro/internal/peer"
+	"repro/internal/xmltree"
 )
 
 func TestMain(m *testing.M) {
@@ -101,5 +107,70 @@ func TestRunnersDistinct(t *testing.T) {
 	}
 	if len(seen) != 16 {
 		t.Fatalf("expected 16 experiments, have %d", len(seen))
+	}
+}
+
+// liveHeap is the heap in use after a collection (two: what a sync.Pool
+// held before the first is freed by the second), with the identical-frame
+// cache emptied and left on: what the worlds themselves hold.
+func liveHeap() uint64 {
+	xmltree.SetFrameCacheLimit(xmltree.SetFrameCacheLimit(0))
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestPayloadStoreShrinksLiveHeap holds E16's world to the one bar E16 does
+// not: resident memory. Three sellers' 48 items over 8 distinct documents
+// must cost a world whose peers carry stores at least 30% less live heap,
+// for the same answers, with freight going by reference only when there is
+// a store and no fetch failing.
+func TestPayloadStoreShrinksLiveHeap(t *testing.T) {
+	run := func(storeOn bool) (heap uint64, answer string, byRefBytes int64, fetchFails uint64) {
+		before := liveHeap()
+		net, client, err := e16World(3, 48, 8, storeOn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 2; q++ {
+			plan := algebra.NewPlan(fmt.Sprintf("heap-%d", q), "client:9020",
+				algebra.Display(algebra.Select(algebra.MustParsePredicate("price < 10"),
+					algebra.URN("urn:ForSale:Portland-CDs"))))
+			if err := client.Submit("meta:9020", plan); err != nil {
+				t.Fatal(err)
+			}
+			res, ok := client.TakeResult()
+			if !ok {
+				t.Fatalf("store %v, query %d: no result", storeOn, q)
+			}
+			docs, err := res.Plan.Results()
+			if err != nil || len(docs) == 0 {
+				t.Fatalf("store %v, query %d: %d results, %v", storeOn, q, len(docs), err)
+			}
+			answer = fmt.Sprint(docs)
+		}
+		if after := liveHeap(); after > before {
+			heap = after - before
+		}
+		for _, addr := range net.Addrs() { // which also keeps the world alive until here
+			st := net.Peer(addr).(*peer.Peer).BlobNetStats()
+			byRefBytes += st.ByRefBytes
+			fetchFails += st.FetchFailures
+		}
+		return
+	}
+	offHeap, offAnswer, offByRef, _ := run(false)
+	onHeap, onAnswer, onByRef, fetchFails := run(true)
+	if offAnswer != onAnswer {
+		t.Fatalf("the store changed the answer:\n%s\n%s", offAnswer, onAnswer)
+	}
+	if offByRef != 0 || onByRef == 0 || fetchFails != 0 {
+		t.Fatalf("by-reference bytes %d without stores, %d with; %d fetch failures", offByRef, onByRef, fetchFails)
+	}
+	t.Logf("live heap: %d KB without stores, %d KB with", offHeap>>10, onHeap>>10)
+	if float64(onHeap) > 0.7*float64(offHeap) {
+		t.Fatalf("live heap %d KB with stores, %d KB without: less than 30%% saved", onHeap>>10, offHeap>>10)
 	}
 }

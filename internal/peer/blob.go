@@ -71,11 +71,32 @@ type BlobNetStats struct {
 	Probes uint64
 }
 
-// taughtSet is the fingerprints one neighbor provably exchanged inline with
-// this peer, FIFO-bounded. Each member holds one store reference.
-type taughtSet struct {
-	set  map[blobstore.FP]bool
-	fifo []blobstore.FP
+// pinSet is a FIFO-bounded set of fingerprints, each member holding one store
+// reference: the fingerprints one neighbor provably exchanged inline with this
+// peer (blobState.taught), or the payloads interned off received bodies
+// (blobState.wire). blobState.mu guards it.
+type pinSet struct {
+	limit int
+	set   map[blobstore.FP]bool
+	fifo  []blobstore.FP
+}
+
+func newPinSet(limit int) *pinSet {
+	return &pinSet{limit: limit, set: map[blobstore.FP]bool{}}
+}
+
+// add inserts fp, which the caller has found absent, and past the bound drops
+// the oldest member, whose reference the caller releases once it has let go of
+// the lock.
+func (s *pinSet) add(fp blobstore.FP) (evicted blobstore.FP, ok bool) {
+	s.set[fp] = true
+	s.fifo = append(s.fifo, fp)
+	if len(s.fifo) <= s.limit {
+		return evicted, false
+	}
+	evicted, s.fifo = s.fifo[0], s.fifo[1:]
+	delete(s.set, evicted)
+	return evicted, true
 }
 
 // blobFetch is one in-flight fetch-on-miss, single-flighted per
@@ -95,9 +116,8 @@ type blobState struct {
 	mu       sync.Mutex
 	capable  map[string]bool
 	probed   map[string]bool
-	taught   map[string]*taughtSet
-	wireSet  map[blobstore.FP]bool
-	wireFIFO []blobstore.FP
+	taught   map[string]*pinSet
+	wire     *pinSet
 	collFPs  map[string][]blobstore.FP
 	fetching map[blobstore.FP]*blobFetch
 	stats    BlobNetStats
@@ -108,8 +128,8 @@ func newBlobState(store *blobstore.Store) *blobState {
 		store:    store,
 		capable:  map[string]bool{},
 		probed:   map[string]bool{},
-		taught:   map[string]*taughtSet{},
-		wireSet:  map[blobstore.FP]bool{},
+		taught:   map[string]*pinSet{},
+		wire:     newPinSet(blobMaxWireTaught),
 		collFPs:  map[string][]blobstore.FP{},
 		fetching: map[blobstore.FP]*blobFetch{},
 	}
@@ -240,11 +260,7 @@ func (b *blobState) encode(p *Peer, body *xmltree.Node, to string, at time.Durat
 // servable.
 func (b *blobState) teach(to string, fp blobstore.FP, doc *xmltree.Node) bool {
 	b.mu.Lock()
-	ts := b.taught[to]
-	if ts == nil {
-		ts = &taughtSet{set: map[blobstore.FP]bool{}}
-		b.taught[to] = ts
-	}
+	ts := b.taughtTo(to)
 	if ts.set[fp] {
 		b.mu.Unlock()
 		return true
@@ -258,21 +274,24 @@ func (b *blobState) teach(to string, fp blobstore.FP, doc *xmltree.Node) bool {
 		b.store.Release(fp)
 		return true
 	}
-	ts.set[fp] = true
-	ts.fifo = append(ts.fifo, fp)
+	evict, evicted := ts.add(fp)
 	b.stats.Taught++
-	var evict blobstore.FP
-	evicted := false
-	if len(ts.fifo) > blobMaxTaughtPerPeer {
-		evict, evicted = ts.fifo[0], true
-		ts.fifo = ts.fifo[1:]
-		delete(ts.set, evict)
-	}
 	b.mu.Unlock()
 	if evicted {
 		b.store.Release(evict)
 	}
 	return false
+}
+
+// taughtTo returns the neighbor's taught set, made on first use. Callers hold
+// b.mu.
+func (b *blobState) taughtTo(addr string) *pinSet {
+	ts := b.taught[addr]
+	if ts == nil {
+		ts = newPinSet(blobMaxTaughtPerPeer)
+		b.taught[addr] = ts
+	}
+	return ts
 }
 
 // internWire interns a payload received inline from `from` into the store,
@@ -282,19 +301,11 @@ func (b *blobState) teach(to string, fp blobstore.FP, doc *xmltree.Node) bool {
 func (b *blobState) internWire(from string, doc *xmltree.Node) *xmltree.Node {
 	canon, fp := b.store.Intern(doc)
 	b.mu.Lock()
-	if b.wireSet[fp] {
+	if b.wire.set[fp] {
 		b.mu.Unlock()
 		b.store.Release(fp) // the FIFO already owns its pin
 	} else {
-		b.wireSet[fp] = true
-		b.wireFIFO = append(b.wireFIFO, fp)
-		var evict blobstore.FP
-		evicted := false
-		if len(b.wireFIFO) > blobMaxWireTaught {
-			evict, evicted = b.wireFIFO[0], true
-			b.wireFIFO = b.wireFIFO[1:]
-			delete(b.wireSet, evict)
-		}
+		evict, evicted := b.wire.add(fp)
 		b.mu.Unlock()
 		if evicted {
 			b.store.Release(evict)
@@ -302,25 +313,13 @@ func (b *blobState) internWire(from string, doc *xmltree.Node) *xmltree.Node {
 	}
 	if b.store.Retain(fp) { // the taught set's own pin
 		b.mu.Lock()
-		ts := b.taught[from]
-		if ts == nil {
-			ts = &taughtSet{set: map[blobstore.FP]bool{}}
-			b.taught[from] = ts
-		}
+		ts := b.taughtTo(from)
 		if ts.set[fp] {
 			b.mu.Unlock()
 			b.store.Release(fp)
 		} else {
-			ts.set[fp] = true
-			ts.fifo = append(ts.fifo, fp)
+			evict, evicted := ts.add(fp)
 			b.stats.Taught++
-			var evict blobstore.FP
-			evicted := false
-			if len(ts.fifo) > blobMaxTaughtPerPeer {
-				evict, evicted = ts.fifo[0], true
-				ts.fifo = ts.fifo[1:]
-				delete(ts.set, evict)
-			}
 			b.mu.Unlock()
 			if evicted {
 				b.store.Release(evict)

@@ -246,7 +246,8 @@ func TestMineTrailCostsWhatItTeaches(t *testing.T) {
 // covered by the catalog, whether or not a mutation slipped in mid-pass.
 func TestMineTrailConcurrentWorkers(t *testing.T) {
 	const senders, plansEach = 4, 150
-	p := learner(t, Config{AbsorbThreshold: 2, Workers: 4, QueueDepth: senders * plansEach})
+	p := learner(t, Config{AbsorbThreshold: 2})
+	p.rt = newRuntime(p, 4, senders*plansEach, 0) // the queue holds the whole burst
 	defer p.Close()
 	at := time.Second
 	area := p.ns.MustParseArea("[USA/OR/Portland, Music/CDs]")

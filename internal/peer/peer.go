@@ -119,15 +119,12 @@ type Config struct {
 	// branches when this peer processes plans (§3.2 attribute indices).
 	PruneStats bool
 	// Workers > 0 runs delivered plans on a pool of that many workers behind
-	// a bounded frame queue with admission control (overload turns into
-	// explicit partial results, not latency collapse). Zero keeps the
+	// a frame queue of 4×Workers with admission control: a full queue rejects
+	// new plans with a partial result annotated "admission" (overload turns
+	// into explicit partial results, not latency collapse). Zero keeps the
 	// synchronous delivery path: every Deliver processes inline, which the
 	// deterministic chaos/experiment harnesses rely on.
 	Workers int
-	// QueueDepth bounds the worker pool's frame queue; 0 defaults to
-	// 4×Workers. A full queue rejects new plans with a partial result
-	// annotated "admission".
-	QueueDepth int
 	// StepTimeout bounds one plan step in the worker pool; an expired step
 	// returns a partial result annotated "canceled". Zero disables the bound.
 	StepTimeout time.Duration
@@ -267,7 +264,7 @@ func New(cfg Config) (*Peer, error) {
 	}
 	p.proc = proc
 	if cfg.Workers > 0 {
-		p.rt = newRuntime(p, cfg.Workers, cfg.QueueDepth, cfg.StepTimeout)
+		p.rt = newRuntime(p, cfg.Workers, 4*cfg.Workers, cfg.StepTimeout)
 	}
 	cfg.Net.Add(p)
 	return p, nil

@@ -34,9 +34,6 @@ type runtime struct {
 }
 
 func newRuntime(p *Peer, workers, depth int, timeout time.Duration) *runtime {
-	if depth <= 0 {
-		depth = 4 * workers
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := &runtime{
 		p:       p,
@@ -59,6 +56,11 @@ func (rt *runtime) enqueue(msg *simnet.Message) error {
 	}
 	select {
 	case rt.queue <- msg:
+		// A close that ran between the check above and the push has already
+		// drained the queue; nothing would ever take this plan out again.
+		if rt.ctx.Err() != nil {
+			rt.drain()
+		}
 		return nil
 	default:
 		rt.rejected.Add(1)
@@ -102,13 +104,19 @@ func (rt *runtime) close() {
 	rt.closeOnce.Do(func() {
 		rt.cancel()
 		rt.wg.Wait()
-		for {
-			select {
-			case msg := <-rt.queue:
-				rt.p.rejectMQP(msg, "shutdown")
-			default:
-				return
-			}
-		}
+		rt.drain()
 	})
+}
+
+// drain rejects every queued plan. It runs once the context is canceled, from
+// close and from any enqueue whose push lost the race with it.
+func (rt *runtime) drain() {
+	for {
+		select {
+		case msg := <-rt.queue:
+			rt.p.rejectMQP(msg, "shutdown")
+		default:
+			return
+		}
+	}
 }

@@ -16,9 +16,9 @@ import (
 )
 
 // runtimeWorld builds the smallest concurrent-runtime topology: one
-// authoritative server that is its own index (the loadgen shape) and a bare
-// client that receives results. The server's worker/queue/timeout knobs come
-// from cfg; everything else is fixed.
+// authoritative server that is its own index (bench's point_hot shape) and a
+// bare client that receives results. The server's worker and timeout knobs
+// come from cfg; everything else is fixed.
 func runtimeWorld(t *testing.T, cfg Config) (client, srv *Peer) {
 	t.Helper()
 	net := simnet.New()
@@ -68,6 +68,25 @@ func waitResults(t *testing.T, client *Peer, n int) []Result {
 	}
 }
 
+// submitBurst starts submitters goroutines that each submit plansEach plans to
+// the server, and returns the group to wait on.
+func submitBurst(t *testing.T, client *Peer, submitters, plansEach int) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	wg.Add(submitters)
+	for s := 0; s < submitters; s++ {
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < plansEach; i++ {
+				if err := client.Submit("srv:9020", rtPlan(fmt.Sprintf("b%d-%d", s, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	return &wg
+}
+
 // TestWorkerPoolDelivery drives a worker-pool server from concurrent
 // submitters: every plan must come back as a complete (non-partial) result
 // with the same answer synchronous processing gives. The queue is sized to
@@ -75,24 +94,12 @@ func waitResults(t *testing.T, client *Peer, n int) []Result {
 // a scheduling race (the workers may drain arbitrarily slowly, e.g. under
 // -race); admission control has its own test below.
 func TestWorkerPoolDelivery(t *testing.T) {
-	client, srv := runtimeWorld(t, Config{Workers: 4, QueueDepth: 128, PlanCacheSize: 16})
+	client, srv := runtimeWorld(t, Config{PlanCacheSize: 16})
+	srv.rt = newRuntime(srv, 4, 128, 0)
 	defer srv.Close()
 
 	const submitters, plansEach = 4, 16
-	var wg sync.WaitGroup
-	wg.Add(submitters)
-	for s := 0; s < submitters; s++ {
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < plansEach; i++ {
-				if err := client.Submit("srv:9020", rtPlan(fmt.Sprintf("wp%d-%d", s, i))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
+	submitBurst(t, client, submitters, plansEach).Wait()
 
 	rs := waitResults(t, client, submitters*plansEach)
 	for _, r := range rs {
@@ -156,6 +163,52 @@ func TestAdmissionControlSheds(t *testing.T) {
 	rs = waitResults(t, client, 3)
 	if rs[2].Plan.PartialReason() != "shutdown" {
 		t.Fatalf("post-close reason = %q, want shutdown", rs[2].Plan.PartialReason())
+	}
+}
+
+// lateClose is a context whose Err closes the runtime (once: close is
+// idempotent) after reading the answer: a Close that lands between enqueue's
+// check and its push, every time.
+type lateClose struct {
+	context.Context
+	rt *runtime
+}
+
+func (c lateClose) Err() error {
+	err := c.Context.Err()
+	c.rt.close()
+	return err
+}
+
+// TestCloseLosesNoPlan: a plan submitted while the runtime closes ends as a
+// result or a "shutdown" partial, never in a queue nobody reads any more.
+// First the interleaving by hand — enqueue sees an open runtime, Close
+// cancels, waits and drains, the push lands — then the race as it happens,
+// submitters against a Close, which loses a plan about once in a thousand rounds
+// without the re-check in enqueue.
+func TestCloseLosesNoPlan(t *testing.T) {
+	client, srv := runtimeWorld(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	srv.rt = &runtime{p: srv, queue: make(chan *simnet.Message, 1), cancel: cancel}
+	srv.rt.ctx = lateClose{ctx, srv.rt}
+	if err := client.Submit("srv:9020", rtPlan("late")); err != nil {
+		t.Fatal(err)
+	}
+	if rs := client.Results(); len(rs) != 1 || rs[0].Plan.PartialReason() != "shutdown" {
+		t.Fatalf("plan pushed after the drain: %d results, %d still queued", len(rs), len(srv.rt.queue))
+	}
+
+	const submitters, plansEach, rounds = 4, 40, 150
+	for round := 0; round < rounds; round++ {
+		client, srv := runtimeWorld(t, Config{Workers: 2})
+		burst := submitBurst(t, client, submitters, plansEach)
+		waitResults(t, client, 3)
+		srv.Close()
+		burst.Wait()
+		if got := len(client.Results()) + len(srv.StuckErrors()); got != submitters*plansEach {
+			t.Fatalf("round %d: %d of %d plans accounted for, %d left in the queue",
+				round, got, submitters*plansEach, len(srv.rt.queue))
+		}
 	}
 }
 

@@ -16,12 +16,13 @@
 // tree's slabs and the input — and nothing of any other decode (see the slab
 // sizing note below).
 //
-// Compatibility: Decode is a behavioral mirror of Parse (the encoding/xml
-// reference implementation kept above): on any input the two either produce
-// structurally equal trees or both reject. FuzzDecodeEquivalence enforces
-// the contract over the shared fuzz corpus. The mirrored quirks worth
-// knowing: \r and \r\n in text and attribute values become \n while &#xD;
-// survives; text runs merge across comments and CDATA boundaries;
+// Compatibility: Decode is a behavioral mirror of the encoding/xml tokenizer
+// loop it replaced (parseReference in reference_test.go; the product keeps
+// only the name-class probes localNameOK and exoticNameOK): on any input the
+// two either produce structurally equal trees or both reject, and
+// FuzzDecodeEquivalence enforces it over the shared fuzz corpus. The mirrored
+// quirks worth knowing: \r and \r\n in text and attribute values become \n
+// while &#xD; survives; text runs merge across comments and CDATA boundaries;
 // whitespace-only runs are dropped; "]]>" is an error outside CDATA;
 // comments may not contain "--"; an <?xml?> declaration is validated for
 // version and encoding; namespace prefixes are stripped from names, xmlns
@@ -504,6 +505,24 @@ func (d *decoder) rawName() (name string, plain bool, err error) {
 	}
 	d.pos = i
 	return name, seen&(clsColon|clsHigh) == 0, nil
+}
+
+// localNameOK reports whether a namespace-stripped local name is itself a
+// well-formed, prefix-free XML name. Stripping a prefix can expose an
+// invalid start character (the tokenizer accepts y:0="..." as prefix "y",
+// local "0") or a residual colon (a:b:c splits at the first colon only);
+// serializing either would produce an unparseable or differently-splitting
+// canonical form. The common all-ASCII case is decided inline; anything
+// exotic is settled by asking the tokenizer itself.
+func localNameOK(local string) bool {
+	if local == "" || strings.IndexByte(local, ':') >= 0 {
+		return false
+	}
+	if c := local[0]; c == '_' || ('A' <= c && c <= 'Z') || ('a' <= c && c <= 'z') {
+		return true
+	}
+	_, err := xml.NewDecoder(strings.NewReader("<" + local + "/>")).Token()
+	return err == nil
 }
 
 // exoticNameOK validates a name containing non-ASCII bytes by asking the

@@ -28,7 +28,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		if len(s) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		ref, refErr := ParseString(s)
+		ref, refErr := parseReference(s)
 		got, gotErr := DecodeString(s)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("accept/reject disagreement:\ninput: %q\nParse err:  %v\nDecode err: %v", s, refErr, gotErr)

@@ -103,7 +103,7 @@ func TestDecodeMatchesParse(t *testing.T) {
 
 func checkDecodeAgreement(t *testing.T, s string) {
 	t.Helper()
-	ref, refErr := ParseString(s)
+	ref, refErr := parseReference(s)
 	got, gotErr := DecodeString(s)
 	if (refErr == nil) != (gotErr == nil) {
 		t.Fatalf("accept/reject disagreement on %q:\n  Parse:  tree=%v err=%v\n  Decode: tree=%v err=%v",

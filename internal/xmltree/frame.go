@@ -292,7 +292,8 @@ func (e *FrameEncoder) AppendString(dst []byte) []byte {
 	return dst
 }
 
-// String returns the staged bytes as one string (tests and fixtures).
+// String returns the staged bytes as one string, copied once.
 func (e *FrameEncoder) String() string {
-	return string(e.AppendString(make([]byte, 0, e.n)))
+	b := e.AppendString(make([]byte, 0, e.n))
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is nobody else's
 }

@@ -160,7 +160,7 @@ func TestDecodeCleanSpanMemo(t *testing.T) {
 			t.Errorf("%q: non-canonical span wrongly memoized as %q", s, n.memoStr)
 		}
 		assertNormal(t, n, s)
-		ref, err := ParseString(s)
+		ref, err := parseReference(s)
 		if err != nil {
 			t.Fatalf("parse %q: %v", s, err)
 		}

@@ -5,8 +5,9 @@ import "testing"
 // FuzzParseRoundTrip checks that the canonical serialization is a parse
 // fixpoint: for any input that parses at all, String(Parse(s)) parses back
 // to the same tree and the same bytes, and the arithmetic ByteSize agrees
-// with the serialized length (frozen or not). Under plain `go test` only
-// the seed corpus runs; `go test -fuzz=FuzzParseRoundTrip` explores.
+// with the serialized length (frozen or not), for ParseString and for the
+// reference parser. Under plain `go test` only the seed corpus runs;
+// `go test -fuzz=FuzzParseRoundTrip` explores.
 func FuzzParseRoundTrip(f *testing.F) {
 	for _, s := range []string{
 		`<a/>`,
@@ -27,29 +28,34 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if len(s) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		n, err := ParseString(s)
-		if err != nil {
-			t.Skip("not well-formed")
-		}
-		assertNormal(t, n, s)
-		c := n.String()
-		if got := n.ByteSize(); got != len(c) {
-			t.Fatalf("ByteSize = %d, serialized length = %d\ninput: %q\ncanonical: %q", got, len(c), s, c)
-		}
-		n2, err := ParseString(c)
-		if err != nil {
-			t.Fatalf("canonical form does not re-parse: %v\ninput: %q\ncanonical: %q", err, s, c)
-		}
-		assertNormal(t, n2, c)
-		c2 := n2.String()
-		if c2 != c {
-			t.Fatalf("canonical form is not a fixpoint\ninput: %q\nfirst:  %q\nsecond: %q", s, c, c2)
-		}
-		if !Equal(n, n2) {
-			t.Fatalf("re-parsed tree differs structurally\ninput: %q\ncanonical: %q", s, c)
-		}
-		if got := n2.Freeze().ByteSize(); got != len(c2) {
-			t.Fatalf("frozen ByteSize = %d, want %d", got, len(c2))
-		}
+		roundTrip(t, ParseString, s)
+		roundTrip(t, parseReference, s)
 	})
+}
+
+func roundTrip(t *testing.T, parse func(string) (*Node, error), s string) {
+	n, err := parse(s)
+	if err != nil {
+		return // not well-formed
+	}
+	assertNormal(t, n, s)
+	c := n.String()
+	if got := n.ByteSize(); got != len(c) {
+		t.Fatalf("ByteSize = %d, serialized length = %d\ninput: %q\ncanonical: %q", got, len(c), s, c)
+	}
+	n2, err := parse(c)
+	if err != nil {
+		t.Fatalf("canonical form does not re-parse: %v\ninput: %q\ncanonical: %q", err, s, c)
+	}
+	assertNormal(t, n2, c)
+	c2 := n2.String()
+	if c2 != c {
+		t.Fatalf("canonical form is not a fixpoint\ninput: %q\nfirst:  %q\nsecond: %q", s, c, c2)
+	}
+	if !Equal(n, n2) {
+		t.Fatalf("re-parsed tree differs structurally\ninput: %q\ncanonical: %q", s, c)
+	}
+	if got := n2.Freeze().ByteSize(); got != len(c2) {
+		t.Fatalf("frozen ByteSize = %d, want %d", got, len(c2))
+	}
 }

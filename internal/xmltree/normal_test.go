@@ -20,7 +20,7 @@ func assertNormal(t testing.TB, n *Node, input string) {
 
 // parsers are the two producers that read XML: the encoding/xml reference
 // and the zero-copy decoder.
-var parsers = map[string]func(string) (*Node, error){"Parse": ParseString, "Decode": DecodeString}
+var parsers = map[string]func(string) (*Node, error){"Parse": parseReference, "Decode": DecodeString}
 
 // shape renders a tree's structure unambiguously: an element is its name,
 // its quoted Text if any, and its children in parentheses; a text node is
@@ -82,6 +82,30 @@ func checkCanonical(t *testing.T, n *Node, wantShape, wantXML, wantInner string)
 	}
 }
 
+// normalCases: input, tree shape, canonical bytes and inner text.
+var normalCases = []struct{ in, shape, xml, inner string }{
+	{`<a>x</a>`, `a"x"`, `<a>x</a>`, "x"},
+	{`<a></a>`, `a`, `<a/>`, ""},
+	{`<a>x<b/>y</a>`, `a"x"(b "y")`, `<a>x<b/>y</a>`, "xy"},
+	{`<a><b/>y</a>`, `a(b "y")`, `<a><b/>y</a>`, "y"},
+	{`<a>x<b>y</b></a>`, `a"x"(b"y")`, `<a>x<b>y</b></a>`, "xy"},
+	{`<a><b>1</b>t<c>2</c>u</a>`, `a(b"1" "t" c"2" "u")`, `<a><b>1</b>t<c>2</c>u</a>`, "1t2u"},
+	// Runs split by CDATA sections and comments merge on either side of
+	// the first child element.
+	{`<a>x<![CDATA[<y>]]>z</a>`, `a"x<y>z"`, `<a>x&lt;y&gt;z</a>`, "x<y>z"},
+	{`<a>x<!--c-->y<b/>p<!--c-->q<![CDATA[r]]></a>`, `a"xy"(b "pqr")`, `<a>xy<b/>pqr</a>`, "xypqr"},
+	{`<a><!--c-->x</a>`, `a"x"`, `<a>x</a>`, "x"},
+	// Whitespace-only runs are dropped one run at a time.
+	{`<a>  <b/>  </a>`, `a(b)`, `<a><b/></a>`, ""},
+	{`<a>  </a>`, `a`, `<a/>`, ""},
+	{`<a>  <![CDATA[x]]> <!--c--> y</a>`, `a"x y"`, `<a>x y</a>`, "x y"},
+	{`<a>x<![CDATA[ ]]>y<b/> <![CDATA[z]]></a>`, `a"xy"(b "z")`, `<a>xy<b/>z</a>`, "xyz"},
+	{`<a> x </a>`, `a" x "`, `<a> x </a>`, " x "},
+	// Entities and line ends.
+	{`<a>&lt;&amp;&#65;</a>`, `a"<&A"`, `<a>&lt;&amp;A</a>`, "<&A"},
+	{"<a>l1\r\nl2\rl3&#xD;<b/>t\r</a>", `a"l1\nl2\nl3\r"(b "t\n")`, "<a>l1\nl2\nl3&#xD;<b/>t\n</a>", "l1\nl2\nl3\rt\n"},
+}
+
 // TestNormalFormParsers: both parsers put character data before the first
 // child element into the element's Text — across CDATA and comment splits,
 // with whitespace-only runs dropped per run and entities and line ends
@@ -89,29 +113,7 @@ func checkCanonical(t *testing.T, n *Node, wantShape, wantXML, wantInner string)
 func TestNormalFormParsers(t *testing.T) {
 	old := SetFrameCacheLimit(0)
 	defer SetFrameCacheLimit(old)
-	cases := []struct{ in, shape, xml, inner string }{
-		{`<a>x</a>`, `a"x"`, `<a>x</a>`, "x"},
-		{`<a></a>`, `a`, `<a/>`, ""},
-		{`<a>x<b/>y</a>`, `a"x"(b "y")`, `<a>x<b/>y</a>`, "xy"},
-		{`<a><b/>y</a>`, `a(b "y")`, `<a><b/>y</a>`, "y"},
-		{`<a>x<b>y</b></a>`, `a"x"(b"y")`, `<a>x<b>y</b></a>`, "xy"},
-		{`<a><b>1</b>t<c>2</c>u</a>`, `a(b"1" "t" c"2" "u")`, `<a><b>1</b>t<c>2</c>u</a>`, "1t2u"},
-		// Runs split by CDATA sections and comments merge on either side of
-		// the first child element.
-		{`<a>x<![CDATA[<y>]]>z</a>`, `a"x<y>z"`, `<a>x&lt;y&gt;z</a>`, "x<y>z"},
-		{`<a>x<!--c-->y<b/>p<!--c-->q<![CDATA[r]]></a>`, `a"xy"(b "pqr")`, `<a>xy<b/>pqr</a>`, "xypqr"},
-		{`<a><!--c-->x</a>`, `a"x"`, `<a>x</a>`, "x"},
-		// Whitespace-only runs are dropped one run at a time.
-		{`<a>  <b/>  </a>`, `a(b)`, `<a><b/></a>`, ""},
-		{`<a>  </a>`, `a`, `<a/>`, ""},
-		{`<a>  <![CDATA[x]]> <!--c--> y</a>`, `a"x y"`, `<a>x y</a>`, "x y"},
-		{`<a>x<![CDATA[ ]]>y<b/> <![CDATA[z]]></a>`, `a"xy"(b "z")`, `<a>xy<b/>z</a>`, "xyz"},
-		{`<a> x </a>`, `a" x "`, `<a> x </a>`, " x "},
-		// Entities and line ends.
-		{`<a>&lt;&amp;&#65;</a>`, `a"<&A"`, `<a>&lt;&amp;A</a>`, "<&A"},
-		{"<a>l1\r\nl2\rl3&#xD;<b/>t\r</a>", `a"l1\nl2\nl3\r"(b "t\n")`, "<a>l1\nl2\nl3&#xD;<b/>t\n</a>", "l1\nl2\nl3\rt\n"},
-	}
-	for _, c := range cases {
+	for _, c := range normalCases {
 		for name, parse := range parsers {
 			t.Run(name+"/"+c.in, func(t *testing.T) {
 				n, err := parse(c.in)
@@ -120,6 +122,30 @@ func TestNormalFormParsers(t *testing.T) {
 				}
 				checkCanonical(t, n, c.shape, c.xml, c.inner)
 			})
+		}
+	}
+}
+
+// TestParseStringIsMutableAndIndependent: ParseString is DecodeString plus
+// Clone, and on canonical text the identical-frame cache hands every decode
+// the same frozen tree — the clone is all that keeps two fixtures parsed from
+// one text apart. Each must equal the reference parser's tree and take edits,
+// at the root and below it, without its twin seeing them.
+func TestParseStringIsMutableAndIndependent(t *testing.T) {
+	for _, c := range normalCases {
+		for _, in := range []string{c.in, c.xml} {
+			ref, _ := parseReference(in) // nil, and equal to nothing, if it rejects
+			a, b := MustParse(in), MustParse(in)
+			if a.Frozen() || !Equal(a, ref) {
+				t.Fatalf("ParseString(%q) = %s (frozen %v), want mutable %s", in, shape(a), a.Frozen(), shape(ref))
+			}
+			a.SetAttr("edited", "1").Add(ElemText("extra", "x"))
+			for _, k := range a.Children {
+				k.Text += "!"
+			}
+			if !Equal(b, ref) {
+				t.Fatalf("editing one ParseString(%q) changed another: %s", in, shape(b))
+			}
 		}
 	}
 }

@@ -4,7 +4,8 @@
 //
 // The model is deliberately small — elements, attributes and text — because
 // that is all the paper's data bundles and plan encoding require. A document
-// is a tree of *Node values. Parsing uses encoding/xml's tokenizer, and
+// is a tree of *Node values. Parsing is the package's own decoder (decode.go:
+// Decode for wire frames, ParseString for fixtures that will be edited), and
 // serialization emits deterministic, canonicalized XML (attributes sorted by
 // name) so that byte sizes are stable across runs; the experiment harness
 // depends on that stability when it reports "bytes shipped".
@@ -15,7 +16,7 @@
 // its first child element is the element's own Text, so a record field
 // <price>13</price> is one node with no child slice. Text nodes remain only
 // for text that follows a child element (mixed content). Every producer —
-// Decode, Parse, Elem, ElemText, Add — emits this form, and Equal, the
+// Decode, ParseString, Elem, ElemText, Add — emits this form, and Equal, the
 // serializers and InnerText assume it; code that writes Children directly
 // must keep it, exactly as it must call Invalidate.
 //
@@ -43,7 +44,6 @@ package xmltree
 
 import (
 	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
@@ -379,105 +379,15 @@ func Equal(a, b *Node) bool {
 	return true
 }
 
-// Parse reads a single XML document from r and returns its root element.
-// Whitespace-only text between elements is dropped; other text is kept.
-func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var stack []*Node
-	var root *Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if !localNameOK(t.Name.Local) {
-				return nil, fmt.Errorf("xmltree: parse: element name %q invalid after dropping namespace prefix", t.Name.Local)
-			}
-			n := &Node{Name: t.Name.Local}
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				if !localNameOK(a.Name.Local) {
-					continue
-				}
-				if _, dup := n.Attr(a.Name.Local); dup {
-					// Distinct namespace prefixes can collapse to the same
-					// local name once prefixes are stripped; first wins, so
-					// the tree never carries duplicate attribute names.
-					continue
-				}
-				n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: parse: multiple root elements")
-				}
-				root = n
-			} else {
-				parent := stack[len(stack)-1]
-				parent.Children = append(parent.Children, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) == 0 {
-				continue
-			}
-			text := string(t)
-			if strings.TrimSpace(text) == "" {
-				continue
-			}
-			parent := stack[len(stack)-1]
-			// Adjacent text runs (the tokenizer splits them around CDATA
-			// sections) merge into one node, so parsing canonical output
-			// reproduces the tree exactly.
-			if k := len(parent.Children); k > 0 && parent.Children[k-1].IsText() {
-				parent.Children[k-1].Text += text
-				continue
-			}
-			parent.Add(TextNode(text)) // the element's own Text while childless
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: parse: no root element")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: parse: unterminated element %q", stack[len(stack)-1].Name)
-	}
-	return root, nil
-}
-
-// localNameOK reports whether a namespace-stripped local name is itself a
-// well-formed, prefix-free XML name. Stripping a prefix can expose an
-// invalid start character (the tokenizer accepts y:0="..." as prefix "y",
-// local "0") or a residual colon (a:b:c splits at the first colon only);
-// serializing either would produce an unparseable or differently-splitting
-// canonical form. The common all-ASCII case is decided inline; anything
-// exotic is settled by asking the tokenizer itself.
-func localNameOK(local string) bool {
-	if local == "" || strings.IndexByte(local, ':') >= 0 {
-		return false
-	}
-	if c := local[0]; c == '_' || ('A' <= c && c <= 'Z') || ('a' <= c && c <= 'z') {
-		return true
-	}
-	_, err := xml.NewDecoder(strings.NewReader("<" + local + "/>")).Token()
-	return err == nil
-}
-
-// ParseString parses an XML document held in a string.
+// ParseString parses an XML document held in a string into a mutable tree:
+// DecodeString's frozen tree (which two parses of one text may share, through
+// the identical-frame cache), cloned.
 func ParseString(s string) (*Node, error) {
-	return Parse(strings.NewReader(s))
+	n, err := DecodeString(s)
+	if err != nil {
+		return nil, err
+	}
+	return n.Clone(), nil
 }
 
 // MustParse parses s and panics on error; intended for tests and fixtures.

@@ -368,21 +368,28 @@ func TestPropertyCloneEqual(t *testing.T) {
 	}
 }
 
-func BenchmarkParse(b *testing.B) {
-	src := strings.Repeat(`<item id="1"><name>armchair</name><price>25</price></item>`, 50)
-	doc := "<items>" + src + "</items>"
-	b.SetBytes(int64(len(doc)))
+// benchItems is the document the parse and serialize benchmarks share.
+var benchItems = "<items>" + strings.Repeat(`<item id="1"><name>armchair</name><price>25</price></item>`, 50) + "</items>"
+
+// BenchmarkParse is ParseString, the reader that ships (decode + clone);
+// BenchmarkParseLegacy is the reference parser on the same bytes.
+func BenchmarkParse(b *testing.B) { benchParse(b, ParseString) }
+
+func BenchmarkParseLegacy(b *testing.B) { benchParse(b, parseReference) }
+
+func benchParse(b *testing.B, parse func(string) (*Node, error)) {
+	defer SetFrameCacheLimit(SetFrameCacheLimit(0)) // every iteration decodes
+	b.SetBytes(int64(len(benchItems)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseString(doc); err != nil {
+		if _, err := parse(benchItems); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSerialize(b *testing.B) {
-	src := strings.Repeat(`<item id="1"><name>armchair</name><price>25</price></item>`, 50)
-	n := MustParse("<items>" + src + "</items>")
+	n := MustParse(benchItems)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = n.String()
