@@ -11,12 +11,13 @@
 //
 // The invariants each scenario enforces:
 //
-//  1. Oracle equality — every full result delivered to the client equals
-//     the centralized oracle's answer for that plan, as a multiset of
-//     canonical XML items, and every explicit partial result (the routing
-//     layer exhausted all productive hops — internal/route) is a verified
-//     sub-multiset of it. Faults may lose plans; they must never corrupt
-//     answers.
+//  1. Oracle bounds — every full result delivered to the client lies within
+//     the oracle's [lower, upper] bounds for that plan, as multisets of
+//     canonical XML items: lower ⊆ result ⊆ upper, which is equality unless
+//     peers joined mid-run (large worlds, large.go). Every explicit partial
+//     result (the routing layer exhausted all productive hops —
+//     internal/route) is ⊆ upper. Count plans are range-checked on the
+//     scalar. Faults may lose plans; they must never corrupt answers.
 //  2. Trail/hop consistency — every provenance trail verifies against the
 //     scenario keyring, names only servers the plan was actually delivered
 //     to, carries non-decreasing virtual times, and has no more processing
@@ -36,11 +37,17 @@
 //     stuck: visited-server routing memory turns every former livelock
 //     (empty-area meta/index ping-pong, dual-seller decline bounces) into a
 //     completed or partial result.
+//
+// One checker (checkInvariants) enforces 1–3 and 5 for both world sizes,
+// over an outcome: the scheduler's trace records, the client's results and
+// the peers' stuck errors.
 package chaos
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -148,8 +155,8 @@ type Report struct {
 	Results   int
 	// Partial counts plans whose only deliveries were explicit partial
 	// results (the routing layer exhausted every productive hop and
-	// returned what was already reduced). Partials are oracle-checked as
-	// sub-multisets of the full answer.
+	// returned what was already reduced). Partials are oracle-checked
+	// against the upper bound.
 	Partial int
 	// Stuck counts non-completed plans surfaced via StuckErrors or a
 	// submit-time error; LostToFaults counts non-completed, non-stuck plans
@@ -178,7 +185,8 @@ type Report struct {
 	// across peers; logical/resident > 1 means dedup at rest happened.
 	BlobBytes, BlobLogicalBytes int64
 	// Events counts scheduler events pumped (deliveries plus control
-	// events); zero for inline-built small worlds before PR 7's stats.
+	// events) while the queries ran; world setup runs inline and is not
+	// counted.
 	Events int
 	// OracleTime is the wall time the oracle goroutine spent computing
 	// bounds and sampled reference checks — the budget the incremental
@@ -211,32 +219,51 @@ func (r *Report) Summary() string {
 		r.Messages, r.DroppedMsgs, len(r.Violations))
 }
 
-// planCase is one generated query: the submitted plan and the pristine clone
-// the oracle evaluates. shape and sampled are used by the large-world path
-// only (shape selects which cheap invariants apply; sampled marks the
-// queries that get full reference verification).
+// The client submits every query; the meta-index sits above all others.
+const (
+	metaAddr   = "meta:9020"
+	clientAddr = "client:9020"
+)
+
+// planCase is one submitted query and the oracle's verdict on it. shape is
+// genPlanShape's index; sampled marks the large-world queries that get full
+// reference verification.
 type planCase struct {
 	id        string
-	oracle    *algebra.Plan
-	entry     string
-	at        time.Duration
+	oracle    *algebra.Plan // pristine clone the oracle evaluates
 	submitErr error
 	shape     int
 	sampled   bool
+	// lower and upper bound every result; they are one map unless the
+	// answer depends on whether a mid-run join was seen. Set on the oracle
+	// goroutine.
+	lower, upper map[string]int
+	// mismatch is a sampled case's oracle-vs-oracle violation, "" when the
+	// two oracles agree.
+	mismatch string
 }
 
-// Run generates and executes one scenario and checks every invariant.
-// The returned error covers harness failures (a bug in the generator or
-// oracle); invariant violations land in the Report instead.
-func Run(cfg Config) (*Report, error) {
-	if cfg.Peers > 0 {
-		return runLarge(cfg)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rep := &Report{Seed: cfg.Seed, Level: cfg.Level}
+// world is one generated scenario, ready to pump. The small and large
+// generators each build it in their own rng draw order, which is what keeps
+// every seed's outcome stable; everything after that is shared.
+type world struct {
+	cfg    Config
+	rep    *Report
+	ns     *namespace.Namespace
+	net    *simnet.Network
+	keys   map[string][]byte
+	peers  map[string]*peer.Peer
+	client *peer.Peer
+	cases  []*planCase
+	// bound sets one case's lower and upper (and mismatch); it runs on the
+	// oracle goroutine, concurrently with the pump.
+	bound func(pc *planCase) error
+	// contains is the union-membership fabrication check for item-preserving
+	// shapes, or nil where bounds equality already implies it.
+	contains func(map[string]int) (bool, string)
+}
 
-	// --- World -----------------------------------------------------------
-	ns := workload.GarageSaleNamespace()
+func newWorld(cfg Config, ns *namespace.Namespace) *world {
 	net := simnet.New()
 	// Legitimate routing in these topologies is a handful of hops; a tight
 	// depth bound makes forwarding cycles (e.g. a plan bouncing between an
@@ -244,6 +271,43 @@ func Run(cfg Config) (*Report, error) {
 	// stuck errors quickly, instead of breeding hundreds of hops' worth of
 	// duplicated traffic first.
 	net.SetMaxDepth(40)
+	return &world{cfg: cfg, rep: &Report{Seed: cfg.Seed, Level: cfg.Level}, ns: ns, net: net,
+		keys: map[string][]byte{}, peers: map[string]*peer.Peer{}}
+}
+
+// Run generates and executes one scenario and checks every invariant.
+// The returned error covers harness failures (a bug in the generator or
+// oracle); invariant violations land in the Report instead.
+func Run(cfg Config) (*Report, error) {
+	w, err := generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	out, err := w.execute()
+	if err != nil {
+		return w.rep, err
+	}
+	checkInvariants(w.rep, out, w.cases, w.contains)
+	collectShortcutStats(w.rep, w.peers)
+	collectBlobStats(w.rep, w.peers)
+	return w.rep, nil
+}
+
+// generate builds the scenario's world with the generator cfg selects.
+func generate(cfg Config) (*world, error) {
+	if cfg.Peers > 0 {
+		return genLarge(cfg)
+	}
+	return genSmall(cfg)
+}
+
+// genSmall builds a garage-sale world of 3–8 sellers, flat or layered,
+// checked against the processor-based Oracle.
+func genSmall(cfg Config) (*world, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	ns := workload.GarageSaleNamespace()
+	w := newWorld(cfg, ns)
+	rep := w.rep
 
 	nSellers := 3 + rng.Intn(6)
 	itemsPer := 2 + rng.Intn(4)
@@ -257,39 +321,7 @@ func Run(cfg Config) (*Report, error) {
 		Seed: rng.Int63(), Sellers: nSellers, ItemsPerSeller: itemsPer, SpecialtyZipf: zipf,
 	})
 
-	learn := cfg.Learn
-	blobs := cfg.Blobs
-	keys := map[string][]byte{}
-	peers := map[string]*peer.Peer{}
-	addPeer := func(cfg peer.Config) (*peer.Peer, error) {
-		cfg.Key = []byte(cfg.Addr)
-		// Every chaos peer runs the prepared-plan cache so the differential
-		// oracle continuously validates cache hits against live processing:
-		// any divergence a cached step introduces (wrong payload, wrong
-		// provenance, wrong route) trips an invariant. Peers stay
-		// synchronous (Workers=0) — scheduled delivery owns determinism.
-		cfg.PlanCacheSize = 32
-		if learn {
-			cfg.LearnShortcuts = true
-			// Chaos keys are the peer addresses; mining verifies trails
-			// against the same keyring the invariant checks use.
-			cfg.Keyring = func(server string) []byte { return []byte(server) }
-		}
-		if blobs {
-			cfg.Blobs = blobstore.New()
-		}
-		p, err := peer.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		keys[cfg.Addr] = cfg.Key
-		peers[cfg.Addr] = p
-		return p, nil
-	}
-
-	const metaAddr = "meta:9020"
-	const clientAddr = "client:9020"
-	if _, err := addPeer(peer.Config{Addr: metaAddr, Net: net, NS: ns, PushSelect: pushSelect,
+	if _, err := w.addPeer(peer.Config{Addr: metaAddr, PushSelect: pushSelect,
 		Area: ns.Everything(), Authoritative: true, PruneStats: prune}); err != nil {
 		return nil, err
 	}
@@ -305,7 +337,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 			addr := "idx-" + strings.ReplaceAll(st, "/", "-") + ":9020"
 			area := namespace.NewArea(namespace.NewCell(s.City.Truncate(2), hierarchy.Top))
-			idx, err := addPeer(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: pushSelect,
+			idx, err := w.addPeer(peer.Config{Addr: addr, PushSelect: pushSelect,
 				Area: area, Authoritative: true, PruneStats: prune})
 			if err != nil {
 				return nil, err
@@ -321,7 +353,7 @@ func Run(cfg Config) (*Report, error) {
 
 	var oracleColls []Collection
 	for i, s := range sellers {
-		pcfg := peer.Config{Addr: s.Addr, Net: net, NS: ns, PushSelect: pushSelect, Area: s.Area}
+		pcfg := peer.Config{Addr: s.Addr, PushSelect: pushSelect, Area: s.Area}
 		switch rng.Intn(3) {
 		case 0:
 			// Default: plans travel to the data (ForwardOnlyPolicy).
@@ -334,7 +366,7 @@ func Run(cfg Config) (*Report, error) {
 			pcfg.StatsHistPath = "price"
 			pcfg.StatsKeyPaths = []string{"category"}
 		}
-		sp, err := addPeer(pcfg)
+		sp, err := w.addPeer(pcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -353,37 +385,26 @@ func Run(cfg Config) (*Report, error) {
 		oracleColls = append(oracleColls, Collection{PathExp: pathExp, Area: s.Area, Items: s.Items})
 	}
 
-	client, err := addPeer(peer.Config{Addr: clientAddr, Net: net, NS: ns})
-	if err != nil {
+	if err := w.addClient(); err != nil {
 		return nil, err
 	}
-	if err := client.Catalog().Register(catalog.Registration{
-		Addr: metaAddr, Role: catalog.RoleMetaIndex,
-		Area: ns.Everything(), Authoritative: true,
-	}); err != nil {
-		return nil, err
-	}
-	rep.Peers = len(peers)
+	rep.Peers = len(w.peers)
 
 	oracle, err := NewOracle(ns, oracleColls)
 	if err != nil {
 		return nil, err
 	}
+	w.bound = func(pc *planCase) error {
+		items, err := oracle.Evaluate(pc.oracle)
+		pc.lower = Multiset(items)
+		pc.upper = pc.lower
+		return err
+	}
 
 	// --- Fault schedule --------------------------------------------------
 	// The world is built inline (registrations deliver synchronously); only
 	// query traffic runs under the scheduler and its faults.
-	net.UseScheduler(rng.Int63())
-	faults, nCrashes, wantPartition := levelFaults(cfg.Level, rng)
-	net.SetFaults(faults)
-
-	var faultable []string // every peer but the client
-	for addr := range peers {
-		if addr != clientAddr {
-			faultable = append(faultable, addr)
-		}
-	}
-	sort.Strings(faultable)
+	faultable, nCrashes, wantPartition := w.startFaults(rng)
 	const horizon = 800 * time.Millisecond
 	for i := 0; i < nCrashes && len(faultable) > 0; i++ {
 		addr := faultable[rng.Intn(len(faultable))]
@@ -392,23 +413,17 @@ func Run(cfg Config) (*Report, error) {
 		if rng.Float64() < 0.2 {
 			until = 0 // crash with no restart
 		}
-		net.ScheduleCrash(addr, from, until)
+		w.net.ScheduleCrash(addr, from, until)
 	}
-	if wantPartition && len(faultable) > 1 {
-		split := append([]string(nil), faultable...)
-		rng.Shuffle(len(split), func(i, j int) { split[i], split[j] = split[j], split[i] })
-		cut := 1 + rng.Intn(len(split)-1)
-		from := time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
-		until := from + time.Duration(rng.Int63n(int64(300*time.Millisecond)))
-		net.Partition(split[:cut], split[cut:], from, until)
+	if wantPartition {
+		w.cutPartition(rng, faultable)
 	}
 
 	// --- Workload --------------------------------------------------------
 	nPlans := 2 + rng.Intn(5)
-	cases := make([]*planCase, 0, nPlans)
 	for i := 0; i < nPlans; i++ {
 		area, maxPrice := genQuery(ns, sellers, rng, zipf)
-		plan := genPlan(rng, fmt.Sprintf("chaos-%d-q%d", cfg.Seed, i), clientAddr, area, maxPrice, ns)
+		plan, shape := genPlanShape(rng, fmt.Sprintf("chaos-%d-q%d", cfg.Seed, i), clientAddr, area, maxPrice, ns)
 		if rng.Float64() < 0.5 {
 			plan.RetainOriginal()
 		}
@@ -419,54 +434,148 @@ func Run(cfg Config) (*Report, error) {
 		if layered && len(indexAddrs) > 0 && rng.Float64() < 0.4 {
 			entry = indexAddrs[rng.Intn(len(indexAddrs))]
 		}
-		pc := &planCase{
-			id:     plan.ID,
-			oracle: plan.Clone(),
-			entry:  entry,
-			// Whole microseconds: virtual time is µs-granular on the wire
-			// (provenance visit times), so finer submission offsets would
-			// not survive a serialization round trip.
-			at: time.Duration(rng.Int63n(500_000)) * time.Microsecond,
-		}
-		pc.submitErr = net.Send(&simnet.Message{
-			From: clientAddr, To: entry, Kind: peer.KindMQP,
-			Body: algebra.Marshal(plan), At: pc.at,
-		})
-		cases = append(cases, pc)
+		// Whole microseconds: virtual time is µs-granular on the wire
+		// (provenance visit times), so finer submission offsets would not
+		// survive a serialization round trip.
+		at := time.Duration(rng.Int63n(500_000)) * time.Microsecond
+		w.submit(plan, shape, false, entry, at)
 	}
-	rep.Plans = len(cases)
+	return w, nil
+}
 
-	// --- Execute: oracle concurrent with the pump (invariant 4) ----------
-	expected := make([]map[string]int, len(cases))
-	oracleErrs := make([]error, len(cases))
+// addPeer creates a peer on the world's network and namespace, keyed by its
+// address.
+func (w *world) addPeer(pcfg peer.Config) (*peer.Peer, error) {
+	pcfg.Net = w.net
+	pcfg.NS = w.ns
+	pcfg.Key = []byte(pcfg.Addr)
+	// Every chaos peer runs the prepared-plan cache so the differential
+	// oracle continuously validates cache hits against live processing:
+	// any divergence a cached step introduces (wrong payload, wrong
+	// provenance, wrong route) trips an invariant. Peers stay
+	// synchronous (Workers=0) — scheduled delivery owns determinism.
+	pcfg.PlanCacheSize = 32
+	if w.cfg.Learn {
+		pcfg.LearnShortcuts = true
+		// Chaos keys are the peer addresses; mining verifies trails
+		// against the same keyring the invariant checks use.
+		pcfg.Keyring = func(server string) []byte { return []byte(server) }
+	}
+	if w.cfg.Blobs {
+		pcfg.Blobs = blobstore.New()
+	}
+	p, err := peer.New(pcfg)
+	if err != nil {
+		return nil, err
+	}
+	w.keys[pcfg.Addr] = pcfg.Key
+	w.peers[pcfg.Addr] = p
+	return p, nil
+}
+
+// addClient adds the client every query is submitted from, pointed at the
+// meta-index.
+func (w *world) addClient() error {
+	client, err := w.addPeer(peer.Config{Addr: clientAddr})
+	if err != nil {
+		return err
+	}
+	w.client = client
+	return client.Catalog().Register(catalog.Registration{
+		Addr: metaAddr, Role: catalog.RoleMetaIndex,
+		Area: w.ns.Everything(), Authoritative: true,
+	})
+}
+
+// startFaults switches the world to seeded scheduled delivery under the
+// level's faults. It returns the peers crashes and partitions may hit
+// (every peer but the client, sorted), the level's crash count, and whether
+// to cut a partition.
+func (w *world) startFaults(rng *rand.Rand) (faultable []string, nCrashes int, wantPartition bool) {
+	w.net.UseScheduler(rng.Int63())
+	w.net.SetTraceKey(planIDOf)
+	faults, nCrashes, wantPartition := levelFaults(w.cfg.Level, rng)
+	w.net.SetFaults(faults)
+	for _, addr := range sortedAddrs(w.peers) {
+		if addr != clientAddr {
+			faultable = append(faultable, addr)
+		}
+	}
+	return faultable, nCrashes, wantPartition
+}
+
+// cutPartition splits the faultable peers in two for a seeded window.
+func (w *world) cutPartition(rng *rand.Rand, faultable []string) {
+	if len(faultable) < 2 {
+		return
+	}
+	split := append([]string(nil), faultable...)
+	rng.Shuffle(len(split), func(i, j int) { split[i], split[j] = split[j], split[i] })
+	cut := 1 + rng.Intn(len(split)-1)
+	from := time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
+	until := from + time.Duration(rng.Int63n(int64(300*time.Millisecond)))
+	w.net.Partition(split[:cut], split[cut:], from, until)
+}
+
+// submit sends plan from the client to entry at virtual time at, and keeps
+// a pristine clone for the oracle.
+func (w *world) submit(plan *algebra.Plan, shape int, sampled bool, entry string, at time.Duration) {
+	pc := &planCase{id: plan.ID, oracle: plan.Clone(), shape: shape, sampled: sampled}
+	pc.submitErr = w.net.Send(&simnet.Message{
+		From: clientAddr, To: entry, Kind: peer.KindMQP,
+		Body: algebra.Marshal(plan), At: at,
+	})
+	w.cases = append(w.cases, pc)
+}
+
+// execute pumps the network to exhaustion with the oracle goroutine
+// computing every case's bounds beside it, over the same frozen items
+// (invariant 4), and returns the outcome the invariants are checked on.
+func (w *world) execute() (outcome, error) {
+	rep := w.rep
+	rep.Plans = len(w.cases)
+	errs := make([]error, len(w.cases))
+	var oracleTime time.Duration
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i, pc := range cases {
-			items, err := oracle.Evaluate(pc.oracle)
-			if err != nil {
-				oracleErrs[i] = err
-				continue
-			}
-			expected[i] = Multiset(items)
+		began := time.Now()
+		for i, pc := range w.cases {
+			errs[i] = w.bound(pc)
 		}
+		oracleTime = time.Since(began)
 	}()
-	if _, err := net.Run(); err != nil {
+	stats, err := w.net.Run()
+	if err != nil {
 		rep.violate("scheduler: %v", err)
 	}
 	wg.Wait()
-	for _, err := range oracleErrs {
+	rep.Events = stats.Events
+	rep.OracleTime = oracleTime
+	rep.Messages = w.net.Metrics().Messages
+	for _, err := range errs {
 		if err != nil {
-			return rep, err
+			return outcome{}, err
+		}
+	}
+	for _, pc := range w.cases {
+		if pc.sampled {
+			rep.SampledChecks++
+		}
+		if pc.mismatch != "" {
+			rep.violate("%s", pc.mismatch)
 		}
 	}
 
-	// --- Invariants ------------------------------------------------------
-	checkInvariants(rep, net, peers, keys, client, cases, expected)
-	collectShortcutStats(rep, peers)
-	collectBlobStats(rep, peers)
-	return rep, nil
+	out := outcome{trace: w.net.SchedTrace(), results: w.client.Results(),
+		keyring: func(server string) []byte { return w.keys[server] }}
+	for _, addr := range sortedAddrs(w.peers) {
+		for _, err := range w.peers[addr].StuckErrors() {
+			out.stuck = append(out.stuck, err.Error())
+		}
+	}
+	return out, nil
 }
 
 // genQuery picks a query area and price ceiling. Most queries target a
@@ -485,18 +594,17 @@ func genQuery(ns *namespace.Namespace, sellers []workload.Seller, rng *rand.Rand
 	return q.Area, q.MaxPrice
 }
 
-// genPlan builds one of the harness's plan shapes over the area. Every
-// shape has exact multiset semantics both centrally and distributed (TopN is
-// deliberately absent: its answer is order-sensitive under ties).
-func genPlan(rng *rand.Rand, id, target string, area namespace.Area, maxPrice int, ns *namespace.Namespace) *algebra.Plan {
-	p, _ := genPlanShape(rng, id, target, area, maxPrice, ns)
-	return p
-}
+// Plan shapes that synthesize documents instead of passing items through;
+// the other three (select, union, difference) are item-preserving.
+const (
+	shapeCount   = 1
+	shapeProject = 3
+)
 
-// genPlanShape is genPlan returning the chosen shape index too; the
-// large-world invariants use it to decide which cheap checks apply (shapes
-// 0, 2 and 4 are item-preserving, so every result item must come from the
-// installed union; 1 and 3 synthesize documents).
+// genPlanShape builds one of the harness's plan shapes over the area and
+// returns its index. Every shape has exact multiset semantics both
+// centrally and distributed (TopN is deliberately absent: its answer is
+// order-sensitive under ties).
 func genPlanShape(rng *rand.Rand, id, target string, area namespace.Area, maxPrice int, ns *namespace.Namespace) (*algebra.Plan, int) {
 	urn := func() *algebra.Node { return algebra.URN(namespace.EncodeURN(area)) }
 	pred := algebra.MustParsePredicate(fmt.Sprintf("price < %d", maxPrice))
@@ -505,13 +613,13 @@ func genPlanShape(rng *rand.Rand, id, target string, area namespace.Area, maxPri
 	switch shape {
 	case 0:
 		body = algebra.Select(pred, urn())
-	case 1:
+	case shapeCount:
 		body = algebra.Count(algebra.Select(pred, urn()))
 	case 2:
 		// Union of the area with a generalized copy of it.
 		wide := ns.Generalize(area)
 		body = algebra.Select(pred, algebra.Union(urn(), algebra.URN(namespace.EncodeURN(wide))))
-	case 3:
+	case shapeProject:
 		body = algebra.Project("hit", []string{"name", "price", "city"}, algebra.Select(pred, urn()))
 	default:
 		// Mid-price band: cheap items subtracted from the full selection.
@@ -586,16 +694,9 @@ func collectBlobStats(rep *Report, peers map[string]*peer.Peer) {
 }
 
 // sortedAddrs returns the peer map's keys in deterministic order.
-func sortedAddrs(peers map[string]*peer.Peer) []string {
-	out := make([]string, 0, len(peers))
-	for a := range peers {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
+func sortedAddrs(peers map[string]*peer.Peer) []string { return slices.Sorted(maps.Keys(peers)) }
 
-// planIDOf extracts the plan id a simnet message carries, or "".
+// planIDOf names a trace record by the plan id its message carries, or "".
 func planIDOf(m *simnet.Message) string {
 	if m.Body == nil || m.Body.Name != "mqp" {
 		return ""
@@ -603,46 +704,39 @@ func planIDOf(m *simnet.Message) string {
 	return m.Body.AttrDefault("id", "")
 }
 
-// checkInvariants evaluates invariants 1–3 against the scenario outcome.
-func checkInvariants(rep *Report, net *simnet.Network, peers map[string]*peer.Peer,
-	keys map[string][]byte, client *peer.Peer, cases []*planCase, expected []map[string]int) {
+// outcome is what an executed scenario leaves for checkInvariants: the
+// scheduler's trace records, the client's results, every peer's stuck
+// errors (in peer-address order) and the keyring trails verify against.
+type outcome struct {
+	trace   simnet.Trace
+	results []peer.Result
+	stuck   []string
+	keyring func(server string) []byte
+}
 
-	rep.Messages = net.Metrics().Messages
-	trace := net.SchedTrace()
-	rep.DroppedMsgs = len(trace.Dropped)
-	rep.LostMsgs = len(trace.Lost)
+// checkInvariants evaluates invariants 1–3 and 5 on one outcome. Each case
+// carries its oracle bounds; contains, when non-nil, is the fabrication
+// check for item-preserving shapes.
+func checkInvariants(rep *Report, out outcome, cases []*planCase, contains func(map[string]int) (bool, string)) {
+	rep.DroppedMsgs = len(out.trace.Dropped)
+	rep.LostMsgs = len(out.trace.Lost)
+	rep.StuckDetails = out.stuck
 
-	// Messages removed by faults, and deliveries made, by plan id.
-	faultIDs := map[string]bool{}
-	for _, m := range trace.Dropped {
-		if id := planIDOf(m); id != "" {
-			faultIDs[id] = true
+	// Plans a fault removed a message of, and (plan, server) deliveries.
+	faulted := map[string]bool{}
+	for _, recs := range [][]simnet.TraceRec{out.trace.Dropped, out.trace.Lost} {
+		for _, r := range recs {
+			faulted[r.Key] = true
 		}
 	}
-	for _, m := range trace.Lost {
-		if id := planIDOf(m); id != "" {
-			faultIDs[id] = true
-		}
+	delivered := map[[2]string]bool{}
+	for _, r := range out.trace.Delivered {
+		delivered[[2]string{r.Key, r.To}] = true
 	}
-	deliveredTo := map[string]map[string]bool{} // plan id -> servers delivered to
-	for _, m := range trace.Delivered {
-		if id := planIDOf(m); id != "" {
-			if deliveredTo[id] == nil {
-				deliveredTo[id] = map[string]bool{}
-			}
-			deliveredTo[id][m.To] = true
-		}
-	}
-
-	// Stuck errors across all peers, attributed by the quoted plan id.
-	for _, addr := range sortedAddrs(peers) {
-		for _, err := range peers[addr].StuckErrors() {
-			rep.StuckDetails = append(rep.StuckDetails, err.Error())
-		}
-	}
+	// Stuck errors are attributed by the quoted plan id.
 	stuckFor := func(id string) bool {
 		needle := fmt.Sprintf("%q", id)
-		for _, d := range rep.StuckDetails {
+		for _, d := range out.stuck {
 			if strings.Contains(d, needle) {
 				return true
 			}
@@ -651,7 +745,7 @@ func checkInvariants(rep *Report, net *simnet.Network, peers map[string]*peer.Pe
 	}
 
 	results := map[string][]peer.Result{}
-	for _, res := range client.Results() {
+	for _, res := range out.results {
 		results[res.Plan.ID] = append(results[res.Plan.ID], res)
 		rep.Results++
 	}
@@ -665,8 +759,7 @@ func checkInvariants(rep *Report, net *simnet.Network, peers map[string]*peer.Pe
 		}
 	}
 
-	keyring := func(server string) []byte { return keys[server] }
-	for i, pc := range cases {
+	for _, pc := range cases {
 		rs := results[pc.id]
 		full := 0
 		for _, res := range rs {
@@ -681,42 +774,36 @@ func checkInvariants(rep *Report, net *simnet.Network, peers map[string]*peer.Pe
 			rep.Partial++
 		case pc.submitErr != nil || stuckFor(pc.id):
 			rep.Stuck++
-			if rep.Level == LevelNone {
-				// Invariant 5: a fault-free network must never strand a
-				// plan — with visited-server routing memory, every plan
-				// terminates as a completed or partial result.
+			if rep.Level == LevelNone && rep.Left == 0 && rep.PromotionsRefused == 0 {
+				// Invariant 5: a fault-free, churn-free network must never
+				// strand a plan — with visited-server routing memory, every
+				// plan terminates as a completed or partial result. Leaves
+				// and refused promotions legitimately strand plans over the
+				// departed data.
 				rep.violate("plan %q stuck in a fault-free run", pc.id)
 			}
-		case faultIDs[pc.id]:
+		case faulted[pc.id]:
 			rep.LostToFaults++
 		default:
 			rep.violate("plan %q silently lost: no result, no stuck error, no recorded fault", pc.id)
 		}
 
 		for _, res := range rs {
-			// Invariant 1: oracle equality — full results must equal the
-			// oracle's answer; explicit partial results must be
-			// sub-multisets of it.
 			items, err := res.Plan.Results()
 			if err != nil {
 				rep.violate("plan %q: non-constant result: %v", pc.id, err)
 				continue
 			}
 			rep.OracleChecked++
-			if res.Partial {
-				if ok, diff := MultisetSubset(Multiset(items), expected[i]); !ok {
-					rep.violate("plan %q: partial result exceeds oracle: %s", pc.id, diff)
-				}
-			} else if ok, diff := MultisetEqual(Multiset(items), expected[i]); !ok {
-				rep.violate("plan %q: result diverges from oracle: %s", pc.id, diff)
-			}
+			checkAnswer(rep, pc, res.Partial, Multiset(items), contains)
+
 			// Invariant 2: trail/hop consistency.
 			trail, err := peer.QueryTrail(res)
 			if err != nil {
 				rep.violate("plan %q: bad provenance: %v", pc.id, err)
 				continue
 			}
-			if idx, err := trail.Verify(keyring); err != nil {
+			if idx, err := trail.Verify(out.keyring); err != nil {
 				rep.violate("plan %q: trail visit %d fails verification: %v", pc.id, idx, err)
 			}
 			// The plan-carried routing memory must be consistent with the
@@ -734,7 +821,7 @@ func checkInvariants(rep *Report, net *simnet.Network, peers map[string]*peer.Pe
 					stops++
 					prevServer = v.Server
 				}
-				if !deliveredTo[pc.id][v.Server] {
+				if !delivered[[2]string{pc.id, v.Server}] {
 					rep.violate("plan %q: trail names %s, which never received the plan", pc.id, v.Server)
 				}
 				if v.At < prevAt {
@@ -742,6 +829,8 @@ func checkInvariants(rep *Report, net *simnet.Network, peers map[string]*peer.Pe
 				}
 				prevAt = v.At
 			}
+			// Hops is counted by simnet as the plan crosses links; it is
+			// the one input here no other transport fills.
 			if stops+1 > res.Hops {
 				rep.violate("plan %q: %d processing stops need at least %d hops, result took %d",
 					pc.id, stops, stops+1, res.Hops)
@@ -752,4 +841,59 @@ func checkInvariants(rep *Report, net *simnet.Network, peers map[string]*peer.Pe
 		rep.violate("accounting: completed %d + partial %d + stuck %d + lost %d != plans %d",
 			rep.Completed, rep.Partial, rep.Stuck, rep.LostToFaults, rep.Plans)
 	}
+}
+
+// checkAnswer is invariant 1 for one result: a full result within
+// [lower, upper], a partial within upper, a count range-checked as a
+// scalar, and — with contains — nothing fabricated by an item-preserving
+// shape.
+func checkAnswer(rep *Report, pc *planCase, partial bool, got map[string]int, contains func(map[string]int) (bool, string)) {
+	switch {
+	case pc.shape == shapeCount:
+		// Count answers are scalars, not monotone multisets: a query
+		// racing a join may legitimately count any world between the
+		// bounds, so <count>6</count> can match neither bound document.
+		// Range-check the value instead.
+		n, ok := countOf(got)
+		lo, okLo := countOf(pc.lower)
+		hi, okHi := countOf(pc.upper)
+		switch {
+		case partial && len(got) == 0:
+			// Nothing was reduced before the routing layer gave up — an
+			// empty partial, vacuously within bounds.
+		case !ok || !okLo || !okHi:
+			rep.violate("plan %q: count plan produced a non-count answer", pc.id)
+		case partial && n > hi:
+			rep.violate("plan %q: partial count %d exceeds oracle upper bound %d", pc.id, n, hi)
+		case !partial && (n < lo || n > hi):
+			rep.violate("plan %q: count %d outside oracle bounds [%d, %d]", pc.id, n, lo, hi)
+		}
+	case partial:
+		if ok, diff := MultisetSubset(got, pc.upper); !ok {
+			rep.violate("plan %q: partial result exceeds oracle upper bound: %s", pc.id, diff)
+		}
+	default:
+		if ok, diff := MultisetSubset(pc.lower, got); !ok {
+			rep.violate("plan %q: result misses oracle lower bound: %s", pc.id, diff)
+		}
+		if ok, diff := MultisetSubset(got, pc.upper); !ok {
+			rep.violate("plan %q: result exceeds oracle upper bound: %s", pc.id, diff)
+		}
+	}
+	if contains != nil && pc.shape != shapeCount && pc.shape != shapeProject {
+		if ok, diff := contains(got); !ok {
+			rep.violate("plan %q: %s", pc.id, diff)
+		}
+	}
+}
+
+// countOf extracts the scalar from a count-shape answer multiset: exactly
+// one <count>N</count> document.
+func countOf(ms map[string]int) (int, bool) {
+	for k, mult := range ms {
+		var n int
+		_, err := fmt.Sscanf(k, "<count>%d</count>", &n)
+		return n, err == nil && mult == 1 && len(ms) == 1
+	}
+	return 0, false
 }

@@ -110,10 +110,6 @@ func (o *IncOracle) Install(pathExp string, area namespace.Area, items []*xmltre
 	return nil
 }
 
-// HasJoined reports whether any collection was installed as a mid-run
-// joiner (when false, EvalBounds' lower and upper coincide).
-func (o *IncOracle) HasJoined() bool { return o.hasJoined }
-
 // candidates returns the sorted indexes of collections whose bucket
 // intersects the area's states.
 func (o *IncOracle) candidates(area namespace.Area) []int {

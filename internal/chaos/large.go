@@ -1,7 +1,8 @@
 // The large-world chaos generator: 10³–10⁴ peers under hierarchic areas,
 // mid-run churn, replica promotion, and the incremental oracle
-// (incremental.go). Config.Peers > 0 routes Run here; the small-world
-// generator in chaos.go is untouched and byte-identical per seed.
+// (incremental.go). Config.Peers > 0 routes Run here; it builds its world
+// in its own rng draw order and then shares execution and the invariant
+// checker with the small worlds of chaos.go.
 //
 // World shape: one meta-index server, one authoritative index server per
 // state (layered over the scaled Location hierarchy), Config.Peers zipf-
@@ -12,15 +13,12 @@
 // Everything the small worlds check is checked here, at the prices a large
 // world can afford:
 //
-//   - Full results must satisfy lower ⊆ result ⊆ upper from the incremental
-//     oracle (equality when the world has no joiners); partials ⊆ upper.
+//   - Results are checked against the incremental oracle's [lower, upper]
+//     bounds, which differ only when peers joined mid-run.
 //   - Item-preserving shapes get the union-membership fabrication check.
 //   - A seeded OracleSample fraction of queries is re-verified against the
 //     processor-based reference Oracle built over just the relevant
 //     collections — the differential check of the incremental oracle itself.
-//   - Trail/hop consistency, no-plan-vanishes and the churn accounting ride
-//     the scheduler's compact trace (simnet.SetTraceKey), which keeps
-//     per-message state O(record), not O(body).
 package chaos
 
 import (
@@ -29,18 +27,14 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/algebra"
-	"repro/internal/blobstore"
 	"repro/internal/catalog"
 	"repro/internal/hierarchy"
 	"repro/internal/mqp"
 	"repro/internal/namespace"
 	"repro/internal/peer"
-	"repro/internal/provenance"
-	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -65,9 +59,8 @@ type joiner struct {
 	joinAt  time.Duration
 }
 
-func runLarge(cfg Config) (*Report, error) {
+func genLarge(cfg Config) (*world, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	rep := &Report{Seed: cfg.Seed, Level: cfg.Level}
 
 	// --- World -----------------------------------------------------------
 	nStates := cfg.Peers / 50
@@ -78,8 +71,8 @@ func runLarge(cfg Config) (*Report, error) {
 		nStates = 64
 	}
 	ns := workload.ScaledNamespace(nStates, 8, 8, 6)
-	net := simnet.New()
-	net.SetMaxDepth(40)
+	w := newWorld(cfg, ns)
+	rep := w.rep
 
 	zipf := cfg.Zipf
 	if zipf <= 1 {
@@ -95,30 +88,7 @@ func runLarge(cfg Config) (*Report, error) {
 		Seed: rng.Int63(), Sellers: cfg.Peers, ItemsPerSeller: 2 + rng.Intn(3), SpecialtyZipf: zipf,
 	})
 
-	keys := map[string][]byte{}
-	peers := map[string]*peer.Peer{}
-	addPeer := func(pcfg peer.Config) (*peer.Peer, error) {
-		pcfg.Key = []byte(pcfg.Addr)
-		pcfg.PlanCacheSize = 32
-		if cfg.Learn {
-			pcfg.LearnShortcuts = true
-			pcfg.Keyring = func(server string) []byte { return []byte(server) }
-		}
-		if cfg.Blobs {
-			pcfg.Blobs = blobstore.New()
-		}
-		p, err := peer.New(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		keys[pcfg.Addr] = pcfg.Key
-		peers[pcfg.Addr] = p
-		return p, nil
-	}
-
-	const metaAddr = "meta:9020"
-	const clientAddr = "client:9020"
-	meta, err := addPeer(peer.Config{Addr: metaAddr, Net: net, NS: ns, PushSelect: pushSelect,
+	meta, err := w.addPeer(peer.Config{Addr: metaAddr, PushSelect: pushSelect,
 		Area: ns.Everything(), Authoritative: true})
 	if err != nil {
 		return nil, err
@@ -141,7 +111,7 @@ func runLarge(cfg Config) (*Report, error) {
 	for _, st := range states {
 		addr := "idx-" + strings.ReplaceAll(st.String(), "/", "-") + ":9020"
 		area := namespace.NewArea(namespace.NewCell(st, hierarchy.Top))
-		idx, err := addPeer(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: pushSelect,
+		idx, err := w.addPeer(peer.Config{Addr: addr, PushSelect: pushSelect,
 			Area: area, Authoritative: true})
 		if err != nil {
 			return nil, err
@@ -161,10 +131,9 @@ func runLarge(cfg Config) (*Report, error) {
 	sort.Strings(indexAddrs)
 
 	inc := NewIncOracle(ns)
-	sellerPeers := make([]*peer.Peer, len(sellers))
 	sellerPaths := make([]string, len(sellers))
 	for i, s := range sellers {
-		pcfg := peer.Config{Addr: s.Addr, Net: net, NS: ns, PushSelect: pushSelect, Area: s.Area}
+		pcfg := peer.Config{Addr: s.Addr, PushSelect: pushSelect, Area: s.Area}
 		switch rng.Intn(3) {
 		case 0:
 			// Default: plans travel to the data (ForwardOnlyPolicy).
@@ -173,7 +142,7 @@ func runLarge(cfg Config) (*Report, error) {
 		case 2:
 			pcfg.Policy = mqp.DefaultPolicy{MaxReduceCard: 4}
 		}
-		sp, err := addPeer(pcfg)
+		sp, err := w.addPeer(pcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -192,18 +161,10 @@ func runLarge(cfg Config) (*Report, error) {
 		if err := inc.Install(pathExp, s.Area, s.Items, false); err != nil {
 			return nil, err
 		}
-		sellerPeers[i] = sp
 		sellerPaths[i] = pathExp
 	}
 
-	client, err := addPeer(peer.Config{Addr: clientAddr, Net: net, NS: ns})
-	if err != nil {
-		return nil, err
-	}
-	if err := client.Catalog().Register(catalog.Registration{
-		Addr: metaAddr, Role: catalog.RoleMetaIndex,
-		Area: ns.Everything(), Authoritative: true,
-	}); err != nil {
+	if err := w.addClient(); err != nil {
 		return nil, err
 	}
 
@@ -240,7 +201,7 @@ func runLarge(cfg Config) (*Report, error) {
 				if rng.Float64() < 0.25 {
 					bound = 0
 				}
-				rp, err := addPeer(peer.Config{Addr: "rep-" + sellers[i].Addr, Net: net, NS: ns,
+				rp, err := w.addPeer(peer.Config{Addr: "rep-" + sellers[i].Addr,
 					PushSelect: pushSelect, Area: sellers[i].Area})
 				if err != nil {
 					return nil, err
@@ -263,7 +224,7 @@ func runLarge(cfg Config) (*Report, error) {
 		for j := range joinSellers {
 			joinSellers[j].Addr = fmt.Sprintf("joiner%03d:9020", j)
 			s := joinSellers[j]
-			jp, err := addPeer(peer.Config{Addr: s.Addr, Net: net, NS: ns, PushSelect: pushSelect, Area: s.Area})
+			jp, err := w.addPeer(peer.Config{Addr: s.Addr, PushSelect: pushSelect, Area: s.Area})
 			if err != nil {
 				return nil, err
 			}
@@ -280,21 +241,23 @@ func runLarge(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	rep.Peers = len(peers)
+	rep.Peers = len(w.peers)
+
+	w.contains = inc.ContainsAll
+	w.bound = func(pc *planCase) (err error) {
+		pc.lower, pc.upper, err = inc.EvalBounds(pc.oracle)
+		if err != nil || !pc.sampled {
+			return err
+		}
+		// Sampled differential check: the processor-based reference over
+		// just the relevant collections must agree with the incremental
+		// oracle on both bounds.
+		pc.mismatch, err = crossCheck(ns, inc, pc)
+		return err
+	}
 
 	// --- Fault schedule and churn events ---------------------------------
-	net.UseScheduler(rng.Int63())
-	net.SetTraceKey(planIDOf)
-	faults, nCrashes, wantPartition := levelFaults(cfg.Level, rng)
-	net.SetFaults(faults)
-
-	var faultable []string // every peer but the client
-	for addr := range peers {
-		if addr != clientAddr {
-			faultable = append(faultable, addr)
-		}
-	}
-	sort.Strings(faultable)
+	faultable, nCrashes, wantPartition := w.startFaults(rng)
 	if cfg.Churn {
 		// Crash/restart windows scale with the world: transient outages the
 		// routing layer must ride out, on top of the level's own crashes.
@@ -304,22 +267,17 @@ func runLarge(cfg Config) (*Report, error) {
 		addr := faultable[rng.Intn(len(faultable))]
 		from := time.Duration(rng.Int63n(int64(largeHorizon)))
 		until := from + 50*time.Millisecond + time.Duration(rng.Int63n(int64(250*time.Millisecond)))
-		net.ScheduleCrash(addr, from, until)
+		w.net.ScheduleCrash(addr, from, until)
 	}
-	if wantPartition && len(faultable) > 1 {
-		split := append([]string(nil), faultable...)
-		rng.Shuffle(len(split), func(i, j int) { split[i], split[j] = split[j], split[i] })
-		cut := 1 + rng.Intn(len(split)-1)
-		from := time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
-		until := from + time.Duration(rng.Int63n(int64(300*time.Millisecond)))
-		net.Partition(split[:cut], split[cut:], from, until)
+	if wantPartition {
+		w.cutPartition(rng, faultable)
 	}
 	for _, lv := range leavers {
-		net.ScheduleCrash(lv.addr, lv.leaveAt, 0) // no restart: a leave
+		w.net.ScheduleCrash(lv.addr, lv.leaveAt, 0) // no restart: a leave
 		rep.Left++
 		if lv.replica != nil {
 			lv := lv
-			net.ScheduleFunc(lv.promoteAt, func() {
+			w.net.ScheduleFunc(lv.promoteAt, func() {
 				err := lv.replica.Promote(lv.pathExp, lv.addr, lv.idxAddr, lv.promoteAt)
 				switch {
 				case err == nil:
@@ -337,7 +295,7 @@ func runLarge(cfg Config) (*Report, error) {
 	}
 	for _, jn := range joiners {
 		jn := jn
-		net.ScheduleFunc(jn.joinAt, func() {
+		w.net.ScheduleFunc(jn.joinAt, func() {
 			if err := jn.p.RegisterWithAt(jn.idxAddr, catalog.RoleBase, jn.joinAt); err == nil {
 				rep.Joined++
 			}
@@ -350,7 +308,6 @@ func runLarge(cfg Config) (*Report, error) {
 		nPlans = 40
 	}
 	querySellers := append(append([]workload.Seller(nil), sellers...), joinSellers...)
-	cases := make([]*planCase, 0, nPlans)
 	for i := 0; i < nPlans; i++ {
 		area, maxPrice := genQuery(ns, querySellers, rng, zipf)
 		plan, shape := genPlanShape(rng, fmt.Sprintf("chaos-%d-q%d", cfg.Seed, i), clientAddr, area, maxPrice, ns)
@@ -361,84 +318,19 @@ func runLarge(cfg Config) (*Report, error) {
 		if rng.Float64() < 0.4 {
 			entry = indexAddrs[rng.Intn(len(indexAddrs))]
 		}
-		pc := &planCase{
-			id:      plan.ID,
-			oracle:  plan.Clone(),
-			entry:   entry,
-			shape:   shape,
-			sampled: rng.Float64() < sample,
-			// Whole microseconds: virtual time is µs-granular on the wire.
-			at: time.Duration(rng.Int63n(600_000)) * time.Microsecond,
-		}
-		pc.submitErr = net.Send(&simnet.Message{
-			From: clientAddr, To: entry, Kind: peer.KindMQP,
-			Body: algebra.Marshal(plan), At: pc.at,
-		})
-		cases = append(cases, pc)
+		sampled := rng.Float64() < sample
+		// Whole microseconds: virtual time is µs-granular on the wire.
+		at := time.Duration(rng.Int63n(600_000)) * time.Microsecond
+		w.submit(plan, shape, sampled, entry, at)
 	}
-	rep.Plans = len(cases)
-
-	// --- Execute: oracle concurrent with the pump (invariant 4) ----------
-	lowers := make([]map[string]int, len(cases))
-	uppers := make([]map[string]int, len(cases))
-	oracleErrs := make([]error, len(cases))
-	sampleViols := make([]string, len(cases))
-	var oracleTime time.Duration
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		began := time.Now()
-		defer func() { oracleTime = time.Since(began) }()
-		for i, pc := range cases {
-			lo, up, err := inc.EvalBounds(pc.oracle)
-			if err != nil {
-				oracleErrs[i] = err
-				continue
-			}
-			lowers[i], uppers[i] = lo, up
-			if !pc.sampled {
-				continue
-			}
-			// Sampled differential check: the processor-based reference
-			// over just the relevant collections must agree with the
-			// incremental oracle on both bounds.
-			sampleViols[i], oracleErrs[i] = crossCheck(ns, inc, pc, lo, up)
-		}
-	}()
-	stats, err := net.Run()
-	if err != nil {
-		rep.violate("scheduler: %v", err)
-	}
-	wg.Wait()
-	rep.Events = stats.Events
-	rep.OracleTime = oracleTime
-	for _, err := range oracleErrs {
-		if err != nil {
-			return rep, err
-		}
-	}
-	for i, v := range sampleViols {
-		if cases[i].sampled {
-			rep.SampledChecks++
-		}
-		if v != "" {
-			rep.violate("%s", v)
-		}
-	}
-
-	// --- Invariants ------------------------------------------------------
-	checkInvariantsLarge(rep, net, peers, keys, client, cases, lowers, uppers, inc)
-	collectShortcutStats(rep, peers)
-	collectBlobStats(rep, peers)
-	return rep, nil
+	return w, nil
 }
 
 // crossCheck verifies the incremental oracle's bounds for one sampled case
 // against the processor-based reference Oracle built over the relevant
 // collections only. It returns a violation string (empty when the oracles
 // agree) or a harness error.
-func crossCheck(ns *namespace.Namespace, inc *IncOracle, pc *planCase, lo, up map[string]int) (string, error) {
+func crossCheck(ns *namespace.Namespace, inc *IncOracle, pc *planCase) (string, error) {
 	initial, all, err := inc.Relevant(pc.oracle)
 	if err != nil {
 		return "", err
@@ -447,42 +339,21 @@ func crossCheck(ns *namespace.Namespace, inc *IncOracle, pc *planCase, lo, up ma
 	if err != nil {
 		return "", err
 	}
-	if ok, diff := MultisetEqual(refUp, up); !ok {
+	if ok, diff := MultisetEqual(refUp, pc.upper); !ok {
 		return fmt.Sprintf("plan %q: incremental oracle upper bound diverges from reference: %s", pc.id, diff), nil
 	}
-	if len(initial) == len(all) {
-		// No joiners among the relevant collections: one reference run
-		// covers both bounds.
-		if ok, diff := MultisetEqual(refUp, lo); !ok {
-			return fmt.Sprintf("plan %q: incremental oracle lower bound diverges from reference: %s", pc.id, diff), nil
+	refLo := refUp
+	if len(initial) != len(all) {
+		// Joiners among the relevant collections: the lower bound needs a
+		// reference run of its own.
+		if refLo, err = evalReference(ns, initial, pc.oracle); err != nil {
+			return "", err
 		}
-		return "", nil
 	}
-	refLo, err := evalReference(ns, initial, pc.oracle)
-	if err != nil {
-		return "", err
-	}
-	if ok, diff := MultisetEqual(refLo, lo); !ok {
+	if ok, diff := MultisetEqual(refLo, pc.lower); !ok {
 		return fmt.Sprintf("plan %q: incremental oracle lower bound diverges from reference: %s", pc.id, diff), nil
 	}
 	return "", nil
-}
-
-// countOf extracts the scalar from a count-shape answer multiset: exactly
-// one <count>N</count> document.
-func countOf(ms map[string]int) (int, bool) {
-	if len(ms) != 1 {
-		return 0, false
-	}
-	for k, mult := range ms {
-		var n int
-		if mult == 1 {
-			if _, err := fmt.Sscanf(k, "<count>%d</count>", &n); err == nil {
-				return n, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // evalReference runs one plan through a processor-based Oracle over the
@@ -497,188 +368,4 @@ func evalReference(ns *namespace.Namespace, colls []Collection, plan *algebra.Pl
 		return nil, err
 	}
 	return Multiset(items), nil
-}
-
-// checkInvariantsLarge is checkInvariants for the large-world path: the
-// oracle-equality check becomes the bounds check (plus union membership for
-// item-preserving shapes), and fault attribution reads the compact trace.
-func checkInvariantsLarge(rep *Report, net *simnet.Network, peers map[string]*peer.Peer,
-	keys map[string][]byte, client *peer.Peer, cases []*planCase,
-	lowers, uppers []map[string]int, inc *IncOracle) {
-
-	rep.Messages = net.Metrics().Messages
-	trace := net.CompactSchedTrace()
-	rep.DroppedMsgs = len(trace.Dropped)
-	rep.LostMsgs = len(trace.Lost)
-
-	faultIDs := map[string]bool{}
-	for _, m := range trace.Dropped {
-		if m.Key != "" {
-			faultIDs[m.Key] = true
-		}
-	}
-	for _, m := range trace.Lost {
-		if m.Key != "" {
-			faultIDs[m.Key] = true
-		}
-	}
-	deliveredTo := map[string]map[string]bool{} // plan id -> servers delivered to
-	for _, m := range trace.Delivered {
-		if m.Key != "" {
-			if deliveredTo[m.Key] == nil {
-				deliveredTo[m.Key] = map[string]bool{}
-			}
-			deliveredTo[m.Key][m.To] = true
-		}
-	}
-
-	for _, addr := range sortedAddrs(peers) {
-		for _, err := range peers[addr].StuckErrors() {
-			rep.StuckDetails = append(rep.StuckDetails, err.Error())
-		}
-	}
-	stuckFor := func(id string) bool {
-		needle := fmt.Sprintf("%q", id)
-		for _, d := range rep.StuckDetails {
-			if strings.Contains(d, needle) {
-				return true
-			}
-		}
-		return false
-	}
-
-	results := map[string][]peer.Result{}
-	for _, res := range client.Results() {
-		results[res.Plan.ID] = append(results[res.Plan.ID], res)
-		rep.Results++
-	}
-	known := map[string]bool{}
-	for _, pc := range cases {
-		known[pc.id] = true
-	}
-	for id := range results {
-		if !known[id] {
-			rep.violate("phantom result for never-submitted plan %q", id)
-		}
-	}
-
-	keyring := func(server string) []byte { return keys[server] }
-	for i, pc := range cases {
-		rs := results[pc.id]
-		full := 0
-		for _, res := range rs {
-			if !res.Partial {
-				full++
-			}
-		}
-		switch {
-		case full > 0:
-			rep.Completed++
-		case len(rs) > 0:
-			rep.Partial++
-		case pc.submitErr != nil || stuckFor(pc.id):
-			rep.Stuck++
-			if rep.Level == LevelNone && rep.Left == 0 && rep.PromotionsRefused == 0 {
-				// Invariant 5 carries over: fault-free and churn-free runs
-				// must never strand a plan. Leaves and refused promotions
-				// legitimately strand plans over the departed data.
-				rep.violate("plan %q stuck in a fault-free run", pc.id)
-			}
-		case faultIDs[pc.id]:
-			rep.LostToFaults++
-		default:
-			rep.violate("plan %q silently lost: no result, no stuck error, no recorded fault", pc.id)
-		}
-
-		itemPreserving := pc.shape == 0 || pc.shape == 2 || pc.shape == 4
-		for _, res := range rs {
-			// Invariant 1 at scale: full results inside [lower, upper] (an
-			// exact equality when the world has no joiners), partials ⊆
-			// upper, and — for item-preserving shapes — nothing fabricated.
-			items, err := res.Plan.Results()
-			if err != nil {
-				rep.violate("plan %q: non-constant result: %v", pc.id, err)
-				continue
-			}
-			rep.OracleChecked++
-			got := Multiset(items)
-			switch {
-			case pc.shape == 1:
-				// Count answers are scalars, not monotone multisets: a query
-				// racing a join may legitimately count any world between the
-				// bounds, so <count>6</count> can match neither bound
-				// document. Range-check the value instead.
-				n, ok := countOf(got)
-				lo, okLo := countOf(lowers[i])
-				hi, okHi := countOf(uppers[i])
-				switch {
-				case res.Partial && len(got) == 0:
-					// Nothing was reduced before the routing layer gave up —
-					// an empty partial, vacuously within bounds.
-				case !ok || !okLo || !okHi:
-					rep.violate("plan %q: count plan produced a non-count answer", pc.id)
-				case res.Partial:
-					if n > hi {
-						rep.violate("plan %q: partial count %d exceeds oracle upper bound %d", pc.id, n, hi)
-					}
-				case n < lo || n > hi:
-					rep.violate("plan %q: count %d outside oracle bounds [%d, %d]", pc.id, n, lo, hi)
-				}
-			case res.Partial:
-				if ok, diff := MultisetSubset(got, uppers[i]); !ok {
-					rep.violate("plan %q: partial result exceeds oracle upper bound: %s", pc.id, diff)
-				}
-			default:
-				if ok, diff := MultisetSubset(lowers[i], got); !ok {
-					rep.violate("plan %q: result misses oracle lower bound: %s", pc.id, diff)
-				}
-				if ok, diff := MultisetSubset(got, uppers[i]); !ok {
-					rep.violate("plan %q: result exceeds oracle upper bound: %s", pc.id, diff)
-				}
-			}
-			if itemPreserving {
-				if ok, diff := inc.ContainsAll(got); !ok {
-					rep.violate("plan %q: %s", pc.id, diff)
-				}
-			}
-			// Invariant 2: trail/hop consistency, unchanged from small
-			// worlds.
-			trail, err := peer.QueryTrail(res)
-			if err != nil {
-				rep.violate("plan %q: bad provenance: %v", pc.id, err)
-				continue
-			}
-			if idx, err := trail.Verify(keyring); err != nil {
-				rep.violate("plan %q: trail visit %d fails verification: %v", pc.id, idx, err)
-			}
-			if missing := provenance.UncoveredVisits(res.Plan, trail); len(missing) > 0 {
-				rep.violate("plan %q: visited memory names %v, absent from the provenance trail",
-					pc.id, missing)
-			}
-			stops := 0
-			prevServer := ""
-			var prevAt time.Duration
-			for vi, v := range trail.Visits {
-				if v.Server != prevServer {
-					stops++
-					prevServer = v.Server
-				}
-				if !deliveredTo[pc.id][v.Server] {
-					rep.violate("plan %q: trail names %s, which never received the plan", pc.id, v.Server)
-				}
-				if v.At < prevAt {
-					rep.violate("plan %q: trail time goes backwards at visit %d (%v < %v)", pc.id, vi, v.At, prevAt)
-				}
-				prevAt = v.At
-			}
-			if stops+1 > res.Hops {
-				rep.violate("plan %q: %d processing stops need at least %d hops, result took %d",
-					pc.id, stops, stops+1, res.Hops)
-			}
-		}
-	}
-	if rep.Completed+rep.Partial+rep.Stuck+rep.LostToFaults != rep.Plans {
-		rep.violate("accounting: completed %d + partial %d + stuck %d + lost %d != plans %d",
-			rep.Completed, rep.Partial, rep.Stuck, rep.LostToFaults, rep.Plans)
-	}
 }

@@ -81,7 +81,7 @@ func TestLargeWorldChurnAccounting(t *testing.T) {
 		if rep.Failed() {
 			t.Fatalf("seed %d: %v", seed, rep.Violations)
 		}
-		if rep.Left != rep.Promoted+rep.PromotionsRefused && rep.Left < rep.Promoted+rep.PromotionsRefused {
+		if rep.Promoted+rep.PromotionsRefused > rep.Left {
 			t.Fatalf("seed %d: more promotion outcomes (%d+%d) than leavers (%d)",
 				seed, rep.Promoted, rep.PromotionsRefused, rep.Left)
 		}

@@ -23,9 +23,10 @@
 //     window; in scheduled mode in-flight messages crossing a cut that
 //     formed after they were sent are lost at delivery time.
 //
-// Everything a fault removes is recorded: the Trace distinguishes messages
-// dropped in transit from messages lost to a crash or partition at delivery
-// time, so harnesses can prove no message disappeared silently.
+// Every message leaves one TraceRec — envelope, virtual time and a
+// caller-chosen key, never the body: the Trace separates messages delivered,
+// dropped in transit, and lost to a crash or partition at delivery time, so
+// harnesses can prove no message disappeared silently.
 package simnet
 
 import (
@@ -102,19 +103,10 @@ type scheduler struct {
 	// cumulative.
 	droppedMark, lostMark int
 
-	delivered []*Message
-	dropped   []*Message
-	lost      []*Message
-
-	// traceKey, when set, switches the trace to compact mode: instead of
-	// retaining every *Message (body and all) until the harness reads
-	// SchedTrace, only a TraceRec per message is kept. Large chaos worlds
-	// need this — 10³ peers' worth of retained bodies is the difference
-	// between a sweep that fits in memory and one that does not.
-	traceKey   func(*Message) string
-	deliveredC []TraceRec
-	droppedC   []TraceRec
-	lostC      []TraceRec
+	// trace holds one record per message; no body outlives its delivery.
+	// traceKey, when set, names each record (see SetTraceKey).
+	trace    Trace
+	traceKey func(*Message) string
 }
 
 // UseScheduler switches the network to scheduled delivery, seeding the fault
@@ -184,40 +176,23 @@ func (n *Network) ScheduleFunc(at time.Duration, fn func()) {
 	n.mustSchedLocked("ScheduleFunc").pushLocked(&event{at: at, fn: fn})
 }
 
-// SetTraceKey switches the scheduler to compact tracing: each delivered,
-// dropped or lost message is recorded as a TraceRec carrying key(msg) and
-// the routing envelope, and the message itself (body included) is released
-// to the collector. SchedTrace returns nothing in this mode; read
-// CompactSchedTrace instead. Set it right after UseScheduler, before any
-// traffic.
+// SetTraceKey names trace records: each delivered, dropped or lost message's
+// TraceRec carries key(msg) (a chaos harness keys by plan id). key sees the
+// message as the scheduler holds it; a dropped request's placeholder has a
+// nil Body. Set it right after UseScheduler, before any traffic.
 func (n *Network) SetTraceKey(key func(*Message) string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.mustSchedLocked("SetTraceKey").traceKey = key
 }
 
-func (s *scheduler) traceDroppedLocked(msg *Message) {
+// recordLocked appends msg's record to one of the trace's lists.
+func (s *scheduler) recordLocked(list *[]TraceRec, msg *Message) {
+	r := TraceRec{From: msg.From, To: msg.To, Kind: msg.Kind, At: msg.At}
 	if s.traceKey != nil {
-		s.droppedC = append(s.droppedC, TraceRec{Key: s.traceKey(msg), From: msg.From, To: msg.To, Kind: msg.Kind})
-		return
+		r.Key = s.traceKey(msg)
 	}
-	s.dropped = append(s.dropped, msg)
-}
-
-func (s *scheduler) traceLostLocked(msg *Message) {
-	if s.traceKey != nil {
-		s.lostC = append(s.lostC, TraceRec{Key: s.traceKey(msg), From: msg.From, To: msg.To, Kind: msg.Kind})
-		return
-	}
-	s.lost = append(s.lost, msg)
-}
-
-func (s *scheduler) traceDeliveredLocked(msg *Message) {
-	if s.traceKey != nil {
-		s.deliveredC = append(s.deliveredC, TraceRec{Key: s.traceKey(msg), From: msg.From, To: msg.To, Kind: msg.Kind})
-		return
-	}
-	s.delivered = append(s.delivered, msg)
+	*list = append(*list, r)
 }
 
 func (n *Network) mustSchedLocked(op string) *scheduler {
@@ -264,8 +239,8 @@ func (s *scheduler) jitterLocked(window time.Duration) time.Duration {
 // enqueueSendLocked applies send-side faults and enqueues the delivery.
 // Reachability (down peers, partitions) was already checked by Send, which
 // also ran the body through the wire codec: wireBody is the decoded frame
-// the destination (and a duplicated delivery) will see; the trace keeps it
-// too, so fault attribution reads exactly what was on the wire.
+// the destination (and a duplicated delivery) will see. A drop is recorded
+// here, at send time, keyed from the message as sent.
 func (s *scheduler) enqueueSendLocked(n *Network, msg *Message, wireBody *xmltree.Node, transit time.Duration, size int) error {
 	f := s.faultsLocked(msg.From, msg.To)
 	window := f.ReorderWindow
@@ -274,7 +249,7 @@ func (s *scheduler) enqueueSendLocked(n *Network, msg *Message, wireBody *xmltre
 	}
 	n.account([2]string{msg.From, msg.To}, msg.Kind, size, false)
 	if f.Drop > 0 && s.rng.Float64() < f.Drop {
-		s.traceDroppedLocked(msg)
+		s.recordLocked(&s.trace.Dropped, msg)
 		return nil
 	}
 	at := msg.At + transit
@@ -302,7 +277,7 @@ func (s *scheduler) enqueueSendLocked(n *Network, msg *Message, wireBody *xmltre
 func (s *scheduler) dropRequestLocked(from, to, kind string, at time.Duration) bool {
 	f := s.faultsLocked(from, to)
 	if f.Drop > 0 && s.rng.Float64() < f.Drop {
-		s.traceDroppedLocked(&Message{From: from, To: to, Kind: kind, At: at})
+		s.recordLocked(&s.trace.Dropped, &Message{From: from, To: to, Kind: kind, At: at})
 		return true
 	}
 	return false
@@ -363,8 +338,7 @@ func (n *Network) Run() (RunStats, error) {
 	for {
 		n.mu.Lock()
 		if len(s.queue) == 0 {
-			dropped := len(s.dropped) + len(s.droppedC)
-			lost := len(s.lost) + len(s.lostC)
+			dropped, lost := len(s.trace.Dropped), len(s.trace.Lost)
 			stats.Dropped = dropped - s.droppedMark
 			stats.Lost = lost - s.lostMark
 			s.droppedMark = dropped
@@ -391,11 +365,11 @@ func (n *Network) Run() (RunStats, error) {
 		msg := ev.msg
 		p := n.peers[msg.To]
 		if p == nil || n.down[msg.To] || n.blockedLocked(msg.From, msg.To, msg.At) {
-			s.traceLostLocked(msg)
+			s.recordLocked(&s.trace.Lost, msg)
 			n.mu.Unlock()
 			continue
 		}
-		s.traceDeliveredLocked(msg)
+		s.recordLocked(&s.trace.Delivered, msg)
 		n.mu.Unlock()
 
 		stats.Delivered++
@@ -406,53 +380,32 @@ func (n *Network) Run() (RunStats, error) {
 	}
 }
 
-// Trace is the scheduler's fault/delivery record: what arrived, what was
-// dropped in transit, and what was lost at delivery time (destination
-// crashed, partitioned away or unknown).
-type Trace struct {
-	Delivered []*Message
-	Dropped   []*Message
-	Lost      []*Message
-}
-
-// SchedTrace returns a copy of the scheduler's trace. Message pointers are
-// shared with the run; treat bodies as read-only. In compact mode
-// (SetTraceKey) the slices are empty — read CompactSchedTrace instead.
-func (n *Network) SchedTrace() Trace {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s := n.mustSchedLocked("SchedTrace")
-	return Trace{
-		Delivered: append([]*Message(nil), s.delivered...),
-		Dropped:   append([]*Message(nil), s.dropped...),
-		Lost:      append([]*Message(nil), s.lost...),
-	}
-}
-
-// TraceRec is one compact trace record: the routing envelope plus the key
-// SetTraceKey extracted from the message before it was released.
+// TraceRec is one trace record: the routing envelope, the virtual time
+// (arrival for deliveries and losses, send time for drops), and the key
+// SetTraceKey named the message by ("" without one). Every field is one a
+// socket transport knows about a frame too.
 type TraceRec struct {
 	Key      string
 	From, To string
 	Kind     string
+	At       time.Duration
 }
 
-// CompactTrace mirrors Trace for compact mode (SetTraceKey).
-type CompactTrace struct {
-	Delivered []TraceRec
-	Dropped   []TraceRec
-	Lost      []TraceRec
+// Trace is the scheduler's fault/delivery record: what arrived, what was
+// dropped in transit, and what was lost at delivery time (destination
+// crashed, partitioned away or unknown).
+type Trace struct {
+	Delivered, Dropped, Lost []TraceRec
 }
 
-// CompactSchedTrace returns a copy of the compact trace accumulated since
-// SetTraceKey was set.
-func (n *Network) CompactSchedTrace() CompactTrace {
+// SchedTrace returns a copy of the scheduler's trace.
+func (n *Network) SchedTrace() Trace {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := n.mustSchedLocked("CompactSchedTrace")
-	return CompactTrace{
-		Delivered: append([]TraceRec(nil), s.deliveredC...),
-		Dropped:   append([]TraceRec(nil), s.droppedC...),
-		Lost:      append([]TraceRec(nil), s.lostC...),
+	t := n.mustSchedLocked("SchedTrace").trace
+	return Trace{
+		Delivered: append([]TraceRec(nil), t.Delivered...),
+		Dropped:   append([]TraceRec(nil), t.Dropped...),
+		Lost:      append([]TraceRec(nil), t.Lost...),
 	}
 }

@@ -100,10 +100,11 @@ func TestDepthLimitStillTrips(t *testing.T) {
 
 // runScenario drives a fixed workload through a scheduled network and
 // returns a reproducible digest of what happened.
-func runScenario(t *testing.T, seed int64, f Faults) (string, RunStats, Trace) {
+func runScenario(t *testing.T, seed int64, f Faults) (string, RunStats) {
 	t.Helper()
 	n := New()
 	n.UseScheduler(seed)
+	n.SetTraceKey(func(m *Message) string { return m.Body.InnerText() })
 	n.SetFaults(f)
 	sink := &chainPeer{addr: "sink:1"}
 	hop := &chainPeer{addr: "hop:1", hops: 0, then: nil}
@@ -123,22 +124,21 @@ func runScenario(t *testing.T, seed int64, f Faults) (string, RunStats, Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := n.SchedTrace()
 	digest := ""
-	for _, m := range tr.Delivered {
-		digest += fmt.Sprintf("%s@%v;", m.Body.InnerText(), m.At)
+	for _, r := range n.SchedTrace().Delivered {
+		digest += fmt.Sprintf("%s@%v;", r.Key, r.At)
 	}
-	return digest, stats, tr
+	return digest, stats
 }
 
 func TestSchedulerDeterministicPerSeed(t *testing.T) {
 	f := Faults{Drop: 0.2, Duplicate: 0.15, Reorder: 0.5}
-	d1, s1, _ := runScenario(t, 7, f)
-	d2, s2, _ := runScenario(t, 7, f)
+	d1, s1 := runScenario(t, 7, f)
+	d2, s2 := runScenario(t, 7, f)
 	if d1 != d2 || !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("same seed diverged:\n%s\nvs\n%s", d1, d2)
 	}
-	d3, _, _ := runScenario(t, 8, f)
+	d3, _ := runScenario(t, 8, f)
 	if d1 == d3 {
 		t.Fatal("different seeds produced identical fault schedules")
 	}
@@ -251,9 +251,9 @@ func TestSchedulerCrashWindow(t *testing.T) {
 	if stats.Delivered != 2 || stats.Lost != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	tr := n.SchedTrace()
-	if len(tr.Lost) != 1 || tr.Lost[0].At != 20*time.Millisecond {
-		t.Fatalf("lost = %+v", tr.Lost)
+	want := TraceRec{From: "x", To: "sink:1", Kind: "k", At: 20 * time.Millisecond}
+	if tr := n.SchedTrace(); len(tr.Lost) != 1 || tr.Lost[0] != want {
+		t.Fatalf("lost = %+v, want [%+v]", tr.Lost, want)
 	}
 	// While down, sends fail fast (the fallback-visible path): crash again,
 	// with no restart, and observe the send-time error.
@@ -373,8 +373,12 @@ func TestRunStatsPerRun(t *testing.T) {
 		if stats.Dropped != 1 {
 			t.Fatalf("round %d: stats.Dropped = %d, want 1", round, stats.Dropped)
 		}
-		if got := len(n.SchedTrace().Dropped); got != round {
-			t.Fatalf("round %d: cumulative trace = %d", round, got)
+		dropped := n.SchedTrace().Dropped
+		if len(dropped) != round {
+			t.Fatalf("round %d: cumulative trace = %d", round, len(dropped))
+		}
+		if want := (TraceRec{From: "x", To: "sink:1", Kind: "k"}); dropped[round-1] != want {
+			t.Fatalf("round %d: dropped record = %+v, want %+v", round, dropped[round-1], want)
 		}
 	}
 }
@@ -459,39 +463,71 @@ func TestScheduleFunc(t *testing.T) {
 	}
 }
 
-// TestCompactTrace: with a trace key installed, the compact trace records
-// key/from/to/kind per delivered and dropped message — the O(record) form
-// the large-world invariants read instead of retaining message bodies.
-func TestCompactTrace(t *testing.T) {
-	n := New()
-	n.UseScheduler(23)
-	n.SetTraceKey(func(m *Message) string { return m.Kind })
-	sink := &chainPeer{addr: "sink:1"}
-	n.Add(sink)
+// TestTraceRecords pins the record each way a message can end — delivered,
+// dropped at send, a dropped request (whose placeholder has no body), lost
+// to a crash, lost to a partition, duplicated — with and without a key
+// func: key, envelope and virtual time (arrival for deliveries and losses,
+// send time for drops).
+func TestTraceRecords(t *testing.T) {
+	ms := time.Millisecond
+	for _, keyed := range []bool{false, true} {
+		n := New()
+		n.UseScheduler(23)
+		n.SetLatency(func(a, b string) time.Duration { return 10 * ms })
+		n.SetProcDelay(0)
+		key := func(string) string { return "" }
+		if keyed {
+			n.SetTraceKey(func(m *Message) string {
+				if m.Body == nil {
+					return "<nil>"
+				}
+				return m.Body.Name
+			})
+			key = func(k string) string { return k }
+		}
+		n.Add(&chainPeer{addr: "sink:1"})
+		n.Add(&chainPeer{addr: "crashy:1"})
+		n.SetLinkFaults("b", "sink:1", Faults{Drop: 1})
+		n.SetLinkFaults("c", "sink:1", Faults{Drop: 1})
+		n.SetLinkFaults("d", "sink:1", Faults{Duplicate: 1, ReorderWindow: time.Microsecond})
+		n.ScheduleCrash("crashy:1", 15*ms, 0)
+		n.Partition([]string{"p"}, []string{"sink:1"}, 25*ms, 40*ms)
 
-	if err := n.Send(&Message{From: "a", To: "sink:1", Kind: "ok"}); err != nil {
-		t.Fatal(err)
-	}
-	n.SetFaults(Faults{Drop: 1})
-	if err := n.Send(&Message{From: "b", To: "sink:1", Kind: "doomed"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Run(); err != nil {
-		t.Fatal(err)
-	}
+		for _, m := range []*Message{
+			{From: "a", To: "sink:1", Kind: "k", Body: xmltree.Elem("ok")},
+			{From: "b", To: "sink:1", Kind: "k", Body: xmltree.Elem("drop"), At: 1 * ms},
+			{From: "a", To: "crashy:1", Kind: "k", Body: xmltree.Elem("crash"), At: 10 * ms},
+			{From: "p", To: "sink:1", Kind: "k", Body: xmltree.Elem("cut"), At: 20 * ms},
+			{From: "d", To: "sink:1", Kind: "k", Body: xmltree.Elem("dup"), At: 40 * ms},
+		} {
+			if err := n.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := n.Request("c", "sink:1", "fetch", xmltree.Elem("q"), 2*ms); err == nil {
+			t.Fatal("request on a Drop: 1 link succeeded")
+		}
+		if _, err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
 
-	ct := n.CompactSchedTrace()
-	if len(ct.Delivered) != 1 || ct.Delivered[0].Key != "ok" || ct.Delivered[0].To != "sink:1" {
-		t.Fatalf("delivered trace = %+v", ct.Delivered)
-	}
-	if len(ct.Dropped) != 1 || ct.Dropped[0].Key != "doomed" {
-		t.Fatalf("dropped trace = %+v", ct.Dropped)
-	}
-	// Compact mode replaces message retention entirely — the O(body) full
-	// trace must stay empty, that is the point of the mode.
-	full := n.SchedTrace()
-	if len(full.Delivered) != 0 || len(full.Dropped) != 0 {
-		t.Fatalf("full trace retained messages in compact mode: %d delivered, %d dropped",
-			len(full.Delivered), len(full.Dropped))
+		want := Trace{
+			Delivered: []TraceRec{
+				{Key: key("ok"), From: "a", To: "sink:1", Kind: "k", At: 10 * ms},
+				{Key: key("dup"), From: "d", To: "sink:1", Kind: "k", At: 50 * ms},
+				{Key: key("dup"), From: "d", To: "sink:1", Kind: "k", At: 50 * ms},
+			},
+			Dropped: []TraceRec{
+				{Key: key("drop"), From: "b", To: "sink:1", Kind: "k", At: 1 * ms},
+				{Key: key("<nil>"), From: "c", To: "sink:1", Kind: "fetch", At: 2 * ms},
+			},
+			Lost: []TraceRec{
+				{Key: key("crash"), From: "a", To: "crashy:1", Kind: "k", At: 20 * ms},
+				{Key: key("cut"), From: "p", To: "sink:1", Kind: "k", At: 30 * ms},
+			},
+		}
+		if got := n.SchedTrace(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("keyed=%v trace:\n got %+v\nwant %+v", keyed, got, want)
+		}
 	}
 }
