@@ -2,20 +2,20 @@ package repro_test
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/provenance"
+	"repro/internal/simnet"
 	"repro/internal/xmltree"
 	"time"
 )
 
-// Allocation budgets for the receive-side hot paths. These are regression
+// Allocation budgets for the hot paths of a hop. These are regression
 // gates, not aspirations: each bound sits ~25% above the measured value (the
-// two hop budgets, which repeat exactly, two allocations above) so real
-// regressions fail while noise does not. Run via plain `go test`
+// plan-hop, select-hop and SendFrame budgets, which repeat exactly, two
+// allocations above) so real regressions fail while noise does not. Run via plain `go test`
 // (and therefore `make ci`).
 const (
 	// warmDecodeAllocBudget bounds one zero-copy decode of the
@@ -29,12 +29,14 @@ const (
 	// per element, a field's text held in the element (238.6 KB while every
 	// <name>text</name> cost a second node and a child slot).
 	decodedTreeByteBudget = 130_000
-	// planHopAllocBudget bounds the tree-level hop (marshal, size,
-	// arena-backed unmarshal, provenance stamp, re-marshal) the experiments
-	// pay per link. Measured: 112 allocs (was 224 before the zero-copy
-	// receive path; 7937 before PR 2). The fixture carries no select, so
-	// predicates are budgeted separately below.
-	planHopAllocBudget = 114
+	// planHopAllocBudget bounds the document-level hop: Marshal (the
+	// streamed frame, decoded — an identical-frame cache hit, as a
+	// repeated frame is), size, arena-backed unmarshal, provenance stamp,
+	// and Marshal of the stamped plan. Measured: 54 allocs (112 while
+	// Marshal built a staging tree; 224 before the zero-copy receive path;
+	// 7937 before PR 2). The fixture carries no select, so predicates are
+	// budgeted separately below.
+	planHopAllocBudget = 56
 	// selectHopAllocBudget bounds what a server does to a plan whose nine
 	// union branches carry the same pushed-down select (area_fanout's
 	// shape): frame-cache-hit decode, unmarshal, the plan cache's
@@ -52,6 +54,12 @@ const (
 	// (no staging tree). Measured: 47 allocs (was ~164 on the staged
 	// path before the frame cache and streaming encoder).
 	planHopWireAllocBudget = 60
+	// sendFrameAllocBudget bounds the door every plan a peer sends goes
+	// through on simnet: SendFrame stages the fixture plan with EncodeFrame,
+	// copies the frame into one string, decodes it on the receiver's side (an
+	// identical-frame cache hit) and hands the message to a peer that
+	// discards it. Measured: 8 allocs.
+	sendFrameAllocBudget = 10
 )
 
 func planFixtureForAllocs(t *testing.T) (*algebra.Plan, []byte, string) {
@@ -165,7 +173,7 @@ func TestSelectHopAllocBudget(t *testing.T) {
 		if algebra.Fingerprint(p.Root) != algebra.Fingerprint(cached.Root) || !algebra.Equal(cached.Root, p.Root) {
 			t.Fatal("decoded plan differs from its twin")
 		}
-		if n, err := algebra.EncodeStream(p, io.Discard); err != nil || n != int64(len(wire)) {
+		if n, err := streamed(p); err != nil || n != int64(len(wire)) {
 			t.Fatalf("streamed %d bytes: %v", n, err)
 		}
 	}
@@ -197,12 +205,38 @@ func TestPlanHopWireAllocBudget(t *testing.T) {
 			Server: "hop:1", Action: provenance.ActionForward, At: time.Millisecond,
 		}, key)
 		provenance.ToPlan(p2, tr)
-		if n, err := algebra.EncodeStream(p2, io.Discard); err != nil || n == 0 {
+		if n, err := streamed(p2); err != nil || n == 0 {
 			t.Fatalf("streamed %d bytes: %v", n, err)
 		}
 	}
 	hop()
 	if allocs := testing.AllocsPerRun(20, hop); allocs > planHopWireAllocBudget {
 		t.Fatalf("wire hop allocates %.0f/op; budget is %d", allocs, planHopWireAllocBudget)
+	}
+}
+
+// sinkPeer takes every message and keeps nothing.
+type sinkPeer struct{}
+
+func (sinkPeer) Addr() string                                   { return "sink:1" }
+func (sinkPeer) Deliver(*simnet.Network, *simnet.Message) error { return nil }
+func (sinkPeer) Serve(*simnet.Network, *simnet.Message) (*xmltree.Node, error) {
+	return nil, nil
+}
+
+func TestSendFrameAllocBudget(t *testing.T) {
+	plan, _, _ := planFixtureForAllocs(t)
+	net := simnet.New()
+	net.Add(sinkPeer{})
+	msg := &simnet.Message{From: "src:1", To: "sink:1", Kind: "mqp"}
+	stage := func(e *xmltree.FrameEncoder) { algebra.EncodeFrame(plan, e) }
+	send := func() {
+		if err := net.SendFrame(msg, stage); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // open the link, prime the frame cache
+	if allocs := testing.AllocsPerRun(20, send); allocs > sendFrameAllocBudget {
+		t.Fatalf("simnet.SendFrame allocates %.0f/op; budget is %d", allocs, sendFrameAllocBudget)
 	}
 }

@@ -18,10 +18,11 @@
 //	mqpd -addr 127.0.0.1:9022 -collection /data=tracks.xml
 //	mqpquery -server 127.0.0.1:9020 -plan query.xml
 //
-// A running daemon logs one line per collection served, one `plan <id> ->
-// <dest>` line per <mqp> it sends (forwarded plan or result), and one line per
-// error: a hostile frame, a broken link, a plan that ended here stuck. What a
-// hop bound, fetched and reduced is in the result's trail, where it is signed.
+// A running daemon logs one line per collection served, one `plan <id>` line
+// per <mqp> it receives (a plan to process, or a result addressed here) and
+// none per registration, and one line per error: a hostile frame, a broken
+// link, a plan that ended here stuck. Where a plan went next, and what a hop
+// bound, fetched and reduced, is in the result's trail, where it is signed.
 package main
 
 import (

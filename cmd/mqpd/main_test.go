@@ -109,4 +109,12 @@ func TestDaemonsAnswerJoin(t *testing.T) {
 	if !strings.HasPrefix(string(out), "<!-- 3 items -->") || strings.Count(string(out), "<song>") != 3 {
 		t.Fatalf("want the 3-item join, got:\n%s", out)
 	}
+	// The plan reached each daemon once, and each says so once: a daemon logs
+	// every <mqp> frame it receives.
+	for _, addr := range addrs {
+		logged, _ := os.ReadFile(filepath.Join(dir, addr+".stderr"))
+		if n := strings.Count(string(logged), "plan daemon-q\n"); n != 1 {
+			t.Errorf("mqpd %s logged the plan %d times:\n%s", addr, n, logged)
+		}
+	}
 }

@@ -28,15 +28,10 @@ const (
 	blobFPAttr = "fp"
 )
 
-// BlobRef builds a payload-reference element for a fingerprint wire form.
-func BlobRef(fp string) *xmltree.Node {
-	return xmltree.ElemAttrs(blobElem, xmltree.Attr{Name: blobFPAttr, Value: fp})
-}
-
 // IsBlobRef reports whether a payload element has the shape of a reference:
 // a childless <blob> carrying an fp attribute. Payload data of this exact
-// shape is ambiguous with the extension, so senders refuse to mark bodies
-// containing it (see SubstituteBlobs) and it travels inline, uninterpreted.
+// shape is ambiguous with the extension, so senders refuse to mark plans
+// containing it (see EncodeFrameRefs) and it travels inline, uninterpreted.
 func IsBlobRef(n *xmltree.Node) (string, bool) {
 	if n == nil || n.Name != blobElem {
 		return "", false
@@ -57,80 +52,6 @@ func IsBlobRef(n *xmltree.Node) (string, bool) {
 // payload-by-reference.
 func Marked(body *xmltree.Node) bool {
 	return body != nil && body.AttrDefault(BlobsAttr, "") != ""
-}
-
-// SubstituteBlobs marks a freshly marshaled <mqp> staging tree as
-// blob-capable and replaces payload documents under its <data> operators
-// with <blob> references wherever sub approves one (returning the
-// fingerprint wire form to send). The body must be the caller's own mutable
-// staging tree (straight out of Marshal, not yet serialized or shared): the
-// substitution rewrites it in place.
-//
-// If any payload document is itself shaped like a reference (IsBlobRef),
-// the body is left completely untouched — unmarked, fully inline — and the
-// call reports -1: marking it would make the receiver misread that payload.
-// Otherwise the number of substituted payloads (possibly 0) is returned and
-// the body is marked even when nothing was substituted, which is how
-// receivers learn the sender's capability.
-func SubstituteBlobs(body *xmltree.Node, sub func(doc *xmltree.Node) (string, bool)) int {
-	if body == nil || body.Name != "mqp" {
-		return -1
-	}
-	ambiguous := false
-	walkDataPayloads(body, func(data *xmltree.Node, i int) {
-		if _, isRef := IsBlobRef(data.Children[i]); isRef {
-			ambiguous = true
-		}
-	})
-	if ambiguous {
-		return -1
-	}
-	n := 0
-	walkDataPayloads(body, func(data *xmltree.Node, i int) {
-		if fp, ok := sub(data.Children[i]); ok {
-			data.Children[i] = BlobRef(fp)
-			n++
-		}
-	})
-	body.SetAttr(BlobsAttr, "1")
-	return n
-}
-
-// walkDataPayloads visits every payload slot under the <data> operators of
-// the body's <plan> and <original> sections: fn(data, i) addresses
-// data.Children[i], a non-text, non-annotations child of a <data> element.
-// The walk follows the operator grammar — it recurses through operator
-// elements and stops at <data>, so payload content (arbitrary user XML,
-// which may itself contain <data> or <blob> elements) is never descended
-// into.
-func walkDataPayloads(body *xmltree.Node, fn func(data *xmltree.Node, i int)) {
-	var op func(e *xmltree.Node)
-	op = func(e *xmltree.Node) {
-		if e.Name == "data" {
-			for i, c := range e.Children {
-				if c.IsText() || c.Name == annotationsElem {
-					continue
-				}
-				fn(e, i)
-			}
-			return
-		}
-		for _, c := range e.Children {
-			if c.IsText() || c.Name == annotationsElem {
-				continue
-			}
-			op(c)
-		}
-	}
-	for _, sec := range body.Children {
-		if sec.Name == "plan" || sec.Name == "original" {
-			for _, c := range sec.Children {
-				if !c.IsText() {
-					op(c)
-				}
-			}
-		}
-	}
 }
 
 // ResolveBlobs returns a body with every <blob> payload reference replaced

@@ -20,34 +20,53 @@ func saleDoc(i int) *xmltree.Node {
 	return xmltree.MustParse(fmt.Sprintf("<sale><cd>Album %02d</cd><price>%d</price></sale>", i, 3+i))
 }
 
-// TestSubstituteResolveRoundTrip pins the core property: substituting
-// payloads for references and resolving them back yields a byte-identical
-// plan.
+// frameRefs stages p through EncodeFrameRefs and returns the bytes.
+func frameRefs(p *Plan, ref func(*xmltree.Node) (string, bool)) string {
+	enc := xmltree.GetFrameEncoder()
+	defer enc.Release()
+	EncodeFrameRefs(p, enc, ref)
+	return enc.String()
+}
+
+// TestSubstituteResolveRoundTrip pins the core property: staging payloads as
+// references and resolving them back yields a byte-identical plan. The
+// referenced frame is the staging-tree reference with each payload slot
+// swapped for its <blob fp> and the root marked.
 func TestSubstituteResolveRoundTrip(t *testing.T) {
 	store := blobstore.New()
 	docs := []*xmltree.Node{saleDoc(1), saleDoc(2)}
 	plan := blobTestPlan(t, "rt", docs...)
 	want := EncodeString(plan)
 
-	body := Marshal(plan)
-	n := SubstituteBlobs(body, func(d *xmltree.Node) (string, bool) {
-		_, fp := store.Intern(d)
+	var named []string
+	frame := frameRefs(plan, func(d *xmltree.Node) (string, bool) {
+		_, fp := store.Intern(d.Share())
+		named = append(named, fp.String())
 		return fp.String(), true
 	})
-	if n != 2 {
-		t.Fatalf("substituted %d payloads, want 2", n)
+	if len(named) != 2 {
+		t.Fatalf("ref called for %d payloads, want 2", len(named))
 	}
-	if !Marked(body) {
-		t.Fatal("body not marked")
+	staged := stagedMarshal(plan)
+	walkDataPayloads(staged, func(data *xmltree.Node, i int) {
+		data.Children[i] = xmltree.ElemAttrs("blob", xmltree.Attr{Name: "fp", Value: named[0]})
+		named = named[1:]
+	})
+	staged.SetAttr(BlobsAttr, "1")
+	if frame != staged.String() {
+		t.Fatalf("referenced frame\n %s\nis not the staged substitution\n %s", frame, staged.String())
 	}
-	if s := body.String(); !strings.Contains(s, `<blob fp=`) || strings.Contains(s, "Album") {
-		t.Fatalf("substitution did not take: %s", s)
+	if strings.Contains(frame, "Album") || docs[0].Frozen() {
+		t.Fatalf("payload inline, or the caller's mutable payload frozen: %s", frame)
 	}
 
 	// The reference body crosses the wire.
-	wire, err := xmltree.DecodeString(body.String())
+	wire, err := xmltree.DecodeString(frame)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !Marked(wire) {
+		t.Fatal("body not marked")
 	}
 	resolved, err := ResolveBlobs(wire, func(fp string) (*xmltree.Node, error) {
 		p, ok := blobstore.ParseFP(fp)
@@ -73,20 +92,24 @@ func TestSubstituteResolveRoundTrip(t *testing.T) {
 }
 
 // TestSubstituteRefusesAmbiguousPayload: payload data shaped exactly like a
-// reference must force the whole body inline and unmarked.
+// reference must force the whole plan inline and unmarked, without asking
+// for a single reference.
 func TestSubstituteRefusesAmbiguousPayload(t *testing.T) {
 	amb := xmltree.MustParse(`<blob fp="userdata"/>`)
 	plan := blobTestPlan(t, "amb", saleDoc(1), amb)
-	body := Marshal(plan)
-	before := body.String()
-	if n := SubstituteBlobs(body, func(d *xmltree.Node) (string, bool) { return "X", true }); n != -1 {
-		t.Fatalf("substitution on ambiguous body returned %d, want -1", n)
-	}
-	if body.String() != before {
-		t.Fatal("ambiguous body was modified")
+	frame := frameRefs(plan, func(*xmltree.Node) (string, bool) {
+		t.Fatal("ref called for a plan holding a reference-shaped payload")
+		return "", false
+	})
+	if frame != EncodeString(plan) {
+		t.Fatalf("ambiguous plan not staged plain: %s", frame)
 	}
 	// The unmarked body passes through resolution untouched, preserving the
 	// payload verbatim.
+	body, err := xmltree.DecodeString(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
 	resolved, err := ResolveBlobs(body, nil, nil)
 	if err != nil || resolved != body {
 		t.Fatalf("unmarked body not passed through: %v", err)
@@ -150,9 +173,8 @@ func TestResolveInterns(t *testing.T) {
 	store := blobstore.New()
 	canon, _ := store.Intern(saleDoc(1))
 	plan := blobTestPlan(t, "intern", saleDoc(1))
-	body := Marshal(plan)
-	body.SetAttr(BlobsAttr, "1")
-	wire, err := xmltree.DecodeString(body.String())
+	// Marked, every payload inline.
+	wire, err := xmltree.DecodeString(frameRefs(plan, func(*xmltree.Node) (string, bool) { return "", false }))
 	if err != nil {
 		t.Fatal(err)
 	}

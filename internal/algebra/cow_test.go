@@ -1,8 +1,10 @@
 package algebra
 
 import (
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/xmltree"
 )
@@ -86,31 +88,32 @@ func TestPlanCloneSharesFrozenPayloads(t *testing.T) {
 	}
 }
 
-// TestMarshalAliasesFrozenDocs verifies the hop-path marshal shares frozen
-// payloads with the produced wire document instead of deep-cloning them.
+// TestMarshalAliasesFrozenDocs verifies the wire encoder shares a frozen
+// payload instead of copying it: one past the inline limit is staged as its
+// own segment, which is the payload's memoized serialization itself. A
+// mutable payload, by contrast, is walked live and left mutable.
 func TestMarshalAliasesFrozenDocs(t *testing.T) {
-	var contains func(n, target *xmltree.Node) bool
-	contains = func(n, target *xmltree.Node) bool {
-		if n == target {
-			return true
-		}
-		for _, c := range n.Children {
-			if contains(c, target) {
-				return true
-			}
-		}
-		return false
+	big := xmltree.Elem("item", xmltree.ElemText("notes", strings.Repeat("liner notes ", 64))).Freeze()
+	memo, ok := big.FrozenSerialization()
+	if !ok || len(memo) <= 512 {
+		t.Fatalf("fixture payload is %d bytes, memoized %v; want a frozen one past the inline limit", len(memo), ok)
 	}
-	p := cowPlan(t)
-	frozen := dataNode(t, p.Root).Docs[0]
-	if !contains(Marshal(p), frozen) {
-		t.Fatal("Marshal must alias frozen payload docs into the wire document")
+	enc := xmltree.GetFrameEncoder()
+	defer enc.Release()
+	EncodeFrame(NewPlan("big", "c:1", Display(Data(big))), enc)
+	aliased := false
+	for _, seg := range enc.Segments() {
+		aliased = aliased || len(seg) == len(memo) && unsafe.SliceData(seg) == unsafe.StringData(memo)
 	}
-	// A mutable doc, by contrast, is still deep-copied.
-	mp := NewPlan("m", "c:1", Display(Data(xmltree.MustParse(`<item/>`))))
-	mutable := mp.Root.Children[0].Docs[0]
-	if contains(Marshal(mp), mutable) {
-		t.Fatal("Marshal must not alias mutable payload docs")
+	if !aliased {
+		t.Fatal("EncodeFrame must stage a frozen payload as its memoized serialization, not a copy")
+	}
+
+	mutable := xmltree.MustParse(`<item/>`)
+	enc.Reset()
+	EncodeFrame(NewPlan("m", "c:1", Display(Data(mutable))), enc)
+	if mutable.Frozen() || !strings.Contains(enc.String(), "<item/>") {
+		t.Fatal("EncodeFrame must write a mutable payload live and leave it mutable")
 	}
 }
 

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"io"
 	"sort"
 	"strconv"
 
@@ -13,34 +12,53 @@ import (
 // EncodeFrame walks the plan directly, emitting canonical markup for the
 // mutable operator shell and handing frozen freight — data payloads, the
 // visited section, extra sections like provenance — to the FrameEncoder as
-// memoized-serialization segments. The bytes produced are identical to
-// Marshal(p).String() (FuzzStreamEncodeEquivalence enforces this), but a
-// forwarded plan materializes no staging tree, and payloads that crossed the
-// wire before are never re-walked or copied: they ride to the socket as
-// zero-copy segments of one vectored write.
+// memoized-serialization segments. It is the one encoder a plan has: peers
+// send through it, Marshal decodes its bytes, and the staging-tree reference
+// it replaced survives only in the tests (FuzzStreamEncodeEquivalence holds
+// the two to the same bytes). A forwarded plan materializes no staging tree,
+// and payloads that crossed the wire before are never re-walked or copied:
+// they ride to the socket as zero-copy segments of one vectored write.
 //
 // Attribute emission must match the canonical serializer's sorted order, so
 // each operator lists its attributes alphabetically here (join emits
-// leftkey, leftname, rightkey, rightname; topn emits by, n, order).
+// leftkey, leftname, rightkey, rightname; topn emits by, n, order; the root
+// emits blobs, id, target).
 
 // EncodeFrame stages the plan's canonical wire form into enc: what peers ship
 // each other, whose size the paper's optimization discussion (partial-result
 // size) is about. Payloads are shared rather than copied, so the staged frame
 // must be written out before the plan is mutated again.
-func EncodeFrame(p *Plan, enc *xmltree.FrameEncoder) {
+func EncodeFrame(p *Plan, enc *xmltree.FrameEncoder) { EncodeFrameRefs(p, enc, nil) }
+
+// EncodeFrameRefs is EncodeFrame for a payload-by-reference sender. The root
+// is marked BlobsAttr, and each payload document under a <data> operator that
+// ref names (returning its fingerprint wire form) is written as a <blob fp>
+// reference instead of its bytes; ref sees the payloads in document order.
+// A plan holding a payload that is itself shaped like a reference (IsBlobRef)
+// would be misread once marked, so it is staged plain and unmarked, and ref
+// is never called. A nil ref is EncodeFrame.
+func EncodeFrameRefs(p *Plan, enc *xmltree.FrameEncoder, ref func(doc *xmltree.Node) (string, bool)) {
+	if ref != nil && (holdsRefShape(p.Root) || holdsRefShape(p.Original)) {
+		ref = nil
+	}
 	enc.Raw("<mqp")
+	if ref != nil {
+		enc.Attr(BlobsAttr, "1")
+	}
 	enc.Attr("id", p.ID)
 	enc.Attr("target", p.Target)
 	enc.RawByte('>')
 	enc.Raw("<plan>")
-	encodeFrameNode(p.Root, enc)
+	encodeFrameNode(p.Root, enc, ref)
 	enc.Raw("</plan>")
 	if p.Original != nil {
 		enc.Raw("<original>")
-		encodeFrameNode(p.Original, enc)
+		encodeFrameNode(p.Original, enc, ref)
 		enc.Raw("</original>")
 	}
 	if p.Visited != nil && (p.Visited.Len() > 0 || p.Visited.Budget > 0 || p.Visited.AnsweredLen() > 0) {
+		// Emitted whenever there is state to carry — visit records, or just
+		// a per-plan budget override set before the first hop.
 		enc.Node(p.Visited.Marshal())
 	}
 	if len(p.Extra) > 0 {
@@ -56,20 +74,27 @@ func EncodeFrame(p *Plan, enc *xmltree.FrameEncoder) {
 	enc.Raw("</mqp>")
 }
 
+// holdsRefShape reports whether a payload under n's <data> operators has the
+// shape of a payload reference.
+func holdsRefShape(n *Node) (found bool) {
+	n.Walk(func(m *Node) bool {
+		if m.Kind == KindData {
+			for _, d := range m.Docs {
+				if _, ok := IsBlobRef(d); ok {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 // framed stages p into a pooled encoder; the caller releases it.
 func framed(p *Plan) *xmltree.FrameEncoder {
 	enc := xmltree.GetFrameEncoder()
 	EncodeFrame(p, enc)
 	return enc
-}
-
-// EncodeStream writes the plan's canonical wire form to w, returning bytes
-// written. On a gather-capable writer (a TCP connection) the whole document
-// leaves in one writev.
-func EncodeStream(p *Plan, w io.Writer) (int64, error) {
-	enc := framed(p)
-	defer enc.Release()
-	return enc.WriteTo(w)
 }
 
 // EncodeString returns the plan's canonical XML serialization.
@@ -86,9 +111,9 @@ func WireSize(p *Plan) int {
 	return enc.Len()
 }
 
-// encodeFrameNode emits one operator subtree in canonical form, mirroring
-// marshalNode + the canonical serializer exactly.
-func encodeFrameNode(n *Node, enc *xmltree.FrameEncoder) {
+// encodeFrameNode emits one operator subtree in canonical form, payloads ref
+// names as references.
+func encodeFrameNode(n *Node, enc *xmltree.FrameEncoder, ref func(*xmltree.Node) (string, bool)) {
 	var name string
 	switch n.Kind {
 	case KindURL:
@@ -135,7 +160,7 @@ func encodeFrameNode(n *Node, enc *xmltree.FrameEncoder) {
 	}
 	docs := n.Docs
 	if n.Kind != KindData {
-		// Docs on a non-data operator are never marshaled; they must not
+		// Docs on a non-data operator are never written; they must not
 		// keep the element from self-closing.
 		docs = nil
 	}
@@ -160,10 +185,18 @@ func encodeFrameNode(n *Node, enc *xmltree.FrameEncoder) {
 		enc.Raw("</annotations>")
 	}
 	for _, d := range docs {
+		if ref != nil {
+			if fp, ok := ref(d); ok {
+				enc.Raw("<" + blobElem)
+				enc.Attr(blobFPAttr, fp)
+				enc.Raw("/>")
+				continue
+			}
+		}
 		enc.Node(d)
 	}
 	for _, c := range n.Children {
-		encodeFrameNode(c, enc)
+		encodeFrameNode(c, enc, ref)
 	}
 	enc.Raw("</")
 	enc.Raw(name)

@@ -60,12 +60,13 @@ func streamPlans(t *testing.T) map[string]*Plan {
 }
 
 // TestStreamEncodeMatchesStaged is the frame-equivalence invariant at the
-// algebra layer: EncodeFrame and EncodeStream must produce the staged
-// Marshal(p).String() bytes exactly, for mutable plans and for decoded
-// (frozen-payload) plans.
+// algebra layer: EncodeFrame, and the bytes its encoder writes out, must be
+// the staging-tree reference's stagedMarshal(p).String() exactly, for mutable
+// plans and for decoded (frozen-payload) plans; and Marshal must be those
+// bytes, decoded.
 func TestStreamEncodeMatchesStaged(t *testing.T) {
 	for name, p := range streamPlans(t) {
-		want := Marshal(p).String()
+		want := stagedMarshal(p).String()
 
 		enc := xmltree.GetFrameEncoder()
 		EncodeFrame(p, enc)
@@ -79,7 +80,9 @@ func TestStreamEncodeMatchesStaged(t *testing.T) {
 		if buf.String() != want {
 			t.Errorf("%s: WriteTo bytes diverge", name)
 		}
-		enc.Release()
+		if doc := Marshal(p); !doc.Frozen() || doc.String() != want {
+			t.Errorf("%s: Marshal is %q (frozen %v), want the frame %q", name, doc.String(), doc.Frozen(), want)
+		}
 
 		// A hop's-eye view: the decoded plan aliases frozen payloads; the
 		// streamed re-encode must still match its staged re-encode.
@@ -88,15 +91,18 @@ func TestStreamEncodeMatchesStaged(t *testing.T) {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		buf.Reset()
-		n, err := EncodeStream(back, &buf)
+		enc.Reset()
+		EncodeFrame(back, enc)
+		n, err := enc.WriteTo(&buf)
 		if err != nil {
-			t.Fatalf("%s: EncodeStream: %v", name, err)
+			t.Fatalf("%s: WriteTo: %v", name, err)
 		}
-		if staged := Marshal(back).String(); buf.String() != staged {
+		if staged := stagedMarshal(back).String(); buf.String() != staged {
 			t.Errorf("%s: decoded plan streams %q, stages %q", name, buf.String(), staged)
-		} else if n != int64(len(staged)) {
-			t.Errorf("%s: EncodeStream reported %d bytes, wrote %d", name, n, len(staged))
+		} else if n != int64(len(staged)) || enc.Len() != len(staged) {
+			t.Errorf("%s: WriteTo reported %d bytes, Len %d, wrote %d", name, n, enc.Len(), len(staged))
 		}
+		enc.Release()
 	}
 }
 
@@ -122,8 +128,8 @@ var streamFuzzSeeds = []string{
 }
 
 // FuzzStreamEncodeEquivalence: for any decodable <mqp> frame, the streamed
-// frame bytes must be byte-identical to the staging tree's serialization,
-// Marshal(p).String() —
+// frame bytes must be byte-identical to the staging-tree reference's
+// serialization, stagedMarshal(p).String() —
 // both for the decoded plan (frozen payloads ride as zero-copy segments) and
 // for a fully mutable reconstruction of the same plan.
 func FuzzStreamEncodeEquivalence(f *testing.F) {
@@ -136,7 +142,7 @@ func FuzzStreamEncodeEquivalence(f *testing.F) {
 		if err != nil {
 			return
 		}
-		staged := Marshal(p).String()
+		staged := stagedMarshal(p).String()
 		enc := xmltree.GetFrameEncoder()
 		defer enc.Release()
 		EncodeFrame(p, enc)
@@ -154,7 +160,7 @@ func FuzzStreamEncodeEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unmarshal canonical form: %v", err)
 		}
-		mstaged := Marshal(mp).String()
+		mstaged := stagedMarshal(mp).String()
 		enc.Reset()
 		EncodeFrame(mp, enc)
 		if got := enc.String(); got != mstaged {

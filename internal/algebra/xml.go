@@ -3,7 +3,6 @@ package algebra
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"repro/internal/xmltree"
@@ -39,88 +38,6 @@ import (
 
 // annotationsElem is the reserved element name for annotation blocks.
 const annotationsElem = "annotations"
-
-// marshalNode renders an operator subtree as XML. Frozen data payloads are
-// aliased — immutable subtrees are safe to share with any number of
-// documents — and mutable ones deep-copied (Share), so the tree is the
-// caller's to edit.
-//
-// The staging tree is built at final size: attribute lists and child slices
-// are allocated exactly once per element (serialization sorts attributes,
-// so emit order is free), which matters because the hop path marshals every
-// plan it forwards.
-func marshalNode(n *Node) *xmltree.Node {
-	var e *xmltree.Node
-	switch n.Kind {
-	case KindURL:
-		if n.PathExp != "" {
-			e = xmltree.ElemAttrs("url",
-				xmltree.Attr{Name: "href", Value: n.URL},
-				xmltree.Attr{Name: "path", Value: n.PathExp})
-		} else {
-			e = xmltree.ElemAttrs("url", xmltree.Attr{Name: "href", Value: n.URL})
-		}
-	case KindURN:
-		e = xmltree.ElemAttrs("urn", xmltree.Attr{Name: "name", Value: n.URN})
-	case KindSelect:
-		e = xmltree.ElemAttrs("select", xmltree.Attr{Name: "pred", Value: n.Pred.String()})
-	case KindProject:
-		e = xmltree.ElemAttrs("project",
-			xmltree.Attr{Name: "as", Value: n.As},
-			xmltree.Attr{Name: "fields", Value: joinFields(n.Fields)})
-	case KindJoin:
-		e = xmltree.ElemAttrs("join",
-			xmltree.Attr{Name: "leftkey", Value: n.LeftKey},
-			xmltree.Attr{Name: "rightkey", Value: n.RightKey},
-			xmltree.Attr{Name: "leftname", Value: n.LeftName},
-			xmltree.Attr{Name: "rightname", Value: n.RightName})
-	case KindTopN:
-		order := "asc"
-		if n.Desc {
-			order = "desc"
-		}
-		e = xmltree.ElemAttrs("topn",
-			xmltree.Attr{Name: "n", Value: strconv.Itoa(n.N)},
-			xmltree.Attr{Name: "by", Value: n.OrderBy},
-			xmltree.Attr{Name: "order", Value: order})
-	default:
-		e = xmltree.Elem(n.Kind.String())
-	}
-	total := len(n.Children) + len(n.Docs)
-	if len(n.Annotations) > 0 {
-		total++
-	}
-	if total == 0 {
-		return e
-	}
-	kids := make([]*xmltree.Node, 0, total)
-	if len(n.Annotations) > 0 {
-		keys := make([]string, 0, len(n.Annotations))
-		for k := range n.Annotations {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		annKids := make([]*xmltree.Node, len(keys))
-		for i, k := range keys {
-			annKids[i] = xmltree.ElemAttrs("annot",
-				xmltree.Attr{Name: "k", Value: k},
-				xmltree.Attr{Name: "v", Value: n.Annotations[k]})
-		}
-		ann := xmltree.Elem(annotationsElem)
-		ann.Children = annKids
-		kids = append(kids, ann)
-	}
-	if n.Kind == KindData {
-		for _, d := range n.Docs {
-			kids = append(kids, d.Share())
-		}
-	}
-	for _, c := range n.Children {
-		kids = append(kids, marshalNode(c))
-	}
-	e.Children = kids
-	return e
-}
 
 func joinFields(fields []string) string {
 	out := ""
@@ -302,32 +219,16 @@ func soleElement(c *xmltree.Node) (first *xmltree.Node, n int) {
 	return first, n
 }
 
-// Marshal converts a plan to its XML document form: a tree, for callers that
-// edit it before sending (payload-by-reference substitution, fault injection)
-// or hand it to a simulated network as a body. Bytes come from EncodeFrame;
-// FuzzStreamEncodeEquivalence holds the two to the same serialization.
+// Marshal returns the plan's wire document: EncodeFrame's bytes, decoded.
+// It is what a receiver sees, so it is born frozen (edit a Clone). It serves
+// callers that hold a plan as a document, such as a client's prepared
+// prototype; peers stage what they send with EncodeFrame. A plan whose
+// hand-built payload carries an element name no decoder reads back cannot be
+// marshaled, and Marshal panics on it.
 func Marshal(p *Plan) *xmltree.Node {
-	doc := xmltree.ElemAttrs("mqp",
-		xmltree.Attr{Name: "id", Value: p.ID},
-		xmltree.Attr{Name: "target", Value: p.Target})
-	doc.Add(xmltree.Elem("plan", marshalNode(p.Root)))
-	if p.Original != nil {
-		doc.Add(xmltree.Elem("original", marshalNode(p.Original)))
-	}
-	if p.Visited != nil && (p.Visited.Len() > 0 || p.Visited.Budget > 0 || p.Visited.AnsweredLen() > 0) {
-		// Emitted whenever there is state to carry — visit records, or just
-		// a per-plan budget override set before the first hop. Marshal is
-		// frozen and cached, so re-serializing the plan for every fallback
-		// candidate aliases one immutable subtree.
-		doc.Add(p.Visited.Marshal())
-	}
-	keys := make([]string, 0, len(p.Extra))
-	for k := range p.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		doc.Add(p.Extra[k].Share())
+	doc, err := xmltree.DecodeString(EncodeString(p))
+	if err != nil {
+		panic(fmt.Sprintf("algebra: plan %q does not decode: %v", p.ID, err))
 	}
 	return doc
 }

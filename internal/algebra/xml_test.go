@@ -119,14 +119,17 @@ func TestXMLDecodeErrors(t *testing.T) {
 
 func TestWireSize(t *testing.T) {
 	p := fig3Plan()
-	want := Marshal(p).String()
-	if WireSize(p) != len(want) {
+	want := EncodeString(p)
+	if WireSize(p) != len(want) || Marshal(p).ByteSize() != len(want) {
 		t.Fatal("WireSize must equal serialized length")
 	}
+	enc := xmltree.GetFrameEncoder()
+	defer enc.Release()
+	EncodeFrame(p, enc)
 	var sb strings.Builder
-	n, err := EncodeStream(p, &sb)
+	n, err := enc.WriteTo(&sb)
 	if err != nil || int(n) != len(want) || sb.String() != want {
-		t.Fatalf("EncodeStream wrote %d, err %v", n, err)
+		t.Fatalf("WriteTo wrote %d, err %v", n, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/peer"
 	"repro/internal/xmltree"
 )
+
+var update = flag.Bool("update", false, "rewrite the tables golden file from this run")
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -25,10 +28,20 @@ func TestMain(m *testing.M) {
 // already contains its own shape assertions (who wins, crossovers, recall)
 // and fails loudly when the paper's qualitative claims do not hold.
 // Experiments are independent (own network, own seeded workload), so the
-// subtests run in parallel.
+// subtests run in parallel. Once they are done, every table rendered is
+// compared with its golden copy, testdata/tables.golden or, under -short,
+// testdata/tables-short.golden: what cmd/experiments prints, in the same
+// mode. A change that moves a byte of E1–E16 fails here; regenerate on
+// purpose with
+//
+//	go test ./internal/experiments -run TestAllExperimentsRun -update
+//	go test ./internal/experiments -run TestAllExperimentsRun -short -update
 func TestAllExperimentsRun(t *testing.T) {
-	for _, r := range All() {
-		r := r
+	runners := All()
+	tables := make([]string, len(runners))
+	t.Cleanup(func() { checkGolden(t, runners, tables) })
+	for i, r := range runners {
+		i, r := i, r
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
 			tab, err := r.Run()
@@ -42,7 +55,47 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(out, r.ID) {
 				t.Fatalf("%s: render missing id:\n%s", r.ID, out)
 			}
+			tables[i] = out
 		})
+	}
+}
+
+// checkGolden compares the tables that rendered ("" for one that failed or
+// did not run) with the golden file of the current mode, or rewrites it under
+// -update, which needs all of them.
+func checkGolden(t *testing.T, runners []Runner, tables []string) {
+	path := filepath.Join("testdata", "tables.golden")
+	if ShortMode {
+		path = filepath.Join("testdata", "tables-short.golden")
+	}
+	if *update {
+		var b strings.Builder
+		for i, tab := range tables {
+			if tab == "" {
+				t.Errorf("-update needs every table; %s did not render", runners[i].ID)
+				return
+			}
+			b.WriteString(tab + "\n") // as cmd/experiments prints it
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Error(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Errorf("%v (regenerate with -update)", err)
+		return
+	}
+	want := map[string]string{}
+	for _, tab := range strings.SplitAfter(string(raw), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(tab, "== "), ":")
+		want[id] = strings.TrimSuffix(tab, "\n")
+	}
+	for i, got := range tables {
+		if id := runners[i].ID; got != "" && got != want[id] {
+			t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s", id, path, got, want[id])
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func newBlobState(store *blobstore.Store) *blobState {
 	}
 }
 
-// NetStats snapshots the peer's payload-by-reference counters; zero when
+// BlobNetStats snapshots the peer's payload-by-reference counters; zero when
 // the store is disabled.
 func (p *Peer) BlobNetStats() BlobNetStats {
 	if p.blobs == nil {
@@ -174,19 +174,42 @@ func (p *Peer) blobLearn(addr string, body *xmltree.Node) {
 	p.blobs.mu.Unlock()
 }
 
-// blobEncode rewrites a freshly marshaled staging body bound for `to`:
-// payload documents the receiver provably holds become <blob> references,
-// and the body is marked as blob-capable (unless a payload is ambiguous
-// with the reference shape, in which case SubstituteBlobs leaves the whole
-// body inline and unmarked). The body is mutated in place; it must be this
-// peer's own staging tree, straight out of Marshal. at is the sender's
-// virtual time, used for the one-time capability probe.
-func (p *Peer) blobEncode(body *xmltree.Node, to string, at time.Duration) *xmltree.Node {
-	if p.blobs == nil {
-		return body
+// blobRef is the payload-reference policy for a plan or result bound for
+// `to` (algebra.EncodeFrameRefs): nil without a store, so the plan is staged
+// plain; otherwise a func naming each payload the receiver provably holds by
+// its fingerprint, and teaching the rest as they ship inline. Capability is
+// checked on the first payload worth a reference, so payload-free plans never
+// probe; at is the sender's virtual time, used for that one-time probe.
+func (p *Peer) blobRef(to string, at time.Duration) func(*xmltree.Node) (string, bool) {
+	b := p.blobs
+	if b == nil {
+		return nil
 	}
-	p.blobs.encode(p, body, to, at)
-	return body
+	checked, capable := false, false
+	return func(doc *xmltree.Node) (string, bool) {
+		if doc.ByteSize() < blobMinBytes {
+			return "", false
+		}
+		if !checked {
+			checked, capable = true, b.ensureCapable(p, to, at)
+		}
+		if !capable {
+			return "", false
+		}
+		fp, size := blobstore.Fingerprint(doc)
+		// Teaching pins doc, and the store freezes what it pins: a caller's
+		// mutable payload is taught as a copy (Share), never frozen under it.
+		if !b.teach(to, fp, doc.Share()) {
+			// First exchange of these bytes with `to`: ship inline, so the
+			// receiver can intern them. Next time they go by reference.
+			return "", false
+		}
+		b.mu.Lock()
+		b.stats.ByRefSent++
+		b.stats.ByRefBytes += int64(size)
+		b.mu.Unlock()
+		return fp.String(), true
+	}
 }
 
 // ensureCapable reports whether `to` is known blob-capable, probing once
@@ -222,34 +245,6 @@ func (b *blobState) ensureCapable(p *Peer, to string, at time.Duration) bool {
 	b.capable[to] = true
 	b.mu.Unlock()
 	return true
-}
-
-func (b *blobState) encode(p *Peer, body *xmltree.Node, to string, at time.Duration) {
-	// Capability is checked lazily, on the first payload worth
-	// substituting: payload-free bodies never probe.
-	checked, capable := false, false
-	algebra.SubstituteBlobs(body, func(doc *xmltree.Node) (string, bool) {
-		if doc.ByteSize() < blobMinBytes {
-			return "", false
-		}
-		fp, size := blobstore.Fingerprint(doc)
-		if !checked {
-			checked, capable = true, b.ensureCapable(p, to, at)
-		}
-		if !capable {
-			return "", false
-		}
-		if !b.teach(to, fp, doc) {
-			// First exchange of these bytes with `to`: ship inline, so the
-			// receiver can intern them. Next time they go by reference.
-			return "", false
-		}
-		b.mu.Lock()
-		b.stats.ByRefSent++
-		b.stats.ByRefBytes += int64(size)
-		b.mu.Unlock()
-		return fp.String(), true
-	})
 }
 
 // teach records that `to` is about to hold doc's bytes (we are sending them

@@ -14,6 +14,7 @@ import (
 	"repro/internal/namespace"
 	"repro/internal/provenance"
 	"repro/internal/simnet"
+	"repro/internal/xmltree"
 )
 
 var mineSeed = flag.Int64("mine-seed", 1, "seed of TestMineTrailEquivalence's random drive")
@@ -262,8 +263,8 @@ func TestMineTrailConcurrentWorkers(t *testing.T) {
 				plan := trailPlan(fmt.Sprintf("c%d-%d", s, i), p.addr,
 					bind(fmt.Sprintf("s%d:1", rng.Intn(6)), townURN(rng.Intn(40))),
 					bind(fmt.Sprintf("s%d:1", rng.Intn(6)), townURN(rng.Intn(40))))
-				if err := p.net.Send(&simnet.Message{From: "driver:1", To: p.addr, Kind: KindMQP,
-					Body: algebra.Marshal(plan), At: at}); err != nil {
+				if err := p.net.SendFrame(&simnet.Message{From: "driver:1", To: p.addr, Kind: KindMQP, At: at},
+					func(e *xmltree.FrameEncoder) { algebra.EncodeFrame(plan, e) }); err != nil {
 					t.Error(err)
 					return
 				}

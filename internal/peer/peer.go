@@ -82,10 +82,13 @@ type Result struct {
 }
 
 // Transport is what a peer asks of its network: a handler attached, a one-way
-// send, a request/reply call. *simnet.Network is one; NewTCP makes the other.
+// frame, a request/reply call. *simnet.Network is one; NewTCP makes the other.
+// SendFrame ships the document stage writes to msg.To; msg is the envelope
+// (From, To, Kind, At, Hops) and its Body is not read. Every plan and result a
+// peer sends is staged by frame, every registration by its document.
 type Transport interface {
 	Add(simnet.Peer)
-	Send(*simnet.Message) error
+	SendFrame(msg *simnet.Message, stage func(*xmltree.FrameEncoder)) error
 	Request(from, to, kind string, body *xmltree.Node, at time.Duration) (*xmltree.Node, time.Duration, error)
 }
 
@@ -396,10 +399,9 @@ func (p *Peer) registerWith(addr string, role catalog.Role, at time.Duration, su
 	reg := p.Registration(role)
 	reg.Statements = stmts
 	reg.Supersedes = supersedes
-	if err := p.net.Send(&simnet.Message{
-		From: p.addr, To: addr, Kind: KindRegister,
-		Body: p.blobMark(catalog.MarshalRegistration(reg)), At: at,
-	}); err != nil {
+	body := p.blobMark(catalog.MarshalRegistration(reg))
+	if err := p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindRegister, At: at},
+		func(e *xmltree.FrameEncoder) { e.Node(body) }); err != nil {
 		return err
 	}
 	return p.cat.Register(catalog.Registration{
@@ -413,11 +415,9 @@ func (p *Peer) registerWith(addr string, role catalog.Role, at time.Duration, su
 // the graceful counterpart of the crash-and-supersede path. The local
 // catalog also forgets addr as a cached index server.
 func (p *Peer) DeregisterFrom(addr string, at time.Duration) error {
-	body := xmltree.Elem("deregister")
-	body.SetAttr("addr", p.addr)
-	if err := p.net.Send(&simnet.Message{
-		From: p.addr, To: addr, Kind: KindDeregister, Body: p.blobMark(body), At: at,
-	}); err != nil {
+	body := p.blobMark(xmltree.ElemAttrs("deregister", xmltree.Attr{Name: "addr", Value: p.addr}))
+	if err := p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindDeregister, At: at},
+		func(e *xmltree.FrameEncoder) { e.Node(body) }); err != nil {
 		return err
 	}
 	p.cat.Deregister(addr)
@@ -664,7 +664,8 @@ func (p *Peer) noteStuck(err error) error {
 
 // Submit sends a plan to the server at addr for evaluation. The plan's
 // target should be this peer's address (or another peer expecting the
-// result).
+// result). The submission leaves at virtual time zero, whatever this peer
+// has processed since.
 func (p *Peer) Submit(addr string, plan *algebra.Plan) error {
 	return p.SubmitCtx(context.Background(), addr, plan)
 }
@@ -678,10 +679,16 @@ func (p *Peer) SubmitCtx(ctx context.Context, addr string, plan *algebra.Plan) e
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("peer %s: submit plan %q: %w", p.addr, plan.ID, err)
 	}
-	return p.net.Send(&simnet.Message{
-		From: p.addr, To: addr, Kind: KindMQP,
-		Body: p.blobEncode(algebra.Marshal(plan), addr, p.virtualNow()),
-	})
+	return p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindMQP},
+		p.frame(plan, addr, p.virtualNow()))
+}
+
+// frame is the one door from a plan to the wire: it stages plan, bound for
+// `to`, with the payloads `to` provably holds as references (blobRef; at is
+// the sender's virtual time). Plans, results and partials all leave through
+// it.
+func (p *Peer) frame(plan *algebra.Plan, to string, at time.Duration) func(*xmltree.FrameEncoder) {
+	return func(e *xmltree.FrameEncoder) { algebra.EncodeFrameRefs(plan, e, p.blobRef(to, at)) }
 }
 
 // --- simnet.Peer implementation ---------------------------------------
@@ -784,20 +791,9 @@ func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
 				result.SetPartialReason("canceled")
 			}
 		}
-		body := p.blobEncode(algebra.Marshal(result), result.Target, at)
-		if p.rt != nil {
-			// The concurrent runtime ships results frozen: a result is final,
-			// freezing makes that explicit, and a frozen document crosses an
-			// in-process link as an immutable alias (see simnet.encodeBody)
-			// instead of a serialize+decode round trip. Synchronous peers
-			// keep the mutable marshal so the deterministic harnesses drive
-			// the full wire codec on every delivery.
-			body.Freeze()
-		}
-		err := p.net.Send(&simnet.Message{
-			From: p.addr, To: result.Target, Kind: KindResult,
-			Body: body, At: at, Hops: msg.Hops,
-		})
+		err := p.net.SendFrame(&simnet.Message{
+			From: p.addr, To: result.Target, Kind: KindResult, At: at, Hops: msg.Hops,
+		}, p.frame(result, result.Target, at))
 		if err != nil {
 			// The answer exists but its owner is unreachable: surface the
 			// plan as stuck here so it does not vanish silently.
@@ -807,25 +803,14 @@ func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
 		return nil
 	}
 	// Fault tolerance (§1): try forwarding candidates in preference order;
-	// an unreachable next hop falls through to the next candidate. The plan
-	// is marshaled once and the same document offered to each candidate;
-	// this relies on receivers never mutating msg.Body (Unmarshal
-	// freeze-and-aliases whatever it keeps). In blob mode the substitution
-	// is per-receiver (it depends on what each candidate was taught), so
-	// each candidate gets its own staging tree instead of the shared one.
-	body := algebra.Marshal(plan)
+	// an unreachable next hop falls through to the next candidate. Each
+	// candidate gets its own frame: with a payload store, which payloads go
+	// by reference depends on what that candidate was taught.
 	var lastErr error
-	for i, hop := range out.NextHops {
-		if p.blobs != nil {
-			if i > 0 {
-				body = algebra.Marshal(plan)
-			}
-			p.blobEncode(body, hop, at)
-		}
-		err := p.net.Send(&simnet.Message{
-			From: p.addr, To: hop, Kind: KindMQP,
-			Body: body, At: at, Hops: msg.Hops,
-		})
+	for _, hop := range out.NextHops {
+		err := p.net.SendFrame(&simnet.Message{
+			From: p.addr, To: hop, Kind: KindMQP, At: at, Hops: msg.Hops,
+		}, p.frame(plan, hop, at))
 		if err == nil {
 			return nil
 		}
@@ -856,10 +841,9 @@ func (p *Peer) rejectMQP(msg *simnet.Message, reason string) error {
 	}
 	res := route.Partial(plan)
 	res.SetPartialReason(reason)
-	if err := p.net.Send(&simnet.Message{
-		From: p.addr, To: res.Target, Kind: KindResult,
-		Body: p.blobEncode(algebra.Marshal(res), res.Target, msg.At), At: msg.At, Hops: msg.Hops,
-	}); err != nil {
+	if err := p.net.SendFrame(&simnet.Message{
+		From: p.addr, To: res.Target, Kind: KindResult, At: msg.At, Hops: msg.Hops,
+	}, p.frame(res, res.Target, msg.At)); err != nil {
 		return p.noteStuck(fmt.Errorf("peer %s: %s partial for plan %q undeliverable to %s: %w",
 			p.addr, reason, plan.ID, plan.Target, err))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -176,6 +177,31 @@ func TestClientRoutesViaMetaIndex(t *testing.T) {
 	got, _ := res.Plan.Results()
 	if len(got) != 1 || got[0].InnerText() != "3" {
 		t.Fatalf("count = %v", got)
+	}
+}
+
+// TestSubmitClockStartsAtZero pins a submission's clock: a plan leaves at
+// virtual time zero, however far this peer's own clock has moved. The client
+// submits the Fig. 3 plan to itself twice, processing the first before the
+// second goes out, and both results must arrive at the same time.
+func TestSubmitClockStartsAtZero(t *testing.T) {
+	_, client, _ := cdWorld(t)
+	var at [2]time.Duration
+	for i := range at {
+		if err := client.Submit(client.Addr(), fig3Plan(client.Addr())); err != nil {
+			t.Fatal(err)
+		}
+		res, ok := client.TakeResult()
+		if !ok {
+			t.Fatalf("submission %d: no result", i)
+		}
+		at[i] = res.At
+		if client.virtualNow() == 0 {
+			t.Fatalf("submission %d: the client processed no plan, so its clock proves nothing", i)
+		}
+	}
+	if at[0] != at[1] {
+		t.Fatalf("results at %v and %v: the second submission left on the client's clock, not at zero", at[0], at[1])
 	}
 }
 

@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -299,7 +300,13 @@ func TestShedResultKeepsFetchDelay(t *testing.T) {
 
 	const at = 100 * time.Millisecond
 	res := algebra.NewPlan("shed-q", "o:1", algebra.Display(algebra.Data(payload)))
-	body := sender.blobEncode(algebra.Marshal(res), "o:1", at)
+	enc := xmltree.GetFrameEncoder()
+	sender.frame(res, "o:1", at)(enc)
+	body, err := xmltree.DecodeString(enc.String())
+	enc.Release()
+	if err != nil || !algebra.Marked(body) || !strings.Contains(body.String(), "<blob ") {
+		t.Fatalf("sender staged %v (%v), want a marked frame carrying the payload by reference", body, err)
+	}
 	if err := owner.Deliver(net, &simnet.Message{From: "s:1", To: "o:1", Kind: KindMQP, Body: body, At: at}); err != nil {
 		t.Fatal(err)
 	}

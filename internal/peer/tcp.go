@@ -16,9 +16,10 @@ import (
 // Listen has run, a wire.Server inbound, whose Addr and Errors (accept and
 // link errors, hostile frames, every error the peer's Deliver or Serve
 // returned) are this transport's. A frame's document name is its message kind,
-// and a result travels as the <mqp> it is, addressed to its target. A link has
-// no virtual clock and names no sender: a message's At, Hops and From are zero,
-// so a payload store, which answers to From (blob.go), is not usable here yet.
+// and a result travels as the <mqp> it is, addressed to its target; each <mqp>
+// that arrives is logged as `plan <id>`. A link has no virtual clock and names
+// no sender: a message's At, Hops and From are zero, so a payload store, which
+// answers to From (blob.go), is not usable here yet.
 type TCP struct {
 	*wire.Server
 	pool *wire.LinkPool
@@ -52,21 +53,20 @@ func (t *TCP) handle(doc *xmltree.Node) (*xmltree.Node, error) {
 	p := *pp
 	msg := &simnet.Message{To: p.Addr(), Kind: doc.Name, Body: doc}
 	switch doc.Name {
+	case KindMQP:
+		log.Printf("plan %s", doc.AttrDefault("id", ""))
 	case "registration":
 		msg.Kind = KindRegister
-		fallthrough
-	case KindMQP, KindDeregister:
-		return nil, p.Deliver(nil, msg)
+	case KindDeregister:
+	default:
+		return p.Serve(nil, msg) // which refuses a kind it does not know
 	}
-	return p.Serve(nil, msg) // which refuses a kind it does not know
+	return nil, p.Deliver(nil, msg)
 }
 
-// Send implements Transport, logging where each <mqp> goes.
-func (t *TCP) Send(msg *simnet.Message) error {
-	if msg.Body.Name == KindMQP {
-		log.Printf("plan %s -> %s", msg.Body.AttrDefault("id", ""), msg.To)
-	}
-	return linkErr(msg.To, t.pool.Send(msg.To, msg.Body))
+// SendFrame implements Transport: the frame leaves on the pooled link to msg.To.
+func (t *TCP) SendFrame(msg *simnet.Message, stage func(*xmltree.FrameEncoder)) error {
+	return linkErr(msg.To, t.pool.SendFrame(msg.To, stage))
 }
 
 // Request implements Transport over the link's correlated call.

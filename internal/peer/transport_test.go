@@ -3,10 +3,12 @@ package peer
 import (
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -338,6 +340,68 @@ func TestFallbackOnBothTransports(t *testing.T) {
 	}
 }
 
+// syncBuffer is a log destination handlers on several goroutines may write.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestTCPLogsPlansOnArrival: over TCP a peer logs one `plan <id>` line per
+// <mqp> frame it receives — the submission, each forward, the result — and
+// none for a registration.
+func TestTCPLogsPlansOnArrival(t *testing.T) {
+	var logged syncBuffer
+	defer log.SetOutput(log.Writer())
+	defer log.SetFlags(log.Flags())
+	log.SetOutput(&logged)
+	log.SetFlags(0)
+
+	w := world{t, fabrics()[1], testNS()}
+	pdxCDs := w.ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
+	usa := w.ns.MustParseArea("[USA, *]")
+	meta := w.peer("M", Config{PushSelect: true, Area: usa, Authoritative: true})
+	s1 := w.peer("s1", Config{PushSelect: true, Area: pdxCDs})
+	s1.AddCollection(Collection{Name: "cds", PathExp: "/data[id=1]", Area: pdxCDs, Items: items(
+		`<sale><cd>Blue Train</cd><price>8</price></sale>`)})
+	gen := meta.Catalog().Generation()
+	if err := s1.RegisterWith(meta.Addr(), catalog.RoleBase); err != nil {
+		t.Fatal(err)
+	}
+	heard(t, meta.Catalog(), gen)
+	if got := logged.String(); got != "" {
+		t.Fatalf("a registration logged %q", got)
+	}
+
+	client := w.peer("client", Config{})
+	if err := client.Catalog().Register(catalog.Registration{
+		Addr: meta.Addr(), Role: catalog.RoleMetaIndex, Area: usa, Authoritative: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	plan := algebra.NewPlan("logged-q", client.Addr(), algebra.Display(
+		algebra.Count(algebra.URN(namespace.EncodeURN(pdxCDs)))))
+	if err := client.Submit(client.Addr(), plan); err != nil {
+		t.Fatal(err)
+	}
+	awaitResult(t, client)
+	// client → client (the submission), → M, → s1, and the result → client.
+	if got, want := logged.String(), strings.Repeat("plan logged-q\n", 4); got != want {
+		t.Fatalf("logged %q, want %q", got, want)
+	}
+}
+
 // TestTCPHostileFrames: a frame before the peer is attached, a document of
 // no known kind and an <mqp> that is not a plan are each one error on
 // Errors(), and the peer answers the next query.
@@ -347,7 +411,7 @@ func TestTCPHostileFrames(t *testing.T) {
 	defer pool.Close()
 	oneError := func(doc *xmltree.Node, want string) {
 		t.Helper()
-		if err := pool.Send(tcp.Addr(), doc); err != nil {
+		if err := pool.SendFrame(tcp.Addr(), func(e *xmltree.FrameEncoder) { e.Node(doc) }); err != nil {
 			t.Fatal(err)
 		}
 		select {

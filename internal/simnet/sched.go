@@ -178,8 +178,9 @@ func (n *Network) ScheduleFunc(at time.Duration, fn func()) {
 
 // SetTraceKey names trace records: each delivered, dropped or lost message's
 // TraceRec carries key(msg) (a chaos harness keys by plan id). key sees the
-// message as the scheduler holds it; a dropped request's placeholder has a
-// nil Body. Set it right after UseScheduler, before any traffic.
+// message as the scheduler holds it, whose Body is the document the receiver
+// gets (a sent frame decoded); a dropped request's placeholder has a nil
+// Body. Set it right after UseScheduler, before any traffic.
 func (n *Network) SetTraceKey(key func(*Message) string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -237,10 +238,10 @@ func (s *scheduler) jitterLocked(window time.Duration) time.Duration {
 }
 
 // enqueueSendLocked applies send-side faults and enqueues the delivery.
-// Reachability (down peers, partitions) was already checked by Send, which
-// also ran the body through the wire codec: wireBody is the decoded frame
-// the destination (and a duplicated delivery) will see. A drop is recorded
-// here, at send time, keyed from the message as sent.
+// Reachability (down peers, partitions) was already checked by send, and
+// wireBody is the document the destination (and a duplicated delivery) will
+// see: the decoded frame, or a frozen body's alias. A drop is recorded here,
+// at send time, keyed from the envelope as sent with wireBody as its body.
 func (s *scheduler) enqueueSendLocked(n *Network, msg *Message, wireBody *xmltree.Node, transit time.Duration, size int) error {
 	f := s.faultsLocked(msg.From, msg.To)
 	window := f.ReorderWindow
@@ -249,7 +250,9 @@ func (s *scheduler) enqueueSendLocked(n *Network, msg *Message, wireBody *xmltre
 	}
 	n.account([2]string{msg.From, msg.To}, msg.Kind, size, false)
 	if f.Drop > 0 && s.rng.Float64() < f.Drop {
-		s.recordLocked(&s.trace.Dropped, msg)
+		s.recordLocked(&s.trace.Dropped, &Message{
+			From: msg.From, To: msg.To, Kind: msg.Kind, Body: wireBody, At: msg.At,
+		})
 		return nil
 	}
 	at := msg.At + transit

@@ -62,9 +62,9 @@ type Peer interface {
 }
 
 // Metrics accumulates network-wide counters. All byte counts are canonical
-// XML sizes (xmltree's memoized ByteSize — no document is re-serialized to
-// price a message) plus the per-frame mux header, plus a one-time setup
-// charge per ordered link (see LinksOpened).
+// XML sizes (a staged frame's length, or a body's memoized ByteSize — no
+// document is serialized just to price it) plus the per-frame mux header,
+// plus a one-time setup charge per ordered link (see LinksOpened).
 type Metrics struct {
 	Messages int64
 	Requests int64
@@ -289,13 +289,11 @@ func (n *Network) lookup(to string) (Peer, error) {
 	return p, nil
 }
 
-// wireSize is the accounted on-the-wire cost of one frame carrying body:
+// wireSize is the accounted on-the-wire cost of one frame carrying body, a
+// document that crosses by reference (a frozen body, a request, a reply):
 // the mux frame header plus the body's canonical size. ByteSize is memoized
-// on the node, so re-sending the same document (flooding, fan-out
-// registration) prices it once and hits the cache on every later hop; the
-// frozen payloads plans carry (data bundles, provenance) keep their memo
-// permanently, so pricing a forwarded plan re-walks only the thin mutable
-// shell around them.
+// on the node, so re-sending the same document prices it once. A staged
+// frame is priced by its length instead (SendFrame).
 func wireSize(body *xmltree.Node) int {
 	size := frameOverhead
 	if body != nil {
@@ -351,40 +349,6 @@ func (n *Network) severLink(from, to string) {
 // chain exceeds the forwarding-depth limit — almost always a routing loop.
 var ErrDepthExceeded = errors.New("forwarding depth limit exceeded; routing loop?")
 
-// encodeBody runs a message body through the real wire codec: canonical
-// serialization at the sender, zero-copy decode at the receiver's side of
-// the link. Every simulated delivery therefore exercises the exact decoder
-// the socket transport uses (and chaos sweeps and the experiment tables
-// inherit that coverage for free). The decoded document aliases the
-// serialized string and is frozen at birth — receivers alias what they
-// keep, per the xmltree ownership rule, exactly as with a real frame.
-//
-// The serialization happens outside the network lock (it is the analog of
-// writing to a socket), and canonical serialization is a decode fixpoint,
-// so delivered content is byte-identical to what inline reference passing
-// carried before.
-func encodeBody(kind string, body *xmltree.Node) (*xmltree.Node, error) {
-	if body == nil {
-		return nil, nil
-	}
-	if body.Frozen() {
-		// A frozen body is the codec's fixpoint already: it is immutable,
-		// its canonical serialization is memoized, and decoding that
-		// serialization reproduces the same document — so the receiver gets
-		// the alias directly and the link costs no codec work. This is the
-		// prepared-plan fast path: a client resubmitting a known query
-		// sends the frozen prototype it already has. Freshly marshaled
-		// (mutable) bodies — every forwarded plan, result, registration —
-		// still take the full serialize+decode round trip below.
-		return body, nil
-	}
-	decoded, err := xmltree.DecodeString(body.String())
-	if err != nil {
-		return nil, fmt.Errorf("simnet: %s body not wire-decodable: %w", kind, err)
-	}
-	return decoded, nil
-}
-
 // Send delivers a one-way message from msg.From to msg.To. In inline mode
 // the destination's Deliver runs before Send returns; in scheduled mode the
 // delivery is enqueued for the Run pump (and may be dropped, duplicated or
@@ -392,12 +356,52 @@ func encodeBody(kind string, body *xmltree.Node) (*xmltree.Node, error) {
 // msg.At plus link latency plus the processing delay, and Hops is
 // incremented.
 //
+// A mutable body crosses the link as SendFrame carries a frame. A frozen body
+// is the codec's fixpoint already — immutable, its canonical serialization
+// memoized, decoding that serialization reproduces it — so the receiver gets
+// the alias and the link costs no codec work: a client resubmitting a known
+// query sends the frozen prototype it already has.
+//
 // A down, unknown or partitioned-away destination fails with ErrUnreachable
 // at send time in both modes — the refused-connection analog the
 // fault-tolerance fallback in peers relies on. Faults injected after this
 // check (drops, crashes before delivery) are silent: the message is recorded
 // as dropped or lost in the scheduler trace, never reported to the sender.
 func (n *Network) Send(msg *Message) error {
+	if body := msg.Body; body != nil && !body.Frozen() {
+		return n.SendFrame(msg, func(e *xmltree.FrameEncoder) { e.Node(body) })
+	}
+	return n.send(msg, msg.Body, wireSize(msg.Body))
+}
+
+// SendFrame is Send for the document stage writes, carried the way a socket
+// carries it: staged once into one string at the sender, then decoded with
+// the zero-copy decoder on the receiver's side of the link, so every
+// simulated delivery exercises the decoder the TCP transport uses (and chaos
+// sweeps and the experiment tables inherit that coverage). The decoded
+// document aliases the string and is born frozen — receivers alias what they
+// keep, per the xmltree ownership rule, exactly as with a real frame. msg is
+// the envelope; its Body is not read.
+//
+// Staging runs first, outside every lock, before the destination is looked
+// up: it is the analog of the sender writing its frame, and whatever stage
+// does on the way (a payload store's capability probe) happens whether the
+// send then succeeds or not.
+func (n *Network) SendFrame(msg *Message, stage func(*xmltree.FrameEncoder)) error {
+	enc := xmltree.GetFrameEncoder()
+	stage(enc)
+	frame := enc.String()
+	enc.Release()
+	body, err := xmltree.DecodeString(frame)
+	if err != nil {
+		return fmt.Errorf("simnet: %s body not wire-decodable: %w", msg.Kind, err)
+	}
+	return n.send(msg, body, frameOverhead+len(frame))
+}
+
+// send routes msg's envelope with body, the document the receiver sees, priced
+// at size bytes.
+func (n *Network) send(msg *Message, body *xmltree.Node, size int) error {
 	n.mu.Lock()
 	maxDepth := n.maxDepth
 	n.mu.Unlock()
@@ -406,14 +410,6 @@ func (n *Network) Send(msg *Message) error {
 			msg.Kind, msg.From, msg.To, msg.Hops, ErrDepthExceeded)
 	}
 	p, err := n.lookup(msg.To)
-	if err != nil {
-		return err
-	}
-	size := wireSize(msg.Body)
-	// The body crosses the link through the real codec (serialize, then
-	// zero-copy decode); msg itself is not mutated — the caller may offer
-	// the same body to several fallback candidates.
-	wireBody, err := encodeBody(msg.Kind, msg.Body)
 	if err != nil {
 		return err
 	}
@@ -428,7 +424,7 @@ func (n *Network) Send(msg *Message) error {
 	lat := n.latency(msg.From, msg.To)
 	proc := n.procDelay
 	if s := n.sched; s != nil {
-		err := s.enqueueSendLocked(n, msg, wireBody, lat+proc, size)
+		err := s.enqueueSendLocked(n, msg, body, lat+proc, size)
 		n.mu.Unlock()
 		return err
 	}
@@ -439,7 +435,7 @@ func (n *Network) Send(msg *Message) error {
 		From: msg.From,
 		To:   msg.To,
 		Kind: msg.Kind,
-		Body: wireBody,
+		Body: body,
 		At:   msg.At + lat + proc,
 		Hops: msg.Hops + 1,
 	}

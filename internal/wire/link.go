@@ -356,11 +356,6 @@ func (p *LinkPool) SendFrame(addr string, fill func(*xmltree.FrameEncoder)) erro
 	return p.withLink(addr, func(l *Link) error { return l.send(0, enc) })
 }
 
-// Send streams one fire-and-forget document to addr over the pooled link.
-func (p *LinkPool) Send(addr string, doc *xmltree.Node) error {
-	return p.SendFrame(addr, func(e *xmltree.FrameEncoder) { e.Node(doc) })
-}
-
 // Call streams one document to addr and waits for the correlated reply,
 // returning it with its retained frame buffer (see ReadFrame for the
 // ownership rule). A zero-length reply reports a remote handler failure as

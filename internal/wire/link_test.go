@@ -119,7 +119,7 @@ func TestLinkFireAndForgetAndLegacyCoexist(t *testing.T) {
 	const frames = 10
 	for i := 0; i < frames; i++ {
 		doc := xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: fmt.Sprintf("f%d", i)})
-		if err := pool.Send(srv.Addr(), doc); err != nil {
+		if err := pool.SendFrame(srv.Addr(), node(doc)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestLinkBrokenRedial(t *testing.T) {
 	pool := NewLinkPool()
 	defer pool.Close()
 
-	if err := pool.Send(addr, xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"})); err != nil {
+	if err := pool.SendFrame(addr, node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"}))); err != nil {
 		t.Fatal(err)
 	}
 	<-got
@@ -179,7 +179,7 @@ func TestLinkBrokenRedial(t *testing.T) {
 	go srv2.loop(h)
 	defer srv2.Close()
 
-	if err := pool.Send(addr, xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"})); err != nil {
+	if err := pool.SendFrame(addr, node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"}))); err != nil {
 		t.Fatalf("send after peer restart: %v", err)
 	}
 	select {
@@ -235,7 +235,7 @@ func TestLinkIdleReapReestablish(t *testing.T) {
 	pool := NewLinkPool()
 	defer pool.Close()
 
-	if err := pool.Send(srv.Addr(), xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"})); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"}))); err != nil {
 		t.Fatal(err)
 	}
 	<-got
@@ -248,7 +248,7 @@ func TestLinkIdleReapReestablish(t *testing.T) {
 	if left != 0 {
 		t.Fatalf("%d links survive reaping", left)
 	}
-	if err := pool.Send(srv.Addr(), xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"})); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"}))); err != nil {
 		t.Fatalf("send after reap: %v", err)
 	}
 	<-got
@@ -268,19 +268,19 @@ func TestLinkOversizeFramePoisonsFrameOnly(t *testing.T) {
 	pool := NewLinkPool()
 	defer pool.Close()
 
-	if err := pool.Send(srv.Addr(), xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"})); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"}))); err != nil {
 		t.Fatal(err)
 	}
 	<-got
 
 	huge := xmltree.Elem("mqp", xmltree.ElemText("t", strings.Repeat("x", MaxFrameBytes+1)))
-	if err := pool.Send(srv.Addr(), huge); err == nil {
+	if err := pool.SendFrame(srv.Addr(), node(huge)); err == nil {
 		t.Fatal("oversized frame accepted")
 	} else if !strings.Contains(err.Error(), "frame limit") {
 		t.Fatalf("unexpected oversize error: %v", err)
 	}
 
-	if err := pool.Send(srv.Addr(), xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"})); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"}))); err != nil {
 		t.Fatalf("send after oversized frame: %v", err)
 	}
 	<-got
@@ -307,14 +307,14 @@ func TestLinkWriteDeadlinePerFrame(t *testing.T) {
 	pool := NewLinkPool()
 	defer pool.Close()
 
-	if err := pool.Send(srv.Addr(), xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"})); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"}))); err != nil {
 		t.Fatal(err)
 	}
 	<-got
 	// Outlive the deadline that was armed for the first frame; the next
 	// frame must re-arm rather than inherit an expired deadline.
 	time.Sleep(WriteTimeout + 200*time.Millisecond)
-	if err := pool.Send(srv.Addr(), xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"})); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"}))); err != nil {
 		t.Fatalf("send on aged link hit a stale deadline: %v", err)
 	}
 	<-got
@@ -437,7 +437,7 @@ func TestLinkHandshakeStallIsOneDial(t *testing.T) {
 	// everything queued ahead of the sentinel is the pool's.
 	pool := NewLinkPool()
 	defer pool.Close()
-	err = pool.Send(ln.Addr().String(), xmltree.Elem("x"))
+	err = pool.SendFrame(ln.Addr().String(), node(xmltree.Elem("x")))
 	if !errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), "link handshake to "+ln.Addr().String()) {
 		t.Fatalf("send to a stalled handshake = %v, want the handshake's deadline error", err)
 	}

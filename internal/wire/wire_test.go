@@ -13,6 +13,11 @@ import (
 	"repro/internal/xmltree"
 )
 
+// node stages doc as one frame.
+func node(doc *xmltree.Node) func(*xmltree.FrameEncoder) {
+	return func(e *xmltree.FrameEncoder) { e.Node(doc) }
+}
+
 func TestSendReceive(t *testing.T) {
 	got := make(chan *xmltree.Node, 1)
 	srv, err := Listen("127.0.0.1:0", func(doc *xmltree.Node) (*xmltree.Node, error) {
@@ -27,7 +32,7 @@ func TestSendReceive(t *testing.T) {
 	pool := NewLinkPool()
 	defer pool.Close()
 	want := xmltree.MustParse(`<hello who="world"/>`)
-	if err := pool.Send(srv.Addr(), want); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(want)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -43,7 +48,7 @@ func TestSendReceive(t *testing.T) {
 func TestSendToNowhere(t *testing.T) {
 	pool := NewLinkPool()
 	defer pool.Close()
-	if err := pool.Send("127.0.0.1:1", xmltree.Elem("x")); err == nil {
+	if err := pool.SendFrame("127.0.0.1:1", node(xmltree.Elem("x"))); err == nil {
 		t.Fatal("dial to closed port must error")
 	}
 }
@@ -58,7 +63,7 @@ func TestHandlerErrorReported(t *testing.T) {
 	defer srv.Close()
 	pool := NewLinkPool()
 	defer pool.Close()
-	if err := pool.Send(srv.Addr(), xmltree.Elem("x")); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(xmltree.Elem("x"))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -105,7 +110,7 @@ func TestRealTCPRegistration(t *testing.T) {
 	}
 	pool := NewLinkPool()
 	defer pool.Close()
-	if err := pool.Send(srv.Addr(), catalog.MarshalRegistration(reg)); err != nil {
+	if err := pool.SendFrame(srv.Addr(), node(catalog.MarshalRegistration(reg))); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"io"
 	"sync"
 	"testing"
 )
@@ -114,8 +113,8 @@ func TestCloneShallowCOWAppend(t *testing.T) {
 }
 
 // TestFrozenConcurrentReads exercises the advertised contract that a frozen
-// subtree needs no synchronization: String, WriteTo, ByteSize and Share from
-// many goroutines. Meaningful under -race (make ci).
+// subtree needs no synchronization: String, a FrameEncoder's staging,
+// ByteSize and Share from many goroutines. Meaningful under -race (make ci).
 func TestFrozenConcurrentReads(t *testing.T) {
 	f := freezeFixture().Freeze()
 	want := f.ByteSize()
@@ -131,9 +130,12 @@ func TestFrozenConcurrentReads(t *testing.T) {
 				if len(f.String()) != want {
 					panic("string mismatch")
 				}
-				if n, _ := f.WriteTo(io.Discard); int(n) != want {
-					panic("write mismatch")
+				enc := GetFrameEncoder()
+				enc.Node(f)
+				if enc.Len() != want {
+					panic("staged size mismatch")
 				}
+				enc.Release()
 				// A fresh document aliasing the frozen subtree sizes itself
 				// by reading the frozen memos.
 				doc := Elem("wrap", f.Share())

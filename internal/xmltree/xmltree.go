@@ -45,7 +45,6 @@ package xmltree
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -399,23 +398,9 @@ func MustParse(s string) *Node {
 	return n
 }
 
-// bufPool recycles serialization buffers across String/WriteTo calls; the
-// wire layer serializes on every simulated message, so per-call buffer
-// growth dominated the allocation profile before pooling.
+// bufPool recycles serialization buffers across String and Freeze calls, so
+// serializing a document does not grow a fresh buffer each time.
 var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-// WriteTo serializes the node as canonical XML: attributes sorted by name,
-// no insignificant whitespace. The document is staged in a pooled buffer and
-// handed to w in a single Write (one syscall on a real socket). It returns
-// the number of bytes written.
-func (n *Node) WriteTo(w io.Writer) (int64, error) {
-	b := bufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	n.appendTo(b)
-	m, err := w.Write(b.Bytes())
-	bufPool.Put(b)
-	return int64(m), err
-}
 
 // appendTo writes the canonical serialization into b.
 func (n *Node) appendTo(b *bytes.Buffer) {
