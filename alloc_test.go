@@ -60,6 +60,10 @@ const (
 	// identical-frame cache hit) and hands the message to a peer that
 	// discards it. Measured: 8 allocs.
 	sendFrameAllocBudget = 10
+	// freezeAllocBudget bounds freezing serializeDoc's mutable 40-item
+	// payload: one size-and-mark walk, then the serialization memo built in
+	// a buffer of exactly that size. Measured: 1 alloc, the memo string.
+	freezeAllocBudget = 2
 )
 
 func planFixtureForAllocs(t *testing.T) (*algebra.Plan, []byte, string) {
@@ -238,5 +242,21 @@ func TestSendFrameAllocBudget(t *testing.T) {
 	send() // open the link, prime the frame cache
 	if allocs := testing.AllocsPerRun(20, send); allocs > sendFrameAllocBudget {
 		t.Fatalf("simnet.SendFrame allocates %.0f/op; budget is %d", allocs, sendFrameAllocBudget)
+	}
+}
+
+func TestFreezeAllocBudget(t *testing.T) {
+	const runs = 20
+	docs := make([]*xmltree.Node, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range docs {
+		docs[i] = serializeDoc()
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		docs[next].Freeze()
+		next++
+	})
+	if allocs > freezeAllocBudget {
+		t.Fatalf("freeze allocates %.0f/op; budget is %d", allocs, freezeAllocBudget)
 	}
 }

@@ -174,15 +174,23 @@ func BenchmarkCanonicalSerialize(b *testing.B) {
 	}
 }
 
+// BenchmarkByteSize sizes the serializeDoc payload frozen (the memo answers)
+// and mutable (one arithmetic walk; a mutable tree memoizes nothing).
 func BenchmarkByteSize(b *testing.B) {
-	doc := serializeDoc()
-	want := len(doc.String())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if doc.ByteSize() != want {
-			b.Fatal("size mismatch")
-		}
+	for _, tc := range []struct {
+		name string
+		doc  *xmltree.Node
+	}{{"frozen", serializeDoc().Freeze()}, {"mutable", serializeDoc()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			want := len(tc.doc.String())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if tc.doc.ByteSize() != want {
+					b.Fatal("size mismatch")
+				}
+			}
+		})
 	}
 }
 

@@ -507,8 +507,8 @@ func fingerprintNode(h uint64, m *Node) uint64 {
 	}
 	h = fnvInt(h, len(m.Docs))
 	for _, d := range m.Docs {
-		// ByteSize is memoized (permanently for the frozen payloads in
-		// flight), so digesting data payloads costs no serialization.
+		// ByteSize is arithmetic (and a memo read for the frozen payloads
+		// in flight), so digesting data payloads costs no serialization.
 		h = fnvInt(h, d.ByteSize())
 	}
 	h = fnvInt(h, len(m.Children))

@@ -294,14 +294,3 @@ func evalTopN(n *algebra.Node) ([]*xmltree.Node, error) {
 	}
 	return items, nil
 }
-
-// ResultBytes returns the total canonical-XML byte size of a collection —
-// the "size of partial results" quantity the paper's MQP optimization
-// discussion centers on (§2).
-func ResultBytes(items []*xmltree.Node) int {
-	total := 0
-	for _, it := range items {
-		total += it.ByteSize()
-	}
-	return total
-}

@@ -292,14 +292,6 @@ func TestDisplayPassThrough(t *testing.T) {
 	}
 }
 
-func TestResultBytes(t *testing.T) {
-	is := items(`<i>1</i>`, `<i>22</i>`)
-	want := is[0].ByteSize() + is[1].ByteSize()
-	if got := ResultBytes(is); got != want {
-		t.Fatalf("ResultBytes = %d, want %d", got, want)
-	}
-}
-
 // Property: select(p) ∪ select(not p) is a permutation-free partition of the
 // input (here: sizes add up and each item appears on exactly one side).
 func TestPropertySelectPartition(t *testing.T) {

@@ -291,9 +291,8 @@ func (n *Network) lookup(to string) (Peer, error) {
 
 // wireSize is the accounted on-the-wire cost of one frame carrying body, a
 // document that crosses by reference (a frozen body, a request, a reply):
-// the mux frame header plus the body's canonical size. ByteSize is memoized
-// on the node, so re-sending the same document prices it once. A staged
-// frame is priced by its length instead (SendFrame).
+// the mux frame header plus the body's canonical size, a memo read when the
+// body is frozen. A staged frame is priced by its length instead (SendFrame).
 func wireSize(body *xmltree.Node) int {
 	size := frameOverhead
 	if body != nil {

@@ -4,9 +4,9 @@
 // buffer: element and attribute names are interned in a package-level table,
 // and text runs and attribute values that need no unescaping alias the input
 // instead of being copied. The produced subtree is **born frozen** — every
-// node's canonical byte size is computed incrementally as its element closes
-// and its memo generation is pinned to the frozen sentinel — so decoder
-// output obeys the package ownership rule with no post-parse Freeze walk.
+// node's canonical byte size is computed incrementally as its element closes,
+// and the node is marked frozen — so decoder output obeys the package
+// ownership rule with no post-parse Freeze walk.
 //
 // Ownership: because decoded nodes alias the input, the buffer handed to
 // Decode (or the string handed to DecodeString) must stay immutable for the
@@ -873,7 +873,7 @@ func (d *decoder) finishSpan(n *Node, start, size int, clean bool) {
 	} else {
 		size += len("></>") + len(n.Name)
 	}
-	n.memoSize, n.memoGen = size, frozenGen
+	n.memoSize, n.frozen = size, true
 	if clean && size == d.pos-start {
 		n.memoStr = d.s[start:d.pos]
 	}
@@ -915,7 +915,7 @@ func (d *decoder) addText(text string) {
 	n := d.kidStk[k-1]
 	if !n.IsText() {
 		n = d.newNode()
-		n.memoGen = frozenGen
+		n.frozen = true
 		d.kidStk = append(d.kidStk, n)
 	}
 	n.Text += text

@@ -5,7 +5,9 @@
 // subtrees whose canonical bytes are already memoized (Freeze, or the
 // decoder's clean-span memo) contribute their memoStr as a zero-copy segment;
 // only live markup — mutable shells, attribute escaping, element framing —
-// is materialized, into stable pooled scratch chunks. The whole frame then
+// is materialized, into stable pooled scratch chunks, through the same append
+// primitives String and Freeze use (appendAttrs, appendEscaped), so the two
+// outputs cannot drift apart. The whole frame then
 // reaches the socket as one vectored write, so forwarding a plan whose
 // payloads crossed the wire before costs the kernel a gather over bytes the
 // encoder never touched.
@@ -132,118 +134,56 @@ func (e *FrameEncoder) Text(s string) { e.escaped(s, false) }
 
 // Attr appends one canonical attribute: space, name, ="escaped value".
 func (e *FrameEncoder) Attr(name, value string) {
-	e.grow(len(name) + len(value) + 4)
-	e.cur = append(e.cur, ' ')
-	e.cur = append(e.cur, name...)
-	e.cur = append(e.cur, '=', '"')
-	e.n += len(name) + 3
-	e.escaped(value, true)
-	e.RawByte('"')
+	e.attrs([]Attr{{Name: name, Value: value}})
 }
 
-// escaped mirrors appendEscaped over the chunked scratch.
+// attrs appends attributes in canonical order through appendAttrs.
+func (e *FrameEncoder) attrs(a []Attr) {
+	size := attrsSize(a)
+	e.grow(size)
+	e.cur = appendAttrs(e.cur, a)
+	e.n += size
+}
+
+// escaped appends s through appendEscaped, or as a plain copy when
+// escapeExtra (which grow needs anyway) found nothing to escape.
 func (e *FrameEncoder) escaped(s string, quot bool) {
 	extra := escapeExtra(s, quot)
 	e.grow(len(s) + extra)
 	if extra == 0 {
 		e.cur = append(e.cur, s...)
-		e.n += len(s)
-		return
+	} else {
+		e.cur = appendEscaped(e.cur, s, quot)
 	}
-	start := 0
-	for i := 0; i < len(s); i++ {
-		var esc string
-		switch s[i] {
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '\r':
-			esc = "&#xD;"
-		case '"':
-			if !quot {
-				continue
-			}
-			esc = "&quot;"
-		case '\t':
-			if !quot {
-				continue
-			}
-			esc = "&#x9;"
-		case '\n':
-			if !quot {
-				continue
-			}
-			esc = "&#xA;"
-		default:
-			continue
-		}
-		e.cur = append(e.cur, s[start:i]...)
-		e.cur = append(e.cur, esc...)
-		start = i + 1
-	}
-	e.cur = append(e.cur, s[start:]...)
 	e.n += len(s) + extra
 }
 
-// Node appends the canonical serialization of a subtree. A frozen node with
-// a memoized serialization becomes a zero-copy segment (or an inline copy
-// when it is small); everything else is walked live, exactly mirroring
-// appendTo.
+// Node appends the canonical serialization of a subtree: appendTo's output,
+// except that a memoized serialization larger than frameInlineMax becomes a
+// zero-copy segment instead of a copy.
 func (e *FrameEncoder) Node(n *Node) {
-	if n.memoStr != "" && n.memoGen == frozenGen {
-		if len(n.memoStr) <= frameInlineMax {
-			e.Raw(n.memoStr)
-			return
-		}
+	switch {
+	case len(n.memoStr) > frameInlineMax:
 		e.seal()
 		e.segs = append(e.segs, strBytes(n.memoStr))
 		e.n += len(n.memoStr)
 		return
-	}
-	if n.IsText() {
+	case n.memoStr != "":
+		e.Raw(n.memoStr)
+		return
+	case n.IsText():
 		e.escaped(n.Text, false)
 		return
 	}
 	e.RawByte('<')
 	e.Raw(n.Name)
-	switch {
-	case len(n.Attrs) <= 1 || attrsSorted(n.Attrs):
-		for _, a := range n.Attrs {
-			e.Attr(a.Name, a.Value)
-		}
-	case len(n.Attrs) <= 64:
-		// Sorted emission via min-scan with a bitmask, as appendTo does.
-		var emitted uint64
-		for range n.Attrs {
-			min := -1
-			for i, a := range n.Attrs {
-				if emitted&(1<<uint(i)) != 0 {
-					continue
-				}
-				if min < 0 || a.Name < n.Attrs[min].Name {
-					min = i
-				}
-			}
-			emitted |= 1 << uint(min)
-			e.Attr(n.Attrs[min].Name, n.Attrs[min].Value)
-		}
-	default:
-		// Large attribute lists never occur on the wire vocabulary; fall
-		// back to the staged serializer for exact byte parity.
-		e.Raw(n.String()[1+len(n.Name):])
-		return
-	}
+	e.attrs(n.Attrs)
 	if n.Text == "" && len(n.Children) == 0 {
 		e.Raw("/>")
 		return
 	}
 	e.RawByte('>')
-	if n.Text != "" {
-		e.escaped(n.Text, false)
-	}
+	e.escaped(n.Text, false)
 	for _, c := range n.Children {
 		e.Node(c)
 	}

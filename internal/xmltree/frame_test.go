@@ -2,12 +2,16 @@ package xmltree
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// frameDocs is a spread of document shapes: mutable shells, frozen payloads,
-// escaping in text and attributes, empty elements, deep nesting.
+// frameDocs is a spread of document shapes covering every branch of the
+// serializer: escaping in text and attributes (CR, tab and newline included),
+// empty elements, deep nesting, unsorted attribute lists on both sides of the
+// 64-attribute min-scan limit, and live markup on both sides of a large
+// memoized child and of a chunk boundary.
 var frameDocs = []string{
 	`<a/>`,
 	`<a b="1"/>`,
@@ -15,6 +19,22 @@ var frameDocs = []string{
 	`<mqp id="q1" target="h:9020"><plan><union><data><item><title>Disintegration</title><price>9.5</price></item></data>` +
 		`<url href="far:9020" path="/data[id=7]"/></union></plan><provenance algo="hmac-sha256"><visit at="1000" server="a:1" sig="AAAA"/></provenance></mqp>`,
 	`<r><a><b><c><d>deep</d></c></b></a></r>`,
+	`<a z="1" b="2" m="3"><c y="&gt;" x="&quot;"/></a>`,
+	`<w v="a&#xD;b&#x9;c&#xA;d&quot;e&gt;f">a&#xD;b&#x9;c&#xA;d"e&gt;f<x/>g&#xD;h&#x9;i&#xA;j"k&gt;</w>`,
+	manyAttrs(65),
+	`<shell a="1">` + strings.Repeat("x", 4000) + `<big>` + strings.Repeat(`<i k="v">y&amp;z</i>`, 40) + `</big>` +
+		strings.Repeat("w", 200) + `<tail/></shell>`,
+}
+
+// manyAttrs is an element carrying n attributes in reverse canonical order.
+func manyAttrs(n int) string {
+	var b strings.Builder
+	b.WriteString("<many")
+	for i := n - 1; i >= 0; i-- {
+		fmt.Fprintf(&b, ` a%02d="%d"`, i, i)
+	}
+	b.WriteString("/>")
+	return b.String()
 }
 
 func buildMutable(t *testing.T, s string) *Node {
@@ -26,24 +46,39 @@ func buildMutable(t *testing.T, s string) *Node {
 	return n
 }
 
-// TestFrameEncoderMatchesAppendTo is the frame-equivalence invariant at the
-// xmltree layer: for mutable, frozen, and decoder-born trees the streamed
-// bytes must equal the staged serialization exactly.
-func TestFrameEncoderMatchesAppendTo(t *testing.T) {
+// TestFrameEncoderMatchesString is the one-serializer invariant: for mutable,
+// frozen, decoder-born trees and mutable shells around frozen children, the
+// streamed bytes, String, ByteSize and the memo a fresh Freeze builds all
+// agree with the mutable tree's String.
+func TestFrameEncoderMatchesString(t *testing.T) {
 	for _, s := range frameDocs {
+		want := buildMutable(t, s).String()
+		shell := buildMutable(t, s)
+		for _, c := range shell.Children {
+			c.Freeze()
+		}
 		variants := map[string]*Node{
 			"mutable": buildMutable(t, s),
 			"frozen":  buildMutable(t, s).Freeze(),
+			"shell":   shell,
 		}
 		if d, err := DecodeString(s); err == nil {
 			variants["decoded"] = d
 		}
 		for kind, n := range variants {
-			want := n.String()
+			if got := n.String(); got != want {
+				t.Errorf("%s %q: String %q != %q", kind, s, got, want)
+			}
+			if got := n.ByteSize(); got != len(want) {
+				t.Errorf("%s %q: ByteSize %d != %d", kind, s, got, len(want))
+			}
+			if got, _ := n.Clone().Freeze().FrozenSerialization(); got != want {
+				t.Errorf("%s %q: frozen memo %q != %q", kind, s, got, want)
+			}
 			e := GetFrameEncoder()
 			e.Node(n)
 			if got := e.String(); got != want {
-				t.Errorf("%s %q: streamed %q != staged %q", kind, s, got, want)
+				t.Errorf("%s %q: streamed %q != %q", kind, s, got, want)
 			}
 			if e.Len() != len(want) {
 				t.Errorf("%s %q: Len %d != %d", kind, s, e.Len(), len(want))

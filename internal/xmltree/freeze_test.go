@@ -26,9 +26,9 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-func TestFreezeMemoizesAndSurvivesInvalidate(t *testing.T) {
+func TestFreezeMemoizesSizeAndSerialization(t *testing.T) {
 	n := freezeFixture()
-	want := len(n.String())
+	want := n.String()
 	n.Freeze()
 	if !n.Frozen() {
 		t.Fatal("Freeze did not mark the node frozen")
@@ -36,16 +36,14 @@ func TestFreezeMemoizesAndSurvivesInvalidate(t *testing.T) {
 	if !n.Children[0].Frozen() {
 		t.Fatal("Freeze did not reach descendants")
 	}
-	if got := n.ByteSize(); got != want {
-		t.Fatalf("frozen ByteSize = %d, want %d", got, want)
+	if got := n.ByteSize(); got != len(want) {
+		t.Fatalf("frozen ByteSize = %d, want %d", got, len(want))
 	}
-	// The frozen memo must outlive package-wide invalidation.
-	Invalidate()
-	if got := n.ByteSize(); got != want {
-		t.Fatalf("frozen ByteSize after Invalidate = %d, want %d", got, want)
+	if got, ok := n.FrozenSerialization(); !ok || got != want {
+		t.Fatalf("FrozenSerialization = %q, %v; want %q", got, ok, want)
 	}
-	if got := n.String(); len(got) != want {
-		t.Fatalf("frozen String length = %d, want %d", len(got), want)
+	if got := n.String(); got != want {
+		t.Fatalf("frozen String = %q, want %q", got, want)
 	}
 }
 

@@ -18,7 +18,7 @@
 // for text that follows a child element (mixed content). Every producer —
 // Decode, ParseString, Elem, ElemText, Add — emits this form, and Equal, the
 // serializers and InnerText assume it; code that writes Children directly
-// must keep it, exactly as it must call Invalidate.
+// must keep it.
 //
 // # Ownership: freeze and copy-on-write
 //
@@ -35,21 +35,20 @@
 //     its children, so a frozen list can grow by one element per hop
 //     without rebuilding — the provenance trail's append pattern.
 //
-// The freeze bit lives in the ByteSize generation machinery: a frozen node's
-// memo generation is pinned to a sentinel that no package-wide mutation can
-// invalidate. Mutating a frozen node through SetAttr/Add panics; writing its
-// exported fields directly is undetected and breaks the contract, exactly as
-// skipping Invalidate does for the size memo.
+// Only frozen nodes memoize. ByteSize and String on a mutable tree walk it
+// (stopping at frozen subtrees, whose memos answer) and write nothing, so
+// they are reads like any other. Mutating a frozen node through SetAttr/Add
+// panics; writing its exported fields directly is undetected and breaks the
+// contract.
 package xmltree
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
+	"unsafe"
 )
 
 // Attr is a single name="value" attribute on an element.
@@ -63,10 +62,9 @@ type Attr struct {
 // content in Text. The zero value is an empty text node.
 //
 // Mutate nodes through the methods (SetAttr, Add, ...) when possible: they
-// keep the ByteSize memo coherent and the tree in normal form. Code that
-// writes the exported fields directly must never make a text node an
-// element's first child, and must call Invalidate once the node has been
-// serialized.
+// refuse frozen nodes and keep the tree in normal form. Code that writes the
+// exported fields directly must never make a text node an element's first
+// child.
 type Node struct {
 	Name string
 	// Text is a text node's content, or the character data an element holds
@@ -75,47 +73,22 @@ type Node struct {
 	Attrs    []Attr
 	Children []*Node
 
-	// memoSize caches the canonical serialization length; it is valid only
-	// while memoGen equals the package-wide mutation generation. Any
-	// mutator bumps the generation, conservatively invalidating every
-	// cached size without needing parent pointers.
+	// memoSize is the canonical serialization length, valid only on a frozen
+	// node. memoStr is the serialization itself, written once by Freeze at
+	// the freeze root (or by the decoder for a clean span) while the subtree
+	// is still exclusively owned, and read-only forever after — so
+	// serializing a frozen payload into an outgoing message is one copy, not
+	// a re-walk. Clone and CloneShallow produce mutable copies without either.
 	memoSize int
-	memoGen  uint64
-	// memoStr caches the canonical serialization itself, written once by
-	// Freeze (while the caller still owns the subtree exclusively) and
-	// read-only forever after — so serializing a frozen payload into an
-	// outgoing message is a single WriteString, not a re-walk. Only Freeze
-	// writes it; Clone/CloneShallow produce mutable copies without it.
-	memoStr string
+	memoStr  string
+	frozen   bool
 }
 
-// mutGen is the package-wide mutation generation. It starts at 1 so that a
-// zero memoGen (fresh node) never reads as valid.
-var mutGen atomic.Uint64
-
-func init() { mutGen.Store(1) }
-
-// frozenGen is the memo-generation sentinel marking a frozen node: its size
-// memo never expires, and mutators refuse to touch it. The counter starts at
-// 1 and only increments, so it can never collide with the sentinel.
-const frozenGen = ^uint64(0)
-
-// Invalidate discards all cached ByteSize results package-wide. Callers that
-// mutate Node fields directly (rather than through SetAttr/Add) must call it
-// before the next ByteSize; the mutator methods call it automatically.
-func Invalidate() { mutGen.Add(1) }
-
-// invalidate is the mutator-path invalidation. A node with memoGen == 0 has
-// never been part of a ByteSize computation, so no cached size anywhere can
-// include it and the (package-wide) generation bump is skipped — building a
-// fresh document does not evict unrelated caches. Frozen nodes may be
-// aliased anywhere; mutating one is an ownership bug, caught here.
-func (n *Node) invalidate() {
-	if n.memoGen == frozenGen {
+// mustBeMutable is the mutators' ownership check: frozen nodes may be aliased
+// anywhere, so mutating one is a bug.
+func (n *Node) mustBeMutable() {
+	if n.frozen {
 		panic("xmltree: mutation of frozen node <" + n.Name + ">")
-	}
-	if n.memoGen != 0 {
-		mutGen.Add(1)
 	}
 }
 
@@ -183,7 +156,7 @@ func (n *Node) AttrDefault(name, def string) string {
 
 // SetAttr sets (or replaces) an attribute and returns the node for chaining.
 func (n *Node) SetAttr(name, value string) *Node {
-	n.invalidate()
+	n.mustBeMutable()
 	for i := range n.Attrs {
 		if n.Attrs[i].Name == name {
 			n.Attrs[i].Value = value
@@ -197,7 +170,7 @@ func (n *Node) SetAttr(name, value string) *Node {
 // Add appends children and returns the node for chaining. Text nodes added
 // while the element has no children extend its Text (the normal form).
 func (n *Node) Add(children ...*Node) *Node {
-	n.invalidate()
+	n.mustBeMutable()
 	n.Children = append(n.Children, n.takeLeadingText(children)...)
 	return n
 }
@@ -260,12 +233,7 @@ func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	cp := &Node{Name: n.Name, Text: n.Text, memoSize: n.memoSize, memoGen: n.memoGen}
-	if n.memoGen == frozenGen {
-		// The copy serializes identically, so the size memo stays valid —
-		// but only until the next package-wide mutation, not forever.
-		cp.memoGen = mutGen.Load()
-	}
+	cp := &Node{Name: n.Name, Text: n.Text}
 	if len(n.Attrs) > 0 {
 		cp.Attrs = make([]Attr, len(n.Attrs))
 		copy(cp.Attrs, n.Attrs)
@@ -286,31 +254,27 @@ func (n *Node) Clone() *Node {
 // already-frozen subtree is a cheap no-op, so receivers freeze whatever they
 // keep without checking provenance.
 //
-// Freeze itself writes the size memos (and the subtree's serialization
-// memo), so the caller must still own the subtree exclusively when
-// freezing; share it only afterwards.
+// Freeze itself writes the size memos and the root's serialization memo, so
+// the caller must still own the subtree exclusively when freezing; share it
+// only afterwards.
 func (n *Node) Freeze() *Node {
-	if n == nil || n.memoGen == frozenGen {
+	if n == nil || n.frozen {
 		return n
 	}
-	n.byteSize(frozenGen)
 	// Memoize the serialization at the freeze root: frozen payloads are
 	// typically serialized many times (a plan's data docs re-cross the wire
-	// on every hop), and the memo turns each of those walks into one
-	// WriteString. Children that were frozen earlier contribute their own
-	// memos to this walk, so freeze chains (visit into trail, item into
-	// reply) price each byte once.
-	b := bufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	n.appendTo(b)
-	n.memoStr = b.String()
-	bufPool.Put(b)
+	// on every hop), and the memo turns each of those walks into one copy.
+	// Children that were frozen earlier contribute their own memos to this
+	// walk, so freeze chains (visit into trail, item into reply) price each
+	// byte once.
+	b := n.appendTo(make([]byte, 0, n.byteSize(true)))
+	n.memoStr = unsafe.String(unsafe.SliceData(b), len(b)) // b is nobody else's
 	return n
 }
 
 // Frozen reports whether the node (and therefore its whole subtree) is
 // frozen.
-func (n *Node) Frozen() bool { return n.memoGen == frozenGen }
+func (n *Node) Frozen() bool { return n.frozen }
 
 // FrozenSerialization returns the memoized canonical serialization of a
 // frozen subtree and true, or ("", false) when the node is mutable or was
@@ -319,7 +283,7 @@ func (n *Node) Frozen() bool { return n.memoGen == frozenGen }
 // (internal/blobstore) fingerprint the returned string without
 // re-serializing; the string is immutable for the life of the node.
 func (n *Node) FrozenSerialization() (string, bool) {
-	if n != nil && n.memoGen == frozenGen && n.memoStr != "" {
+	if n != nil && n.memoStr != "" {
 		return n.memoStr, true
 	}
 	return "", false
@@ -329,7 +293,7 @@ func (n *Node) FrozenSerialization() (string, bool) {
 // subtree is free and safe — and a deep mutable copy otherwise. It is the
 // copy-on-write primitive marshaling paths use in place of Clone.
 func (n *Node) Share() *Node {
-	if n == nil || n.memoGen == frozenGen {
+	if n == nil || n.frozen {
 		return n
 	}
 	return n.Clone()
@@ -398,67 +362,72 @@ func MustParse(s string) *Node {
 	return n
 }
 
-// bufPool recycles serialization buffers across String and Freeze calls, so
-// serializing a document does not grow a fresh buffer each time.
-var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+// String returns the canonical XML serialization of the node. The result
+// never aliases a memo: a decoded span's memo is a slice of the whole frame,
+// and a String result kept as a map key must not pin that frame.
+func (n *Node) String() string {
+	b := n.appendTo(make([]byte, 0, n.ByteSize()))
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is nobody else's
+}
 
-// appendTo writes the canonical serialization into b.
-func (n *Node) appendTo(b *bytes.Buffer) {
-	if n.memoStr != "" && n.memoGen == frozenGen {
-		b.WriteString(n.memoStr)
-		return
+// appendTo appends the canonical serialization to b. It is the package's one
+// serializer: String, Freeze and FrameEncoder.Node all write through it and
+// its primitives.
+func (n *Node) appendTo(b []byte) []byte {
+	if n.memoStr != "" {
+		return append(b, n.memoStr...)
 	}
 	if n.IsText() {
-		appendEscaped(b, n.Text, false)
-		return
+		return appendEscaped(b, n.Text, false)
 	}
-	b.WriteByte('<')
-	b.WriteString(n.Name)
+	b = appendAttrs(append(append(b, '<'), n.Name...), n.Attrs)
+	if n.Text == "" && len(n.Children) == 0 {
+		return append(b, "/>"...)
+	}
+	b = appendEscaped(append(b, '>'), n.Text, false)
+	for _, c := range n.Children {
+		b = c.appendTo(b)
+	}
+	return append(append(append(b, "</"...), n.Name...), '>')
+}
+
+// appendAttrs appends attrs in canonical (name-sorted) order without
+// reordering the caller's slice.
+func appendAttrs(b []byte, attrs []Attr) []byte {
 	switch {
-	case len(n.Attrs) <= 1 || attrsSorted(n.Attrs):
-		for _, a := range n.Attrs {
-			appendAttr(b, a)
+	case len(attrs) <= 1 || attrsSorted(attrs):
+		for _, a := range attrs {
+			b = appendAttr(b, a)
 		}
-	case len(n.Attrs) <= 64:
+	case len(attrs) <= 64:
 		// Emit in sorted order without copying: repeated min-scan with an
 		// emitted bitmask. Attribute lists are tiny, so O(k²) compares beat
 		// the allocations of a copy-and-sort.
 		var emitted uint64
-		for range n.Attrs {
+		for range attrs {
 			min := -1
-			for i, a := range n.Attrs {
+			for i, a := range attrs {
 				if emitted&(1<<uint(i)) != 0 {
 					continue
 				}
-				if min < 0 || a.Name < n.Attrs[min].Name {
+				if min < 0 || a.Name < attrs[min].Name {
 					min = i
 				}
 			}
 			emitted |= 1 << uint(min)
-			appendAttr(b, n.Attrs[min])
+			b = appendAttr(b, attrs[min])
 		}
 	default:
-		attrs := make([]Attr, len(n.Attrs))
-		copy(attrs, n.Attrs)
-		sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
-		for _, a := range attrs {
-			appendAttr(b, a)
+		order := make([]int, len(attrs))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(i, j int) int { return cmp.Compare(attrs[i].Name, attrs[j].Name) })
+		for _, i := range order {
+			b = appendAttr(b, attrs[i])
 		}
 	}
-	if n.Text == "" && len(n.Children) == 0 {
-		b.WriteString("/>")
-		return
-	}
-	b.WriteByte('>')
-	if n.Text != "" { // most elements with children have none: skip the call
-		appendEscaped(b, n.Text, false)
-	}
-	for _, c := range n.Children {
-		c.appendTo(b)
-	}
-	b.WriteString("</")
-	b.WriteString(n.Name)
-	b.WriteByte('>')
+	return b
 }
 
 func attrsSorted(attrs []Attr) bool {
@@ -470,23 +439,31 @@ func attrsSorted(attrs []Attr) bool {
 	return true
 }
 
-func appendAttr(b *bytes.Buffer, a Attr) {
-	b.WriteByte(' ')
-	b.WriteString(a.Name)
-	b.WriteString(`="`)
-	appendEscaped(b, a.Value, true)
-	b.WriteByte('"')
+func appendAttr(b []byte, a Attr) []byte {
+	b = append(append(append(b, ' '), a.Name...), '=', '"')
+	return append(appendEscaped(b, a.Value, true), '"')
 }
 
-// appendEscaped writes s with XML entities substituted, copying unescaped
+// attrsSize is the canonical length appendAttrs writes for attrs; attribute
+// order does not affect it.
+func attrsSize(attrs []Attr) int {
+	size := 0
+	for _, a := range attrs {
+		// space, name, `="`, value, `"`
+		size += 1 + len(a.Name) + 2 + len(a.Value) + escapeExtra(a.Value, true) + 1
+	}
+	return size
+}
+
+// appendEscaped appends s with XML entities substituted, copying unescaped
 // runs in bulk. Most wire text contains no escapable characters, so the
-// common case is a single WriteString. Following canonical XML, whitespace
-// that re-parsing would normalize away is written as character references:
+// common case is a single append. Following canonical XML, whitespace that
+// re-parsing would normalize away is written as character references:
 // carriage returns everywhere (XML line-end handling turns literal CRs into
 // newlines), tabs and newlines additionally inside attribute values
 // (attribute-value normalization turns them into spaces). That keeps the
 // canonical form a parse fixpoint.
-func appendEscaped(b *bytes.Buffer, s string, quot bool) {
+func appendEscaped(b []byte, s string, quot bool) []byte {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		var esc string
@@ -517,95 +494,44 @@ func appendEscaped(b *bytes.Buffer, s string, quot bool) {
 		default:
 			continue
 		}
-		b.WriteString(s[start:i])
-		b.WriteString(esc)
+		b = append(append(b, s[start:i]...), esc...)
 		start = i + 1
 	}
-	b.WriteString(s[start:])
-}
-
-// escapeText substitutes the text-content XML entities. It returns s
-// unchanged (no allocation) when nothing needs escaping.
-func escapeText(s string) string { return escapeString(s, false) }
-
-// escapeAttr is escapeText plus quote escaping for attribute values.
-func escapeAttr(s string) string { return escapeString(s, true) }
-
-func escapeString(s string, quot bool) string {
-	clean := true
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&', '<', '>', '\r':
-			clean = false
-		case '"', '\t', '\n':
-			clean = clean && !quot
-		}
-		if !clean {
-			break
-		}
-	}
-	if clean {
-		return s
-	}
-	var b bytes.Buffer
-	b.Grow(len(s) + 8)
-	appendEscaped(&b, s, quot)
-	return b.String()
-}
-
-// String returns the canonical XML serialization of the node.
-func (n *Node) String() string {
-	b := bufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	n.appendTo(b)
-	s := b.String()
-	bufPool.Put(b)
-	return s
+	return append(b, s[start:]...)
 }
 
 // ByteSize returns the length in bytes of the canonical serialization
 // without producing it: sizes are summed arithmetically (escape overhead is
-// counted, not written) and memoized on each node until the next mutation.
-// The simulated network calls this on every message, so it is the hottest
-// entry point in the wire layer.
-//
-// Memoization makes ByteSize a write: calling it on a node shared between
-// goroutines requires external synchronization, even though it looks like a
-// read. The exception is a frozen subtree, whose sizes were memoized by
-// Freeze — there ByteSize is a pure read and safe to call concurrently.
-func (n *Node) ByteSize() int {
-	return n.byteSize(mutGen.Load())
-}
+// counted, not written). A frozen node answers from its memo; a mutable tree
+// is walked down to its frozen subtrees. ByteSize writes nothing, so it is
+// safe wherever reading the tree is.
+func (n *Node) ByteSize() int { return n.byteSize(false) }
 
-func (n *Node) byteSize(gen uint64) int {
-	if n.memoGen == gen || n.memoGen == frozenGen {
+// byteSize sums the canonical size, stopping at frozen nodes. With freeze set
+// it is Freeze's walk: each node it visits is marked frozen with its size
+// memoized.
+func (n *Node) byteSize(freeze bool) int {
+	if n.frozen {
 		return n.memoSize
 	}
 	var size int
 	if n.IsText() {
 		size = len(n.Text) + escapeExtra(n.Text, false)
 	} else {
-		// "<name" plus attributes; attribute order does not affect size.
-		size = 1 + len(n.Name)
-		for _, a := range n.Attrs {
-			// space, name, `="`, value, `"`
-			size += 1 + len(a.Name) + 2 + len(a.Value) + escapeExtra(a.Value, true) + 1
-		}
+		size = len("<") + len(n.Name) + attrsSize(n.Attrs)
 		if n.Text == "" && len(n.Children) == 0 {
 			size += len("/>")
 		} else {
-			size += len(">")
-			if n.Text != "" {
-				size += len(n.Text) + escapeExtra(n.Text, false)
-			}
+			size += len(">") + len(n.Text) + escapeExtra(n.Text, false)
 			for _, c := range n.Children {
-				size += c.byteSize(gen)
+				size += c.byteSize(freeze)
 			}
 			size += len("</") + len(n.Name) + len(">")
 		}
 	}
-	n.memoSize = size
-	n.memoGen = gen
+	if freeze {
+		n.memoSize, n.frozen = size, true
+	}
 	return size
 }
 
@@ -636,40 +562,32 @@ func escapeExtra(s string, quot bool) int {
 // Indent returns a pretty-printed serialization with two-space indentation;
 // useful for debugging and examples, not for size accounting.
 func (n *Node) Indent() string {
-	var b strings.Builder
-	indentNode(&b, n, 0)
-	return b.String()
+	return string(appendIndent(nil, n, 0))
 }
 
-func indentNode(b *strings.Builder, n *Node, depth int) {
+func appendIndent(b []byte, n *Node, depth int) []byte {
 	pad := strings.Repeat("  ", depth)
+	b = append(b, pad...)
 	if n.IsText() {
-		b.WriteString(pad + escapeText(strings.TrimSpace(n.Text)) + "\n")
-		return
+		return append(appendEscaped(b, strings.TrimSpace(n.Text), false), '\n')
 	}
-	b.WriteString(pad + "<" + n.Name)
-	attrs := make([]Attr, len(n.Attrs))
-	copy(attrs, n.Attrs)
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
-	for _, a := range attrs {
-		b.WriteString(" " + a.Name + `="` + escapeAttr(a.Value) + `"`)
+	b = appendAttrs(append(append(b, '<'), n.Name...), n.Attrs)
+	switch {
+	case n.Text == "" && len(n.Children) == 0:
+		return append(b, "/>\n"...)
+	case len(n.Children) == 0:
+		b = appendEscaped(append(b, '>'), n.Text, false)
+		return append(append(append(b, "</"...), n.Name...), ">\n"...)
 	}
-	if n.Text == "" && len(n.Children) == 0 {
-		b.WriteString("/>\n")
-		return
-	}
-	if len(n.Children) == 0 {
-		b.WriteString(">" + escapeText(n.Text) + "</" + n.Name + ">\n")
-		return
-	}
-	b.WriteString(">\n")
+	b = append(b, ">\n"...)
 	if n.Text != "" {
-		b.WriteString(pad + "  " + escapeText(strings.TrimSpace(n.Text)) + "\n")
+		b = append(append(b, pad...), "  "...)
+		b = append(appendEscaped(b, strings.TrimSpace(n.Text), false), '\n')
 	}
 	for _, c := range n.Children {
-		indentNode(b, c, depth+1)
+		b = appendIndent(b, c, depth+1)
 	}
-	b.WriteString(pad + "</" + n.Name + ">\n")
+	return append(append(append(append(b, pad...), "</"...), n.Name...), ">\n"...)
 }
 
 // Value returns the inner text of the first node matched by the path

@@ -3,6 +3,7 @@ package xmltree
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -224,8 +225,8 @@ func TestByteSizeInvariant(t *testing.T) {
 		if n.ByteSize() != len(n.String()) {
 			t.Errorf("case %d: ByteSize %d != len(String) %d", i, n.ByteSize(), len(n.String()))
 		}
-		// Second call exercises the memo-hit path.
-		if n.ByteSize() != len(n.String()) {
+		// And again once frozen, from the memo.
+		if n.Freeze().ByteSize() != len(n.String()) {
 			t.Errorf("case %d: memoized ByteSize diverged", i)
 		}
 	}
@@ -238,7 +239,7 @@ func TestByteSizeCacheInvalidation(t *testing.T) {
 		t.Fatalf("cold size wrong: %d != %d", before, len(n.String()))
 	}
 
-	// Mutation through each mutator must invalidate the cached size.
+	// Every mutation, through a mutator or not, shows in the next size.
 	n.SetAttr("attr", `has "quotes" & <angles>`)
 	if got := n.ByteSize(); got != len(n.String()) {
 		t.Fatalf("after SetAttr: ByteSize %d != len(String) %d", got, len(n.String()))
@@ -247,18 +248,37 @@ func TestByteSizeCacheInvalidation(t *testing.T) {
 	if got := n.ByteSize(); got != len(n.String()) {
 		t.Fatalf("after Add: ByteSize %d != len(String) %d", got, len(n.String()))
 	}
-	// Mutating a child (not the cached root) must also invalidate the
-	// root's memo — the generation scheme is package-wide.
 	n.Child("k").SetAttr("deep", "1")
 	if got := n.ByteSize(); got != len(n.String()) {
 		t.Fatalf("after child SetAttr: ByteSize %d != len(String) %d", got, len(n.String()))
 	}
-	// Direct field writes bypass the mutators; Invalidate restores coherence.
+	// A mutable tree memoizes nothing, so a direct field write needs no
+	// notification.
 	n.Child("k").Text = "a much longer text value > before"
-	Invalidate()
 	if got := n.ByteSize(); got != len(n.String()) {
-		t.Fatalf("after Invalidate: ByteSize %d != len(String) %d", got, len(n.String()))
+		t.Fatalf("after direct Text write: ByteSize %d != len(String) %d", got, len(n.String()))
 	}
+}
+
+// TestMutableByteSizeIsARead: sizing and serializing a shared mutable tree
+// write nothing, so concurrent readers need no lock. Meaningful under -race.
+func TestMutableByteSizeIsARead(t *testing.T) {
+	n := serializeFixture()
+	n.Add(freezeFixture().Freeze())
+	want := len(n.String())
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if n.ByteSize() != want || len(n.String()) != want {
+					panic("size mismatch")
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // serializeFixture mirrors the wire shape the simnet layer prices on every
