@@ -6,21 +6,23 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Payload-by-reference wire sections. A blob-capable sender may replace a
-// payload document under a <data> operator with a reference element
+// Payload-by-reference wire sections. A sender whose receiver holds a
+// payload store may replace a payload document under a <data> operator with
+// a reference element
 //
 //	<blob fp="…"/>
 //
 // naming the payload's content fingerprint (internal/blobstore wire form),
 // and marks the <mqp> root with blobs="1" so the receiver knows to resolve
-// references — and, symmetrically, that the sender speaks the extension.
-// An unmarked body is never interpreted: its <blob> elements, if any, are
-// ordinary payload data. Correctness never depends on the optimization —
-// a receiver that misses a fingerprint fetches the payload from the sender
-// (the on-demand inline fallback), and a sender in doubt ships inline.
+// references. The mark says nothing about capability: whether the receiver
+// holds a store is the transport's to say. An unmarked body is never
+// interpreted: its <blob> elements, if any, are ordinary payload data.
+// Correctness never depends on the optimization — a receiver that misses a
+// fingerprint fetches the payload from the sender (the on-demand inline
+// fallback), and a sender in doubt ships inline.
 
-// BlobsAttr marks an <mqp> root whose sender speaks payload-by-reference;
-// its <blob> payload children are references to be resolved.
+// BlobsAttr marks an <mqp> root whose <blob> payload children are references
+// to be resolved.
 const BlobsAttr = "blobs"
 
 const (
@@ -48,8 +50,8 @@ func IsBlobRef(n *xmltree.Node) (string, bool) {
 	return fp, true
 }
 
-// Marked reports whether an <mqp> body is marked as speaking
-// payload-by-reference.
+// Marked reports whether an <mqp> body is marked as carrying references to
+// resolve.
 func Marked(body *xmltree.Node) bool {
 	return body != nil && body.AttrDefault(BlobsAttr, "") != ""
 }

@@ -684,7 +684,6 @@ func collectBlobStats(rep *Report, peers map[string]*peer.Peer) {
 		rep.Blobs.FetchFailures += st.FetchFailures
 		rep.Blobs.FetchServed += st.FetchServed
 		rep.Blobs.Taught += st.Taught
-		rep.Blobs.Probes += st.Probes
 		if s := p.BlobStore(); s != nil {
 			ss := s.Stats()
 			rep.BlobBytes += ss.Bytes

@@ -240,7 +240,7 @@ func E2GeneRouting() (*Table, error) {
 
 // E3CoverOverlap reproduces the relations depicted in Fig. 5: interest
 // areas (a) Vancouver+Portland furniture and (b) everything in Portland,
-// probed with representative queries.
+// tested with representative queries.
 func E3CoverOverlap() (*Table, error) {
 	ns := workload.GarageSaleNamespace()
 	a := ns.MustParseArea("[USA/WA/Vancouver, Furniture] + [USA/OR/Portland, Furniture]")

@@ -8,24 +8,26 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/blobstore"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
 // Payload-by-reference: the peer-side runtime of the content-addressed
 // payload store (internal/blobstore).
 //
-// A blob-enabled peer marks every body it sends with algebra.BlobsAttr, so
-// its neighbors learn the capability from ordinary traffic — registrations,
-// fetch requests and replies, plans, results. Once a neighbor has proven
-// capable, the peer substitutes payload documents it has already exchanged
-// inline with that neighbor (the per-neighbor "taught" set) with <blob fp>
-// references, and resolves incoming references against its own store. A
-// reference that misses — the teaching send was dropped, the store was
-// restarted — is repaired by a fetch-on-miss request back to the sender,
-// whose reply carries the payload inline: the optimization degrades to
-// inline shipping, never to a wrong answer. Every fingerprint a peer has
-// taught stays pinned in its own store precisely so that fetch is always
-// servable.
+// A peer learns whether a neighbor holds a store from its transport alone
+// (Transport.PeerCaps answers wire.CapBlobRef; a peer declares its own byte
+// through Caps). When the neighbor does, the peer substitutes payload
+// documents it has already exchanged inline with that neighbor (the
+// per-neighbor "taught" set) with <blob fp> references in the plans and
+// results it sends — algebra.EncodeFrameRefs marks such a frame's root with
+// algebra.BlobsAttr, telling the receiver to resolve them — and resolves
+// incoming references against its own store. A reference that misses — the
+// teaching send was dropped, the store was restarted — is repaired by a
+// fetch-on-miss request back to the sender, whose reply carries the payload
+// inline: the optimization degrades to inline shipping, never to a wrong
+// answer. Every fingerprint a peer has taught stays pinned in its own store
+// precisely so that fetch is always servable.
 //
 // Refcount ownership (see blobstore): each container below owns one
 // reference per fingerprint it holds and releases it on eviction —
@@ -66,9 +68,6 @@ type BlobNetStats struct {
 	FetchServed uint64
 	// Taught counts fingerprints pinned into per-neighbor taught sets.
 	Taught uint64
-	// Probes counts capability probes issued to neighbors of unknown
-	// capability.
-	Probes uint64
 }
 
 // pinSet is a FIFO-bounded set of fingerprints, each member holding one store
@@ -114,8 +113,6 @@ type blobState struct {
 	store *blobstore.Store
 
 	mu       sync.Mutex
-	capable  map[string]bool
-	probed   map[string]bool
 	taught   map[string]*pinSet
 	wire     *pinSet
 	collFPs  map[string][]blobstore.FP
@@ -126,8 +123,6 @@ type blobState struct {
 func newBlobState(store *blobstore.Store) *blobState {
 	return &blobState{
 		store:    store,
-		capable:  map[string]bool{},
-		probed:   map[string]bool{},
 		taught:   map[string]*pinSet{},
 		wire:     newPinSet(blobMaxWireTaught),
 		collFPs:  map[string][]blobstore.FP{},
@@ -154,33 +149,22 @@ func (p *Peer) BlobStore() *blobstore.Store {
 	return p.blobs.store
 }
 
-// blobMark marks an outgoing non-plan body (registration, fetch request or
-// reply, …) with the capability attribute, teaching the receiver that this
-// peer speaks payload-by-reference. Returns the body for call-site chaining.
-func (p *Peer) blobMark(body *xmltree.Node) *xmltree.Node {
-	if p.blobs != nil {
-		body.SetAttr(algebra.BlobsAttr, "1")
+// Caps is the capability byte this peer declares to a simnet.Network it is
+// added to: wire.CapBlobRef with a payload store, 0 without.
+func (p *Peer) Caps() byte {
+	if p.blobs == nil {
+		return 0
 	}
-	return body
-}
-
-// blobLearn records addr as blob-capable when a body it sent is marked.
-func (p *Peer) blobLearn(addr string, body *xmltree.Node) {
-	if p.blobs == nil || body == nil || !algebra.Marked(body) {
-		return
-	}
-	p.blobs.mu.Lock()
-	p.blobs.capable[addr] = true
-	p.blobs.mu.Unlock()
+	return wire.CapBlobRef
 }
 
 // blobRef is the payload-reference policy for a plan or result bound for
 // `to` (algebra.EncodeFrameRefs): nil without a store, so the plan is staged
 // plain; otherwise a func naming each payload the receiver provably holds by
-// its fingerprint, and teaching the rest as they ship inline. Capability is
-// checked on the first payload worth a reference, so payload-free plans never
-// probe; at is the sender's virtual time, used for that one-time probe.
-func (p *Peer) blobRef(to string, at time.Duration) func(*xmltree.Node) (string, bool) {
+// its fingerprint, and teaching the rest as they ship inline. The transport is
+// asked for the receiver's capability once per frame, on the first payload
+// worth a reference, so payload-free plans never ask (on TCP, asking dials).
+func (p *Peer) blobRef(to string) func(*xmltree.Node) (string, bool) {
 	b := p.blobs
 	if b == nil {
 		return nil
@@ -191,7 +175,8 @@ func (p *Peer) blobRef(to string, at time.Duration) func(*xmltree.Node) (string,
 			return "", false
 		}
 		if !checked {
-			checked, capable = true, b.ensureCapable(p, to, at)
+			caps, err := p.net.PeerCaps(to)
+			checked, capable = true, err == nil && caps&wire.CapBlobRef != 0
 		}
 		if !capable {
 			return "", false
@@ -210,41 +195,6 @@ func (p *Peer) blobRef(to string, at time.Duration) func(*xmltree.Node) (string,
 		b.mu.Unlock()
 		return fp.String(), true
 	}
-}
-
-// ensureCapable reports whether `to` is known blob-capable, probing once
-// when unknown: message flow is largely one-directional (client → meta →
-// sellers → client), so a sender often never receives traffic from the
-// neighbor it ships payloads to and cannot learn its capability passively.
-// The probe is a payload-less fetch request; a marked reply proves the
-// extension, any failure (legacy peer, unreachable) caches inline-only for
-// this run — later marked traffic from the neighbor still upgrades it. The
-// probe's round trip is not charged to any plan: it is one-time, per
-// neighbor, capability metadata rather than plan work.
-func (b *blobState) ensureCapable(p *Peer, to string, at time.Duration) bool {
-	b.mu.Lock()
-	if b.capable[to] {
-		b.mu.Unlock()
-		return true
-	}
-	if b.probed[to] {
-		b.mu.Unlock()
-		return false
-	}
-	b.probed[to] = true
-	b.stats.Probes++
-	b.mu.Unlock()
-	req := xmltree.Elem("blobfetch")
-	req.SetAttr("probe", "1")
-	req.SetAttr(algebra.BlobsAttr, "1")
-	reply, _, err := p.net.Request(p.addr, to, KindBlobFetch, req, at)
-	if err != nil || !algebra.Marked(reply) {
-		return false
-	}
-	b.mu.Lock()
-	b.capable[to] = true
-	b.mu.Unlock()
-	return true
 }
 
 // teach records that `to` is about to hold doc's bytes (we are sending them
@@ -324,21 +274,17 @@ func (b *blobState) internWire(from string, doc *xmltree.Node) *xmltree.Node {
 	return canon
 }
 
-// blobDecode resolves a received plan/result body: learns the sender's
-// capability, replaces <blob> references with payloads from the store
-// (fetching misses back from the sender), and interns inline payloads so
-// repeated freight collapses to one resident copy. The returned delay is
-// the virtual time fetch-on-miss round trips cost, to be charged to the
-// plan's clock. Unmarked bodies (or a peer without a store) pass through
-// untouched.
+// blobDecode resolves a received plan/result body: replaces <blob>
+// references with payloads from the store (fetching misses back from the
+// sender), and interns inline payloads so repeated freight collapses to one
+// resident copy. The returned delay is the virtual time fetch-on-miss round
+// trips cost, to be charged to the plan's clock. Unmarked bodies (or a peer
+// without a store) pass through untouched.
 func (p *Peer) blobDecode(msg *simnet.Message) (*xmltree.Node, time.Duration, error) {
 	if p.blobs == nil || !algebra.Marked(msg.Body) {
 		return msg.Body, 0, nil
 	}
 	b := p.blobs
-	b.mu.Lock()
-	b.capable[msg.From] = true
-	b.mu.Unlock()
 	var delay time.Duration
 	resolved, err := algebra.ResolveBlobs(msg.Body,
 		func(fpStr string) (*xmltree.Node, error) {
@@ -387,7 +333,6 @@ func (b *blobState) fetchMissing(p *Peer, from string, fp blobstore.FP, at time.
 
 	req := xmltree.Elem("blobfetch")
 	req.SetAttr("fp", fp.String())
-	req.SetAttr(algebra.BlobsAttr, "1")
 	var delay time.Duration
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -435,10 +380,6 @@ func (p *Peer) serveBlobFetch(req *simnet.Message) (*xmltree.Node, error) {
 	if p.blobs == nil {
 		return nil, fmt.Errorf("peer %s: no payload store", p.addr)
 	}
-	if req.Body.AttrDefault("probe", "") != "" {
-		// Capability probe: the marked empty reply is the proof.
-		return p.blobMark(xmltree.Elem("blobdata")), nil
-	}
 	fpStr := req.Body.AttrDefault("fp", "")
 	fp, ok := blobstore.ParseFP(fpStr)
 	if !ok {
@@ -451,9 +392,7 @@ func (p *Peer) serveBlobFetch(req *simnet.Message) (*xmltree.Node, error) {
 	p.blobs.mu.Lock()
 	p.blobs.stats.FetchServed++
 	p.blobs.mu.Unlock()
-	reply := p.blobMark(xmltree.Elem("blobdata"))
-	reply.Add(n.Share())
-	return reply, nil
+	return xmltree.Elem("blobdata", n.Share()), nil
 }
 
 // internCollection interns a collection snapshot's items, returning the

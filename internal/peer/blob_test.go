@@ -128,11 +128,15 @@ func TestBlobByRefSecondQuery(t *testing.T) {
 	if client.BlobNetStats().RefsResolved <= refsBefore {
 		t.Fatal("client resolved no references on the repeated query")
 	}
-	// No fetch-on-miss was needed in a fault-free world.
+	// No fetch-on-miss was needed in a fault-free world, and capability came
+	// from the network, so no <blobfetch> crossed it at all.
 	for addr := range stores {
 		if st := net.Peer(addr).(*Peer).BlobNetStats(); st.Fetches != 0 || st.FetchFailures != 0 {
 			t.Fatalf("%s: unexpected fetches in fault-free run: %+v", addr, st)
 		}
+	}
+	if n := net.Metrics().PerKind[KindBlobFetch]; n != 0 {
+		t.Fatalf("%d blobfetch messages in a fault-free run, want 0", n)
 	}
 	// Dedup at rest: teaching pins the same payload a collection already
 	// holds, so somewhere in the world an intern was a hit, not a copy.
@@ -150,8 +154,8 @@ func TestBlobByRefSecondQuery(t *testing.T) {
 }
 
 // TestBlobMixedWorld: a store-less client among blob-enabled servers gets
-// plain inline traffic and correct results — capability is per-neighbor,
-// proven, never assumed.
+// plain inline traffic and correct results — capability is per neighbor, as
+// the network reports it, never assumed.
 func TestBlobMixedWorld(t *testing.T) {
 	net := simnet.New()
 	ns := testNS()
@@ -190,6 +194,28 @@ func TestBlobMixedWorld(t *testing.T) {
 			t.Fatalf("%s substituted toward a store-less receiver: %+v", addr, st)
 		}
 	}
+	if n := net.Metrics().PerKind[KindBlobFetch]; n != 0 {
+		t.Fatalf("%d blobfetch messages in a fault-free run, want 0", n)
+	}
+}
+
+// TestByRefAfterEarlyOutage: a receiver that was down the first time a
+// sender had payloads for it gets references once it is back. Capability is
+// asked of the network per frame, so an early failure is not remembered.
+func TestByRefAfterEarlyOutage(t *testing.T) {
+	net, client, _, _ := blobWorld(t)
+	net.SetDown("client:9020", true)
+	_ = client.Submit("M:9020", blobQuery("outage")) // the result cannot reach the client
+	net.SetDown("client:9020", false)
+
+	for _, id := range []string{"back1", "back2"} {
+		if got := runBlobQuery(t, client, id); len(got) != 2 {
+			t.Fatalf("query %s: %d results, want 2", id, len(got))
+		}
+	}
+	if client.BlobNetStats().RefsResolved == 0 {
+		t.Fatal("no reference reached the client after its outage")
+	}
 }
 
 // TestBlobFetchOnMiss: a reference the receiver does not hold is repaired
@@ -203,7 +229,6 @@ func TestBlobFetchOnMiss(t *testing.T) {
 	s2 := net.Peer("s2:9020").(*Peer)
 	payload := xmltree.MustParse(bigSale("Giant Steps", 9))
 	fp, _ := blobstore.Fingerprint(payload)
-	s2.blobs.capable["client:9020"] = true
 	if s2.blobs.teach("client:9020", fp, payload) {
 		t.Fatal("first teach claimed the client already held the payload")
 	}
@@ -360,7 +385,6 @@ func TestBlobFetchRetryUnderDrops(t *testing.T) {
 		// arrives by reference and must fetch.
 		payload := xmltree.MustParse(bigSale("Giant Steps", 9))
 		fp, _ := blobstore.Fingerprint(payload)
-		s2.blobs.capable["client:9020"] = true
 		s2.blobs.teach("client:9020", fp, payload)
 
 		plan := algebra.NewPlan("drop-q", "client:9020",

@@ -82,14 +82,17 @@ type Result struct {
 }
 
 // Transport is what a peer asks of its network: a handler attached, a one-way
-// frame, a request/reply call. *simnet.Network is one; NewTCP makes the other.
-// SendFrame ships the document stage writes to msg.To; msg is the envelope
-// (From, To, Kind, At, Hops) and its Body is not read. Every plan and result a
-// peer sends is staged by frame, every registration by its document.
+// frame, a request/reply call, and a neighbor's capability byte.
+// *simnet.Network is one; NewTCP makes the other. SendFrame ships the document
+// stage writes to msg.To; msg is the envelope (From, To, Kind, At, Hops) and
+// its Body is not read. Every plan and result a peer sends is staged by frame,
+// every registration by its document. PeerCaps is the one way a peer learns
+// whether a neighbor holds a payload store (wire.CapBlobRef).
 type Transport interface {
 	Add(simnet.Peer)
 	SendFrame(msg *simnet.Message, stage func(*xmltree.FrameEncoder)) error
 	Request(from, to, kind string, body *xmltree.Node, at time.Duration) (*xmltree.Node, time.Duration, error)
+	PeerCaps(to string) (byte, error)
 }
 
 // Config assembles a Peer.
@@ -153,10 +156,10 @@ type Config struct {
 	AbsorbThreshold int
 	// Blobs, when non-nil, is the peer's content-addressed payload store
 	// (internal/blobstore): collection snapshots and received payloads are
-	// interned so identical subtrees are resident once, and bodies sent to
-	// neighbors that have proven blob-capable carry payload references
-	// instead of bytes both ends already hold (see blob.go). Nil keeps the
-	// peer byte-identical to a build without the store.
+	// interned so identical subtrees are resident once, and plans sent to
+	// neighbors whose transport reports a store (Transport.PeerCaps) carry
+	// payload references instead of bytes both ends already hold (see
+	// blob.go). Nil keeps the peer byte-identical to a build without the store.
 	Blobs *blobstore.Store
 }
 
@@ -399,7 +402,7 @@ func (p *Peer) registerWith(addr string, role catalog.Role, at time.Duration, su
 	reg := p.Registration(role)
 	reg.Statements = stmts
 	reg.Supersedes = supersedes
-	body := p.blobMark(catalog.MarshalRegistration(reg))
+	body := catalog.MarshalRegistration(reg)
 	if err := p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindRegister, At: at},
 		func(e *xmltree.FrameEncoder) { e.Node(body) }); err != nil {
 		return err
@@ -415,7 +418,7 @@ func (p *Peer) registerWith(addr string, role catalog.Role, at time.Duration, su
 // the graceful counterpart of the crash-and-supersede path. The local
 // catalog also forgets addr as a cached index server.
 func (p *Peer) DeregisterFrom(addr string, at time.Duration) error {
-	body := p.blobMark(xmltree.ElemAttrs("deregister", xmltree.Attr{Name: "addr", Value: p.addr}))
+	body := xmltree.ElemAttrs("deregister", xmltree.Attr{Name: "addr", Value: p.addr})
 	if err := p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindDeregister, At: at},
 		func(e *xmltree.FrameEncoder) { e.Node(body) }); err != nil {
 		return err
@@ -428,11 +431,10 @@ func (p *Peer) DeregisterFrom(addr string, at time.Duration) error {
 // — the §3.3 pull process ("index servers query their base servers for
 // their data, to build more detailed indices").
 func (p *Peer) Harvest(addr string) error {
-	reply, _, err := p.net.Request(p.addr, addr, KindExport, p.blobMark(xmltree.Elem("export")), p.virtualNow())
+	reply, _, err := p.net.Request(p.addr, addr, KindExport, xmltree.Elem("export"), p.virtualNow())
 	if err != nil {
 		return err
 	}
-	p.blobLearn(addr, reply)
 	reg, err := catalog.UnmarshalRegistration(p.ns, reply)
 	if err != nil {
 		return err
@@ -446,11 +448,10 @@ func (p *Peer) Harvest(addr string) error {
 func (p *Peer) ReplicateFrom(srcAddr, pathExp string, as Collection, stalenessMin int) error {
 	req := xmltree.Elem("fetch")
 	req.SetAttr("path", pathExp)
-	reply, at, err := p.net.Request(p.addr, srcAddr, KindFetch, p.blobMark(req), p.virtualNow())
+	reply, at, err := p.net.Request(p.addr, srcAddr, KindFetch, req, p.virtualNow())
 	if err != nil {
 		return err
 	}
-	p.blobLearn(srcAddr, reply)
 	items := make([]*xmltree.Node, 0, len(reply.Elements()))
 	for _, e := range reply.Elements() {
 		// The reply is ours; the source serves frozen items, so this
@@ -680,15 +681,14 @@ func (p *Peer) SubmitCtx(ctx context.Context, addr string, plan *algebra.Plan) e
 		return fmt.Errorf("peer %s: submit plan %q: %w", p.addr, plan.ID, err)
 	}
 	return p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindMQP},
-		p.frame(plan, addr, p.virtualNow()))
+		p.frame(plan, addr))
 }
 
 // frame is the one door from a plan to the wire: it stages plan, bound for
-// `to`, with the payloads `to` provably holds as references (blobRef; at is
-// the sender's virtual time). Plans, results and partials all leave through
-// it.
-func (p *Peer) frame(plan *algebra.Plan, to string, at time.Duration) func(*xmltree.FrameEncoder) {
-	return func(e *xmltree.FrameEncoder) { algebra.EncodeFrameRefs(plan, e, p.blobRef(to, at)) }
+// `to`, with the payloads `to` provably holds as references (blobRef). Plans,
+// results and partials all leave through it.
+func (p *Peer) frame(plan *algebra.Plan, to string) func(*xmltree.FrameEncoder) {
+	return func(e *xmltree.FrameEncoder) { algebra.EncodeFrameRefs(plan, e, p.blobRef(to)) }
 }
 
 // --- simnet.Peer implementation ---------------------------------------
@@ -706,7 +706,6 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 		_, _, err := p.arrive(msg)
 		return err
 	case KindRegister:
-		p.blobLearn(msg.From, msg.Body)
 		reg, err := catalog.UnmarshalRegistration(p.ns, msg.Body)
 		if err != nil {
 			return fmt.Errorf("peer %s: bad registration: %w", p.addr, err)
@@ -719,7 +718,6 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 		}
 		return p.cat.Register(reg)
 	case KindDeregister:
-		p.blobLearn(msg.From, msg.Body)
 		addr := msg.Body.AttrDefault("addr", "")
 		if addr == "" {
 			return fmt.Errorf("peer %s: deregister without addr", p.addr)
@@ -793,7 +791,7 @@ func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
 		}
 		err := p.net.SendFrame(&simnet.Message{
 			From: p.addr, To: result.Target, Kind: KindResult, At: at, Hops: msg.Hops,
-		}, p.frame(result, result.Target, at))
+		}, p.frame(result, result.Target))
 		if err != nil {
 			// The answer exists but its owner is unreachable: surface the
 			// plan as stuck here so it does not vanish silently.
@@ -810,7 +808,7 @@ func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
 	for _, hop := range out.NextHops {
 		err := p.net.SendFrame(&simnet.Message{
 			From: p.addr, To: hop, Kind: KindMQP, At: at, Hops: msg.Hops,
-		}, p.frame(plan, hop, at))
+		}, p.frame(plan, hop))
 		if err == nil {
 			return nil
 		}
@@ -843,7 +841,7 @@ func (p *Peer) rejectMQP(msg *simnet.Message, reason string) error {
 	res.SetPartialReason(reason)
 	if err := p.net.SendFrame(&simnet.Message{
 		From: p.addr, To: res.Target, Kind: KindResult, At: msg.At, Hops: msg.Hops,
-	}, p.frame(res, res.Target, msg.At)); err != nil {
+	}, p.frame(res, res.Target)); err != nil {
 		return p.noteStuck(fmt.Errorf("peer %s: %s partial for plan %q undeliverable to %s: %w",
 			p.addr, reason, plan.ID, plan.Target, err))
 	}
@@ -853,7 +851,6 @@ func (p *Peer) rejectMQP(msg *simnet.Message, reason string) error {
 // Serve implements simnet.Peer: data pulls, harvesting, and category
 // queries.
 func (p *Peer) Serve(net *simnet.Network, req *simnet.Message) (*xmltree.Node, error) {
-	p.blobLearn(req.From, req.Body)
 	switch req.Kind {
 	case KindBlobFetch:
 		return p.serveBlobFetch(req)
@@ -863,7 +860,7 @@ func (p *Peer) Serve(net *simnet.Network, req *simnet.Message) (*xmltree.Node, e
 		if err != nil {
 			return nil, err
 		}
-		reply := p.blobMark(xmltree.Elem("data"))
+		reply := xmltree.Elem("data")
 		reply.SetAttr("staleness", strconv.Itoa(stale))
 		for _, it := range items {
 			// Collection items are frozen on install, so a fetch reply
@@ -872,7 +869,7 @@ func (p *Peer) Serve(net *simnet.Network, req *simnet.Message) (*xmltree.Node, e
 		}
 		return reply, nil
 	case KindExport:
-		return p.blobMark(catalog.MarshalRegistration(p.Registration(catalog.RoleBase))), nil
+		return catalog.MarshalRegistration(p.Registration(catalog.RoleBase)), nil
 	case KindSubcats:
 		if p.cfg.CategoryServer == nil {
 			return nil, fmt.Errorf("peer %s: not a category server", p.addr)
@@ -946,11 +943,10 @@ func (p *Peer) fetchRemote(sc *mqp.StepContext, addr, pathExp string) ([]*xmltre
 	req := xmltree.Elem("fetch")
 	req.SetAttr("path", pathExp)
 	start := sc.Now
-	reply, at, err := p.net.Request(p.addr, addr, KindFetch, p.blobMark(req), start)
+	reply, at, err := p.net.Request(p.addr, addr, KindFetch, req, start)
 	if err != nil {
 		return nil, 0, err
 	}
-	p.blobLearn(addr, reply)
 	sc.PullDelay += at - start
 	stale, err := strconv.Atoi(reply.AttrDefault("staleness", "0"))
 	if err != nil {

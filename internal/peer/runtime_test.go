@@ -295,13 +295,12 @@ func TestShedResultKeepsFetchDelay(t *testing.T) {
 	// The sender believes the owner holds the payload; the owner never saw it.
 	payload := xmltree.MustParse(bigSale("Giant Steps", 9))
 	fp, _ := blobstore.Fingerprint(payload)
-	sender.blobs.capable["o:1"] = true
 	sender.blobs.teach("o:1", fp, payload)
 
 	const at = 100 * time.Millisecond
 	res := algebra.NewPlan("shed-q", "o:1", algebra.Display(algebra.Data(payload)))
 	enc := xmltree.GetFrameEncoder()
-	sender.frame(res, "o:1", at)(enc)
+	sender.frame(res, "o:1")(enc)
 	body, err := xmltree.DecodeString(enc.String())
 	enc.Release()
 	if err != nil || !algebra.Marked(body) || !strings.Contains(body.String(), "<blob ") {

@@ -18,8 +18,9 @@ import (
 // returned) are this transport's. A frame's document name is its message kind,
 // and a result travels as the <mqp> it is, addressed to its target; each <mqp>
 // that arrives is logged as `plan <id>`. A link has no virtual clock and names
-// no sender: a message's At, Hops and From are zero, so a payload store, which
-// answers to From (blob.go), is not usable here yet.
+// no sender: a message's At, Hops and From are zero. A reference that misses
+// is fetched back from From (blob.go), so this transport advertises no
+// capability byte, and a neighbor ships it every payload inline.
 type TCP struct {
 	*wire.Server
 	pool *wire.LinkPool
@@ -74,6 +75,10 @@ func (t *TCP) Request(_, to, _ string, body *xmltree.Node, at time.Duration) (*x
 	reply, _, err := t.pool.Call(to, func(e *xmltree.FrameEncoder) { e.Node(body) })
 	return reply, at, linkErr(to, err)
 }
+
+// PeerCaps implements Transport: the byte the neighbor's server answered the
+// link handshake with, dialing when no link is open.
+func (t *TCP) PeerCaps(to string) (byte, error) { return t.pool.PeerCaps(to) }
 
 // linkErr reports a link that could not be dialed, shaken hands with or
 // written to the way simnet reports a dead peer: the fallback over NextHops is

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/blobstore"
 	"repro/internal/catalog"
 	"repro/internal/hierarchy"
 	"repro/internal/namespace"
@@ -335,6 +336,60 @@ func TestFallbackOnBothTransports(t *testing.T) {
 			_, err = client.SubcategoriesOf(meta.Addr(), "Location", hierarchy.Path{})
 			if err == nil || errors.As(err, new(simnet.ErrUnreachable)) {
 				t.Fatalf("subcats of a peer that is no category server: %v, want the handler's failure", err)
+			}
+		})
+	}
+}
+
+// bare stands in front of a peer without declaring a capability byte, the
+// way a tracing proxy does.
+type bare struct{ simnet.Peer }
+
+// TestPayloadCapabilityOnBothTransports is the capability differential: a
+// store-bearing seller answers a store-bearing client's repeated query alike
+// on both transports, and ships the repeat by reference only where the
+// transport reports the client's store. simnet reports the byte a peer
+// declared when added, and keeps it when a wrapper that declares none takes
+// the peer's place; TCP advertises nothing yet, so payloads stay inline.
+func TestPayloadCapabilityOnBothTransports(t *testing.T) {
+	var want []outcome
+	for _, f := range fabrics() {
+		t.Run(f.name, func(t *testing.T) {
+			w := world{t, f, testNS()}
+			seller := w.peer("seller", Config{Blobs: blobstore.New()})
+			client := w.peer("client", Config{Blobs: blobstore.New()})
+			plain := w.peer("plain", Config{})
+			seller.AddCollection(Collection{Name: "cds", PathExp: "/data", Items: items(
+				bigSale("Blue Train", 8), bigSale("Giant Steps", 9), bigSale("Kind of Blue", 15))})
+			sim, onSim := client.net.(*simnet.Network)
+			if onSim {
+				sim.Add(bare{client})
+				for addr, c := range map[string]byte{client.Addr(): wire.CapBlobRef, plain.Addr(): 0} {
+					if caps, err := sim.PeerCaps(addr); err != nil || caps != c {
+						t.Fatalf("PeerCaps(%s) = %#x, %v; want %#x", addr, caps, err, c)
+					}
+				}
+			}
+
+			var got []outcome
+			for _, id := range []string{"cap-q1", "cap-q2"} {
+				plan := algebra.NewPlan(id, client.Addr(), algebra.Display(algebra.Select(
+					algebra.MustParsePredicate("price < 10"), algebra.URL("http://"+seller.Addr(), "/data"))))
+				if err := client.Submit(seller.Addr(), plan); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, outcomeOf(t, awaitResult(t, client)))
+			}
+			if len(got[1].items) != 2 {
+				t.Fatalf("repeat returned %d items, want 2", len(got[1].items))
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s differs from simnet:\n got %+v\nwant %+v", f.name, got, want)
+			}
+			if n := seller.BlobNetStats().ByRefSent; onSim != (n > 0) {
+				t.Fatalf("seller sent %d payloads by reference on %s", n, f.name)
 			}
 		})
 	}

@@ -105,6 +105,9 @@ type Network struct {
 	mu    sync.Mutex
 	peers map[string]Peer
 	down  map[string]bool
+	// caps holds the capability byte each address declared when added (see
+	// PeerCaps).
+	caps map[string]byte
 
 	// metricsMu guards metrics separately from mu: every delivery accounts
 	// a message, and that must not serialize against topology reads. Lock
@@ -153,6 +156,7 @@ func New() *Network {
 	return &Network{
 		peers:     map[string]Peer{},
 		down:      map[string]bool{},
+		caps:      map[string]byte{},
 		metrics:   Metrics{PerKind: map[string]int64{}},
 		links:     map[[2]string]bool{},
 		latency:   DefaultLatency,
@@ -201,11 +205,30 @@ func (n *Network) SetMaxDepth(d int) {
 	n.maxDepth = d
 }
 
-// Add registers a peer; it replaces any previous peer at the same address.
+// Add registers a peer; it replaces any previous peer at the same address. A
+// peer with a `Caps() byte` method declares its capability byte with it; one
+// without keeps the byte declared at its address before, so a wrapper put in
+// front of a peer advertises what the peer did.
 func (n *Network) Add(p Peer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.peers[p.Addr()] = p
+	if c, ok := p.(interface{ Caps() byte }); ok {
+		n.caps[p.Addr()] = c.Caps()
+	}
+}
+
+// PeerCaps returns the capability byte the peer at addr declared (see Add):
+// the simulated answer to the handshake a TCP link opens with. It sends
+// nothing and charges nothing. A down or unknown peer is unreachable, as a
+// dial to it would be.
+func (n *Network) PeerCaps(addr string) (byte, error) {
+	if _, err := n.lookup(addr); err != nil {
+		return 0, err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.caps[addr], nil
 }
 
 // Peer returns the peer at addr, or nil.
@@ -384,8 +407,8 @@ func (n *Network) Send(msg *Message) error {
 //
 // Staging runs first, outside every lock, before the destination is looked
 // up: it is the analog of the sender writing its frame, and whatever stage
-// does on the way (a payload store's capability probe) happens whether the
-// send then succeeds or not.
+// does on the way (a payload store teaching what it ships inline) happens
+// whether the send then succeeds or not.
 func (n *Network) SendFrame(msg *Message, stage func(*xmltree.FrameEncoder)) error {
 	enc := xmltree.GetFrameEncoder()
 	stage(enc)

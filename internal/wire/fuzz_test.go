@@ -29,9 +29,10 @@ func linkFrame(corr uint64, payload string) []byte {
 	return b
 }
 
-// opened prefixes frame bytes with a dialer's handshake.
-func opened(caps byte, frames []byte) []byte {
-	return append(append([]byte(linkMagic), caps), frames...)
+// opened prefixes frame bytes with a dialer's handshake, whose reserved byte
+// the server discards whatever it holds.
+func opened(reserved byte, frames []byte) []byte {
+	return append(append([]byte(linkMagic), reserved), frames...)
 }
 
 // bufConn is the write half of a connection, captured: what writeLinkFrame
@@ -69,7 +70,7 @@ func FuzzRecv(f *testing.F) {
 	f.Add(opened(0, append([]byte{0xff, 0xff, 0xff, 0xff}, linkFrame(1, `<a`)[4:]...))) // oversized length
 	f.Add(opened(0, linkFrame(3, `<a><b>x</b></a>`)[:18]))                              // EOF mid-frame
 	f.Add([]byte("MUX1\x00"))                                                           // bad magic
-	f.Add([]byte(linkMagic))                                                            // short handshake: no capability byte
+	f.Add([]byte(linkMagic))                                                            // short handshake: no reserved byte
 	f.Add([]byte(" \r\n"))                                                              // shorter than the magic
 	f.Add(opened(0, append(linkFrame(2, `<a/>`), `<trailing/>`...)))                    // bytes beyond the frame
 	f.Add(opened(0, linkFrame(0, `not xml at all`)))                                    // well-framed junk

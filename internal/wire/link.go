@@ -62,17 +62,17 @@ type Link struct {
 // handshake.
 func (l *Link) PeerCaps() byte { return l.peerCaps }
 
-// dialLink connects and performs the handshake: magic, the local capability
+// dialLink connects and performs the handshake: magic, the reserved zero
 // byte, then one capability byte back from the server before any frame. A
 // server that never answers fails the dial with the read's own error.
-func dialLink(addr string, caps byte) (*Link, error) {
+func dialLink(addr string) (*Link, error) {
 	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	var reply [1]byte
 	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
-	if _, err = conn.Write(append([]byte(linkMagic), caps)); err == nil {
+	if _, err = conn.Write(append([]byte(linkMagic), 0)); err == nil {
 		_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
 		_, err = io.ReadFull(conn, reply[:])
 	}
@@ -215,8 +215,6 @@ type LinkPool struct {
 	mu    sync.Mutex
 	links map[string]*Link
 	dials map[string]*pendingDial
-	// caps is the capability byte advertised on every dial.
-	caps byte
 }
 
 // pendingDial single-flights connection establishment: a burst of first
@@ -228,17 +226,9 @@ type pendingDial struct {
 	err  error
 }
 
-// NewLinkPool returns an empty pool advertising no capabilities.
+// NewLinkPool returns an empty pool.
 func NewLinkPool() *LinkPool {
 	return &LinkPool{links: map[string]*Link{}, dials: map[string]*pendingDial{}}
-}
-
-// SetLocalCaps sets the capability byte advertised on future dials;
-// existing links are unaffected. Call before traffic starts.
-func (p *LinkPool) SetLocalCaps(caps byte) {
-	p.mu.Lock()
-	p.caps = caps
-	p.mu.Unlock()
 }
 
 // PeerCaps returns the capability byte the peer at addr advertised,
@@ -277,10 +267,9 @@ func (p *LinkPool) get(addr string) (l *Link, cached bool, err error) {
 	}
 	d := &pendingDial{done: make(chan struct{})}
 	p.dials[addr] = d
-	caps := p.caps
 	p.mu.Unlock()
 
-	l, err = dialLink(addr, caps)
+	l, err = dialLink(addr)
 	p.mu.Lock()
 	delete(p.dials, addr)
 	d.l, d.err = l, err

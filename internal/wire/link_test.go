@@ -338,7 +338,7 @@ func TestLinkWriteDeadlinePerFrame(t *testing.T) {
 		conn.Write([]byte{0})
 		time.Sleep(10 * time.Second) // never read again
 	}()
-	l, err := dialLink(ln.Addr().String(), 0)
+	l, err := dialLink(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,26 +361,48 @@ func TestLinkWriteDeadlinePerFrame(t *testing.T) {
 	}
 }
 
-// TestMux2CapabilityNegotiation: the handshake carries one capability byte
-// each way. A capability-bearing pool reads the server's byte and the link
-// then carries frames like any other; a pool that advertises nothing still
-// learns what the server holds.
+// TestMux2CapabilityNegotiation: the handshake carries one capability byte,
+// the server's. The dialer always sends the reserved 0 after the magic, reads
+// the server's byte, and the link then carries frames like any other; a server
+// with nothing to advertise answers 0.
 func TestMux2CapabilityNegotiation(t *testing.T) {
+	// A bare listener records what the dialer sends and answers CapBlobRef.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hello := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, len(linkMagic)+1)
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			return
+		}
+		hello <- buf
+		conn.Write([]byte{CapBlobRef})
+		io.Copy(io.Discard, conn) // hold the link open until the pool closes it
+	}()
+	pool := NewLinkPool()
+	defer pool.Close()
+	caps, err := pool.PeerCaps(ln.Addr().String())
+	if err != nil || caps != CapBlobRef {
+		t.Fatalf("peer caps = %#x, %v; want CapBlobRef", caps, err)
+	}
+	if got := <-hello; string(got) != linkMagic+"\x00" {
+		t.Fatalf("dialer opened with %q, want %q", got, linkMagic+"\x00")
+	}
+
 	srv, cl := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) {
 		return doc, nil
 	})
 	srv.SetCaps(CapBlobRef)
-
-	pool := NewLinkPool()
-	defer pool.Close()
-	pool.SetLocalCaps(CapBlobRef)
-
-	caps, err := pool.PeerCaps(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if caps != CapBlobRef {
-		t.Fatalf("peer caps = %#x, want CapBlobRef", caps)
+	if caps, err = pool.PeerCaps(srv.Addr()); err != nil || caps != CapBlobRef {
+		t.Fatalf("server caps = %#x, %v; want CapBlobRef", caps, err)
 	}
 	// The negotiated link carries frames like any other.
 	doc := xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "m2"})
@@ -395,13 +417,6 @@ func TestMux2CapabilityNegotiation(t *testing.T) {
 		t.Fatalf("negotiation + call used %d connections, want 1", n)
 	}
 
-	// The server's answer does not depend on what the dialer advertised, and
-	// a server with nothing to advertise answers zero.
-	plain := NewLinkPool()
-	defer plain.Close()
-	if caps, err = plain.PeerCaps(srv.Addr()); err != nil || caps != CapBlobRef {
-		t.Fatalf("store-less dialer read peer caps %#x, %v; want CapBlobRef", caps, err)
-	}
 	bare, _ := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) { return nil, nil })
 	if caps, err = pool.PeerCaps(bare.Addr()); err != nil || caps != 0 {
 		t.Fatalf("capability-less server answered %#x, %v; want 0", caps, err)

@@ -38,7 +38,7 @@ func TestServerHandlesSilentConnection(t *testing.T) {
 		{"length prefix", frame(`<a/>`)},
 		{"MUX1", append([]byte("MUX1"), linkFrame(0, `<a/>`)...)},
 		{"junk", []byte("\xde\xad\xbe\xef")},
-		{"truncated capability byte", []byte(linkMagic)},
+		{"truncated reserved byte", []byte(linkMagic)},
 		{"silence", nil},
 	}
 	for _, o := range openers {

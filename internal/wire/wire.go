@@ -4,9 +4,10 @@
 //
 // A peer keeps one connection per neighbor (LinkPool) and multiplexes
 // documents over it instead of paying a dial, a TCP handshake and a close
-// per hop. The dialer opens with the 4-byte magic "MUX2" and its capability
-// byte, the server (Server) answers with its own capability byte, and from
-// then on both directions carry frames of the form
+// per hop. The dialer opens with the 4-byte magic "MUX2" and one reserved
+// byte, always 0 and ignored by the server; the server (Server) answers with
+// its capability byte, which LinkPool.PeerCaps reports; and from then on both
+// directions carry frames of the form
 //
 //	4-byte big-endian payload length | 8-byte big-endian correlation id | payload
 //
@@ -54,8 +55,8 @@ var ReadTimeout = 30 * time.Second
 // to an arbitrarily large allocation by lying in the length prefix.
 const MaxFrameBytes = 8 << 20
 
-// linkMagic opens every connection; the dialer's capability byte follows it
-// and the server answers with its own before the first frame.
+// linkMagic opens every connection; the dialer's reserved byte follows it and
+// the server answers with its capability byte before the first frame.
 const linkMagic = "MUX2"
 
 // CapBlobRef advertises that this endpoint holds a content-addressed
@@ -64,8 +65,8 @@ const linkMagic = "MUX2"
 // peer never advertised it.
 const CapBlobRef byte = 0x01
 
-// readHandshake consumes the dialer's opening bytes: the magic and one
-// capability byte.
+// readHandshake consumes the dialer's opening bytes: the magic and the
+// reserved byte, which it discards.
 func readHandshake(r io.Reader) error {
 	var hello [len(linkMagic) + 1]byte
 	if _, err := io.ReadFull(r, hello[:]); err != nil {
