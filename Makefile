@@ -143,9 +143,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Root non-test Go lines: the number every PR reports its delta of in
-# CHANGES.md (ROADMAP standing rules). bench/ is a module of its own.
+# Root non-test Go lines, one line per package directory and the total last:
+# the number every PR reports its delta of in CHANGES.md (ROADMAP standing
+# rules). bench/ is a module of its own.
 lines:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 ci: fmt vet build test race bench-smoke route-smoke chaos-ci chaos-nofault chaos-large-ci fuzz-smoke

@@ -283,12 +283,11 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// decodePlanWireFixture is a frame shaped like the ones area_fanout routes:
-// a plan shell of annotated <url> and <urn> leaves under one selection, its
-// retained original, a visited section with a dozen answered-area <a s= u=/>
-// records and a dozen-visit provenance trail. It is nearly all names and
-// attribute values and carries no payload, the shape BenchmarkDecode's data
-// documents hide.
+// decodePlanWireFixture is a data-free plan frame: a plan shell of annotated
+// <url> and <urn> leaves under one selection, its retained original, a
+// visited section of a dozen records and a dozen-visit provenance trail. It
+// is nearly all names and attribute values and carries no payload, the shape
+// BenchmarkDecode's data documents hide.
 func decodePlanWireFixture(b testing.TB) []byte {
 	b.Helper()
 	var leaves []*algebra.Node
@@ -305,7 +304,6 @@ func decodePlanWireFixture(b testing.TB) []byte {
 				Annotate("origin-urn", urn).Annotate("source", server))
 		}
 		visited.Mark(server, uint64(i)*0x9e3779b97f4a7c15)
-		visited.MarkAnswered(server, urn)
 		trail.Append(provenance.Visit{
 			Server: server, Action: provenance.ActionBind, Detail: urn,
 			At: time.Duration(i) * time.Millisecond,

@@ -23,13 +23,6 @@ const (
 	// AnnotSource records which server contributed a bound or reduced
 	// subtree; provenance uses it for spoof checks.
 	AnnotSource = "source"
-	// AnnotArea records the registered interest area (URN form) of the
-	// collection behind a bound URL leaf; materialization carries it onto
-	// the data so a partial result can name exactly which (server, area)
-	// pairs are already answered. Stripped from plans that did not opt into
-	// resubmission (route.MarkResubmittable), so their wire bytes are
-	// unchanged.
-	AnnotArea = "area"
 )
 
 // Card returns the node's cardinality annotation, or -1 when absent or

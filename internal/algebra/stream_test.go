@@ -123,8 +123,7 @@ var streamFuzzSeeds = []string{
 	`<mqp id="&#113;8" target="t:1"><plan><display><data><x>&#65;&amp;</x></data></display></plan>` +
 		`<visited>legacy:1 1 AA</visited></mqp>`,
 	`<mqp id="q9" target="t:1"><plan><union><urn name="urn:InterestArea:(USA.OR.Portland,Furniture.Chairs)"/><data/></union></plan>` +
-		`<visited b="6">m:9020 2 FnYrjV5vcIE<a s="s1:9020" u="urn:InterestArea:(USA.OR.Portland,Music.CDs)"/>` +
-		`<a s="s2:9020" u="urn:InterestArea:(*,*)"/></visited></mqp>`,
+		`<visited b="6">m:9020 2 FnYrjV5vcIE</visited></mqp>`,
 }
 
 // FuzzStreamEncodeEquivalence: for any decodable <mqp> frame, the streamed

@@ -60,17 +60,6 @@ func (p *Plan) PartialReason() string {
 	return v
 }
 
-// AnsweredArea is one (server, area URN) pair in the answered-area records
-// a partial result carries back to the client: the named server already
-// contributed its data for that resource area, so a resubmission may skip
-// it. Pairs ride in the <visited> section as <a s="server" u="urn"/>
-// children — outside the fingerprinted root tree, so extending them never
-// perturbs routing fingerprints.
-type AnsweredArea struct {
-	Server string
-	URN    string
-}
-
 // VisitRecord is one server's entry in the visited memory.
 type VisitRecord struct {
 	Server string
@@ -89,13 +78,9 @@ type Visited struct {
 	// first visit.
 	Budget  int
 	records map[string]*VisitRecord
-	// answered maps server → set of area URNs the server has already
-	// contributed to a partial result (resubmission exclusion records).
-	answered map[string]map[string]bool
 	// elem caches the marshaled <visited> element, frozen so every hop that
-	// serializes the plan between mutations aliases it. Invalidated by Mark
-	// and MarkAnswered; elemBudget guards against direct writes to the
-	// exported Budget field.
+	// serializes the plan between mutations aliases it. Invalidated by Mark;
+	// elemBudget guards against direct writes to the exported Budget field.
 	elem       *xmltree.Node
 	elemBudget int
 }
@@ -149,91 +134,6 @@ func (v *Visited) Mark(server string, fp uint64) {
 	v.elem = nil
 }
 
-// MarkAnswered records that server already contributed its data for the
-// area named by urn, so a resubmission of this plan may exclude the pair.
-func (v *Visited) MarkAnswered(server, urn string) {
-	if server == "" || urn == "" {
-		return
-	}
-	if v.answered == nil {
-		v.answered = map[string]map[string]bool{}
-	}
-	set := v.answered[server]
-	if set == nil {
-		set = map[string]bool{}
-		v.answered[server] = set
-	}
-	if !set[urn] {
-		set[urn] = true
-		v.elem = nil
-	}
-}
-
-// IsAnswered reports whether the (server, urn) pair is recorded as answered.
-func (v *Visited) IsAnswered(server, urn string) bool {
-	return v.answered[server][urn]
-}
-
-// AnsweredLen returns the number of answered-area pairs recorded.
-func (v *Visited) AnsweredLen() int {
-	n := 0
-	for _, set := range v.answered {
-		n += len(set)
-	}
-	return n
-}
-
-// Answered returns the answered-area pairs, sorted by server then URN.
-func (v *Visited) Answered() []AnsweredArea {
-	if len(v.answered) == 0 {
-		return nil
-	}
-	out := make([]AnsweredArea, 0, v.AnsweredLen())
-	for s, set := range v.answered {
-		for u := range set {
-			out = append(out, AnsweredArea{Server: s, URN: u})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Server != out[j].Server {
-			return out[i].Server < out[j].Server
-		}
-		return out[i].URN < out[j].URN
-	})
-	return out
-}
-
-// RemoveAnswered drops one answered-area pair, if recorded.
-func (v *Visited) RemoveAnswered(server, urn string) {
-	set := v.answered[server]
-	if set == nil || !set[urn] {
-		return
-	}
-	delete(set, urn)
-	if len(set) == 0 {
-		delete(v.answered, server)
-	}
-	v.elem = nil
-}
-
-// RemoveAnsweredServer drops every answered-area pair for a server.
-func (v *Visited) RemoveAnsweredServer(server string) {
-	if _, ok := v.answered[server]; !ok {
-		return
-	}
-	delete(v.answered, server)
-	v.elem = nil
-}
-
-// ClearAnswered drops all answered-area pairs.
-func (v *Visited) ClearAnswered() {
-	if len(v.answered) == 0 {
-		return
-	}
-	v.answered = nil
-	v.elem = nil
-}
-
 // Clone deep-copies the memory.
 func (v *Visited) Clone() *Visited {
 	if v == nil {
@@ -244,16 +144,6 @@ func (v *Visited) Clone() *Visited {
 	for s, r := range v.records {
 		rc := *r
 		cp.records[s] = &rc
-	}
-	if len(v.answered) > 0 {
-		cp.answered = make(map[string]map[string]bool, len(v.answered))
-		for s, set := range v.answered {
-			sc := make(map[string]bool, len(set))
-			for u := range set {
-				sc[u] = true
-			}
-			cp.answered[s] = sc
-		}
 	}
 	return cp
 }
@@ -322,12 +212,6 @@ func (v *Visited) Marshal() *xmltree.Node {
 			))
 		}
 	}
-	for _, aa := range v.Answered() {
-		e.Add(xmltree.ElemAttrs("a",
-			xmltree.Attr{Name: "s", Value: aa.Server},
-			xmltree.Attr{Name: "u", Value: aa.URN},
-		))
-	}
 	v.elem = e.Freeze()
 	v.elemBudget = v.Budget
 	return v.elem
@@ -360,14 +244,6 @@ func UnmarshalVisited(e *xmltree.Node) (*Visited, error) {
 		if n > 0 {
 			v.Budget = n
 		}
-	}
-	for _, ae := range e.ChildrenNamed("a") {
-		server := ae.AttrDefault("s", "")
-		urn := ae.AttrDefault("u", "")
-		if server == "" || urn == "" {
-			return nil, fmt.Errorf("algebra: <a> answered record missing server or area")
-		}
-		v.MarkAnswered(server, urn)
 	}
 	for _, ve := range e.ChildrenNamed("v") {
 		server := ve.AttrDefault("s", "")

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -291,8 +292,6 @@ func TestUnmarshalVisitedRejectsGarbage(t *testing.T) {
 		`<visited><v s="a:1" n="-1000"/></visited>`,  // negative count defeats the budget
 		`<visited><v s="a:1" fp="zz"/></visited>`,    // bad fingerprint
 		`<visited budget="x"><v s="a:1"/></visited>`, // bad budget
-		`<visited><a u="urn:L:USA"/></visited>`,      // answered record, no server
-		`<visited><a s="a:1"/></visited>`,            // answered record, no area
 	} {
 		if _, err := UnmarshalVisited(xmltree.MustParse(src)); err == nil {
 			t.Errorf("no error for %s", src)
@@ -340,72 +339,34 @@ func TestUnmarshalVisitedBudgetEdge(t *testing.T) {
 	}
 }
 
-// TestVisitedAnsweredRoundTrip: answered-area records survive the wire, sort
-// deterministically, and leave the plan fingerprint untouched (they live in
-// the <visited> section, outside the fingerprinted root tree).
-func TestVisitedAnsweredRoundTrip(t *testing.T) {
-	p := visitedTestPlan()
-	fpBefore := Fingerprint(p.Root)
-	v := p.VisitedMemory()
+// TestVisitedIgnoresAnsweredRecords: an <a s u> child, the answered-area
+// record of an older wire form, decodes like any unknown child and is not
+// re-emitted; the visit records and budget beside it survive intact.
+func TestVisitedIgnoresAnsweredRecords(t *testing.T) {
+	v := NewVisited()
+	v.Budget = 3
 	v.Mark("idx-OR:9020", 42)
-	v.MarkAnswered("s2:9020", "urn:L:USA/OR")
-	v.MarkAnswered("s1:9020", "urn:L:USA/WA")
-	v.MarkAnswered("s1:9020", "urn:M:Furniture")
-	v.MarkAnswered("s1:9020", "urn:M:Furniture") // duplicate is a no-op
-	if got := Fingerprint(p.Root); got != fpBefore {
-		t.Fatalf("answered records perturbed the root fingerprint: %x != %x", got, fpBefore)
+	v.Mark("idx-OR:9020", 43)
+	v.Mark("s1:9020", 7)
+	want := v.Marshal().String()
+	src := strings.Replace(want, "</visited>", `<a s="s1:9020" u="urn:L:USA/OR"/></visited>`, 1)
+	if src == want {
+		t.Fatalf("no closing tag to splice into: %s", want)
 	}
-	if v.AnsweredLen() != 3 {
-		t.Fatalf("AnsweredLen = %d, want 3", v.AnsweredLen())
-	}
-
-	rt, err := Unmarshal(Marshal(p))
+	got, err := UnmarshalVisited(xmltree.MustParse(src))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", src, err)
 	}
-	if rt.Visited == nil {
-		t.Fatal("visited section lost")
+	if got.Budget != 3 {
+		t.Fatalf("Budget = %d, want 3", got.Budget)
 	}
-	got := rt.Visited.Answered()
-	want := []AnsweredArea{
-		{Server: "s1:9020", URN: "urn:L:USA/WA"},
-		{Server: "s1:9020", URN: "urn:M:Furniture"},
-		{Server: "s2:9020", URN: "urn:L:USA/OR"},
+	if r, ok := got.Lookup("idx-OR:9020"); !ok || r.Count != 2 || r.Fingerprint != 43 {
+		t.Fatalf("idx-OR:9020 record = %+v ok=%v, want count 2 fp 43", r, ok)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("answered = %v, want %v", got, want)
+	if r, ok := got.Lookup("s1:9020"); !ok || r.Count != 1 || r.Fingerprint != 7 {
+		t.Fatalf("s1:9020 record = %+v ok=%v, want count 1 fp 7", r, ok)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("answered[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if !rt.Visited.IsAnswered("s1:9020", "urn:M:Furniture") {
-		t.Fatal("IsAnswered lost a pair on the wire")
-	}
-	// The packed visit record rides alongside untouched.
-	if r, ok := rt.Visited.Lookup("idx-OR:9020"); !ok || r.Fingerprint != 42 {
-		t.Fatalf("visit record lost alongside answered records: %+v ok=%v", r, ok)
-	}
-
-	// Answered-only memory (no visits, no budget) still travels: it is the
-	// resubmission exclusion state.
-	p2 := visitedTestPlan()
-	p2.VisitedMemory().MarkAnswered("s1:9020", "urn:L:USA")
-	rt2, err := Unmarshal(Marshal(p2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt2.Visited == nil || !rt2.Visited.IsAnswered("s1:9020", "urn:L:USA") {
-		t.Fatal("answered-only visited memory lost on the wire")
-	}
-
-	// Removal helpers invalidate the cached element.
-	rt2.Visited.RemoveAnswered("s1:9020", "urn:L:USA")
-	if rt2.Visited.AnsweredLen() != 0 {
-		t.Fatal("RemoveAnswered left the pair")
-	}
-	if len(rt2.Visited.Marshal().ChildrenNamed("a")) != 0 {
-		t.Fatal("stale cached element re-emitted removed answered records")
+	if re := got.Marshal().String(); re != want {
+		t.Fatalf("re-encoded\n%s\nwant\n%s", re, want)
 	}
 }

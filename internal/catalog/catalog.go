@@ -536,11 +536,6 @@ func (c *Catalog) bindArea(urn string, area namespace.Area) Binding {
 			for k, v := range h.coll.Annotations {
 				leaf.Annotate(k, v)
 			}
-			// The collection's registered area travels on the leaf so
-			// materialized data stays attributable to a (server, area) pair —
-			// the granularity of partial-result resubmission. The processor
-			// strips it from plans that did not opt into resubmission.
-			leaf.Annotate(algebra.AnnotArea, namespace.EncodeURN(h.coll.Area))
 			leaves[i] = leaf
 		}
 		if len(leaves) == 1 {

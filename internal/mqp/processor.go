@@ -315,15 +315,6 @@ type step struct {
 	// collect accumulates provenance actions for a prospective cache entry.
 	collect bool
 	actions []provAction
-	// resub marks a resubmission-eligible plan (route.MarkResubmittable):
-	// materialization records answered (server, area) pairs into visited, and
-	// already-answered leaves are subtracted before resolving. Such plans
-	// bypass the plan cache entirely — marking happens during the stages the
-	// cache skips, so a hit would silently under-record.
-	resub bool
-	// visited is the plan's visited memory, resolved once per step; only set
-	// when resub is true.
-	visited *algebra.Visited
 }
 
 // record appends one provenance visit (and collects it for the plan cache
@@ -392,10 +383,6 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 	// server forwards the <provenance> section untouched (it travels
 	// verbatim — and, after one wire hop, frozen — in plan.Extra).
 	st := &step{p: p, sc: sc}
-	if route.Resubmittable(plan) {
-		st.resub = true
-		st.visited = plan.VisitedMemory()
-	}
 	if p.cfg.Key != nil {
 		t, err := provenance.FromPlan(plan)
 		if err != nil {
@@ -419,7 +406,7 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 	// need deep document comparison on every lookup to rule out fingerprint
 	// collisions, which costs more than the stages the cache skips. None is
 	// ever inserted, so none can hit: ask before hashing.
-	cacheable := p.cache != nil && !st.resub && !hasDocs(plan.Root)
+	cacheable := p.cache != nil && !hasDocs(plan.Root)
 	var fp, gen uint64
 	if cacheable {
 		gen = p.generation()
@@ -656,8 +643,7 @@ func internDocs(root *algebra.Node, intern func(*xmltree.Node) *xmltree.Node) {
 func (st *step) materializeAndReduce(plan *algebra.Plan, declineForbidden bool, out *Outcome,
 	routes *[]string) error {
 	st.declineAllowed = !declineForbidden && st.p.hasForeignWork(plan.Root)
-	st.subtractAnswered(plan, out)
-	root, err := st.resolveURLs(plan.Root, true, out, routes)
+	root, err := st.resolveURLs(plan.Root, out, routes)
 	if err != nil {
 		return err
 	}
@@ -667,60 +653,9 @@ func (st *step) materializeAndReduce(plan *algebra.Plan, declineForbidden bool, 
 		return err
 	}
 	plan.Root = root
-	// The second binding pass may have introduced fresh URL leaves for
-	// collections a resubmission already holds; subtract them before they
-	// route the plan anywhere.
-	st.subtractAnswered(plan, out)
 	st.declineAllowed = !declineForbidden && st.p.hasForeignWork(plan.Root)
 	plan.Root = st.reduce(plan.Root, true, out)
 	return nil
-}
-
-// distributiveKind reports whether an operator distributes over its inputs'
-// partitioning: excluding one input's contribution from a subtree made only
-// of these operators excludes exactly that contribution from the result.
-// Joins, counts, differences and unresolved Or alternatives do not qualify —
-// under them, skipping an input would corrupt the remainder, so answered
-// accounting never applies there.
-func distributiveKind(k algebra.Kind) bool {
-	switch k {
-	case algebra.KindDisplay, algebra.KindSelect, algebra.KindProject, algebra.KindUnion:
-		return true
-	}
-	return false
-}
-
-// subtractAnswered replaces URL leaves whose (server, area) pair is recorded
-// as already answered with the empty collection — the resubmission
-// optimization: data a previous partial already delivered is neither
-// re-fetched nor re-routed. Only leaves under an all-distributive ancestor
-// chain qualify, mirroring the marking rule, so exclusion is exact.
-func (st *step) subtractAnswered(plan *algebra.Plan, out *Outcome) {
-	if !st.resub || st.visited == nil || st.visited.AnsweredLen() == 0 {
-		return
-	}
-	skipped := 0
-	var visit func(n *algebra.Node, anc bool)
-	visit = func(n *algebra.Node, anc bool) {
-		for i, c := range n.Children {
-			if c.Kind == algebra.KindURL && anc && distributiveKind(n.Kind) {
-				if area, ok := c.Annotation(algebra.AnnotArea); ok &&
-					st.visited.IsAnswered(AddrOf(c.URL), area) {
-					empty := algebra.Data()
-					empty.SetCard(0)
-					n.Children[i] = empty
-					skipped++
-					continue
-				}
-			}
-			visit(c, anc && distributiveKind(n.Kind))
-		}
-	}
-	visit(plan.Root, true)
-	if skipped > 0 {
-		out.Rewrites += skipped
-		st.record(provenance.ActionOptimize, "answered-skip:"+strconv.Itoa(skipped), 0)
-	}
 }
 
 // hasLocalWork reports whether the plan still holds URL leaves served here —
@@ -769,36 +704,16 @@ func (st *step) bindURNs(plan *algebra.Plan, n *algebra.Node, out *Outcome, rout
 		out.Bound++
 		st.record(provenance.ActionBind, n.URN, 0)
 		markOrigin(expr, n.URN)
-		st.stripAreas(expr)
 		return expr, nil
 	}
 	if b.Expr != nil {
 		out.Bound++
 		st.record(provenance.ActionBind, n.URN, 0)
 		markOrigin(b.Expr, n.URN)
-		st.stripAreas(b.Expr)
 		return b.Expr, nil
 	}
 	*routes = append(*routes, b.Routes...)
 	return n, nil
-}
-
-// stripAreas removes the catalog's interest-area annotations from the URL
-// leaves of a freshly bound expression when the plan did not opt into
-// resubmission: only resubmittable plans carry (and pay the wire bytes for)
-// the area tags that answered-area accounting needs. Stripping at bind time
-// keeps every non-resubmittable plan's fingerprints and wire form identical
-// to a build without learning.
-func (st *step) stripAreas(expr *algebra.Node) {
-	if st.resub {
-		return
-	}
-	expr.Walk(func(m *algebra.Node) bool {
-		if m.Kind == algebra.KindURL {
-			delete(m.Annotations, algebra.AnnotArea)
-		}
-		return true
-	})
 }
 
 // authoritativeBind applies the §3.3 authoritative-server semantics to an
@@ -840,15 +755,11 @@ func (p *Processor) authoritativeBind(urn string, b catalog.Binding) (*algebra.N
 }
 
 // resolveURLs substitutes data for URL leaves served here (and for remote
-// ones when the policy pulls). anc tracks whether every ancestor of n is a
-// distributive operator (distributiveKind): only then is a materialization
-// recorded as an answered (server, area) pair on a resubmittable plan —
-// under a join, count or unresolved Or, a later resubmission could not
-// soundly exclude the pair.
-func (st *step) resolveURLs(n *algebra.Node, anc bool, out *Outcome, routes *[]string) (*algebra.Node, error) {
+// ones when the policy pulls).
+func (st *step) resolveURLs(n *algebra.Node, out *Outcome, routes *[]string) (*algebra.Node, error) {
 	p := st.p
 	for i, c := range n.Children {
-		nc, err := st.resolveURLs(c, anc && distributiveKind(n.Kind), out, routes)
+		nc, err := st.resolveURLs(c, out, routes)
 		if err != nil {
 			return nil, err
 		}
@@ -909,16 +820,6 @@ func (st *step) resolveURLs(n *algebra.Node, anc bool, out *Outcome, routes *[]s
 	d.Annotate(algebra.AnnotSource, addr)
 	out.Fetched++
 	st.record(provenance.ActionData, n.URL+n.PathExp, stale)
-	if st.resub && anc {
-		if area, ok := n.Annotation(algebra.AnnotArea); ok {
-			// The (server, area) contribution is now in the plan under an
-			// all-distributive chain: if this plan comes back partial, a
-			// resubmission may exclude the pair (route.Resubmit). A veto pass
-			// at partial time (route.reconcileAnswered) drops the record
-			// again if the data never made it into the delivered body.
-			st.visited.MarkAnswered(addr, area)
-		}
-	}
 	return d, nil
 }
 

@@ -21,7 +21,7 @@ func TestEmptyShortcutsByteIdentical(t *testing.T) {
 		}
 		if withEmptyTable {
 			for _, p := range procs {
-				p.cfg.Shortcuts = route.NewShortcuts(route.ShortcutsConfig{})
+				p.cfg.Shortcuts = route.NewShortcuts()
 			}
 		}
 		plan := fig3Plan()

@@ -187,8 +187,11 @@ type Peer struct {
 	// resMu guards the delivery-side records below. It is deliberately
 	// separate from the data path: appending a result never blocks a worker
 	// reading collections.
-	resMu   sync.Mutex
-	results []Result
+	resMu sync.Mutex
+	// results holds the newest maxResults finished queries nobody has taken
+	// yet, resultsDropped counting the rest.
+	results        []Result
+	resultsDropped int
 	// stuck records terminal plan failures, identical entries once (message
 	// duplication can redeliver the same doomed plan): the newest maxStuck of
 	// them, stuckDropped counting the rest.
@@ -251,7 +254,7 @@ func New(cfg Config) (*Peer, error) {
 		CacheGeneration: p.store.generation,
 	}
 	if cfg.LearnShortcuts {
-		p.shortcuts = route.NewShortcuts(route.ShortcutsConfig{})
+		p.shortcuts = route.NewShortcuts()
 		p.absorbRevive = math.MaxInt64 // no full pass yet: every clock needs one
 		pcfg.Shortcuts = p.shortcuts
 	}
@@ -524,10 +527,20 @@ func (p *Peer) TakeResult() (Result, bool) {
 	return r, true
 }
 
-// recordResult appends a finished query.
+// maxResults bounds the results nobody has taken: a daemon is sent results
+// (any neighbor can address a constant plan to it) but never takes them. No
+// chaos, experiment or bench world comes near it.
+const maxResults = 1024
+
+// recordResult appends a finished query; past maxResults the oldest entry
+// makes room.
 func (p *Peer) recordResult(plan *algebra.Plan, at time.Duration, hops int) {
 	p.mineTrail(plan, at)
 	p.resMu.Lock()
+	if len(p.results) == maxResults {
+		p.results = p.results[:copy(p.results, p.results[1:])]
+		p.resultsDropped++
+	}
 	p.results = append(p.results, Result{Plan: plan, At: at, Hops: hops,
 		Partial: plan.PartialResult()})
 	p.resMu.Unlock()

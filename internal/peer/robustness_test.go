@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/namespace"
 	"repro/internal/simnet"
+	"repro/internal/xmltree"
 )
 
 // TestFallbackRoutingSurvivesDownIndex: the client knows two index servers
@@ -215,5 +216,34 @@ func TestStuckRecordBounded(t *testing.T) {
 	first, last := failed(over).Error(), failed(maxStuck+over-1).Error()
 	if got[0].Error() != first || got[maxStuck-1].Error() != last {
 		t.Fatalf("kept %v … %v, want %s … %s", got[0], got[maxStuck-1], first, last)
+	}
+}
+
+// TestResultsBounded: results nobody takes (a daemon is sent them and never
+// calls TakeResult) keep the newest maxResults, count what was dropped, and
+// still pop oldest first.
+func TestResultsBounded(t *testing.T) {
+	net := simnet.New()
+	p := mustPeer(t, Config{Addr: "p:1", Net: net, NS: testNS()})
+	const over = 10
+	for i := 0; i < maxResults+over; i++ {
+		res := algebra.NewPlan(fmt.Sprintf("r%d", i), "p:1", algebra.Display(algebra.Data()))
+		body := xmltree.MustParse(algebra.EncodeString(res)).Freeze()
+		if err := p.Deliver(net, &simnet.Message{From: "s:1", To: "p:1", Kind: KindResult, Body: body}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := p.Results()
+	if len(got) != maxResults || p.resultsDropped != over {
+		t.Fatalf("kept %d, dropped %d; want %d, %d", len(got), p.resultsDropped, maxResults, over)
+	}
+	if first, last := got[0].Plan.ID, got[maxResults-1].Plan.ID; first != fmt.Sprintf("r%d", over) ||
+		last != fmt.Sprintf("r%d", maxResults+over-1) {
+		t.Fatalf("kept %s … %s, want r%d … r%d", first, last, over, maxResults+over-1)
+	}
+	for i := over; i < over+3; i++ {
+		if r, ok := p.TakeResult(); !ok || r.Plan.ID != fmt.Sprintf("r%d", i) {
+			t.Fatalf("TakeResult = %v %v, want r%d", r.Plan, ok, i)
+		}
 	}
 }

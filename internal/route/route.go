@@ -20,13 +20,11 @@
 package route
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/engine"
-	"repro/internal/namespace"
 	"repro/internal/xmltree"
 )
 
@@ -241,58 +239,6 @@ func filterByVisited(p *algebra.Plan, hops []string, fp uint64) (keep, filtered 
 	return keep, filtered
 }
 
-// AnnotResubmittable is the plan-root annotation a client sets before
-// submitting to opt into partial-result resubmission: processors then keep
-// (server, area) attribution on bound leaves and record answered-area pairs
-// into the visited memory, so a partial result can be resubmitted with
-// covered areas excluded. Plans without the flag follow the exact pre-
-// resubmission code paths — their wire bytes are unchanged.
-const AnnotResubmittable = "resubmittable"
-
-// MarkResubmittable opts the plan into partial-result resubmission. Set it
-// before the first submission (it is part of the fingerprinted root state).
-func MarkResubmittable(p *algebra.Plan) { p.Root.Annotate(AnnotResubmittable, "true") }
-
-// Resubmittable reports whether the plan opted into resubmission.
-func Resubmittable(p *algebra.Plan) bool {
-	v, _ := p.Root.Annotation(AnnotResubmittable)
-	return v == "true"
-}
-
-// Resubmit derives a fresh submission from a partial result: the retained
-// original query re-travels under a new id, carrying the partial's
-// answered-area records in its visited memory so processors subtract the
-// covered (server, area) pairs before routing — the plan converges on the
-// missing remainder instead of re-walking the whole itinerary. Visit
-// records are NOT carried over: the fresh plan may legitimately revisit
-// every server; only the answered-area exclusions persist (plus the
-// plan-level revisit budget, which is routing policy, not history).
-//
-// Soundness contract (see TESTING.md "Learned routing"): for plans whose
-// operator tree is distributive (display/select/project/union over leaves),
-// the partial's items ∪ the resubmitted result's items equal the complete
-// answer multiset. Non-distributive shapes carry no answered records and
-// simply re-evaluate from scratch — always sound, never excluded.
-func Resubmit(partial *algebra.Plan, id string) (*algebra.Plan, error) {
-	if partial == nil || !partial.PartialResult() {
-		return nil, fmt.Errorf("route: resubmit needs a partial result")
-	}
-	if partial.Original == nil {
-		return nil, fmt.Errorf("route: partial %q retained no original query", partial.ID)
-	}
-	np := algebra.NewPlan(id, partial.Target, partial.Original.Clone())
-	np.Original = partial.Original
-	MarkResubmittable(np)
-	v := np.VisitedMemory()
-	if partial.Visited != nil {
-		v.Budget = partial.Visited.Budget
-		for _, aa := range partial.Visited.Answered() {
-			v.MarkAnswered(aa.Server, aa.URN)
-		}
-	}
-	return np, nil
-}
-
 // Partial derives the explicit partial result for a plan that can no longer
 // travel productively: the best-effort evaluation of the data the plan
 // already holds, with unresolved work treated as empty. The result plan is
@@ -312,16 +258,10 @@ func Partial(p *algebra.Plan) *algebra.Plan {
 		body = body.Children[0]
 	}
 	var items []*xmltree.Node
-	evalFailed := false
 	if pruned := pruneToAvailable(body); pruned != nil {
 		if got, err := engine.Evaluate(pruned); err == nil {
 			items = got
-		} else {
-			evalFailed = true
 		}
-	}
-	if Resubmittable(p) && p.Visited != nil && p.Visited.AnsweredLen() > 0 {
-		reconcileAnswered(p.Visited, body, evalFailed)
 	}
 	for _, it := range items {
 		it.Freeze()
@@ -338,52 +278,6 @@ func Partial(p *algebra.Plan) *algebra.Plan {
 		}
 	}
 	return pp
-}
-
-// reconcileAnswered trims the answered-area records down to what this
-// partial actually includes, so a resubmission excludes exactly the
-// contributions already delivered and nothing more:
-//
-//   - evaluation failure means the recorded pairs' data never reached the
-//     result — clear everything rather than exclude data nobody got;
-//   - an unresolved URL leaf with the same (server, area) pair as a
-//     recorded one would be wrongly excluded on resubmit (the pair covers
-//     both the materialized and the unmaterialized collection), so the
-//     ambiguous pair is dropped;
-//   - a still-unresolved URN leaf could bind to any collection overlapping
-//     its area on resubmission — every recorded pair its area overlaps is
-//     dropped (undecodable URNs drop everything, conservatively).
-//
-// Dropping a pair is always safe: the worst case is a resubmission
-// re-fetching data the client merges away, never a missing answer.
-func reconcileAnswered(v *algebra.Visited, body *algebra.Node, evalFailed bool) {
-	if evalFailed {
-		v.ClearAnswered()
-		return
-	}
-	body.Walk(func(m *algebra.Node) bool {
-		switch m.Kind {
-		case algebra.KindURL:
-			if area, ok := m.Annotation(algebra.AnnotArea); ok {
-				v.RemoveAnswered(AddrOf(m.URL), area)
-			} else {
-				v.RemoveAnsweredServer(AddrOf(m.URL))
-			}
-		case algebra.KindURN:
-			area, err := namespace.DecodeURN(m.URN)
-			if err != nil {
-				v.ClearAnswered()
-				return false
-			}
-			for _, aa := range v.Answered() {
-				pa, err := namespace.DecodeURN(aa.URN)
-				if err != nil || pa.Overlaps(area) {
-					v.RemoveAnswered(aa.Server, aa.URN)
-				}
-			}
-		}
-		return true
-	})
 }
 
 // pruneToAvailable rewrites the operator tree to one evaluable from the data

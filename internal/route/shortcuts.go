@@ -20,12 +20,12 @@ import (
 // can crash-leave and be replaced by a replica, at which point a shortcut
 // that was perfectly true yesterday misroutes today. Entries therefore
 // carry the catalog generation they were learned under and a virtual-time
-// stamp, and they expire instead of lingering: a fresh entry lives MaxAge;
-// one whose source generation the local catalog has since moved past lives
-// only StaleAge. Expiry can cost a wasted probe hop (the visited-server
-// memory bounds it); it can never produce a wrong answer, because a
-// shortcut only adds forwarding candidates — evaluation and the oracle
-// invariants are untouched.
+// stamp, and they expire instead of lingering: a fresh entry lives
+// shortcutMaxAge; one whose source generation the local catalog has since
+// moved past lives only shortcutStaleAge. Expiry can cost a wasted probe
+// hop (the visited-server memory bounds it); it can never produce a wrong
+// answer, because a shortcut only adds forwarding candidates — evaluation
+// and the oracle invariants are untouched.
 
 // ShortcutEntry is one learned (resource area → server) edge.
 type ShortcutEntry struct {
@@ -43,32 +43,24 @@ type ShortcutEntry struct {
 	Generation uint64
 }
 
-// ShortcutsConfig bounds a Shortcuts table. Zero values select defaults.
-type ShortcutsConfig struct {
-	// MaxAge is the TTL of a current-generation entry (default 30 virtual
-	// minutes).
-	MaxAge time.Duration
-	// StaleAge is the TTL of an entry whose source catalog generation the
-	// local catalog has moved past (default 5 virtual minutes) — the
-	// staleness discipline replicas use: suspicion, not trust, after churn.
-	StaleAge time.Duration
-	// MaxPerArea caps the edges kept per area (default 4); the lowest-scored
-	// entry is evicted first.
-	MaxPerArea int
-	// HalfLife is the decay horizon of an edge's confirmation weight
-	// (default 10 virtual minutes): an entry's score is its hit count
-	// discounted by 2^(-(now-LearnedAt)/HalfLife), so a recently confirmed
-	// edge outranks one that piled up hits long ago and then went quiet.
-	// Expiry still removes entries outright; decay only orders the live
-	// ones.
-	HalfLife time.Duration
-}
-
 const (
-	defaultShortcutMaxAge     = 30 * time.Minute
-	defaultShortcutStaleAge   = 5 * time.Minute
-	defaultShortcutMaxPerArea = 4
-	defaultShortcutHalfLife   = 10 * time.Minute
+	// shortcutMaxAge is the TTL of a current-generation entry, in virtual
+	// time.
+	shortcutMaxAge = 30 * time.Minute
+	// shortcutStaleAge is the TTL of an entry whose source catalog generation
+	// the local catalog has moved past — the staleness discipline replicas
+	// use: suspicion, not trust, after churn.
+	shortcutStaleAge = 5 * time.Minute
+	// shortcutMaxPerArea caps the edges kept per area; the lowest-scored
+	// entry is evicted first. The number of areas is not bounded.
+	shortcutMaxPerArea = 4
+	// shortcutHalfLife is the decay horizon of an edge's confirmation
+	// weight: an entry's score is its hit count discounted by
+	// 2^(-(now-LearnedAt)/shortcutHalfLife), so a recently confirmed edge
+	// outranks one that piled up hits long ago and then went quiet. Expiry
+	// still keeps entries out of answers outright; decay only orders the
+	// live ones.
+	shortcutHalfLife = 10 * time.Minute
 )
 
 // ShortcutStats is a snapshot of a table's counters.
@@ -84,27 +76,14 @@ type ShortcutStats struct {
 // Shortcuts is a concurrent table of learned routing edges. Safe for
 // concurrent Lookup/Candidates during Learn/Invalidate.
 type Shortcuts struct {
-	cfg    ShortcutsConfig
 	mu     sync.RWMutex
 	byArea map[string][]*ShortcutEntry
 	stats  ShortcutStats
 }
 
 // NewShortcuts creates an empty table.
-func NewShortcuts(cfg ShortcutsConfig) *Shortcuts {
-	if cfg.MaxAge <= 0 {
-		cfg.MaxAge = defaultShortcutMaxAge
-	}
-	if cfg.StaleAge <= 0 {
-		cfg.StaleAge = defaultShortcutStaleAge
-	}
-	if cfg.MaxPerArea <= 0 {
-		cfg.MaxPerArea = defaultShortcutMaxPerArea
-	}
-	if cfg.HalfLife <= 0 {
-		cfg.HalfLife = defaultShortcutHalfLife
-	}
-	return &Shortcuts{cfg: cfg, byArea: map[string][]*ShortcutEntry{}}
+func NewShortcuts() *Shortcuts {
+	return &Shortcuts{byArea: map[string][]*ShortcutEntry{}}
 }
 
 // Learn records (or re-confirms) that server answered the area at virtual
@@ -134,23 +113,23 @@ func (s *Shortcuts) Learn(area, server string, gen uint64, at time.Duration) {
 		Area: area, Server: server, Hits: 1, LearnedAt: at, Generation: gen,
 	})
 	s.sortLocked(entries, at)
-	if len(entries) > s.cfg.MaxPerArea {
-		entries = entries[:s.cfg.MaxPerArea]
+	if len(entries) > shortcutMaxPerArea {
+		entries = entries[:shortcutMaxPerArea]
 		s.stats.Expired++
 	}
 	s.byArea[area] = entries
 }
 
 // scoreLocked is an entry's decay-weighted confirmation count at virtual
-// time at: Hits discounted by 2^(-(at-LearnedAt)/HalfLife). Hits on a
-// quiet edge lose half their weight every half-life, so routing follows
+// time at: Hits discounted by 2^(-(at-LearnedAt)/shortcutHalfLife). Hits on
+// a quiet edge lose half their weight every half-life, so routing follows
 // where the workload has been answered recently, not just often.
 func (s *Shortcuts) scoreLocked(e *ShortcutEntry, at time.Duration) float64 {
 	age := at - e.LearnedAt
 	if age < 0 {
 		age = 0
 	}
-	return float64(e.Hits) * math.Exp2(-float64(age)/float64(s.cfg.HalfLife))
+	return float64(e.Hits) * math.Exp2(-float64(age)/float64(shortcutHalfLife))
 }
 
 // sortLocked orders entries best-first at virtual time at: highest decayed
@@ -171,30 +150,25 @@ func (s *Shortcuts) sortLocked(entries []*ShortcutEntry, at time.Duration) {
 // liveUntilLocked is the last virtual time at which the entry is still
 // trustworthy under catalog generation gen.
 func (s *Shortcuts) liveUntilLocked(e *ShortcutEntry, gen uint64) time.Duration {
-	ttl := s.cfg.MaxAge
+	ttl := shortcutMaxAge
 	if e.Generation != gen {
-		ttl = s.cfg.StaleAge
+		ttl = shortcutStaleAge
 	}
 	return e.LearnedAt + ttl
-}
-
-// liveLocked reports whether the entry is still trustworthy at virtual
-// time at under catalog generation gen.
-func (s *Shortcuts) liveLocked(e *ShortcutEntry, gen uint64, at time.Duration) bool {
-	return at <= s.liveUntilLocked(e, gen)
 }
 
 // Lookup returns the live learned servers for an area, best-first by
 // decayed score AT LOOKUP TIME (stored order is only as fresh as the last
 // Learn, and decay keeps shifting the ranking between confirmations), and
-// counts the hit or miss. Expired entries are skipped (and reaped on the
-// next Learn or Sweep), never returned.
+// counts the hit or miss. Expired entries are skipped, never returned; they
+// stay in the table until Learn evicts them from a full area or Invalidate
+// drops their server.
 func (s *Shortcuts) Lookup(area string, gen uint64, at time.Duration) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	live := make([]*ShortcutEntry, 0, len(s.byArea[area]))
 	for _, e := range s.byArea[area] {
-		if s.liveLocked(e, gen, at) {
+		if at <= s.liveUntilLocked(e, gen) {
 			live = append(live, e)
 		}
 	}
@@ -317,31 +291,6 @@ func (s *Shortcuts) Invalidate(server string) int {
 	}
 	s.stats.Invalidated += uint64(removed)
 	return removed
-}
-
-// Sweep reaps entries no longer live at virtual time at under generation
-// gen. Returns the number reaped.
-func (s *Shortcuts) Sweep(gen uint64, at time.Duration) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reaped := 0
-	for area, entries := range s.byArea {
-		kept := entries[:0]
-		for _, e := range entries {
-			if s.liveLocked(e, gen, at) {
-				kept = append(kept, e)
-			} else {
-				reaped++
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.byArea, area)
-		} else {
-			s.byArea[area] = kept
-		}
-	}
-	s.stats.Expired += uint64(reaped)
-	return reaped
 }
 
 // Stats snapshots the table's counters.

@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestShortcutsLearnLookupOrdering(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{})
+	s := NewShortcuts()
 	const area = "urn:L:USA/OR"
 	s.Learn(area, "idx-OR:9020", 1, 1*time.Minute)
 	s.Learn(area, "s7:9020", 1, 2*time.Minute)
@@ -31,55 +32,61 @@ func TestShortcutsLearnLookupOrdering(t *testing.T) {
 }
 
 func TestShortcutsExpiry(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{MaxAge: 10 * time.Minute, StaleAge: 2 * time.Minute})
+	s := NewShortcuts()
 	const area = "urn:L:USA/OR"
 	s.Learn(area, "idx-OR:9020", 5, 0)
 
-	// Same generation: alive until MaxAge, gone after.
-	if got := s.Lookup(area, 5, 10*time.Minute); len(got) != 1 {
-		t.Fatalf("entry expired before MaxAge: %v", got)
+	// Same generation: alive until shortcutMaxAge (30m), gone after.
+	if got := s.Lookup(area, 5, 30*time.Minute); len(got) != 1 {
+		t.Fatalf("entry expired before shortcutMaxAge: %v", got)
 	}
-	if got := s.Lookup(area, 5, 11*time.Minute); got != nil {
-		t.Fatalf("entry outlived MaxAge: %v", got)
+	if got := s.Lookup(area, 5, 31*time.Minute); got != nil {
+		t.Fatalf("entry outlived shortcutMaxAge: %v", got)
 	}
 
-	// Catalog moved on (churn): the short staleness TTL governs instead.
-	if got := s.Lookup(area, 6, 2*time.Minute); len(got) != 1 {
-		t.Fatalf("stale-generation entry expired before StaleAge: %v", got)
+	// Catalog moved on (churn): the short staleness TTL (5m) governs instead.
+	if got := s.Lookup(area, 6, 5*time.Minute); len(got) != 1 {
+		t.Fatalf("stale-generation entry expired before shortcutStaleAge: %v", got)
 	}
-	if got := s.Lookup(area, 6, 3*time.Minute); got != nil {
-		t.Fatalf("stale-generation entry outlived StaleAge: %v", got)
+	if got := s.Lookup(area, 6, 6*time.Minute); got != nil {
+		t.Fatalf("stale-generation entry outlived shortcutStaleAge: %v", got)
 	}
 
 	// A re-confirmation under the new generation restores the full TTL.
-	s.Learn(area, "idx-OR:9020", 6, 4*time.Minute)
-	if got := s.Lookup(area, 6, 13*time.Minute); len(got) != 1 {
+	s.Learn(area, "idx-OR:9020", 6, 7*time.Minute)
+	if got := s.Lookup(area, 6, 37*time.Minute); len(got) != 1 {
 		t.Fatalf("re-confirmed entry expired early: %v", got)
 	}
-
-	if reaped := s.Sweep(6, time.Hour); reaped != 1 {
-		t.Fatalf("sweep reaped %d, want 1", reaped)
+	if got := s.Lookup(area, 6, 38*time.Minute); got != nil {
+		t.Fatalf("re-confirmed entry outlived shortcutMaxAge: %v", got)
 	}
-	if st := s.Stats(); st.Entries != 0 {
-		t.Fatalf("entries after sweep = %d", st.Entries)
+
+	// Expiry hides an entry from answers; it does not reap it.
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("entries after expiry = %d, want 1", st.Entries)
 	}
 }
 
 func TestShortcutsMaxPerArea(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{MaxPerArea: 2})
+	s := NewShortcuts()
 	const area = "urn:L:USA"
 	s.Learn(area, "a:1", 1, 1*time.Minute)
 	s.Learn(area, "a:1", 1, 2*time.Minute)
 	s.Learn(area, "b:1", 1, 3*time.Minute)
-	s.Learn(area, "c:1", 1, 4*time.Minute) // evicts the lowest-scored (b or c)
-	got := s.Lookup(area, 1, 5*time.Minute)
-	if len(got) != 2 || got[0] != "a:1" {
-		t.Fatalf("lookup = %v, want 2 entries led by a:1", got)
+	s.Learn(area, "c:1", 1, 4*time.Minute)
+	s.Learn(area, "d:1", 1, 5*time.Minute)
+	s.Learn(area, "e:1", 1, 6*time.Minute) // over shortcutMaxPerArea: evicts the lowest-scored, b
+	got := s.Lookup(area, 1, 7*time.Minute)
+	if len(got) != shortcutMaxPerArea || got[0] != "a:1" || slices.Contains(got, "b:1") {
+		t.Fatalf("lookup = %v, want %d entries led by a:1, without b:1", got, shortcutMaxPerArea)
+	}
+	if st := s.Stats(); st.Entries != shortcutMaxPerArea || st.Expired != 1 {
+		t.Fatalf("stats = %+v, want %d entries and 1 eviction", st, shortcutMaxPerArea)
 	}
 }
 
 func TestShortcutsInvalidate(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{})
+	s := NewShortcuts()
 	s.Learn("urn:L:USA/OR", "dead:1", 1, 0)
 	s.Learn("urn:L:USA/WA", "dead:1", 1, 0)
 	s.Learn("urn:L:USA/WA", "alive:1", 1, 0)
@@ -98,7 +105,7 @@ func TestShortcutsInvalidate(t *testing.T) {
 }
 
 func TestShortcutsConfirmed(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{})
+	s := NewShortcuts()
 	s.Learn("urn:L:USA/OR", "idx-OR:9020", 1, 0)
 	s.Learn("urn:L:USA/OR", "idx-OR:9020", 1, time.Minute)
 	s.Learn("urn:L:USA/WA", "idx-WA:9020", 1, time.Minute)
@@ -143,7 +150,7 @@ func TestShortcutsConfirmed(t *testing.T) {
 // same instant evicts the one that sorts last — and Confirmed must not
 // resurrect it from the caller's list.
 func TestShortcutsConfirmedAfterEviction(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{})
+	s := NewShortcuts()
 	var among []ShortcutEntry
 	for _, srv := range []string{"z:1", "a:1", "b:1", "c:1", "d:1"} {
 		s.Learn("urn:L:USA/OR", srv, 1, 0)
@@ -158,7 +165,7 @@ func TestShortcutsConfirmedAfterEviction(t *testing.T) {
 // TestShortcutsCandidates: URN leaves of the plan drive lookups; duplicates
 // and self are dropped; a nil table is inert.
 func TestShortcutsCandidates(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{})
+	s := NewShortcuts()
 	s.Learn("urn:L:USA/OR", "idx-OR:9020", 1, 0)
 	s.Learn("urn:L:USA/WA", "idx-OR:9020", 1, 0) // dup server across areas
 	s.Learn("urn:L:USA/WA", "self:9020", 1, 0)   // self must be dropped
@@ -198,7 +205,7 @@ func TestSelectLearnedTierFirst(t *testing.T) {
 // TestShortcutsConcurrent exercises concurrent readers during mining and
 // invalidation; run under -race (make race does).
 func TestShortcutsConcurrent(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{})
+	s := NewShortcuts()
 	root := algebra.Display(algebra.Union(
 		algebra.URN("urn:L:USA/OR"), algebra.URN("urn:L:USA/WA")))
 	var wg sync.WaitGroup
@@ -222,9 +229,6 @@ func TestShortcutsConcurrent(t *testing.T) {
 				case 3:
 					s.Confirmed(2, uint64(i%3), at, nil)
 					s.Stats()
-					if i%100 == 0 {
-						s.Sweep(uint64(i%3), at)
-					}
 				}
 			}
 		}(w)
@@ -237,7 +241,7 @@ func TestShortcutsConcurrent(t *testing.T) {
 // confirmed edge with fewer hits, both at Learn-time re-sorting and at
 // Lookup time as decay keeps shifting the balance between confirmations.
 func TestShortcutsDecayOrdering(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{HalfLife: 10 * time.Minute, MaxAge: 24 * time.Hour})
+	s := NewShortcuts() // shortcutHalfLife 10m; every lookup below is inside shortcutMaxAge
 	const area = "urn:L:USA/OR"
 	// old:1 earns 10 confirmations in the first minute; new:1 earns 3
 	// around the 29-minute mark.
@@ -271,19 +275,25 @@ func TestShortcutsDecayOrdering(t *testing.T) {
 	}
 }
 
-// TestShortcutsDecayEviction: with decay, MaxPerArea eviction drops the
-// stalest edge, not the newest — a table full of dead weight makes room
+// TestShortcutsDecayEviction: with decay, shortcutMaxPerArea eviction drops
+// the stalest edge, not the newest — a table full of dead weight makes room
 // for the edge the workload is proving right now.
 func TestShortcutsDecayEviction(t *testing.T) {
-	s := NewShortcuts(ShortcutsConfig{MaxPerArea: 2, HalfLife: 5 * time.Minute, MaxAge: 24 * time.Hour})
+	s := NewShortcuts()
 	const area = "urn:L:USA"
 	for i := 0; i < 8; i++ {
 		s.Learn(area, "stale:1", 1, 0) // 8 hits, ancient
 	}
-	s.Learn(area, "warm:1", 1, 58*time.Minute)
-	s.Learn(area, "fresh:1", 1, 60*time.Minute) // table over cap: stale:1 scores 8×2^-12 ≈ 0.002 and is evicted
+	s.Learn(area, "w1:1", 1, 57*time.Minute)
+	s.Learn(area, "w2:1", 1, 58*time.Minute)
+	s.Learn(area, "w3:1", 1, 59*time.Minute)
+	s.Learn(area, "fresh:1", 1, 60*time.Minute) // table over cap: stale:1 scores 8×2^-6 = 0.125 and is evicted
 	got := s.Lookup(area, 1, 60*time.Minute)
-	if len(got) != 2 || got[0] != "fresh:1" || got[1] != "warm:1" {
-		t.Fatalf("lookup = %v, want [fresh:1 warm:1] with stale:1 evicted", got)
+	if len(got) != 4 || got[0] != "fresh:1" || got[1] != "w3:1" || got[2] != "w2:1" || got[3] != "w1:1" {
+		t.Fatalf("lookup = %v, want [fresh:1 w3:1 w2:1 w1:1]", got)
+	}
+	// stale:1 left the table rather than merely expiring out of answers.
+	if st := s.Stats(); st.Entries != 4 {
+		t.Fatalf("entries = %d, want 4 with stale:1 evicted", st.Entries)
 	}
 }

@@ -62,7 +62,7 @@ func FuzzRecv(f *testing.F) {
 	f.Add(opened(0, linkFrame(0, `<mqp id="q" target="t:1"><plan><urn name="urn:X:Y"/></plan>`+
 		`<visited b="4">meta:9020 FnYrjV5vcIE<a s="s1:9020" u="urn:InterestArea:(USA.OR.Portland,Music.CDs)"/></visited></mqp>`)))
 	f.Add(opened(0, linkFrame(1<<63, `<mqp id="q" target="t:1"><plan><data/></plan>`+
-		`<visited><a s="s:1" u=""/></visited></mqp>`))) // malformed answered record: empty area
+		`<visited><a s="s:1" u=""/></visited></mqp>`))) // an unknown <visited> child: plain XML to the wire
 	f.Add(opened(0, []byte{0, 0}))                                                      // truncated header
 	f.Add(opened(0, linkFrame(0, `<a/>`)[:12]))                                         // header only, no payload
 	f.Add(opened(0, linkFrame(0, ``)))                                                  // zero-length frame
