@@ -142,6 +142,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Root non-test Go lines, one line per package directory and the total last:
 # the number every PR reports its delta of in CHANGES.md (ROADMAP standing

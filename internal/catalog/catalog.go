@@ -116,6 +116,11 @@ type Catalog struct {
 	gen atomic.Uint64
 }
 
+// resolveCacheMax caps the resolve cache between catalog mutations: any
+// neighbor can send plans naming endless distinct URNs, so a Resolve that
+// would insert past the cap empties the cache first.
+const resolveCacheMax = 4096
+
 // New creates an empty catalog for the peer at self over namespace ns.
 func New(ns *namespace.Namespace, self string) *Catalog {
 	return &Catalog{
@@ -348,6 +353,9 @@ func (c *Catalog) Resolve(urn string) (Binding, error) {
 	}
 	c.mu.Lock()
 	if c.cacheEnabled && b.Known() {
+		if len(c.cache) >= resolveCacheMax {
+			c.cache = map[string]Binding{}
+		}
 		c.cache[urn] = cloneBinding(b)
 	}
 	c.mu.Unlock()

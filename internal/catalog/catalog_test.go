@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -349,6 +350,42 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 	h1, _ := c.CacheStats()
 	if h1 != h0 {
 		t.Fatal("disabled cache must not hit")
+	}
+}
+
+// TestResolveCacheBounded resolves more distinct URNs than the cache holds:
+// the cache stays within its cap and every answer, cached or not, equals the
+// uncached one.
+func TestResolveCacheBounded(t *testing.T) {
+	ns := testNS()
+	c := New(ns, "me:1")
+	const n = resolveCacheMax + 100
+	urns := make([]string, n)
+	for i := range urns {
+		urns[i] = fmt.Sprintf("urn:Cap:%d", i)
+		c.AddAlias(urns[i], fmt.Sprintf("http://s%d:1/data[id=%d]", i%7, i))
+	}
+	for _, urn := range urns {
+		want, err := c.resolveUncached(urn, map[string]bool{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first Resolve fills the cache, the second answers from it.
+		for i := 0; i < 2; i++ {
+			got, err := c.Resolve(urn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !algebra.Equal(got.Expr, want.Expr) {
+				t.Fatalf("%s resolved to %v, want %v", urn, got.Expr, want.Expr)
+			}
+		}
+		if len(c.cache) > resolveCacheMax {
+			t.Fatalf("cache holds %d entries, cap %d", len(c.cache), resolveCacheMax)
+		}
+	}
+	if hits, misses := c.CacheStats(); hits != n || misses != n {
+		t.Fatalf("cache stats = %d/%d, want %d/%d", hits, misses, n, n)
 	}
 }
 

@@ -17,7 +17,6 @@
 package mqp
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"time"
@@ -32,24 +31,15 @@ import (
 )
 
 // StepContext carries the per-invocation state of one processing cycle: the
-// cancellation context of the submission, the virtual time of the message
-// being processed (stamped on provenance records), and the request RTTs the
-// step accumulated pulling remote data (added to the forwarded plan's
-// virtual time by the transport). The zero value is usable: no cancellation,
-// time zero.
+// virtual time of the message being processed (stamped on provenance
+// records), and the request RTTs the step accumulated pulling remote data
+// (added to the forwarded plan's virtual time by the transport). The zero
+// value is usable: time zero.
 type StepContext struct {
-	// Ctx, when non-nil, cancels the step: processing checks it between
-	// stages and returns an explicit partial (Outcome.Canceled) once it is
-	// done, so a timed-out plan surfaces instead of silently burning work.
-	Ctx context.Context
 	// Now is the virtual time of the message being processed.
 	Now time.Duration
 	// PullDelay accumulates the RTTs of data pulls made during the step.
 	PullDelay time.Duration
-}
-
-func (sc *StepContext) canceled() bool {
-	return sc != nil && sc.Ctx != nil && sc.Ctx.Err() != nil
 }
 
 // Fetcher resolves a URL leaf to data. pathExp identifies the collection at
@@ -274,10 +264,6 @@ type Outcome struct {
 	// transport should deliver an explicit partial result (route.Partial) to
 	// plan.Target instead of forwarding.
 	Partial bool
-	// Canceled means the step's context expired before processing finished;
-	// Partial is set alongside it. The transport should deliver what the
-	// plan already holds as an explicit partial, annotated "canceled".
-	Canceled bool
 	// NextHop is the preferred server to forward the plan to when not done.
 	NextHop string
 	// NextHops lists every forwarding candidate in preference order
@@ -355,7 +341,7 @@ func (st *step) replay(actions []provAction) {
 // Step performs one server's processing cycle on the plan, mutating it in
 // place, and returns the outcome. The plan's provenance section is extended
 // when the processor has a signing key. Virtual time comes from Config.Now;
-// use StepCtx to pass time (and cancellation) explicitly.
+// use StepCtx to pass time explicitly.
 //
 // Step consumes the plan: reduction freezes payload documents in place
 // (see engine.Reduce), so a caller constructing a plan from documents it
@@ -365,10 +351,9 @@ func (p *Processor) Step(plan *algebra.Plan) (Outcome, error) {
 	return p.StepCtx(&StepContext{Now: p.cfg.Now()}, plan)
 }
 
-// StepCtx is Step with an explicit per-invocation context: cancellation,
-// virtual time in, accumulated pull delay out. Safe to call from any number
-// of goroutines on one Processor; sc must not be shared between concurrent
-// steps.
+// StepCtx is Step with an explicit per-invocation context: virtual time in,
+// accumulated pull delay out. Safe to call from any number of goroutines on
+// one Processor; sc must not be shared between concurrent steps.
 func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error) {
 	if sc == nil {
 		sc = &StepContext{Now: p.cfg.Now()}
@@ -392,10 +377,6 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 	}
 
 	out := Outcome{}
-	if sc.canceled() {
-		return st.cancelOutcome(plan, out)
-	}
-
 	var routeCandidates []string
 	// shared marks plan.Root as an alias of a cache entry's prepared root:
 	// read-shared across goroutines, it must be cloned before any further
@@ -480,10 +461,6 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 			st.record(provenance.ActionOptimize, "or-choice", 0)
 		}
 
-		if sc.canceled() {
-			return st.cancelOutcome(plan, out)
-		}
-
 		// 4+5. Materialize, rebind and reduce (declining allowed while the
 		// plan still has work elsewhere).
 		if err := st.materializeAndReduce(plan, false, &out, &routeCandidates); err != nil {
@@ -528,9 +505,6 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 		out.Done = true
 		return out, nil
 	}
-	if sc.canceled() {
-		return st.cancelOutcome(plan, out)
-	}
 	dec := route.Select(plan, p.cfg.Self, routeCandidates, p.learned(plan, sc)...)
 	if dec.Reason != route.Forward && p.hasLocalWork(plan.Root) {
 		// Last stop (§5.1): declining local work is only legitimate while
@@ -567,18 +541,6 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 	}
 	out.NextHops = dec.Hops
 	out.NextHop = out.NextHops[0]
-	return out, nil
-}
-
-// cancelOutcome finishes a step whose context expired: flush whatever trail
-// records were already made (so visited ⊆ trail stays consistent on the
-// partial that results) and report an explicit canceled partial.
-func (st *step) cancelOutcome(plan *algebra.Plan, out Outcome) (Outcome, error) {
-	if st.trail != nil {
-		provenance.ToPlan(plan, st.trail)
-	}
-	out.Partial = true
-	out.Canceled = true
 	return out, nil
 }
 

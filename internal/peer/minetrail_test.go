@@ -248,7 +248,7 @@ func TestMineTrailCostsWhatItTeaches(t *testing.T) {
 func TestMineTrailConcurrentWorkers(t *testing.T) {
 	const senders, plansEach = 4, 150
 	p := learner(t, Config{AbsorbThreshold: 2})
-	p.rt = newRuntime(p, 4, senders*plansEach, 0) // the queue holds the whole burst
+	p.rt = newRuntime(p, 4, senders*plansEach) // the queue holds the whole burst
 	defer p.Close()
 	at := time.Second
 	area := p.ns.MustParseArea("[USA/OR/Portland, Music/CDs]")

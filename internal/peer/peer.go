@@ -13,7 +13,6 @@
 package peer
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -131,9 +130,6 @@ type Config struct {
 	// synchronous delivery path: every Deliver processes inline, which the
 	// deterministic chaos/experiment harnesses rely on.
 	Workers int
-	// StepTimeout bounds one plan step in the worker pool; an expired step
-	// returns a partial result annotated "canceled". Zero disables the bound.
-	StepTimeout time.Duration
 	// PlanCacheSize enables the processor's prepared-plan cache with that
 	// many entries (see internal/mqp). Zero disables it.
 	PlanCacheSize int
@@ -273,14 +269,15 @@ func New(cfg Config) (*Peer, error) {
 	}
 	p.proc = proc
 	if cfg.Workers > 0 {
-		p.rt = newRuntime(p, cfg.Workers, 4*cfg.Workers, cfg.StepTimeout)
+		p.rt = newRuntime(p, cfg.Workers, 4*cfg.Workers)
 	}
 	cfg.Net.Add(p)
 	return p, nil
 }
 
-// Close stops the worker-pool runtime, if any: workers drain, queued plans
-// still waiting are rejected with partial results annotated "shutdown".
+// Close stops the worker-pool runtime, if any: in-flight steps run to
+// completion, then queued plans still waiting are rejected with partial
+// results annotated "shutdown".
 // A synchronous peer's Close is a no-op. Close is idempotent.
 func (p *Peer) Close() {
 	if p.rt != nil {
@@ -681,18 +678,6 @@ func (p *Peer) noteStuck(err error) error {
 // result). The submission leaves at virtual time zero, whatever this peer
 // has processed since.
 func (p *Peer) Submit(addr string, plan *algebra.Plan) error {
-	return p.SubmitCtx(context.Background(), addr, plan)
-}
-
-// SubmitCtx is Submit with cancellation: a context already canceled or
-// past its deadline fails the submission before the plan enters the
-// network. Once sent, the plan travels peer to peer and is bounded by each
-// server's own admission control and step timeout rather than by ctx (a
-// context cannot follow a plan across the wire).
-func (p *Peer) SubmitCtx(ctx context.Context, addr string, plan *algebra.Plan) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("peer %s: submit plan %q: %w", p.addr, plan.ID, err)
-	}
 	return p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindMQP},
 		p.frame(plan, addr))
 }
@@ -714,7 +699,7 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 		if p.rt != nil {
 			return p.rt.enqueue(msg) // onto the worker pool
 		}
-		return p.processMQP(context.Background(), msg)
+		return p.processMQP(msg)
 	case KindResult:
 		_, _, err := p.arrive(msg)
 		return err
@@ -769,10 +754,8 @@ func (p *Peer) arrive(msg *simnet.Message) (*algebra.Plan, time.Duration, error)
 }
 
 // processMQP runs one plan step and routes the outcome: a result home, the
-// mutated plan onward, or a stuck record. ctx bounds the step (worker-pool
-// shutdown, per-plan timeout); a canceled step turns into an explicit
-// partial result annotated "canceled".
-func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
+// mutated plan onward, or a stuck record.
+func (p *Peer) processMQP(msg *simnet.Message) error {
 	plan, fdelay, err := p.arrive(msg)
 	if plan == nil {
 		return err
@@ -780,7 +763,7 @@ func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
 	p.lastAt.Store(int64(msg.At))
 
 	// Fetch-on-miss round trips charge the plan's clock like data pulls do.
-	sc := mqp.StepContext{Ctx: ctx, Now: msg.At, PullDelay: fdelay}
+	sc := mqp.StepContext{Now: msg.At, PullDelay: fdelay}
 	out, err := p.proc.StepCtx(&sc, plan)
 	if err != nil {
 		return p.noteStuck(fmt.Errorf("peer %s: %w", p.addr, err))
@@ -798,9 +781,6 @@ func (p *Peer) processMQP(ctx context.Context, msg *simnet.Message) error {
 			// the depth guard, return an explicit partial result carrying
 			// what was already reduced (a sub-multiset of the full answer).
 			result = route.Partial(plan)
-			if out.Canceled {
-				result.SetPartialReason("canceled")
-			}
 		}
 		err := p.net.SendFrame(&simnet.Message{
 			From: p.addr, To: result.Target, Kind: KindResult, At: at, Hops: msg.Hops,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/simnet"
 )
@@ -25,22 +24,19 @@ type runtime struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	// timeout bounds one plan step; 0 means unbounded.
-	timeout time.Duration
 	// rejected counts admission-control rejections (not shutdown drains).
 	rejected atomic.Int64
 	// closeOnce makes Close idempotent.
 	closeOnce sync.Once
 }
 
-func newRuntime(p *Peer, workers, depth int, timeout time.Duration) *runtime {
+func newRuntime(p *Peer, workers, depth int) *runtime {
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := &runtime{
-		p:       p,
-		queue:   make(chan *simnet.Message, depth),
-		ctx:     ctx,
-		cancel:  cancel,
-		timeout: timeout,
+		p:      p,
+		queue:  make(chan *simnet.Message, depth),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	rt.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -68,6 +64,7 @@ func (rt *runtime) enqueue(msg *simnet.Message) error {
 	}
 }
 
+// worker runs queued plan steps, each to completion, until close.
 func (rt *runtime) worker() {
 	defer rt.wg.Done()
 	for {
@@ -75,26 +72,14 @@ func (rt *runtime) worker() {
 		case <-rt.ctx.Done():
 			return
 		case msg := <-rt.queue:
-			rt.process(msg)
+			if err := rt.p.processMQP(msg); err != nil {
+				// Inline delivery returns errors to the sender's Deliver call;
+				// a worker has no caller, so terminal failures are recorded
+				// here. noteStuck dedupes, so paths that already recorded stay
+				// recorded once.
+				rt.p.noteStuck(err)
+			}
 		}
-	}
-}
-
-// process runs one queued plan under the runtime's lifecycle context plus
-// the optional per-step timeout.
-func (rt *runtime) process(msg *simnet.Message) {
-	ctx := rt.ctx
-	if rt.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.timeout)
-		defer cancel()
-	}
-	if err := rt.p.processMQP(ctx, msg); err != nil {
-		// Inline delivery returns errors to the sender's Deliver call; a
-		// worker has no caller, so terminal failures are recorded here.
-		// noteStuck dedupes, so paths that already recorded stay recorded
-		// once.
-		rt.p.noteStuck(err)
 	}
 }
 

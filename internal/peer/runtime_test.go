@@ -11,6 +11,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/blobstore"
 	"repro/internal/catalog"
+	"repro/internal/mqp"
 	"repro/internal/namespace"
 	"repro/internal/simnet"
 	"repro/internal/xmltree"
@@ -18,8 +19,8 @@ import (
 
 // runtimeWorld builds the smallest concurrent-runtime topology: one
 // authoritative server that is its own index (bench's point_hot shape) and a
-// bare client that receives results. The server's worker and timeout knobs
-// come from cfg; everything else is fixed.
+// bare client that receives results. The server's worker, cache and policy
+// knobs come from cfg; its address, area and catalog are fixed.
 func runtimeWorld(t *testing.T, cfg Config) (client, srv *Peer) {
 	t.Helper()
 	net := simnet.New()
@@ -96,7 +97,7 @@ func submitBurst(t *testing.T, client *Peer, submitters, plansEach int) *sync.Wa
 // -race); admission control has its own test below.
 func TestWorkerPoolDelivery(t *testing.T) {
 	client, srv := runtimeWorld(t, Config{PlanCacheSize: 16})
-	srv.rt = newRuntime(srv, 4, 128, 0)
+	srv.rt = newRuntime(srv, 4, 128)
 	defer srv.Close()
 
 	const submitters, plansEach = 4, 16
@@ -213,35 +214,68 @@ func TestCloseLosesNoPlan(t *testing.T) {
 	}
 }
 
-// TestStepTimeoutCancels runs the worker pool with an already-expired step
-// budget: the plan must come back as an explicit partial annotated
-// "canceled", not hang and not vanish.
-func TestStepTimeoutCancels(t *testing.T) {
-	client, srv := runtimeWorld(t, Config{Workers: 1, StepTimeout: time.Nanosecond})
-	defer srv.Close()
-
-	if err := client.Submit("srv:9020", rtPlan("to1")); err != nil {
-		t.Fatal(err)
-	}
-	rs := waitResults(t, client, 1)
-	if !rs[0].Partial || rs[0].Plan.PartialReason() != "canceled" {
-		t.Fatalf("result = partial=%v reason=%q, want canceled partial",
-			rs[0].Partial, rs[0].Plan.PartialReason())
-	}
+// slowPeer answers every request only once released, and records the plans
+// delivered to it.
+type slowPeer struct {
+	entered, release chan struct{}
+	mu               sync.Mutex
+	plans            []string
 }
 
-func TestSubmitCtxRejectsCanceled(t *testing.T) {
-	client, srv := runtimeWorld(t, Config{})
-	defer srv.Close()
+func (s *slowPeer) Addr() string { return "slow:1" }
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := client.SubmitCtx(ctx, "srv:9020", rtPlan("ctx1"))
-	if err == nil {
-		t.Fatal("submit with canceled context succeeded")
+func (s *slowPeer) Deliver(_ *simnet.Network, msg *simnet.Message) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.plans = append(s.plans, msg.Kind+" "+msg.Body.AttrDefault("id", ""))
+	return nil
+}
+
+func (s *slowPeer) Serve(_ *simnet.Network, _ *simnet.Message) (*xmltree.Node, error) {
+	close(s.entered)
+	<-s.release
+	return xmltree.MustParse(`<data staleness="0"><sale><cd>Blue Train</cd><price>8</price></sale></data>`), nil
+}
+
+// TestCloseFinishesInFlightStep closes a worker-pool server while its step
+// waits on a remote fetch: Close waits for the step, and the step, once the
+// fetch returns, forwards the plan as it would have without the Close. The
+// client hears nothing from this server.
+func TestCloseFinishesInFlightStep(t *testing.T) {
+	client, srv := runtimeWorld(t, Config{Workers: 1, Policy: mqp.DefaultPolicy{}})
+	slow := &slowPeer{entered: make(chan struct{}), release: make(chan struct{})}
+	srv.cfg.Net.(*simnet.Network).Add(slow)
+	srv.Catalog().AddAlias("urn:RT:Slow", "http://slow:1/data")
+
+	rest := algebra.URN(namespace.EncodeURN(srv.ns.MustParseArea("[USA/WA/Seattle, Music/CDs]")))
+	rest.Annotate(catalog.AnnotRoute, "slow:1")
+	plan := algebra.NewPlan("inflight", "client:9020",
+		algebra.Display(algebra.Union(algebra.URN("urn:RT:Slow"), rest)))
+	if err := client.Submit("srv:9020", plan); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(client.Results()); got != 0 {
-		t.Fatalf("canceled submission produced %d results", got)
+	<-slow.entered
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	<-srv.rt.ctx.Done()
+	close(slow.release)
+	<-closed
+
+	slow.mu.Lock()
+	defer slow.mu.Unlock()
+	if len(slow.plans) != 1 || slow.plans[0] != KindMQP+" inflight" {
+		t.Fatalf("slow:1 received %q, want the plan forwarded", slow.plans)
+	}
+	if rs := client.Results(); len(rs) != 0 {
+		t.Fatalf("client got %d results (first partial=%v reason %q), want none",
+			len(rs), rs[0].Partial, rs[0].Plan.PartialReason())
+	}
+	if errs := srv.StuckErrors(); len(errs) != 0 {
+		t.Fatalf("stuck errors: %v", errs)
 	}
 }
 
