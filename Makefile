@@ -25,8 +25,9 @@ test-short: build
 # Machinery benchmark suite (hop path, clone, serialization, engine) with
 # allocation stats. Each stream is distilled by cmd/benchjson into a clean
 # summary (one record per benchmark, parsed metrics) — BENCH_plan_hop.json
-# (with the predicate and fingerprint benches of internal/algebra and
-# internal/engine, which sit on the same hop path), BENCH_decode.json
+# (with the predicate and fingerprint benches of internal/algebra and the
+# selection and Fig. 3 join-reduce benches of internal/engine, which sit on
+# the same hop path), BENCH_decode.json
 # (zero-copy BenchmarkDecode on a payload-heavy frame and BenchmarkDecodePlan
 # on an attribute-heavy plan frame, and internal/xmltree's BenchmarkParse —
 # ParseString, decode plus clone — against BenchmarkParseLegacy, the
@@ -36,7 +37,7 @@ test-short: build
 # behind the "wire hop within ~3x of the tree hop" acceptance bar). The
 # benchmark lines still echo to the console.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(PlanHop$$|PlanClone|Micro|Canonical|ByteSize|Fingerprint$$|ParsePredicate$$|PredicateString$$|SelectEval$$)' \
+	$(GO) test -run '^$$' -bench '^Benchmark(PlanHop$$|PlanClone|Micro|Canonical|ByteSize|Fingerprint$$|ParsePredicate$$|PredicateString$$|SelectEval$$|JoinReduce$$)' \
 		-benchmem -json . ./internal/algebra ./internal/engine \
 		| $(GO) run ./cmd/benchjson -out BENCH_plan_hop.json
 	$(GO) test -run '^$$' -bench '^Benchmark(Decode|DecodePlan|Parse|ParseLegacy)$$' -benchmem -json . ./internal/xmltree \

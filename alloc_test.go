@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/engine"
 	"repro/internal/provenance"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 	"repro/internal/xmltree"
 	"time"
 )
@@ -15,7 +17,9 @@ import (
 // Allocation budgets for the hot paths of a hop. These are regression
 // gates, not aspirations: each bound sits ~25% above the measured value (the
 // plan-hop, select-hop and SendFrame budgets, which repeat exactly, two
-// allocations above) so real regressions fail while noise does not. Run via plain `go test`
+// allocations above; the join budget about two per tuple above; the
+// large-frame budget, where any chunk is a regression, at its measurement)
+// so real regressions fail while noise does not. Run via plain `go test`
 // (and therefore `make ci`).
 const (
 	// warmDecodeAllocBudget bounds one zero-copy decode of the
@@ -64,6 +68,19 @@ const (
 	// payload: one size-and-mark walk, then the serialization memo built in
 	// a buffer of exactly that size. Measured: 1 alloc, the memo string.
 	freezeAllocBudget = 2
+	// joinReduceAllocBudget bounds engine.Reduce of the decoded Fig. 3 join
+	// (100 CDs, 300 listings, 300 tuples), per tuple: one block holding the
+	// tuple, its two components and its child array, Freeze's serialization
+	// memo, and shares of the hash table and the output slice. Measured: 2.4
+	// (7.4 while a tuple was an Elem of two component wrappers, each with its
+	// own child list).
+	joinReduceAllocBudget = 4.5
+	// largeFrameAllocBudget bounds staging that join's result frame (39 KB,
+	// the size of the track server's reply in tcp_chain) a second time on
+	// one encoder: Reset keeps the sealed chunks and the frame reuses them.
+	// Measured: 1 alloc, the sorted annotation keys of the <data>, and no
+	// chunk (10 while Reset dropped the chunks, nine of them 4 KB ones).
+	largeFrameAllocBudget = 1
 )
 
 func planFixtureForAllocs(t *testing.T) (*algebra.Plan, []byte, string) {
@@ -242,6 +259,58 @@ func TestSendFrameAllocBudget(t *testing.T) {
 	send() // open the link, prime the frame cache
 	if allocs := testing.AllocsPerRun(20, send); allocs > sendFrameAllocBudget {
 		t.Fatalf("simnet.SendFrame allocates %.0f/op; budget is %d", allocs, sendFrameAllocBudget)
+	}
+}
+
+// fig3JoinFixture is the Fig. 3 join over n CDs and their 3n listings the way
+// a hop holds it: decoded from a plan frame, its items frozen and carved from
+// the decoder's slabs.
+func fig3JoinFixture(t *testing.T, n int) *algebra.Node {
+	t.Helper()
+	sales, listings := workload.CDCatalog(1, n)
+	p, err := algebra.DecodeString(algebra.EncodeString(algebra.NewPlan("join", "client:1", algebra.Display(
+		algebra.JoinNamed("cd", "cd", "sale", "listing", algebra.Data(sales...), algebra.Data(listings...))))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Root.Children[0]
+}
+
+func TestJoinReduceAllocBudget(t *testing.T) {
+	join := fig3JoinFixture(t, 100)
+	tuples := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		out, err := engine.Reduce(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = len(out.Docs)
+	})
+	if tuples != 300 {
+		t.Fatalf("join produced %d tuples, want 300", tuples)
+	}
+	if perTuple := allocs / float64(tuples); perTuple > joinReduceAllocBudget {
+		t.Fatalf("join Reduce allocates %.2f per tuple; budget is %.1f", perTuple, joinReduceAllocBudget)
+	}
+}
+
+func TestLargeFrameAllocBudget(t *testing.T) {
+	out, err := engine.Reduce(fig3JoinFixture(t, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := algebra.NewPlan("join", "client:1", algebra.Display(out))
+	enc := xmltree.NewFrameEncoder()
+	algebra.EncodeFrame(result, enc)
+	if enc.Len() < 16<<10 {
+		t.Fatalf("result frame is %d bytes; the budget is for frames of 16 KB or more", enc.Len())
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		enc.Reset()
+		algebra.EncodeFrame(result, enc)
+	})
+	if allocs > largeFrameAllocBudget {
+		t.Fatalf("staging a %d-byte frame again allocates %.0f/op; budget is %d", enc.Len(), allocs, largeFrameAllocBudget)
 	}
 }
 

@@ -343,10 +343,18 @@ func (n *Node) Validate() error {
 		if len(n.Fields) == 0 {
 			return fmt.Errorf("algebra: project without fields")
 		}
+		// The engine writes these names as element names; anything else
+		// would emit markup the next hop parses as a different tree.
+		if !xmltree.ElementNameOK(n.As) {
+			return fmt.Errorf("algebra: project as=%q is not an element name", n.As)
+		}
 		want = 1
 	case KindJoin:
 		if n.LeftKey == "" || n.RightKey == "" {
 			return fmt.Errorf("algebra: join without keys")
+		}
+		if !xmltree.ElementNameOK(n.LeftName) || !xmltree.ElementNameOK(n.RightName) {
+			return fmt.Errorf("algebra: join names %q and %q must both be element names", n.LeftName, n.RightName)
 		}
 		want = 2
 	case KindDifference:

@@ -117,6 +117,40 @@ func TestXMLDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsBadElementNames: a join's component names and a
+// projection's wrapper are written as element names by the engine, so a plan
+// whose names are not colon-free XML names is refused on the way in. Markup
+// in a name would make the next hop parse a different tree, an empty join
+// name would drop that side's fields, and an empty wrapper an item's.
+func TestUnmarshalRejectsBadElementNames(t *testing.T) {
+	plan := func(op string) string {
+		return `<mqp id="x" target="t"><plan><display>` + op + `</display></plan></mqp>`
+	}
+	ops := map[string]func(name string) string{
+		"leftname": func(name string) string {
+			return `<join leftkey="k" leftname="` + name + `" rightkey="k" rightname="r"><data/><data/></join>`
+		},
+		"rightname": func(name string) string {
+			return `<join leftkey="k" leftname="l" rightkey="k" rightname="` + name + `"><data/><data/></join>`
+		},
+		"as": func(name string) string {
+			return `<project as="` + name + `" fields="price"><data/></project>`
+		},
+	}
+	for attr, op := range ops {
+		for _, bad := range []string{"", "x&gt;&lt;evil/", "a b", "1x", "p:x"} {
+			if _, err := DecodeString(plan(op(bad))); err == nil {
+				t.Errorf("%s=%q: plan accepted", attr, bad)
+			}
+		}
+		for _, good := range []string{"sale", "_x-1.b", "naïve"} {
+			if _, err := DecodeString(plan(op(good))); err != nil {
+				t.Errorf("%s=%q: %v", attr, good, err)
+			}
+		}
+	}
+}
+
 func TestWireSize(t *testing.T) {
 	p := fig3Plan()
 	want := EncodeString(p)

@@ -88,6 +88,9 @@ func LocallyEvaluable(n *algebra.Node) bool {
 // in-flight plan, so every later hop serializes and forwards them by
 // aliasing instead of cloning. Items passed through unchanged (selection,
 // top-n) typically arrived frozen already, making this a no-op for them.
+// Each new item (a join tuple, a projection) is frozen on its own, so it
+// gets its own serialization memo: the one serialization it ever has, which
+// the frame encoder copies and blobstore.Fingerprint hashes.
 //
 // Because pass-through items are aliases of the input's Docs, Reduce
 // freezes those input documents in place — a sub-plan handed to Reduce is
@@ -159,16 +162,41 @@ func keyOf(it *xmltree.Node, key algebra.Path) (string, bool) {
 	return strings.TrimSpace(m.InnerText()), true
 }
 
-// component wraps an item's content — leading text and fields — under an
-// element named name; join outputs are <tuple> elements with one component
-// per side. Fields of frozen source items are aliased, not copied — the
-// tuple owns only its two wrapper elements and their child slices.
-func component(name string, it *xmltree.Node) *xmltree.Node {
-	e := &xmltree.Node{Name: name, Text: it.Text, Children: make([]*xmltree.Node, 0, len(it.Children))}
-	for _, c := range it.Children {
-		e.Children = append(e.Children, c.Share())
+// joinTuple is one join output in one allocation: the <tuple> element, its
+// two components and the tuple's child array. A retained tuple keeps only
+// this block and the fields it aliases; nothing is shared with other tuples.
+type joinTuple struct {
+	tuple, left, right xmltree.Node
+	kids               [2]*xmltree.Node
+}
+
+func newTuple(leftName string, l *xmltree.Node, rightName string, r *xmltree.Node) *xmltree.Node {
+	t := &joinTuple{}
+	component(&t.left, leftName, l)
+	component(&t.right, rightName, r)
+	t.kids = [2]*xmltree.Node{&t.left, &t.right}
+	t.tuple = xmltree.Node{Name: "tuple", Children: t.kids[:]}
+	return &t.tuple
+}
+
+// component makes c an element named name holding an item's content —
+// leading text and fields. The name is an element name (algebra.Validate
+// holds plans to it), so the tuple stays in normal form. A frozen item's
+// child list is aliased, capped at its length: the list may share a backing
+// array with other nodes or have spare room (a tree grown by Add), and an
+// Add on the component must copy rather than write into slots that are not
+// its own — every tuple the item joins into aliases the same list. A mutable
+// item's fields are Shared.
+func component(c *xmltree.Node, name string, it *xmltree.Node) {
+	c.Name, c.Text = name, it.Text
+	if it.Frozen() {
+		c.Children = it.Children[:len(it.Children):len(it.Children)]
+		return
 	}
-	return e
+	c.Children = make([]*xmltree.Node, len(it.Children))
+	for i, f := range it.Children {
+		c.Children[i] = f.Share()
+	}
 }
 
 func evalJoin(n *algebra.Node) ([]*xmltree.Node, error) {
@@ -208,11 +236,7 @@ func evalJoin(n *algebra.Node) ([]*xmltree.Node, error) {
 			if swapped {
 				l, r = p, b
 			}
-			tuple := xmltree.Elem("tuple",
-				component(n.LeftName, l),
-				component(n.RightName, r),
-			)
-			out = append(out, tuple)
+			out = append(out, newTuple(n.LeftName, l, n.RightName, r))
 		}
 	}
 	return out, nil

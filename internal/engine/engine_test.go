@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/algebra"
+	"repro/internal/workload"
 	"repro/internal/xmltree"
 )
 
@@ -409,6 +410,50 @@ func BenchmarkHashJoin(b *testing.B) {
 		if len(out) != 10000 {
 			b.Fatalf("join output = %d", len(out))
 		}
+	}
+}
+
+// decodedFig3 is the Fig. 3 catalog of n CDs as a peer holds it: each
+// collection decoded from one frame, so items are frozen and slab-backed.
+func decodedFig3(b *testing.B, n int) (sales, listings []*xmltree.Node) {
+	decode := func(items []*xmltree.Node) []*xmltree.Node {
+		frame := "<items>"
+		for _, it := range items {
+			frame += it.String()
+		}
+		doc, err := xmltree.DecodeString(frame + "</items>")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return doc.Children
+	}
+	sales, listings = workload.CDCatalog(1, n)
+	return decode(sales), decode(listings)
+}
+
+// BenchmarkJoinReduce is the track server's hop of the Fig. 3 join: kept of
+// 200 decoded CDs joined with their 600 decoded listings, reduced, and the
+// result staged into a pooled frame encoder — with the collector on, unlike
+// the bench harness's engine.reduce_us replay, so allocation savings show.
+func BenchmarkJoinReduce(b *testing.B) {
+	sales, listings := decodedFig3(b, 200)
+	for _, kept := range []int{40, 100, 160} {
+		join := algebra.JoinNamed("cd", "cd", "sale", "listing",
+			algebra.Data(sales[:kept]...), algebra.Data(listings...))
+		b.Run(fmt.Sprintf("kept=%d", kept), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				out, err := Reduce(join)
+				if err != nil || len(out.Docs) != 3*kept {
+					b.Fatalf("join = %d tuples, %v", len(out.Docs), err)
+				}
+				enc := xmltree.GetFrameEncoder()
+				for _, d := range out.Docs {
+					enc.Node(d)
+				}
+				enc.Release()
+			}
+		})
 	}
 }
 

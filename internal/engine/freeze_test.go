@@ -54,3 +54,61 @@ func TestReduceFreezesResultsAndAliasesFrozenInputs(t *testing.T) {
 		t.Fatal("projection must alias frozen input fields")
 	}
 }
+
+// TestJoinComponentAppendCopies: a join component aliases a frozen item's
+// child list, so an Add on the component of an Evaluated tuple must copy
+// instead of writing past the list's end. Two frozen sources: a decoded
+// frame, whose child lists are carved from the decoder's slab, and two items
+// carved by hand from one backing array without the cap the decoder puts on
+// its lists, so that the first item's list runs on into the second's slots.
+// Sale A joins two listings, so two tuples alias its list.
+func TestJoinComponentAppendCopies(t *testing.T) {
+	const frame = `<items><sale><cd>A</cd><price>8</price></sale><sale><cd>B</cd><price>9</price></sale></items>`
+	decoded, err := xmltree.DecodeString(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := make([]*xmltree.Node, 4)
+	carved := make([]*xmltree.Node, 2)
+	for i, cd := range []string{"A", "B"} {
+		fields := slab[2*i : 2*i+2]
+		fields[0], fields[1] = xmltree.ElemText("cd", cd), xmltree.ElemText("price", "8")
+		carved[i] = (&xmltree.Node{Name: "sale", Children: fields}).Freeze()
+	}
+	listings := algebra.Data(items(
+		`<listing><cd>A</cd><song>a1</song></listing>`,
+		`<listing><cd>A</cd><song>a2</song></listing>`,
+		`<listing><cd>B</cd><song>b1</song></listing>`,
+	)...)
+	for name, sales := range map[string][]*xmltree.Node{"decoded": decoded.Children, "carved": carved} {
+		before := make([]string, len(sales))
+		kids := make([][]*xmltree.Node, len(sales))
+		for i, s := range sales {
+			before[i] = s.String()
+			kids[i] = append([]*xmltree.Node(nil), s.Children[:cap(s.Children)]...)
+		}
+		tuples, err := Evaluate(algebra.JoinNamed("cd", "cd", "sale", "listing",
+			algebra.Data(sales...), listings))
+		if err != nil || len(tuples) != 3 {
+			t.Fatalf("%s: join = %d tuples, %v", name, len(tuples), err)
+		}
+		twin := tuples[1].Child("sale").String()
+		tuples[0].Child("sale").Add(xmltree.ElemText("extra", "x"))
+		if got := tuples[0].Child("sale"); len(got.Children) != 3 || got.Children[2].Name != "extra" {
+			t.Fatalf("%s: Add did not land: %s", name, got)
+		}
+		if got := tuples[1].Child("sale").String(); got != twin {
+			t.Fatalf("%s: Add on one tuple changed its twin: %s, was %s", name, got, twin)
+		}
+		for i, s := range sales {
+			if s.String() != before[i] {
+				t.Fatalf("%s: Add changed source item %d: %s", name, i, s)
+			}
+			for j, k := range s.Children[:cap(s.Children)] {
+				if k != kids[i][j] {
+					t.Fatalf("%s: Add wrote slot %d of item %d's child list", name, j, i)
+				}
+			}
+		}
+	}
+}

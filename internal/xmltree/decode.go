@@ -18,7 +18,7 @@
 //
 // Compatibility: Decode is a behavioral mirror of the encoding/xml tokenizer
 // loop it replaced (parseReference in reference_test.go; the product keeps
-// only the name-class probes localNameOK and exoticNameOK): on any input the
+// only the name-class probes ElementNameOK and exoticNameOK): on any input the
 // two either produce structurally equal trees or both reject, and
 // FuzzDecodeEquivalence enforces it over the shared fuzz corpus. The mirrored
 // quirks worth knowing: \r and \r\n in text and attribute values become \n
@@ -507,33 +507,48 @@ func (d *decoder) rawName() (name string, plain bool, err error) {
 	return name, seen&(clsColon|clsHigh) == 0, nil
 }
 
-// localNameOK reports whether a namespace-stripped local name is itself a
-// well-formed, prefix-free XML name. Stripping a prefix can expose an
-// invalid start character (the tokenizer accepts y:0="..." as prefix "y",
-// local "0") or a residual colon (a:b:c splits at the first colon only);
-// serializing either would produce an unparseable or differently-splitting
-// canonical form. The common all-ASCII case is decided inline; anything
-// exotic is settled by asking the tokenizer itself.
-func localNameOK(local string) bool {
-	if local == "" || strings.IndexByte(local, ':') >= 0 {
-		return false
-	}
-	if c := local[0]; c == '_' || ('A' <= c && c <= 'Z') || ('a' <= c && c <= 'z') {
-		return true
-	}
-	_, err := xml.NewDecoder(strings.NewReader("<" + local + "/>")).Token()
-	return err == nil
-}
-
 // exoticNameOK validates a name containing non-ASCII bytes by asking the
-// reference tokenizer, in the spirit of localNameOK. The probe is a
-// processing instruction, not an element, because PI targets take the raw
-// name character class with no namespace split — names with colons must
-// stay valid here and be judged by splitName separately.
+// reference tokenizer. The probe is a processing instruction, not an
+// element, because PI targets take the raw name character class with no
+// namespace split — names with colons must stay valid here and be judged by
+// splitName separately.
 func exoticNameOK(name string) bool {
 	dec := xml.NewDecoder(strings.NewReader("<?" + name + " ?>"))
 	_, err := dec.Token()
 	return err == nil
+}
+
+// ElementNameOK reports whether name is a well-formed XML name with no
+// colon: one that, written as an element or attribute name, decodes back as
+// itself. The decoder holds a namespace-stripped local name to it, since
+// stripping a prefix can expose an invalid start character (the tokenizer
+// accepts y:0="..." as prefix "y", local "0") or a residual colon (a:b:c
+// splits at the first colon only), and serializing either would produce an
+// unparseable or differently-splitting canonical form. algebra.Validate holds
+// the names a plan has the engine write as elements (a join's component
+// names, a projection's wrapper) to it on the way in. The byte classes are
+// the decoder's own; a non-ASCII name is settled by the tokenizer, as in
+// rawName.
+func ElementNameOK(name string) bool {
+	if name == "" {
+		return false
+	}
+	var seen uint8
+	for i := 0; i < len(name); i++ {
+		c := byteClass[name[i]]
+		if c&clsName == 0 {
+			return false
+		}
+		seen |= c
+	}
+	switch {
+	case seen&clsColon != 0:
+		return false
+	case seen&clsHigh != 0:
+		return exoticNameOK(name)
+	}
+	c := name[0]
+	return 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_'
 }
 
 // splitName applies encoding/xml's namespace split: more than one colon is
@@ -569,7 +584,7 @@ func (d *decoder) startElement() error {
 		if _, local, ok = splitName(raw); !ok {
 			return d.err("element name " + raw + " has multiple colons")
 		}
-		if !localNameOK(local) {
+		if !ElementNameOK(local) {
 			return d.err("element name " + local + " invalid after dropping namespace prefix")
 		}
 	}
@@ -700,7 +715,7 @@ func (d *decoder) startElement() error {
 			if prefix != "" && prefix != "xml" && d.ns[prefix] == "xmlns" {
 				continue
 			}
-			if !localNameOK(alocal) {
+			if !ElementNameOK(alocal) {
 				continue
 			}
 		}

@@ -336,3 +336,18 @@ func TestInternTableBounded(t *testing.T) {
 		t.Fatalf("intern table holds %d names; cap is %d", got, internMax)
 	}
 }
+
+// TestElementNameOKMatchesDecoder: ElementNameOK accepts exactly the names
+// that decode back as themselves when written as an element, the property a
+// caller that emits the name relies on.
+func TestElementNameOKMatchesDecoder(t *testing.T) {
+	for _, name := range []string{
+		"", "a", "A1", "_x", "x-y.z", "1x", "-x", ".x", "a:b", ":a", "a:", "a b", "a>", "a/", "a&amp;",
+		"é", "naïve", "ключ", "·a", "a·", "\xff", "a\xffb",
+	} {
+		doc, err := DecodeString("<" + name + "/>")
+		if want := err == nil && doc.Name == name; ElementNameOK(name) != want {
+			t.Errorf("ElementNameOK(%q) = %v; the decoder reads <%s/> as %v, %v", name, !want, name, doc, err)
+		}
+	}
+}

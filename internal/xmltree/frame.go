@@ -15,7 +15,10 @@
 // Segment stability: scratch chunks are never reallocated once a segment
 // aliases them (a full chunk is sealed and a fresh one started), and memoStr
 // segments are immutable by the freeze contract, so the net.Buffers view
-// stays valid until Release.
+// stays valid until Reset or Release — and not a byte longer: Reset keeps
+// the sealed chunks for the next frame, which writes over them. Every
+// caller finishes with the segments (writes or copies them) before it
+// releases the encoder.
 package xmltree
 
 import (
@@ -41,6 +44,7 @@ const frameInlineMax = 512
 type FrameEncoder struct {
 	segs   net.Buffers // completed segments, in wire order
 	chunks [][]byte    // scratch chunks backing the live segments
+	free   [][]byte    // empty frameChunkSize chunks kept by Reset, at most scratchMax bytes
 	cur    []byte      // current scratch chunk (len = bytes used)
 	mark   int         // start of the open live segment within cur
 	n      int         // total bytes staged
@@ -68,12 +72,19 @@ func (e *FrameEncoder) Release() {
 	frameEncPool.Put(e)
 }
 
-// Reset discards all staged segments, keeping one scratch chunk for reuse.
-// Segment headers are cleared so a pooled encoder does not pin memoized
-// strings (and the frames they alias) between sends.
+// Reset discards all staged segments. The scratch chunks stay for the next
+// frame: the current one, and the sealed frameChunkSize ones in the free
+// list up to scratchMax bytes, so a large frame sent again allocates no
+// chunks. Segment headers are cleared so a pooled encoder does not pin
+// memoized strings (and the frames they alias) between sends.
 func (e *FrameEncoder) Reset() {
 	clear(e.segs)
 	e.segs = e.segs[:0]
+	for _, c := range e.chunks {
+		if cap(c) == frameChunkSize && (len(e.free)+1)*frameChunkSize <= scratchMax {
+			e.free = append(e.free, c[:0])
+		}
+	}
 	clear(e.chunks)
 	e.chunks = e.chunks[:0]
 	// Keep the current chunk for the next frame unless a pathological
@@ -99,20 +110,23 @@ func (e *FrameEncoder) seal() {
 }
 
 // grow makes room for min more live bytes, sealing the current chunk and
-// starting a fresh one when it is full. Started chunks are never reallocated,
-// so previously sealed segments remain valid.
+// starting another when it is full: a kept one from the free list, or a
+// fresh one. Started chunks are never reallocated, so previously sealed
+// segments remain valid.
 func (e *FrameEncoder) grow(min int) {
 	if cap(e.cur)-len(e.cur) >= min {
 		return
 	}
 	e.seal()
 	e.chunks = append(e.chunks, e.cur)
-	size := frameChunkSize
-	if min > size {
-		size = min
-	}
-	e.cur = make([]byte, 0, size)
 	e.mark = 0
+	if n := len(e.free); n > 0 && min <= frameChunkSize {
+		e.cur = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return
+	}
+	e.cur = make([]byte, 0, max(min, frameChunkSize))
 }
 
 // Raw appends verbatim canonical bytes (markup the caller constructs).

@@ -151,6 +151,37 @@ func TestFrameEncoderReuse(t *testing.T) {
 	}
 }
 
+// TestFrameEncoderFreeChunksBounded: Reset (which Release calls before
+// pooling the encoder) keeps the sealed chunks of a frame for the next one,
+// but never more than scratchMax bytes of them, however large the frame;
+// and a frame staged over kept chunks comes out byte for byte.
+func TestFrameEncoderFreeChunksBounded(t *testing.T) {
+	e := NewFrameEncoder()
+	stage := func(piece string) {
+		var want strings.Builder
+		for want.Len() < 4*scratchMax {
+			e.Raw(piece)
+			want.WriteString(piece)
+		}
+		if got := e.String(); got != want.String() {
+			t.Fatalf("staged %d bytes differ from the %d written", len(got), want.Len())
+		}
+	}
+	stage(strings.Repeat("x", 100))
+	e.Reset()
+	spare := 0
+	for _, c := range e.free {
+		spare += cap(c)
+	}
+	if spare > scratchMax || cap(e.cur) > scratchMax {
+		t.Fatalf("encoder keeps %d bytes of spare chunks and a %d-byte current one; cap is %d", spare, cap(e.cur), scratchMax)
+	}
+	if spare != scratchMax {
+		t.Fatalf("encoder keeps %d bytes of spare chunks, want the cap, %d", spare, scratchMax)
+	}
+	stage(strings.Repeat("y", 99))
+}
+
 // TestDecodeCleanSpanMemo: canonical input spans become serialization memos;
 // every deviation from canonical form must leave the memo unset while the
 // serialization itself stays correct (the differential fuzz enforces the

@@ -26,7 +26,7 @@ func parseReference(s string) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if !localNameOK(t.Name.Local) {
+			if !ElementNameOK(t.Name.Local) {
 				return nil, fmt.Errorf("xmltree: parse: element name %q invalid after dropping namespace prefix", t.Name.Local)
 			}
 			n := &Node{Name: t.Name.Local}
@@ -34,7 +34,7 @@ func parseReference(s string) (*Node, error) {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}
-				if !localNameOK(a.Name.Local) {
+				if !ElementNameOK(a.Name.Local) {
 					continue
 				}
 				if _, dup := n.Attr(a.Name.Local); dup {
