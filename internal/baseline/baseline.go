@@ -97,9 +97,8 @@ func (c *CentralIndex) Serve(_ *simnet.Network, req *simnet.Message) (*xmltree.N
 // Lookup performs a client search against the central index, returning the
 // matching references in deterministic order.
 func Lookup(net *simnet.Network, clientAddr, centralAddr string, area namespace.Area) ([]DataRef, error) {
-	req := xmltree.Elem("lookup")
-	req.SetAttr("urn", namespace.EncodeURN(area))
-	reply, _, err := net.Request(clientAddr, centralAddr, KindLookup, req, 0)
+	req := xmltree.ElemAttrs("lookup", xmltree.Attr{Name: "urn", Value: namespace.EncodeURN(area)})
+	reply, _, err := net.Request(&simnet.Message{From: clientAddr, To: centralAddr, Kind: KindLookup}, req.Stage)
 	if err != nil {
 		return nil, err
 	}

@@ -335,6 +335,10 @@ func (c *Catalog) Registrations() []Registration {
 // Resolve resolves a URN string. Opaque URNs are first chased through the
 // alias table (possibly to URLs); interest-area URNs are bound against
 // registrations and intensional statements.
+//
+// The binding is computed outside the lock, so a mutation may land meanwhile;
+// it is cached only if the generation read before computing still stands,
+// never into the cache that mutation emptied.
 func (c *Catalog) Resolve(urn string) (Binding, error) {
 	c.mu.Lock()
 	if c.cacheEnabled {
@@ -345,6 +349,7 @@ func (c *Catalog) Resolve(urn string) (Binding, error) {
 		}
 		c.misses++
 	}
+	gen := c.gen.Load()
 	c.mu.Unlock()
 
 	b, err := c.resolveUncached(urn, map[string]bool{})
@@ -352,7 +357,7 @@ func (c *Catalog) Resolve(urn string) (Binding, error) {
 		return Binding{}, err
 	}
 	c.mu.Lock()
-	if c.cacheEnabled && b.Known() {
+	if c.cacheEnabled && b.Known() && c.gen.Load() == gen {
 		if len(c.cache) >= resolveCacheMax {
 			c.cache = map[string]Binding{}
 		}

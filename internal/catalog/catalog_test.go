@@ -2,7 +2,9 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/algebra"
@@ -386,6 +388,46 @@ func TestResolveCacheBounded(t *testing.T) {
 	}
 	if hits, misses := c.CacheStats(); hits != n || misses != n {
 		t.Fatalf("cache stats = %d/%d, want %d/%d", hits, misses, n, n)
+	}
+}
+
+// TestResolveCacheNotStaleAfterConcurrentMutation: a binding computed before
+// a concurrent mutation landed must not be cached. Each round resolves an
+// alias 20 times while another goroutine gives it a second target; once both
+// are done, Resolve must answer what the catalog now says.
+func TestResolveCacheNotStaleAfterConcurrentMutation(t *testing.T) {
+	const urn = "urn:Race:CDs"
+	ns := testNS()
+	for round := 0; round < 2000; round++ {
+		c := New(ns, "me:1")
+		c.AddAlias(urn, "http://s1:1/data")
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, err := c.Resolve(urn); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			c.AddAlias(urn, "http://s2:1/data")
+		}()
+		wg.Wait()
+		got, err := c.Resolve(urn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.resolveUncached(urn, map[string]bool{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !algebra.Equal(got.Expr, want.Expr) || !slices.Equal(got.Routes, want.Routes) {
+			t.Fatalf("round %d: Resolve = %v %v after the mutation, want %v %v",
+				round, got.Expr, got.Routes, want.Expr, want.Routes)
+		}
 	}
 }
 

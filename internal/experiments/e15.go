@@ -30,7 +30,7 @@ func E15LearnedRouting() (*Table, error) {
 		}
 		// A learning twin of the plain client, in the same world.
 		learner, err := peer.New(peer.Config{Addr: "learner:9020", Net: w.net, NS: w.ns,
-			Key: []byte("kL"), LearnShortcuts: true, AbsorbThreshold: 2})
+			Key: []byte("kL"), LearnShortcuts: true})
 		if err != nil {
 			return nil, err
 		}

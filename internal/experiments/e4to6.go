@@ -294,9 +294,8 @@ func E4RoutingComparison() (*Table, error) {
 }
 
 func fetchCollection(net *simnet.Network, from *peer.Peer, addr, pathExp string) ([]*xmltree.Node, error) {
-	req := xmltree.Elem("fetch")
-	req.SetAttr("path", pathExp)
-	reply, _, err := net.Request(from.Addr(), addr, peer.KindFetch, req, 0)
+	req := xmltree.ElemAttrs("fetch", xmltree.Attr{Name: "path", Value: pathExp})
+	reply, _, err := net.Request(&simnet.Message{From: from.Addr(), To: addr, Kind: peer.KindFetch}, req.Stage)
 	if err != nil {
 		return nil, err
 	}

@@ -277,10 +277,6 @@ type Outcome struct {
 	Rewrites int
 }
 
-// AddrOf extracts the peer address from a URL leaf value: it accepts both
-// bare "host:port" strings and "http://host:port/..." forms.
-func AddrOf(url string) string { return route.AddrOf(url) }
-
 // step is the stack-local state of one processing cycle. It exists so the
 // Processor itself stays stateless: everything a stage records or consults
 // mid-step — the provenance trail, the decline permission, whether remote
@@ -625,7 +621,7 @@ func (st *step) materializeAndReduce(plan *algebra.Plan, declineForbidden bool, 
 func (p *Processor) hasLocalWork(root *algebra.Node) bool {
 	local := false
 	root.Walk(func(m *algebra.Node) bool {
-		if m.Kind == algebra.KindURL && AddrOf(m.URL) == p.cfg.Self {
+		if m.Kind == algebra.KindURL && route.AddrOf(m.URL) == p.cfg.Self {
 			local = true
 			return false
 		}
@@ -730,7 +726,7 @@ func (st *step) resolveURLs(n *algebra.Node, out *Outcome, routes *[]string) (*a
 	if n.Kind != algebra.KindURL {
 		return n, nil
 	}
-	addr := AddrOf(n.URL)
+	addr := route.AddrOf(n.URL)
 	var fetch Fetcher
 	switch {
 	case addr == p.cfg.Self && p.cfg.FetchLocal != nil:
@@ -835,7 +831,7 @@ func (p *Processor) hasForeignWork(root *algebra.Node) bool {
 			foreign = true
 			return false
 		case algebra.KindURL:
-			if AddrOf(m.URL) != p.cfg.Self {
+			if route.AddrOf(m.URL) != p.cfg.Self {
 				foreign = true
 				return false
 			}

@@ -360,21 +360,6 @@ func TestUnavailableURLLeftForLater(t *testing.T) {
 	}
 }
 
-func TestAddrOf(t *testing.T) {
-	cases := map[string]string{
-		"http://10.1.2.3:9020/":     "10.1.2.3:9020",
-		"http://tracks:9020/data/x": "tracks:9020",
-		"https://a:1/":              "a:1",
-		"10.1.2.3:9020":             "10.1.2.3:9020",
-		"tracks:9020/data":          "tracks:9020",
-	}
-	for in, want := range cases {
-		if got := AddrOf(in); got != want {
-			t.Errorf("AddrOf(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("missing self must error")

@@ -331,8 +331,7 @@ func (b *blobState) fetchMissing(p *Peer, from string, fp blobstore.FP, at time.
 	b.stats.Fetches++
 	b.mu.Unlock()
 
-	req := xmltree.Elem("blobfetch")
-	req.SetAttr("fp", fp.String())
+	req := xmltree.ElemAttrs("blobfetch", xmltree.Attr{Name: "fp", Value: fp.String()})
 	var delay time.Duration
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -341,7 +340,7 @@ func (b *blobState) fetchMissing(p *Peer, from string, fp blobstore.FP, at time.
 			b.stats.FetchRetries++
 			b.mu.Unlock()
 		}
-		reply, rat, err := p.net.Request(p.addr, from, KindBlobFetch, req, at+delay)
+		reply, rat, err := p.net.Request(&simnet.Message{From: p.addr, To: from, Kind: KindBlobFetch, At: at + delay}, req.Stage)
 		if rat > at+delay {
 			// Virtual time passed either way: a dropped request still burned
 			// its timeout before the retry could go out.
@@ -353,7 +352,7 @@ func (b *blobState) fetchMissing(p *Peer, from string, fp blobstore.FP, at time.
 				lastErr = fmt.Errorf("empty fetch reply")
 				continue
 			}
-			c.node = b.internWire(from, els[0].Freeze())
+			c.node = b.internWire(from, els[0])
 			break
 		}
 		lastErr = err

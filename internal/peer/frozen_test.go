@@ -49,35 +49,3 @@ func TestCatalogItemsServedFrozenWithoutClone(t *testing.T) {
 		}
 	}
 }
-
-// TestReplicateSharesFrozenItems: replication over the simulated network
-// ends with the replica aliasing the source's frozen items — the §4.3
-// snapshot costs pointers, not copies.
-func TestReplicateSharesFrozenItems(t *testing.T) {
-	net := simnet.New()
-	ns := workload.GarageSaleNamespace()
-	area := ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
-	mk := func(addr string) *Peer {
-		p, err := New(Config{Addr: addr, Net: net, NS: ns, Area: area})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	src, rep := mk("s:1"), mk("r:1")
-	docs := []*xmltree.Node{xmltree.MustParse(`<item><cd>A</cd></item>`)}
-	src.AddCollection(Collection{Name: "cds", PathExp: "/d", Area: area, Items: docs})
-	if err := rep.ReplicateFrom("s:1", "/d", Collection{Name: "cds", PathExp: "/d", Area: area}, 30); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := rep.Collection("/d")
-	if !ok || len(got.Items) != 1 {
-		t.Fatalf("replica missing items: %v %d", ok, len(got.Items))
-	}
-	if got.Items[0] != docs[0] {
-		t.Fatal("replica must alias the source's frozen items")
-	}
-	if got.StalenessMin != 30 {
-		t.Fatalf("staleness = %d", got.StalenessMin)
-	}
-}

@@ -40,14 +40,7 @@ func mineTrailFullPass(p *Peer, plan *algebra.Plan, at time.Duration) {
 			p.shortcuts.Learn(s.Detail, s.Direct, gen, at)
 		}
 	}
-	threshold := p.cfg.AbsorbThreshold
-	if threshold == 0 {
-		threshold = 2
-	}
-	if threshold < 0 {
-		return
-	}
-	edges, _ := p.shortcuts.Confirmed(threshold, gen, at, nil)
+	edges, _ := p.shortcuts.Confirmed(absorbThreshold, gen, at, nil)
 	for _, e := range edges {
 		_, _ = p.cat.AbsorbLearned(e.Server, e.Area)
 	}
@@ -69,10 +62,9 @@ func bind(server, urn string) provenance.Visit {
 	return provenance.Visit{Server: server, Action: provenance.ActionBind, Detail: urn}
 }
 
-func learner(t testing.TB, cfg Config) *Peer {
+func learner(t testing.TB) *Peer {
 	t.Helper()
-	cfg.Addr, cfg.Net, cfg.NS, cfg.LearnShortcuts = "L:1", simnet.New(), testNS(), true
-	return mustPeer(t, cfg)
+	return mustPeer(t, Config{Addr: "L:1", Net: simnet.New(), NS: testNS(), LearnShortcuts: true})
 }
 
 // townURN names a town testNS has not loaded: as many distinct table areas as
@@ -89,92 +81,87 @@ func townURN(i int) string {
 // expire and come back — and requires the two catalogs to be equal, in order,
 // after every step. Replay a failure with -mine-seed.
 func TestMineTrailEquivalence(t *testing.T) {
-	for _, threshold := range []int{1, 2, 5, -1} {
-		t.Run(fmt.Sprintf("threshold=%d", threshold), func(t *testing.T) {
-			got := learner(t, Config{AbsorbThreshold: threshold})
-			ref := learner(t, Config{AbsorbThreshold: threshold})
-			ns := got.ns
-			rng := rand.New(rand.NewSource(*mineSeed))
+	got, ref := learner(t), learner(t)
+	ns := got.ns
+	rng := rand.New(rand.NewSource(*mineSeed))
 
-			servers := []string{got.addr}
-			for i := 0; i < 10; i++ {
-				servers = append(servers, fmt.Sprintf("s%d:1", i))
-			}
-			var areas []namespace.Area
-			for _, loc := range []string{"*", "USA", "USA/OR", "USA/OR/Portland", "USA/WA/Seattle"} {
-				for _, merch := range []string{"*", "Music", "Music/CDs", "Furniture/Chairs"} {
-					areas = append(areas, ns.MustParseArea("["+loc+", "+merch+"]"))
-				}
-			}
-			urns := []string{townURN(1), townURN(2), // generalized on absorb
-				"urn:InterestArea:(Mars.Olympus,Music.CDs)",      // generalizes to nothing known
-				"urn:InterestArea:(", "urn:ForSale:Portland-CDs"} // undecodable; not an area
-			for _, a := range areas {
-				urns = append(urns, namespace.EncodeURN(a))
-			}
-			pick := func(ss []string) string { return ss[rng.Intn(len(ss))] }
-			actions := []provenance.Action{provenance.ActionBind, provenance.ActionBind,
-				provenance.ActionBind, provenance.ActionForward, provenance.ActionData}
+	servers := []string{got.addr}
+	for i := 0; i < 10; i++ {
+		servers = append(servers, fmt.Sprintf("s%d:1", i))
+	}
+	var areas []namespace.Area
+	for _, loc := range []string{"*", "USA", "USA/OR", "USA/OR/Portland", "USA/WA/Seattle"} {
+		for _, merch := range []string{"*", "Music", "Music/CDs", "Furniture/Chairs"} {
+			areas = append(areas, ns.MustParseArea("["+loc+", "+merch+"]"))
+		}
+	}
+	urns := []string{townURN(1), townURN(2), // generalized on absorb
+		"urn:InterestArea:(Mars.Olympus,Music.CDs)",      // generalizes to nothing known
+		"urn:InterestArea:(", "urn:ForSale:Portland-CDs"} // undecodable; not an area
+	for _, a := range areas {
+		urns = append(urns, namespace.EncodeURN(a))
+	}
+	pick := func(ss []string) string { return ss[rng.Intn(len(ss))] }
+	actions := []provenance.Action{provenance.ActionBind, provenance.ActionBind,
+		provenance.ActionBind, provenance.ActionForward, provenance.ActionData}
 
-			var clock time.Duration
-			for step := 0; step < 10000; step++ {
-				switch r := rng.Intn(100); {
-				case r < 80:
-					switch rng.Intn(10) {
-					case 0:
-						clock = time.Duration(rng.Int63n(int64(3 * time.Hour)))
-					case 1, 2:
-						clock -= time.Duration(rng.Int63n(int64(12 * time.Minute)))
-					default:
-						clock += time.Duration(rng.Int63n(int64(2 * time.Minute)))
-					}
-					visits := make([]provenance.Visit, 1+rng.Intn(7))
-					for i := range visits {
-						visits[i] = provenance.Visit{Server: pick(servers),
-							Action: actions[rng.Intn(len(actions))], Detail: pick(urns)}
-						if rng.Intn(4) == 0 { // many servers on one area: the cap evicts
-							visits[i].Detail = visits[0].Detail
-						}
-					}
-					plan := trailPlan(fmt.Sprint("q", step), got.addr, visits...)
-					got.mineTrail(plan, clock)
-					mineTrailFullPass(ref, plan, clock)
-				case r < 85:
-					srv := pick(servers)
-					got.shortcuts.Invalidate(srv)
-					ref.shortcuts.Invalidate(srv)
-				case r < 90:
-					srv := pick(servers)
-					got.cat.Deregister(srv)
-					ref.cat.Deregister(srv)
-				default:
-					// A registration heard from outside: a base server superseding
-					// another, or an index server's own, which replaces whatever
-					// the catalog had learned for it.
-					reg := catalog.Registration{Addr: pick(servers), Role: catalog.RoleBase,
-						Area: areas[rng.Intn(len(areas))], Supersedes: pick(servers)}
-					if r >= 95 {
-						reg.Role, reg.Supersedes = catalog.RoleIndex, ""
-					}
-					if err := got.cat.Register(reg); err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.cat.Register(reg); err != nil {
-						t.Fatal(err)
-					}
-				}
-				gr, rr := got.cat.Registrations(), ref.cat.Registrations()
-				if !reflect.DeepEqual(gr, rr) || got.cat.Generation() != ref.cat.Generation() ||
-					got.shortcuts.Stats() != ref.shortcuts.Stats() {
-					t.Fatalf("-mine-seed %d, step %d (clock %v): catalogs diverge\n got (gen %d, table %+v): %+v\nwant (gen %d, table %+v): %+v",
-						*mineSeed, step, clock, got.cat.Generation(), got.shortcuts.Stats(), gr,
-						ref.cat.Generation(), ref.shortcuts.Stats(), rr)
+	var clock time.Duration
+	for step := 0; step < 10000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 80:
+			switch rng.Intn(10) {
+			case 0:
+				clock = time.Duration(rng.Int63n(int64(3 * time.Hour)))
+			case 1, 2:
+				clock -= time.Duration(rng.Int63n(int64(12 * time.Minute)))
+			default:
+				clock += time.Duration(rng.Int63n(int64(2 * time.Minute)))
+			}
+			visits := make([]provenance.Visit, 1+rng.Intn(7))
+			for i := range visits {
+				visits[i] = provenance.Visit{Server: pick(servers),
+					Action: actions[rng.Intn(len(actions))], Detail: pick(urns)}
+				if rng.Intn(4) == 0 { // many servers on one area: the cap evicts
+					visits[i].Detail = visits[0].Detail
 				}
 			}
-			if threshold > 0 && got.cat.Generation() < 100 {
-				t.Fatalf("the drive absorbed almost nothing (generation %d): it tests nothing", got.cat.Generation())
+			plan := trailPlan(fmt.Sprint("q", step), got.addr, visits...)
+			got.mineTrail(plan, clock)
+			mineTrailFullPass(ref, plan, clock)
+		case r < 85:
+			srv := pick(servers)
+			got.shortcuts.Invalidate(srv)
+			ref.shortcuts.Invalidate(srv)
+		case r < 90:
+			srv := pick(servers)
+			got.cat.Deregister(srv)
+			ref.cat.Deregister(srv)
+		default:
+			// A registration heard from outside: a base server superseding
+			// another, or an index server's own, which replaces whatever
+			// the catalog had learned for it.
+			reg := catalog.Registration{Addr: pick(servers), Role: catalog.RoleBase,
+				Area: areas[rng.Intn(len(areas))], Supersedes: pick(servers)}
+			if r >= 95 {
+				reg.Role, reg.Supersedes = catalog.RoleIndex, ""
 			}
-		})
+			if err := got.cat.Register(reg); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.cat.Register(reg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gr, rr := got.cat.Registrations(), ref.cat.Registrations()
+		if !reflect.DeepEqual(gr, rr) || got.cat.Generation() != ref.cat.Generation() ||
+			got.shortcuts.Stats() != ref.shortcuts.Stats() {
+			t.Fatalf("-mine-seed %d, step %d (clock %v): catalogs diverge\n got (gen %d, table %+v): %+v\nwant (gen %d, table %+v): %+v",
+				*mineSeed, step, clock, got.cat.Generation(), got.shortcuts.Stats(), gr,
+				ref.cat.Generation(), ref.shortcuts.Stats(), rr)
+		}
+	}
+	if got.cat.Generation() < 100 {
+		t.Fatalf("the drive absorbed almost nothing (generation %d): it tests nothing", got.cat.Generation())
 	}
 }
 
@@ -188,7 +175,7 @@ func TestMineTrailEquivalence(t *testing.T) {
 // generation. The count of calls is read off the catalog, not off a counter
 // in the code under test.
 func TestMineTrailCostsWhatItTeaches(t *testing.T) {
-	p := learner(t, Config{AbsorbThreshold: 2})
+	p := learner(t)
 	at := time.Second
 	mine := func(visits ...provenance.Visit) (absorbed uint64) {
 		before := p.cat.Generation()
@@ -247,7 +234,7 @@ func TestMineTrailCostsWhatItTeaches(t *testing.T) {
 // covered by the catalog, whether or not a mutation slipped in mid-pass.
 func TestMineTrailConcurrentWorkers(t *testing.T) {
 	const senders, plansEach = 4, 150
-	p := learner(t, Config{AbsorbThreshold: 2})
+	p := learner(t)
 	p.rt = newRuntime(p, 4, senders*plansEach) // the queue holds the whole burst
 	defer p.Close()
 	at := time.Second
@@ -296,7 +283,7 @@ func TestMineTrailConcurrentWorkers(t *testing.T) {
 	mutatorWG.Wait()
 
 	p.mineTrail(trailPlan("last", p.addr, provenance.Visit{Server: "s0:1", Action: provenance.ActionForward}), at)
-	edges, _ := p.shortcuts.Confirmed(2, p.cat.Generation(), at, nil)
+	edges, _ := p.shortcuts.Confirmed(absorbThreshold, p.cat.Generation(), at, nil)
 	if len(edges) == 0 {
 		t.Fatal("nothing was confirmed: the test tests nothing")
 	}
@@ -319,7 +306,7 @@ func TestMineTrailConcurrentWorkers(t *testing.T) {
 func BenchmarkMineTrail(b *testing.B) {
 	for _, size := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("edges=%d", size), func(b *testing.B) {
-			p := learner(b, Config{})
+			p := learner(b)
 			at := time.Second
 			for i := 0; i < size; i++ {
 				plan := trailPlan("warm", p.addr, bind(fmt.Sprintf("s%d:1", i%8), townURN(i)))

@@ -83,14 +83,17 @@ type Result struct {
 // Transport is what a peer asks of its network: a handler attached, a one-way
 // frame, a request/reply call, and a neighbor's capability byte.
 // *simnet.Network is one; NewTCP makes the other. SendFrame ships the document
-// stage writes to msg.To; msg is the envelope (From, To, Kind, At, Hops) and
+// stage writes to msg.To, and Request ships it and returns the reply with the
+// virtual time it arrives; msg is the envelope (From, To, Kind, At, Hops) and
 // its Body is not read. Every plan and result a peer sends is staged by frame,
-// every registration by its document. PeerCaps is the one way a peer learns
-// whether a neighbor holds a payload store (wire.CapBlobRef).
+// every registration and request by its document, and every document a peer
+// receives — a reply too — is a decoded frame, born frozen. PeerCaps is the
+// one way a peer learns whether a neighbor holds a payload store
+// (wire.CapBlobRef).
 type Transport interface {
 	Add(simnet.Peer)
 	SendFrame(msg *simnet.Message, stage func(*xmltree.FrameEncoder)) error
-	Request(from, to, kind string, body *xmltree.Node, at time.Duration) (*xmltree.Node, time.Duration, error)
+	Request(msg *simnet.Message, stage func(*xmltree.FrameEncoder)) (*xmltree.Node, time.Duration, error)
 	PeerCaps(to string) (byte, error)
 }
 
@@ -145,11 +148,6 @@ type Config struct {
 	// local deployment (the trails a peer mines already crossed its own
 	// signing path).
 	Keyring provenance.Keyring
-	// AbsorbThreshold is the hit count at which a learned shortcut is
-	// absorbed into the catalog as an index registration (surviving shortcut
-	// expiry and this peer's restart-from-catalog). Zero defaults to 2;
-	// negative disables absorption.
-	AbsorbThreshold int
 	// Blobs, when non-nil, is the peer's content-addressed payload store
 	// (internal/blobstore): collection snapshots and received payloads are
 	// interned so identical subtrees are resident once, and plans sent to
@@ -402,9 +400,8 @@ func (p *Peer) registerWith(addr string, role catalog.Role, at time.Duration, su
 	reg := p.Registration(role)
 	reg.Statements = stmts
 	reg.Supersedes = supersedes
-	body := catalog.MarshalRegistration(reg)
 	if err := p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindRegister, At: at},
-		func(e *xmltree.FrameEncoder) { e.Node(body) }); err != nil {
+		catalog.MarshalRegistration(reg).Stage); err != nil {
 		return err
 	}
 	return p.cat.Register(catalog.Registration{
@@ -418,9 +415,8 @@ func (p *Peer) registerWith(addr string, role catalog.Role, at time.Duration, su
 // the graceful counterpart of the crash-and-supersede path. The local
 // catalog also forgets addr as a cached index server.
 func (p *Peer) DeregisterFrom(addr string, at time.Duration) error {
-	body := xmltree.ElemAttrs("deregister", xmltree.Attr{Name: "addr", Value: p.addr})
 	if err := p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindDeregister, At: at},
-		func(e *xmltree.FrameEncoder) { e.Node(body) }); err != nil {
+		xmltree.ElemAttrs("deregister", xmltree.Attr{Name: "addr", Value: p.addr}).Stage); err != nil {
 		return err
 	}
 	p.cat.Deregister(addr)
@@ -431,7 +427,8 @@ func (p *Peer) DeregisterFrom(addr string, at time.Duration) error {
 // — the §3.3 pull process ("index servers query their base servers for
 // their data, to build more detailed indices").
 func (p *Peer) Harvest(addr string) error {
-	reply, _, err := p.net.Request(p.addr, addr, KindExport, xmltree.Elem("export"), p.virtualNow())
+	reply, _, err := p.net.Request(&simnet.Message{From: p.addr, To: addr, Kind: KindExport, At: p.virtualNow()},
+		xmltree.Elem("export").Stage)
 	if err != nil {
 		return err
 	}
@@ -446,19 +443,12 @@ func (p *Peer) Harvest(addr string) error {
 // replica with the given staleness bound — the §4.3 delayed-replication
 // model. The experiment driver calls it again to refresh the snapshot.
 func (p *Peer) ReplicateFrom(srcAddr, pathExp string, as Collection, stalenessMin int) error {
-	req := xmltree.Elem("fetch")
-	req.SetAttr("path", pathExp)
-	reply, at, err := p.net.Request(p.addr, srcAddr, KindFetch, req, p.virtualNow())
+	req := xmltree.ElemAttrs("fetch", xmltree.Attr{Name: "path", Value: pathExp})
+	reply, at, err := p.net.Request(&simnet.Message{From: p.addr, To: srcAddr, Kind: KindFetch, At: p.virtualNow()}, req.Stage)
 	if err != nil {
 		return err
 	}
-	items := make([]*xmltree.Node, 0, len(reply.Elements()))
-	for _, e := range reply.Elements() {
-		// The reply is ours; the source serves frozen items, so this
-		// freeze-and-alias is a no-op per item rather than a deep copy.
-		items = append(items, e.Freeze())
-	}
-	as.Items = items
+	as.Items = reply.Elements()
 	as.StalenessMin = stalenessMin
 	as.RefreshedAt = at
 	p.AddCollection(as)
@@ -543,6 +533,11 @@ func (p *Peer) recordResult(plan *algebra.Plan, at time.Duration, hops int) {
 	p.resMu.Unlock()
 }
 
+// absorbThreshold is the hit count at which a learned shortcut is absorbed
+// into the catalog as an index registration, surviving shortcut expiry and
+// this peer's restart-from-catalog.
+const absorbThreshold = 2
+
 // mineTrail extracts learned routing shortcuts from a plan's provenance
 // trail — the tentpole of learned routing. Two classes of edges are mined:
 //
@@ -552,7 +547,7 @@ func (p *Peer) recordResult(plan *algebra.Plan, at time.Duration, hops int) {
 //     teach-the-shortcut edges (the trail walked Via to reach Direct, so
 //     next time skip Via).
 //
-// Shortcuts whose hit count reaches AbsorbThreshold are absorbed into the
+// Shortcuts whose hit count reaches absorbThreshold are absorbed into the
 // local catalog as real index registrations (catalog.AbsorbLearned), so the
 // learning survives table expiry and outlives this peer's shortcut table —
 // the paper's meta-index maintenance loop, automated. Mining is message-free:
@@ -601,13 +596,6 @@ func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 			taught = append(taught, route.ShortcutEntry{Area: s.Detail, Server: s.Direct})
 		}
 	}
-	threshold := p.cfg.AbsorbThreshold
-	if threshold == 0 {
-		threshold = 2
-	}
-	if threshold < 0 {
-		return
-	}
 	p.absorbMu.Lock()
 	defer p.absorbMu.Unlock()
 	// Read again under the lock: another worker's pass may have widened the
@@ -619,7 +607,7 @@ func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 	} else if len(taught) == 0 {
 		return
 	}
-	edges, revive := p.shortcuts.Confirmed(threshold, gen, at, taught)
+	edges, revive := p.shortcuts.Confirmed(absorbThreshold, gen, at, taught)
 	if full {
 		p.absorbRevive = revive
 	}
@@ -933,10 +921,9 @@ func (p *Peer) statsFor(pathExp string) map[string]string {
 // fetchRemote pulls a collection from another peer, charging the RTT to the
 // in-flight plan's virtual time through its StepContext.
 func (p *Peer) fetchRemote(sc *mqp.StepContext, addr, pathExp string) ([]*xmltree.Node, int, error) {
-	req := xmltree.Elem("fetch")
-	req.SetAttr("path", pathExp)
+	req := xmltree.ElemAttrs("fetch", xmltree.Attr{Name: "path", Value: pathExp})
 	start := sc.Now
-	reply, at, err := p.net.Request(p.addr, addr, KindFetch, req, start)
+	reply, at, err := p.net.Request(&simnet.Message{From: p.addr, To: addr, Kind: KindFetch, At: start}, req.Stage)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -945,15 +932,13 @@ func (p *Peer) fetchRemote(sc *mqp.StepContext, addr, pathExp string) ([]*xmltre
 	if err != nil {
 		return nil, 0, fmt.Errorf("peer %s: bad staleness from %s: %w", p.addr, addr, err)
 	}
-	items := make([]*xmltree.Node, 0, len(reply.Elements()))
-	for _, e := range reply.Elements() {
-		it := e.Freeze()
-		if p.blobs != nil {
+	items := reply.Elements()
+	if p.blobs != nil {
+		for i, it := range items {
 			// Pulled data dedups against residents without pinning: the
 			// items live only as long as the plan that pulled them.
-			it = p.blobs.store.Canonicalize(it)
+			items[i] = p.blobs.store.Canonicalize(it)
 		}
-		items = append(items, it)
 	}
 	return items, stale, nil
 }
@@ -970,10 +955,9 @@ func (p *Peer) SubcategoriesOf(addr, dimension string, path hierarchy.Path) ([]h
 			return nil, fmt.Errorf("peer %s: category delegation loop at %s", p.addr, addr)
 		}
 		visited[addr] = true
-		req := xmltree.Elem("subcats")
-		req.SetAttr("dimension", dimension)
-		req.SetAttr("path", path.String())
-		reply, _, err := p.net.Request(p.addr, addr, KindSubcats, req, p.virtualNow())
+		req := xmltree.ElemAttrs("subcats", xmltree.Attr{Name: "dimension", Value: dimension},
+			xmltree.Attr{Name: "path", Value: path.String()})
+		reply, _, err := p.net.Request(&simnet.Message{From: p.addr, To: addr, Kind: KindSubcats, At: p.virtualNow()}, req.Stage)
 		if err != nil {
 			return nil, err
 		}

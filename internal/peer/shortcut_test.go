@@ -54,10 +54,10 @@ func areaQuery(id string, ns *namespace.Namespace) *algebra.Plan {
 
 // TestPeerMinesShortcutsAndAbsorbs: a learning client distills (area →
 // server) edges from the trails of its own results; once an edge is
-// confirmed AbsorbThreshold times it becomes a real index registration in
+// confirmed absorbThreshold times it becomes a real index registration in
 // the client's catalog — the meta-index update the learning feeds.
 func TestPeerMinesShortcutsAndAbsorbs(t *testing.T) {
-	client, ns := shortcutWorld(t, Config{LearnShortcuts: true, AbsorbThreshold: 2})
+	client, ns := shortcutWorld(t, Config{LearnShortcuts: true})
 	urn := namespace.EncodeURN(ns.MustParseArea("[USA/OR/Portland, Music/CDs]"))
 
 	if client.Shortcuts() == nil {

@@ -17,8 +17,9 @@ import (
 // link errors, hostile frames, every error the peer's Deliver or Serve
 // returned) are this transport's. A frame's document name is its message kind,
 // and a result travels as the <mqp> it is, addressed to its target; each <mqp>
-// that arrives is logged as `plan <id>`. A link has no virtual clock and names
-// no sender: a message's At, Hops and From are zero. A reference that misses
+// that arrives is logged as `plan <id>`, and a request's reply comes back as a
+// decoded frame, as on simnet. A link has no virtual clock and names no
+// sender: a message's At, Hops and From are zero. A reference that misses
 // is fetched back from From (blob.go), so this transport advertises no
 // capability byte, and a neighbor ships it every payload inline.
 type TCP struct {
@@ -70,10 +71,11 @@ func (t *TCP) SendFrame(msg *simnet.Message, stage func(*xmltree.FrameEncoder)) 
 	return linkErr(msg.To, t.pool.SendFrame(msg.To, stage))
 }
 
-// Request implements Transport over the link's correlated call.
-func (t *TCP) Request(_, to, _ string, body *xmltree.Node, at time.Duration) (*xmltree.Node, time.Duration, error) {
-	reply, _, err := t.pool.Call(to, func(e *xmltree.FrameEncoder) { e.Node(body) })
-	return reply, at, linkErr(to, err)
+// Request implements Transport over the link's correlated call to msg.To. A
+// link has no virtual clock: the reply arrives at msg.At.
+func (t *TCP) Request(msg *simnet.Message, stage func(*xmltree.FrameEncoder)) (*xmltree.Node, time.Duration, error) {
+	reply, _, err := t.pool.Call(msg.To, stage)
+	return reply, msg.At, linkErr(msg.To, err)
 }
 
 // PeerCaps implements Transport: the byte the neighbor's server answered the

@@ -241,6 +241,35 @@ func areaWorld(t *testing.T, f fabric) outcome {
 	return o
 }
 
+// copyWorld is a §4.3 replica made by a fetch call. Its items equal the
+// source's and are frozen, and they are decoded copies, not the source's
+// nodes: what a peer receives is a frame on either transport.
+func copyWorld(t *testing.T, f fabric) outcome {
+	w := world{t, f, testNS()}
+	src := w.peer("src", Config{})
+	replica := w.peer("replica", Config{})
+	src.AddCollection(Collection{Name: "cds", PathExp: "/d", Items: items(
+		`<sale><cd>Blue Train</cd><price>8</price></sale>`,
+		`<sale><cd>Naima</cd><price>7</price></sale>`)})
+	if err := replica.ReplicateFrom(src.Addr(), "/d", Collection{Name: "copy", PathExp: "/copy"}, 30); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := src.Collection("/d")
+	got, _ := replica.Collection("/copy")
+	if len(got.Items) != len(want.Items) || got.StalenessMin != 30 {
+		t.Fatalf("replica holds %d items at staleness %d, want %d at 30", len(got.Items), got.StalenessMin, len(want.Items))
+	}
+	var o outcome
+	for i, it := range got.Items {
+		if !xmltree.Equal(it, want.Items[i]) || !it.Frozen() || it == want.Items[i] {
+			t.Fatalf("replica item %d is %s (frozen %v, the source's node %v), want a frozen copy of %s",
+				i, it, it.Frozen(), it == want.Items[i], want.Items[i])
+		}
+		o.items = append(o.items, it.String())
+	}
+	return o
+}
+
 // TestSameAnswerOnBothTransports is the transport differential (TESTING.md,
 // "Transports"): one world, built over simnet and over loopback TCP in one
 // process, must give the same outcome.
@@ -248,7 +277,7 @@ func TestSameAnswerOnBothTransports(t *testing.T) {
 	for _, wc := range []struct {
 		name  string
 		build func(*testing.T, fabric) outcome
-	}{{"join", joinWorld}, {"area", areaWorld}} {
+	}{{"join", joinWorld}, {"area", areaWorld}, {"replica", copyWorld}} {
 		t.Run(wc.name, func(t *testing.T) {
 			var want outcome
 			for i, f := range fabrics() {

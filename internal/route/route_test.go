@@ -16,6 +16,21 @@ func urlPlan(target string, urls ...string) *algebra.Plan {
 	return algebra.NewPlan("q", target, algebra.Display(algebra.Union(kids...)))
 }
 
+func TestAddrOf(t *testing.T) {
+	cases := map[string]string{
+		"http://10.1.2.3:9020/":     "10.1.2.3:9020",
+		"http://tracks:9020/data/x": "tracks:9020",
+		"https://a:1/":              "a:1",
+		"10.1.2.3:9020":             "10.1.2.3:9020",
+		"tracks:9020/data":          "tracks:9020",
+	}
+	for in, want := range cases {
+		if got := AddrOf(in); got != want {
+			t.Errorf("AddrOf(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 // TestCandidatesOrderingAndDedup pins the PR 3 preference order the routing
 // layer inherited from the processor: explicit route annotations first, then
 // catalog routes, then URL owners; duplicates and self dropped.

@@ -50,7 +50,7 @@ func TestLinkPricingReplyRidesRequestConnection(t *testing.T) {
 	n.Add(&echoPeer{addr: "a:1"})
 	n.Add(&echoPeer{addr: "b:1"})
 	body := xmltree.MustParse(`<q/>`)
-	if _, _, err := n.Request("a:1", "b:1", "fetch", body, 0); err != nil {
+	if _, _, err := n.Request(&Message{From: "a:1", To: "b:1", Kind: "fetch"}, body.Stage); err != nil {
 		t.Fatal(err)
 	}
 	m := n.Metrics()

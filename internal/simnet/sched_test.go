@@ -409,7 +409,7 @@ func TestRequestDropUnderFaults(t *testing.T) {
 	n.SetFaults(Faults{Drop: 1})
 	s := &chainPeer{addr: "s:1"}
 	n.Add(s)
-	_, _, err := n.Request("c:1", "s:1", "fetch", xmltree.Elem("q"), 0)
+	_, _, err := n.Request(&Message{From: "c:1", To: "s:1", Kind: "fetch"}, xmltree.Elem("q").Stage)
 	var ue ErrUnreachable
 	if !errors.As(err, &ue) {
 		t.Fatalf("dropped request = %v, want ErrUnreachable", err)
@@ -504,7 +504,7 @@ func TestTraceRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := n.Request("c", "sink:1", "fetch", xmltree.Elem("q"), 2*ms); err == nil {
+		if _, _, err := n.Request(&Message{From: "c", To: "sink:1", Kind: "fetch", At: 2 * ms}, xmltree.Elem("q").Stage); err == nil {
 			t.Fatal("request on a Drop: 1 link succeeded")
 		}
 		if _, err := n.Run(); err != nil {

@@ -19,6 +19,12 @@
 //     per-link drop/duplicate/reorder probabilities, transient partitions,
 //     and peer crash/restart windows at scheduled virtual times (sched.go) —
 //     while staying fully deterministic for a given seed.
+//
+// A document crosses the way a socket carries it: staged into one frame at
+// the sender, priced at the frame's length, and decoded on the receiver's
+// side — a one-way frame (SendFrame), a request and its reply (Request) alike
+// — so what a peer receives is a decoded, born-frozen tree. The one document
+// still aliased is a frozen body handed to Send.
 package simnet
 
 import (
@@ -48,10 +54,10 @@ type Message struct {
 // MQP in flight, a registration). Serve handles request/response calls
 // (catalog lookups, data fetches) and returns the reply body.
 //
-// Ownership: message and reply bodies pass by reference, not by value — a
-// receiver must never mutate a body it was handed. It may, however, freeze
-// subtrees (xmltree.Freeze) and alias them into structures it keeps: the
-// sender has already relinquished the document by sending it.
+// Ownership: every body a peer is handed is frozen — a decoded frame, or the
+// sender's own frozen body on Send's alias path — so a receiver aliases what
+// it keeps and never mutates it. A reply crosses back as a frame: Serve may
+// return nodes it keeps, and the caller gets a decoded copy.
 type Peer interface {
 	// Addr returns the peer's stable network address.
 	Addr() string
@@ -223,11 +229,11 @@ func (n *Network) Add(p Peer) {
 // nothing and charges nothing. A down or unknown peer is unreachable, as a
 // dial to it would be.
 func (n *Network) PeerCaps(addr string) (byte, error) {
-	if _, err := n.lookup(addr); err != nil {
-		return 0, err
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if _, ok := n.peers[addr]; !ok || n.down[addr] {
+		return 0, ErrUnreachable{Addr: addr}
+	}
 	return n.caps[addr], nil
 }
 
@@ -299,29 +305,21 @@ func (e ErrUnreachable) Error() string {
 	return fmt.Sprintf("simnet: peer %s unreachable", e.Addr)
 }
 
-func (n *Network) lookup(to string) (Peer, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down[to] {
-		return nil, ErrUnreachable{Addr: to}
-	}
+// reachLocked looks up the peer at to for a frame leaving from at virtual time
+// at, and returns it with the link's one-way latency. A down, unknown or
+// partitioned-away destination is ErrUnreachable; a cut link loses its
+// pricing state, so traffic after the partition heals re-pays setup. The
+// caller holds n.mu.
+func (n *Network) reachLocked(from, to string, at time.Duration) (Peer, time.Duration, error) {
 	p, ok := n.peers[to]
-	if !ok {
-		return nil, ErrUnreachable{Addr: to}
+	if !ok || n.down[to] {
+		return nil, 0, ErrUnreachable{Addr: to}
 	}
-	return p, nil
-}
-
-// wireSize is the accounted on-the-wire cost of one frame carrying body, a
-// document that crosses by reference (a frozen body, a request, a reply):
-// the mux frame header plus the body's canonical size, a memo read when the
-// body is frozen. A staged frame is priced by its length instead (SendFrame).
-func wireSize(body *xmltree.Node) int {
-	size := frameOverhead
-	if body != nil {
-		size += body.ByteSize()
+	if n.blockedLocked(from, to, at) {
+		n.severLink(from, to)
+		return nil, 0, ErrUnreachable{Addr: to}
 	}
-	return size
+	return p, n.latency(from, to), nil
 }
 
 // account records one frame. link is the ordered (from, to) pair the frame
@@ -391,117 +389,116 @@ var ErrDepthExceeded = errors.New("forwarding depth limit exceeded; routing loop
 // as dropped or lost in the scheduler trace, never reported to the sender.
 func (n *Network) Send(msg *Message) error {
 	if body := msg.Body; body != nil && !body.Frozen() {
-		return n.SendFrame(msg, func(e *xmltree.FrameEncoder) { e.Node(body) })
+		return n.SendFrame(msg, body.Stage)
 	}
-	return n.send(msg, msg.Body, wireSize(msg.Body))
+	size := frameOverhead // a frozen body's canonical size is a memo read
+	if msg.Body != nil {
+		size += msg.Body.ByteSize()
+	}
+	return n.send(msg, msg.Body, size)
 }
 
-// SendFrame is Send for the document stage writes, carried the way a socket
-// carries it: staged once into one string at the sender, then decoded with
-// the zero-copy decoder on the receiver's side of the link, so every
-// simulated delivery exercises the decoder the TCP transport uses (and chaos
-// sweeps and the experiment tables inherit that coverage). The decoded
-// document aliases the string and is born frozen — receivers alias what they
-// keep, per the xmltree ownership rule, exactly as with a real frame. msg is
-// the envelope; its Body is not read.
+// SendFrame is Send for the document stage writes, carried as a socket
+// carries it (see carry). msg is the envelope; its Body is not read.
+func (n *Network) SendFrame(msg *Message, stage func(*xmltree.FrameEncoder)) error {
+	body, size, err := carry(msg.Kind, stage)
+	if err != nil {
+		return err
+	}
+	return n.send(msg, body, size)
+}
+
+// carry takes the document stage writes across a link: staged once into one
+// string at the sender, then decoded with the zero-copy decoder on the
+// receiver's side, so every simulated frame exercises the decoder the TCP
+// transport uses (and chaos sweeps and the experiment tables inherit that
+// coverage). The decoded document aliases the string and is born frozen, and
+// the frame is priced at the mux header plus its length.
 //
 // Staging runs first, outside every lock, before the destination is looked
 // up: it is the analog of the sender writing its frame, and whatever stage
 // does on the way (a payload store teaching what it ships inline) happens
 // whether the send then succeeds or not.
-func (n *Network) SendFrame(msg *Message, stage func(*xmltree.FrameEncoder)) error {
+func carry(kind string, stage func(*xmltree.FrameEncoder)) (*xmltree.Node, int, error) {
 	enc := xmltree.GetFrameEncoder()
 	stage(enc)
 	frame := enc.String()
 	enc.Release()
 	body, err := xmltree.DecodeString(frame)
 	if err != nil {
-		return fmt.Errorf("simnet: %s body not wire-decodable: %w", msg.Kind, err)
+		return nil, 0, fmt.Errorf("simnet: %s body not wire-decodable: %w", kind, err)
 	}
-	return n.send(msg, body, frameOverhead+len(frame))
+	return body, frameOverhead + len(frame), nil
 }
 
 // send routes msg's envelope with body, the document the receiver sees, priced
 // at size bytes.
 func (n *Network) send(msg *Message, body *xmltree.Node, size int) error {
 	n.mu.Lock()
-	maxDepth := n.maxDepth
-	n.mu.Unlock()
-	if msg.Hops >= maxDepth {
+	if msg.Hops >= n.maxDepth {
+		n.mu.Unlock()
 		return fmt.Errorf("simnet: message %s from %s to %s at depth %d: %w",
 			msg.Kind, msg.From, msg.To, msg.Hops, ErrDepthExceeded)
 	}
-	p, err := n.lookup(msg.To)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	if n.blockedLocked(msg.From, msg.To, msg.At) {
-		n.mu.Unlock()
-		// The attempted send found the connection cut; traffic after the
-		// partition heals re-pays link setup.
-		n.severLink(msg.From, msg.To)
-		return ErrUnreachable{Addr: msg.To}
-	}
-	lat := n.latency(msg.From, msg.To)
-	proc := n.procDelay
-	if s := n.sched; s != nil {
-		err := s.enqueueSendLocked(n, msg, body, lat+proc, size)
+	p, lat, err := n.reachLocked(msg.From, msg.To, msg.At)
+	transit := lat + n.procDelay
+	if s := n.sched; s != nil && err == nil {
+		err = s.enqueueSendLocked(n, msg, body, transit, size)
 		n.mu.Unlock()
 		return err
 	}
 	n.mu.Unlock()
-
-	n.account([2]string{msg.From, msg.To}, msg.Kind, size, false)
-	delivered := &Message{
-		From: msg.From,
-		To:   msg.To,
-		Kind: msg.Kind,
-		Body: body,
-		At:   msg.At + lat + proc,
-		Hops: msg.Hops + 1,
+	if err != nil {
+		return err
 	}
-	return p.Deliver(n, delivered)
+	n.account([2]string{msg.From, msg.To}, msg.Kind, size, false)
+	return p.Deliver(n, &Message{From: msg.From, To: msg.To, Kind: msg.Kind, Body: body,
+		At: msg.At + transit, Hops: msg.Hops + 1})
 }
 
-// Request performs a synchronous request/response exchange. Both directions
-// are accounted; the returned time is the virtual time at which the reply
-// arrives back at the caller. Requests stay synchronous even in scheduled
-// mode (they model a blocking call inside one processing step), but they
-// honor partitions and the link's drop probability: a dropped request fails
-// with ErrUnreachable, the timeout analog the fetch fallback handles.
-func (n *Network) Request(from, to, kind string, body *xmltree.Node, at time.Duration) (*xmltree.Node, time.Duration, error) {
-	p, err := n.lookup(to)
+// Request performs a synchronous request/response exchange: the document
+// stage writes crosses to msg.To as SendFrame carries it, Serve sees the
+// decoded frame, and the reply crosses back the same way, so the caller holds
+// a decoded, born-frozen document and never the node Serve returned. msg is
+// the envelope (From, To, Kind, At); its Body is not read. A nil reply is an
+// error, as an empty reply frame is on a socket.
+//
+// Both directions are accounted; the returned time is the virtual time at
+// which the reply arrives back at the caller. Requests stay synchronous even
+// in scheduled mode (they model a blocking call inside one processing step),
+// but they honor partitions and the link's drop probability: a dropped
+// request fails with ErrUnreachable, the timeout analog the fetch fallback
+// handles.
+func (n *Network) Request(msg *Message, stage func(*xmltree.FrameEncoder)) (*xmltree.Node, time.Duration, error) {
+	body, size, err := carry(msg.Kind, stage)
 	if err != nil {
-		return nil, at, err
+		return nil, msg.At, err
 	}
-	size := wireSize(body)
 	n.mu.Lock()
-	if n.blockedLocked(from, to, at) {
-		n.mu.Unlock()
-		n.severLink(from, to)
-		return nil, at, ErrUnreachable{Addr: to}
-	}
-	lat := n.latency(from, to)
-	proc := n.procDelay
-	dropped := false
-	if s := n.sched; s != nil {
-		dropped = s.dropRequestLocked(from, to, kind, at)
-	}
+	p, lat, err := n.reachLocked(msg.From, msg.To, msg.At)
+	dropped := err == nil && n.sched != nil && n.sched.dropRequestLocked(msg.From, msg.To, msg.Kind, msg.At)
+	at := msg.At + lat + n.procDelay
 	n.mu.Unlock()
-
-	n.account([2]string{from, to}, kind, size, true)
-	if dropped {
-		return nil, at + lat + proc, ErrUnreachable{Addr: to}
-	}
-	req := &Message{From: from, To: to, Kind: kind, Body: body, At: at + lat + proc}
-	reply, err := p.Serve(n, req)
 	if err != nil {
-		return nil, req.At, fmt.Errorf("simnet: request %s to %s: %w", kind, to, err)
+		return nil, msg.At, err
+	}
+	n.account([2]string{msg.From, msg.To}, msg.Kind, size, true)
+	if dropped {
+		return nil, at, ErrUnreachable{Addr: msg.To}
+	}
+	reply, err := p.Serve(n, &Message{From: msg.From, To: msg.To, Kind: msg.Kind, Body: body, At: at})
+	if err == nil && reply == nil {
+		err = errors.New("empty reply")
+	}
+	if err == nil {
+		reply, size, err = carry(msg.Kind+"-reply", reply.Stage)
+	}
+	if err != nil {
+		return nil, at, fmt.Errorf("simnet: request %s to %s: %w", msg.Kind, msg.To, err)
 	}
 	// The reply rides the request's connection: frame cost only, no link.
-	n.account([2]string{}, kind+"-reply", wireSize(reply), false)
-	return reply, req.At + lat, nil
+	n.account([2]string{}, msg.Kind+"-reply", size, false)
+	return reply, at + lat, nil
 }
 
 // Metrics returns a snapshot of the accumulated counters.

@@ -29,9 +29,6 @@ func (p *echoPeer) Deliver(net *Network, msg *Message) error {
 }
 
 func (p *echoPeer) Serve(net *Network, req *Message) (*xmltree.Node, error) {
-	if req.Body == nil {
-		return nil, errors.New("no body")
-	}
 	return req.Body, nil
 }
 
@@ -110,8 +107,9 @@ func TestRequestRoundTrip(t *testing.T) {
 	n.SetProcDelay(0)
 	s := &echoPeer{addr: "s:1"}
 	n.Add(s)
+	n.Add(&countPeer{addr: "e:1"})
 	body := xmltree.MustParse(`<q>42</q>`)
-	reply, at, err := n.Request("c:1", "s:1", "lookup", body, 0)
+	reply, at, err := n.Request(&Message{From: "c:1", To: "s:1", Kind: "lookup"}, body.Stage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +124,62 @@ func TestRequestRoundTrip(t *testing.T) {
 		t.Fatalf("metrics = %+v", m)
 	}
 	// Error propagation from Serve.
-	if _, _, err := n.Request("c:1", "s:1", "lookup", nil, 0); err == nil {
+	if _, _, err := n.Request(&Message{From: "c:1", To: "e:1", Kind: "lookup"}, body.Stage); err == nil {
 		t.Fatal("serve error must propagate")
+	}
+}
+
+// servePeer records what its Serve was handed and what it returned.
+type servePeer struct {
+	addr       string
+	seen, sent *xmltree.Node
+	seenAt     time.Duration
+	nilReply   bool
+}
+
+func (p *servePeer) Addr() string                     { return p.addr }
+func (p *servePeer) Deliver(*Network, *Message) error { return nil }
+
+func (p *servePeer) Serve(_ *Network, req *Message) (*xmltree.Node, error) {
+	p.seen, p.seenAt = req.Body, req.At
+	if p.nilReply {
+		return nil, nil
+	}
+	p.sent = xmltree.MustParse(`<data><item>1</item></data>`)
+	return p.sent, nil
+}
+
+// TestRequestCarriesFrames: a request and its reply cross the link as frames.
+// Serve is handed a decoded, frozen copy of the caller's document, the caller
+// gets a decoded, frozen copy of Serve's reply, a nil reply is an error, and
+// the virtual times are link latency plus processing out, latency back.
+func TestRequestCarriesFrames(t *testing.T) {
+	ms := time.Millisecond
+	n := New()
+	n.SetLatency(func(a, b string) time.Duration { return 7 * ms })
+	n.SetProcDelay(ms)
+	s := &servePeer{addr: "s:1"}
+	n.Add(s)
+	req := xmltree.MustParse(`<fetch path="/d"/>`)
+	env := &Message{From: "c:1", To: "s:1", Kind: "fetch", At: 5 * ms}
+	reply, at, err := n.Request(env, req.Stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.seen == req || !s.seen.Frozen() || !xmltree.Equal(s.seen, req) {
+		t.Fatalf("Serve was handed %s (frozen %v, the caller's tree %v), want a decoded copy",
+			s.seen, s.seen.Frozen(), s.seen == req)
+	}
+	if reply == s.sent || !reply.Frozen() || !xmltree.Equal(reply, s.sent) {
+		t.Fatalf("the caller got %s (frozen %v, Serve's node %v), want a decoded copy",
+			reply, reply.Frozen(), reply == s.sent)
+	}
+	if s.seenAt != 13*ms || at != 20*ms {
+		t.Fatalf("Serve ran at %v and the reply arrived at %v, want 13ms and 20ms", s.seenAt, at)
+	}
+	s.nilReply = true
+	if _, _, err := n.Request(env, req.Stage); err == nil {
+		t.Fatal("a nil reply must be an error")
 	}
 }
 

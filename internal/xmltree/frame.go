@@ -206,6 +206,10 @@ func (e *FrameEncoder) Node(n *Node) {
 	e.RawByte('>')
 }
 
+// Stage writes n into e: n.Stage is the stage function of a frame that is
+// this one document.
+func (n *Node) Stage(e *FrameEncoder) { e.Node(n) }
+
 // strBytes views a string as a read-only byte slice without copying. The
 // gather write only reads from it; the freeze contract keeps it immutable.
 func strBytes(s string) []byte {
