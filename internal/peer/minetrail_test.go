@@ -79,8 +79,12 @@ func townURN(i int) string {
 // per-area cap evicts; the catalog and the table mutated from outside in every
 // way a peer can hear of; plan clocks that jump hours either way, so edges
 // expire and come back — and requires the two catalogs to be equal, in order,
-// after every step. Replay a failure with -mine-seed.
+// after every step, at the absorb threshold. Replay a failure with -mine-seed.
 func TestMineTrailEquivalence(t *testing.T) {
+	t.Run(fmt.Sprintf("threshold=%d", absorbThreshold), driveMineTrail)
+}
+
+func driveMineTrail(t *testing.T) {
 	got, ref := learner(t), learner(t)
 	ns := got.ns
 	rng := rand.New(rand.NewSource(*mineSeed))
