@@ -16,22 +16,22 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/namespace"
 	"repro/internal/peer"
-	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
+	"repro/internal/xmltree"
 )
 
 func main() {
-	net := simnet.New()
 	ns := workload.GarageSaleNamespace()
+	w := world.New(ns)
 	sellers := workload.GarageSale(ns, workload.GarageSaleConfig{
 		Seed: 2026, Sellers: 48, ItemsPerSeller: 10, SpecialtyZipf: 1.1,
 	})
+	everything := ns.MustParseArea("[*, *]")
 
 	// Meta-index covering everything.
-	if _, err := peer.New(peer.Config{Addr: "meta:9020", Net: net, NS: ns, PushSelect: true,
-		Area: ns.MustParseArea("[*, *]"), Authoritative: true, Key: []byte("kM")}); err != nil {
-		log.Fatal(err)
-	}
+	w.Peer(peer.Config{Addr: "meta:9020", PushSelect: true,
+		Area: everything, Authoritative: true, Key: []byte("kM")})
 
 	// One authoritative index server per state, registered upward.
 	states := map[string]string{}
@@ -41,71 +41,49 @@ func main() {
 			continue
 		}
 		addr := "idx-" + strings.ReplaceAll(st, "/", "-") + ":9020"
-		idx, err := peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: true,
+		w.Join(w.Peer(peer.Config{Addr: addr, PushSelect: true,
 			Area:          namespace.NewArea(namespace.NewCell(s.City.Truncate(2), hierarchy.Top)),
-			Authoritative: true, Key: []byte("kI")})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := idx.RegisterWith("meta:9020", catalog.RoleIndex); err != nil {
-			log.Fatal(err)
-		}
+			Authoritative: true, Key: []byte("kI")}), "meta:9020", catalog.RoleIndex)
 		states[st] = addr
 	}
 	fmt.Printf("deployed %d sellers across %d state index servers\n", len(sellers), len(states))
 
 	for _, s := range sellers {
-		sp, err := peer.New(peer.Config{Addr: s.Addr, Net: net, NS: ns, PushSelect: true,
-			Area: s.Area, Key: []byte("kS")})
-		if err != nil {
-			log.Fatal(err)
-		}
-		sp.AddCollection(peer.Collection{Name: "items", PathExp: "/data[id=0]", Area: s.Area, Items: s.Items})
-		if err := sp.RegisterWith(states[s.City.Truncate(2).String()], catalog.RoleBase); err != nil {
-			log.Fatal(err)
-		}
+		w.Base(peer.Config{Addr: s.Addr, PushSelect: true, Area: s.Area, Key: []byte("kS")},
+			peer.Collection{Name: "items", PathExp: "/data[id=0]", Area: s.Area, Items: s.Items},
+			states[s.City.Truncate(2).String()])
 	}
 
-	client, err := peer.New(peer.Config{Addr: "buyer:9020", Net: net, NS: ns, Key: []byte("kB")})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := client.Catalog().Register(catalog.Registration{
-		Addr: "meta:9020", Role: catalog.RoleMetaIndex,
-		Area: ns.MustParseArea("[*, *]"), Authoritative: true,
-	}); err != nil {
+	client := w.Peer(peer.Config{Addr: "buyer:9020", Key: []byte("kB")})
+	w.Knows(client, "meta:9020", everything)
+	if err := w.Err(); err != nil {
 		log.Fatal(err)
 	}
 
-	submit := func(id string, root *algebra.Node) peer.Result {
+	ask := func(id string, root *algebra.Node) (peer.Result, []*xmltree.Node) {
 		plan := algebra.NewPlan(id, "buyer:9020", algebra.Display(root))
 		plan.RetainOriginal()
-		if err := client.Submit("buyer:9020", plan); err != nil {
+		res, items := w.Ask(client, "buyer:9020", plan)
+		if err := w.Err(); err != nil {
 			log.Fatalf("%s: %v", id, err)
 		}
-		res, ok := client.TakeResult()
-		if !ok {
-			log.Fatalf("%s: no result", id)
-		}
-		return res
+		return res, items
 	}
 	urn := func(area string) *algebra.Node {
 		return algebra.URN(namespace.EncodeURN(ns.MustParseArea(area)))
 	}
 
 	// Query 1: how much furniture is for sale in Oregon?
-	res := submit("q1", algebra.Count(algebra.Select(
+	res, items := ask("q1", algebra.Count(algebra.Select(
 		algebra.Cmp{Path: "category", Op: algebra.OpContains, Value: "Furniture"},
 		urn("[USA/OR, Furniture]"))))
-	items, _ := res.Plan.Results()
 	fmt.Printf("q1: furniture items in Oregon: %s (%v, %d hops)\n",
 		items[0].InnerText(), res.At, res.Hops)
 
 	// Query 2: cheap CDs anywhere in Washington.
-	res = submit("q2", algebra.Select(
+	_, items = ask("q2", algebra.Select(
 		algebra.MustParsePredicate("price < 100 and category contains 'Books'"),
 		urn("[USA/WA, Books]")))
-	items, _ = res.Plan.Results()
 	fmt.Printf("q2: books under $100 in Washington: %d items\n", len(items))
 	for i, it := range items {
 		if i == 3 {
@@ -117,15 +95,14 @@ func main() {
 	}
 
 	// Query 3: the five cheapest like-new items in Portland, any category.
-	res = submit("q3", algebra.TopN(5, "price", false, algebra.Select(
+	_, items = ask("q3", algebra.TopN(5, "price", false, algebra.Select(
 		algebra.MustParsePredicate("condition = 'like-new'"),
 		urn("[USA/OR/Portland, *]"))))
-	items, _ = res.Plan.Results()
 	fmt.Printf("q3: five cheapest like-new items in Portland (%d found):\n", len(items))
 	for _, it := range items {
 		fmt.Printf("   $%-4s %-22s %s\n", it.Value("price"), it.Value("name"), it.Value("category"))
 	}
 
-	m := net.Metrics()
+	m := w.Net.Metrics()
 	fmt.Printf("network totals: %d messages, %.1f KB\n", m.Messages, float64(m.Bytes)/1024)
 }

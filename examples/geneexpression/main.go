@@ -11,47 +11,30 @@ import (
 	"log"
 
 	"repro/internal/algebra"
-	"repro/internal/catalog"
 	"repro/internal/namespace"
 	"repro/internal/peer"
-	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
 )
 
 func main() {
-	net := simnet.New()
 	ns := workload.GeneNamespace()
+	w := world.New(ns)
 	groups := workload.Fig1Groups(ns)
+	everything := ns.MustParseArea("[*, *]")
 
 	// The NIH plays the paper's suggested meta-index role for the domain.
-	if _, err := peer.New(peer.Config{Addr: "nih:9020", Net: net, NS: ns, PushSelect: true,
-		Area: ns.MustParseArea("[*, *]"), Authoritative: true, Key: []byte("kN")}); err != nil {
-		log.Fatal(err)
-	}
+	w.Peer(peer.Config{Addr: "nih:9020", PushSelect: true,
+		Area: everything, Authoritative: true, Key: []byte("kN")})
 	for i, g := range groups {
-		lab, err := peer.New(peer.Config{Addr: g.Addr, Net: net, NS: ns, PushSelect: true,
-			Area: g.Area, Key: []byte(fmt.Sprintf("k%d", i))})
-		if err != nil {
-			log.Fatal(err)
-		}
 		data := workload.ExpressionData(ns, g, int64(1000+i), 50)
-		lab.AddCollection(peer.Collection{Name: g.Name, PathExp: "/miame", Area: g.Area, Items: data})
-		if err := lab.RegisterWith("nih:9020", catalog.RoleBase); err != nil {
-			log.Fatal(err)
-		}
+		w.Base(peer.Config{Addr: g.Addr, PushSelect: true, Area: g.Area, Key: []byte(fmt.Sprintf("k%d", i))},
+			peer.Collection{Name: g.Name, PathExp: "/miame", Area: g.Area, Items: data}, "nih:9020")
 		fmt.Printf("lab %-15s hosts %2d experiments, interest area %s\n", g.Name, len(data), g.Area)
 	}
 
-	client, err := peer.New(peer.Config{Addr: "researcher:9020", Net: net, NS: ns, Key: []byte("kR")})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := client.Catalog().Register(catalog.Registration{
-		Addr: "nih:9020", Role: catalog.RoleMetaIndex,
-		Area: ns.MustParseArea("[*, *]"), Authoritative: true,
-	}); err != nil {
-		log.Fatal(err)
-	}
+	client := w.Peer(peer.Config{Addr: "researcher:9020", Key: []byte("kR")})
+	w.Knows(client, "nih:9020", everything)
 
 	query := ns.MustParseArea("[Coelomata/Deuterostomia/Mammalia, Muscle/Cardiac]")
 	fmt.Printf("\nquery interest area: %s\n", query)
@@ -66,15 +49,8 @@ func main() {
 	plan := algebra.NewPlan("cardiac", "researcher:9020",
 		algebra.Display(algebra.Select(pred, algebra.URN(namespace.EncodeURN(query)))))
 	plan.RetainOriginal()
-	if err := client.Submit("nih:9020", plan); err != nil {
-		log.Fatal(err)
-	}
-	res, ok := client.TakeResult()
-	if !ok {
-		log.Fatal("no result")
-	}
-	items, err := res.Plan.Results()
-	if err != nil {
+	res, items := w.Ask(client, "nih:9020", plan)
+	if err := w.Err(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%d cardiac-muscle experiments returned (%v):\n", len(items), res.At)

@@ -14,27 +14,16 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/mqp"
 	"repro/internal/peer"
-	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
 	"repro/internal/xmltree"
 )
 
 func main() {
-	net := simnet.New()
-	ns := workload.GarageSaleNamespace() // namespaces are irrelevant here; aliases route
-
-	irs, err := peer.New(peer.Config{Addr: "irs:1", Net: net, NS: ns, PushSelect: true, Key: []byte("kI")})
-	if err != nil {
-		log.Fatal(err)
-	}
-	state, err := peer.New(peer.Config{Addr: "state:1", Net: net, NS: ns, PushSelect: true, Key: []byte("kS")})
-	if err != nil {
-		log.Fatal(err)
-	}
-	agency, err := peer.New(peer.Config{Addr: "agency:1", Net: net, NS: ns, Key: []byte("kA")})
-	if err != nil {
-		log.Fatal(err)
-	}
+	w := world.New(workload.GarageSaleNamespace()) // namespaces are irrelevant here; aliases route
+	irs := w.Peer(peer.Config{Addr: "irs:1", PushSelect: true, Key: []byte("kI")})
+	state := w.Peer(peer.Config{Addr: "state:1", PushSelect: true, Key: []byte("kS")})
+	agency := w.Peer(peer.Config{Addr: "agency:1", Key: []byte("kA")})
 
 	charities := []string{"Shell-Org-A", "Food-Bank", "Shell-Org-B", "Red-Cross", "Library-Fund"}
 	var returns []*xmltree.Node
@@ -74,15 +63,8 @@ func main() {
 	// has been filtered into the plan.
 	mqp.BindAfter(plan, "urn:State:FrontOrgs", "urn:IRS:TargetCorp-Contributions")
 
-	if err := agency.Submit("agency:1", plan); err != nil {
-		log.Fatal(err)
-	}
-	res, ok := agency.TakeResult()
-	if !ok {
-		log.Fatal("no result")
-	}
-	items, err := res.Plan.Results()
-	if err != nil {
+	res, items := w.Ask(agency, "agency:1", plan)
+	if err := w.Err(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("employees with >$5000 contributions to front organizations (%d):\n", len(items))

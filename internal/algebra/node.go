@@ -315,8 +315,20 @@ func (n *Node) IsConstant() bool {
 	return n.Kind == KindData
 }
 
-// Validate checks structural well-formedness of the subtree.
+// Validate checks structural well-formedness of the subtree, each node before
+// its children.
 func (n *Node) Validate() error {
+	err := n.validateNode()
+	for i := 0; err == nil && i < len(n.Children); i++ {
+		err = n.Children[i].Validate()
+	}
+	return err
+}
+
+// validateNode checks n alone: its own fields and how many children it has,
+// not what is below them. Unmarshal runs it once per node it builds, so a
+// plan of n nodes costs O(n) to check however deep it is.
+func (n *Node) validateNode() error {
 	if n == nil {
 		return fmt.Errorf("algebra: nil node")
 	}
@@ -377,11 +389,6 @@ func (n *Node) Validate() error {
 	}
 	if want >= 0 && len(n.Children) != want {
 		return fmt.Errorf("algebra: %s expects %d children, has %d", n.Kind, want, len(n.Children))
-	}
-	for _, c := range n.Children {
-		if err := c.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"repro/internal/xmltree"
 )
@@ -39,16 +40,7 @@ import (
 // annotationsElem is the reserved element name for annotation blocks.
 const annotationsElem = "annotations"
 
-func joinFields(fields []string) string {
-	out := ""
-	for i, f := range fields {
-		if i > 0 {
-			out += ","
-		}
-		out += f
-	}
-	return out
-}
+func joinFields(fields []string) string { return strings.Join(fields, ",") }
 
 func splitFields(s string) []string {
 	var out []string
@@ -199,7 +191,8 @@ func unmarshalNode(e *xmltree.Node, ar *nodeArena) (*Node, error) {
 		}
 		n.Children = append(n.Children, child)
 	}
-	if err := n.Validate(); err != nil {
+	// The children passed their own checks as they were built.
+	if err := n.validateNode(); err != nil {
 		return nil, err
 	}
 	return n, nil

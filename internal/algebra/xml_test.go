@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/xmltree"
 )
@@ -238,5 +239,34 @@ func BenchmarkPlanRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = EncodeString(q)
+	}
+}
+
+// TestUnmarshalLinearInDepth: Unmarshal checks each operator it builds once,
+// so a plan's cost is linear in its size however deep it nests. A chain of
+// 40k unions ending in two <data/> leaves took about 24 s on a 2-CPU x86-64
+// container when every node re-checked its whole subtree; checked once per
+// node it takes about 40 ms there, and about 100 ms under -race, so the
+// bound sits more than ten times from both.
+func TestUnmarshalLinearInDepth(t *testing.T) {
+	const depth = 40000
+	frame := `<mqp id="deep" target="t"><plan>` + strings.Repeat("<union>", depth) +
+		"<data/><data/>" + strings.Repeat("</union>", depth) + `</plan></mqp>`
+	doc, err := xmltree.DecodeString(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	began := time.Now()
+	plan, err := Unmarshal(doc)
+	elapsed := time.Since(began)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("unmarshaled a %d-deep chain in %v", depth, elapsed)
+	if elapsed > 1500*time.Millisecond {
+		t.Fatalf("unmarshaling a %d-deep chain took %v; checking must be linear in plan size", depth, elapsed)
+	}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

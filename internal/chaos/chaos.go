@@ -64,6 +64,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
 )
 
 // Level selects the fault intensity of a scenario.
@@ -243,16 +244,14 @@ type planCase struct {
 	mismatch string
 }
 
-// world is one generated scenario, ready to pump. The small and large
+// scenario is one generated world, ready to pump. The small and large
 // generators each build it in their own rng draw order, which is what keeps
-// every seed's outcome stable; everything after that is shared.
-type world struct {
+// every seed's outcome stable; everything after that is shared. A chaos
+// peer's provenance key is its address.
+type scenario struct {
+	*world.World
 	cfg    Config
 	rep    *Report
-	ns     *namespace.Namespace
-	net    *simnet.Network
-	keys   map[string][]byte
-	peers  map[string]*peer.Peer
 	client *peer.Peer
 	cases  []*planCase
 	// bound sets one case's lower and upper (and mismatch); it runs on the
@@ -263,16 +262,15 @@ type world struct {
 	contains func(map[string]int) (bool, string)
 }
 
-func newWorld(cfg Config, ns *namespace.Namespace) *world {
-	net := simnet.New()
+func newScenario(cfg Config, ns *namespace.Namespace) *scenario {
+	w := world.New(ns)
 	// Legitimate routing in these topologies is a handful of hops; a tight
 	// depth bound makes forwarding cycles (e.g. a plan bouncing between an
 	// authoritative meta and an index that both lack the data) surface as
 	// stuck errors quickly, instead of breeding hundreds of hops' worth of
 	// duplicated traffic first.
-	net.SetMaxDepth(40)
-	return &world{cfg: cfg, rep: &Report{Seed: cfg.Seed, Level: cfg.Level}, ns: ns, net: net,
-		keys: map[string][]byte{}, peers: map[string]*peer.Peer{}}
+	w.Net.SetMaxDepth(40)
+	return &scenario{World: w, cfg: cfg, rep: &Report{Seed: cfg.Seed, Level: cfg.Level}}
 }
 
 // Run generates and executes one scenario and checks every invariant.
@@ -288,13 +286,13 @@ func Run(cfg Config) (*Report, error) {
 		return w.rep, err
 	}
 	checkInvariants(w.rep, out, w.cases, w.contains)
-	collectShortcutStats(w.rep, w.peers)
-	collectBlobStats(w.rep, w.peers)
+	collectShortcutStats(w.rep, w.Peers)
+	collectBlobStats(w.rep, w.Peers)
 	return w.rep, nil
 }
 
 // generate builds the scenario's world with the generator cfg selects.
-func generate(cfg Config) (*world, error) {
+func generate(cfg Config) (*scenario, error) {
 	if cfg.Peers > 0 {
 		return genLarge(cfg)
 	}
@@ -303,10 +301,10 @@ func generate(cfg Config) (*world, error) {
 
 // genSmall builds a garage-sale world of 3–8 sellers, flat or layered,
 // checked against the processor-based Oracle.
-func genSmall(cfg Config) (*world, error) {
+func genSmall(cfg Config) (*scenario, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ns := workload.GarageSaleNamespace()
-	w := newWorld(cfg, ns)
+	w := newScenario(cfg, ns)
 	rep := w.rep
 
 	nSellers := 3 + rng.Intn(6)
@@ -321,10 +319,8 @@ func genSmall(cfg Config) (*world, error) {
 		Seed: rng.Int63(), Sellers: nSellers, ItemsPerSeller: itemsPer, SpecialtyZipf: zipf,
 	})
 
-	if _, err := w.addPeer(peer.Config{Addr: metaAddr, PushSelect: pushSelect,
-		Area: ns.Everything(), Authoritative: true, PruneStats: prune}); err != nil {
-		return nil, err
-	}
+	w.Peer(w.peerConfig(peer.Config{Addr: metaAddr, PushSelect: pushSelect,
+		Area: ns.Everything(), Authoritative: true, PruneStats: prune}))
 
 	// One authoritative index server per state in layered deployments.
 	indexes := map[string]string{} // state path -> index addr
@@ -337,14 +333,8 @@ func genSmall(cfg Config) (*world, error) {
 			}
 			addr := "idx-" + strings.ReplaceAll(st, "/", "-") + ":9020"
 			area := namespace.NewArea(namespace.NewCell(s.City.Truncate(2), hierarchy.Top))
-			idx, err := w.addPeer(peer.Config{Addr: addr, PushSelect: pushSelect,
-				Area: area, Authoritative: true, PruneStats: prune})
-			if err != nil {
-				return nil, err
-			}
-			if err := idx.RegisterWith(metaAddr, catalog.RoleIndex); err != nil {
-				return nil, err
-			}
+			w.Join(w.Peer(w.peerConfig(peer.Config{Addr: addr, PushSelect: pushSelect,
+				Area: area, Authoritative: true, PruneStats: prune})), metaAddr, catalog.RoleIndex)
 			indexes[st] = addr
 			indexAddrs = append(indexAddrs, addr)
 		}
@@ -366,29 +356,23 @@ func genSmall(cfg Config) (*world, error) {
 			pcfg.StatsHistPath = "price"
 			pcfg.StatsKeyPaths = []string{"category"}
 		}
-		sp, err := w.addPeer(pcfg)
-		if err != nil {
-			return nil, err
-		}
 		pathExp := fmt.Sprintf("/chaos[s=%d]", i)
-		sp.AddCollection(peer.Collection{Name: "items", PathExp: pathExp, Area: s.Area, Items: s.Items})
-		rep.Items += len(s.Items)
 		up := metaAddr
 		if layered {
 			up = indexes[s.City.Truncate(2).String()]
 		}
-		if err := sp.RegisterWith(up, catalog.RoleBase); err != nil {
-			return nil, err
-		}
+		w.Base(w.peerConfig(pcfg), peer.Collection{Name: "items", PathExp: pathExp, Area: s.Area, Items: s.Items}, up)
+		rep.Items += len(s.Items)
 		// The collection items are frozen by AddCollection; the oracle
 		// aliases exactly the documents the live network serves.
 		oracleColls = append(oracleColls, Collection{PathExp: pathExp, Area: s.Area, Items: s.Items})
 	}
 
-	if err := w.addClient(); err != nil {
+	w.addClient()
+	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	rep.Peers = len(w.peers)
+	rep.Peers = len(w.Peers)
 
 	oracle, err := NewOracle(ns, oracleColls)
 	if err != nil {
@@ -413,7 +397,7 @@ func genSmall(cfg Config) (*world, error) {
 		if rng.Float64() < 0.2 {
 			until = 0 // crash with no restart
 		}
-		w.net.ScheduleCrash(addr, from, until)
+		w.Net.ScheduleCrash(addr, from, until)
 	}
 	if wantPartition {
 		w.cutPartition(rng, faultable)
@@ -443,11 +427,8 @@ func genSmall(cfg Config) (*world, error) {
 	return w, nil
 }
 
-// addPeer creates a peer on the world's network and namespace, keyed by its
-// address.
-func (w *world) addPeer(pcfg peer.Config) (*peer.Peer, error) {
-	pcfg.Net = w.net
-	pcfg.NS = w.ns
+// peerConfig is cfg with the settings every chaos peer shares.
+func (w *scenario) peerConfig(pcfg peer.Config) peer.Config {
 	pcfg.Key = []byte(pcfg.Addr)
 	// Every chaos peer runs the prepared-plan cache so the differential
 	// oracle continuously validates cache hits against live processing:
@@ -464,39 +445,26 @@ func (w *world) addPeer(pcfg peer.Config) (*peer.Peer, error) {
 	if w.cfg.Blobs {
 		pcfg.Blobs = blobstore.New()
 	}
-	p, err := peer.New(pcfg)
-	if err != nil {
-		return nil, err
-	}
-	w.keys[pcfg.Addr] = pcfg.Key
-	w.peers[pcfg.Addr] = p
-	return p, nil
+	return pcfg
 }
 
 // addClient adds the client every query is submitted from, pointed at the
 // meta-index.
-func (w *world) addClient() error {
-	client, err := w.addPeer(peer.Config{Addr: clientAddr})
-	if err != nil {
-		return err
-	}
-	w.client = client
-	return client.Catalog().Register(catalog.Registration{
-		Addr: metaAddr, Role: catalog.RoleMetaIndex,
-		Area: w.ns.Everything(), Authoritative: true,
-	})
+func (w *scenario) addClient() {
+	w.client = w.Peer(w.peerConfig(peer.Config{Addr: clientAddr}))
+	w.Knows(w.client, metaAddr, w.NS.Everything())
 }
 
 // startFaults switches the world to seeded scheduled delivery under the
 // level's faults. It returns the peers crashes and partitions may hit
 // (every peer but the client, sorted), the level's crash count, and whether
 // to cut a partition.
-func (w *world) startFaults(rng *rand.Rand) (faultable []string, nCrashes int, wantPartition bool) {
-	w.net.UseScheduler(rng.Int63())
-	w.net.SetTraceKey(planIDOf)
+func (w *scenario) startFaults(rng *rand.Rand) (faultable []string, nCrashes int, wantPartition bool) {
+	w.Net.UseScheduler(rng.Int63())
+	w.Net.SetTraceKey(planIDOf)
 	faults, nCrashes, wantPartition := levelFaults(w.cfg.Level, rng)
-	w.net.SetFaults(faults)
-	for _, addr := range sortedAddrs(w.peers) {
+	w.Net.SetFaults(faults)
+	for _, addr := range sortedAddrs(w.Peers) {
 		if addr != clientAddr {
 			faultable = append(faultable, addr)
 		}
@@ -505,7 +473,7 @@ func (w *world) startFaults(rng *rand.Rand) (faultable []string, nCrashes int, w
 }
 
 // cutPartition splits the faultable peers in two for a seeded window.
-func (w *world) cutPartition(rng *rand.Rand, faultable []string) {
+func (w *scenario) cutPartition(rng *rand.Rand, faultable []string) {
 	if len(faultable) < 2 {
 		return
 	}
@@ -514,14 +482,14 @@ func (w *world) cutPartition(rng *rand.Rand, faultable []string) {
 	cut := 1 + rng.Intn(len(split)-1)
 	from := time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
 	until := from + time.Duration(rng.Int63n(int64(300*time.Millisecond)))
-	w.net.Partition(split[:cut], split[cut:], from, until)
+	w.Net.Partition(split[:cut], split[cut:], from, until)
 }
 
 // submit sends plan from the client to entry at virtual time at, and keeps
 // a pristine clone for the oracle.
-func (w *world) submit(plan *algebra.Plan, shape int, sampled bool, entry string, at time.Duration) {
+func (w *scenario) submit(plan *algebra.Plan, shape int, sampled bool, entry string, at time.Duration) {
 	pc := &planCase{id: plan.ID, oracle: plan.Clone(), shape: shape, sampled: sampled}
-	pc.submitErr = w.net.Send(&simnet.Message{
+	pc.submitErr = w.Net.Send(&simnet.Message{
 		From: clientAddr, To: entry, Kind: peer.KindMQP,
 		Body: algebra.Marshal(plan), At: at,
 	})
@@ -531,7 +499,7 @@ func (w *world) submit(plan *algebra.Plan, shape int, sampled bool, entry string
 // execute pumps the network to exhaustion with the oracle goroutine
 // computing every case's bounds beside it, over the same frozen items
 // (invariant 4), and returns the outcome the invariants are checked on.
-func (w *world) execute() (outcome, error) {
+func (w *scenario) execute() (outcome, error) {
 	rep := w.rep
 	rep.Plans = len(w.cases)
 	errs := make([]error, len(w.cases))
@@ -546,14 +514,14 @@ func (w *world) execute() (outcome, error) {
 		}
 		oracleTime = time.Since(began)
 	}()
-	stats, err := w.net.Run()
+	stats, err := w.Net.Run()
 	if err != nil {
 		rep.violate("scheduler: %v", err)
 	}
 	wg.Wait()
 	rep.Events = stats.Events
 	rep.OracleTime = oracleTime
-	rep.Messages = w.net.Metrics().Messages
+	rep.Messages = w.Net.Metrics().Messages
 	for _, err := range errs {
 		if err != nil {
 			return outcome{}, err
@@ -568,10 +536,15 @@ func (w *world) execute() (outcome, error) {
 		}
 	}
 
-	out := outcome{trace: w.net.SchedTrace(), results: w.client.Results(),
-		keyring: func(server string) []byte { return w.keys[server] }}
-	for _, addr := range sortedAddrs(w.peers) {
-		for _, err := range w.peers[addr].StuckErrors() {
+	out := outcome{trace: w.Net.SchedTrace(), results: w.client.Results(),
+		keyring: func(server string) []byte {
+			if w.Peers[server] == nil {
+				return nil // no key: a visit signed by a non-peer cannot verify
+			}
+			return []byte(server)
+		}}
+	for _, addr := range sortedAddrs(w.Peers) {
+		for _, err := range w.Peers[addr].StuckErrors() {
 			out.stuck = append(out.stuck, err.Error())
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // item, count a full count result whose lower bound is positive (both are
 // indexes into out.results).
 type forgeable struct {
-	w           *world
+	w           *scenario
 	out         outcome
 	full, count int
 }
@@ -172,5 +172,27 @@ func TestCheckerCatchesForgedOutcomes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKeyringKnowsOnlyWorldPeers: the keyring trails verify against holds each
+// peer's key (its address) and nothing for any other address, so a visit
+// signed by a server outside the world cannot verify.
+func TestKeyringKnowsOnlyWorldPeers(t *testing.T) {
+	w, err := generate(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := w.execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := range w.Peers {
+		if got := string(out.keyring(addr)); got != addr {
+			t.Errorf("keyring(%q) = %q, want the address", addr, got)
+		}
+	}
+	if k := out.keyring("stranger:9020"); k != nil {
+		t.Errorf("keyring holds %q for an address that is no peer", k)
 	}
 }

@@ -59,7 +59,7 @@ type joiner struct {
 	joinAt  time.Duration
 }
 
-func genLarge(cfg Config) (*world, error) {
+func genLarge(cfg Config) (*scenario, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// --- World -----------------------------------------------------------
@@ -71,7 +71,7 @@ func genLarge(cfg Config) (*world, error) {
 		nStates = 64
 	}
 	ns := workload.ScaledNamespace(nStates, 8, 8, 6)
-	w := newWorld(cfg, ns)
+	w := newScenario(cfg, ns)
 	rep := w.rep
 
 	zipf := cfg.Zipf
@@ -88,11 +88,8 @@ func genLarge(cfg Config) (*world, error) {
 		Seed: rng.Int63(), Sellers: cfg.Peers, ItemsPerSeller: 2 + rng.Intn(3), SpecialtyZipf: zipf,
 	})
 
-	meta, err := w.addPeer(peer.Config{Addr: metaAddr, PushSelect: pushSelect,
-		Area: ns.Everything(), Authoritative: true})
-	if err != nil {
-		return nil, err
-	}
+	meta := w.Peer(w.peerConfig(peer.Config{Addr: metaAddr, PushSelect: pushSelect,
+		Area: ns.Everything(), Authoritative: true}))
 
 	// One authoritative index per state, every state — joiners may land in
 	// states no initial seller picked. World build registers directly into
@@ -111,11 +108,8 @@ func genLarge(cfg Config) (*world, error) {
 	for _, st := range states {
 		addr := "idx-" + strings.ReplaceAll(st.String(), "/", "-") + ":9020"
 		area := namespace.NewArea(namespace.NewCell(st, hierarchy.Top))
-		idx, err := w.addPeer(peer.Config{Addr: addr, PushSelect: pushSelect,
-			Area: area, Authoritative: true})
-		if err != nil {
-			return nil, err
-		}
+		idx := w.Peer(w.peerConfig(peer.Config{Addr: addr, PushSelect: pushSelect,
+			Area: area, Authoritative: true}))
 		if err := meta.Catalog().Register(idx.Registration(catalog.RoleIndex)); err != nil {
 			return nil, err
 		}
@@ -142,10 +136,7 @@ func genLarge(cfg Config) (*world, error) {
 		case 2:
 			pcfg.Policy = mqp.DefaultPolicy{MaxReduceCard: 4}
 		}
-		sp, err := w.addPeer(pcfg)
-		if err != nil {
-			return nil, err
-		}
+		sp := w.Peer(w.peerConfig(pcfg))
 		pathExp := fmt.Sprintf("/chaos[s=%d]", i)
 		sp.AddCollection(peer.Collection{Name: "items", PathExp: pathExp, Area: s.Area, Items: s.Items})
 		rep.Items += len(s.Items)
@@ -164,7 +155,8 @@ func genLarge(cfg Config) (*world, error) {
 		sellerPaths[i] = pathExp
 	}
 
-	if err := w.addClient(); err != nil {
+	w.addClient()
+	if err := w.Err(); err != nil {
 		return nil, err
 	}
 
@@ -201,11 +193,8 @@ func genLarge(cfg Config) (*world, error) {
 				if rng.Float64() < 0.25 {
 					bound = 0
 				}
-				rp, err := w.addPeer(peer.Config{Addr: "rep-" + sellers[i].Addr,
-					PushSelect: pushSelect, Area: sellers[i].Area})
-				if err != nil {
-					return nil, err
-				}
+				rp := w.Peer(w.peerConfig(peer.Config{Addr: "rep-" + sellers[i].Addr,
+					PushSelect: pushSelect, Area: sellers[i].Area}))
 				if err := rp.ReplicateFrom(sellers[i].Addr, lv.pathExp,
 					peer.Collection{Name: "items", PathExp: lv.pathExp, Area: sellers[i].Area}, bound); err != nil {
 					return nil, fmt.Errorf("chaos: replica fetch from %s: %w", sellers[i].Addr, err)
@@ -224,10 +213,7 @@ func genLarge(cfg Config) (*world, error) {
 		for j := range joinSellers {
 			joinSellers[j].Addr = fmt.Sprintf("joiner%03d:9020", j)
 			s := joinSellers[j]
-			jp, err := w.addPeer(peer.Config{Addr: s.Addr, PushSelect: pushSelect, Area: s.Area})
-			if err != nil {
-				return nil, err
-			}
+			jp := w.Peer(w.peerConfig(peer.Config{Addr: s.Addr, PushSelect: pushSelect, Area: s.Area}))
 			pathExp := fmt.Sprintf("/chaos[j=%d]", j)
 			jp.AddCollection(peer.Collection{Name: "items", PathExp: pathExp, Area: s.Area, Items: s.Items})
 			rep.Items += len(s.Items)
@@ -241,7 +227,7 @@ func genLarge(cfg Config) (*world, error) {
 			})
 		}
 	}
-	rep.Peers = len(w.peers)
+	rep.Peers = len(w.Peers)
 
 	w.contains = inc.ContainsAll
 	w.bound = func(pc *planCase) (err error) {
@@ -267,17 +253,17 @@ func genLarge(cfg Config) (*world, error) {
 		addr := faultable[rng.Intn(len(faultable))]
 		from := time.Duration(rng.Int63n(int64(largeHorizon)))
 		until := from + 50*time.Millisecond + time.Duration(rng.Int63n(int64(250*time.Millisecond)))
-		w.net.ScheduleCrash(addr, from, until)
+		w.Net.ScheduleCrash(addr, from, until)
 	}
 	if wantPartition {
 		w.cutPartition(rng, faultable)
 	}
 	for _, lv := range leavers {
-		w.net.ScheduleCrash(lv.addr, lv.leaveAt, 0) // no restart: a leave
+		w.Net.ScheduleCrash(lv.addr, lv.leaveAt, 0) // no restart: a leave
 		rep.Left++
 		if lv.replica != nil {
 			lv := lv
-			w.net.ScheduleFunc(lv.promoteAt, func() {
+			w.Net.ScheduleFunc(lv.promoteAt, func() {
 				err := lv.replica.Promote(lv.pathExp, lv.addr, lv.idxAddr, lv.promoteAt)
 				switch {
 				case err == nil:
@@ -295,7 +281,7 @@ func genLarge(cfg Config) (*world, error) {
 	}
 	for _, jn := range joiners {
 		jn := jn
-		w.net.ScheduleFunc(jn.joinAt, func() {
+		w.Net.ScheduleFunc(jn.joinAt, func() {
 			if err := jn.p.RegisterWithAt(jn.idxAddr, catalog.RoleBase, jn.joinAt); err == nil {
 				rep.Joined++
 			}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
 	"repro/internal/xmltree"
 )
 
@@ -77,49 +78,27 @@ func E10Provenance() (*Table, error) {
 	keyring := func(s string) []byte { return keys[s] }
 
 	run := func(spoof bool) error {
-		net := simnet.New()
 		ns := workload.GarageSaleNamespace()
+		w := world.New(ns)
 		pdx := ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
 		sea := ns.MustParseArea("[USA/WA/Seattle, Music/CDs]")
+		usa := ns.MustParseArea("[USA, *]")
 
-		if _, err := peer.New(peer.Config{Addr: "M:1", Net: net, NS: ns, PushSelect: true,
-			Area: ns.MustParseArea("[USA, *]"), Authoritative: true, Key: keys["M:1"]}); err != nil {
-			return err
-		}
-		sPeer, err := peer.New(peer.Config{Addr: "S:1", Net: net, NS: ns, PushSelect: true, Area: pdx, Key: keys["S:1"]})
-		if err != nil {
-			return err
-		}
+		w.Peer(peer.Config{Addr: "M:1", PushSelect: true, Area: usa, Authoritative: true, Key: keys["M:1"]})
+		client := w.Peer(peer.Config{Addr: "c:1", Key: keys["c:1"]})
 		sSales, _ := workload.CDCatalog(51, 8)
-		sPeer.AddCollection(peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: sSales})
-		tPeer, err := peer.New(peer.Config{Addr: "T:1", Net: net, NS: ns, PushSelect: true, Area: sea, Key: keys["T:1"]})
-		if err != nil {
-			return err
-		}
+		sPeer := w.Base(peer.Config{Addr: "S:1", PushSelect: true, Area: pdx, Key: keys["S:1"]},
+			peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: sSales}, "M:1")
 		tSales, _ := workload.CDCatalog(52, 6)
-		tPeer.AddCollection(peer.Collection{Name: "cds", PathExp: "/d", Area: sea, Items: tSales})
-		if err := sPeer.RegisterWith("M:1", catalog.RoleBase); err != nil {
-			return err
-		}
-		if err := tPeer.RegisterWith("M:1", catalog.RoleBase); err != nil {
-			return err
-		}
-		client, err := peer.New(peer.Config{Addr: "c:1", Net: net, NS: ns, Key: keys["c:1"]})
-		if err != nil {
-			return err
-		}
-		if err := client.Catalog().Register(catalog.Registration{
-			Addr: "M:1", Role: catalog.RoleMetaIndex,
-			Area: ns.MustParseArea("[USA, *]"), Authoritative: true,
-		}); err != nil {
-			return err
-		}
+		w.Base(peer.Config{Addr: "T:1", PushSelect: true, Area: sea, Key: keys["T:1"]},
+			peer.Collection{Name: "cds", PathExp: "/d", Area: sea, Items: tSales}, "M:1")
+		w.Knows(client, "M:1", usa)
 
 		urnS := namespace.EncodeURN(pdx)
 		urnT := namespace.EncodeURN(sea)
 		if spoof {
 			// S intercepts plans and suppresses T's source.
-			net.Add(&maliciousPeer{inner: sPeer, victimURN: urnT})
+			w.Net.Add(&maliciousPeer{inner: sPeer, victimURN: urnT})
 			// Route the plan through S first so it can tamper; S needs
 			// enough catalog to keep the plan moving (its own collection
 			// and the meta server for anything else).
@@ -131,12 +110,7 @@ func E10Provenance() (*Table, error) {
 			if err := sPeer.Catalog().Register(sPeer.Registration(catalog.RoleBase)); err != nil {
 				return err
 			}
-			if err := sPeer.Catalog().Register(catalog.Registration{
-				Addr: "M:1", Role: catalog.RoleMetaIndex,
-				Area: ns.MustParseArea("[USA, *]"), Authoritative: true,
-			}); err != nil {
-				return err
-			}
+			w.Knows(sPeer, "M:1", usa)
 		}
 
 		// σ(A) ∪ σ(B): A at S, B at T (the paper's example shape).
@@ -147,15 +121,8 @@ func E10Provenance() (*Table, error) {
 		if spoof {
 			first = "S:1"
 		}
-		if err := client.Submit(first, plan); err != nil {
-			return err
-		}
-		res, ok := client.TakeResult()
-		if !ok {
-			return fmt.Errorf("E10: missing result")
-		}
-		results, err := res.Plan.Results()
-		if err != nil {
+		res, results := w.Ask(client, first, plan)
+		if err := w.Err(); err != nil {
 			return err
 		}
 		trail, err := peer.QueryTrail(res)
@@ -167,16 +134,8 @@ func E10Provenance() (*Table, error) {
 
 		// The client follows up with the verification query of §5.1:
 		// count(B) sent toward T.
-		vq := provenance.VerificationQuery("e10-verify", "c:1", urnT, nil)
-		if err := client.Submit("M:1", vq); err != nil {
-			return err
-		}
-		vres, ok := client.TakeResult()
-		if !ok {
-			return fmt.Errorf("E10: missing verification result")
-		}
-		vItems, err := vres.Plan.Results()
-		if err != nil {
+		_, vItems := w.Ask(client, "M:1", provenance.VerificationQuery("e10-verify", "c:1", urnT, nil))
+		if err := w.Err(); err != nil {
 			return err
 		}
 		verifyCount := vItems[0].InnerText()
@@ -229,52 +188,26 @@ func E11Annotations() (*Table, error) {
 	const smallN = 80
 
 	run := func(annotate bool) (int64, float64, int, error) {
-		net := simnet.New()
 		ns := workload.GarageSaleNamespace()
+		w := world.New(ns)
 		pdx := ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
 		sea := ns.MustParseArea("[USA/WA/Seattle, Music/CDs]")
+		usa := ns.MustParseArea("[USA, *]")
 
 		var sPolicy mqp.Policy = mqp.ForwardOnlyPolicy{}
 		if annotate {
 			sPolicy = mqp.ForwardOnlyPolicy{DefaultPolicy: mqp.DefaultPolicy{MaxReduceCard: 500}}
 		}
-		meta, err := peer.New(peer.Config{Addr: "M:1", Net: net, NS: ns, PushSelect: true,
-			Area: ns.MustParseArea("[USA, *]"), Authoritative: true, Key: []byte("kM")})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		sPeer, err := peer.New(peer.Config{Addr: "S:1", Net: net, NS: ns, PushSelect: true,
-			Area: pdx, Key: []byte("kS"), Policy: sPolicy, StatsHistPath: "price",
-			StatsKeyPaths: []string{"cd"}})
-		if err != nil {
-			return 0, 0, 0, err
-		}
+		w.Peer(peer.Config{Addr: "M:1", PushSelect: true, Area: usa, Authoritative: true, Key: []byte("kM")})
 		big, _ := workload.CDCatalog(61, bigN)
-		sPeer.AddCollection(peer.Collection{Name: "big", PathExp: "/d", Area: pdx, Items: big})
-		tPeer, err := peer.New(peer.Config{Addr: "T:1", Net: net, NS: ns, PushSelect: true,
-			Area: sea, Key: []byte("kT")})
-		if err != nil {
-			return 0, 0, 0, err
-		}
+		w.Base(peer.Config{Addr: "S:1", PushSelect: true, Area: pdx, Key: []byte("kS"), Policy: sPolicy,
+			StatsHistPath: "price", StatsKeyPaths: []string{"cd"}},
+			peer.Collection{Name: "big", PathExp: "/d", Area: pdx, Items: big}, "M:1")
 		small, _ := workload.CDCatalog(62, smallN)
-		tPeer.AddCollection(peer.Collection{Name: "small", PathExp: "/d", Area: sea, Items: small})
-		if err := sPeer.RegisterWith("M:1", catalog.RoleBase); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := tPeer.RegisterWith("M:1", catalog.RoleBase); err != nil {
-			return 0, 0, 0, err
-		}
-		client, err := peer.New(peer.Config{Addr: "c:1", Net: net, NS: ns, Key: []byte("kC")})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := client.Catalog().Register(catalog.Registration{
-			Addr: "M:1", Role: catalog.RoleMetaIndex,
-			Area: ns.MustParseArea("[USA, *]"), Authoritative: true,
-		}); err != nil {
-			return 0, 0, 0, err
-		}
-		_ = meta
+		w.Base(peer.Config{Addr: "T:1", PushSelect: true, Area: sea, Key: []byte("kT")},
+			peer.Collection{Name: "small", PathExp: "/d", Area: sea, Items: small}, "M:1")
+		client := w.Peer(peer.Config{Addr: "c:1", Key: []byte("kC")})
+		w.Knows(client, "M:1", usa)
 
 		// big-S ⋈ σ(small-T) on cd title, with the big side first so the
 		// plan reaches S before T: an eager S materializes its 1500-item
@@ -286,19 +219,12 @@ func E11Annotations() (*Table, error) {
 				algebra.URN(namespace.EncodeURN(sea))))
 		plan := algebra.NewPlan("e11", "c:1", algebra.Display(join))
 		plan.RetainOriginal()
-		net.ResetMetrics()
-		if err := client.Submit("M:1", plan); err != nil {
+		w.Net.ResetMetrics()
+		_, results := w.Ask(client, "M:1", plan)
+		if err := w.Err(); err != nil {
 			return 0, 0, 0, err
 		}
-		res, ok := client.TakeResult()
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("E11: missing result")
-		}
-		results, err := res.Plan.Results()
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		m := net.Metrics()
+		m := w.Net.Metrics()
 		return m.Messages, float64(m.Bytes) / 1024, len(results), nil
 	}
 
@@ -337,21 +263,10 @@ func E12PrivateJoin() (*Table, error) {
 		Title:   "Privacy-preserving multi-site join (IRS / State Dept)",
 		Columns: []string{"mode", "rows revealed to client", "IRS rows revealed to StateDept", "answers"},
 	}
-	net := simnet.New()
-	ns := workload.GarageSaleNamespace() // namespace is irrelevant; aliases route
-
-	irs, err := peer.New(peer.Config{Addr: "irs:1", Net: net, NS: ns, PushSelect: true, Key: []byte("kI")})
-	if err != nil {
-		return nil, err
-	}
-	state, err := peer.New(peer.Config{Addr: "state:1", Net: net, NS: ns, PushSelect: true, Key: []byte("kS")})
-	if err != nil {
-		return nil, err
-	}
-	client, err := peer.New(peer.Config{Addr: "agency:1", Net: net, NS: ns, Key: []byte("kA")})
-	if err != nil {
-		return nil, err
-	}
+	w := world.New(workload.GarageSaleNamespace()) // namespace is irrelevant; aliases route
+	irs := w.Peer(peer.Config{Addr: "irs:1", PushSelect: true, Key: []byte("kI")})
+	state := w.Peer(peer.Config{Addr: "state:1", PushSelect: true, Key: []byte("kS")})
+	client := w.Peer(peer.Config{Addr: "agency:1", Key: []byte("kA")})
 
 	// IRS: contributions by employees of the target company.
 	var returns []*xmltree.Node
@@ -387,15 +302,8 @@ func E12PrivateJoin() (*Table, error) {
 					algebra.URN("urn:IRS:TargetCorp-Contributions")),
 				algebra.URN("urn:State:FrontOrgs")))))
 	plan.RetainOriginal()
-	if err := client.Submit("agency:1", plan); err != nil {
-		return nil, err
-	}
-	res, ok := client.TakeResult()
-	if !ok {
-		return nil, fmt.Errorf("E12: missing result")
-	}
-	results, err := res.Plan.Results()
-	if err != nil {
+	res, results := w.Ask(client, "agency:1", plan)
+	if err := w.Err(); err != nil {
 		return nil, err
 	}
 	trail, err := peer.QueryTrail(res)

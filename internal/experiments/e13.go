@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/catalog"
 	"repro/internal/namespace"
 	"repro/internal/peer"
-	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
 )
 
 // E13Ablations toggles the design choices DESIGN.md §4 calls out and
@@ -26,48 +25,27 @@ func E13Ablations() (*Table, error) {
 
 	// --- Push-select: bytes moved on a two-seller selective query. ---
 	for _, push := range []bool{false, true} {
-		net := simnet.New()
 		ns := workload.GarageSaleNamespace()
+		w := world.New(ns)
 		pdx := ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
-		meta, err := peer.New(peer.Config{Addr: "M:1", Net: net, NS: ns, PushSelect: push,
-			Area: ns.MustParseArea("[USA, *]"), Authoritative: true, Key: []byte("kM")})
-		if err != nil {
-			return nil, err
-		}
-		_ = meta
+		usa := ns.MustParseArea("[USA, *]")
+		w.Peer(peer.Config{Addr: "M:1", PushSelect: push, Area: usa, Authoritative: true, Key: []byte("kM")})
 		for i, addr := range []string{"s1:1", "s2:1"} {
-			sp, err := peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: push,
-				Area: pdx, Key: []byte(addr)})
-			if err != nil {
-				return nil, err
-			}
 			sales, _ := workload.CDCatalog(int64(90+i), 60)
-			sp.AddCollection(peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: sales})
-			if err := sp.RegisterWith("M:1", catalog.RoleBase); err != nil {
-				return nil, err
-			}
+			w.Base(peer.Config{Addr: addr, PushSelect: push, Area: pdx, Key: []byte(addr)},
+				peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: sales}, "M:1")
 		}
-		client, err := peer.New(peer.Config{Addr: "c:1", Net: net, NS: ns, Key: []byte("kC")})
-		if err != nil {
-			return nil, err
-		}
-		if err := client.Catalog().Register(catalog.Registration{
-			Addr: "M:1", Role: catalog.RoleMetaIndex,
-			Area: ns.MustParseArea("[USA, *]"), Authoritative: true,
-		}); err != nil {
-			return nil, err
-		}
+		client := w.Peer(peer.Config{Addr: "c:1", Key: []byte("kC")})
+		w.Knows(client, "M:1", usa)
 		plan := algebra.NewPlan(fmt.Sprintf("e13-push-%v", push), "c:1",
 			algebra.Display(algebra.Select(algebra.MustParsePredicate("price < 6"),
 				algebra.URN(namespace.EncodeURN(pdx)))))
-		net.ResetMetrics()
-		if err := client.Submit("M:1", plan); err != nil {
+		w.Net.ResetMetrics()
+		w.Ask(client, "M:1", plan)
+		if err := w.Err(); err != nil {
 			return nil, err
 		}
-		if _, ok := client.TakeResult(); !ok {
-			return nil, fmt.Errorf("E13: missing result")
-		}
-		m := net.Metrics()
+		m := w.Net.Metrics()
 		t.AddRow("push-select (Fig. 4a)", onOff(push), "KB moved",
 			fmt.Sprintf("%.1f", float64(m.Bytes)/1024))
 	}
@@ -78,24 +56,21 @@ func E13Ablations() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range w.peers {
+		for _, p := range w.Peers {
 			p.Catalog().EnableCache(cache)
 		}
-		q := workload.Queries(w.ns, 321, 1, 1.3)[0]
+		q := workload.Queries(w.NS, 321, 1, 1.3)[0]
 		urn := namespace.EncodeURN(q.Area)
-		w.net.ResetMetrics()
+		w.Net.ResetMetrics()
 		for i := 0; i < 6; i++ {
-			plan := algebra.NewPlan(fmt.Sprintf("e13-cache-%v-%d", cache, i), "client:9020",
-				algebra.Display(algebra.Count(algebra.URN(urn))))
-			if err := w.client.Submit("client:9020", plan); err != nil {
-				return nil, err
-			}
-			if _, ok := w.client.TakeResult(); !ok {
-				return nil, fmt.Errorf("E13: missing result")
-			}
+			w.Ask(w.client, "client:9020", algebra.NewPlan(fmt.Sprintf("e13-cache-%v-%d", cache, i), "client:9020",
+				algebra.Display(algebra.Count(algebra.URN(urn)))))
+		}
+		if err := w.Err(); err != nil {
+			return nil, err
 		}
 		hits := int64(0)
-		for _, p := range w.peers {
+		for _, p := range w.Peers {
 			h, _ := p.Catalog().CacheStats()
 			hits += h
 		}
@@ -104,24 +79,15 @@ func E13Ablations() (*Table, error) {
 
 	// --- Histogram pruning: servers visited on a price-bounded query. ---
 	for _, prune := range []bool{false, true} {
-		net := simnet.New()
 		ns := workload.GarageSaleNamespace()
+		w := world.New(ns)
 		pdx := ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
-		meta, err := peer.New(peer.Config{Addr: "M:1", Net: net, NS: ns, PushSelect: true,
-			Area: ns.MustParseArea("[USA, *]"), Authoritative: true, Key: []byte("kM"),
+		usa := ns.MustParseArea("[USA, *]")
+		w.Peer(peer.Config{Addr: "M:1", PushSelect: true, Area: usa, Authoritative: true, Key: []byte("kM"),
 			PruneStats: prune})
-		if err != nil {
-			return nil, err
-		}
-		_ = meta
 		// Five sellers; only two have items under $20.
 		for i := 0; i < 5; i++ {
 			addr := fmt.Sprintf("s%d:1", i)
-			sp, err := peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: true,
-				Area: pdx, Key: []byte(addr), StatsHistPath: "price"})
-			if err != nil {
-				return nil, err
-			}
 			base := 100 * (i + 1)
 			if i < 2 {
 				base = 1
@@ -130,34 +96,17 @@ func E13Ablations() (*Table, error) {
 			for j := 0; j < 8; j++ {
 				docs = append(docs, fmt.Sprintf(`<sale><cd>c%d-%d</cd><price>%d</price></sale>`, i, j, base+j))
 			}
-			sp.AddCollection(peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: items(docs...)})
-			if err := sp.RegisterWith("M:1", catalog.RoleBase); err != nil {
-				return nil, err
-			}
+			w.Base(peer.Config{Addr: addr, PushSelect: true, Area: pdx, Key: []byte(addr), StatsHistPath: "price"},
+				peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: items(docs...)}, "M:1")
 		}
-		client, err := peer.New(peer.Config{Addr: "c:1", Net: net, NS: ns, Key: []byte("kC")})
-		if err != nil {
-			return nil, err
-		}
-		if err := client.Catalog().Register(catalog.Registration{
-			Addr: "M:1", Role: catalog.RoleMetaIndex,
-			Area: ns.MustParseArea("[USA, *]"), Authoritative: true,
-		}); err != nil {
-			return nil, err
-		}
+		client := w.Peer(peer.Config{Addr: "c:1", Key: []byte("kC")})
+		w.Knows(client, "M:1", usa)
 		plan := algebra.NewPlan(fmt.Sprintf("e13-prune-%v", prune), "c:1",
 			algebra.Display(algebra.Select(algebra.MustParsePredicate("price < 20"),
 				algebra.URN(namespace.EncodeURN(pdx)))))
 		plan.RetainOriginal()
-		if err := client.Submit("M:1", plan); err != nil {
-			return nil, err
-		}
-		res, ok := client.TakeResult()
-		if !ok {
-			return nil, fmt.Errorf("E13: missing result")
-		}
-		got, err := res.Plan.Results()
-		if err != nil {
+		res, got := w.Ask(client, "M:1", plan)
+		if err := w.Err(); err != nil {
 			return nil, err
 		}
 		if len(got) != 16 {

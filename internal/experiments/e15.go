@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/catalog"
 	"repro/internal/namespace"
 	"repro/internal/peer"
 	"repro/internal/workload"
@@ -29,17 +28,8 @@ func E15LearnedRouting() (*Table, error) {
 			return nil, err
 		}
 		// A learning twin of the plain client, in the same world.
-		learner, err := peer.New(peer.Config{Addr: "learner:9020", Net: w.net, NS: w.ns,
-			Key: []byte("kL"), LearnShortcuts: true})
-		if err != nil {
-			return nil, err
-		}
-		if err := learner.Catalog().Register(catalog.Registration{
-			Addr: "meta:9020", Role: catalog.RoleMetaIndex,
-			Area: w.ns.MustParseArea("[*, *]"), Authoritative: true,
-		}); err != nil {
-			return nil, err
-		}
+		learner := w.Peer(peer.Config{Addr: "learner:9020", Key: []byte("kL"), LearnShortcuts: true})
+		w.Knows(learner, "meta:9020", w.NS.MustParseArea("[*, *]"))
 
 		queries := workloadAnswerable(w, int64(n)*3+2, 48, 1.6)
 		if len(queries) < 8 {
@@ -47,22 +37,19 @@ func E15LearnedRouting() (*Table, error) {
 		}
 
 		runPass := func(c *peer.Peer, tag string, pass int) (hops, msgs float64, err error) {
-			w.net.ResetMetrics()
+			w.Net.ResetMetrics()
 			totalHops := 0
 			for qi, area := range queries {
 				plan := algebra.NewPlan(fmt.Sprintf("e15-%s-%d-%d", tag, pass, qi),
 					c.Addr(), algebra.Display(algebra.Count(algebra.URN(namespace.EncodeURN(area)))))
 				plan.RetainOriginal()
-				if err := c.Submit(c.Addr(), plan); err != nil {
-					return 0, 0, fmt.Errorf("E15: %s pass %d: %w", tag, pass, err)
-				}
-				res, ok := c.TakeResult()
-				if !ok {
-					return 0, 0, fmt.Errorf("E15: missing result")
-				}
+				res, _ := w.Ask(c, c.Addr(), plan)
 				totalHops += res.Hops
 			}
-			m := w.net.Metrics()
+			if err := w.Err(); err != nil {
+				return 0, 0, fmt.Errorf("E15: %s pass %d: %w", tag, pass, err)
+			}
+			m := w.Net.Metrics()
 			return float64(totalHops) / float64(len(queries)),
 				float64(m.Messages) / float64(len(queries)), nil
 		}
@@ -124,7 +111,7 @@ func E15LearnedRouting() (*Table, error) {
 // which is what the learned tier can actually shorten.
 func workloadAnswerable(w *garageWorld, seed int64, count int, zipf float64) []namespace.Area {
 	var out []namespace.Area
-	for _, q := range workload.Queries(w.ns, seed, count, zipf) {
+	for _, q := range workload.Queries(w.NS, seed, count, zipf) {
 		if groundTruth(w.sellers, q) == 0 {
 			continue
 		}

@@ -6,11 +6,11 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/blobstore"
-	"repro/internal/catalog"
 	"repro/internal/hierarchy"
 	"repro/internal/namespace"
 	"repro/internal/peer"
 	"repro/internal/simnet"
+	"repro/internal/world"
 	"repro/internal/xmltree"
 )
 
@@ -52,16 +52,9 @@ func E16PayloadStore() (*Table, error) {
 			plan := algebra.NewPlan(fmt.Sprintf("e16-%s-%d", tag, pass), "client:9020",
 				algebra.Display(algebra.Select(algebra.MustParsePredicate("price < 10"),
 					algebra.URN("urn:ForSale:Portland-CDs"))))
-			if err := client.Submit("meta:9020", plan); err != nil {
-				return ph, fmt.Errorf("E16: store-%s pass %d: %w", tag, pass, err)
-			}
-			res, ok := client.TakeResult()
-			if !ok {
-				return ph, fmt.Errorf("E16: store-%s pass %d: missing result", tag, pass)
-			}
-			got, err := res.Plan.Results()
+			_, got, err := world.Ask(client, "meta:9020", plan)
 			if err != nil {
-				return ph, err
+				return ph, fmt.Errorf("E16: store-%s pass %d: %w", tag, pass, err)
 			}
 			ph.results = ph.results[:0]
 			for _, n := range got {
@@ -155,40 +148,20 @@ func e16World(sellers, itemsPer, distinct int, storeOn bool) (*simnet.Network, *
 			i, 3+i*2, strings.Repeat("A fine recording, archived with full provenance detail. ", 8))
 	}
 
-	net := simnet.New()
-	meta, err := peer.New(peer.Config{Addr: "meta:9020", Net: net, NS: ns,
-		Area: area, Authoritative: true, PushSelect: true, Blobs: blobs()})
-	if err != nil {
-		return nil, nil, err
-	}
+	w := world.New(ns)
+	meta := w.Peer(peer.Config{Addr: "meta:9020", Area: area, Authoritative: true, PushSelect: true, Blobs: blobs()})
 	for s := 0; s < sellers; s++ {
-		sp, err := peer.New(peer.Config{Addr: fmt.Sprintf("s%d:9020", s),
-			Net: net, NS: ns, Area: area, PushSelect: true, Blobs: blobs()})
-		if err != nil {
-			return nil, nil, err
-		}
 		items := make([]*xmltree.Node, 0, itemsPer)
 		for i := 0; i < itemsPer; i++ {
 			items = append(items, xmltree.MustParse(payload(i%distinct)))
 		}
-		sp.AddCollection(peer.Collection{
-			Name: "cds", PathExp: fmt.Sprintf("/data[id=%d]", s+1), Area: area, Items: items,
-		})
-		if err := sp.RegisterWith("meta:9020", catalog.RoleBase); err != nil {
-			return nil, nil, err
-		}
+		w.Base(peer.Config{Addr: fmt.Sprintf("s%d:9020", s), Area: area, PushSelect: true, Blobs: blobs()},
+			peer.Collection{Name: "cds", PathExp: fmt.Sprintf("/data[id=%d]", s+1), Area: area, Items: items},
+			"meta:9020")
 	}
 	meta.Catalog().AddAlias("urn:ForSale:Portland-CDs", namespace.EncodeURN(area))
 
-	client, err := peer.New(peer.Config{Addr: "client:9020", Net: net, NS: ns, Blobs: blobs()})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := client.Catalog().Register(catalog.Registration{
-		Addr: "meta:9020", Role: catalog.RoleMetaIndex,
-		Area: area, Authoritative: true,
-	}); err != nil {
-		return nil, nil, err
-	}
-	return net, client, nil
+	client := w.Peer(peer.Config{Addr: "client:9020", Blobs: blobs()})
+	w.Knows(client, "meta:9020", area)
+	return w.Net, client, w.Err()
 }

@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/catalog"
 	"repro/internal/namespace"
 	"repro/internal/peer"
-	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
 	"repro/internal/xmltree"
 )
 
@@ -21,58 +20,27 @@ func items(ss ...string) []*xmltree.Node {
 }
 
 // cdWorld wires the paper's running example (Figs. 3 and 4) onto a simnet.
-func cdWorld() (*simnet.Network, *peer.Peer, error) {
-	net := simnet.New()
+func cdWorld() (*world.World, *peer.Peer) {
 	ns := workload.GarageSaleNamespace()
+	w := world.New(ns)
 	pdxCDs := ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
+	usa := ns.MustParseArea("[USA, *]")
 
-	client, err := peer.New(peer.Config{Addr: "client:9020", Net: net, NS: ns, Key: []byte("kC")})
-	if err != nil {
-		return nil, nil, err
-	}
-	meta, err := peer.New(peer.Config{Addr: "M:9020", Net: net, NS: ns, PushSelect: true,
-		Key: []byte("kM"), Area: ns.MustParseArea("[USA, *]"), Authoritative: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	mk := func(addr string, key string, area namespace.Area) (*peer.Peer, error) {
-		return peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: true,
-			Key: []byte(key), Area: area})
-	}
-	s1, err := mk("10.1.2.3:9020", "k1", pdxCDs)
-	if err != nil {
-		return nil, nil, err
-	}
-	s2, err := mk("10.2.3.4:9020", "k2", pdxCDs)
-	if err != nil {
-		return nil, nil, err
-	}
-	tracks, err := mk("tracks:9020", "kT", namespace.Area{})
-	if err != nil {
-		return nil, nil, err
-	}
-
+	client := w.Peer(peer.Config{Addr: "client:9020", Key: []byte("kC")})
+	meta := w.Peer(peer.Config{Addr: "M:9020", PushSelect: true,
+		Key: []byte("kM"), Area: usa, Authoritative: true})
 	sales1, listings := workload.CDCatalog(11, 20)
 	sales2, _ := workload.CDCatalog(23, 10)
-	s1.AddCollection(peer.Collection{Name: "cds", PathExp: "/data[id=1]", Area: pdxCDs, Items: sales1})
-	s2.AddCollection(peer.Collection{Name: "cds", PathExp: "/data[id=2]", Area: pdxCDs, Items: sales2})
-	tracks.AddCollection(peer.Collection{Name: "listings", PathExp: "/data[id=9]", Items: listings})
-
-	if err := s1.RegisterWith("M:9020", catalog.RoleBase); err != nil {
-		return nil, nil, err
-	}
-	if err := s2.RegisterWith("M:9020", catalog.RoleBase); err != nil {
-		return nil, nil, err
-	}
+	w.Peer(peer.Config{Addr: "tracks:9020", PushSelect: true, Key: []byte("kT")}).
+		AddCollection(peer.Collection{Name: "listings", PathExp: "/data[id=9]", Items: listings})
+	w.Base(peer.Config{Addr: "10.1.2.3:9020", PushSelect: true, Key: []byte("k1"), Area: pdxCDs},
+		peer.Collection{Name: "cds", PathExp: "/data[id=1]", Area: pdxCDs, Items: sales1}, "M:9020")
+	w.Base(peer.Config{Addr: "10.2.3.4:9020", PushSelect: true, Key: []byte("k2"), Area: pdxCDs},
+		peer.Collection{Name: "cds", PathExp: "/data[id=2]", Area: pdxCDs, Items: sales2}, "M:9020")
 	meta.Catalog().AddAlias("urn:CD:TrackListings", "http://tracks:9020/data[id=9]")
 	meta.Catalog().AddAlias("urn:ForSale:Portland-CDs", namespace.EncodeURN(pdxCDs))
-	if err := client.Catalog().Register(catalog.Registration{
-		Addr: "M:9020", Role: catalog.RoleMetaIndex,
-		Area: ns.MustParseArea("[USA, *]"), Authoritative: true,
-	}); err != nil {
-		return nil, nil, err
-	}
-	return net, client, nil
+	w.Knows(client, "M:9020", usa)
+	return w, client
 }
 
 func fig3Plan(target string, favorites []*xmltree.Node) *algebra.Plan {
@@ -90,10 +58,7 @@ func fig3Plan(target string, favorites []*xmltree.Node) *algebra.Plan {
 // E1Fig34 runs the paper's Figures 3–4 CD query end to end and reports the
 // mutation trace: which server did what, in order, with plan wire sizes.
 func E1Fig34() (*Table, error) {
-	net, client, err := cdWorld()
-	if err != nil {
-		return nil, err
-	}
+	w, client := cdWorld()
 	// Favorites reference tracks of CDs that are actually under $10 in the
 	// generated catalog, so the Fig. 3 query has a nonempty answer.
 	sales1, _ := workload.CDCatalog(11, 20)
@@ -112,15 +77,8 @@ func E1Fig34() (*Table, error) {
 	}
 	plan := fig3Plan("client:9020", favorites)
 	startBytes := algebra.WireSize(plan)
-	if err := client.Submit("M:9020", plan); err != nil {
-		return nil, err
-	}
-	res, ok := client.TakeResult()
-	if !ok {
-		return nil, fmt.Errorf("E1: no result delivered")
-	}
-	results, err := res.Plan.Results()
-	if err != nil {
+	res, results := w.Ask(client, "M:9020", plan)
+	if err := w.Err(); err != nil {
 		return nil, err
 	}
 	trail, err := peer.QueryTrail(res)
@@ -136,7 +94,7 @@ func E1Fig34() (*Table, error) {
 	for i, v := range trail.Visits {
 		t.AddRow(i+1, v.Server, string(v.Action), v.Detail)
 	}
-	m := net.Metrics()
+	m := w.Net.Metrics()
 	t.Note("initial plan %d B; final result plan %d B; network: %d msgs, %d B; latency %v; results %d",
 		startBytes, algebra.WireSize(res.Plan), m.Messages, m.Bytes, res.At, len(results))
 	t.Note("paper Fig. 4(a): URN bound to union of two seller URLs with select pushed through; Fig. 4(b): per-seller reduction to constant XML — both visible as bind/optimize then data/reduce steps above")
@@ -150,39 +108,20 @@ func E1Fig34() (*Table, error) {
 // areas over Organism × CellType; a query about mammalian cardiac-muscle
 // cells must route to the rodent and human groups and skip the fly group.
 func E2GeneRouting() (*Table, error) {
-	net := simnet.New()
 	ns := workload.GeneNamespace()
+	w := world.New(ns)
 	groups := workload.Fig1Groups(ns)
+	everything := ns.MustParseArea("[*, *]")
 
-	nih, err := peer.New(peer.Config{Addr: "nih:9020", Net: net, NS: ns, PushSelect: true,
-		Area: ns.MustParseArea("[*, *]"), Authoritative: true, Key: []byte("kN")})
-	if err != nil {
-		return nil, err
-	}
+	w.Peer(peer.Config{Addr: "nih:9020", PushSelect: true,
+		Area: everything, Authoritative: true, Key: []byte("kN")})
 	for i, g := range groups {
-		lab, err := peer.New(peer.Config{Addr: g.Addr, Net: net, NS: ns, PushSelect: true,
-			Area: g.Area, Key: []byte(fmt.Sprintf("k%d", i))})
-		if err != nil {
-			return nil, err
-		}
-		lab.AddCollection(peer.Collection{
-			Name: g.Name, PathExp: "/miame", Area: g.Area,
-			Items: workload.ExpressionData(ns, g, int64(100+i), 30),
-		})
-		if err := lab.RegisterWith("nih:9020", catalog.RoleBase); err != nil {
-			return nil, err
-		}
+		w.Base(peer.Config{Addr: g.Addr, PushSelect: true, Area: g.Area, Key: []byte(fmt.Sprintf("k%d", i))},
+			peer.Collection{Name: g.Name, PathExp: "/miame", Area: g.Area,
+				Items: workload.ExpressionData(ns, g, int64(100+i), 30)}, "nih:9020")
 	}
-	client, err := peer.New(peer.Config{Addr: "client:9020", Net: net, NS: ns, Key: []byte("kC")})
-	if err != nil {
-		return nil, err
-	}
-	if err := client.Catalog().Register(catalog.Registration{
-		Addr: "nih:9020", Role: catalog.RoleMetaIndex,
-		Area: ns.MustParseArea("[*, *]"), Authoritative: true,
-	}); err != nil {
-		return nil, err
-	}
+	client := w.Peer(peer.Config{Addr: "client:9020", Key: []byte("kC")})
+	w.Knows(client, "nih:9020", everything)
 
 	query := ns.MustParseArea("[Coelomata/Deuterostomia/Mammalia, Muscle/Cardiac]")
 	// Routing is by interest-area overlap; the query's own predicate does
@@ -194,18 +133,11 @@ func E2GeneRouting() (*Table, error) {
 	plan := algebra.NewPlan("fig1", "client:9020",
 		algebra.Display(algebra.Select(pred, algebra.URN(namespace.EncodeURN(query)))))
 	plan.RetainOriginal()
-	if err := client.Submit("nih:9020", plan); err != nil {
+	res, results := w.Ask(client, "nih:9020", plan)
+	if err := w.Err(); err != nil {
 		return nil, err
-	}
-	res, ok := client.TakeResult()
-	if !ok {
-		return nil, fmt.Errorf("E2: no result")
 	}
 	trail, err := peer.QueryTrail(res)
-	if err != nil {
-		return nil, err
-	}
-	results, err := res.Plan.Results()
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +150,6 @@ func E2GeneRouting() (*Table, error) {
 	for _, g := range groups {
 		t.AddRow(g.Name, g.Area.String(), g.Area.Overlaps(query), trail.Visited(g.Addr))
 	}
-	_ = nih
 	for _, g := range groups {
 		wantVisit := g.Area.Overlaps(query)
 		if trail.Visited(g.Addr) != wantVisit {

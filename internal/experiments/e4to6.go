@@ -13,6 +13,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
 	"repro/internal/xmltree"
 )
 
@@ -20,30 +21,24 @@ import (
 // meta-index server covering everything, one authoritative index server per
 // state, sellers registered with their state's index server.
 type garageWorld struct {
-	net     *simnet.Network
-	ns      *namespace.Namespace
+	*world.World
 	client  *peer.Peer
 	sellers []workload.Seller
-	peers   map[string]*peer.Peer
 }
 
 func buildGarageWorld(n int, seed int64) (*garageWorld, error) {
-	net := simnet.New()
 	ns := workload.GarageSaleNamespace()
 	sellers := workload.GarageSale(ns, workload.GarageSaleConfig{
 		Seed: seed, Sellers: n, ItemsPerSeller: 6, SpecialtyZipf: 1.4,
 	})
-	w := &garageWorld{net: net, ns: ns, sellers: sellers, peers: map[string]*peer.Peer{}}
+	w := &garageWorld{World: world.New(ns), sellers: sellers}
+	everything := ns.MustParseArea("[*, *]")
 
-	meta, err := peer.New(peer.Config{Addr: "meta:9020", Net: net, NS: ns, PushSelect: true,
-		Area: ns.MustParseArea("[*, *]"), Authoritative: true, Key: []byte("kM")})
-	if err != nil {
-		return nil, err
-	}
-	w.peers["meta:9020"] = meta
+	w.Peer(peer.Config{Addr: "meta:9020", PushSelect: true,
+		Area: everything, Authoritative: true, Key: []byte("kM")})
 
 	// One authoritative index server per state (depth-2 location prefix).
-	states := map[string]*peer.Peer{}
+	states := map[string]string{}
 	for _, s := range sellers {
 		st := s.City.Truncate(2).String()
 		if _, ok := states[st]; ok {
@@ -51,45 +46,20 @@ func buildGarageWorld(n int, seed int64) (*garageWorld, error) {
 		}
 		addr := "idx-" + strings.ReplaceAll(st, "/", "-") + ":9020"
 		area := namespace.NewArea(namespace.NewCell(s.City.Truncate(2), hierarchy.Top))
-		idx, err := peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: true,
-			Area: area, Authoritative: true, Key: []byte("kI")})
-		if err != nil {
-			return nil, err
-		}
-		states[st] = idx
-		w.peers[addr] = idx
-		if err := idx.RegisterWith("meta:9020", catalog.RoleIndex); err != nil {
-			return nil, err
-		}
+		states[st] = addr
+		w.Join(w.Peer(peer.Config{Addr: addr, PushSelect: true,
+			Area: area, Authoritative: true, Key: []byte("kI")}), "meta:9020", catalog.RoleIndex)
 	}
 
 	for _, s := range sellers {
-		sp, err := peer.New(peer.Config{Addr: s.Addr, Net: net, NS: ns, PushSelect: true,
-			Area: s.Area, Key: []byte("kS")})
-		if err != nil {
-			return nil, err
-		}
-		sp.AddCollection(peer.Collection{Name: "items", PathExp: "/data[id=0]", Area: s.Area, Items: s.Items})
-		st := s.City.Truncate(2).String()
-		if err := sp.RegisterWith(states[st].Addr(), catalog.RoleBase); err != nil {
-			return nil, err
-		}
-		w.peers[s.Addr] = sp
+		w.Base(peer.Config{Addr: s.Addr, PushSelect: true, Area: s.Area, Key: []byte("kS")},
+			peer.Collection{Name: "items", PathExp: "/data[id=0]", Area: s.Area, Items: s.Items},
+			states[s.City.Truncate(2).String()])
 	}
 
-	client, err := peer.New(peer.Config{Addr: "client:9020", Net: net, NS: ns, Key: []byte("kC")})
-	if err != nil {
-		return nil, err
-	}
-	if err := client.Catalog().Register(catalog.Registration{
-		Addr: "meta:9020", Role: catalog.RoleMetaIndex,
-		Area: ns.MustParseArea("[*, *]"), Authoritative: true,
-	}); err != nil {
-		return nil, err
-	}
-	w.client = client
-	w.peers["client:9020"] = client
-	return w, nil
+	w.client = w.Peer(peer.Config{Addr: "client:9020", Key: []byte("kC")})
+	w.Knows(w.client, "meta:9020", everything)
+	return w, w.Err()
 }
 
 // areaPredicate builds a predicate matching items whose city/category paths
@@ -138,8 +108,8 @@ func E4RoutingComparison() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		queries := workload.Queries(w.ns, int64(n)*7+1, queriesPerRun, 1.4)
-		w.net.ResetMetrics()
+		queries := workload.Queries(w.NS, int64(n)*7+1, queriesPerRun, 1.4)
+		w.Net.ResetMetrics()
 		recallSum, answered := 0.0, 0
 		for qi, q := range queries {
 			truth := groundTruth(w.sellers, q)
@@ -177,27 +147,23 @@ func E4RoutingComparison() (*Table, error) {
 			}
 			answered++
 		}
-		m := w.net.Metrics()
+		m := w.Net.Metrics()
 		t.AddRow("hierarchic-catalog", n,
 			fmt.Sprintf("%.1f", float64(m.Messages)/float64(answered)),
 			fmt.Sprintf("%.1f", float64(m.Bytes)/1024/float64(answered)),
 			recallSum/float64(answered), "-")
 
 		// --- Central index (Napster) ---
-		cnet := simnet.New()
+		cw := world.New(w.NS)
+		cnet := cw.Net
 		ci := baseline.NewCentralIndex(cnet, "central:9020")
-		centralPeers := map[string]*peer.Peer{}
 		for _, s := range w.sellers {
-			sp, err := peer.New(peer.Config{Addr: s.Addr, Net: cnet, NS: w.ns, Area: s.Area})
-			if err != nil {
-				return nil, err
-			}
-			sp.AddCollection(peer.Collection{Name: "items", PathExp: "/data[id=0]", Area: s.Area, Items: s.Items})
+			cw.Peer(peer.Config{Addr: s.Addr, Area: s.Area}).
+				AddCollection(peer.Collection{Name: "items", PathExp: "/data[id=0]", Area: s.Area, Items: s.Items})
 			ci.Register(baseline.DataRef{Addr: s.Addr, PathExp: "/data[id=0]"}, s.Area)
-			centralPeers[s.Addr] = sp
 		}
-		cclient, err := peer.New(peer.Config{Addr: "client:9020", Net: cnet, NS: w.ns})
-		if err != nil {
+		cclient := cw.Peer(peer.Config{Addr: "client:9020"})
+		if err := cw.Err(); err != nil {
 			return nil, err
 		}
 		cnet.ResetMetrics()
@@ -314,53 +280,29 @@ func E5MQPvsCoordinator() (*Table, error) {
 	}
 	for _, cutoff := range []int{5, 10, 25} {
 		for _, mode := range []string{"mqp", "coordinator"} {
-			net := simnet.New()
 			ns := workload.GarageSaleNamespace()
+			w := world.New(ns)
 			pdxCDs := ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
+			usa := ns.MustParseArea("[USA, *]")
 
 			var metaPolicy mqp.Policy = mqp.ForwardOnlyPolicy{}
 			if mode == "coordinator" {
 				metaPolicy = mqp.DefaultPolicy{}
 			}
-			meta, err := peer.New(peer.Config{Addr: "M:9020", Net: net, NS: ns, PushSelect: true,
-				Area: ns.MustParseArea("[USA, *]"), Authoritative: true, Policy: metaPolicy, Key: []byte("kM")})
-			if err != nil {
-				return nil, err
-			}
-			client, err := peer.New(peer.Config{Addr: "client:9020", Net: net, NS: ns, Key: []byte("kC")})
-			if err != nil {
-				return nil, err
-			}
-			mkSeller := func(addr string, seed int64, n int, pathExp string) error {
-				sp, err := peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: true, Area: pdxCDs, Key: []byte("k")})
-				if err != nil {
-					return err
-				}
-				sales, _ := workload.CDCatalog(seed, n)
-				sp.AddCollection(peer.Collection{Name: "cds", PathExp: pathExp, Area: pdxCDs, Items: sales})
-				return sp.RegisterWith("M:9020", catalog.RoleBase)
-			}
-			if err := mkSeller("s1:9020", 11, 40, "/data[id=1]"); err != nil {
-				return nil, err
-			}
-			if err := mkSeller("s2:9020", 23, 40, "/data[id=2]"); err != nil {
-				return nil, err
-			}
-			tracks, err := peer.New(peer.Config{Addr: "tracks:9020", Net: net, NS: ns, PushSelect: true, Key: []byte("kT")})
-			if err != nil {
-				return nil, err
-			}
-			_, listings := workload.CDCatalog(11, 40)
-			_, listings2 := workload.CDCatalog(23, 40)
-			tracks.AddCollection(peer.Collection{Name: "listings", PathExp: "/data[id=9]",
-				Items: append(listings, listings2...)})
+			meta := w.Peer(peer.Config{Addr: "M:9020", PushSelect: true,
+				Area: usa, Authoritative: true, Policy: metaPolicy, Key: []byte("kM")})
+			client := w.Peer(peer.Config{Addr: "client:9020", Key: []byte("kC")})
+			sales1, listings1 := workload.CDCatalog(11, 40)
+			sales2, listings2 := workload.CDCatalog(23, 40)
+			w.Peer(peer.Config{Addr: "tracks:9020", PushSelect: true, Key: []byte("kT")}).
+				AddCollection(peer.Collection{Name: "listings", PathExp: "/data[id=9]",
+					Items: append(listings1, listings2...)})
+			w.Base(peer.Config{Addr: "s1:9020", PushSelect: true, Area: pdxCDs, Key: []byte("k")},
+				peer.Collection{Name: "cds", PathExp: "/data[id=1]", Area: pdxCDs, Items: sales1}, "M:9020")
+			w.Base(peer.Config{Addr: "s2:9020", PushSelect: true, Area: pdxCDs, Key: []byte("k")},
+				peer.Collection{Name: "cds", PathExp: "/data[id=2]", Area: pdxCDs, Items: sales2}, "M:9020")
 			meta.Catalog().AddAlias("urn:CD:TrackListings", "http://tracks:9020/data[id=9]")
-			if err := client.Catalog().Register(catalog.Registration{
-				Addr: "M:9020", Role: catalog.RoleMetaIndex,
-				Area: ns.MustParseArea("[USA, *]"), Authoritative: true,
-			}); err != nil {
-				return nil, err
-			}
+			w.Knows(client, "M:9020", usa)
 
 			forSale := algebra.Select(algebra.MustParsePredicate(fmt.Sprintf("price < %d", cutoff)),
 				algebra.URN(namespace.EncodeURN(pdxCDs)))
@@ -369,19 +311,12 @@ func E5MQPvsCoordinator() (*Table, error) {
 			plan := algebra.NewPlan(fmt.Sprintf("e5-%s-%d", mode, cutoff), "client:9020",
 				algebra.Display(join))
 			plan.RetainOriginal()
-			net.ResetMetrics()
-			if err := client.Submit("M:9020", plan); err != nil {
+			w.Net.ResetMetrics()
+			res, results := w.Ask(client, "M:9020", plan)
+			if err := w.Err(); err != nil {
 				return nil, err
 			}
-			res, ok := client.TakeResult()
-			if !ok {
-				return nil, fmt.Errorf("E5: missing result")
-			}
-			results, err := res.Plan.Results()
-			if err != nil {
-				return nil, err
-			}
-			m := net.Metrics()
+			m := w.Net.Metrics()
 			t.AddRow(mode, cutoff, m.Messages,
 				fmt.Sprintf("%.1f", float64(m.Bytes)/1024),
 				res.At.Truncate(1e6).String(), len(results))
@@ -401,29 +336,20 @@ func E6Intensional() (*Table, error) {
 		Columns: []string{"scenario", "statement", "servers contacted", "answers", "duplicates"},
 	}
 	run := func(withStmt bool) (int, int, int, error) {
-		net := simnet.New()
 		ns := workload.GarageSaleNamespace()
+		w := world.New(ns)
 		pdx := ns.MustParseArea("[USA/OR/Portland, *]")
-		meta, err := peer.New(peer.Config{Addr: "M:1", Net: net, NS: ns, PushSelect: true,
+		meta := w.Peer(peer.Config{Addr: "M:1", PushSelect: true,
 			Area: ns.MustParseArea("[USA, *]"), Authoritative: true, Key: []byte("kM")})
-		if err != nil {
-			return 0, 0, 0, err
-		}
 		sales, _ := workload.CDCatalog(31, 12)
 		for _, addr := range []string{"R:1", "S:1"} {
-			sp, err := peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: true, Area: pdx, Key: []byte("k" + addr)})
-			if err != nil {
-				return 0, 0, 0, err
-			}
 			// R replicates S exactly: identical items.
 			cp := make([]*xmltree.Node, len(sales))
 			for i, s := range sales {
 				cp[i] = s.Clone()
 			}
-			sp.AddCollection(peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: cp})
-			if err := sp.RegisterWith("M:1", catalog.RoleBase); err != nil {
-				return 0, 0, 0, err
-			}
+			w.Base(peer.Config{Addr: addr, PushSelect: true, Area: pdx, Key: []byte("k" + addr)},
+				peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: cp}, "M:1")
 		}
 		if withStmt {
 			st, err := catalog.ParseStatement(ns, "base[USA/OR/Portland, *]@R:1 = base[USA/OR/Portland, *]@S:1")
@@ -434,19 +360,13 @@ func E6Intensional() (*Table, error) {
 				return 0, 0, 0, err
 			}
 		}
-		client, err := peer.New(peer.Config{Addr: "c:1", Net: net, NS: ns, Key: []byte("kC")})
-		if err != nil {
-			return 0, 0, 0, err
-		}
+		client := w.Peer(peer.Config{Addr: "c:1", Key: []byte("kC")})
 		plan := algebra.NewPlan("e6", "c:1",
 			algebra.Display(algebra.URN(namespace.EncodeURN(pdx))))
 		plan.RetainOriginal()
-		if err := client.Submit("M:1", plan); err != nil {
+		res, results := w.Ask(client, "M:1", plan)
+		if err := w.Err(); err != nil {
 			return 0, 0, 0, err
-		}
-		res, ok := client.TakeResult()
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("E6: missing result")
 		}
 		trail, err := peer.QueryTrail(res)
 		if err != nil {
@@ -457,10 +377,6 @@ func E6Intensional() (*Table, error) {
 			if trail.Visited(s) {
 				contacted++
 			}
-		}
-		results, err := res.Plan.Results()
-		if err != nil {
-			return 0, 0, 0, err
 		}
 		seen := map[string]int{}
 		dups := 0
@@ -505,31 +421,18 @@ func E6Intensional() (*Table, error) {
 // e6IndexCoverage builds §4.2 Example 2 and returns how many base servers
 // the plan visited when routed via the covering index server.
 func e6IndexCoverage() (int, error) {
-	net := simnet.New()
 	ns := workload.GarageSaleNamespace()
+	w := world.New(ns)
 	area := ns.MustParseArea("[USA/OR, Recreation/SportingGoods/GolfClubs]")
 
-	meta, err := peer.New(peer.Config{Addr: "M:1", Net: net, NS: ns, PushSelect: true,
+	meta := w.Peer(peer.Config{Addr: "M:1", PushSelect: true,
 		Area: ns.MustParseArea("[USA, *]"), Authoritative: true, Key: []byte("kM")})
-	if err != nil {
-		return 0, err
-	}
 	// Index server I knows the three base servers.
-	idx, err := peer.New(peer.Config{Addr: "I:1", Net: net, NS: ns, PushSelect: true,
-		Area: area, Authoritative: true, Key: []byte("kI")})
-	if err != nil {
-		return 0, err
-	}
+	w.Peer(peer.Config{Addr: "I:1", PushSelect: true, Area: area, Authoritative: true, Key: []byte("kI")})
 	for i, addr := range []string{"S:1", "T:1", "U:1"} {
-		sp, err := peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: true, Area: area, Key: []byte("k" + addr)})
-		if err != nil {
-			return 0, err
-		}
 		sales, _ := workload.CDCatalog(int64(40+i), 5)
-		sp.AddCollection(peer.Collection{Name: "clubs", PathExp: "/d", Area: area, Items: sales})
-		if err := sp.RegisterWith("I:1", catalog.RoleBase); err != nil {
-			return 0, err
-		}
+		w.Base(peer.Config{Addr: addr, PushSelect: true, Area: area, Key: []byte("k" + addr)},
+			peer.Collection{Name: "clubs", PathExp: "/d", Area: area, Items: sales}, "I:1")
 	}
 	// The meta server knows only the statement, not the base servers.
 	st, err := catalog.ParseStatement(ns,
@@ -553,20 +456,13 @@ func e6IndexCoverage() (int, error) {
 	if err := meta.Catalog().AddStatement(st); err != nil {
 		return 0, err
 	}
-	_ = idx
-	client, err := peer.New(peer.Config{Addr: "c:1", Net: net, NS: ns, Key: []byte("kC")})
-	if err != nil {
-		return 0, err
-	}
+	client := w.Peer(peer.Config{Addr: "c:1", Key: []byte("kC")})
 	plan := algebra.NewPlan("e6b", "c:1",
 		algebra.Display(algebra.Count(algebra.URN(namespace.EncodeURN(area)))))
 	plan.RetainOriginal()
-	if err := client.Submit("M:1", plan); err != nil {
+	res, results := w.Ask(client, "M:1", plan)
+	if err := w.Err(); err != nil {
 		return 0, err
-	}
-	res, ok := client.TakeResult()
-	if !ok {
-		return 0, fmt.Errorf("E6b: missing result")
 	}
 	trail, err := peer.QueryTrail(res)
 	if err != nil {
@@ -574,10 +470,6 @@ func e6IndexCoverage() (int, error) {
 	}
 	if !trail.Visited("I:1") {
 		return 0, fmt.Errorf("E6b: plan should route via the index server")
-	}
-	results, err := res.Plan.Results()
-	if err != nil {
-		return 0, err
 	}
 	if results[0].InnerText() != "15" {
 		return 0, fmt.Errorf("E6b: count = %s, want 15", results[0].InnerText())

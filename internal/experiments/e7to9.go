@@ -12,8 +12,8 @@ import (
 	"repro/internal/namespace"
 	"repro/internal/peer"
 	"repro/internal/provenance"
-	"repro/internal/simnet"
 	"repro/internal/workload"
+	"repro/internal/world"
 	"repro/internal/xmltree"
 )
 
@@ -32,39 +32,21 @@ func E7CurrencyLatency() (*Table, error) {
 	const replicated = 50 // R's snapshot misses the 5 most recent items
 
 	run := func(preferCurrent bool, budgetMS int) (sites int, lat time.Duration, distinct, missed int, err error) {
-		net := simnet.New()
 		ns := workload.GarageSaleNamespace()
+		w := world.New(ns)
 		pdx := ns.MustParseArea("[USA/OR/Portland, Music/CDs]")
 
-		meta, err := peer.New(peer.Config{Addr: "M:1", Net: net, NS: ns, PushSelect: true,
+		meta := w.Peer(peer.Config{Addr: "M:1", PushSelect: true,
 			Area: ns.MustParseArea("[USA, *]"), Authoritative: true, Key: []byte("kM")})
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		mk := func(addr string) (*peer.Peer, error) {
-			return peer.New(peer.Config{Addr: addr, Net: net, NS: ns, PushSelect: true, Area: pdx, Key: []byte("k" + addr)})
-		}
-		r, err := mk("R:1")
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		s, err := mk("S:1")
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
 		all, _ := workload.CDCatalog(77, total)
-		s.AddCollection(peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: all})
 		snapshot := make([]*xmltree.Node, replicated)
 		for i := range snapshot {
 			snapshot[i] = all[i].Clone()
 		}
-		r.AddCollection(peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: snapshot, StalenessMin: 30})
-		if err := r.RegisterWith("M:1", catalog.RoleBase); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if err := s.RegisterWith("M:1", catalog.RoleBase); err != nil {
-			return 0, 0, 0, 0, err
-		}
+		w.Base(peer.Config{Addr: "R:1", PushSelect: true, Area: pdx, Key: []byte("kR:1")},
+			peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: snapshot, StalenessMin: 30}, "M:1")
+		w.Base(peer.Config{Addr: "S:1", PushSelect: true, Area: pdx, Key: []byte("kS:1")},
+			peer.Collection{Name: "cds", PathExp: "/d", Area: pdx, Items: all}, "M:1")
 		st, err := catalog.ParseStatement(ns,
 			"base[USA/OR/Portland, Music/CDs]@R:1 >= base[USA/OR/Portland, Music/CDs]@S:1{30}")
 		if err != nil {
@@ -73,20 +55,14 @@ func E7CurrencyLatency() (*Table, error) {
 		if err := meta.Catalog().AddStatement(st); err != nil {
 			return 0, 0, 0, 0, err
 		}
-		client, err := peer.New(peer.Config{Addr: "c:1", Net: net, NS: ns, Key: []byte("kC")})
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
+		client := w.Peer(peer.Config{Addr: "c:1", Key: []byte("kC")})
 		plan := algebra.NewPlan("e7", "c:1",
 			algebra.Display(algebra.URN(namespace.EncodeURN(pdx))))
 		plan.RetainOriginal()
 		mqp.SetPrefs(plan, mqp.Prefs{BudgetMS: budgetMS, PreferCurrent: preferCurrent})
-		if err := client.Submit("M:1", plan); err != nil {
+		res, results := w.Ask(client, "M:1", plan)
+		if err := w.Err(); err != nil {
 			return 0, 0, 0, 0, err
-		}
-		res, ok := client.TakeResult()
-		if !ok {
-			return 0, 0, 0, 0, fmt.Errorf("E7: missing result")
 		}
 		trail, err := peer.QueryTrail(res)
 		if err != nil {
@@ -96,10 +72,6 @@ func E7CurrencyLatency() (*Table, error) {
 			if trail.Visited(srv) {
 				sites++
 			}
-		}
-		results, err := res.Plan.Results()
-		if err != nil {
-			return 0, 0, 0, 0, err
 		}
 		seen := map[string]bool{}
 		for _, it := range results {
@@ -234,10 +206,10 @@ func E9CatalogScaling() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		queries := workload.Queries(w.ns, int64(n)*3+2, 8, 1.4)
+		queries := workload.Queries(w.NS, int64(n)*3+2, 8, 1.4)
 
 		runPhase := func(phase string, learn bool) (float64, float64, error) {
-			w.net.ResetMetrics()
+			w.Net.ResetMetrics()
 			totalHops, answered := 0, 0
 			for qi, q := range queries {
 				plan := algebra.NewPlan(fmt.Sprintf("e9-%s-%d", phase, qi), "client:9020",
@@ -273,7 +245,7 @@ func E9CatalogScaling() (*Table, error) {
 			if answered == 0 {
 				return 0, 0, fmt.Errorf("E9: no queries answered")
 			}
-			m := w.net.Metrics()
+			m := w.Net.Metrics()
 			return float64(totalHops) / float64(answered), float64(m.Messages) / float64(answered), nil
 		}
 
@@ -285,7 +257,7 @@ func E9CatalogScaling() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		metaHits, metaMisses := w.peers["meta:9020"].Catalog().CacheStats()
+		metaHits, metaMisses := w.Peers["meta:9020"].Catalog().CacheStats()
 		hitRate := 0.0
 		if metaHits+metaMisses > 0 {
 			hitRate = float64(metaHits) / float64(metaHits+metaMisses)

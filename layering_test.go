@@ -35,13 +35,17 @@ var layerRank = map[string]int{
 	"internal/route":       3,
 	"internal/mqp":         4,
 	"internal/peer":        5,
-	"internal/chaos":       6,
-	"internal/experiments": 7,
+	"internal/world":       6,
+	"internal/chaos":       7,
+	"internal/experiments": 8,
 
-	"pkg":      8,
-	"cmd":      8,
-	"examples": 9,
+	"pkg":      9,
+	"cmd":      9,
+	"examples": 10,
 }
+
+// harnesses build simulated worlds; the daemon must link none of them.
+var harnesses = []string{"internal/world", "internal/chaos", "internal/experiments"}
 
 // transports carry frozen documents and know nothing of what is in them:
 // inside the module they may import xmltree and nothing else.
@@ -59,10 +63,12 @@ func rankOf(pkg string) (int, bool) {
 
 // TestImportLayering reads the import clauses of every non-test file in the
 // module (bench/ is a module of its own and is skipped) and holds them to
-// layerRank.
+// layerRank. From the same clauses it computes what cmd/mqpd links and holds
+// that to harnesses.
 func TestImportLayering(t *testing.T) {
 	const module = "repro/"
 	fset := token.NewFileSet()
+	imports := map[string][]string{} // package -> module packages it imports
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -95,6 +101,7 @@ func TestImportLayering(t *testing.T) {
 				continue
 			}
 			imp = strings.TrimPrefix(imp, module)
+			imports[pkg] = append(imports[pkg], imp)
 			if to, ok := rankOf(imp); !ok {
 				t.Errorf("%s imports %s, which has no rank in layerRank", path, imp)
 			} else if to >= from {
@@ -108,5 +115,25 @@ func TestImportLayering(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	linked := map[string]bool{}
+	var link func(pkg string)
+	link = func(pkg string) {
+		if !linked[pkg] {
+			linked[pkg] = true
+			for _, imp := range imports[pkg] {
+				link(imp)
+			}
+		}
+	}
+	link("cmd/mqpd")
+	if !linked["internal/peer"] {
+		t.Fatalf("cmd/mqpd does not link internal/peer: its imports were not read")
+	}
+	for _, h := range harnesses {
+		if linked[h] {
+			t.Errorf("cmd/mqpd links %s; the daemon must link no world harness", h)
+		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/provenance"
 	"repro/internal/simnet"
+	"repro/internal/world"
 	"repro/internal/xmltree"
 )
 
@@ -302,14 +303,7 @@ func (p *Peer) QueryVia(addr string, plan *algebra.Plan) (QueryResult, error) {
 	if plan.Target == "" {
 		plan.Target = p.Addr()
 	}
-	if err := p.p.Submit(addr, plan); err != nil {
-		return QueryResult{}, err
-	}
-	res, ok := p.p.TakeResult()
-	if !ok {
-		return QueryResult{}, fmt.Errorf("p2pq: no result delivered for plan %q", plan.ID)
-	}
-	items, err := res.Plan.Results()
+	res, items, err := world.Ask(p.p, addr, plan)
 	if err != nil {
 		return QueryResult{}, err
 	}
