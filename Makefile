@@ -103,9 +103,13 @@ chaos:
 		$(GO) run ./cmd/chaos -n 500; \
 	fi
 
-# CI smoke: 200 seeded scenarios, mixed fault intensity.
+# CI smoke: 200 seeded scenarios, mixed fault intensity; then 200 with
+# learned routing and 200 with payload stores, the two modes whose peers keep
+# a shortcut table and a blob store (outcomes.golden pins 25 seeds of each).
 chaos-ci:
 	$(GO) run ./cmd/chaos -n 200
+	$(GO) run ./cmd/chaos -n 200 -learn
+	$(GO) run ./cmd/chaos -n 200 -blobs
 
 # Liveness gate: a fault-free sweep must strand zero plans — every plan
 # completes or returns an explicit partial result (visited-server routing

@@ -2,10 +2,8 @@ package algebra
 
 // Equal reports whether two operator subtrees are structurally identical:
 // same kinds, resources, predicates, parameters, annotations, payloads and
-// children. It is the collision guard behind fingerprint-keyed caches —
-// Fingerprint is a 64-bit digest, so a cache that maps fingerprints to plans
-// must confirm the stored plan really is the incoming one before reusing its
-// work.
+// children. Tests hold trees to it: a round trip, a clone, Fingerprint's
+// agreement.
 //
 // Payload documents compare by identity first (the common case: frozen items
 // aliased from a shared collection or wire buffer) and fall back to canonical

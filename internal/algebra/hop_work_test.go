@@ -16,8 +16,8 @@ import (
 // server hop — decode, unmarshal, StepCtx, streamed re-encode — on the
 // point_hot plan (one select over an aliased URN the server binds, fetches and
 // reduces itself; eight predicates resubmitted forever). Once the parse table
-// has seen a predicate, a hop reads its prepared form: the plan-cache
-// fingerprint, both sides of the Equal guard, evaluation and the encoder parse
+// has seen a predicate, a hop reads its prepared form: the plan-cache key (the
+// operator tree rendered to its wire bytes), evaluation and the encoder parse
 // nothing and render nothing, with the plan cache on (hits) or off (live).
 func TestWarmHopNeitherParsesNorRenders(t *testing.T) {
 	loc := hierarchy.New("Location")

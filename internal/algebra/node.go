@@ -462,6 +462,9 @@ type Plan struct {
 	// Extra sections are preserved verbatim through serialization; the mqp
 	// package stores provenance here. Keys are element names.
 	Extra map[string]*xmltree.Node
+	// src is the <plan> operator element UnmarshalEnvelope kept. It stands
+	// for the operator tree while Root is nil; Open builds Root from it.
+	src *xmltree.Node
 }
 
 // NewPlan creates a plan with the given id, target and root operator.
@@ -475,7 +478,7 @@ func NewPlan(id, target string, root *Node) *Plan {
 // in-flight plan costs operator headers, not its documents.
 func (p *Plan) Clone() *Plan {
 	cp := &Plan{ID: p.ID, Target: p.Target, Root: p.Root.Clone(), Original: p.Original.Clone(),
-		Visited: p.Visited.Clone()}
+		Visited: p.Visited.Clone(), src: p.src}
 	if p.Extra != nil {
 		cp.Extra = make(map[string]*xmltree.Node, len(p.Extra))
 		for k, v := range p.Extra {

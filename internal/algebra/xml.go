@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/xmltree"
 )
@@ -231,6 +232,23 @@ func Marshal(p *Plan) *xmltree.Node {
 // per tree; everything else — data payloads, extra sections — is frozen and
 // aliased from the document.
 func Unmarshal(doc *xmltree.Node) (*Plan, error) {
+	p, err := UnmarshalEnvelope(doc)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Open(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// UnmarshalEnvelope is Unmarshal without the operator tree: it reads the id,
+// the target, <original>, <visited> and the extra sections, checks that
+// <plan> holds exactly one operator element, and keeps that element instead
+// of building Root from it. Root stays nil until Open. A processor that has
+// prepared a plan with these exact operator bytes (PreparedKey) never builds
+// the tree at all.
+func UnmarshalEnvelope(doc *xmltree.Node) (*Plan, error) {
 	if doc.Name != "mqp" {
 		return nil, fmt.Errorf("algebra: expected <mqp>, got <%s>", doc.Name)
 	}
@@ -248,11 +266,7 @@ func Unmarshal(doc *xmltree.Node) (*Plan, error) {
 			if n != 1 {
 				return nil, fmt.Errorf("algebra: <plan> must have exactly one operator, has %d", n)
 			}
-			root, err := UnmarshalNode(op)
-			if err != nil {
-				return nil, err
-			}
-			p.Root = root
+			p.src = op
 		case "original":
 			op, n := soleElement(c)
 			if n != 1 {
@@ -279,10 +293,77 @@ func Unmarshal(doc *xmltree.Node) (*Plan, error) {
 			p.Extra[c.Name] = c.Freeze()
 		}
 	}
-	if p.Root == nil {
+	if p.src == nil {
 		return nil, fmt.Errorf("algebra: <mqp> without <plan>")
 	}
 	return p, nil
+}
+
+// Open builds Root from the operator element UnmarshalEnvelope kept. On a
+// plan whose Root is already there it does nothing.
+func (p *Plan) Open() error {
+	if p.Root != nil || p.src == nil {
+		return nil
+	}
+	root, err := UnmarshalNode(p.src)
+	if err != nil {
+		return err
+	}
+	p.Root, p.src = root, nil
+	return nil
+}
+
+// PreparedKey returns the exact bytes of the plan's operator tree, which are
+// what a wire hop carries between <plan> and </plan>, for a cache of prepared
+// plans to find it by. It reports false for a tree that carries payload
+// documents, which is never keyed. An operator element kept from a decoded
+// frame answers from its clean-span memo without copying. Any other tree is
+// serialized once into *buf, which grows as needed. The key aliases the memo
+// or *buf: it must not be modified, and a caller that keeps it keeps a copy.
+func (p *Plan) PreparedKey(buf *[]byte) ([]byte, bool) {
+	if p.Root == nil {
+		if p.src == nil || carriesDocs(p.src) {
+			return nil, false
+		}
+		if s, ok := p.src.FrozenSerialization(); ok {
+			return unsafe.Slice(unsafe.StringData(s), len(s)), true
+		}
+	} else if hasDocs(p.Root) {
+		return nil, false
+	}
+	enc := xmltree.GetFrameEncoder()
+	if p.Root != nil {
+		encodeFrameNode(p.Root, enc, nil)
+	} else {
+		enc.Node(p.src)
+	}
+	*buf = enc.AppendString((*buf)[:0])
+	enc.Release()
+	return *buf, true
+}
+
+// hasDocs reports whether a data leaf in the subtree carries payload
+// documents.
+func hasDocs(root *Node) (found bool) {
+	root.Walk(func(m *Node) bool {
+		found = found || m.Kind == KindData && len(m.Docs) > 0
+		return !found
+	})
+	return found
+}
+
+// carriesDocs is hasDocs on an operator element not yet unmarshaled: whether
+// a <data> in it holds an element that unmarshalNode would take as payload.
+func carriesDocs(e *xmltree.Node) bool {
+	for _, c := range e.Children {
+		if c.IsText() || c.Name == annotationsElem {
+			continue
+		}
+		if e.Name == "data" || carriesDocs(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // Decode parses a serialized plan through the zero-copy receive path: the

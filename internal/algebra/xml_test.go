@@ -247,15 +247,18 @@ func BenchmarkPlanRoundTrip(b *testing.B) {
 // 40k unions ending in two <data/> leaves took about 24 s on a 2-CPU x86-64
 // container when every node re-checked its whole subtree; checked once per
 // node it takes about 40 ms there, and about 100 ms under -race, so the
-// bound sits more than ten times from both.
+// bound sits more than ten times from both. The decoder refuses nesting past
+// xmltree.MaxDepth, so the chain is built in memory: Unmarshal takes a
+// document from any source.
 func TestUnmarshalLinearInDepth(t *testing.T) {
 	const depth = 40000
-	frame := `<mqp id="deep" target="t"><plan>` + strings.Repeat("<union>", depth) +
-		"<data/><data/>" + strings.Repeat("</union>", depth) + `</plan></mqp>`
-	doc, err := xmltree.DecodeString(frame)
-	if err != nil {
-		t.Fatal(err)
+	op := xmltree.Elem("union", xmltree.Elem("data"), xmltree.Elem("data"))
+	for i := 1; i < depth; i++ {
+		op = xmltree.Elem("union", op)
 	}
+	doc := xmltree.Elem("mqp", xmltree.Elem("plan", op))
+	doc.SetAttr("id", "deep")
+	doc.SetAttr("target", "t")
 	began := time.Now()
 	plan, err := Unmarshal(doc)
 	elapsed := time.Since(began)

@@ -2,6 +2,7 @@ package mqp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -110,36 +111,137 @@ func TestPlanCacheEvictionAtCapacity(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCollisionSafety plants an entry under the wrong fingerprint
-// (as a real 64-bit digest collision would) and checks the structural
-// equality guard turns the poisoned lookup into a miss, never a wrong
-// answer.
-func TestPlanCacheCollisionSafety(t *testing.T) {
+// fromWire is plan as a peer receives it: its frame decoded, the envelope
+// read, the operator tree left unbuilt.
+func fromWire(t *testing.T, plan *algebra.Plan) *algebra.Plan {
+	t.Helper()
+	got, err := algebra.UnmarshalEnvelope(algebra.Marshal(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Root != nil {
+		t.Fatal("UnmarshalEnvelope built the operator tree")
+	}
+	return got
+}
+
+// TestPlanCacheKeyIsExact: the cache is keyed by the operator tree's exact
+// bytes, so plans that differ only in a predicate constant, in one annotation
+// value or in the order of union branches each get an entry of their own and
+// their own answer — the one a processor without a cache gives. Each plan is
+// stepped twice: built in memory (a miss, rendered to its wire bytes), then
+// decoded from its frame (a hit on the clean-span memo of the same bytes).
+func TestPlanCacheKeyIsExact(t *testing.T) {
+	sel := func(pred string) *algebra.Node {
+		return algebra.Select(algebra.MustParsePredicate(pred), algebra.URN("urn:Cache:CDs"))
+	}
+	annotated := func(v string) *algebra.Node {
+		n := sel("price < 10")
+		n.Annotate("note", v)
+		return n
+	}
+	variants := []*algebra.Node{
+		sel("price < 9"),
+		sel("price < 10"),
+		annotated("a"),
+		annotated("b"),
+		algebra.Union(sel("price < 9"), sel("price > 9")),
+		algebra.Union(sel("price > 9"), sel("price < 9")),
+	}
+	p, live := cacheWorld(t, 16), cacheWorld(t, 0)
+	var wants []string
+	for i, root := range variants {
+		plan := algebra.NewPlan(fmt.Sprintf("x%d", i), "client:9020", algebra.Display(root))
+		want := fmt.Sprint(stepDone(t, live, plan.Clone()))
+		wants = append(wants, want)
+		wire := fromWire(t, plan)
+		if got := fmt.Sprint(stepDone(t, p, plan)); got != want {
+			t.Fatalf("variant %d, miss: %s, want %s", i, got, want)
+		}
+		if got := fmt.Sprint(stepDone(t, p, wire)); got != want {
+			t.Fatalf("variant %d, hit: %s, want %s", i, got, want)
+		}
+		s := p.CacheStats()
+		if s.Entries != i+1 || s.Hits != int64(i+1) || s.Misses != int64(i+1) {
+			t.Fatalf("after variant %d: stats = %+v, want %d entries, hits and misses", i, s, i+1)
+		}
+	}
+	if wants[0] == wants[1] || wants[4] == wants[5] {
+		t.Fatalf("answers %q do not tell the predicate and union-order variants apart", wants)
+	}
+}
+
+// TestPlanCacheOneEpoch: the cache holds entries of one generation. After a
+// generation bump the first lookup empties it; a lookup by a reader that saw
+// an older generation clears nothing; and an insert prepared under an older
+// generation is dropped.
+func TestPlanCacheOneEpoch(t *testing.T) {
 	p := cacheWorld(t, 8)
-	stepDone(t, p, cachePlan("c1", "price < 10"))
+	stepDone(t, p, cachePlan("o1", "price < 10"))
+	stepDone(t, p, cachePlan("o2", "price < 16"))
+	if s := p.CacheStats(); s.Entries != 2 {
+		t.Fatalf("warmup: stats = %+v", s)
+	}
+	var buf []byte
+	key, ok := cachePlan("k", "price < 10").PreparedKey(&buf)
+	if !ok {
+		t.Fatal("a data-free plan has no key")
+	}
+	old := p.generation()
+	p.cfg.Catalog.AddAlias("urn:Cache:Other", "http://elsewhere:9020/x")
+	if p.generation() <= old {
+		t.Fatal("catalog mutation did not move the generation")
+	}
+	if p.cache.lookup(key, p.generation()) != nil {
+		t.Fatal("an old-epoch entry was served")
+	}
+	if s := p.CacheStats(); s.Entries != 0 {
+		t.Fatalf("first lookup of the new epoch left %d old entries", s.Entries)
+	}
+	p.cache.insert(key, old, &cacheEntry{})
+	if s := p.CacheStats(); s.Entries != 0 {
+		t.Fatalf("an insert prepared under the old generation was kept: stats = %+v", s)
+	}
+	stepDone(t, p, cachePlan("o3", "price < 10"))
+	if p.cache.lookup(key, old) != nil {
+		t.Fatal("a reader that saw the old generation was served")
+	}
+	if s := p.CacheStats(); s.Entries != 1 {
+		t.Fatalf("a reader that saw the old generation cleared the cache: stats = %+v", s)
+	}
+	hits := p.CacheStats().Hits
+	stepDone(t, p, cachePlan("o4", "price < 10"))
+	if s := p.CacheStats(); s.Entries != 1 || s.Hits != hits+1 {
+		t.Fatalf("the new epoch does not serve: stats = %+v", s)
+	}
+}
 
-	// Re-file the prepared entry for "price < 10" under the fingerprint of a
-	// structurally different plan.
-	victim := cachePlan("c2", "price > 10")
-	victimFP := algebra.Fingerprint(victim.Root)
-	p.cache.mu.Lock()
-	if len(p.cache.entries) != 1 {
-		p.cache.mu.Unlock()
-		t.Fatalf("entries = %d, want 1", len(p.cache.entries))
+// TestPlanCacheInvalidPlanNeverInserted: a plan that fails validation, or the
+// transfer policy here, is refused on its first arrival and on its second,
+// and never becomes an entry — a hit skips both checks, so none may exist.
+func TestPlanCacheInvalidPlanNeverInserted(t *testing.T) {
+	p := cacheWorld(t, 8)
+	forbidden := func(id string) *algebra.Plan {
+		plan := cachePlan(id, "price < 10")
+		RestrictServers(plan, "elsewhere:9020")
+		return plan
 	}
-	for fp, e := range p.cache.entries {
-		delete(p.cache.entries, fp)
-		p.cache.entries[victimFP] = e
+	badName := func(id string) *algebra.Plan {
+		return algebra.NewPlan(id, "client:9020", algebra.Display(
+			algebra.Project("not a name", []string{"cd"}, algebra.URN("urn:Cache:CDs"))))
 	}
-	p.cache.mu.Unlock()
-
-	misses := p.CacheStats().Misses
-	got := stepDone(t, p, victim)
-	if len(got) != 1 || got[0] != "Kind of Blue" {
-		t.Fatalf("collision victim results = %v, want [Kind of Blue]", got)
+	for _, c := range []struct {
+		name string
+		plan func(id string) *algebra.Plan
+	}{{"transfer policy", forbidden}, {"invalid projection", badName}} {
+		for i, plan := range []*algebra.Plan{c.plan("i1"), c.plan("i2"), fromWire(t, c.plan("i3"))} {
+			if _, err := p.Step(plan); err == nil {
+				t.Fatalf("%s: arrival %d accepted", c.name, i+1)
+			}
+		}
 	}
-	if s := p.CacheStats(); s.Misses != misses+1 {
-		t.Fatalf("collision did not miss: stats = %+v", s)
+	if s := p.CacheStats(); s.Entries != 0 || s.Hits != 0 {
+		t.Fatalf("invalid plans reached the cache: stats = %+v", s)
 	}
 }
 
@@ -171,52 +273,81 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 // TestPlanCacheConcurrentHits hammers one prepared entry from many
 // goroutines. The entry's outRoot is shared read-only into every hitting
 // plan, so under -race this doubles as the frozen-entry immutability check.
+// A second round runs against catalog mutations that keep moving the
+// generation: every step still gives the right answer, and the cache never
+// holds more than the one entry of the epoch it is in.
 func TestPlanCacheConcurrentHits(t *testing.T) {
 	p := cacheWorld(t, 8)
 	want := fmt.Sprint(stepDone(t, p, cachePlan("w0", "price < 10")))
 
 	const goroutines, rounds = 8, 50
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				plan := cachePlan(fmt.Sprintf("w%d-%d", g, i), "price < 10")
-				out, err := p.Step(plan)
-				if err != nil {
-					errs <- err
-					return
+	hammer := func(tag string) {
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		wg.Add(goroutines)
+		for g := 0; g < goroutines; g++ {
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					plan := cachePlan(fmt.Sprintf("%s%d-%d", tag, g, i), "price < 10")
+					out, err := p.Step(plan)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !out.Done {
+						errs <- fmt.Errorf("goroutine %d: outcome %+v", g, out)
+						return
+					}
+					docs, err := plan.Results()
+					if err != nil {
+						errs <- err
+						return
+					}
+					titles := make([]string, len(docs))
+					for j, d := range docs {
+						titles[j] = d.Value("cd")
+					}
+					if fmt.Sprint(titles) != want {
+						errs <- fmt.Errorf("goroutine %d: results %v, want %s", g, titles, want)
+						return
+					}
 				}
-				if !out.Done {
-					errs <- fmt.Errorf("goroutine %d: outcome %+v", g, out)
-					return
-				}
-				docs, err := plan.Results()
-				if err != nil {
-					errs <- err
-					return
-				}
-				titles := make([]string, len(docs))
-				for j, d := range docs {
-					titles[j] = d.Value("cd")
-				}
-				if fmt.Sprint(titles) != want {
-					errs <- fmt.Errorf("goroutine %d: results %v, want %s", g, titles, want)
-					return
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	hammer("w")
 	s := p.CacheStats()
 	if s.Hits < goroutines*rounds {
 		t.Fatalf("stats = %+v, want >= %d hits", s, goroutines*rounds)
+	}
+
+	bumped := make(chan struct{})
+	go func() {
+		defer close(bumped)
+		for i := 0; i < rounds; i++ {
+			p.cfg.Catalog.AddAlias(fmt.Sprintf("urn:Cache:Bump%d", i), "http://elsewhere:9020/x")
+			runtime.Gosched()
+		}
+	}()
+	hammer("b")
+	<-bumped
+	after := p.CacheStats()
+	if steps := after.Hits + after.Misses - s.Hits - s.Misses; steps != goroutines*rounds {
+		t.Fatalf("stats = %+v: %d lookups in the second round, want %d", after, steps, goroutines*rounds)
+	}
+	if after.Entries > 1 {
+		t.Fatalf("stats = %+v: one plan, yet more than one entry", after)
+	}
+	stepDone(t, p, cachePlan("w1", "price < 10"))
+	hits := p.CacheStats().Hits
+	if got := fmt.Sprint(stepDone(t, p, cachePlan("w2", "price < 10"))); got != want || p.CacheStats().Hits != hits+1 {
+		t.Fatalf("after the bumps: %s, stats %+v", got, p.CacheStats())
 	}
 }
 

@@ -19,6 +19,7 @@ package mqp
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/algebra"
@@ -199,11 +200,11 @@ type Config struct {
 	// materialize (§5.1). Nil disables.
 	StatsFor func(pathExp string) map[string]string
 	// PlanCacheSize, when positive, enables the prepared-plan cache with
-	// the given entry cap: a plan structurally identical to one already
-	// processed (same fingerprint, confirmed by structural equality) skips
-	// the bind/rewrite/resolve/reduce stages and reuses the prepared
-	// result. Entries invalidate automatically when the catalog — or any
-	// state covered by CacheGeneration — changes.
+	// the given entry cap: a plan whose operator tree has the exact bytes of
+	// one already processed skips building the tree and the
+	// bind/rewrite/resolve/reduce stages, and reuses the prepared result. The
+	// cache empties when the catalog — or any state covered by
+	// CacheGeneration — changes.
 	PlanCacheSize int
 	// CacheGeneration, when non-nil, folds an additional mutation counter
 	// into plan-cache invalidation (e.g. the serving peer's collection
@@ -354,11 +355,41 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 	if sc == nil {
 		sc = &StepContext{Now: p.cfg.Now()}
 	}
-	if err := plan.Validate(); err != nil {
-		return Outcome{}, err
+	// The prepared-plan cache is asked before the operator tree exists: a plan
+	// off the wire (algebra.UnmarshalEnvelope) carries its operator element
+	// unbuilt, and a hit never builds it. Only data-free plans are keyed.
+	var (
+		e   *cacheEntry
+		key []byte
+		gen uint64
+	)
+	if p.cache != nil {
+		buf := keyBufs.Get().(*[]byte)
+		defer putKeyBuf(buf)
+		var ok bool
+		if key, ok = plan.PreparedKey(buf); ok {
+			gen = p.generation()
+			e = p.cache.lookup(key, gen)
+		}
 	}
-	if err := p.checkTransferPolicy(plan); err != nil {
-		return Outcome{}, err
+	if e != nil {
+		// The entry was inserted only after Validate and the transfer policy
+		// passed on these exact operator bytes here; the envelope's target is
+		// the one thing they did not cover.
+		plan.Root = e.outRoot
+		if plan.Target == "" {
+			return Outcome{}, fmt.Errorf("mqp: plan %q has no target", plan.ID)
+		}
+	} else {
+		if err := plan.Open(); err != nil {
+			return Outcome{}, err
+		}
+		if err := plan.Validate(); err != nil {
+			return Outcome{}, err
+		}
+		if err := p.checkTransferPolicy(plan); err != nil {
+			return Outcome{}, err
+		}
 	}
 	// The trail is parsed only when this server signs visits; an unkeyed
 	// server forwards the <provenance> section untouched (it travels
@@ -377,44 +408,23 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 	// shared marks plan.Root as an alias of a cache entry's prepared root:
 	// read-shared across goroutines, it must be cloned before any further
 	// mutation (the last-stop materialization below is the only one).
-	shared := false
-	hit := false
-	// Only data-free plans are cache candidates: payload-bearing ones would
-	// need deep document comparison on every lookup to rule out fingerprint
-	// collisions, which costs more than the stages the cache skips. None is
-	// ever inserted, so none can hit: ask before hashing.
-	cacheable := p.cache != nil && !hasDocs(plan.Root)
-	var fp, gen uint64
-	if cacheable {
-		gen = p.generation()
-		fp = algebra.Fingerprint(plan.Root)
-		if e := p.cache.lookup(fp, plan.Root, gen); e != nil {
-			// Prepared-plan fast path: stages 1–5 already ran for a
-			// structurally identical plan against this catalog/store
-			// generation. Adopt the prepared root (shared, frozen payloads,
-			// read-only), replay the provenance the original run recorded,
-			// and fall through to the per-plan routing stage — routing
-			// depends on the plan's own visited memory and target, so it is
-			// never cached.
-			plan.Root = e.outRoot
-			shared, hit = true, true
-			out.Bound, out.Fetched = e.bound, e.fetched
-			out.Reduced, out.Rewrites = e.reduced, e.rewrites
-			routeCandidates = append(routeCandidates, e.routes...)
-			st.replay(e.actions)
-			if st.trail != nil {
-				provenance.ToPlan(plan, st.trail)
-			}
-		} else {
-			st.collect = st.trail != nil
+	shared := e != nil
+	if e != nil {
+		// Prepared-plan fast path: stages 1–5 already ran for this exact plan
+		// against this catalog/store generation. The prepared root is adopted
+		// (shared, frozen payloads, read-only), the provenance the original
+		// run recorded is replayed, and the per-plan routing stage runs live —
+		// routing depends on the plan's own visited memory and target, so it
+		// is never cached.
+		out.Bound, out.Fetched = e.bound, e.fetched
+		out.Reduced, out.Rewrites = e.reduced, e.rewrites
+		routeCandidates = append(routeCandidates, e.routes...)
+		st.replay(e.actions)
+		if st.trail != nil {
+			provenance.ToPlan(plan, st.trail)
 		}
-	}
-
-	if !hit {
-		var inRoot *algebra.Node
-		if cacheable {
-			inRoot = plan.Root.Clone()
-		}
+	} else {
+		st.collect = key != nil && st.trail != nil
 
 		prefs := GetPrefs(plan)
 
@@ -468,15 +478,14 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 			st.record(provenance.ActionForward, "", 0)
 		}
 		// A step that bound, fetched, reduced and rewrote nothing has no work
-		// to replay: caching the pure forward would cost two clones and an
+		// to replay: caching the pure forward would cost a clone and an
 		// eviction scan to save a catalog miss.
-		if cacheable && !st.remoteIO && !idle {
+		if key != nil && !st.remoteIO && !idle {
 			outRoot := plan.Root.Clone()
 			if p.cfg.InternDoc != nil {
 				internDocs(outRoot, p.cfg.InternDoc)
 			}
-			p.cache.insert(fp, &cacheEntry{
-				inRoot:   inRoot,
+			p.cache.insert(key, gen, &cacheEntry{
 				outRoot:  outRoot,
 				routes:   append([]string(nil), routeCandidates...),
 				actions:  append([]provAction(nil), st.actions...),
@@ -484,7 +493,6 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 				fetched:  out.Fetched,
 				reduced:  out.Reduced,
 				rewrites: out.Rewrites,
-				gen:      gen,
 			})
 		}
 		if st.trail != nil {
@@ -562,18 +570,16 @@ func (p *Processor) generation() uint64 {
 	return g
 }
 
-// hasDocs reports whether any data leaf in the subtree carries payload
-// documents.
-func hasDocs(root *algebra.Node) bool {
-	found := false
-	root.Walk(func(m *algebra.Node) bool {
-		if m.Kind == algebra.KindData && len(m.Docs) > 0 {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+// keyBufs recycles the buffers PreparedKey serializes into when a plan's
+// operator bytes are not memoized (a plan built in memory): a lookup does not
+// allocate.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// putKeyBuf returns a key buffer to keyBufs unless one huge plan grew it.
+func putKeyBuf(b *[]byte) {
+	if cap(*b) <= 1<<16 {
+		keyBufs.Put(b)
+	}
 }
 
 // internDocs rewrites every payload document in a freshly cloned prepared

@@ -723,22 +723,33 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 // be mistaken for payload data); a failed resolution (fetch-on-miss exhausted,
 // only possible under faults) ends the plan here, attributably. A result —
 // which a constant plan addressed to this peer also is, and on TCP the only
-// form one takes — is recorded, and no plan comes back.
+// form one takes — is recorded, and no plan comes back. A plan comes back
+// with its envelope read and its operator tree unbuilt (Root nil): StepCtx
+// builds it only when the plan cache does not know its bytes, and any other
+// reader opens it first.
 func (p *Peer) arrive(msg *simnet.Message) (*algebra.Plan, time.Duration, error) {
 	body, fdelay, err := p.blobDecode(msg)
 	if err != nil {
 		return nil, 0, p.noteStuck(fmt.Errorf("peer %s: %s %q: %w",
 			p.addr, msg.Kind, msg.Body.AttrDefault("id", ""), err))
 	}
-	plan, err := algebra.Unmarshal(body)
+	plan, err := algebra.UnmarshalEnvelope(body)
+	if err == nil && (msg.Kind == KindResult || plan.Target == p.addr) {
+		err = plan.Open()
+	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("peer %s: bad %s: %w", p.addr, msg.Kind, err)
+		return nil, 0, p.badFrame(msg, err)
 	}
 	if msg.Kind == KindResult || plan.Target == p.addr && plan.IsConstant() {
 		p.recordResult(plan, msg.At+fdelay, msg.Hops)
 		return nil, 0, nil
 	}
 	return plan, fdelay, nil
+}
+
+// badFrame reports a plan or result whose frame does not unmarshal.
+func (p *Peer) badFrame(msg *simnet.Message, err error) error {
+	return fmt.Errorf("peer %s: bad %s: %w", p.addr, msg.Kind, err)
 }
 
 // processMQP runs one plan step and routes the outcome: a result home, the
@@ -754,6 +765,9 @@ func (p *Peer) processMQP(msg *simnet.Message) error {
 	sc := mqp.StepContext{Now: msg.At, PullDelay: fdelay}
 	out, err := p.proc.StepCtx(&sc, plan)
 	if err != nil {
+		if plan.Root == nil {
+			return p.badFrame(msg, err) // the operator tree did not build
+		}
 		return p.noteStuck(fmt.Errorf("peer %s: %w", p.addr, err))
 	}
 	// Learn from the in-flight trail: the plan just crossed this peer, and
@@ -817,6 +831,9 @@ func (p *Peer) rejectMQP(msg *simnet.Message, reason string) error {
 	plan, _, err := p.arrive(msg)
 	if plan == nil {
 		return err
+	}
+	if err := plan.Open(); err != nil {
+		return p.badFrame(msg, err)
 	}
 	res := route.Partial(plan)
 	res.SetPartialReason(reason)

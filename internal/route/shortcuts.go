@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -92,6 +93,11 @@ func NewShortcuts() *Shortcuts {
 // workload keeps proving it right. Learn only keeps the table: whoever mined
 // the trail hands the edges it taught to Confirmed afterwards, to find the
 // ones now solid enough to absorb.
+//
+// The table keeps its own copies of the strings: callers pass substrings of a
+// provenance trail, and a kept substring would pin the whole frame the trail
+// was decoded from. The area is copied once per area the table holds and the
+// server once per edge; a re-confirmation copies nothing.
 func (s *Shortcuts) Learn(area, server string, gen uint64, at time.Duration) {
 	if area == "" || server == "" {
 		return
@@ -109,8 +115,15 @@ func (s *Shortcuts) Learn(area, server string, gen uint64, at time.Duration) {
 			return
 		}
 	}
+	// Assigning under the caller's string would also replace the map's key
+	// with it, so an area already held is stored under the held copy.
+	if len(entries) > 0 {
+		area = entries[0].Area
+	} else {
+		area = strings.Clone(area)
+	}
 	entries = append(entries, &ShortcutEntry{
-		Area: area, Server: server, Hits: 1, LearnedAt: at, Generation: gen,
+		Area: area, Server: strings.Clone(server), Hits: 1, LearnedAt: at, Generation: gen,
 	})
 	s.sortLocked(entries, at)
 	if len(entries) > shortcutMaxPerArea {

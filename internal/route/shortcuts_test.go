@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/algebra"
 )
@@ -295,5 +297,46 @@ func TestShortcutsDecayEviction(t *testing.T) {
 	// stale:1 left the table rather than merely expiring out of answers.
 	if st := s.Stats(); st.Entries != 4 {
 		t.Fatalf("entries = %d, want 4 with stale:1 evicted", st.Entries)
+	}
+}
+
+// TestShortcutsOwnTheirStrings: Learn is handed substrings of a provenance
+// trail, which alias the frame the trail was decoded from. The table keeps
+// copies — one per area, shared by the map key and every edge of the area,
+// and one per server — so no learned edge pins the frame it was mined from.
+func TestShortcutsOwnTheirStrings(t *testing.T) {
+	const area, s1, s2 = "urn:InterestArea:(USA.OR.Portland,Music.CDs)", "s1:9020", "s2:9020"
+	frame := strings.Repeat("<visit/>", 8) + area + s1 + s2 + strings.Repeat("<visit/>", 8)
+	at := strings.Index(frame, area)
+	sub := func(i, n int) string { return frame[i : i+n] }
+	inFrame := func(s string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(frame)))
+		return p >= lo && p < lo+uintptr(len(frame))
+	}
+
+	s := NewShortcuts()
+	s.Learn(sub(at, len(area)), sub(at+len(area), len(s1)), 1, 0)
+	s.Learn(sub(at, len(area)), sub(at+len(area)+len(s1), len(s2)), 1, time.Second)
+	s.Learn(sub(at, len(area)), sub(at+len(area), len(s1)), 1, 2*time.Second) // re-confirmation
+
+	if len(s.byArea) != 1 || len(s.byArea[area]) != 2 {
+		t.Fatalf("table = %v, want one area with two edges", s.byArea)
+	}
+	for key, entries := range s.byArea {
+		if inFrame(key) {
+			t.Error("the table's key for the area points into the frame")
+		}
+		for _, e := range entries {
+			if inFrame(e.Area) || inFrame(e.Server) {
+				t.Errorf("edge %s → %s points into the frame", e.Area, e.Server)
+			}
+			if unsafe.StringData(e.Area) != unsafe.StringData(key) {
+				t.Errorf("edge %s → %s holds its own copy of the area", e.Area, e.Server)
+			}
+		}
+	}
+	live, _ := s.Confirmed(1, 1, 2*time.Second, nil)
+	if len(live) != 2 || live[0].Server != s1 || live[1].Server != s2 {
+		t.Fatalf("confirmed = %+v", live)
 	}
 }

@@ -28,7 +28,9 @@ var IdleTimeout = 45 * time.Second
 var ErrRemote = errors.New("wire: remote handler failed")
 
 // ErrFrame reports a document that cannot be framed, empty or beyond
-// MaxFrameBytes: the sender's fault, found before anything touched a link.
+// MaxFrameBytes: the sender's fault, found before anything touched a link. A
+// server reports a received payload that does not decode as ErrFrame too,
+// and serves the link's next frame.
 var ErrFrame = errors.New("wire: unframable document")
 
 // errLinkBroken marks a link whose connection already failed; callers inside

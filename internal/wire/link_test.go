@@ -289,6 +289,46 @@ func TestLinkOversizeFramePoisonsFrameOnly(t *testing.T) {
 	}
 }
 
+// TestLinkTooDeepFramePoisonsFrameOnly: a frame nested one level past
+// xmltree.MaxDepth reaches the server (the sender does not look at depth), is
+// refused there and reported as ErrFrame, never reaches the handler, and the
+// next frame on the same link is served.
+func TestLinkTooDeepFramePoisonsFrameOnly(t *testing.T) {
+	got := make(chan string, 16)
+	srv, cl := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) {
+		got <- doc.AttrDefault("id", "")
+		return nil, nil
+	})
+	pool := NewLinkPool()
+	defer pool.Close()
+
+	deep := xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "deep"})
+	for i := 0; i < xmltree.MaxDepth; i++ {
+		deep = xmltree.Elem("a", deep)
+	}
+	if err := pool.SendFrame(srv.Addr(), node(deep)); err != nil {
+		t.Fatalf("a deep frame is the receiver's to refuse: %v", err)
+	}
+	select {
+	case err := <-srv.Errors():
+		if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Fatalf("too-deep frame reported as %v, want ErrFrame", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("too-deep frame not reported")
+	}
+
+	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"}))); err != nil {
+		t.Fatalf("send after too-deep frame: %v", err)
+	}
+	if id := <-got; id != "b" {
+		t.Fatalf("handler saw frame %q; the too-deep frame must never reach it", id)
+	}
+	if n := cl.accepts.Load(); n != 1 {
+		t.Fatalf("accepts = %d, want 1 — the too-deep frame must not break the link", n)
+	}
+}
+
 // TestLinkWriteDeadlinePerFrame: the write deadline is armed per frame, not
 // per connection. A link older than WriteTimeout must still send instantly
 // (the old per-connection deadline would fail here), and a genuinely

@@ -280,9 +280,11 @@ func (s *Server) loop(h Handler) {
 // one connection, each processed inline and answered on the same connection
 // when it carries a nonzero correlation id. A handler failure poisons only
 // its frame — a zero-length reply reports it to a caller, and the loop reads
-// on. Anything that is not the handshake, and a death mid-frame, is reported
-// and closes the connection; the client going away or idling past ReadTimeout
-// at a frame boundary is the clean end of a link.
+// on — and so does a payload that does not decode (nested past
+// xmltree.MaxDepth, say), reported as ErrFrame. Anything that is not the
+// handshake, and a death mid-frame, is reported and closes the connection;
+// the client going away or idling past ReadTimeout at a frame boundary is the
+// clean end of a link.
 func (s *Server) serveLink(conn net.Conn, h Handler) {
 	defer conn.Close()
 	report := func(err error) {
@@ -322,7 +324,9 @@ func (s *Server) serveLink(conn net.Conn, h Handler) {
 		}
 		doc, err := xmltree.Decode(payload)
 		var reply *xmltree.Node
-		if err == nil {
+		if err != nil {
+			err = fmt.Errorf("wire: link from %s: %w: %w", conn.RemoteAddr(), ErrFrame, err)
+		} else {
 			reply, err = h(doc)
 		}
 		if err != nil {

@@ -192,6 +192,15 @@ func (d *decoder) intern(name string) string {
 // that outgrows a slab gets the next one at twice the size.
 const slabMax = 4096
 
+// MaxDepth is the deepest element nesting the decoder accepts: a start tag
+// that would open element MaxDepth+1 fails the decode. Every tree walk
+// downstream (Freeze, the serializers, algebra's unmarshal, Fingerprint and
+// Reduce) recurses once per level, so without the cap one frame far below
+// the wire's size limit could hold megabytes of goroutine stack per walk.
+// The deepest document the experiments, the chaos worlds, the examples and
+// the benchmark workloads decode is 10 levels.
+const MaxDepth = 1024
+
 // scratchMax caps, in bytes, what each pooled buffer (scratch and the four
 // parse stacks) may keep between decodes, so one pathological document does
 // not pin large buffers in the pool.
@@ -573,6 +582,9 @@ func splitName(raw string) (prefix, local string, ok bool) {
 
 func (d *decoder) startElement() error {
 	start := d.pos - 1 // the '<' consumed by run
+	if len(d.open) == MaxDepth {
+		return d.err("element nested deeper than " + strconv.Itoa(MaxDepth) + " levels")
+	}
 	mutsMark := d.muts
 	raw, plain, err := d.rawName()
 	if err != nil {

@@ -351,3 +351,28 @@ func TestElementNameOKMatchesDecoder(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeDepthCap: a document nested exactly MaxDepth deep decodes, and one
+// level more fails, whether the extra level is an open element or an empty
+// one, and before the decoder has read the rest of the frame.
+func TestDecodeDepthCap(t *testing.T) {
+	chain := func(depth int, leaf string) string {
+		return strings.Repeat("<a>", depth) + leaf + strings.Repeat("</a>", depth)
+	}
+	for _, doc := range []string{chain(MaxDepth, ""), chain(MaxDepth-1, "<b/>")} {
+		n, err := DecodeString(doc)
+		if err != nil {
+			t.Fatalf("document at the cap: %v", err)
+		}
+		if n.String() != strings.Replace(doc, "<a></a>", "<a/>", 1) {
+			t.Fatal("document at the cap decoded to different bytes")
+		}
+		checkDecodeAgreement(t, doc)
+	}
+	for _, doc := range []string{chain(MaxDepth+1, ""), chain(MaxDepth, "<b/>"), chain(MaxDepth, "<b>") + "<unterminated"} {
+		if _, err := DecodeString(doc); err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Fatalf("document one level past the cap: err = %v", err)
+		}
+		checkDecodeAgreement(t, doc)
+	}
+}

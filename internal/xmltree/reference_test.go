@@ -11,7 +11,8 @@ import (
 // before Decode: the reference the decoder's accept/reject behaviour and trees
 // are held to (FuzzDecodeEquivalence, TestDecodeMatchesParse) and the baseline
 // BenchmarkParseLegacy times. Whitespace-only text between elements is
-// dropped; other text is kept.
+// dropped; other text is kept. Nesting past MaxDepth is refused, as Decode
+// refuses it.
 func parseReference(s string) (*Node, error) {
 	dec := xml.NewDecoder(strings.NewReader(s))
 	var stack []*Node
@@ -28,6 +29,9 @@ func parseReference(s string) (*Node, error) {
 		case xml.StartElement:
 			if !ElementNameOK(t.Name.Local) {
 				return nil, fmt.Errorf("xmltree: parse: element name %q invalid after dropping namespace prefix", t.Name.Local)
+			}
+			if len(stack) == MaxDepth {
+				return nil, fmt.Errorf("xmltree: parse: element nested deeper than %d levels", MaxDepth)
 			}
 			n := &Node{Name: t.Name.Local}
 			for _, a := range t.Attr {

@@ -71,9 +71,9 @@ func stackBytes[T any](s []T) int {
 	return cap(s) * int(unsafe.Sizeof(zero))
 }
 
-// One hostile document — very wide, very deep, attribute- or xmlns-heavy —
-// must not leave the pooled decoder holding the stacks it grew, and a decoder
-// back in the pool must hold nothing of the frame it decoded.
+// One hostile document — very wide, as deep as MaxDepth allows, attribute- or
+// xmlns-heavy — must not leave the pooled decoder holding the stacks it grew,
+// and a decoder back in the pool must hold nothing of the frame it decoded.
 func TestPooledDecoderStacksBounded(t *testing.T) {
 	const n = 100_000
 	var attrs, decls strings.Builder
@@ -83,7 +83,7 @@ func TestPooledDecoderStacksBounded(t *testing.T) {
 	}
 	for name, doc := range map[string]string{
 		"wide":  "<r>" + strings.Repeat("<a/>", n) + "</r>",
-		"deep":  strings.Repeat("<a>", n/10) + strings.Repeat("</a>", n/10),
+		"deep":  strings.Repeat("<a>", MaxDepth) + strings.Repeat("</a>", MaxDepth),
 		"attrs": "<r" + attrs.String() + "/>",
 		"xmlns": "<r" + decls.String() + "><a/></r>",
 		"plain": `<r><a b="1">x</a><a b="2">y</a></r>`,
