@@ -130,16 +130,19 @@ chaos-large-ci:
 
 # Fuzz smoke: 10s per target (canonical-XML parse fixpoint, zero-copy
 # decoder vs reference-parser differential, the decoder's []byte entry point
-# the wire uses, the link handshake and frame header, streaming frame encoder
-# vs staged-tree encoder differential, predicate render/parse round trip) —
-# six targets.
+# the wire uses, compiled item paths vs the breadth-wise reference evaluator,
+# the link handshake and frame header, streaming frame encoder vs
+# staged-tree encoder differential, predicate render/parse round trip, blob
+# reference resolution) — eight targets.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEquivalence$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 10s ./internal/xmltree
+	$(GO) test -run '^$$' -fuzz '^FuzzPathFirst$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamEncodeEquivalence$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzPredicateRoundTrip$$' -fuzztime 10s ./internal/algebra
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveBlobs$$' -fuzztime 10s ./internal/algebra
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -14,6 +14,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/mqp"
 	"repro/internal/peer"
+	"repro/internal/route"
 	"repro/internal/workload"
 	"repro/internal/world"
 	"repro/internal/xmltree"
@@ -58,7 +59,7 @@ func main() {
 	// §5.2 transfer policy: this plan may only pass through the two
 	// agencies (and the submitting client); no third party ever sees the
 	// partial results.
-	mqp.RestrictServers(plan, "agency:1", "irs:1", "state:1")
+	route.RestrictServers(plan, "agency:1", "irs:1", "state:1")
 	// §5.2 ordering policy: the watch list is not bound until the IRS data
 	// has been filtered into the plan.
 	mqp.BindAfter(plan, "urn:State:FrontOrgs", "urn:IRS:TargetCorp-Contributions")

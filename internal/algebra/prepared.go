@@ -55,7 +55,7 @@ func compile(p Predicate) (Predicate, func(*xmltree.Node) bool) {
 	case *Prepared:
 		return p.ast, p.eval
 	case Cmp:
-		c := &cmpEval{path: ParsePath(p.Path), op: p.Op, value: p.Value}
+		c := &cmpEval{path: xmltree.ParsePath(p.Path), op: p.Op, value: p.Value}
 		if p.Op == OpContains {
 			c.value = strings.ToLower(p.Value)
 		} else if num, err := strconv.ParseFloat(strings.TrimSpace(p.Value), 64); err == nil {
@@ -63,7 +63,7 @@ func compile(p Predicate) (Predicate, func(*xmltree.Node) bool) {
 		}
 		return p, c.eval
 	case Exists:
-		path := ParsePath(p.Path)
+		path := xmltree.ParsePath(p.Path)
 		return p, func(it *xmltree.Node) bool { return path.First(it) != nil }
 	case And:
 		la, l := compile(p.L)
@@ -84,7 +84,7 @@ func compile(p Predicate) (Predicate, func(*xmltree.Node) bool) {
 // cmpEval is a compiled Cmp: value is the literal (lower-cased for contains),
 // num its numeric reading when it has one.
 type cmpEval struct {
-	path    Path
+	path    xmltree.Path
 	op      CmpOp
 	value   string
 	num     float64

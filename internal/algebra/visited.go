@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"unicode"
 
 	"repro/internal/xmltree"
 )
@@ -19,12 +18,8 @@ import (
 // plan mutated since the server last saw it) from pure ping-pong (nothing
 // changed — forwarding back is guaranteed wasted work).
 //
-// The memory travels on the wire as a compact <visited> section of the
-// <mqp> document, alongside <provenance>:
-//
-//	<visited budget="3">
-//	  <v fp="1a2b3c4d5e6f7081" n="2" s="meta:9020"/>
-//	</visited>
+// The memory travels on the wire as a <visited> section of the <mqp>
+// document, alongside <provenance> (see Visited.Marshal for its form).
 //
 // Interpretation of the records (filtering, budgets, partial results) lives
 // in internal/route; this file only carries the state.
@@ -152,16 +147,15 @@ func (v *Visited) Clone() *Visited {
 // cached until the next Mark, so serializing a plan on every fallback
 // candidate (or measuring it) reuses the same immutable subtree.
 //
-// Wire form (compact, since the zero-copy decode PR): one text run packing
-// every record, fingerprints in unpadded base64url —
+// The wire form is one text run packing every record, fingerprints in
+// unpadded base64url —
 //
 //	<visited b="3">meta:9020 2 FnYrjV5vcIE;s1:9020 Cg4iPbzW_yQ</visited>
 //
 // Records are ';'-separated; fields are server, optional decimal count
 // (omitted when 1, the overwhelmingly common case), and fingerprint. A
-// server name that would collide with the separators falls back to the
-// legacy per-record element form (<v fp=... n=... s=.../>), which
-// UnmarshalVisited accepts alongside the compact one.
+// server name therefore holds no ';' and no Unicode space: the only name a
+// processor marks is its own address, which mqp.New checks.
 func (v *Visited) Marshal() *xmltree.Node {
 	if v.elem != nil && v.elemBudget == v.Budget {
 		return v.elem
@@ -170,48 +164,23 @@ func (v *Visited) Marshal() *xmltree.Node {
 	if v.Budget > 0 {
 		e.SetAttr("b", strconv.Itoa(v.Budget))
 	}
-	servers := v.Servers()
-	compact := true
-	for _, s := range servers {
-		// The packed form splits records on ';' and fields on Unicode
-		// whitespace (strings.Fields), so any name containing either must
-		// take the legacy element form to round-trip.
-		if s == "" || strings.ContainsRune(s, ';') ||
-			strings.IndexFunc(s, unicode.IsSpace) >= 0 {
-			compact = false
-			break
+	var sb strings.Builder
+	var fp [8]byte
+	for i, s := range v.Servers() {
+		r := v.records[s]
+		if i > 0 {
+			sb.WriteByte(';')
 		}
+		sb.WriteString(r.Server)
+		if r.Count != 1 {
+			sb.WriteByte(' ')
+			sb.WriteString(strconv.Itoa(r.Count))
+		}
+		sb.WriteByte(' ')
+		binary.BigEndian.PutUint64(fp[:], r.Fingerprint)
+		sb.WriteString(base64.RawURLEncoding.EncodeToString(fp[:]))
 	}
-	if compact {
-		if len(servers) > 0 {
-			var sb strings.Builder
-			var fp [8]byte
-			for i, s := range servers {
-				r := v.records[s]
-				if i > 0 {
-					sb.WriteByte(';')
-				}
-				sb.WriteString(r.Server)
-				if r.Count != 1 {
-					sb.WriteByte(' ')
-					sb.WriteString(strconv.Itoa(r.Count))
-				}
-				sb.WriteByte(' ')
-				binary.BigEndian.PutUint64(fp[:], r.Fingerprint)
-				sb.WriteString(base64.RawURLEncoding.EncodeToString(fp[:]))
-			}
-			e.Text = sb.String()
-		}
-	} else {
-		for _, s := range servers {
-			r := v.records[s]
-			e.Add(xmltree.ElemAttrs("v",
-				xmltree.Attr{Name: "s", Value: r.Server},
-				xmltree.Attr{Name: "n", Value: strconv.Itoa(r.Count)},
-				xmltree.Attr{Name: "fp", Value: strconv.FormatUint(r.Fingerprint, 16)},
-			))
-		}
-	}
+	e.Text = sb.String()
 	v.elem = e.Freeze()
 	v.elemBudget = v.Budget
 	return v.elem
@@ -220,19 +189,15 @@ func (v *Visited) Marshal() *xmltree.Node {
 // visitedElem is the element name of the visited section in <mqp> documents.
 const visitedElem = "visited"
 
-// UnmarshalVisited parses a <visited> section: the compact text form
-// Marshal emits, or the legacy element-per-record form (older wire corpora,
-// exotic server names).
+// UnmarshalVisited parses a <visited> section in the form Marshal writes. An
+// element inside the section, or a record it cannot read, is an error: a
+// section that decayed into empty memory would reopen livelocks.
 func UnmarshalVisited(e *xmltree.Node) (*Visited, error) {
 	if e.Name != visitedElem {
 		return nil, fmt.Errorf("algebra: expected <%s>, got <%s>", visitedElem, e.Name)
 	}
 	v := NewVisited()
-	b := e.AttrDefault("b", "")
-	if b == "" {
-		b = e.AttrDefault("budget", "")
-	}
-	if b != "" {
+	if b := e.AttrDefault("b", ""); b != "" {
 		n, err := strconv.Atoi(b)
 		if err != nil {
 			return nil, fmt.Errorf("algebra: bad visited budget %q", b)
@@ -245,22 +210,10 @@ func UnmarshalVisited(e *xmltree.Node) (*Visited, error) {
 			v.Budget = n
 		}
 	}
-	for _, ve := range e.ChildrenNamed("v") {
-		server := ve.AttrDefault("s", "")
-		if server == "" {
-			return nil, fmt.Errorf("algebra: <v> without server")
+	for _, c := range e.Children {
+		if !c.IsText() {
+			return nil, fmt.Errorf("algebra: <%s> inside <%s>", c.Name, visitedElem)
 		}
-		// A non-positive count would defeat the revisit bound the records
-		// exist to enforce; reject it like any other malformed section.
-		n, err := strconv.Atoi(ve.AttrDefault("n", "1"))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("algebra: bad visit count %q for %s", ve.AttrDefault("n", "1"), server)
-		}
-		fp, err := strconv.ParseUint(ve.AttrDefault("fp", "0"), 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("algebra: bad fingerprint for %s: %w", server, err)
-		}
-		v.records[server] = &VisitRecord{Server: server, Count: n, Fingerprint: fp}
 	}
 	packed := strings.TrimSpace(e.InnerText())
 	if packed == "" {
@@ -277,6 +230,8 @@ func UnmarshalVisited(e *xmltree.Node) (*Visited, error) {
 		default:
 			return nil, fmt.Errorf("algebra: bad visited record %q", rec)
 		}
+		// A non-positive count would defeat the revisit bound the records
+		// exist to enforce; reject it like any other malformed section.
 		n, err := strconv.Atoi(countStr)
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("algebra: bad visit count %q for %s", countStr, server)

@@ -177,8 +177,8 @@ func TestVisitedCompactWireForm(t *testing.T) {
 	if len(e.Elements()) != 0 {
 		t.Fatalf("compact form must carry no per-record elements: %s", e)
 	}
-	// The compact form must be meaningfully smaller than the legacy
-	// element-per-record encoding it replaces.
+	// The compact form must be meaningfully smaller than an
+	// element-per-record encoding of the same records.
 	legacySize := len(`<visited budget="3">` +
 		`<v fp="1a2b3c4d5e6f7081" n="2" s="meta:9020"/>` +
 		`<v fp="1" n="1" s="s1:9020"/>` + `</visited>`)
@@ -205,11 +205,15 @@ func TestVisitedCompactWireForm(t *testing.T) {
 	}
 }
 
-// TestVisitedLegacyWireForm: the PR 4 element-per-record encoding (committed
-// fuzz corpora, mixed-version peers) must still parse.
+// TestVisitedLegacyWireForm: the PR 4 element-per-record encoding is refused
+// rather than read as empty routing memory, and the same record in the packed
+// form reads back exactly.
 func TestVisitedLegacyWireForm(t *testing.T) {
-	rt, err := UnmarshalVisited(xmltree.MustParse(
-		`<visited budget="3"><v fp="deadbeef42" n="2" s="meta:9020"/></visited>`))
+	if _, err := UnmarshalVisited(xmltree.MustParse(
+		`<visited budget="3"><v fp="deadbeef42" n="2" s="meta:9020"/></visited>`)); err == nil {
+		t.Fatal("per-record element form accepted")
+	}
+	rt, err := UnmarshalVisited(xmltree.MustParse(`<visited b="3">meta:9020 2 AAAA3q2-70I</visited>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,34 +222,6 @@ func TestVisitedLegacyWireForm(t *testing.T) {
 	}
 	if r, ok := rt.Lookup("meta:9020"); !ok || r.Count != 2 || r.Fingerprint != 0xdeadbeef42 {
 		t.Fatalf("record = %+v ok=%v", r, ok)
-	}
-}
-
-// TestVisitedExoticServerFallsBack: a server name that would collide with
-// the packed separators ships in the legacy element form and still round
-// trips exactly.
-func TestVisitedExoticServerFallsBack(t *testing.T) {
-	// Any name the packed form cannot round-trip — ';' records separators,
-	// and all Unicode whitespace, since the parser splits fields with
-	// strings.Fields — must take the legacy element form.
-	for _, server := range []string{"weird host;name", "tab\thost:1", "nb sp:1", "nl\nhost:1"} {
-		v := NewVisited()
-		v.Mark(server, 7)
-		e := v.Marshal()
-		if len(e.ChildrenNamed("v")) != 1 {
-			t.Fatalf("%q: expected legacy fallback, got %s", server, e)
-		}
-		doc, err := xmltree.DecodeString(e.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := UnmarshalVisited(doc)
-		if err != nil {
-			t.Fatalf("%q: %v", server, err)
-		}
-		if r, ok := rt.Lookup(server); !ok || r.Count != 1 || r.Fingerprint != 7 {
-			t.Fatalf("%q: record = %+v ok=%v", server, r, ok)
-		}
 	}
 }
 
@@ -283,15 +259,21 @@ func TestVisitedCloneIsDeep(t *testing.T) {
 }
 
 // TestUnmarshalVisitedRejectsGarbage: malformed sections fail loudly rather
-// than decaying into empty memory (which would reopen livelocks).
+// than decaying into empty memory (which would reopen livelocks). The section
+// has no element content: per-record elements and any other child are
+// rejected, beside the records of the packed form or without them.
 func TestUnmarshalVisitedRejectsGarbage(t *testing.T) {
 	for _, src := range []string{
-		`<visited><v n="1"/></visited>`,              // no server
-		`<visited><v s="a:1" n="x"/></visited>`,      // bad count
-		`<visited><v s="a:1" n="0"/></visited>`,      // zero count
-		`<visited><v s="a:1" n="-1000"/></visited>`,  // negative count defeats the budget
-		`<visited><v s="a:1" fp="zz"/></visited>`,    // bad fingerprint
-		`<visited budget="x"><v s="a:1"/></visited>`, // bad budget
+		`<visited><v n="1"/></visited>`,                                          // per-record element, no server
+		`<visited><v s="a:1" n="x"/></visited>`,                                  // per-record element, bad count
+		`<visited><v s="a:1" n="0"/></visited>`,                                  // per-record element, zero count
+		`<visited><v s="a:1" n="-1000"/></visited>`,                              // per-record element, negative count
+		`<visited><v s="a:1" fp="zz"/></visited>`,                                // per-record element, bad fingerprint
+		`<visited budget="x"><v s="a:1"/></visited>`,                             // per-record element, bad budget
+		`<visited budget="3"><v fp="deadbeef42" n="2" s="meta:9020"/></visited>`, // well-formed per-record element
+		`<visited b="3">idx-OR:9020 2 AAAAAAAAACs;s1:9020 AAAAAAAAAAc` +
+			`<a s="s1:9020" u="urn:L:USA/OR"/></visited>`, // answered-area record beside packed records
+		`<visited><a s="s:1" u=""/></visited>`, // unknown child alone
 	} {
 		if _, err := UnmarshalVisited(xmltree.MustParse(src)); err == nil {
 			t.Errorf("no error for %s", src)
@@ -309,10 +291,9 @@ func TestUnmarshalVisitedRejectsGarbage(t *testing.T) {
 // Regression for the revisit-budget edge fixed alongside learned routing.
 func TestUnmarshalVisitedBudgetEdge(t *testing.T) {
 	for _, src := range []string{
-		`<visited budget="0"><v s="a:1"/></visited>`,
-		`<visited budget="-9"><v s="a:1"/></visited>`,
-		`<visited b="0"><v s="a:1"/></visited>`,
-		`<visited b="-3"><v s="a:1"/></visited>`,
+		`<visited b="0">a:1 AAAAAAAAAAE</visited>`,
+		`<visited b="-3">a:1 AAAAAAAAAAE</visited>`,
+		`<visited b="0"/>`,
 	} {
 		v, err := UnmarshalVisited(xmltree.MustParse(src))
 		if err != nil {
@@ -327,7 +308,7 @@ func TestUnmarshalVisitedBudgetEdge(t *testing.T) {
 		}
 	}
 	// A positive attr still round-trips exactly.
-	v, err := UnmarshalVisited(xmltree.MustParse(`<visited b="7"><v s="a:1"/></visited>`))
+	v, err := UnmarshalVisited(xmltree.MustParse(`<visited b="7">a:1 AAAAAAAAAAE</visited>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,23 +320,31 @@ func TestUnmarshalVisitedBudgetEdge(t *testing.T) {
 	}
 }
 
-// TestVisitedIgnoresAnsweredRecords: an <a s u> child, the answered-area
-// record of an older wire form, decodes like any unknown child and is not
-// re-emitted; the visit records and budget beside it survive intact.
+// TestVisitedIgnoresAnsweredRecords: the visited memory carries no
+// answered-area record (the <a s u> child of an older wire form). Marshal
+// writes none, and a section that carries one beside valid visit records is
+// refused whole, while the same section without it still reads back exactly.
 func TestVisitedIgnoresAnsweredRecords(t *testing.T) {
 	v := NewVisited()
 	v.Budget = 3
 	v.Mark("idx-OR:9020", 42)
 	v.Mark("idx-OR:9020", 43)
 	v.Mark("s1:9020", 7)
-	want := v.Marshal().String()
+	e := v.Marshal()
+	if len(e.Elements()) != 0 {
+		t.Fatalf("Marshal wrote element content: %s", e)
+	}
+	want := e.String()
 	src := strings.Replace(want, "</visited>", `<a s="s1:9020" u="urn:L:USA/OR"/></visited>`, 1)
 	if src == want {
 		t.Fatalf("no closing tag to splice into: %s", want)
 	}
-	got, err := UnmarshalVisited(xmltree.MustParse(src))
+	if _, err := UnmarshalVisited(xmltree.MustParse(src)); err == nil {
+		t.Fatalf("answered-area record accepted: %s", src)
+	}
+	got, err := UnmarshalVisited(xmltree.MustParse(want))
 	if err != nil {
-		t.Fatalf("%s: %v", src, err)
+		t.Fatalf("%s: %v", want, err)
 	}
 	if got.Budget != 3 {
 		t.Fatalf("Budget = %d, want 3", got.Budget)

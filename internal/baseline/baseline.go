@@ -146,11 +146,6 @@ func (p *FloodPeer) SetNeighbors(addrs ...string) {
 	p.neighbors = append([]string(nil), addrs...)
 }
 
-// Neighbors returns the peer's neighbor list.
-func (p *FloodPeer) Neighbors() []string {
-	return append([]string(nil), p.neighbors...)
-}
-
 // AddCollection exposes a collection for flooding search.
 func (p *FloodPeer) AddCollection(ref DataRef, area namespace.Area) {
 	p.mu.Lock()

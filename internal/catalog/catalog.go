@@ -760,33 +760,6 @@ func pruneServers(expr *algebra.Node, drop map[string]bool) *algebra.Node {
 	}
 }
 
-// BaseCollections lists collections this catalog knows that overlap the
-// area, for index-server query answering.
-func (c *Catalog) BaseCollections(area namespace.Area) []Registration {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []Registration
-	for _, reg := range c.regs {
-		if reg.Role != RoleBase {
-			continue
-		}
-		var colls []Collection
-		for _, coll := range reg.Collections {
-			if coll.Area.Overlaps(area) {
-				colls = append(colls, coll)
-			}
-		}
-		if len(colls) > 0 {
-			out = append(out, Registration{
-				Addr: reg.Addr, Role: reg.Role, Area: reg.Area,
-				Collections: colls, Authoritative: reg.Authoritative,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
 // String summarizes the catalog for diagnostics.
 func (c *Catalog) String() string {
 	c.mu.RLock()

@@ -444,17 +444,6 @@ func TestCachedBindingIsIsolated(t *testing.T) {
 	}
 }
 
-func TestBaseCollections(t *testing.T) {
-	ns := testNS()
-	c := New(ns, "me:1")
-	mustReg(t, c, baseReg(ns, "s1:1", "[USA/OR/Portland, Music/CDs]"))
-	mustReg(t, c, baseReg(ns, "s2:1", "[France, *]"))
-	got := c.BaseCollections(ns.MustParseArea("[USA/OR, *]"))
-	if len(got) != 1 || got[0].Addr != "s1:1" {
-		t.Fatalf("collections = %+v", got)
-	}
-}
-
 func TestRegistrationXMLRoundTrip(t *testing.T) {
 	ns := testNS()
 	st, err := ParseStatement(ns, "base[USA/OR/Portland, *]@R:1 >= base[USA/OR/Portland, *]@S:1{30}")

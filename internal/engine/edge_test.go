@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/xmltree"
 )
 
 func TestEmptyInputsAllOperators(t *testing.T) {
@@ -132,35 +130,5 @@ func TestDeepPlanEvaluation(t *testing.T) {
 	got, err := Evaluate(cur)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("deep chain: %d %v", len(got), err)
-	}
-}
-
-// The join's parsed key paths must yield the key Find's first match yields,
-// for every path form: walked in place when plain, handed to Find otherwise.
-func TestKeyPathMatchesFind(t *testing.T) {
-	it := xmltree.MustParse(`<tuple id="7">` +
-		`<listing><cd>no song here</cd></listing>` +
-		`<listing n="2"><cd>Blue <b>Train</b></cd><song>Locomotion</song><song>Naima</song></listing>` +
-		`text<sale><cd>Giant Steps</cd></sale></tuple>`)
-	for _, path := range []string{
-		"listing", "listing/cd", "listing/song", "/listing/song", "sale/cd", "listing/cd/b",
-		"missing", "listing/missing", "sale/song",
-		"", "/", "listing//song", "listing/", "//listing",
-		"*", "*/song", "listing[2]/song", "listing[n=2]/cd", "listing/song[2]", "@id", "listing/@n",
-	} {
-		kp := algebra.ParsePath(path)
-		gk, gok := keyOf(it, kp)
-		var wk string
-		m := it.Find(path)
-		if m != nil {
-			wk = strings.TrimSpace(m.InnerText())
-		}
-		if gk != wk || gok != (m != nil) {
-			t.Errorf("path %q: key %q,%v want %q,%v", path, gk, gok, wk, m != nil)
-		}
-	}
-	kp := algebra.ParsePath("listing/song")
-	if allocs := testing.AllocsPerRun(100, func() { keyOf(it, kp) }); allocs != 0 {
-		t.Errorf("keyOf on a plain path allocates %.0f/op: not walked in place", allocs)
 	}
 }

@@ -154,7 +154,7 @@ func evalProject(n *algebra.Node) ([]*xmltree.Node, error) {
 
 // keyOf extracts a join key: the trimmed inner text of the first match.
 // Items with no match carry no key and never join (SQL NULL-like).
-func keyOf(it *xmltree.Node, key algebra.Path) (string, bool) {
+func keyOf(it *xmltree.Node, key xmltree.Path) (string, bool) {
 	m := key.First(it)
 	if m == nil {
 		return "", false
@@ -210,7 +210,7 @@ func evalJoin(n *algebra.Node) ([]*xmltree.Node, error) {
 	}
 	// Classic hash join: build on the smaller side.
 	build, probe := left, right
-	buildKey, probeKey := algebra.ParsePath(n.LeftKey), algebra.ParsePath(n.RightKey)
+	buildKey, probeKey := xmltree.ParsePath(n.LeftKey), xmltree.ParsePath(n.RightKey)
 	swapped := false
 	if len(right) < len(left) {
 		build, probe = right, left

@@ -157,19 +157,6 @@ func (p Path) Meet(q Path) (Path, bool) {
 	}
 }
 
-// LCA returns the lowest common ancestor of the two paths (possibly Top).
-func (p Path) LCA(q Path) Path {
-	n := len(p.segs)
-	if len(q.segs) < n {
-		n = len(q.segs)
-	}
-	i := 0
-	for i < n && p.segs[i] == q.segs[i] {
-		i++
-	}
-	return Path{segs: p.segs[:i]}
-}
-
 // Truncate returns the path cut to at most depth segments. The paper (§3.5)
 // uses this to approximate an unknown category by an ancestor: precision may
 // drop but recall is preserved.

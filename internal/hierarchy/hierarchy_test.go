@@ -74,22 +74,6 @@ func TestOverlapsAndMeet(t *testing.T) {
 	}
 }
 
-func TestLCA(t *testing.T) {
-	pdx := MustParsePath("USA/OR/Portland")
-	eug := MustParsePath("USA/OR/Eugene")
-	sea := MustParsePath("USA/WA/Seattle")
-	fr := MustParsePath("France")
-	if got := pdx.LCA(eug); got.String() != "USA/OR" {
-		t.Fatalf("LCA = %v", got)
-	}
-	if got := pdx.LCA(sea); got.String() != "USA" {
-		t.Fatalf("LCA = %v", got)
-	}
-	if got := pdx.LCA(fr); !got.IsTop() {
-		t.Fatalf("LCA = %v", got)
-	}
-}
-
 func TestParentChildTruncate(t *testing.T) {
 	pdx := MustParsePath("USA/OR/Portland")
 	if pdx.Parent().String() != "USA/OR" {
@@ -275,9 +259,6 @@ func TestServerValidateAndSubcategories(t *testing.T) {
 	if d := s.Dimensions(); len(d) != 1 || d[0] != "Location" {
 		t.Fatalf("dimensions = %v", d)
 	}
-	if s.Describe() == "" {
-		t.Fatal("describe empty")
-	}
 }
 
 func randPath(r *rand.Rand) Path {
@@ -304,31 +285,6 @@ func TestPropertyCoversPartialOrder(t *testing.T) {
 		}
 		if a.Covers(b) && b.Covers(c) && !a.Covers(c) {
 			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: LCA covers both arguments and is covered by any common ancestor
-// prefix (here: checks LCA is the deepest common prefix).
-func TestPropertyLCA(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randPath(r), randPath(r)
-		l := a.LCA(b)
-		if !l.Covers(a) || !l.Covers(b) {
-			return false
-		}
-		// Deepest: extending l by the next segment of a must not cover b
-		// (unless a itself is exhausted).
-		if l.Depth() < a.Depth() {
-			ext := NewPath(append(l.Segments(), a.Segments()[l.Depth()])...)
-			if ext.Covers(b) && ext.Covers(a) {
-				return false
-			}
 		}
 		return true
 	}

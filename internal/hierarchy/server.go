@@ -3,7 +3,6 @@ package hierarchy
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -36,13 +35,6 @@ func NewServer(hs ...*Hierarchy) *Server {
 		s.hierarchies[h.Name()] = h
 	}
 	return s
-}
-
-// AddHierarchy registers (or replaces) a hierarchy on the server.
-func (s *Server) AddHierarchy(h *Hierarchy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hierarchies[h.Name()] = h
 }
 
 // Hierarchy returns the named hierarchy, or nil.
@@ -128,22 +120,4 @@ func (s *Server) Validate(dimension string, p Path) (exact bool, nearest Path, e
 		return true, p, nil
 	}
 	return false, h.Generalize(p), nil
-}
-
-// Describe renders a human-readable summary of the namespace, used by the
-// examples.
-func (s *Server) Describe() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.hierarchies))
-	for n := range s.hierarchies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		h := s.hierarchies[n]
-		fmt.Fprintf(&b, "%s (%d categories)\n", n, h.Size())
-	}
-	return b.String()
 }

@@ -26,18 +26,6 @@ const (
 	annotOriginURN = "origin-urn"
 )
 
-// RestrictServers constrains the plan to travel only through the listed
-// servers (plus its target). Forwarding to, or processing at, any other
-// server fails.
-func RestrictServers(p *algebra.Plan, servers ...string) {
-	route.RestrictServers(p, servers...)
-}
-
-// AllowedServers returns the transfer policy, or nil when unrestricted.
-func AllowedServers(p *algebra.Plan) []string {
-	return route.AllowedServers(p)
-}
-
 // BindAfter adds the ordering constraint: later may bind only after earlier
 // has been fully bound (no longer appears as a URN leaf in the plan).
 func BindAfter(p *algebra.Plan, later, earlier string) {
@@ -98,7 +86,7 @@ func markOrigin(expr *algebra.Node, urn string) {
 
 // checkTransferPolicy verifies this server may process the plan.
 func (p *Processor) checkTransferPolicy(plan *algebra.Plan) error {
-	allowed := AllowedServers(plan)
+	allowed := route.AllowedServers(plan)
 	if allowed == nil {
 		return nil
 	}

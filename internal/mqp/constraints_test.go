@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
+	"repro/internal/route"
 )
 
 // TestTransferPolicyBlocksProcessing: a plan restricted to a server list
@@ -15,7 +16,7 @@ func TestTransferPolicyBlocksProcessing(t *testing.T) {
 	ns := testNS()
 	p := mustProc(t, Config{Self: "outsider:1", Catalog: catalog.New(ns, "outsider:1")})
 	plan := algebra.NewPlan("q", "c:1", algebra.Display(algebra.URN("urn:X")))
-	RestrictServers(plan, "irs:1", "state:1")
+	route.RestrictServers(plan, "irs:1", "state:1")
 	if _, err := p.Step(plan); err == nil || !strings.Contains(err.Error(), "transfer policy") {
 		t.Fatalf("want transfer-policy error, got %v", err)
 	}
@@ -37,7 +38,7 @@ func TestTransferPolicyFiltersHops(t *testing.T) {
 		algebra.URL("state:1", ""),
 		algebra.URL("leaky:1", ""),
 	)))
-	RestrictServers(plan, "irs:1", "state:1")
+	route.RestrictServers(plan, "irs:1", "state:1")
 	out, err := p.Step(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -50,16 +51,16 @@ func TestTransferPolicyFiltersHops(t *testing.T) {
 // TestTransferPolicyRoundTrips: the policy survives plan serialization.
 func TestTransferPolicyRoundTrips(t *testing.T) {
 	plan := algebra.NewPlan("q", "c:1", algebra.Display(algebra.Data()))
-	RestrictServers(plan, "a:1", "b:1")
+	route.RestrictServers(plan, "a:1", "b:1")
 	back, err := algebra.DecodeString(algebra.EncodeString(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := AllowedServers(back)
+	got := route.AllowedServers(back)
 	if len(got) != 2 || got[0] != "a:1" || got[1] != "b:1" {
 		t.Fatalf("allowed = %v", got)
 	}
-	if AllowedServers(algebra.NewPlan("q", "c", algebra.Display(algebra.Data()))) != nil {
+	if route.AllowedServers(algebra.NewPlan("q", "c", algebra.Display(algebra.Data()))) != nil {
 		t.Fatal("unrestricted plan must return nil")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
+	"repro/internal/route"
 )
 
 // cacheWorld builds a single self-sufficient processor: the catalog aliases
@@ -223,7 +224,7 @@ func TestPlanCacheInvalidPlanNeverInserted(t *testing.T) {
 	p := cacheWorld(t, 8)
 	forbidden := func(id string) *algebra.Plan {
 		plan := cachePlan(id, "price < 10")
-		RestrictServers(plan, "elsewhere:9020")
+		route.RestrictServers(plan, "elsewhere:9020")
 		return plan
 	}
 	badName := func(id string) *algebra.Plan {

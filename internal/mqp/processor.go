@@ -19,8 +19,10 @@ package mqp
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -181,9 +183,6 @@ type Config struct {
 	PruneStats bool
 	// Key signs provenance visits; nil disables provenance recording.
 	Key []byte
-	// Now supplies virtual time for the one-argument Step convenience
-	// wrapper; StepCtx callers pass time explicitly instead.
-	Now func() time.Duration
 	// Authority is the interest area this server is authoritative for
 	// (§3.3): it "strives to know about all base servers within its area
 	// of interest". An area URN fully covered by Authority that matches no
@@ -236,17 +235,16 @@ type Processor struct {
 
 // New creates a Processor, applying defaults.
 func New(cfg Config) (*Processor, error) {
-	if cfg.Self == "" {
-		return nil, fmt.Errorf("mqp: config needs Self address")
+	// Self is the only name this processor marks in a plan's visited memory,
+	// whose packed wire form splits records on ';' and fields on spaces.
+	if cfg.Self == "" || strings.ContainsRune(cfg.Self, ';') || strings.IndexFunc(cfg.Self, unicode.IsSpace) >= 0 {
+		return nil, fmt.Errorf("mqp: config needs a Self address without ';' or spaces, got %q", cfg.Self)
 	}
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("mqp: config needs a Catalog")
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = DefaultPolicy{}
-	}
-	if cfg.Now == nil {
-		cfg.Now = func() time.Duration { return 0 }
 	}
 	p := &Processor{cfg: cfg}
 	if cfg.PlanCacheSize > 0 {
@@ -337,23 +335,24 @@ func (st *step) replay(actions []provAction) {
 
 // Step performs one server's processing cycle on the plan, mutating it in
 // place, and returns the outcome. The plan's provenance section is extended
-// when the processor has a signing key. Virtual time comes from Config.Now;
-// use StepCtx to pass time explicitly.
+// when the processor has a signing key. It runs at virtual time 0; use
+// StepCtx to pass time explicitly.
 //
 // Step consumes the plan: reduction freezes payload documents in place
 // (see engine.Reduce), so a caller constructing a plan from documents it
 // intends to keep mutating should hand Step a Clone. Plans decoded from
 // the wire — the normal case — arrive with frozen payloads already.
 func (p *Processor) Step(plan *algebra.Plan) (Outcome, error) {
-	return p.StepCtx(&StepContext{Now: p.cfg.Now()}, plan)
+	return p.StepCtx(nil, plan)
 }
 
 // StepCtx is Step with an explicit per-invocation context: virtual time in,
-// accumulated pull delay out. Safe to call from any number of goroutines on
-// one Processor; sc must not be shared between concurrent steps.
+// accumulated pull delay out; a nil sc runs at virtual time 0. Safe to call
+// from any number of goroutines on one Processor; sc must not be shared
+// between concurrent steps.
 func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error) {
 	if sc == nil {
-		sc = &StepContext{Now: p.cfg.Now()}
+		sc = &StepContext{}
 	}
 	// The prepared-plan cache is asked before the operator tree exists: a plan
 	// off the wire (algebra.UnmarshalEnvelope) carries its operator element

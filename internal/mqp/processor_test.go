@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -43,6 +42,21 @@ func items(ss ...string) []*xmltree.Node {
 	return out
 }
 
+// TestNewRefusesUnpackableSelf: Self is the only name a processor marks in a
+// plan's visited memory, whose packed wire form splits records on ';' and
+// fields on Unicode space, so New refuses a Self holding either, or none.
+func TestNewRefusesUnpackableSelf(t *testing.T) {
+	cat := catalog.New(testNS(), "s:1")
+	for _, self := range []string{"", "weird host;name", "tab\thost:1", "nb\u00a0sp:1", "nl\nhost:1"} {
+		if _, err := New(Config{Self: self, Catalog: cat}); err == nil {
+			t.Errorf("New accepted Self %q", self)
+		}
+	}
+	if _, err := New(Config{Self: "s:1", Catalog: cat}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustProc(t *testing.T, cfg Config) *Processor {
 	t.Helper()
 	p, err := New(cfg)
@@ -75,8 +89,7 @@ func fig34World(t *testing.T) (m, s1, s2, tr *Processor) {
 		`<listing><cd>Kind of Blue</cd><song>So What</song></listing>`,
 	)}
 
-	m = mustProc(t, Config{Self: "M:9020", Catalog: mCat, PushSelect: true, Key: []byte("kM"),
-		Now: func() time.Duration { return time.Millisecond }})
+	m = mustProc(t, Config{Self: "M:9020", Catalog: mCat, PushSelect: true, Key: []byte("kM")})
 	s1 = mustProc(t, Config{Self: "10.1.2.3:9020", Catalog: catalog.New(ns, "10.1.2.3:9020"),
 		FetchLocal: s1Store.fetch, PushSelect: true, Key: []byte("k1")})
 	s2 = mustProc(t, Config{Self: "10.2.3.4:9020", Catalog: catalog.New(ns, "10.2.3.4:9020"),

@@ -65,16 +65,6 @@ func (ns *Namespace) Dimensions() []*hierarchy.Hierarchy {
 // NumDims returns the number of dimensions.
 func (ns *Namespace) NumDims() int { return len(ns.dims) }
 
-// DimIndex returns the coordinate position of the named dimension, or -1.
-func (ns *Namespace) DimIndex(name string) int {
-	for i, d := range ns.dims {
-		if d.Name() == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Everything returns the all-inclusive interest area of the namespace: one
 // cell with every coordinate at Top.
 func (ns *Namespace) Everything() Area {
@@ -102,13 +92,17 @@ func NewCell(coords ...hierarchy.Path) Cell {
 // coordinate count. Unknown categories are accepted (the paper allows
 // referencing categories a peer has not yet learned); use Generalize to map
 // them to known ancestors.
-func (ns *Namespace) ParseCell(s string) (Cell, error) {
+func (ns *Namespace) ParseCell(s string) (Cell, error) { return parseCell(s, len(ns.dims)) }
+
+// parseCell reads one cell; dims, when positive, is the coordinate count the
+// cell must have.
+func parseCell(s string, dims int) (Cell, error) {
 	s = strings.TrimSpace(s)
 	s = strings.TrimPrefix(s, "[")
 	s = strings.TrimSuffix(s, "]")
 	parts := strings.Split(s, ",")
-	if len(parts) != len(ns.dims) {
-		return Cell{}, fmt.Errorf("namespace: cell %q has %d coordinates, namespace has %d dimensions", s, len(parts), len(ns.dims))
+	if dims > 0 && len(parts) != dims {
+		return Cell{}, fmt.Errorf("namespace: cell %q has %d coordinates, namespace has %d dimensions", s, len(parts), dims)
 	}
 	coords := make([]hierarchy.Path, len(parts))
 	for i, p := range parts {
@@ -337,12 +331,22 @@ func (a Area) CoversCell(c Cell) bool {
 }
 
 // ParseArea parses "cell + cell + ..." (each cell in bracket or bare form)
-// over the namespace.
-func (ns *Namespace) ParseArea(s string) (Area, error) {
+// over the namespace: ParseArea plus the coordinate-count check.
+func (ns *Namespace) ParseArea(s string) (Area, error) { return parseArea(s, len(ns.dims)) }
+
+// ParseArea reads an area expression without a namespace. The URN encoding
+// of §3.4 is lexical, so a query can name an area before it reaches a
+// catalog whose namespace validates it.
+func ParseArea(s string) (Area, error) { return parseArea(s, 0) }
+
+func parseArea(s string, dims int) (Area, error) {
+	if strings.TrimSpace(s) == "" {
+		return Area{}, fmt.Errorf("namespace: empty area expression")
+	}
 	parts := strings.Split(s, "+")
 	cells := make([]Cell, 0, len(parts))
 	for _, p := range parts {
-		c, err := ns.ParseCell(p)
+		c, err := parseCell(p, dims)
 		if err != nil {
 			return Area{}, err
 		}

@@ -331,13 +331,46 @@ func TestPropertyOverlapSymmetric(t *testing.T) {
 	}
 }
 
+// TestDimIndex: a cell's coordinate positions follow the order in which the
+// namespace declares its dimensions.
 func TestDimIndex(t *testing.T) {
 	ns := paperNamespace()
-	if ns.DimIndex("Location") != 0 || ns.DimIndex("Merchandise") != 1 || ns.DimIndex("X") != -1 {
-		t.Fatal("DimIndex broken")
+	dims := ns.Dimensions()
+	if len(dims) != 2 || dims[0].Name() != "Location" || dims[1].Name() != "Merchandise" {
+		t.Fatal("dimension order broken")
 	}
 	if ns.NumDims() != 2 {
 		t.Fatal("NumDims broken")
+	}
+	c := ns.MustParseCell("[USA/OR, Furniture]")
+	if c.Coords[0].String() != "USA/OR" || c.Coords[1].String() != "Furniture" {
+		t.Fatalf("cell coordinates out of dimension order: %v", c)
+	}
+}
+
+// TestParseAreaWithoutNamespace: the namespace-free reader is the namespace
+// reader minus the coordinate-count check.
+func TestParseAreaWithoutNamespace(t *testing.T) {
+	ns := paperNamespace()
+	for _, src := range []string{"[USA/OR, *] + [France, Music]", "USA, Furniture", "[*, *]"} {
+		a, err := ParseArea(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if want := ns.MustParseArea(src); !a.Equal(want) {
+			t.Fatalf("%q: ParseArea = %v, ns.ParseArea = %v", src, a, want)
+		}
+	}
+	if a, err := ParseArea("[USA/OR] + [a, b, c]"); err != nil || len(a.Cells) != 2 {
+		t.Fatalf("any arity without a namespace: %v %v", a, err)
+	}
+	if _, err := ns.ParseArea("[USA/OR] + [*, *]"); err == nil {
+		t.Fatal("ns.ParseArea must check the coordinate count")
+	}
+	for _, bad := range []string{"", " \t", "[USA//OR, *]", "[*/x, *]"} {
+		if _, err := ParseArea(bad); err == nil {
+			t.Errorf("ParseArea(%q): want error", bad)
+		}
 	}
 }
 

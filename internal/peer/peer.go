@@ -237,7 +237,6 @@ func New(cfg Config) (*Peer, error) {
 		Policy:        cfg.Policy,
 		PushSelect:    cfg.PushSelect,
 		Key:           cfg.Key,
-		Now:           p.virtualNow,
 		SizeOf:        p.sizeOf,
 		StatsFor:      p.statsFor,
 		PruneStats:    cfg.PruneStats,

@@ -139,31 +139,6 @@ func (h *Histogram) Total() int {
 	return t
 }
 
-// EstimateLE estimates how many observations are ≤ v, interpolating within
-// the straddling bucket. Servers use it to predict a selection's output
-// cardinality from an annotation without seeing the data.
-func (h *Histogram) EstimateLE(v float64) int {
-	if v < h.Lo {
-		return 0
-	}
-	if v >= h.Hi {
-		return h.Total()
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	total := 0.0
-	for i, c := range h.Counts {
-		bLo := h.Lo + float64(i)*width
-		bHi := bLo + width
-		switch {
-		case v >= bHi:
-			total += float64(c)
-		case v > bLo:
-			total += float64(c) * (v - bLo) / width
-		}
-	}
-	return int(math.Round(total))
-}
-
 // Encode renders the histogram in the compact wire form
 // "path;lo;hi;c0|c1|...". It is the value of the AnnotHistogram annotation.
 func (h *Histogram) Encode() string {

@@ -89,27 +89,6 @@ func TestHistogramDegenerate(t *testing.T) {
 	if h.Total() != 3 || h.Counts[0] != 3 {
 		t.Fatalf("degenerate hist = %v", h.Counts)
 	}
-	if h.EstimateLE(5) != 3 || h.EstimateLE(4) != 0 {
-		t.Fatalf("degenerate estimates: %d %d", h.EstimateLE(5), h.EstimateLE(4))
-	}
-}
-
-func TestEstimateLE(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	h := NewHistogram("p", vals, 10)
-	if got := h.EstimateLE(-1); got != 0 {
-		t.Fatalf("below lo = %d", got)
-	}
-	if got := h.EstimateLE(1000); got != 100 {
-		t.Fatalf("above hi = %d", got)
-	}
-	mid := h.EstimateLE(49.5)
-	if mid < 40 || mid > 60 {
-		t.Fatalf("mid estimate = %d, want ~50", mid)
-	}
 }
 
 func TestHistogramRoundTrip(t *testing.T) {
@@ -131,31 +110,6 @@ func TestHistogramRoundTrip(t *testing.T) {
 		if _, err := DecodeHistogram(bad); err == nil {
 			t.Errorf("DecodeHistogram(%q): want error", bad)
 		}
-	}
-}
-
-// Property: EstimateLE is monotone non-decreasing and bounded by Total.
-func TestPropertyEstimateMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(200)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = r.Float64() * 100
-		}
-		h := NewHistogram("p", vals, 1+r.Intn(16))
-		prev := 0
-		for v := -10.0; v <= 110; v += 5 {
-			e := h.EstimateLE(v)
-			if e < prev || e > h.Total() {
-				return false
-			}
-			prev = e
-		}
-		return prev == h.Total()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

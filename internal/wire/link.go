@@ -367,15 +367,6 @@ func (p *LinkPool) Call(addr string, fill func(*xmltree.FrameEncoder)) (*xmltree
 	return doc, frame, err
 }
 
-// ReapIdle closes and removes links that have no in-flight calls and have
-// been unused for longer than olderThan, returning how many were reaped.
-// The pool also reaps opportunistically (at IdleTimeout) on every use.
-func (p *LinkPool) ReapIdle(olderThan time.Duration) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reapLocked(time.Now().Add(-olderThan))
-}
-
 func (p *LinkPool) reapLocked(cutoff time.Time) int {
 	n := 0
 	for addr, l := range p.links {

@@ -224,8 +224,9 @@ func TestLinkMidFrameCrashReported(t *testing.T) {
 	}
 }
 
-// TestLinkIdleReapReestablish: a reaped link is gone from the pool, and the
-// next send dials a new connection transparently.
+// TestLinkIdleReapReestablish: every use of the pool reaps links idle past
+// IdleTimeout, and the send that reaped one dials a new connection
+// transparently.
 func TestLinkIdleReapReestablish(t *testing.T) {
 	got := make(chan string, 16)
 	srv, cl := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) {
@@ -234,24 +235,26 @@ func TestLinkIdleReapReestablish(t *testing.T) {
 	})
 	pool := NewLinkPool()
 	defer pool.Close()
+	defer func(d time.Duration) { IdleTimeout = d }(IdleTimeout)
+	IdleTimeout = 0
 
 	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"}))); err != nil {
 		t.Fatal(err)
 	}
 	<-got
-	if n := pool.ReapIdle(0); n != 1 {
-		t.Fatalf("ReapIdle reaped %d links, want 1", n)
-	}
 	pool.mu.Lock()
-	left := len(pool.links)
+	first := pool.links[srv.Addr()]
 	pool.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d links survive reaping", left)
-	}
 	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"}))); err != nil {
 		t.Fatalf("send after reap: %v", err)
 	}
 	<-got
+	pool.mu.Lock()
+	second := pool.links[srv.Addr()]
+	pool.mu.Unlock()
+	if first == nil || second == nil || second == first {
+		t.Fatalf("links %p then %p: the idle link was not replaced", first, second)
+	}
 	if n := cl.accepts.Load(); n != 2 {
 		t.Fatalf("accepts = %d, want 2 (one per link generation)", n)
 	}

@@ -591,7 +591,7 @@ func appendIndent(b []byte, n *Node, depth int) []byte {
 }
 
 // Value returns the inner text of the first node matched by the path
-// expression (see Find), or "" when nothing matches.
+// expression (see Path), or "" when nothing matches.
 func (n *Node) Value(path string) string {
 	m := n.Find(path)
 	if m == nil {
@@ -624,124 +624,4 @@ func (n *Node) Int(path string) (int, error) {
 		return 0, fmt.Errorf("xmltree: path %q: %w", path, err)
 	}
 	return i, nil
-}
-
-// Find returns the first node matched by the path, or nil.
-func (n *Node) Find(path string) *Node {
-	all := n.FindAll(path)
-	if len(all) == 0 {
-		return nil
-	}
-	return all[0]
-}
-
-// FindAll evaluates a small XPath-like path expression against the node and
-// returns every match. The language supports the forms the paper's catalogs
-// and item bundles need:
-//
-//	item/price          child steps
-//	*                   any element child
-//	data[id=245]        attribute-equality predicate (paper §3.2 identifiers)
-//	item[2]             positional predicate (1-based)
-//	price/@currency     terminal attribute access (matched node is a
-//	                    synthesized text node holding the attribute value)
-//
-// A leading "/" is permitted and ignored (paths are evaluated relative to n,
-// whose own name is not consumed by the path).
-func (n *Node) FindAll(path string) []*Node {
-	steps, err := parsePath(path)
-	if err != nil {
-		return nil
-	}
-	current := []*Node{n}
-	for _, st := range steps {
-		var next []*Node
-		for _, c := range current {
-			next = append(next, st.apply(c)...)
-		}
-		current = next
-		if len(current) == 0 {
-			return nil
-		}
-	}
-	return current
-}
-
-type pathStep struct {
-	name      string // element name, or "*", or "@attr" for attribute access
-	attrName  string // predicate [name=value]
-	attrValue string
-	index     int // 1-based positional predicate; 0 means none
-}
-
-func parsePath(path string) ([]pathStep, error) {
-	path = strings.TrimPrefix(path, "/")
-	if path == "" {
-		return nil, fmt.Errorf("xmltree: empty path")
-	}
-	parts := strings.Split(path, "/")
-	steps := make([]pathStep, 0, len(parts))
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("xmltree: empty path step in %q", path)
-		}
-		st := pathStep{}
-		if i := strings.IndexByte(p, '['); i >= 0 {
-			if !strings.HasSuffix(p, "]") {
-				return nil, fmt.Errorf("xmltree: malformed predicate in step %q", p)
-			}
-			pred := p[i+1 : len(p)-1]
-			st.name = p[:i]
-			if eq := strings.IndexByte(pred, '='); eq >= 0 {
-				st.attrName = strings.TrimPrefix(strings.TrimSpace(pred[:eq]), "@")
-				st.attrValue = strings.Trim(strings.TrimSpace(pred[eq+1:]), `'"`)
-			} else {
-				idx, err := strconv.Atoi(pred)
-				if err != nil || idx < 1 {
-					return nil, fmt.Errorf("xmltree: bad positional predicate %q", pred)
-				}
-				st.index = idx
-			}
-		} else {
-			st.name = p
-		}
-		if st.name == "" {
-			return nil, fmt.Errorf("xmltree: missing name in step %q", p)
-		}
-		steps = append(steps, st)
-	}
-	return steps, nil
-}
-
-func (st pathStep) apply(n *Node) []*Node {
-	if strings.HasPrefix(st.name, "@") {
-		if v, ok := n.Attr(st.name[1:]); ok {
-			return []*Node{TextNode(v)}
-		}
-		return nil
-	}
-	var out []*Node
-	pos := 0
-	for _, c := range n.Children {
-		if c.IsText() {
-			continue
-		}
-		if st.name != "*" && c.Name != st.name {
-			continue
-		}
-		if st.attrName != "" {
-			if v, ok := c.Attr(st.attrName); !ok || v != st.attrValue {
-				continue
-			}
-		}
-		pos++
-		if st.index > 0 && pos != st.index {
-			continue
-		}
-		out = append(out, c)
-		if st.index > 0 {
-			break
-		}
-	}
-	return out
 }

@@ -153,9 +153,8 @@ func TestFindWildcardAndAttrAccess(t *testing.T) {
 	if got := n.Value("price/@currency"); got != "USD" {
 		t.Fatalf("@currency = %q", got)
 	}
-	all := n.FindAll("*")
-	if len(all) != 1 || all[0].Name != "price" {
-		t.Fatalf("wildcard children = %v", all)
+	if got := n.Find("*"); got == nil || got.Name != "price" {
+		t.Fatalf("wildcard child = %v", got)
 	}
 }
 
@@ -331,8 +330,8 @@ func TestChildHelpers(t *testing.T) {
 func TestBadPaths(t *testing.T) {
 	n := MustParse(`<a><b/></a>`)
 	for _, p := range []string{"", "b//c", "b[", "b[0]", "b[-1]", "[x=1]"} {
-		if got := n.FindAll(p); got != nil {
-			t.Errorf("FindAll(%q) = %v, want nil", p, got)
+		if got := n.Find(p); got != nil {
+			t.Errorf("Find(%q) = %v, want nil", p, got)
 		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"repro/internal/namespace"
 	"repro/internal/peer"
 	"repro/internal/provenance"
+	"repro/internal/route"
 	"repro/internal/simnet"
 	"repro/internal/world"
 	"repro/internal/xmltree"
@@ -192,24 +193,13 @@ func (s *System) AddPeer(opts PeerOptions) (*Peer, error) {
 	for _, meta := range opts.Knows {
 		if err := p.Catalog().Register(catalog.Registration{
 			Addr: meta, Role: catalog.RoleMetaIndex,
-			Area:          s.ns.ns.MustParseArea(everything(s.ns.ns)),
+			Area:          s.ns.ns.Everything(),
 			Authoritative: true,
 		}); err != nil {
 			return nil, err
 		}
 	}
 	return &Peer{p: p, sys: s}, nil
-}
-
-func everything(ns *namespace.Namespace) string {
-	out := "["
-	for i := 0; i < ns.NumDims(); i++ {
-		if i > 0 {
-			out += ", "
-		}
-		out += "*"
-	}
-	return out + "]"
 }
 
 // Addr returns the peer's address.
@@ -298,10 +288,15 @@ func (p *Peer) Query(plan *algebra.Plan) (QueryResult, error) {
 	return p.QueryVia(p.Addr(), plan)
 }
 
-// QueryVia submits the plan to a specific first server.
+// QueryVia submits the plan to a specific first server. A plan that does not
+// validate — one from a builder that recorded an error, say — is refused
+// before it is sent.
 func (p *Peer) QueryVia(addr string, plan *algebra.Plan) (QueryResult, error) {
 	if plan.Target == "" {
 		plan.Target = p.Addr()
+	}
+	if err := plan.Validate(); err != nil {
+		return QueryResult{}, err
 	}
 	res, items, err := world.Ask(p.p, addr, plan)
 	if err != nil {
@@ -320,83 +315,15 @@ type Builder struct {
 }
 
 // ScanArea scans an interest-area expression (resolved through catalogs at
-// run time). The area syntax must be valid for the system namespace; it is
-// validated when the plan is submitted.
+// run time). The expression is read without a namespace — the URN encoding
+// is lexical (§3.4) — and checked against the system namespace by the
+// catalogs that resolve it.
 func ScanArea(area string) *Builder {
-	// Encode lazily-parsed area via the generic cell syntax; we parse with
-	// a throwaway namespace-independent transliteration: the URN encoding
-	// is purely lexical (§3.4).
-	a, err := parseAreaLexical(area)
+	a, err := namespace.ParseArea(area)
 	if err != nil {
 		return &Builder{err: err}
 	}
 	return &Builder{node: algebra.URN(namespace.EncodeURN(a))}
-}
-
-// parseAreaLexical parses an area without validating against a namespace —
-// encoding is lexical per §3.4.
-func parseAreaLexical(s string) (namespace.Area, error) {
-	if trim(s) == "" {
-		return namespace.Area{}, fmt.Errorf("p2pq: empty area expression")
-	}
-	// Cells are comma-separated coordinates; build with hierarchy paths.
-	var cells []namespace.Cell
-	for _, part := range splitTop(s, '+') {
-		part = trim(part)
-		part = trimBrackets(part)
-		var coords []hierarchy.Path
-		for _, c := range splitTop(part, ',') {
-			p, err := hierarchy.ParsePath(trim(c))
-			if err != nil {
-				return namespace.Area{}, err
-			}
-			coords = append(coords, p)
-		}
-		if len(coords) == 0 {
-			return namespace.Area{}, fmt.Errorf("p2pq: empty cell in area %q", s)
-		}
-		cells = append(cells, namespace.NewCell(coords...))
-	}
-	if len(cells) == 0 {
-		return namespace.Area{}, fmt.Errorf("p2pq: empty area %q", s)
-	}
-	return namespace.NewArea(cells...), nil
-}
-
-func splitTop(s string, sep byte) []string {
-	var parts []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case sep:
-			if depth == 0 {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(parts, s[start:])
-}
-
-func trim(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-func trimBrackets(s string) string {
-	if len(s) >= 2 && s[0] == '[' && s[len(s)-1] == ']' {
-		return s[1 : len(s)-1]
-	}
-	return s
 }
 
 // ScanURN scans an opaque named resource, e.g. "urn:ForSale:Portland-CDs".
@@ -500,7 +427,7 @@ func WithPrefs(p *algebra.Plan, budgetMS int, preferCurrent bool) *algebra.Plan 
 // WithTransferPolicy restricts the plan to travel only through the listed
 // servers (§5.2 "only let this MQP pass through servers on this list").
 func WithTransferPolicy(p *algebra.Plan, servers ...string) *algebra.Plan {
-	mqp.RestrictServers(p, servers...)
+	route.RestrictServers(p, servers...)
 	return p
 }
 

@@ -136,6 +136,25 @@ func TestBuilderErrorsSurface(t *testing.T) {
 	}
 }
 
+// TestQueryRefusesBrokenBuilder: a plan from a builder that recorded an
+// error has no operator tree; Query returns the validation error instead of
+// staging the plan.
+func TestQueryRefusesBrokenBuilder(t *testing.T) {
+	sys := NewSystem(garageNS(t))
+	client, err := sys.AddPeer(PeerOptions{Addr: "me:9020"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*Builder{
+		ScanArea("[USA/OR/Portland, Music/CDs]").Where("price <"),
+		ScanArea(""),
+	} {
+		if _, err := client.Query(b.Plan("q", client.Addr())); err == nil {
+			t.Fatal("query of a broken builder's plan must error")
+		}
+	}
+}
+
 func TestQueryNoResultOnUnknownServer(t *testing.T) {
 	ns := garageNS(t)
 	sys := NewSystem(ns)
