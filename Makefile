@@ -133,7 +133,8 @@ chaos-large-ci:
 # the wire uses, compiled item paths vs the breadth-wise reference evaluator,
 # the link handshake and frame header, streaming frame encoder vs
 # staged-tree encoder differential, predicate render/parse round trip, blob
-# reference resolution) — eight targets.
+# reference resolution, packed reference runs staged then resolved vs the
+# plain frame) — nine targets.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEquivalence$$' -fuzztime 10s ./internal/xmltree
@@ -143,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamEncodeEquivalence$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzPredicateRoundTrip$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveBlobs$$' -fuzztime 10s ./internal/algebra
+	$(GO) test -run '^$$' -fuzz '^FuzzRefRuns$$' -fuzztime 10s ./internal/algebra
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -3,9 +3,11 @@ package repro_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/blobstore"
 	"repro/internal/engine"
 	"repro/internal/provenance"
 	"repro/internal/simnet"
@@ -81,6 +83,18 @@ const (
 	// Measured: 1 alloc, the sorted annotation keys of the <data>, and no
 	// chunk (10 while Reset dropped the chunks, nine of them 4 KB ones).
 	largeFrameAllocBudget = 1
+)
+
+// A run of payload references costs no allocation per reference: staging a
+// <data> whose payloads all go by reference and resolving the frame on the
+// receiver's side allocate as much at refRunWide references as at
+// refRunNarrow. The sender appends each fingerprint's wire form into the
+// frame (blobstore.FP.Append) and the receiver decodes each one from the
+// attribute in place (blobstore.ParseFP); the rebuilt child list is one
+// allocation however long the run.
+const (
+	refRunNarrow = 8
+	refRunWide   = 64
 )
 
 func planFixtureForAllocs(t *testing.T) (*algebra.Plan, []byte, string) {
@@ -327,5 +341,63 @@ func TestFreezeAllocBudget(t *testing.T) {
 	})
 	if allocs > freezeAllocBudget {
 		t.Fatalf("freeze allocates %.0f/op; budget is %d", allocs, freezeAllocBudget)
+	}
+}
+
+// refRunAllocs measures one staging and one resolution of a plan whose one
+// <data> holds n payloads, all sent by reference.
+func refRunAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	store := blobstore.New()
+	fps := map[*xmltree.Node]blobstore.FP{}
+	sales, _ := workload.CDCatalog(1, n)
+	for _, d := range sales {
+		_, fps[d] = store.Intern(d)
+	}
+	plan := algebra.NewPlan("refs", "client:1", algebra.Display(algebra.Data(sales...)))
+	ref := func(d *xmltree.Node, dst []byte) ([]byte, bool) {
+		fp, ok := fps[d]
+		return fp.Append(dst), ok
+	}
+	resolve := func(s string) (*xmltree.Node, error) {
+		fp, ok := blobstore.ParseFP(s)
+		if !ok {
+			return nil, fmt.Errorf("malformed fingerprint %q", s)
+		}
+		if doc, ok := store.Get(fp); ok {
+			return doc, nil
+		}
+		return nil, fmt.Errorf("unknown fingerprint %s", s)
+	}
+	enc := xmltree.NewFrameEncoder()
+	var frame []byte
+	run := func() {
+		enc.Reset()
+		algebra.EncodeFrameRefs(plan, enc, ref)
+		frame = enc.AppendString(frame[:0])
+		body, err := xmltree.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := algebra.ResolveBlobs(body, resolve, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Children[0].Children[0].Children[0].Children) != n {
+			t.Fatalf("resolved %s", out)
+		}
+	}
+	run()
+	if refs := strings.Count(string(frame), "<blob "); refs != 1 {
+		t.Fatalf("%d payload references staged as %d <blob> elements, want one run", n, refs)
+	}
+	return testing.AllocsPerRun(20, run)
+}
+
+func TestRefRunAllocsPerReference(t *testing.T) {
+	narrow, wide := refRunAllocs(t, refRunNarrow), refRunAllocs(t, refRunWide)
+	if wide != narrow {
+		t.Fatalf("a run of %d references allocates %.0f/op, of %d %.0f/op — something is allocated per reference",
+			refRunWide, wide, refRunNarrow, narrow)
 	}
 }

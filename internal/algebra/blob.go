@@ -2,24 +2,29 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/xmltree"
 )
 
 // Payload-by-reference wire sections. A sender whose receiver holds a
-// payload store may replace a payload document under a <data> operator with
-// a reference element
+// payload store may replace payload documents under a <data> operator with
+// references naming each payload's content fingerprint (internal/blobstore
+// wire form). Consecutive referenced payloads of one <data> share one
+// element, their fingerprints space-separated in document order:
 //
-//	<blob fp="…"/>
+//	<blob fp="fp1 fp2 …"/>
 //
-// naming the payload's content fingerprint (internal/blobstore wire form),
-// and marks the <mqp> root with blobs="1" so the receiver knows to resolve
-// references. The mark says nothing about capability: whether the receiver
-// holds a store is the transport's to say. An unmarked body is never
-// interpreted: its <blob> elements, if any, are ordinary payload data.
-// Correctness never depends on the optimization — a receiver that misses a
-// fingerprint fetches the payload from the sender (the on-demand inline
-// fallback), and a sender in doubt ships inline.
+// so a reference alone costs 35 bytes and each further one in a run 23 (a
+// run of one is the single-reference element). The sender marks the <mqp>
+// root with blobs="1" so the receiver knows to resolve references. The mark
+// says nothing about capability: whether the receiver holds a store is the
+// transport's to say. An unmarked body is never interpreted: its <blob>
+// elements, if any, are ordinary payload data, and a plan holding such data
+// is never marked. Correctness never depends on the optimization — a
+// receiver that misses a fingerprint fetches the payload from the sender
+// (the on-demand inline fallback), and a sender in doubt ships inline.
 
 // BlobsAttr marks an <mqp> root whose <blob> payload children are references
 // to be resolved.
@@ -30,24 +35,16 @@ const (
 	blobFPAttr = "fp"
 )
 
-// IsBlobRef reports whether a payload element has the shape of a reference:
-// a childless <blob> carrying an fp attribute. Payload data of this exact
-// shape is ambiguous with the extension, so senders refuse to mark plans
-// containing it (see EncodeFrameRefs) and it travels inline, uninterpreted.
+// IsBlobRef reports whether a payload element is a reference in its one
+// wire form, <blob fp="…"/> with no other attribute, no text and no
+// children, and returns its fp value: one fingerprint or a space-separated
+// run of them.
 func IsBlobRef(n *xmltree.Node) (string, bool) {
-	if n == nil || n.Name != blobElem {
+	if n == nil || n.Name != blobElem || n.Text != "" || len(n.Children) > 0 ||
+		len(n.Attrs) != 1 || n.Attrs[0].Name != blobFPAttr {
 		return "", false
 	}
-	fp, ok := n.Attr(blobFPAttr)
-	if !ok {
-		return "", false
-	}
-	for _, c := range n.Children {
-		if !c.IsText() {
-			return "", false
-		}
-	}
-	return fp, true
+	return n.Attrs[0].Value, true
 }
 
 // Marked reports whether an <mqp> body is marked as carrying references to
@@ -56,18 +53,21 @@ func Marked(body *xmltree.Node) bool {
 	return body != nil && body.AttrDefault(BlobsAttr, "") != ""
 }
 
-// ResolveBlobs returns a body with every <blob> payload reference replaced
-// by the document resolve returns for its fingerprint, and (when intern is
-// non-nil) every inline payload document replaced by intern's canonical
-// alias for it. Bodies not marked with BlobsAttr pass through untouched —
-// their <blob> elements are data.
+// ResolveBlobs returns a body with every <blob> payload reference replaced,
+// in place and in order, by the documents resolve returns for its
+// fingerprints, and (when intern is non-nil) every inline payload document
+// replaced by intern's canonical alias for it. resolve is handed each
+// fingerprint of a run as a substring of the attribute, never a copy. Bodies
+// not marked with BlobsAttr pass through untouched — their <blob> elements
+// are data.
 //
 // The input body is never mutated (it is typically a frozen decode);
-// rebuilt spines are copy-on-write and untouched subtrees are aliased. A
-// reference that is malformed (no resolvable payload shape), unknown to
-// resolve, or mixed with inline content is an error: the message cannot be
-// evaluated correctly without the bytes, so it must fail loudly rather than
-// drop payloads.
+// rebuilt spines are copy-on-write and untouched subtrees are aliased. In a
+// marked body every payload element named blob must be a reference
+// (IsBlobRef): one that is not, a run with an empty fingerprint, and a
+// fingerprint resolve cannot answer each fail the whole body. The message
+// cannot be evaluated correctly without the bytes, so it must fail loudly
+// rather than drop payloads.
 func ResolveBlobs(body *xmltree.Node, resolve func(fp string) (*xmltree.Node, error),
 	intern func(doc *xmltree.Node) *xmltree.Node) (*xmltree.Node, error) {
 	if !Marked(body) {
@@ -80,43 +80,9 @@ func ResolveBlobs(body *xmltree.Node, resolve func(fp string) (*xmltree.Node, er
 			return e
 		}
 		if e.Name == "data" {
-			var out *xmltree.Node // lazily created shallow copy
-			for i, c := range e.Children {
-				if c.IsText() || c.Name == annotationsElem {
-					continue
-				}
-				repl := c
-				if c.Name == blobElem {
-					fpStr, ok := IsBlobRef(c)
-					if !ok {
-						fp, hasFP := c.Attr(blobFPAttr)
-						if !hasFP {
-							opErr = fmt.Errorf("algebra: <blob> reference without fp")
-						} else {
-							opErr = fmt.Errorf("algebra: <blob fp=%q> carries inline content: reference/inline conflict", fp)
-						}
-						return e
-					}
-					doc, err := resolve(fpStr)
-					if err != nil {
-						opErr = fmt.Errorf("algebra: blob %s: %w", fpStr, err)
-						return e
-					}
-					repl = doc.Freeze()
-				} else if intern != nil {
-					repl = intern(c)
-				}
-				if repl != c {
-					if out == nil {
-						out = e.CloneShallow()
-					}
-					out.Children[i] = repl
-				}
-			}
-			if out != nil {
-				return out
-			}
-			return e
+			out, err := resolveData(e, resolve, intern)
+			opErr = err
+			return out
 		}
 		var out *xmltree.Node
 		for i, c := range e.Children {
@@ -167,4 +133,82 @@ func ResolveBlobs(body *xmltree.Node, resolve func(fp string) (*xmltree.Node, er
 		return root, nil
 	}
 	return body, nil
+}
+
+// resolveData is ResolveBlobs for one <data> operator: e itself when no
+// payload changes, else a copy whose children are rebuilt once, sized for
+// every run it expands.
+func resolveData(e *xmltree.Node, resolve func(fp string) (*xmltree.Node, error),
+	intern func(doc *xmltree.Node) *xmltree.Node) (*xmltree.Node, error) {
+	var kids []*xmltree.Node // nil until the first payload changes
+	for i, c := range e.Children {
+		switch {
+		case c.IsText() || c.Name == annotationsElem:
+		case c.Name == blobElem:
+			run, err := refRun(c)
+			if err != nil {
+				return e, err
+			}
+			if kids == nil {
+				kids = expandedKids(e.Children, i)
+			}
+			for run != "" {
+				var fp string
+				fp, run, _ = strings.Cut(run, " ")
+				doc, err := resolve(fp)
+				if err != nil {
+					return e, fmt.Errorf("algebra: blob %s: %w", fp, err)
+				}
+				kids = append(kids, doc.Freeze())
+			}
+			continue
+		case intern != nil:
+			if repl := intern(c); repl != c {
+				if kids == nil {
+					kids = expandedKids(e.Children, i)
+				}
+				kids = append(kids, repl)
+				continue
+			}
+		}
+		if kids != nil {
+			kids = append(kids, c)
+		}
+	}
+	if kids == nil {
+		return e, nil
+	}
+	return &xmltree.Node{Name: e.Name, Text: e.Text, Attrs: slices.Clone(e.Attrs), Children: kids}, nil
+}
+
+// expandedKids starts the rebuilt child list of a <data> whose first changed
+// payload is kids[i]: the unchanged prefix, with room for every payload
+// after it, every fingerprint of a run counted.
+func expandedKids(kids []*xmltree.Node, i int) []*xmltree.Node {
+	n := len(kids)
+	for _, c := range kids[i:] {
+		if run, ok := IsBlobRef(c); ok {
+			n += strings.Count(run, " ")
+		}
+	}
+	return append(make([]*xmltree.Node, 0, n), kids[:i]...)
+}
+
+// refRun returns the fingerprint run of a payload element named blob in a
+// marked body, or the error that fails the body: the element is not a
+// reference, or its run holds an empty fingerprint.
+func refRun(c *xmltree.Node) (string, error) {
+	run, ok := IsBlobRef(c)
+	fp, hasFP := c.Attr(blobFPAttr)
+	switch {
+	case !hasFP:
+		return "", fmt.Errorf("algebra: <blob> reference without fp")
+	case c.Text != "" || len(c.Children) > 0:
+		return "", fmt.Errorf("algebra: <blob fp=%q> carries inline content: reference/inline conflict", fp)
+	case !ok:
+		return "", fmt.Errorf("algebra: <blob fp=%q> carries attributes besides fp", fp)
+	case run == "" || run[0] == ' ' || run[len(run)-1] == ' ' || strings.Contains(run, "  "):
+		return "", fmt.Errorf("algebra: <blob fp=%q>: empty fingerprint in run", run)
+	}
+	return run, nil
 }

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,17 +22,42 @@ func saleDoc(i int) *xmltree.Node {
 }
 
 // frameRefs stages p through EncodeFrameRefs and returns the bytes.
-func frameRefs(p *Plan, ref func(*xmltree.Node) (string, bool)) string {
+func frameRefs(p *Plan, ref func(*xmltree.Node, []byte) ([]byte, bool)) string {
 	enc := xmltree.GetFrameEncoder()
 	defer enc.Release()
 	EncodeFrameRefs(p, enc, ref)
 	return enc.String()
 }
 
+// storeRef is a reference policy that names every payload, interning it in
+// store, and records the fingerprints it wrote.
+func storeRef(store *blobstore.Store, named *[]string) func(*xmltree.Node, []byte) ([]byte, bool) {
+	return func(d *xmltree.Node, dst []byte) ([]byte, bool) {
+		_, fp := store.Intern(d.Share())
+		*named = append(*named, fp.String())
+		return fp.Append(dst), true
+	}
+}
+
+// storeResolve resolves fingerprints against store.
+func storeResolve(store *blobstore.Store) func(string) (*xmltree.Node, error) {
+	return func(fp string) (*xmltree.Node, error) {
+		p, ok := blobstore.ParseFP(fp)
+		if !ok {
+			return nil, fmt.Errorf("malformed fp %q", fp)
+		}
+		n, ok := store.Get(p)
+		if !ok {
+			return nil, fmt.Errorf("unknown fp")
+		}
+		return n, nil
+	}
+}
+
 // TestSubstituteResolveRoundTrip pins the core property: staging payloads as
 // references and resolving them back yields a byte-identical plan. The
-// referenced frame is the staging-tree reference with each payload slot
-// swapped for its <blob fp> and the root marked.
+// referenced frame is the staging-tree reference with the run of payload
+// slots swapped for one packed <blob fp="fp1 fp2"/> and the root marked.
 func TestSubstituteResolveRoundTrip(t *testing.T) {
 	store := blobstore.New()
 	docs := []*xmltree.Node{saleDoc(1), saleDoc(2)}
@@ -39,18 +65,13 @@ func TestSubstituteResolveRoundTrip(t *testing.T) {
 	want := EncodeString(plan)
 
 	var named []string
-	frame := frameRefs(plan, func(d *xmltree.Node) (string, bool) {
-		_, fp := store.Intern(d.Share())
-		named = append(named, fp.String())
-		return fp.String(), true
-	})
+	frame := frameRefs(plan, storeRef(store, &named))
 	if len(named) != 2 {
 		t.Fatalf("ref called for %d payloads, want 2", len(named))
 	}
 	staged := stagedMarshal(plan)
 	walkDataPayloads(staged, func(data *xmltree.Node, i int) {
-		data.Children[i] = xmltree.ElemAttrs("blob", xmltree.Attr{Name: "fp", Value: named[0]})
-		named = named[1:]
+		data.Children = []*xmltree.Node{xmltree.ElemAttrs("blob", xmltree.Attr{Name: "fp", Value: strings.Join(named, " ")})}
 	})
 	staged.SetAttr(BlobsAttr, "1")
 	if frame != staged.String() {
@@ -68,17 +89,7 @@ func TestSubstituteResolveRoundTrip(t *testing.T) {
 	if !Marked(wire) {
 		t.Fatal("body not marked")
 	}
-	resolved, err := ResolveBlobs(wire, func(fp string) (*xmltree.Node, error) {
-		p, ok := blobstore.ParseFP(fp)
-		if !ok {
-			return nil, fmt.Errorf("bad fp")
-		}
-		n, ok := store.Get(p)
-		if !ok {
-			return nil, fmt.Errorf("unknown fp")
-		}
-		return n, nil
-	}, nil)
+	resolved, err := ResolveBlobs(wire, storeResolve(store), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +108,9 @@ func TestSubstituteResolveRoundTrip(t *testing.T) {
 func TestSubstituteRefusesAmbiguousPayload(t *testing.T) {
 	amb := xmltree.MustParse(`<blob fp="userdata"/>`)
 	plan := blobTestPlan(t, "amb", saleDoc(1), amb)
-	frame := frameRefs(plan, func(*xmltree.Node) (string, bool) {
+	frame := frameRefs(plan, func(*xmltree.Node, []byte) ([]byte, bool) {
 		t.Fatal("ref called for a plan holding a reference-shaped payload")
-		return "", false
+		return nil, false
 	})
 	if frame != EncodeString(plan) {
 		t.Fatalf("ambiguous plan not staged plain: %s", frame)
@@ -123,6 +134,110 @@ func TestSubstituteRefusesAmbiguousPayload(t *testing.T) {
 	}
 }
 
+// TestBlobNamedPayloadRoundTrips: a payload element named blob that is not a
+// reference keeps the frame plain on the sender, so the receiver never takes
+// it for one, and the plan crosses a store-enabled hop unchanged. The policy
+// names every other payload and ships the blob one inline, as a peer does a
+// payload below blobMinBytes.
+func TestBlobNamedPayloadRoundTrips(t *testing.T) {
+	for _, payload := range []string{
+		`<blob/>`,
+		`<blob fp="x"><y/></blob>`,
+		`<blob fp="x">t</blob>`,
+		`<blob fp="x" kind="user"/>`,
+	} {
+		t.Run(payload, func(t *testing.T) {
+			store := blobstore.New()
+			plan := blobTestPlan(t, "named", saleDoc(1), xmltree.MustParse(payload), saleDoc(2))
+			var named []string
+			all := storeRef(store, &named)
+			body, err := xmltree.DecodeString(frameRefs(plan, func(d *xmltree.Node, dst []byte) ([]byte, bool) {
+				if d.Name == "blob" {
+					return dst, false
+				}
+				return all(d, dst)
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolved, err := ResolveBlobs(body, storeResolve(store), nil)
+			if err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			back, err := Unmarshal(resolved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := EncodeString(back), EncodeString(plan); got != want {
+				t.Fatalf("round trip diverged:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// TestRefRunsSplitByInline: a run is consecutive referenced payloads of one
+// <data>; an inline payload ends it, and a lone reference is the plain
+// single-reference element.
+func TestRefRunsSplitByInline(t *testing.T) {
+	store := blobstore.New()
+	docs := []*xmltree.Node{saleDoc(1), saleDoc(2), saleDoc(3), saleDoc(4), saleDoc(5)}
+	plan := blobTestPlan(t, "split", docs...)
+	var named []string
+	inline := docs[2]
+	all := storeRef(store, &named)
+	frame := frameRefs(plan, func(d *xmltree.Node, dst []byte) ([]byte, bool) {
+		if d == inline {
+			return dst, false
+		}
+		return all(d, dst)
+	})
+	want := fmt.Sprintf(`<data><blob fp="%s %s"/>%s<blob fp="%s %s"/></data>`,
+		named[0], named[1], inline, named[2], named[3])
+	if !strings.Contains(frame, want) {
+		t.Fatalf("frame\n %s\nlacks\n %s", frame, want)
+	}
+	body, err := xmltree.DecodeString(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved, err := ResolveBlobs(body, storeResolve(store), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Unmarshal(resolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EncodeString(back); got != EncodeString(plan) {
+		t.Fatalf("round trip diverged: %s", got)
+	}
+}
+
+// TestResolveRunErrors: one bad fingerprint in a run fails the whole body,
+// and nothing of it is returned.
+func TestResolveRunErrors(t *testing.T) {
+	store := blobstore.New()
+	_, a := store.Intern(saleDoc(1))
+	_, b := store.Intern(saleDoc(2))
+	_, unknown := blobstore.New().Intern(saleDoc(3))
+	for name, run := range map[string]string{
+		"unknown":   fmt.Sprintf("%s %s %s", a, unknown, b),
+		"malformed": fmt.Sprintf("%s %s %s", a, "x", b),
+		"empty":     fmt.Sprintf("%s  %s", a, b),
+	} {
+		t.Run(name, func(t *testing.T) {
+			body, err := xmltree.DecodeString(fmt.Sprintf(
+				`<mqp id="q" target="t" blobs="1"><plan><display><data><blob fp="%s"/></data></display></plan></mqp>`, run))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err := ResolveBlobs(body, storeResolve(store), nil); err == nil || out != nil {
+				t.Fatalf("run %q resolved to %v, error %v", run, out, err)
+			}
+		})
+	}
+}
+
 func TestResolveErrors(t *testing.T) {
 	resolve := func(fp string) (*xmltree.Node, error) {
 		if fp == "known" {
@@ -137,6 +252,10 @@ func TestResolveErrors(t *testing.T) {
 		{"unknown fp", `<mqp id="q" target="t" blobs="1"><plan><data><blob fp="nope"/></data></plan></mqp>`, "not resident"},
 		{"missing fp", `<mqp id="q" target="t" blobs="1"><plan><data><blob/></data></plan></mqp>`, "without fp"},
 		{"conflict", `<mqp id="q" target="t" blobs="1"><plan><data><blob fp="known"><sale/></blob></data></plan></mqp>`, "conflict"},
+		{"text conflict", `<mqp id="q" target="t" blobs="1"><plan><data><blob fp="known">t</blob></data></plan></mqp>`, "conflict"},
+		{"extra attribute", `<mqp id="q" target="t" blobs="1"><plan><data><blob fp="known" v="2"/></data></plan></mqp>`, "besides fp"},
+		{"trailing space", `<mqp id="q" target="t" blobs="1"><plan><data><blob fp="known "/></data></plan></mqp>`, "empty fingerprint"},
+		{"empty fp", `<mqp id="q" target="t" blobs="1"><plan><data><blob fp=""/></data></plan></mqp>`, "empty fingerprint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,7 +293,7 @@ func TestResolveInterns(t *testing.T) {
 	canon, _ := store.Intern(saleDoc(1))
 	plan := blobTestPlan(t, "intern", saleDoc(1))
 	// Marked, every payload inline.
-	wire, err := xmltree.DecodeString(frameRefs(plan, func(*xmltree.Node) (string, bool) { return "", false }))
+	wire, err := xmltree.DecodeString(frameRefs(plan, func(_ *xmltree.Node, dst []byte) ([]byte, bool) { return dst, false }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +342,11 @@ func FuzzResolveBlobs(f *testing.F) {
 	f.Add(`<mqp id="q" target="t" blobs="1"><plan><data><blob fp="x"><inline/></blob></data></plan></mqp>`)
 	f.Add(`<mqp id="q" target="t"><plan><data><blob fp="x"/></data></plan></mqp>`)
 	f.Add(`<mqp id="q" target="t" blobs="1"><plan><select pred="price &lt; 3"><data><sale><price>1</price></sale><blob/></data></select></plan></mqp>`)
+	f.Add(`<mqp id="q" target="t" blobs="1"><plan><data><blob fp="AAAAAAAAAAAAAAAAAAAAAA AAAAAAAAAAAAAAAAAAAAAA"/></data></plan></mqp>`)
+	f.Add(`<mqp id="q" target="t" blobs="1"><plan><data><blob fp="AAAAAAAAAAAAAAAAAAAAAA  AAAAAAAAAAAAAAAAAAAAAA"/></data></plan></mqp>`)
+	f.Add(`<mqp id="q" target="t" blobs="1"><plan><data><blob fp=" AAAAAAAAAAAAAAAAAAAAAA"/><i/><blob fp="AAAAAAAAAAAAAAAAAAAAAA short"/></data></plan></mqp>`)
+	f.Add(`<mqp id="q" target="t" blobs="1"><plan><union><data><blob fp="a b"/><annotations><annot k="card" v="2"/></annotations><blob fp="c"/></data></union></plan>` +
+		`<original><data><blob fp="d e f"/></data></original></mqp>`)
 	f.Fuzz(func(t *testing.T, s string) {
 		doc, err := xmltree.DecodeString(s)
 		if err != nil {
@@ -230,19 +354,8 @@ func FuzzResolveBlobs(f *testing.F) {
 		}
 		store := blobstore.New()
 		known, _ := store.Intern(saleDoc(1))
-		resolve := func(fp string) (*xmltree.Node, error) {
-			p, ok := blobstore.ParseFP(fp)
-			if !ok {
-				return nil, fmt.Errorf("malformed fp %q", fp)
-			}
-			n, ok := store.Get(p)
-			if !ok {
-				return nil, fmt.Errorf("unknown fp")
-			}
-			return n, nil
-		}
 		before := doc.String()
-		out, rerr := ResolveBlobs(doc, resolve, func(d *xmltree.Node) *xmltree.Node { return store.Canonicalize(d) })
+		out, rerr := ResolveBlobs(doc, storeResolve(store), func(d *xmltree.Node) *xmltree.Node { return store.Canonicalize(d) })
 		if doc.String() != before {
 			t.Fatalf("input mutated by resolution")
 		}
@@ -261,6 +374,59 @@ func FuzzResolveBlobs(f *testing.F) {
 					t.Fatalf("unresolved reference survived: %s", data.Children[i].String())
 				}
 			})
+		}
+	})
+}
+
+// unmarked is body's root without the BlobsAttr mark.
+func unmarked(body *xmltree.Node) *xmltree.Node {
+	cp := body.CloneShallow()
+	cp.Attrs = slices.DeleteFunc(cp.Attrs, func(a xmltree.Attr) bool { return a.Name == BlobsAttr })
+	return cp
+}
+
+// FuzzRefRuns: for any plan and any choice of which payloads go by reference
+// (bit k%64 of mask for the k-th payload in document order), the frame
+// EncodeFrameRefs stages, decoded and resolved against a store holding those
+// payloads, is the decoded EncodeFrame.
+func FuzzRefRuns(f *testing.F) {
+	f.Add(`<mqp id="r1" target="t:1"><plan><display><data><a>1</a><b>2</b><c>3</c><d>4</d></data></display></plan></mqp>`, uint64(0b1011))
+	f.Add(`<mqp id="r2" target="t:1"><plan><union><data><a>1</a><a>1</a><b/></data><data><b/><c>x</c></data></union></plan>`+
+		`<original><union><data><a>1</a><c>x</c><c>y</c></data><data/></union></original></mqp>`, uint64(0b1101101))
+	f.Add(`<mqp id="r3" target="t:1"><plan><select pred="price &lt; 3"><data><annotations><annot k="card" v="3"/></annotations>`+
+		`<sale><price>1</price></sale><sale><price>2</price></sale><sale><price>3</price></sale></data></select></plan></mqp>`, uint64(0b101))
+	f.Add(`<mqp id="r4" target="t:1"><plan><data><a/><blob/><b/></data></plan></mqp>`, ^uint64(0))
+	f.Add(`<mqp id="r5" target="t:1"><plan><data><a/><b/></data></plan><visited b="2">a:1 1 AQ</visited></mqp>`, ^uint64(0))
+	f.Fuzz(func(t *testing.T, s string, mask uint64) {
+		p, err := DecodeString(s)
+		if err != nil {
+			return
+		}
+		store := blobstore.New()
+		k := 0
+		frame := frameRefs(p, func(d *xmltree.Node, dst []byte) ([]byte, bool) {
+			on := mask>>(k%64)&1 == 1
+			k++
+			if !on {
+				return dst, false
+			}
+			_, fp := store.Intern(d.Share())
+			return fp.Append(dst), true
+		})
+		refs, err := xmltree.DecodeString(frame)
+		if err != nil {
+			t.Fatalf("referenced frame does not decode: %v\n%s", err, frame)
+		}
+		want, err := xmltree.DecodeString(EncodeString(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ResolveBlobs(refs, storeResolve(store), nil)
+		if err != nil {
+			t.Fatalf("resolve: %v\n%s", err, frame)
+		}
+		if !xmltree.Equal(unmarked(got), want) {
+			t.Fatalf("resolved frame\n %s\nis not the plain frame\n %s", unmarked(got), want)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package algebra
 import (
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"repro/internal/xmltree"
 )
@@ -32,28 +33,30 @@ func EncodeFrame(p *Plan, enc *xmltree.FrameEncoder) { EncodeFrameRefs(p, enc, n
 
 // EncodeFrameRefs is EncodeFrame for a payload-by-reference sender. The root
 // is marked BlobsAttr, and each payload document under a <data> operator that
-// ref names (returning its fingerprint wire form) is written as a <blob fp>
-// reference instead of its bytes; ref sees the payloads in document order.
-// A plan holding a payload that is itself shaped like a reference (IsBlobRef)
-// would be misread once marked, so it is staged plain and unmarked, and ref
-// is never called. A nil ref is EncodeFrame.
-func EncodeFrameRefs(p *Plan, enc *xmltree.FrameEncoder, ref func(doc *xmltree.Node) (string, bool)) {
-	if ref != nil && (holdsRefShape(p.Root) || holdsRefShape(p.Original)) {
-		ref = nil
+// ref names is written as a reference instead of its bytes: ref appends the
+// payload's fingerprint wire form to dst and reports true, or declines. ref
+// sees the payloads in document order, and consecutive payloads of one <data>
+// it names share one <blob fp="fp1 fp2 …"/>. A plan holding a payload element
+// named blob would be misread once marked, so it is staged plain and
+// unmarked, and ref is never called. A nil ref is EncodeFrame.
+func EncodeFrameRefs(p *Plan, enc *xmltree.FrameEncoder, ref func(doc *xmltree.Node, dst []byte) ([]byte, bool)) {
+	var refs *refWriter
+	if ref != nil && !holdsBlobElem(p.Root) && !holdsBlobElem(p.Original) {
+		refs = &refWriter{ref: ref}
 	}
 	enc.Raw("<mqp")
-	if ref != nil {
+	if refs != nil {
 		enc.Attr(BlobsAttr, "1")
 	}
 	enc.Attr("id", p.ID)
 	enc.Attr("target", p.Target)
 	enc.RawByte('>')
 	enc.Raw("<plan>")
-	encodeFrameNode(p.Root, enc, ref)
+	encodeFrameNode(p.Root, enc, refs)
 	enc.Raw("</plan>")
 	if p.Original != nil {
 		enc.Raw("<original>")
-		encodeFrameNode(p.Original, enc, ref)
+		encodeFrameNode(p.Original, enc, refs)
 		enc.Raw("</original>")
 	}
 	if p.Visited != nil && (p.Visited.Len() > 0 || p.Visited.Budget > 0) {
@@ -74,20 +77,58 @@ func EncodeFrameRefs(p *Plan, enc *xmltree.FrameEncoder, ref func(doc *xmltree.N
 	enc.Raw("</mqp>")
 }
 
-// holdsRefShape reports whether a payload under n's <data> operators has the
-// shape of a payload reference.
-func holdsRefShape(n *Node) (found bool) {
+// holdsBlobElem reports whether a payload under n's <data> operators is an
+// element named blob.
+func holdsBlobElem(n *Node) (found bool) {
 	n.Walk(func(m *Node) bool {
 		if m.Kind == KindData {
 			for _, d := range m.Docs {
-				if _, ok := IsBlobRef(d); ok {
-					found = true
-				}
+				found = found || d.Name == blobElem
 			}
 		}
 		return !found
 	})
 	return found
+}
+
+// refWriter stages one frame's payload references. buf carries one
+// fingerprint's wire form from ref into the encoder; the first reference
+// allocates it and the rest of the frame reuses it, so a plan staged with
+// no reference allocates nothing here.
+type refWriter struct {
+	ref func(doc *xmltree.Node, dst []byte) ([]byte, bool)
+	buf []byte
+}
+
+// docs stages a <data> operator's payloads: inline, or, for each run of
+// consecutive payloads ref names, one <blob fp="…"/> listing their
+// fingerprints. A nil w stages every payload inline.
+func (w *refWriter) docs(docs []*xmltree.Node, enc *xmltree.FrameEncoder) {
+	open := false // a <blob fp=" run is staged and not yet closed
+	for _, d := range docs {
+		if w != nil {
+			if buf, ok := w.ref(d, w.buf[:0]); ok {
+				w.buf = buf
+				if open {
+					enc.RawByte(' ')
+				} else {
+					enc.Raw(`<` + blobElem + ` ` + blobFPAttr + `="`)
+					open = true
+				}
+				// Raw copies the bytes before buf is written again.
+				enc.Raw(unsafe.String(unsafe.SliceData(buf), len(buf)))
+				continue
+			}
+		}
+		if open {
+			enc.Raw(`"/>`)
+			open = false
+		}
+		enc.Node(d)
+	}
+	if open {
+		enc.Raw(`"/>`)
+	}
 }
 
 // framed stages p into a pooled encoder; the caller releases it.
@@ -111,9 +152,9 @@ func WireSize(p *Plan) int {
 	return enc.Len()
 }
 
-// encodeFrameNode emits one operator subtree in canonical form, payloads ref
+// encodeFrameNode emits one operator subtree in canonical form, payloads refs
 // names as references.
-func encodeFrameNode(n *Node, enc *xmltree.FrameEncoder, ref func(*xmltree.Node) (string, bool)) {
+func encodeFrameNode(n *Node, enc *xmltree.FrameEncoder, refs *refWriter) {
 	var name string
 	switch n.Kind {
 	case KindURL:
@@ -184,19 +225,9 @@ func encodeFrameNode(n *Node, enc *xmltree.FrameEncoder, ref func(*xmltree.Node)
 		}
 		enc.Raw("</annotations>")
 	}
-	for _, d := range docs {
-		if ref != nil {
-			if fp, ok := ref(d); ok {
-				enc.Raw("<" + blobElem)
-				enc.Attr(blobFPAttr, fp)
-				enc.Raw("/>")
-				continue
-			}
-		}
-		enc.Node(d)
-	}
+	refs.docs(docs, enc)
 	for _, c := range n.Children {
-		encodeFrameNode(c, enc, ref)
+		encodeFrameNode(c, enc, refs)
 	}
 	enc.Raw("</")
 	enc.Raw(name)

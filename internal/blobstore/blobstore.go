@@ -39,18 +39,19 @@ type FP [16]byte
 // same alphabet the visited-section fingerprints use.
 func (fp FP) String() string { return base64.RawURLEncoding.EncodeToString(fp[:]) }
 
-// ParseFP parses the wire form back into a fingerprint.
+// Append appends the wire form to dst: String without the string, for
+// writers that stage fingerprints straight into a frame.
+func (fp FP) Append(dst []byte) []byte { return base64.RawURLEncoding.AppendEncode(dst, fp[:]) }
+
+// ParseFP parses the wire form back into a fingerprint, decoding in place:
+// s is typically a substring of a decoded attribute, and nothing is copied.
 func ParseFP(s string) (FP, bool) {
 	var fp FP
 	if base64.RawURLEncoding.DecodedLen(len(s)) != len(fp) {
 		return fp, false
 	}
-	b, err := base64.RawURLEncoding.DecodeString(s)
-	if err != nil || len(b) != len(fp) {
-		return fp, false
-	}
-	copy(fp[:], b)
-	return fp, true
+	n, err := base64.RawURLEncoding.Decode(fp[:], unsafe.Slice(unsafe.StringData(s), len(s)))
+	return fp, err == nil && n == len(fp)
 }
 
 // Fingerprint computes a node's fingerprint and the length of its canonical
@@ -83,9 +84,9 @@ type Stats struct {
 	Released     uint64 // entries freed when their refcount reached zero
 }
 
-// DedupRatio reports logical bytes per resident byte (1.0 = no dedup yet).
-// Resident bytes are measured at their peak-so-far denominator: entries
-// released later do not inflate the ratio.
+// DedupRatio reports logical bytes per resident byte (1.0 = no dedup yet,
+// or nothing resident). The denominator is the bytes resident now: Release
+// lowers Bytes and never LogicalBytes, so releasing entries raises the ratio.
 func (s Stats) DedupRatio() float64 {
 	if s.Bytes <= 0 {
 		return 1

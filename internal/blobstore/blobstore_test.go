@@ -57,10 +57,24 @@ func TestFPWireForm(t *testing.T) {
 	if !ok || back != fp {
 		t.Fatalf("round trip failed: %q", s)
 	}
-	for _, bad := range []string{"", "abc", s[:21], s + "A", "!!!!!!!!!!!!!!!!!!!!!!"} {
+	for _, bad := range []string{"", "abc", s[:21], s + "A", "!!!!!!!!!!!!!!!!!!!!!!", s[:21] + " "} {
 		if _, ok := ParseFP(bad); ok {
 			t.Errorf("ParseFP(%q) accepted", bad)
 		}
+	}
+	if got := string(fp.Append([]byte("fp="))); got != "fp="+s {
+		t.Fatalf("Append wrote %q, want %q", got, "fp="+s)
+	}
+	// Neither direction builds a string: Append writes into the caller's
+	// buffer and ParseFP decodes straight into the FP.
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(20, func() {
+		buf = fp.Append(buf[:0])
+		if back, ok := ParseFP(s); !ok || back != fp {
+			t.Fatal("round trip failed")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Append+ParseFP allocate %.0f/op, want 0", allocs)
 	}
 }
 

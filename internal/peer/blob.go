@@ -19,10 +19,14 @@ import (
 // (Transport.PeerCaps answers wire.CapBlobRef; a peer declares its own byte
 // through Caps). When the neighbor does, the peer substitutes payload
 // documents it has already exchanged inline with that neighbor (the
-// per-neighbor "taught" set) with <blob fp> references in the plans and
-// results it sends — algebra.EncodeFrameRefs marks such a frame's root with
-// algebra.BlobsAttr, telling the receiver to resolve them — and resolves
-// incoming references against its own store. A reference that misses — the
+// per-neighbor "taught" set) with references in the plans and results it
+// sends — algebra.EncodeFrameRefs writes each run of them as one
+// <blob fp="fp1 fp2 …"/> and marks the frame's root with algebra.BlobsAttr,
+// telling the receiver to resolve them — and resolves incoming references
+// against its own store. Fingerprints go from digest to frame and back with
+// no string: blobRef appends each one's wire form into the frame
+// (blobstore.FP.Append), and the resolver decodes each one from the
+// attribute in place (blobstore.ParseFP). A reference that misses — the
 // teaching send was dropped, the store was restarted — is repaired by a
 // fetch-on-miss request back to the sender, whose reply carries the payload
 // inline: the optimization degrades to inline shipping, never to a wrong
@@ -40,8 +44,8 @@ import (
 // canonicalized with Canonicalize, so cache eviction needs no bookkeeping.
 
 // blobMinBytes is the smallest canonical payload worth teaching or
-// substituting: below it a 33-byte reference plus the risk of a fetch round
-// trip saves nothing.
+// substituting: below it a reference (35 bytes alone, 23 more in a run) plus
+// the risk of a fetch round trip saves nothing.
 const blobMinBytes = 128
 
 // blobMaxTaughtPerPeer bounds each per-neighbor taught set; the oldest
@@ -160,26 +164,27 @@ func (p *Peer) Caps() byte {
 
 // blobRef is the payload-reference policy for a plan or result bound for
 // `to` (algebra.EncodeFrameRefs): nil without a store, so the plan is staged
-// plain; otherwise a func naming each payload the receiver provably holds by
-// its fingerprint, and teaching the rest as they ship inline. The transport is
-// asked for the receiver's capability once per frame, on the first payload
-// worth a reference, so payload-free plans never ask (on TCP, asking dials).
-func (p *Peer) blobRef(to string) func(*xmltree.Node) (string, bool) {
+// plain; otherwise a func that names each payload the receiver provably holds
+// by appending its fingerprint's wire form to dst, and teaches the rest as
+// they ship inline. The transport is asked for the receiver's capability once
+// per frame, on the first payload worth a reference, so payload-free plans
+// never ask (on TCP, asking dials).
+func (p *Peer) blobRef(to string) func(doc *xmltree.Node, dst []byte) ([]byte, bool) {
 	b := p.blobs
 	if b == nil {
 		return nil
 	}
 	checked, capable := false, false
-	return func(doc *xmltree.Node) (string, bool) {
+	return func(doc *xmltree.Node, dst []byte) ([]byte, bool) {
 		if doc.ByteSize() < blobMinBytes {
-			return "", false
+			return dst, false
 		}
 		if !checked {
 			caps, err := p.net.PeerCaps(to)
 			checked, capable = true, err == nil && caps&wire.CapBlobRef != 0
 		}
 		if !capable {
-			return "", false
+			return dst, false
 		}
 		fp, size := blobstore.Fingerprint(doc)
 		// Teaching pins doc, and the store freezes what it pins: a caller's
@@ -187,13 +192,13 @@ func (p *Peer) blobRef(to string) func(*xmltree.Node) (string, bool) {
 		if !b.teach(to, fp, doc.Share()) {
 			// First exchange of these bytes with `to`: ship inline, so the
 			// receiver can intern them. Next time they go by reference.
-			return "", false
+			return dst, false
 		}
 		b.mu.Lock()
 		b.stats.ByRefSent++
 		b.stats.ByRefBytes += int64(size)
 		b.mu.Unlock()
-		return fp.String(), true
+		return fp.Append(dst), true
 	}
 }
 
@@ -316,9 +321,10 @@ func (p *Peer) blobDecode(msg *simnet.Message) (*xmltree.Node, time.Duration, er
 
 // fetchMissing pulls a missing payload from the peer that referenced it —
 // the inline fallback of the by-reference path. One request, one retry;
-// requests for the same fingerprint are single-flighted. The fetched
-// payload is interned like any inline receipt. Returns the virtual time the
-// round trip(s) cost.
+// requests for the same fingerprint are single-flighted. A reply whose
+// payload does not hash to fp is a failed attempt, like an unreachable
+// sender, and is never interned; a matching one is interned like any inline
+// receipt. Returns the virtual time the round trip(s) cost.
 func (b *blobState) fetchMissing(p *Peer, from string, fp blobstore.FP, at time.Duration) (*xmltree.Node, time.Duration, error) {
 	b.mu.Lock()
 	if c := b.fetching[fp]; c != nil {
@@ -350,6 +356,10 @@ func (b *blobState) fetchMissing(p *Peer, from string, fp blobstore.FP, at time.
 			els := reply.Elements()
 			if len(els) == 0 {
 				lastErr = fmt.Errorf("empty fetch reply")
+				continue
+			}
+			if got, _ := blobstore.Fingerprint(els[0]); got != fp {
+				lastErr = fmt.Errorf("fetch reply holds blob %s", got)
 				continue
 			}
 			c.node = b.internWire(from, els[0])

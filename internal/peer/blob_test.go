@@ -288,6 +288,51 @@ func TestBlobFetchFailureIsStuckNotWrong(t *testing.T) {
 	}
 }
 
+// forger answers every fetch-on-miss with a payload of its own choosing.
+type forger struct{ payload *xmltree.Node }
+
+func (forger) Addr() string                                   { return "forger:9020" }
+func (forger) Deliver(*simnet.Network, *simnet.Message) error { return nil }
+func (f forger) Serve(*simnet.Network, *simnet.Message) (*xmltree.Node, error) {
+	return xmltree.Elem("blobdata", f.payload.Share()), nil
+}
+
+// TestBlobFetchRejectsForgedPayload: a fetch reply whose payload does not
+// hash to the fingerprint asked for is a failed attempt. It is retried, never
+// interned, and never resolves the reference, so the plan ends stuck as for
+// an unreachable sender.
+func TestBlobFetchRejectsForgedPayload(t *testing.T) {
+	net, client, stores, _ := blobWorld(t)
+	forged := xmltree.MustParse(bigSale("Forged Album", 1)).Freeze()
+	net.Add(forger{payload: forged})
+
+	wanted := xmltree.MustParse(bigSale("Nowhere Man", 4)).Freeze()
+	fp, _ := blobstore.Fingerprint(wanted)
+	body := xmltree.MustParse(fmt.Sprintf(
+		`<mqp id="forged" target="client:9020" blobs="1"><plan><display><data><blob fp="%s"/></data></display></plan></mqp>`,
+		fp))
+	if err := client.Deliver(nil, &simnet.Message{
+		From: "forger:9020", To: "client:9020", Kind: KindResult,
+		Body: body.Freeze(), At: time.Second,
+	}); err == nil {
+		t.Fatal("result with a forged payload delivered without error")
+	}
+	if res, ok := client.TakeResult(); ok {
+		t.Fatalf("a result was recorded from a forged payload: %s", algebra.EncodeString(res.Plan))
+	}
+	stuck := client.StuckErrors()
+	if len(stuck) != 1 || !strings.Contains(stuck[0].Error(), `"forged"`) {
+		t.Fatalf("stuck = %v", stuck)
+	}
+	if st := client.BlobNetStats(); st.Fetches != 1 || st.FetchRetries != 1 || st.FetchFailures != 1 {
+		t.Fatalf("fetch counters: %+v", st)
+	}
+	forgedFP, _ := blobstore.Fingerprint(forged)
+	if stores["client:9020"].Contains(forgedFP) || stores["client:9020"].Contains(fp) {
+		t.Fatal("a forged fetch reply was interned")
+	}
+}
+
 // TestBlobCollectionsDedupAtRest: two peers' snapshots and a replica of the
 // same content are one resident copy per store, and replacing a snapshot
 // releases its pins.
