@@ -17,7 +17,7 @@ test: build
 	$(GO) test ./...
 
 # CI-speed suite: -short trims the largest network sizes from the E4/E9
-# scaling sweeps (see internal/experiments.ShortMode) and the chaos sweep
+# scaling sweeps (see internal/experiments.All) and the chaos sweep
 # from 500 to 200 scenarios.
 test-short: build
 	$(GO) test -short ./...
@@ -77,7 +77,7 @@ bench-route:
 	$(GO) test -run '^$$' -bench '^BenchmarkMineTrail$$' -benchmem ./internal/peer | grep '^Benchmark'
 
 # CI gate for learned routing: the E15 cold-vs-warm experiment in -short mode
-# (internal/experiments.ShortMode) and one iteration of BenchmarkMineTrail so
+# (internal/experiments.All(true)) and one iteration of BenchmarkMineTrail so
 # it cannot rot.
 route-smoke:
 	$(GO) test -short -run 'TestAllExperimentsRun/E15' ./internal/experiments
@@ -132,9 +132,10 @@ chaos-large-ci:
 # decoder vs reference-parser differential, the decoder's []byte entry point
 # the wire uses, compiled item paths vs the breadth-wise reference evaluator,
 # the link handshake and frame header, streaming frame encoder vs
-# staged-tree encoder differential, predicate render/parse round trip, blob
-# reference resolution, packed reference runs staged then resolved vs the
-# plain frame) — nine targets.
+# staged-tree encoder differential, predicate render/parse round trip,
+# prepared predicate evaluator vs the reference evaluator, blob reference
+# resolution, packed reference runs staged then resolved vs the plain
+# frame) — ten targets.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEquivalence$$' -fuzztime 10s ./internal/xmltree
@@ -143,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamEncodeEquivalence$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzPredicateRoundTrip$$' -fuzztime 10s ./internal/algebra
+	$(GO) test -run '^$$' -fuzz '^FuzzPredicateEval$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveBlobs$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzRefRuns$$' -fuzztime 10s ./internal/algebra
 

@@ -27,7 +27,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	var runner experiments.Runner
-	for _, r := range experiments.All() {
+	for _, r := range experiments.All(false) {
 		if r.ID == id {
 			runner = r
 			break
@@ -465,7 +465,7 @@ func TestBenchmarksSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments already covered by internal/experiments -short run")
 	}
-	for _, res := range experiments.RunAll(experiments.All(), 0) {
+	for _, res := range experiments.RunAll(experiments.All(false), 0) {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", res.Runner.ID, res.Err)
 		}

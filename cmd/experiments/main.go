@@ -32,9 +32,7 @@ func main() {
 	short := flag.Bool("short", false, "drop the largest network sizes from scaling sweeps")
 	flag.Parse()
 
-	experiments.ShortMode = *short
-
-	runners := experiments.All()
+	runners := experiments.All(*short)
 	if *list {
 		for _, r := range runners {
 			fmt.Printf("%-4s %s\n", r.ID, r.Name)

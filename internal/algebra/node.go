@@ -78,9 +78,8 @@ type Node struct {
 	// collection (urn:ForSale:Portland-CDs) or an interest-area URN.
 	URN string
 
-	// Select. Prepared when set by Select or Unmarshal; a literal stored
-	// directly is evaluated interpretively and rendered on every use.
-	Pred Predicate
+	// Select: the predicate in prepared form, the one that evaluates.
+	Pred *Prepared
 
 	// Project: paths of the fields to keep, and the name of the emitted
 	// element wrapping them.
@@ -126,10 +125,11 @@ func URN(urn string) *Node {
 // prepared form, so every later fingerprint, comparison, evaluation and
 // encoding of the plan reads it instead of re-deriving it.
 func Select(pred Predicate, in *Node) *Node {
+	n := &Node{Kind: KindSelect, Children: []*Node{in}}
 	if pred != nil {
-		pred = prepare(pred)
+		n.Pred = Prepare(pred)
 	}
-	return &Node{Kind: KindSelect, Pred: pred, Children: []*Node{in}}
+	return n
 }
 
 // Project creates a projection keeping the given field paths; each output

@@ -4,15 +4,13 @@
 // query plan graphs" — and the rewrite rules the paper's optimizer relies
 // on (push-select-through-union, or-choice, absorption).
 //
-// Predicates have two forms. The literal form is the syntax tree itself —
-// Cmp, And, OrPred, Not, Exists, True values, built by hand or by the parser
-// — whose Eval interprets the tree and whose String renders it on every
-// call; it is the reference the prepared form is differentially tested
-// against. The prepared form (prepared.go) is what ParsePredicate returns and
-// what Select stores: the same tree plus its canonical text, rendered once,
-// and an evaluator with paths parsed and literals classified once. The rule:
-// a select holds a prepared predicate — Select and Unmarshal see to it — and
-// a literal placed in a Node by hand is evaluated interpretively.
+// A predicate is syntax until it is prepared. The syntax tree — Cmp, And,
+// OrPred, Not, Exists and True values, built by hand or by the parser —
+// renders the surface syntax and is what analysis reads; it cannot evaluate.
+// Prepare (prepared.go) turns a tree into a *Prepared: the same tree, its
+// canonical text rendered once, and the one evaluator, with paths parsed and
+// literals classified once. ParsePredicate returns that form, and a select
+// holds nothing else: Node.Pred is a *Prepared.
 package algebra
 
 import (
@@ -20,17 +18,16 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-
-	"repro/internal/xmltree"
 )
 
-// Predicate is a boolean condition over one XML item. Predicates appear in
-// Select operators and in join filters.
+// Predicate is a boolean condition over one XML item, as syntax: Cmp,
+// Exists, And, OrPred, Not, True, or a *Prepared operand. The set is closed;
+// Prepare compiles any member into the evaluator a select holds.
 type Predicate interface {
-	// Eval reports whether the item satisfies the predicate.
-	Eval(item *xmltree.Node) bool
 	// String renders the predicate in the parseable surface syntax.
 	String() string
+	// appendTo appends the rendering to b.
+	appendTo(b []byte) []byte
 }
 
 // CmpOp enumerates comparison operators of the predicate language.
@@ -79,47 +76,6 @@ type Cmp struct {
 	Value string
 }
 
-// Eval implements Predicate.
-func (c Cmp) Eval(item *xmltree.Node) bool {
-	v := strings.TrimSpace(item.Value(c.Path))
-	if c.Op == OpContains {
-		return strings.Contains(strings.ToLower(v), strings.ToLower(c.Value))
-	}
-	ln, lerr := strconv.ParseFloat(v, 64)
-	rn, rerr := strconv.ParseFloat(strings.TrimSpace(c.Value), 64)
-	var cmp int
-	if lerr == nil && rerr == nil {
-		switch {
-		case ln < rn:
-			cmp = -1
-		case ln > rn:
-			cmp = 1
-		}
-	} else {
-		cmp = strings.Compare(v, c.Value)
-	}
-	return c.Op.holds(cmp)
-}
-
-// holds reports whether a three-way comparison result satisfies the operator.
-func (op CmpOp) holds(cmp int) bool {
-	switch op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	}
-	return false
-}
-
 // String implements Predicate.
 func (c Cmp) String() string { return render(c) }
 
@@ -134,33 +90,15 @@ var predRenders, predParses atomic.Int64
 // number of render/parse hops (FuzzPredicateRoundTrip).
 func render(p Predicate) string {
 	predRenders.Add(1)
-	return string(appendPredicate(make([]byte, 0, 64), p))
+	return string(p.appendTo(make([]byte, 0, 64)))
 }
 
-func appendPredicate(b []byte, p Predicate) []byte {
-	switch p := p.(type) {
-	case Cmp:
-		b = append(b, p.Path...)
-		b = append(b, ' ')
-		b = append(b, p.Op.String()...)
-		b = append(b, ' ')
-		return appendLiteral(b, p.Value)
-	case Exists:
-		return append(append(b, "exists "...), p.Path...)
-	case And:
-		b = appendPredicate(append(b, '('), p.L)
-		b = appendPredicate(append(b, " and "...), p.R)
-		return append(b, ')')
-	case OrPred:
-		b = appendPredicate(append(b, '('), p.L)
-		b = appendPredicate(append(b, " or "...), p.R)
-		return append(b, ')')
-	case Not:
-		return appendPredicate(append(b, "not "...), p.P)
-	default:
-		// True, a prepared operand (its kept text), or a foreign Predicate.
-		return append(b, p.String()...)
-	}
+func (c Cmp) appendTo(b []byte) []byte {
+	b = append(b, c.Path...)
+	b = append(b, ' ')
+	b = append(b, c.Op.String()...)
+	b = append(b, ' ')
+	return appendLiteral(b, c.Value)
 }
 
 // appendLiteral renders a comparison literal: bare when numeric, otherwise
@@ -185,22 +123,24 @@ type Exists struct {
 	Path string
 }
 
-// Eval implements Predicate.
-func (e Exists) Eval(item *xmltree.Node) bool { return item.Find(e.Path) != nil }
-
 // String implements Predicate.
 func (e Exists) String() string { return render(e) }
+
+func (e Exists) appendTo(b []byte) []byte { return append(append(b, "exists "...), e.Path...) }
 
 // And is predicate conjunction.
 type And struct {
 	L, R Predicate
 }
 
-// Eval implements Predicate.
-func (a And) Eval(item *xmltree.Node) bool { return a.L.Eval(item) && a.R.Eval(item) }
-
 // String implements Predicate.
 func (a And) String() string { return render(a) }
+
+func (a And) appendTo(b []byte) []byte {
+	b = a.L.appendTo(append(b, '('))
+	b = a.R.appendTo(append(b, " and "...))
+	return append(b, ')')
+}
 
 // OrPred is predicate disjunction (named to avoid clashing with the plan
 // Or operator).
@@ -208,31 +148,32 @@ type OrPred struct {
 	L, R Predicate
 }
 
-// Eval implements Predicate.
-func (o OrPred) Eval(item *xmltree.Node) bool { return o.L.Eval(item) || o.R.Eval(item) }
-
 // String implements Predicate.
 func (o OrPred) String() string { return render(o) }
+
+func (o OrPred) appendTo(b []byte) []byte {
+	b = o.L.appendTo(append(b, '('))
+	b = o.R.appendTo(append(b, " or "...))
+	return append(b, ')')
+}
 
 // Not is predicate negation.
 type Not struct {
 	P Predicate
 }
 
-// Eval implements Predicate.
-func (n Not) Eval(item *xmltree.Node) bool { return !n.P.Eval(item) }
-
 // String implements Predicate.
 func (n Not) String() string { return render(n) }
+
+func (n Not) appendTo(b []byte) []byte { return n.P.appendTo(append(b, "not "...)) }
 
 // True is the always-true predicate.
 type True struct{}
 
-// Eval implements Predicate.
-func (True) Eval(*xmltree.Node) bool { return true }
-
 // String implements Predicate.
 func (True) String() string { return "true" }
+
+func (True) appendTo(b []byte) []byte { return append(b, "true"...) }
 
 // ParsePredicate parses the surface syntax used in serialized plans:
 //
@@ -246,7 +187,7 @@ func (True) String() string { return "true" }
 // and a (quoted string or numeric) literal on the right; a path is never
 // quoted. The result is in prepared form, and text seen before is answered
 // from the parse table without parsing (prepared.go).
-func ParsePredicate(s string) (Predicate, error) {
+func ParsePredicate(s string) (*Prepared, error) {
 	slots := parseSlots(s)
 	for _, slot := range slots {
 		if e := slot.Load(); e != nil && e.src == s {
@@ -263,7 +204,7 @@ func ParsePredicate(s string) (Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred := prepare(ast)
+	pred := Prepare(ast)
 	if admit && len(pred.text) <= parseTableMaxText {
 		if pred.text == s {
 			pred.text = s // canonical on arrival: the entry keeps one copy, not two
@@ -292,7 +233,7 @@ func parseAST(s string) (Predicate, error) {
 }
 
 // MustParsePredicate is ParsePredicate for fixtures; panics on error.
-func MustParsePredicate(s string) Predicate {
+func MustParsePredicate(s string) *Prepared {
 	p, err := ParsePredicate(s)
 	if err != nil {
 		panic(err)

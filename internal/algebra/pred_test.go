@@ -140,7 +140,7 @@ func TestPredicateStringRoundTrip(t *testing.T) {
 func TestQuotedEscapes(t *testing.T) {
 	it := item(`<i><n>O'Reilly</n></i>`)
 	p := Cmp{Path: "n", Op: OpEq, Value: "O'Reilly"}
-	if !p.Eval(it) {
+	if !Prepare(p).Eval(it) {
 		t.Fatal("direct eval failed")
 	}
 	back, err := ParsePredicate(p.String())
@@ -175,7 +175,7 @@ func TestPropertyNotComplement(t *testing.T) {
 	}
 	f := func(i uint8) bool {
 		p := preds[int(i)%len(preds)]
-		return Not{P: p}.Eval(it) == !p.Eval(it)
+		return Prepare(Not{P: p}).Eval(it) == !Prepare(p).Eval(it)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

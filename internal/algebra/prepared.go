@@ -8,38 +8,34 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Prepared is a predicate in prepared form: its syntax tree (literal values
-// only, however it was assembled), its canonical text rendered once, and an
-// evaluator compiled from the tree — paths parsed, numeric literals parsed
-// and contains needles lower-cased once instead of once per item. A plan's
-// selects travel verbatim from server to server, so a server fingerprints,
-// compares, evaluates and re-encodes the same predicate many times; all of
-// those read a Prepared. It is immutable and shared freely.
+// Prepared is a predicate in prepared form: its syntax tree (with no
+// prepared operands, however it was assembled), its canonical text rendered
+// once, and the evaluator compiled from the tree — paths parsed, numeric
+// literals parsed and contains needles lower-cased once instead of once per
+// item. It is the only form that evaluates. A plan's selects travel verbatim
+// from server to server, so a server fingerprints, compares, evaluates and
+// re-encodes the same predicate many times; all of those read a Prepared.
+// It is immutable and shared freely.
 type Prepared struct {
 	ast  Predicate
 	text string
 	eval func(*xmltree.Node) bool
 }
 
-// Eval implements Predicate. It agrees with the tree's interpretive Eval on
-// every item.
+// Eval reports whether the item satisfies the predicate.
 func (p *Prepared) Eval(item *xmltree.Node) bool { return p.eval(item) }
 
 // String implements Predicate: the text the tree renders to.
 func (p *Prepared) String() string { return p.text }
 
-// AST returns the predicate's syntax tree: Cmp, And, OrPred, Not, Exists and
-// True values, for code that analyses a predicate's structure. A literal is
-// its own tree.
-func AST(p Predicate) Predicate {
-	if pp, ok := p.(*Prepared); ok {
-		return pp.ast
-	}
-	return p
-}
+func (p *Prepared) appendTo(b []byte) []byte { return append(b, p.text...) }
 
-// prepare returns p in prepared form; a prepared predicate is returned as is.
-func prepare(p Predicate) *Prepared {
+// AST returns the predicate's syntax tree: Cmp, And, OrPred, Not, Exists and
+// True values, for code that analyses a predicate's structure.
+func (p *Prepared) AST() Predicate { return p.ast }
+
+// Prepare returns p in prepared form; a prepared predicate is returned as is.
+func Prepare(p Predicate) *Prepared {
 	if pp, ok := p.(*Prepared); ok {
 		return pp
 	}
@@ -48,8 +44,7 @@ func prepare(p Predicate) *Prepared {
 }
 
 // compile returns p's tree with prepared operands replaced by their trees,
-// and its evaluator. A Predicate implemented outside this package is opaque:
-// it stays in the tree and evaluates itself.
+// and its evaluator.
 func compile(p Predicate) (Predicate, func(*xmltree.Node) bool) {
 	switch p := p.(type) {
 	case *Prepared:
@@ -76,9 +71,10 @@ func compile(p Predicate) (Predicate, func(*xmltree.Node) bool) {
 	case Not:
 		a, e := compile(p.P)
 		return Not{P: a}, func(it *xmltree.Node) bool { return !e(it) }
-	default:
-		return p, p.Eval
+	case True:
+		return p, func(*xmltree.Node) bool { return true }
 	}
+	panic("algebra: nil predicate operand")
 }
 
 // cmpEval is a compiled Cmp: value is the literal (lower-cased for contains),
@@ -112,6 +108,25 @@ func (c *cmpEval) eval(it *xmltree.Node) bool {
 		}
 	}
 	return c.op.holds(strings.Compare(v, c.value))
+}
+
+// holds reports whether a three-way comparison result satisfies the operator.
+func (op CmpOp) holds(cmp int) bool {
+	switch op {
+	case OpEq:
+		return cmp == 0
+	case OpNe:
+		return cmp != 0
+	case OpLt:
+		return cmp < 0
+	case OpLe:
+		return cmp <= 0
+	case OpGt:
+		return cmp > 0
+	case OpGe:
+		return cmp >= 0
+	}
+	return false
 }
 
 // The parse table answers ParsePredicate for text it has seen: the nine

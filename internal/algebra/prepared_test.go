@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,8 +42,8 @@ func TestRenderParseIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("value %q: rendering %q does not parse: %v", v, text, err)
 				}
-				if AST(p) != lit {
-					t.Errorf("value %q: %q parsed to %#v, want %#v", v, text, AST(p), lit)
+				if p.AST() != lit {
+					t.Errorf("value %q: %q parsed to %#v, want %#v", v, text, p.AST(), lit)
 				}
 				if p.String() != text {
 					t.Errorf("value %q: %q re-renders as %q", v, text, p.String())
@@ -56,7 +57,7 @@ func TestRenderParseIdentity(t *testing.T) {
 			t.Fatalf("%q: %v", in, err)
 		}
 		back, err := ParsePredicate(p.String())
-		if err != nil || back.String() != p.String() || AST(back) != AST(p) {
+		if err != nil || back.String() != p.String() || back.AST() != p.AST() {
 			t.Errorf("%q: rendering %q is not a fixpoint (%v, %v)", in, p.String(), back, err)
 		}
 	}
@@ -93,8 +94,8 @@ func FuzzPredicateRoundTrip(f *testing.F) {
 		if back.String() != text {
 			t.Fatalf("%q renders as %q, then as %q", s, text, back.String())
 		}
-		if AST(back) != AST(p) {
-			t.Fatalf("%q: tree %#v re-parses from %q as %#v", s, AST(p), text, AST(back))
+		if back.AST() != p.AST() {
+			t.Fatalf("%q: tree %#v re-parses from %q as %#v", s, p.AST(), text, back.AST())
 		}
 		a, b := Select(p, URN("urn:x")), Select(back, URN("urn:x"))
 		if !Equal(a, b) || Fingerprint(a) != Fingerprint(b) {
@@ -141,17 +142,70 @@ func randomPredicate(rng *rand.Rand, depth int) Predicate {
 	case 1, 2:
 		return Exists{Path: path}
 	case 3:
-		// A prepared operand inside a literal: prepare must see through it.
+		// A prepared operand inside a tree: Prepare must see through it.
 		return MustParsePredicate("price >= 10")
 	}
 	return Cmp{Path: path, Op: allCmpOps[rng.Intn(len(allCmpOps))], Value: diffValues[rng.Intn(len(diffValues))]}
 }
 
+// evalRef is the reference evaluator the prepared form is held to: it
+// interprets the syntax tree, reading every path and literal afresh for each
+// item. A prepared operand is read as its tree.
+func evalRef(p Predicate, it *xmltree.Node) bool {
+	switch p := p.(type) {
+	case *Prepared:
+		return evalRef(p.AST(), it)
+	case Cmp:
+		v := strings.TrimSpace(it.Value(p.Path))
+		if p.Op == OpContains {
+			return strings.Contains(strings.ToLower(v), strings.ToLower(p.Value))
+		}
+		ln, lerr := strconv.ParseFloat(v, 64)
+		rn, rerr := strconv.ParseFloat(strings.TrimSpace(p.Value), 64)
+		cmp := strings.Compare(v, p.Value)
+		if lerr == nil && rerr == nil {
+			cmp = 0
+			if ln < rn {
+				cmp = -1
+			} else if ln > rn {
+				cmp = 1
+			}
+		}
+		switch p.Op {
+		case OpEq:
+			return cmp == 0
+		case OpNe:
+			return cmp != 0
+		case OpLt:
+			return cmp < 0
+		case OpLe:
+			return cmp <= 0
+		case OpGt:
+			return cmp > 0
+		case OpGe:
+			return cmp >= 0
+		}
+		return false
+	case Exists:
+		return it.Find(p.Path) != nil
+	case And:
+		return evalRef(p.L, it) && evalRef(p.R, it)
+	case OrPred:
+		return evalRef(p.L, it) || evalRef(p.R, it)
+	case Not:
+		return !evalRef(p.P, it)
+	case True:
+		return true
+	}
+	panic(fmt.Sprintf("evalRef: %T is not a predicate", p))
+}
+
 // TestPreparedMatchesInterpreted is the differential the prepared form is
 // held to: over generated predicates × generated items, the compiled
-// evaluator agrees with the literal tree's interpretive Eval, and a select
-// holding the prepared predicate is indistinguishable — to Equal, Fingerprint,
-// Marshal and EncodeFrame — from its hand-assembled twin holding the literal.
+// evaluator agrees with evalRef on the tree, whether the predicate was
+// prepared from the tree or parsed from its rendering; and a select built
+// from the tree is indistinguishable — to Equal, Fingerprint, Marshal and
+// EncodeFrame — from one built from the tree's prepared form.
 func TestPreparedMatchesInterpreted(t *testing.T) {
 	items := make([]*xmltree.Node, len(diffItems))
 	for i, s := range diffItems {
@@ -160,25 +214,21 @@ func TestPreparedMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 3000; i++ {
 		lit := randomPredicate(rng, rng.Intn(4))
-		prepared := []Predicate{prepare(lit)}
-		if p, err := ParsePredicate(lit.String()); err == nil && AST(p) == AST(prepared[0]) {
+		prepared := []*Prepared{Prepare(lit)}
+		if p, err := ParsePredicate(lit.String()); err == nil && p.AST() == prepared[0].AST() {
 			prepared = append(prepared, p)
 		}
 		for _, p := range prepared {
 			for j, it := range items {
-				if got, want := p.Eval(it), lit.Eval(it); got != want {
-					t.Fatalf("%s on item %d: prepared %v, interpreted %v", lit, j, got, want)
+				if got, want := p.Eval(it), evalRef(lit, it); got != want {
+					t.Fatalf("%s on item %d: prepared %v, reference %v", lit, j, got, want)
 				}
 			}
 		}
 
-		twin := &Node{Kind: KindSelect, Pred: lit, Children: []*Node{URN("urn:x")}}
-		sel := Select(lit, URN("urn:x"))
-		if _, ok := sel.Pred.(*Prepared); !ok {
-			t.Fatalf("Select holds a %T", sel.Pred)
-		}
+		sel, twin := Select(lit, URN("urn:x")), Select(Prepare(lit), URN("urn:x"))
 		if !Equal(twin, sel) || !Equal(sel, twin) {
-			t.Fatalf("%s: prepared select not Equal to its literal twin", lit)
+			t.Fatalf("%s: select over the tree not Equal to select over its prepared form", lit)
 		}
 		if a, b := Fingerprint(sel), Fingerprint(twin); a != b {
 			t.Fatalf("%s: fingerprints %x and %x", lit, a, b)
@@ -197,6 +247,52 @@ func TestPreparedMatchesInterpreted(t *testing.T) {
 			t.Fatalf("%s: frames %q and %q", lit, frames[0], frames[1])
 		}
 	}
+}
+
+// FuzzPredicateEval: for any predicate text and item that both parse, the
+// prepared evaluator agrees with evalRef on the tree, and the canonical text
+// re-parsed evaluates the same. Under plain `go test` only the seeds run.
+func FuzzPredicateEval(f *testing.F) {
+	k := 0
+	for _, it := range diffItems {
+		for _, v := range diffValues {
+			f.Add(Cmp{Path: diffPaths[k%len(diffPaths)], Op: allCmpOps[k%len(allCmpOps)], Value: v}.String(), it)
+			k++
+		}
+	}
+	for _, c := range [][2]string{
+		{"price >= 1000", `<item><price>NaN</price></item>`},
+		{"price < 5", `<item><name>no price</name></item>`},
+		{"price > 1000", `<item><price>N/A</price></item>`},
+		{"price = 10 and name = 'x'", `<item><price> 10 </price><name> x </name></item>`},
+		{"not (price < 5 or exists img) and name contains 'BLUE'", `<item><price>7</price><name>Blue Train</name></item>`},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, text, src string) {
+		if len(src) > 1<<16 {
+			t.Skip("oversized input")
+		}
+		p, err := ParsePredicate(text)
+		if err != nil {
+			return
+		}
+		it, err := xmltree.ParseString(src)
+		if err != nil {
+			return
+		}
+		got := p.Eval(it)
+		if want := evalRef(p.AST(), it); got != want {
+			t.Fatalf("%q on %q: prepared %v, reference %v", p, src, got, want)
+		}
+		back, err := ParsePredicate(p.String())
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", text, p, err)
+		}
+		if back.Eval(it) != got {
+			t.Fatalf("%q on %q: %v, re-parsed from %q: %v", text, src, got, p, !got)
+		}
+	})
 }
 
 // TestParseTableBounded drives the parse table past every bound it states.
@@ -251,7 +347,7 @@ func TestParseTableBounded(t *testing.T) {
 		if inFrame(e.src) || inFrame(e.pred.text) {
 			t.Fatalf("entry %q aliases the input", e.src)
 		}
-		for ast := AST(e.pred); ; {
+		for ast := e.pred.AST(); ; {
 			or, ok := ast.(OrPred)
 			if !ok {
 				break

@@ -378,7 +378,7 @@ func TestResolveCacheBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !algebra.Equal(got.Expr, want.Expr) {
+			if !sameExpr(got.Expr, want.Expr) {
 				t.Fatalf("%s resolved to %v, want %v", urn, got.Expr, want.Expr)
 			}
 		}
@@ -389,6 +389,12 @@ func TestResolveCacheBounded(t *testing.T) {
 	if hits, misses := c.CacheStats(); hits != n || misses != n {
 		t.Fatalf("cache stats = %d/%d, want %d/%d", hits, misses, n, n)
 	}
+}
+
+// sameExpr reports whether two bound expressions have the same canonical
+// encoding.
+func sameExpr(a, b *algebra.Node) bool {
+	return algebra.EncodeString(algebra.NewPlan("", "", a)) == algebra.EncodeString(algebra.NewPlan("", "", b))
 }
 
 // TestResolveCacheNotStaleAfterConcurrentMutation: a binding computed before
@@ -424,7 +430,7 @@ func TestResolveCacheNotStaleAfterConcurrentMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !algebra.Equal(got.Expr, want.Expr) || !slices.Equal(got.Routes, want.Routes) {
+		if !sameExpr(got.Expr, want.Expr) || !slices.Equal(got.Routes, want.Routes) {
 			t.Fatalf("round %d: Resolve = %v %v after the mutation, want %v %v",
 				round, got.Expr, got.Routes, want.Expr, want.Routes)
 		}

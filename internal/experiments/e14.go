@@ -21,14 +21,16 @@ import (
 //   - with no faults injected, nothing is ever lost in flight and nothing
 //     is ever stuck: the visited-server routing memory turns every former
 //     livelock into a completed or partial result.
-func E14Robustness() (*Table, error) {
+//
+// short sweeps 25 scenarios per fault level instead of 60.
+func E14Robustness(short bool) (*Table, error) {
 	t := &Table{
 		ID:      "E14",
 		Title:   "Robustness under injected faults, differentially checked against a centralized oracle",
 		Columns: []string{"faults", "scenarios", "plans", "completed", "partial", "stuck", "lost-to-faults", "oracle-equal", "violations"},
 	}
 	scenarios := 60
-	if ShortMode {
+	if short {
 		scenarios = 25
 	}
 	for _, lv := range []chaos.Level{chaos.LevelNone, chaos.LevelLight, chaos.LevelHeavy} {

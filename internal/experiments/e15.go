@@ -15,14 +15,15 @@ import (
 // trails of its own results, routes later plans through the learned tier
 // first, and absorbs confirmed edges into its catalog as real index
 // registrations. Warm-phase routing must beat the E9 cold baselines — the
-// point of learning is to skip the meta level without a manual cache.
-func E15LearnedRouting() (*Table, error) {
+// point of learning is to skip the meta level without a manual cache. short
+// drops the largest network size.
+func E15LearnedRouting(short bool) (*Table, error) {
 	t := &Table{
 		ID:      "E15",
 		Title:   "Learned routing shortcuts: cold vs warm convergence, repeated zipf workload",
 		Columns: []string{"peers", "phase", "avg hops", "avg msgs", "shortcut hit rate"},
 	}
-	for _, n := range scaleSizes(48, 128) {
+	for _, n := range scaleSizes(short, 48, 128) {
 		w, err := buildGarageWorld(n, int64(n)+7)
 		if err != nil {
 			return nil, err

@@ -94,15 +94,16 @@ func groundTruth(sellers []workload.Seller, q workload.Query) int {
 
 // E4RoutingComparison measures the §1/§3 routing claim: hierarchic catalog
 // routing reaches all relevant data with far fewer messages than Gnutella
-// flooding, and without the Napster central bottleneck.
-func E4RoutingComparison() (*Table, error) {
+// flooding, and without the Napster central bottleneck. short drops the
+// largest network size.
+func E4RoutingComparison(short bool) (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "Query routing: hierarchic catalogs vs central index vs flooding",
 		Columns: []string{"architecture", "peers", "msgs/query", "KB/query", "recall", "central-load"},
 	}
 	const queriesPerRun = 12
-	for _, n := range scaleSizes(32, 128) {
+	for _, n := range scaleSizes(short, 32, 128) {
 		// --- Hierarchic catalogs (this paper) ---
 		w, err := buildGarageWorld(n, int64(n))
 		if err != nil {
@@ -175,7 +176,7 @@ func E4RoutingComparison() (*Table, error) {
 				return nil, err
 			}
 			found := 0
-			pred := areaPredicate(q)
+			pred := algebra.Prepare(areaPredicate(q))
 			for _, ref := range refs {
 				// Pull the collection and count matches client-side.
 				items, err := fetchCollection(cnet, cclient, ref.Addr, ref.PathExp)
@@ -229,7 +230,7 @@ func E4RoutingComparison() (*Table, error) {
 					return nil, err
 				}
 				found := 0
-				pred := areaPredicate(q)
+				pred := algebra.Prepare(areaPredicate(q))
 				for _, ref := range refs {
 					for _, s := range w.sellers {
 						if s.Addr != ref.Addr {

@@ -194,14 +194,14 @@ func E8AbsorptionRewrite() (*Table, error) {
 // E9CatalogScaling measures resolution cost against network size and the
 // effect of the §3.4 peer caches: after a first query reveals the index
 // server responsible for an area, the client routes later plans straight to
-// it, skipping the meta level.
-func E9CatalogScaling() (*Table, error) {
+// it, skipping the meta level. short drops the largest network size.
+func E9CatalogScaling(short bool) (*Table, error) {
 	t := &Table{
 		ID:      "E9",
 		Title:   "Catalog routing: hops/messages vs network size, cold vs cached",
 		Columns: []string{"peers", "phase", "avg hops", "avg msgs", "meta-cache hit rate"},
 	}
-	for _, n := range scaleSizes(16, 64, 128) {
+	for _, n := range scaleSizes(short, 16, 64, 128) {
 		w, err := buildGarageWorld(n, int64(n)+5)
 		if err != nil {
 			return nil, err

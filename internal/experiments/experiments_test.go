@@ -16,14 +16,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the tables golden file from this run")
 
-func TestMain(m *testing.M) {
-	flag.Parse()
-	// -short drops the largest network size from the E4/E9 scaling sweeps
-	// so CI runs finish in a couple of seconds.
-	ShortMode = testing.Short()
-	os.Exit(m.Run())
-}
-
 // TestAllExperimentsRun executes every experiment end to end; each Run
 // already contains its own shape assertions (who wins, crossovers, recall)
 // and fails loudly when the paper's qualitative claims do not hold.
@@ -37,7 +29,7 @@ func TestMain(m *testing.M) {
 //	go test ./internal/experiments -run TestAllExperimentsRun -update
 //	go test ./internal/experiments -run TestAllExperimentsRun -short -update
 func TestAllExperimentsRun(t *testing.T) {
-	runners := All()
+	runners := All(testing.Short())
 	tables := make([]string, len(runners))
 	t.Cleanup(func() { checkGolden(t, runners, tables) })
 	for i, r := range runners {
@@ -65,7 +57,7 @@ func TestAllExperimentsRun(t *testing.T) {
 // -update, which needs all of them.
 func checkGolden(t *testing.T, runners []Runner, tables []string) {
 	path := filepath.Join("testdata", "tables.golden")
-	if ShortMode {
+	if testing.Short() {
 		path = filepath.Join("testdata", "tables-short.golden")
 	}
 	if *update {
@@ -103,7 +95,7 @@ func checkGolden(t *testing.T, runners []Runner, tables []string) {
 // exactly the tables a sequential run produces, in runner order — the
 // determinism the paper-style output depends on.
 func TestRunAllMatchesSequential(t *testing.T) {
-	runners := All()[:4]
+	runners := All(testing.Short())[:4]
 	seq := make([]string, len(runners))
 	for i, r := range runners {
 		tab, err := r.Run()
@@ -149,7 +141,7 @@ func TestTableRenderAlignment(t *testing.T) {
 
 func TestRunnersDistinct(t *testing.T) {
 	seen := map[string]bool{}
-	for _, r := range All() {
+	for _, r := range All(testing.Short()) {
 		if seen[r.ID] {
 			t.Fatalf("duplicate experiment id %s", r.ID)
 		}

@@ -86,16 +86,11 @@ type Runner struct {
 	Run  func() (*Table, error)
 }
 
-// ShortMode trims the largest network sizes from the scaling experiments
-// (E4, E9) so quick CI runs stay under a few seconds. Tests set it from
-// testing.Short(); cmd/experiments exposes it as -short.
-var ShortMode bool
-
 // scaleSizes returns the experiment's network-size sweep, dropping the
-// largest size in ShortMode. The qualitative claims (who wins, crossovers)
+// largest size when short. The qualitative claims (who wins, crossovers)
 // hold at every size; only the scaling tail is sacrificed.
-func scaleSizes(sizes ...int) []int {
-	if ShortMode && len(sizes) > 1 {
+func scaleSizes(short bool, sizes ...int) []int {
+	if short && len(sizes) > 1 {
 		return sizes[:len(sizes)-1]
 	}
 	return sizes
@@ -138,24 +133,27 @@ func RunAll(runners []Runner, workers int) []Result {
 	return results
 }
 
-// All returns every experiment in DESIGN.md order.
-func All() []Runner {
+// All returns every experiment in DESIGN.md order. short trims the scaling
+// sweeps of E4, E9 and E15 and the scenario count of E14, so quick CI runs
+// stay under a few seconds; tests pass testing.Short(), cmd/experiments its
+// -short flag.
+func All(short bool) []Runner {
 	return []Runner{
 		{"E1", "Fig. 3+4 CD query mutation trace", E1Fig34},
 		{"E2", "Fig. 1 gene-expression routing", E2GeneRouting},
 		{"E3", "Fig. 5 cover/overlap matrix", E3CoverOverlap},
-		{"E4", "Routing: catalog vs flooding vs central", E4RoutingComparison},
+		{"E4", "Routing: catalog vs flooding vs central", func() (*Table, error) { return E4RoutingComparison(short) }},
 		{"E5", "MQP vs coordinator execution", E5MQPvsCoordinator},
 		{"E6", "Intensional statements (Examples 1-3)", E6Intensional},
 		{"E7", "Currency vs latency tradeoff", E7CurrencyLatency},
 		{"E8", "Absorption rewrite ablation", E8AbsorptionRewrite},
-		{"E9", "Catalog scaling and caches", E9CatalogScaling},
+		{"E9", "Catalog scaling and caches", func() (*Table, error) { return E9CatalogScaling(short) }},
 		{"E10", "Provenance and spoof detection", E10Provenance},
 		{"E11", "Statistics annotations", E11Annotations},
 		{"E12", "Privacy-preserving join", E12PrivateJoin},
 		{"E13", "Optimization ablations", E13Ablations},
-		{"E14", "Fault-injection robustness vs oracle", E14Robustness},
-		{"E15", "Learned routing shortcuts", E15LearnedRouting},
+		{"E14", "Fault-injection robustness vs oracle", func() (*Table, error) { return E14Robustness(short) }},
+		{"E15", "Learned routing shortcuts", func() (*Table, error) { return E15LearnedRouting(short) }},
 		{"E16", "Content-addressed payload store", E16PayloadStore},
 	}
 }

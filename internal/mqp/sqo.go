@@ -67,7 +67,7 @@ func PruneByStats(root *algebra.Node) int {
 // provablyEmpty reports whether the branch (a URL leaf with histogram
 // annotations) provably yields no item satisfying pred. Only conjunctive
 // comparison structure is analyzed; anything else is conservatively kept.
-func provablyEmpty(pred algebra.Predicate, branch *algebra.Node) bool {
+func provablyEmpty(pred *algebra.Prepared, branch *algebra.Node) bool {
 	if branch.Kind != algebra.KindURL {
 		return false
 	}
@@ -79,14 +79,14 @@ func provablyEmpty(pred algebra.Predicate, branch *algebra.Node) bool {
 	if err != nil {
 		return false
 	}
-	return predExcludesRange(pred, h)
+	return predExcludesRange(pred.AST(), h)
 }
 
 // predExcludesRange reports whether pred provably rejects every value the
 // histogram's field can take. For And it suffices that either side
 // excludes; Or requires both; other predicate forms are unknown (false).
 func predExcludesRange(pred algebra.Predicate, h *stats.Histogram) bool {
-	switch p := algebra.AST(pred).(type) {
+	switch p := pred.(type) {
 	case algebra.Cmp:
 		if p.Path != h.Path {
 			return false

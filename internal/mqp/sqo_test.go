@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/engine"
 	"repro/internal/stats"
+	"repro/internal/xmltree"
 )
 
 func histURL(addr string, lo, hi float64) *algebra.Node {
@@ -89,5 +91,57 @@ func TestPruneByStatsMalformedHistogramKept(t *testing.T) {
 	root := algebra.Display(algebra.Select(algebra.MustParsePredicate("price < 10"), algebra.Union(u, algebra.URL("b:1", ""))))
 	if n := PruneByStats(root); n != 0 {
 		t.Fatalf("malformed histogram must not prune, pruned %d", n)
+	}
+}
+
+// TestPruneByStatsKeepsNonNumericMatches: the select compares a price that
+// is not a number as text, so an item with no price satisfies "price < 5"
+// ("" < "5"), "N/A" satisfies "price > 1000", and "NaN" satisfies
+// "price >= 1000" (it is neither below nor above). A histogram built from
+// the numeric prices alone would still prune that item's branch. The
+// select's result must be the same with PruneByStats applied as without it.
+func TestPruneByStatsKeepsNonNumericMatches(t *testing.T) {
+	for _, odd := range []string{`<item><name>free</name></item>`, `<item><price>N/A</price></item>`, `<item><price>NaN</price></item>`} {
+		items := []*xmltree.Node{
+			xmltree.MustParse(`<item><price>10</price></item>`),
+			xmltree.MustParse(`<item><price>20</price></item>`),
+			xmltree.MustParse(odd),
+		}
+		s := stats.Collect(items, nil, "price", 4)
+		for _, pred := range []string{"price < 5", "price > 1000", "price >= 1000", "price = 1000"} {
+			selected := func(prune bool) int {
+				u := algebra.URL("a:1", "/d")
+				if s.Hist != nil {
+					u.Annotate(algebra.AnnotHistogram, s.Hist.Encode())
+				}
+				sel := algebra.Select(algebra.MustParsePredicate(pred), algebra.Union(u, algebra.URL("b:1", "/d")))
+				if prune {
+					PruneByStats(sel)
+				}
+				// Bind a:1 to the items and b:1 to nothing.
+				var bind func(n *algebra.Node)
+				bind = func(n *algebra.Node) {
+					for i, c := range n.Children {
+						switch {
+						case c.Kind == algebra.KindURL && c.URL == "a:1":
+							n.Children[i] = algebra.Data(items...)
+						case c.Kind == algebra.KindURL:
+							n.Children[i] = algebra.Data()
+						default:
+							bind(c)
+						}
+					}
+				}
+				bind(sel)
+				out, err := engine.Evaluate(sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return len(out)
+			}
+			if want, got := selected(false), selected(true); got != want {
+				t.Errorf("%s over %s: %d items after pruning, %d without", pred, odd, got, want)
+			}
+		}
 	}
 }

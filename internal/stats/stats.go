@@ -27,7 +27,11 @@ type Summary struct {
 
 // Collect computes a Summary for a collection: cardinality, distinct counts
 // for the given key paths, and (when histPath is non-empty) a histogram of
-// that numeric field with the given number of buckets.
+// that numeric field with the given number of buckets. The histogram is
+// published only when every item's value at histPath parses as a number
+// other than NaN: a select compares any other value (a missing field, "N/A",
+// "NaN") as text or as equal, so it can match outside the histogram's range,
+// and pruning by that range would drop it.
 func Collect(items []*xmltree.Node, keyPaths []string, histPath string, buckets int) Summary {
 	s := Summary{Card: len(items), Distinct: map[string]int{}}
 	for _, p := range keyPaths {
@@ -43,9 +47,12 @@ func Collect(items []*xmltree.Node, keyPaths []string, histPath string, buckets 
 	if histPath != "" && buckets > 0 {
 		var vals []float64
 		for _, it := range items {
-			if f, err := it.Float(histPath); err == nil {
-				vals = append(vals, f)
+			f, err := it.Float(histPath)
+			if err != nil || math.IsNaN(f) {
+				vals = nil
+				break
 			}
+			vals = append(vals, f)
 		}
 		if len(vals) > 0 {
 			s.Hist = NewHistogram(histPath, vals, buckets)

@@ -44,6 +44,18 @@ func TestCollectEmptyAndMissing(t *testing.T) {
 	if s2.Hist != nil {
 		t.Fatal("histogram over missing field must be nil")
 	}
+	// One item whose value is missing, not a number, or NaN withholds the
+	// histogram; the counts are kept.
+	numeric := []*xmltree.Node{xmltree.MustParse(`<i><price>10</price></i>`), xmltree.MustParse(`<i><price> 20 </price></i>`)}
+	if s := Collect(numeric, nil, "price", 4); s.Hist == nil || s.Hist.Lo != 10 || s.Hist.Hi != 20 {
+		t.Fatalf("all-numeric collect = %+v", s.Hist)
+	}
+	for _, odd := range []string{`<i><x>1</x></i>`, `<i><price>N/A</price></i>`, `<i><price>NaN</price></i>`} {
+		items := append(numeric[:2:2], xmltree.MustParse(odd))
+		if s := Collect(items, nil, "price", 4); s.Hist != nil || s.Card != 3 {
+			t.Fatalf("%s: collect = %+v, want no histogram", odd, s)
+		}
+	}
 }
 
 func TestDistinctRoundTrip(t *testing.T) {
