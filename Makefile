@@ -7,7 +7,7 @@
 # over the parser and wire-framing targets.
 GO ?= go
 
-.PHONY: build test test-short bench bench-all bench-chaos bench-route bench-smoke route-smoke profile race fmt vet chaos chaos-ci chaos-nofault chaos-large chaos-large-ci fuzz-smoke lines ci
+.PHONY: build test test-short bench bench-all bench-chaos bench-route bench-smoke route-smoke profile race fmt vet chaos chaos-ci chaos-nofault chaos-large chaos-large-ci fuzz-smoke lines census ci
 
 build:
 	$(GO) build ./...
@@ -163,5 +163,33 @@ lines:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+
+# Coverage census (not part of ci): which root functions no shipped program
+# runs. Builds the experiments, chaos, the four examples and the bench binary
+# with coverage over every root package, runs each the way its own docs and
+# BENCHMARK.json run it (experiments -short; chaos plain, -learn, -blobs and
+# a 1000-peer churn sweep; each example; each bench workload for 1 s,
+# untraced), then lists the functions at 0.0%. bench/'s own lines are dropped:
+# go tool cover cannot resolve that module from here. The mqpd daemons the
+# bench spawns are not instrumented, so the daemon side of tcp_chain is not
+# seen. Every entry is a candidate for deletion; TESTING.md says how to read it.
+census:
+	@set -e; d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	mkdir -p "$$d/bin" "$$d/cov"; \
+	$(GO) build -cover -coverpkg=repro/... -o "$$d/bin/" ./cmd/experiments ./cmd/chaos ./examples/...; \
+	$(GO) build -C bench -cover -coverpkg=repro/... -o "$$d/bin/bench" .; \
+	export GOCOVERDIR="$$d/cov"; b="$$d/bin"; \
+	"$$b/experiments" -short >/dev/null; \
+	"$$b/chaos" -n 100 >/dev/null; \
+	"$$b/chaos" -n 100 -learn >/dev/null; \
+	"$$b/chaos" -n 100 -blobs >/dev/null; \
+	"$$b/chaos" -n 8 -peers 1000 -churn >/dev/null; \
+	for e in garagesale geneexpression privatejoin quickstart; do "$$b/$$e" >/dev/null; done; \
+	for w in point_hot area_fanout bulk_join tcp_chain churn_mixed; do \
+		"$$b/bench" -workload $$w -seconds 1 -trace 0 >/dev/null; done; \
+	$(GO) tool covdata textfmt -i="$$d/cov" -o "$$d/all.txt"; \
+	grep -v '^repro/bench/' "$$d/all.txt" >"$$d/root.txt"; \
+	$(GO) tool cover -func="$$d/root.txt" | grep '[[:space:]]0\.0%$$' >"$$d/zero.txt" || true; \
+	cat "$$d/zero.txt"; echo "$$(wc -l <"$$d/zero.txt") functions no shipped program runs"
 
 ci: fmt vet build test race bench-smoke route-smoke chaos-ci chaos-nofault chaos-large-ci fuzz-smoke

@@ -1,5 +1,5 @@
 // Package repro's top-level benchmarks regenerate every experiment of the
-// reproduction (one benchmark per DESIGN.md experiment id) plus
+// reproduction (one benchmark per experiment id of experiments.All) plus
 // micro-benchmarks of the core machinery. Run:
 //
 //	go test -bench=. -benchmem

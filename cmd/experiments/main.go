@@ -1,11 +1,11 @@
 // Command experiments regenerates every table/figure-level experiment of
-// the reproduction (E1–E14, see DESIGN.md and EXPERIMENTS.md) and prints
-// paper-style rows.
+// the reproduction (E1–E16, indexed by experiments.All; TESTING.md says how
+// the tables are checked) and prints paper-style rows.
 //
 // Experiments are independent (each builds its own simulated network and
 // seeds its own workload), so they run concurrently; tables are printed in
-// DESIGN.md order regardless of completion order, so output is byte-for-byte
-// identical to a sequential run.
+// experiments.All order regardless of completion order, so output is
+// byte-for-byte identical to a sequential run.
 //
 // Usage:
 //

@@ -5,9 +5,10 @@
 // an <mqp> plan to process and forward (past a next hop that cannot be
 // reached, to the next candidate) or, constant and addressed here, a result;
 // a <registration> or <deregister> for the catalog; and the calls <fetch> (a
-// collection's items), <export> (this peer's registration) and <subcats>
-// (refused: the daemon is no category server). A -collection file is an XML
-// document whose root's child elements are the items.
+// collection's items) and <export> (this peer's registration); any other
+// call, <subcats> among them, is refused as a kind the daemon does not know.
+// A -collection file is an XML document whose root's child elements are the
+// items.
 //
 // Example (three shells):
 //

@@ -185,56 +185,6 @@ func PickMostCurrent(alts []*Node) int {
 	return best
 }
 
-// DistributeDifference applies the §4.2 Example 3 transformation
-//
-//	E − (R ∪ S)  →  (E − S) − R
-//
-// so that the subtraction against a locally-available S can be evaluated
-// first, shrinking the partial result before it travels on. isLocal decides
-// which union branches to subtract first. The rewrite applies to every
-// Difference node whose right child is a Union; it is always sound under
-// set semantics. Returns the number of rewrites.
-func DistributeDifference(n *Node, isLocal func(*Node) bool) int {
-	count := 0
-	var visit func(m *Node)
-	visit = func(m *Node) {
-		for i, c := range m.Children {
-			if c.Kind == KindDifference && len(c.Children) == 2 && c.Children[1].Kind == KindUnion {
-				u := c.Children[1]
-				var local, remote []*Node
-				for _, branch := range u.Children {
-					if isLocal(branch) {
-						local = append(local, branch)
-					} else {
-						remote = append(remote, branch)
-					}
-				}
-				if len(local) == 0 || len(remote) == 0 {
-					continue
-				}
-				cur := c.Children[0]
-				for _, b := range local {
-					cur = Difference(cur, b)
-				}
-				var rest *Node
-				if len(remote) == 1 {
-					rest = remote[0]
-				} else {
-					rest = Union(remote...)
-				}
-				m.Children[i] = Difference(cur, rest)
-				count++
-			}
-		}
-		for _, c := range m.Children {
-			visit(c)
-		}
-	}
-	wrapper := &Node{Children: []*Node{n}}
-	visit(wrapper)
-	return count
-}
-
 // AbsorbJoin applies the paper's absorption rewrite
 //
 //	(A ⋈ X) ⋈ B  →  (A ⋈ B) ⋈ X

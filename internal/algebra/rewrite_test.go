@@ -96,34 +96,6 @@ func TestOrChoicePolicies(t *testing.T) {
 	}
 }
 
-func TestDistributeDifference(t *testing.T) {
-	e := Data(xmltree.MustParse(`<e/>`))
-	rRemote := URL("http://r/", "")
-	sLocal := Data(xmltree.MustParse(`<s/>`))
-	diff := Difference(e, Union(rRemote, sLocal))
-	root := Display(diff)
-	n := DistributeDifference(root, func(b *Node) bool { return b.Kind == KindData })
-	if n != 1 {
-		t.Fatalf("rewrites = %d", n)
-	}
-	outer := root.Children[0]
-	if outer.Kind != KindDifference {
-		t.Fatalf("outer = %s", outer)
-	}
-	if outer.Children[1] != rRemote {
-		t.Fatalf("remote branch must be subtracted last: %s", outer)
-	}
-	inner := outer.Children[0]
-	if inner.Kind != KindDifference || inner.Children[1] != sLocal {
-		t.Fatalf("inner = %s", inner)
-	}
-	// All-local or all-remote unions are left alone.
-	d2 := Display(Difference(e.Clone(), Union(Data(), Data())))
-	if n := DistributeDifference(d2, func(b *Node) bool { return true }); n != 0 {
-		t.Fatalf("all-local rewrite = %d, want 0", n)
-	}
-}
-
 func TestAbsorbJoin(t *testing.T) {
 	a := Data(xmltree.MustParse(`<a><k1>1</k1><k2>x</k2></a>`))
 	x := URN("urn:X")

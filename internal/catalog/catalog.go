@@ -132,9 +132,6 @@ func New(ns *namespace.Namespace, self string) *Catalog {
 	}
 }
 
-// Namespace returns the catalog's namespace.
-func (c *Catalog) Namespace() *namespace.Namespace { return c.ns }
-
 // EnableCache turns the resolution cache on or off (the E9 ablation).
 func (c *Catalog) EnableCache(on bool) {
 	c.mu.Lock()
@@ -313,15 +310,6 @@ func (c *Catalog) invalidateLocked() {
 // aliasing, registration or statement change; two equal readings bracket a
 // window in which every Resolve answer was stable.
 func (c *Catalog) Generation() uint64 { return c.gen.Load() }
-
-// Statements returns the retained statements.
-func (c *Catalog) Statements() []Statement {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Statement, len(c.stmts))
-	copy(out, c.stmts)
-	return out
-}
 
 // Registrations returns a copy of all registrations.
 func (c *Catalog) Registrations() []Registration {

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/xmltree"
 )
 
 func TestEmptyInputsAllOperators(t *testing.T) {
@@ -87,6 +89,55 @@ func TestTopNTieStability(t *testing.T) {
 	if got[0].Value("tag") != "first" || got[1].Value("tag") != "second" {
 		t.Fatalf("tie order not stable: %v", got)
 	}
+}
+
+// TestTopNOrderIsTotal: TopN's answer is the same whichever order its
+// inputs arrive in, as a distributed union meets its branches in a different
+// order than the central evaluator. Numbers sort first, in numeric order,
+// then every other value in text order; NaN and a missing field count as
+// text, and Desc reverses the whole order.
+func TestTopNOrderIsTotal(t *testing.T) {
+	mixed := []string{`<i><p>10</p></i>`, `<i><p>9</p></i>`, `<i><p>5x</p></i>`}
+	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, perm := range perms {
+		in := []string{mixed[perm[0]], mixed[perm[1]], mixed[perm[2]]}
+		for _, tc := range []struct {
+			desc bool
+			want string
+		}{{false, "9 10 5x"}, {true, "5x 10 9"}} {
+			got, err := Evaluate(algebra.TopN(3, "p", tc.desc, algebra.Data(items(in...)...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := topValues(got); s != tc.want {
+				t.Errorf("order %v desc=%v: %q, want %q", perm, tc.desc, s, tc.want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		in   []string
+		want string
+	}{
+		{"nan", []string{`<i><p>NaN</p></i>`, `<i><p>3</p></i>`, `<i><p>1</p></i>`}, "1 3 NaN"},
+		{"missing", []string{`<i><q>x</q></i>`, `<i><p>5</p></i>`, `<i><p>2</p></i>`}, "2 5 "},
+	} {
+		got, err := Evaluate(algebra.TopN(3, "p", false, algebra.Data(items(tc.in...)...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := topValues(got); s != tc.want {
+			t.Errorf("%s: %q, want %q", tc.name, s, tc.want)
+		}
+	}
+}
+
+func topValues(got []*xmltree.Node) string {
+	vs := make([]string, len(got))
+	for i, it := range got {
+		vs[i] = it.Value("p")
+	}
+	return strings.Join(vs, " ")
 }
 
 func TestProjectPreservesNestedStructure(t *testing.T) {

@@ -12,8 +12,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -284,37 +286,51 @@ func evalCount(n *algebra.Node) ([]*xmltree.Node, error) {
 	return []*xmltree.Node{xmltree.ElemText("count", strconv.Itoa(len(in)))}, nil
 }
 
+// evalTopN sorts by one total order, so the answer does not depend on the
+// order the inputs arrive in: values that parse as a non-NaN number first,
+// in numeric order, then every other value (a missing field reads as "") in
+// text order. Desc reverses the order; ties keep their input order.
 func evalTopN(n *algebra.Node) ([]*xmltree.Node, error) {
 	in, err := Evaluate(n.Children[0])
 	if err != nil {
 		return nil, err
 	}
-	items := make([]*xmltree.Node, len(in))
-	copy(items, in)
-	less := func(a, b *xmltree.Node) bool {
-		av := strings.TrimSpace(a.Value(n.OrderBy))
-		bv := strings.TrimSpace(b.Value(n.OrderBy))
-		af, aerr := strconv.ParseFloat(av, 64)
-		bf, berr := strconv.ParseFloat(bv, 64)
-		var cmp int
-		if aerr == nil && berr == nil {
-			switch {
-			case af < bf:
-				cmp = -1
-			case af > bf:
-				cmp = 1
-			}
-		} else {
-			cmp = strings.Compare(av, bv)
-		}
-		if n.Desc {
-			return cmp > 0
-		}
-		return cmp < 0
+	type keyed struct {
+		item  *xmltree.Node
+		text  string
+		num   float64
+		isNum bool
 	}
-	sort.SliceStable(items, func(i, j int) bool { return less(items[i], items[j]) })
-	if len(items) > n.N {
-		items = items[:n.N]
+	orderBy := xmltree.ParsePath(n.OrderBy)
+	keys := make([]keyed, len(in))
+	for i, it := range in {
+		k := keyed{item: it}
+		if m := orderBy.First(it); m != nil {
+			k.text = strings.TrimSpace(m.InnerText())
+		}
+		if f, err := strconv.ParseFloat(k.text, 64); err == nil && !math.IsNaN(f) {
+			k.num, k.isNum = f, true
+		}
+		keys[i] = k
+	}
+	sign := 1
+	if n.Desc {
+		sign = -1
+	}
+	slices.SortStableFunc(keys, func(a, b keyed) int {
+		switch {
+		case a.isNum && b.isNum:
+			return sign * cmp.Compare(a.num, b.num)
+		case a.isNum:
+			return -sign
+		case b.isNum:
+			return sign
+		}
+		return sign * strings.Compare(a.text, b.text)
+	})
+	items := make([]*xmltree.Node, min(len(keys), n.N))
+	for i := range items {
+		items[i] = keys[i].item
 	}
 	return items, nil
 }

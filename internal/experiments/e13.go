@@ -10,7 +10,7 @@ import (
 	"repro/internal/world"
 )
 
-// E13Ablations toggles the design choices DESIGN.md §4 calls out and
+// E13Ablations toggles three of the optimizations the peers make and
 // measures their individual effect:
 //
 //   - select push-through-union (Fig. 4a) — bytes shipped between hops;

@@ -1,9 +1,10 @@
 // Package experiments regenerates every figure-level scenario and
-// performance claim of the paper as a measured table (see DESIGN.md §3 for
-// the experiment index E1–E12; E13+ add ablations and robustness sweeps
-// beyond the paper's figures). Each experiment is deterministic: seeded
-// workloads, virtual time, no wall-clock dependence. cmd/experiments prints
-// the tables; bench_test.go wraps each experiment in a testing.B benchmark.
+// performance claim of the paper as a measured table (All is the experiment
+// index: E1–E12 follow the paper's figures and examples; E13+ add ablations
+// and robustness sweeps beyond them; TESTING.md says how the tables are
+// checked). Each experiment is deterministic: seeded workloads, virtual
+// time, no wall-clock dependence. cmd/experiments prints the tables;
+// bench_test.go wraps each experiment in a testing.B benchmark.
 package experiments
 
 import (
@@ -133,7 +134,7 @@ func RunAll(runners []Runner, workers int) []Result {
 	return results
 }
 
-// All returns every experiment in DESIGN.md order. short trims the scaling
+// All returns every experiment in index order. short trims the scaling
 // sweeps of E4, E9 and E15 and the scenario count of E14, so quick CI runs
 // stay under a few seconds; tests pass testing.Short(), cmd/experiments its
 // -short flag.
@@ -144,7 +145,7 @@ func All(short bool) []Runner {
 		{"E3", "Fig. 5 cover/overlap matrix", E3CoverOverlap},
 		{"E4", "Routing: catalog vs flooding vs central", func() (*Table, error) { return E4RoutingComparison(short) }},
 		{"E5", "MQP vs coordinator execution", E5MQPvsCoordinator},
-		{"E6", "Intensional statements (Examples 1-3)", E6Intensional},
+		{"E6", "Intensional statements (Examples 1-2)", E6Intensional},
 		{"E7", "Currency vs latency tradeoff", E7CurrencyLatency},
 		{"E8", "Absorption rewrite ablation", E8AbsorptionRewrite},
 		{"E9", "Catalog scaling and caches", func() (*Table, error) { return E9CatalogScaling(short) }},

@@ -1,7 +1,5 @@
 // Package hierarchy implements categorization hierarchies — the building
-// block of the paper's multi-hierarchic namespaces (§3.1) — and category
-// servers (§3.5), which answer queries about the hierarchies themselves and
-// can delegate sub-trees to other servers, DNS-style.
+// block of the paper's multi-hierarchic namespaces (§3.1).
 //
 // A category is identified by a slash-separated path from the hierarchy
 // root, e.g. "USA/OR/Portland" in a Location hierarchy or

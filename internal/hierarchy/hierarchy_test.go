@@ -209,58 +209,6 @@ func TestLeavesAllSize(t *testing.T) {
 	}
 }
 
-func TestServerDelegation(t *testing.T) {
-	h := newLocation()
-	s := NewServer(h)
-	if err := s.Delegate("Location", MustParsePath("USA"), "cat-usa:1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delegate("Location", MustParsePath("USA/OR"), "cat-or:1"); err != nil {
-		t.Fatal(err)
-	}
-	// Most specific delegation wins.
-	if got := s.Resolve("Location", MustParsePath("USA/OR/Portland")); got != "cat-or:1" {
-		t.Fatalf("resolve = %q", got)
-	}
-	if got := s.Resolve("Location", MustParsePath("USA/WA")); got != "cat-usa:1" {
-		t.Fatalf("resolve = %q", got)
-	}
-	if got := s.Resolve("Location", MustParsePath("France")); got != "" {
-		t.Fatalf("resolve = %q, want local", got)
-	}
-	if err := s.Delegate("Location", MustParsePath("Mars"), "x"); err == nil {
-		t.Fatal("delegating unknown category should error")
-	}
-	if err := s.Delegate("Time", Top, "x"); err == nil {
-		t.Fatal("delegating unknown dimension should error")
-	}
-}
-
-func TestServerValidateAndSubcategories(t *testing.T) {
-	s := NewServer(newLocation())
-	exact, nearest, err := s.Validate("Location", MustParsePath("USA/OR/Beaverton"))
-	if err != nil || exact || nearest.String() != "USA/OR" {
-		t.Fatalf("validate = %v %v %v", exact, nearest, err)
-	}
-	exact, _, err = s.Validate("Location", MustParsePath("USA/OR"))
-	if err != nil || !exact {
-		t.Fatalf("validate exact = %v %v", exact, err)
-	}
-	if _, _, err := s.Validate("Bogus", Top); err == nil {
-		t.Fatal("unknown dimension should error")
-	}
-	kids, err := s.Subcategories("Location", MustParsePath("USA/WA"))
-	if err != nil || len(kids) != 2 {
-		t.Fatalf("subcategories = %v %v", kids, err)
-	}
-	if s.Hierarchy("Location") == nil || s.Hierarchy("X") != nil {
-		t.Fatal("Hierarchy lookup broken")
-	}
-	if d := s.Dimensions(); len(d) != 1 || d[0] != "Location" {
-		t.Fatalf("dimensions = %v", d)
-	}
-}
-
 func randPath(r *rand.Rand) Path {
 	segs := []string{"USA", "OR", "Portland", "WA", "Seattle", "France"}
 	depth := r.Intn(4)

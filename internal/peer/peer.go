@@ -1,8 +1,8 @@
 // Package peer assembles the paper's peer roles (§3.2) into a network
 // participant: base server (named XML collections addressed by XPath-like
-// identifiers), index server, meta-index server, and category server. A
-// peer owns a catalog, an MQP processor, and a data store, serves and
-// forwards mutant query plans over a Transport — a simnet, or TCP links
+// identifiers), index server and meta-index server. A peer owns a catalog,
+// an MQP processor, and a data store, serves and forwards mutant query
+// plans over a Transport — a simnet, or TCP links
 // (tcp.go, which says what a link does not carry yet) — pushes registrations
 // to authoritative servers (§3.3), and models delayed replication (§4.3).
 //
@@ -24,7 +24,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/blobstore"
 	"repro/internal/catalog"
-	"repro/internal/hierarchy"
 	"repro/internal/mqp"
 	"repro/internal/namespace"
 	"repro/internal/provenance"
@@ -42,7 +41,6 @@ const (
 	KindDeregister = "deregister" // a graceful-leave un-registration
 	KindFetch      = "fetch"      // data pull: request a collection's items
 	KindExport     = "export"     // harvest: request a peer's registration
-	KindSubcats    = "subcats"    // category-server query (§3.5)
 	KindBlobFetch  = "blobfetch"  // payload fetch-on-miss (see blob.go)
 )
 
@@ -110,12 +108,11 @@ type Config struct {
 	// Policy defaults to mqp.DefaultPolicy{}. Use mqp.ForwardOnlyPolicy to
 	// disable data pulls.
 	Policy mqp.Policy
-	// PushSelect enables the Fig. 4(a) rewrite; on by default in NewPeer.
+	// PushSelect enables the Fig. 4(a) rewrite, which pushes a select
+	// through a union; the zero value leaves it off.
 	PushSelect bool
 	// Key signs provenance records; nil disables provenance.
 	Key []byte
-	// CategoryServer attaches a category-server role (§3.5).
-	CategoryServer *hierarchy.Server
 	// StatsHistPath, when set, is the numeric field the peer histograms
 	// when publishing statistics: on declined collections (§5.1) and as
 	// attribute indices inside registrations (§3.2).
@@ -175,7 +172,7 @@ type Peer struct {
 
 	// lastAt remembers the virtual time of the most recent plan delivery
 	// (atomic time.Duration). Driver-phase requests issued from this peer
-	// (Harvest, ReplicateFrom, SubcategoriesOf) start from it.
+	// (Harvest, ReplicateFrom) start from it.
 	lastAt atomic.Int64
 
 	// resMu guards the delivery-side records below. It is deliberately
@@ -845,8 +842,7 @@ func (p *Peer) rejectMQP(msg *simnet.Message, reason string) error {
 	return nil
 }
 
-// Serve implements simnet.Peer: data pulls, harvesting, and category
-// queries.
+// Serve implements simnet.Peer: data pulls, payload fetches and harvesting.
 func (p *Peer) Serve(net *simnet.Network, req *simnet.Message) (*xmltree.Node, error) {
 	switch req.Kind {
 	case KindBlobFetch:
@@ -867,31 +863,6 @@ func (p *Peer) Serve(net *simnet.Network, req *simnet.Message) (*xmltree.Node, e
 		return reply, nil
 	case KindExport:
 		return catalog.MarshalRegistration(p.Registration(catalog.RoleBase)), nil
-	case KindSubcats:
-		if p.cfg.CategoryServer == nil {
-			return nil, fmt.Errorf("peer %s: not a category server", p.addr)
-		}
-		dim := req.Body.AttrDefault("dimension", "")
-		path, err := hierarchy.ParsePath(req.Body.AttrDefault("path", "*"))
-		if err != nil {
-			return nil, err
-		}
-		// DNS-like delegation (§3.5): if another category server manages
-		// this subtree, answer with a referral instead of data.
-		if delegate := p.cfg.CategoryServer.Resolve(dim, path); delegate != "" {
-			reply := xmltree.Elem("categories")
-			reply.SetAttr("delegate", delegate)
-			return reply, nil
-		}
-		kids, err := p.cfg.CategoryServer.Subcategories(dim, path)
-		if err != nil {
-			return nil, err
-		}
-		reply := xmltree.Elem("categories")
-		for _, k := range kids {
-			reply.Add(xmltree.ElemText("category", k.String()))
-		}
-		return reply, nil
 	default:
 		return nil, fmt.Errorf("peer %s: unknown request kind %q", p.addr, req.Kind)
 	}
@@ -957,41 +928,6 @@ func (p *Peer) fetchRemote(sc *mqp.StepContext, addr, pathExp string) ([]*xmltre
 		}
 	}
 	return items, stale, nil
-}
-
-// SubcategoriesOf asks the category server at addr for the immediate
-// subcategories of path in dimension (§3.5), chasing delegation referrals
-// the way a DNS resolver follows NS records. A referral chain longer than
-// maxDelegationDepth is reported as an error.
-func (p *Peer) SubcategoriesOf(addr, dimension string, path hierarchy.Path) ([]hierarchy.Path, error) {
-	const maxDelegationDepth = 8
-	visited := map[string]bool{}
-	for depth := 0; depth < maxDelegationDepth; depth++ {
-		if visited[addr] {
-			return nil, fmt.Errorf("peer %s: category delegation loop at %s", p.addr, addr)
-		}
-		visited[addr] = true
-		req := xmltree.ElemAttrs("subcats", xmltree.Attr{Name: "dimension", Value: dimension},
-			xmltree.Attr{Name: "path", Value: path.String()})
-		reply, _, err := p.net.Request(&simnet.Message{From: p.addr, To: addr, Kind: KindSubcats, At: p.virtualNow()}, req.Stage)
-		if err != nil {
-			return nil, err
-		}
-		if delegate, ok := reply.Attr("delegate"); ok && delegate != "" {
-			addr = delegate
-			continue
-		}
-		var out []hierarchy.Path
-		for _, c := range reply.ChildrenNamed("category") {
-			pa, err := hierarchy.ParsePath(c.InnerText())
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pa)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("peer %s: category delegation chain too deep", p.addr)
 }
 
 // QueryTrail extracts the provenance trail from a result.

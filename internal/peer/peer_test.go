@@ -286,29 +286,6 @@ func TestStalenessReachesProvenance(t *testing.T) {
 	}
 }
 
-func TestCategoryServerRole(t *testing.T) {
-	net := simnet.New()
-	ns := testNS()
-	hs := hierarchy.New("Location")
-	hs.MustAdd("USA/OR/Portland")
-	hs.MustAdd("USA/WA/Seattle")
-	catSrv := hierarchy.NewServer(hs)
-	server := mustPeer(t, Config{Addr: "cat:1", Net: net, NS: ns, CategoryServer: catSrv})
-	_ = server
-	client := mustPeer(t, Config{Addr: "c:1", Net: net, NS: ns})
-	kids, err := client.SubcategoriesOf("cat:1", "Location", hierarchy.MustParsePath("USA"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kids) != 2 || kids[0].String() != "USA/OR" {
-		t.Fatalf("subcats = %v", kids)
-	}
-	// Non-category peers refuse.
-	if _, err := client.SubcategoriesOf("c:1", "Location", hierarchy.Top); err == nil {
-		t.Fatal("non-category server must refuse subcats")
-	}
-}
-
 func TestStuckPlanSurfacesError(t *testing.T) {
 	net := simnet.New()
 	ns := testNS()

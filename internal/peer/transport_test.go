@@ -15,7 +15,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/blobstore"
 	"repro/internal/catalog"
-	"repro/internal/hierarchy"
 	"repro/internal/namespace"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -362,9 +361,10 @@ func TestFallbackOnBothTransports(t *testing.T) {
 			if err := client.Harvest(dead1); !errors.As(err, new(simnet.ErrUnreachable)) {
 				t.Fatalf("harvest of a dead peer: %v, want ErrUnreachable", err)
 			}
-			_, err = client.SubcategoriesOf(meta.Addr(), "Location", hierarchy.Path{})
+			_, _, err = client.net.Request(&simnet.Message{From: client.Addr(), To: meta.Addr(), Kind: "nosuchkind"},
+				xmltree.Elem("nosuchkind").Stage)
 			if err == nil || errors.As(err, new(simnet.ErrUnreachable)) {
-				t.Fatalf("subcats of a peer that is no category server: %v, want the handler's failure", err)
+				t.Fatalf("a request kind no peer serves: %v, want the handler's failure", err)
 			}
 		})
 	}
