@@ -68,8 +68,8 @@ func (op CmpOp) String() string {
 }
 
 // Cmp compares the item value at Path against a literal. When both sides
-// parse as numbers the comparison is numeric, otherwise lexicographic
-// (Contains is always textual).
+// read as numbers under xmltree.Number (trimmed, not NaN) the comparison is
+// numeric, otherwise lexicographic (Contains is always textual).
 type Cmp struct {
 	Path  string
 	Op    CmpOp

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -53,8 +52,8 @@ func compile(p Predicate) (Predicate, func(*xmltree.Node) bool) {
 		c := &cmpEval{path: xmltree.ParsePath(p.Path), op: p.Op, value: p.Value}
 		if p.Op == OpContains {
 			c.value = strings.ToLower(p.Value)
-		} else if num, err := strconv.ParseFloat(strings.TrimSpace(p.Value), 64); err == nil {
-			c.num, c.numeric = num, true
+		} else {
+			c.num, c.numeric = xmltree.Number(p.Value)
 		}
 		return p, c.eval
 	case Exists:
@@ -78,7 +77,7 @@ func compile(p Predicate) (Predicate, func(*xmltree.Node) bool) {
 }
 
 // cmpEval is a compiled Cmp: value is the literal (lower-cased for contains),
-// num its numeric reading when it has one.
+// num its reading under xmltree.Number when it has one.
 type cmpEval struct {
 	path    xmltree.Path
 	op      CmpOp
@@ -88,15 +87,12 @@ type cmpEval struct {
 }
 
 func (c *cmpEval) eval(it *xmltree.Node) bool {
-	v := ""
-	if m := c.path.First(it); m != nil {
-		v = strings.TrimSpace(m.InnerText())
-	}
+	v := strings.TrimSpace(c.path.Value(it))
 	if c.op == OpContains {
 		return strings.Contains(strings.ToLower(v), c.value)
 	}
 	if c.numeric {
-		if ln, err := strconv.ParseFloat(v, 64); err == nil {
+		if ln, ok := xmltree.Number(v); ok {
 			cmp := 0
 			switch {
 			case ln < c.num:

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -150,7 +151,9 @@ func randomPredicate(rng *rand.Rand, depth int) Predicate {
 
 // evalRef is the reference evaluator the prepared form is held to: it
 // interprets the syntax tree, reading every path and literal afresh for each
-// item. A prepared operand is read as its tree.
+// item. A prepared operand is read as its tree. A comparison is numeric when
+// both sides, trimmed, parse as floats other than NaN; otherwise it compares
+// text.
 func evalRef(p Predicate, it *xmltree.Node) bool {
 	switch p := p.(type) {
 	case *Prepared:
@@ -163,7 +166,7 @@ func evalRef(p Predicate, it *xmltree.Node) bool {
 		ln, lerr := strconv.ParseFloat(v, 64)
 		rn, rerr := strconv.ParseFloat(strings.TrimSpace(p.Value), 64)
 		cmp := strings.Compare(v, p.Value)
-		if lerr == nil && rerr == nil {
+		if lerr == nil && rerr == nil && !math.IsNaN(ln) && !math.IsNaN(rn) {
 			cmp = 0
 			if ln < rn {
 				cmp = -1
@@ -262,6 +265,9 @@ func FuzzPredicateEval(f *testing.F) {
 	}
 	for _, c := range [][2]string{
 		{"price >= 1000", `<item><price>NaN</price></item>`},
+		{"price = 'NaN'", `<item><price>5</price></item>`},
+		{"price < ' 5 '", `<item><price> NaN </price></item>`},
+		{"price != 5", `<item><price> NaN </price></item>`},
 		{"price < 5", `<item><name>no price</name></item>`},
 		{"price > 1000", `<item><price>N/A</price></item>`},
 		{"price = 10 and name = 'x'", `<item><price> 10 </price><name> x </name></item>`},

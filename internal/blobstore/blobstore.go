@@ -202,21 +202,6 @@ func (s *Store) Get(fp FP) (*xmltree.Node, bool) {
 	return e.node, true
 }
 
-// Contains reports whether the fingerprint is resident.
-func (s *Store) Contains(fp FP) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[fp]
-	return ok
-}
-
-// Len returns the number of resident entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

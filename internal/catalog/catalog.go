@@ -3,7 +3,6 @@ package catalog
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -746,14 +745,4 @@ func pruneServers(expr *algebra.Node, drop map[string]bool) *algebra.Node {
 	default:
 		return algebra.Union(kept...)
 	}
-}
-
-// String summarizes the catalog for diagnostics.
-func (c *Catalog) String() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return "catalog{self=" + c.self +
-		" regs=" + strconv.Itoa(len(c.regs)) +
-		" aliases=" + strconv.Itoa(len(c.aliases)) +
-		" stmts=" + strconv.Itoa(len(c.stmts)) + "}"
 }

@@ -3,7 +3,6 @@ package catalog
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -500,14 +499,6 @@ func TestRegistrationXMLErrors(t *testing.T) {
 		if _, err := UnmarshalRegistration(ns, e); err == nil {
 			t.Errorf("UnmarshalRegistration(%q): want error", src)
 		}
-	}
-}
-
-func TestCatalogString(t *testing.T) {
-	ns := testNS()
-	c := New(ns, "me:1")
-	if !strings.Contains(c.String(), "me:1") {
-		t.Fatalf("string = %q", c.String())
 	}
 }
 

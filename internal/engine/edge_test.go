@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/stats"
 	"repro/internal/xmltree"
 )
 
@@ -129,6 +130,51 @@ func TestTopNOrderIsTotal(t *testing.T) {
 		if s := topValues(got); s != tc.want {
 			t.Errorf("%s: %q, want %q", tc.name, s, tc.want)
 		}
+	}
+}
+
+// TestNaNReadsAsText: select, TopN and histogram collection read a field
+// as a number through xmltree.Number alone, under which NaN is text. A
+// select once compared NaN as a number equal to every number, so `price = 5`
+// held on <price>NaN</price> and `price = 'NaN'` on <price>5</price>, while
+// TopN and the histogram already read NaN as text.
+func TestNaNReadsAsText(t *testing.T) {
+	in := []string{`<i><id>nan</id><p>NaN</p></i>`, `<i><id>five</id><p>5</p></i>`, `<i><id>none</id></i>`}
+	ids := func(got []*xmltree.Node) string {
+		vs := make([]string, len(got))
+		for i, it := range got {
+			vs[i] = it.Value("id")
+		}
+		return strings.Join(vs, " ")
+	}
+	for _, tc := range []struct {
+		pred string
+		want string // the ids selected, in input order
+	}{
+		{"p = 5", "five"},
+		{"p = 'NaN'", "nan"},
+		{"p != 5", "nan none"},
+		{"p != 'NaN'", "five none"},
+		{"p < 5", "none"},
+		{"p > 5", "nan"},
+	} {
+		got, err := Evaluate(algebra.Select(algebra.MustParsePredicate(tc.pred), algebra.Data(items(in...)...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := ids(got); s != tc.want {
+			t.Errorf("%s: selected %q, want %q", tc.pred, s, tc.want)
+		}
+	}
+	got, err := Evaluate(algebra.TopN(3, "p", false, algebra.Data(items(in...)...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := ids(got); s != "five none nan" {
+		t.Errorf("TopN ascending: %q, want the number first, then text in text order", s)
+	}
+	if h := stats.Collect(items(in[:2]...), nil, "p", 4).Hist; h != nil {
+		t.Errorf("histogram %s published over a NaN value", h.Encode())
 	}
 }
 

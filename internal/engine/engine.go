@@ -14,7 +14,6 @@ package engine
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -287,9 +286,10 @@ func evalCount(n *algebra.Node) ([]*xmltree.Node, error) {
 }
 
 // evalTopN sorts by one total order, so the answer does not depend on the
-// order the inputs arrive in: values that parse as a non-NaN number first,
-// in numeric order, then every other value (a missing field reads as "") in
-// text order. Desc reverses the order; ties keep their input order.
+// order the inputs arrive in: values that read as numbers under
+// xmltree.Number first, in numeric order, then every other value (a missing
+// field reads as "") in text order. Desc reverses the order; ties keep their
+// input order.
 func evalTopN(n *algebra.Node) ([]*xmltree.Node, error) {
 	in, err := Evaluate(n.Children[0])
 	if err != nil {
@@ -305,12 +305,8 @@ func evalTopN(n *algebra.Node) ([]*xmltree.Node, error) {
 	keys := make([]keyed, len(in))
 	for i, it := range in {
 		k := keyed{item: it}
-		if m := orderBy.First(it); m != nil {
-			k.text = strings.TrimSpace(m.InnerText())
-		}
-		if f, err := strconv.ParseFloat(k.text, 64); err == nil && !math.IsNaN(f) {
-			k.num, k.isNum = f, true
-		}
+		k.text = strings.TrimSpace(orderBy.Value(it))
+		k.num, k.isNum = xmltree.Number(k.text)
 		keys[i] = k
 	}
 	sign := 1

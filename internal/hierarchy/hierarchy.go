@@ -56,13 +56,6 @@ func MustParsePath(s string) Path {
 	return p
 }
 
-// NewPath builds a Path from individual segment names.
-func NewPath(segs ...string) Path {
-	cp := make([]string, len(segs))
-	copy(cp, segs)
-	return Path{segs: cp}
-}
-
 // IsTop reports whether the path is the all-inclusive "*" category.
 func (p Path) IsTop() bool { return len(p.segs) == 0 }
 
@@ -345,17 +338,4 @@ func (h *Hierarchy) All() []Path {
 	}
 	walk(h.root, Top)
 	return out
-}
-
-// Size returns the number of categories (excluding Top).
-func (h *Hierarchy) Size() int {
-	var count func(n *node) int
-	count = func(n *node) int {
-		total := 0
-		for _, c := range n.children {
-			total += 1 + count(c)
-		}
-		return total
-	}
-	return count(h.root)
 }

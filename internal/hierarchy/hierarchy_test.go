@@ -201,22 +201,19 @@ func TestLeavesAllSize(t *testing.T) {
 	if len(leaves) != 6 { // Portland, Eugene, Seattle, Vancouver, CA, France
 		t.Fatalf("leaves = %v", leaves)
 	}
-	if h.Size() != 9 { // USA,OR,WA,CA,France + 4 cities
-		t.Fatalf("size = %d", h.Size())
-	}
-	if len(h.All()) != h.Size() {
-		t.Fatalf("All() = %d, Size() = %d", len(h.All()), h.Size())
+	if all := h.All(); len(all) != 9 { // USA,OR,WA,CA,France + 4 cities
+		t.Fatalf("All() = %v", all)
 	}
 }
 
 func randPath(r *rand.Rand) Path {
 	segs := []string{"USA", "OR", "Portland", "WA", "Seattle", "France"}
 	depth := r.Intn(4)
-	out := make([]string, depth)
-	for i := range out {
-		out[i] = segs[r.Intn(len(segs))]
+	p := Top
+	for i := 0; i < depth; i++ {
+		p = p.Child(segs[r.Intn(len(segs))])
 	}
-	return NewPath(out...)
+	return p
 }
 
 // Property: Covers is a partial order — reflexive, antisymmetric (up to

@@ -151,15 +151,6 @@ type CacheStats struct {
 	Entries int
 }
 
-// HitRate returns hits/(hits+misses), or 0 with no lookups yet.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // CacheStats returns the prepared-plan cache counters; zero when the cache
 // is disabled.
 func (p *Processor) CacheStats() CacheStats {

@@ -1,10 +1,9 @@
 package mqp
 
 import (
-	"strconv"
-
 	"repro/internal/algebra"
 	"repro/internal/stats"
+	"repro/internal/xmltree"
 )
 
 // Semantic query optimization using the attribute indices of §3.2: when a
@@ -91,8 +90,8 @@ func predExcludesRange(pred algebra.Predicate, h *stats.Histogram) bool {
 		if p.Path != h.Path {
 			return false
 		}
-		v, err := strconv.ParseFloat(p.Value, 64)
-		if err != nil {
+		v, ok := xmltree.Number(p.Value)
+		if !ok {
 			return false
 		}
 		switch p.Op {

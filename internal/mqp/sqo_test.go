@@ -37,6 +37,8 @@ func TestPruneByStatsRangeChecks(t *testing.T) {
 		{"price < 10 or price > 60", 50, 100, false}, // one disjunct may match
 		{"name contains 'x'", 50, 100, false},        // unknown form
 		{"qty < 1", 50, 100, false},                  // different field
+		{"price > ' 1000'", 10, 50, true},            // select reads the padded literal as 1000
+		{"price > 'NaN'", 10, 50, false},             // NaN is text to select: nothing to prune by
 	}
 	for _, c := range cases {
 		root := algebra.Display(algebra.Select(algebra.MustParsePredicate(c.pred),
@@ -97,7 +99,7 @@ func TestPruneByStatsMalformedHistogramKept(t *testing.T) {
 // TestPruneByStatsKeepsNonNumericMatches: the select compares a price that
 // is not a number as text, so an item with no price satisfies "price < 5"
 // ("" < "5"), "N/A" satisfies "price > 1000", and "NaN" satisfies
-// "price >= 1000" (it is neither below nor above). A histogram built from
+// "price >= 1000" ("NaN" sorts after "1000" as text). A histogram built from
 // the numeric prices alone would still prune that item's branch. The
 // select's result must be the same with PruneByStats applied as without it.
 func TestPruneByStatsKeepsNonNumericMatches(t *testing.T) {

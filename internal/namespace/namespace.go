@@ -62,9 +62,6 @@ func (ns *Namespace) Dimensions() []*hierarchy.Hierarchy {
 	return out
 }
 
-// NumDims returns the number of dimensions.
-func (ns *Namespace) NumDims() int { return len(ns.dims) }
-
 // Everything returns the all-inclusive interest area of the namespace: one
 // cell with every coordinate at Top.
 func (ns *Namespace) Everything() Area {
@@ -87,13 +84,6 @@ func NewCell(coords ...hierarchy.Path) Cell {
 	return Cell{Coords: cp}
 }
 
-// ParseCell parses "[USA/OR/Portland, Furniture]" or
-// "USA/OR/Portland, Furniture" into a cell over the namespace, validating
-// coordinate count. Unknown categories are accepted (the paper allows
-// referencing categories a peer has not yet learned); use Generalize to map
-// them to known ancestors.
-func (ns *Namespace) ParseCell(s string) (Cell, error) { return parseCell(s, len(ns.dims)) }
-
 // parseCell reads one cell; dims, when positive, is the coordinate count the
 // cell must have.
 func parseCell(s string, dims int) (Cell, error) {
@@ -113,15 +103,6 @@ func parseCell(s string, dims int) (Cell, error) {
 		coords[i] = path
 	}
 	return Cell{Coords: coords}, nil
-}
-
-// MustParseCell is ParseCell for fixtures; it panics on error.
-func (ns *Namespace) MustParseCell(s string) Cell {
-	c, err := ns.ParseCell(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // String renders the cell in the paper's bracket notation.
@@ -330,8 +311,11 @@ func (a Area) CoversCell(c Cell) bool {
 	return false
 }
 
-// ParseArea parses "cell + cell + ..." (each cell in bracket or bare form)
-// over the namespace: ParseArea plus the coordinate-count check.
+// ParseArea parses "cell + cell + ..." over the namespace, each cell in
+// bracket or bare form ("[USA/OR/Portland, Furniture]" or "USA/OR/Portland,
+// Furniture"): ParseArea plus the coordinate-count check. Unknown categories
+// are accepted (the paper allows referencing categories a peer has not yet
+// learned); use Generalize to map them to known ancestors.
 func (ns *Namespace) ParseArea(s string) (Area, error) { return parseArea(s, len(ns.dims)) }
 
 // ParseArea reads an area expression without a namespace. The URN encoding

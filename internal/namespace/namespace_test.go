@@ -43,19 +43,24 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// cell reads a one-cell area over ns and returns its cell.
+func cell(ns *Namespace, s string) Cell {
+	return ns.MustParseArea(s).Cells[0]
+}
+
 func TestParseCell(t *testing.T) {
 	ns := paperNamespace()
-	c, err := ns.ParseCell("[USA/OR/Portland, Furniture/Chairs]")
+	a, err := ns.ParseArea("[USA/OR/Portland, Furniture/Chairs]")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.String() != "[USA/OR/Portland, Furniture/Chairs]" {
-		t.Fatalf("cell = %v", c)
+	if len(a.Cells) != 1 || a.Cells[0].String() != "[USA/OR/Portland, Furniture/Chairs]" {
+		t.Fatalf("area = %v", a)
 	}
-	if _, err := ns.ParseCell("[USA]"); err == nil {
+	if _, err := ns.ParseArea("[USA]"); err == nil {
 		t.Fatal("wrong arity should error")
 	}
-	top := ns.MustParseCell("[*, *]")
+	top := cell(ns, "[*, *]")
 	if !top.Coords[0].IsTop() || !top.Coords[1].IsTop() {
 		t.Fatalf("top cell = %v", top)
 	}
@@ -63,10 +68,10 @@ func TestParseCell(t *testing.T) {
 
 func TestCellCoversOverlap(t *testing.T) {
 	ns := paperNamespace()
-	usaFurn := ns.MustParseCell("[USA, Furniture]")
-	pdxChairs := ns.MustParseCell("[USA/OR/Portland, Furniture/Chairs]")
-	pdxAll := ns.MustParseCell("[USA/OR/Portland, *]")
-	waTV := ns.MustParseCell("[USA/WA, Electronics/TV]")
+	usaFurn := cell(ns, "[USA, Furniture]")
+	pdxChairs := cell(ns, "[USA/OR/Portland, Furniture/Chairs]")
+	pdxAll := cell(ns, "[USA/OR/Portland, *]")
+	waTV := cell(ns, "[USA/WA, Electronics/TV]")
 
 	if !usaFurn.Covers(pdxChairs) {
 		t.Fatal("[USA,Furniture] must cover [Portland,Chairs]")
@@ -92,10 +97,10 @@ func TestCellCoversOverlap(t *testing.T) {
 func TestFig5(t *testing.T) {
 	ns := paperNamespace()
 	a := NewArea(
-		ns.MustParseCell("[USA/WA/Vancouver, Furniture]"),
-		ns.MustParseCell("[USA/OR/Portland, Furniture]"),
+		cell(ns, "[USA/WA/Vancouver, Furniture]"),
+		cell(ns, "[USA/OR/Portland, Furniture]"),
 	)
-	b := NewArea(ns.MustParseCell("[USA/OR/Portland, *]"))
+	b := NewArea(cell(ns, "[USA/OR/Portland, *]"))
 
 	// (a) and (b) overlap on Portland furniture.
 	if !a.Overlaps(b) {
@@ -106,12 +111,12 @@ func TestFig5(t *testing.T) {
 		t.Fatal("neither area covers the other in Fig. 5")
 	}
 	// Their intersection is exactly Portland furniture.
-	want := NewArea(ns.MustParseCell("[USA/OR/Portland, Furniture]"))
+	want := NewArea(cell(ns, "[USA/OR/Portland, Furniture]"))
 	if got := a.Intersect(b); !got.Equal(want) {
 		t.Fatalf("intersection = %v, want %v", got, want)
 	}
 	// A chairs query in Portland overlaps both.
-	q := NewArea(ns.MustParseCell("[USA/OR/Portland, Furniture/Chairs]"))
+	q := NewArea(cell(ns, "[USA/OR/Portland, Furniture/Chairs]"))
 	if !a.Overlaps(q) || !b.Overlaps(q) {
 		t.Fatal("chairs-in-Portland query must overlap both areas")
 	}
@@ -120,7 +125,7 @@ func TestFig5(t *testing.T) {
 		t.Fatal("chairs-in-Portland query must be covered by both areas")
 	}
 	// A Seattle TV query overlaps only (neither).
-	s := NewArea(ns.MustParseCell("[USA/WA/Seattle, Electronics/TV]"))
+	s := NewArea(cell(ns, "[USA/WA/Seattle, Electronics/TV]"))
 	if a.Overlaps(s) || b.Overlaps(s) {
 		t.Fatal("Seattle TVs must not overlap either area")
 	}
@@ -130,16 +135,16 @@ func TestAreaNormalization(t *testing.T) {
 	ns := paperNamespace()
 	// The second cell is covered by the first and must be dropped.
 	a := NewArea(
-		ns.MustParseCell("[USA, Furniture]"),
-		ns.MustParseCell("[USA/OR/Portland, Furniture/Chairs]"),
+		cell(ns, "[USA, Furniture]"),
+		cell(ns, "[USA/OR/Portland, Furniture/Chairs]"),
 	)
 	if len(a.Cells) != 1 {
 		t.Fatalf("normalized cells = %v", a.Cells)
 	}
 	// Duplicates collapse.
 	b := NewArea(
-		ns.MustParseCell("[USA, Furniture]"),
-		ns.MustParseCell("[USA, Furniture]"),
+		cell(ns, "[USA, Furniture]"),
+		cell(ns, "[USA, Furniture]"),
 	)
 	if len(b.Cells) != 1 {
 		t.Fatalf("duplicate cells kept: %v", b.Cells)
@@ -168,10 +173,10 @@ func TestAreaUnionIntersect(t *testing.T) {
 func TestAreaCoversCell(t *testing.T) {
 	ns := paperNamespace()
 	a := ns.MustParseArea("[USA/OR, *] + [USA/WA, Furniture]")
-	if !a.CoversCell(ns.MustParseCell("[USA/OR/Portland, Music/CDs]")) {
+	if !a.CoversCell(cell(ns, "[USA/OR/Portland, Music/CDs]")) {
 		t.Fatal("should cover Portland CDs")
 	}
-	if a.CoversCell(ns.MustParseCell("[USA/WA/Seattle, Music/CDs]")) {
+	if a.CoversCell(cell(ns, "[USA/WA/Seattle, Music/CDs]")) {
 		t.Fatal("should not cover Seattle CDs")
 	}
 }
@@ -200,8 +205,8 @@ func TestValidateAndGeneralize(t *testing.T) {
 func TestURNRoundTrip(t *testing.T) {
 	ns := paperNamespace()
 	a := NewArea(
-		ns.MustParseCell("[USA/OR/Portland, Furniture]"),
-		ns.MustParseCell("[USA/WA/Vancouver, Furniture]"),
+		cell(ns, "[USA/OR/Portland, Furniture]"),
+		cell(ns, "[USA/WA/Vancouver, Furniture]"),
 	)
 	urn := EncodeURN(a)
 	// The paper's example encoding, §3.4.
@@ -220,7 +225,7 @@ func TestURNRoundTrip(t *testing.T) {
 
 func TestURNTopAndErrors(t *testing.T) {
 	ns := paperNamespace()
-	a := NewArea(ns.MustParseCell("[USA/OR/Portland, *]"))
+	a := NewArea(cell(ns, "[USA/OR/Portland, *]"))
 	urn := EncodeURN(a)
 	if urn != "urn:InterestArea:(USA.OR.Portland,*)" {
 		t.Fatalf("urn = %q", urn)
@@ -339,10 +344,7 @@ func TestDimIndex(t *testing.T) {
 	if len(dims) != 2 || dims[0].Name() != "Location" || dims[1].Name() != "Merchandise" {
 		t.Fatal("dimension order broken")
 	}
-	if ns.NumDims() != 2 {
-		t.Fatal("NumDims broken")
-	}
-	c := ns.MustParseCell("[USA/OR, Furniture]")
+	c := cell(ns, "[USA/OR, Furniture]")
 	if c.Coords[0].String() != "USA/OR" || c.Coords[1].String() != "Furniture" {
 		t.Fatalf("cell coordinates out of dimension order: %v", c)
 	}

@@ -103,17 +103,10 @@ type Decision struct {
 	Fingerprint uint64
 }
 
-// MarkVisited records one visit by self in the plan's visited memory, with
-// the fingerprint of the plan as this server is about to forward it. Call
-// it after all of the server's mutations, so the recorded fingerprint
+// MarkVisited records one visit by self in the plan's visited memory,
+// reusing the fingerprint this decision already computed — valid as long as
+// the plan has not mutated since Select, so the recorded fingerprint
 // captures the state the rest of the network sees next.
-func MarkVisited(p *algebra.Plan, self string) {
-	p.VisitedMemory().Mark(self, algebra.Fingerprint(p.Root))
-}
-
-// MarkVisited records one visit by self reusing the fingerprint this
-// decision already computed — valid as long as the plan has not mutated
-// since Select.
 func (d Decision) MarkVisited(p *algebra.Plan, self string) {
 	p.VisitedMemory().Mark(self, d.Fingerprint)
 }

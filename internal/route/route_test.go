@@ -84,7 +84,7 @@ func TestSelectNoCandidates(t *testing.T) {
 // visited one survives only when the plan has mutated since its last visit.
 func TestSelectVisitedFiltering(t *testing.T) {
 	p := urlPlan("t:1", "a:1", "b:1")
-	MarkVisited(p, "a:1")
+	markVisited(p, "a:1")
 
 	// The plan is unchanged since a:1 saw it: forwarding there is ping-pong.
 	dec := Select(p, "self:1", nil)
@@ -106,7 +106,7 @@ func TestSelectVisitedFiltering(t *testing.T) {
 
 func TestSelectExhausted(t *testing.T) {
 	p := urlPlan("t:1", "a:1")
-	MarkVisited(p, "a:1")
+	markVisited(p, "a:1")
 	dec := Select(p, "self:1", nil)
 	if dec.Reason != Exhausted {
 		t.Fatalf("decision = %+v, want Exhausted (only candidate is pure ping-pong)", dec)
@@ -118,7 +118,7 @@ func TestRevisitBudget(t *testing.T) {
 	p := urlPlan("t:1", "a:1")
 	p.VisitedMemory().Budget = 2
 	for visit := 1; visit <= 3; visit++ {
-		MarkVisited(p, "a:1")
+		markVisited(p, "a:1")
 		p.Root.Annotate("card", string(rune('0'+visit))) // progress every round
 	}
 	// a:1 has been visited 3 times with budget 2: no fourth visit, even
@@ -133,10 +133,16 @@ func TestRevisitBudget(t *testing.T) {
 	}
 }
 
+// markVisited records one visit by self with the fingerprint of the plan as
+// it stands, as a server does when it forwards the plan unchanged.
+func markVisited(p *algebra.Plan, self string) {
+	p.VisitedMemory().Mark(self, algebra.Fingerprint(p.Root))
+}
+
 func TestMarkVisited(t *testing.T) {
 	p := urlPlan("t:1", "a:1")
-	MarkVisited(p, "self:1")
-	MarkVisited(p, "self:1")
+	markVisited(p, "self:1")
+	Select(p, "self:1", nil).MarkVisited(p, "self:1")
 	rec, ok := p.Visited.Lookup("self:1")
 	if !ok || rec.Count != 2 {
 		t.Fatalf("record = %+v ok=%v, want count 2", rec, ok)
@@ -232,7 +238,7 @@ func TestPartialExactSubtree(t *testing.T) {
 func TestPartialCarriesContext(t *testing.T) {
 	p := algebra.NewPlan("q", "t:1", algebra.Display(algebra.URN("urn:X:Y")))
 	p.RetainOriginal()
-	MarkVisited(p, "s:1")
+	markVisited(p, "s:1")
 	p.Extra = map[string]*xmltree.Node{"provenance": xmltree.Elem("provenance").Freeze()}
 	pp := Partial(p)
 	if pp.ID != "q" || pp.Target != "t:1" {

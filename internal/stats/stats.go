@@ -28,16 +28,17 @@ type Summary struct {
 // Collect computes a Summary for a collection: cardinality, distinct counts
 // for the given key paths, and (when histPath is non-empty) a histogram of
 // that numeric field with the given number of buckets. The histogram is
-// published only when every item's value at histPath parses as a number
-// other than NaN: a select compares any other value (a missing field, "N/A",
-// "NaN") as text or as equal, so it can match outside the histogram's range,
-// and pruning by that range would drop it.
+// published only when every item's value at histPath reads as a number
+// under xmltree.Number: a select compares any other value (a missing field,
+// "N/A", "NaN") as text, so it can match outside the histogram's range, and
+// pruning by that range would drop it.
 func Collect(items []*xmltree.Node, keyPaths []string, histPath string, buckets int) Summary {
 	s := Summary{Card: len(items), Distinct: map[string]int{}}
 	for _, p := range keyPaths {
+		path := xmltree.ParsePath(p)
 		seen := map[string]bool{}
 		for _, it := range items {
-			v := strings.TrimSpace(it.Value(p))
+			v := strings.TrimSpace(path.Value(it))
 			if v != "" {
 				seen[v] = true
 			}
@@ -45,10 +46,11 @@ func Collect(items []*xmltree.Node, keyPaths []string, histPath string, buckets 
 		s.Distinct[p] = len(seen)
 	}
 	if histPath != "" && buckets > 0 {
+		path := xmltree.ParsePath(histPath)
 		var vals []float64
 		for _, it := range items {
-			f, err := it.Float(histPath)
-			if err != nil || math.IsNaN(f) {
+			f, ok := xmltree.Number(path.Value(it))
+			if !ok {
 				vals = nil
 				break
 			}
@@ -75,26 +77,6 @@ func EncodeDistinct(d map[string]int) string {
 		parts[i] = p + ":" + strconv.Itoa(d[p])
 	}
 	return strings.Join(parts, ",")
-}
-
-// DecodeDistinct parses the wire form produced by EncodeDistinct.
-func DecodeDistinct(s string) (map[string]int, error) {
-	out := map[string]int{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		i := strings.LastIndexByte(part, ':')
-		if i < 0 {
-			return nil, fmt.Errorf("stats: malformed distinct entry %q", part)
-		}
-		n, err := strconv.Atoi(part[i+1:])
-		if err != nil {
-			return nil, fmt.Errorf("stats: malformed distinct count in %q: %w", part, err)
-		}
-		out[part[:i]] = n
-	}
-	return out, nil
 }
 
 // Histogram is an equi-width histogram over a numeric field.
@@ -135,15 +117,6 @@ func (h *Histogram) bucket(v float64) int {
 		b = 0
 	}
 	return b
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // Encode renders the histogram in the compact wire form

@@ -19,6 +19,15 @@ func genItems(n int, seed int64) []*xmltree.Node {
 	return out
 }
 
+// total returns the number of observations h recorded.
+func total(h *Histogram) int {
+	n := 0
+	for _, c := range h.Counts {
+		n += c
+	}
+	return n
+}
+
 func TestCollect(t *testing.T) {
 	items := genItems(200, 1)
 	s := Collect(items, []string{"title"}, "price", 10)
@@ -28,7 +37,7 @@ func TestCollect(t *testing.T) {
 	if s.Distinct["title"] <= 0 || s.Distinct["title"] > 50 {
 		t.Fatalf("distinct = %d", s.Distinct["title"])
 	}
-	if s.Hist == nil || s.Hist.Total() != 200 {
+	if s.Hist == nil || total(s.Hist) != 200 {
 		t.Fatalf("hist total = %v", s.Hist)
 	}
 }
@@ -58,25 +67,14 @@ func TestCollectEmptyAndMissing(t *testing.T) {
 	}
 }
 
+// TestDistinctRoundTrip pins the wire form of the distinct annotation:
+// "path:count" entries sorted by path, and nothing for an empty map.
 func TestDistinctRoundTrip(t *testing.T) {
-	d := map[string]int{"title": 42, "seller/city": 7}
-	enc := EncodeDistinct(d)
-	back, err := DecodeDistinct(enc)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := EncodeDistinct(map[string]int{"title": 42, "seller/city": 7}), "seller/city:7,title:42"; got != want {
+		t.Fatalf("EncodeDistinct = %q, want %q", got, want)
 	}
-	if len(back) != 2 || back["title"] != 42 || back["seller/city"] != 7 {
-		t.Fatalf("round trip = %v", back)
-	}
-	if _, err := DecodeDistinct("nocolon"); err == nil {
-		t.Fatal("malformed distinct should error")
-	}
-	if _, err := DecodeDistinct("a:xx"); err == nil {
-		t.Fatal("malformed count should error")
-	}
-	empty, err := DecodeDistinct("")
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty decode = %v %v", empty, err)
+	if got := EncodeDistinct(map[string]int{}); got != "" {
+		t.Fatalf("EncodeDistinct(empty) = %q", got)
 	}
 }
 
@@ -86,8 +84,8 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Lo != 0 || h.Hi != 9 {
 		t.Fatalf("range = [%g,%g]", h.Lo, h.Hi)
 	}
-	if h.Total() != 10 {
-		t.Fatalf("total = %d", h.Total())
+	if total(h) != 10 {
+		t.Fatalf("total = %d", total(h))
 	}
 	for i, c := range h.Counts {
 		if c != 2 {
@@ -98,7 +96,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramDegenerate(t *testing.T) {
 	h := NewHistogram("p", []float64{5, 5, 5}, 4)
-	if h.Total() != 3 || h.Counts[0] != 3 {
+	if total(h) != 3 || h.Counts[0] != 3 {
 		t.Fatalf("degenerate hist = %v", h.Counts)
 	}
 }

@@ -143,9 +143,6 @@ func (e *FrameEncoder) RawByte(b byte) {
 	e.n++
 }
 
-// Text appends s escaped as canonical text content.
-func (e *FrameEncoder) Text(s string) { e.escaped(s, false) }
-
 // Attr appends one canonical attribute: space, name, ="escaped value".
 func (e *FrameEncoder) Attr(name, value string) {
 	e.attrs([]Attr{{Name: name, Value: value}})

@@ -112,9 +112,8 @@ func TestFrameEncoderMixedSegments(t *testing.T) {
 	e.Attr("id", `q"1`)
 	e.RawByte('>')
 	e.Node(payload)
-	e.Raw("<note>")
-	e.Text("a<b")
-	e.Raw("</note></mqp>")
+	e.Node(ElemText("note", "a<b"))
+	e.Raw("</mqp>")
 	want := `<mqp id="q&quot;1">` + big + `<note>a&lt;b</note></mqp>`
 	if got := e.String(); got != want {
 		t.Fatalf("streamed %q != %q", got, want)

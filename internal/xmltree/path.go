@@ -139,6 +139,15 @@ func first(n *Node, steps []pathStep) *Node {
 	return nil
 }
 
+// Value returns the inner text of the path's first match under n, or ""
+// when nothing matches.
+func (p Path) Value(n *Node) string {
+	if m := p.First(n); m != nil {
+		return m.InnerText()
+	}
+	return ""
+}
+
 // Find returns the first node the path expression matches under n (see
 // Path), or nil.
 func (n *Node) Find(path string) *Node { return ParsePath(path).First(n) }

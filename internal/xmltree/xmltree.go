@@ -45,6 +45,7 @@ package xmltree
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -592,25 +593,19 @@ func appendIndent(b []byte, n *Node, depth int) []byte {
 
 // Value returns the inner text of the first node matched by the path
 // expression (see Path), or "" when nothing matches.
-func (n *Node) Value(path string) string {
-	m := n.Find(path)
-	if m == nil {
-		return ""
-	}
-	return m.InnerText()
-}
+func (n *Node) Value(path string) string { return ParsePath(path).Value(n) }
 
-// Float returns the first matched value parsed as float64.
-func (n *Node) Float(path string) (float64, error) {
-	v := strings.TrimSpace(n.Value(path))
-	if v == "" {
-		return 0, fmt.Errorf("xmltree: path %q: no value", path)
+// Number reads a field's text, or a comparison literal, as a number: trimmed
+// and parsed as a float. NaN reads as text, since it can be neither ordered
+// nor bounded by a histogram. Select, TopN, histogram collection and pruning
+// all read through Number, so pruning by a histogram's range removes only
+// items a select would reject.
+func Number(text string) (float64, bool) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(text), 64)
+	if err != nil || math.IsNaN(f) {
+		return 0, false
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("xmltree: path %q: %w", path, err)
-	}
-	return f, nil
+	return f, true
 }
 
 // Int returns the first matched value parsed as int.

@@ -167,16 +167,21 @@ func TestFindNested(t *testing.T) {
 
 func TestFloatInt(t *testing.T) {
 	n := MustParse(`<i><p> 9.5 </p><q>7</q></i>`)
-	f, err := n.Float("p")
-	if err != nil || f != 9.5 {
-		t.Fatalf("Float = %v, %v", f, err)
+	if f, ok := Number(n.Value("p")); !ok || f != 9.5 {
+		t.Fatalf("Number = %v, %v", f, ok)
 	}
 	i, err := n.Int("q")
 	if err != nil || i != 7 {
 		t.Fatalf("Int = %v, %v", i, err)
 	}
-	if _, err := n.Float("missing"); err == nil {
-		t.Fatal("Float on missing path should error")
+	// A missing field, text and NaN do not read as numbers; infinities do.
+	for _, text := range []string{n.Value("missing"), "N/A", "NaN", " nan ", "-NaN"} {
+		if f, ok := Number(text); ok {
+			t.Errorf("Number(%q) = %v, want no number", text, f)
+		}
+	}
+	if f, ok := Number(" -Inf "); !ok || f > -1e308 {
+		t.Fatalf("Number(-Inf) = %v, %v", f, ok)
 	}
 	if _, err := n.Int("p"); err == nil {
 		t.Fatal("Int on float text should error")
