@@ -10,12 +10,15 @@
 //	chaos -n 500 -level heavy           # sweep at a fixed fault intensity
 //	chaos -n 50 -peers 1000 -churn      # large worlds: churn + promotion
 //
-// -peers switches to the large-world generator (layered per-state indexes,
-// zipf-skewed load, incremental oracle with sampled full verification);
-// -churn adds mid-run joins, leaves and replica promotions. A sweep failure
-// prints the seed; rerun it with -seed and the same world flags (or make
-// chaos SEED=...) for a byte-identical replay. Exit status is non-zero when
-// any invariant was violated.
+// -start sets a sweep's first seed and -max-stuck gates the number of stuck
+// plans. -peers switches to the large-world generator (layered per-state
+// indexes, seed-derived zipf-skewed load, incremental oracle with full
+// verification of an -oracle-sample fraction of queries); -churn adds
+// mid-run joins, leaves and replica promotions. -learn gives every peer
+// learned routing shortcuts and -blobs a content-addressed payload store. A
+// sweep failure prints the seed; rerun it with -seed and the same world
+// flags (or make chaos SEED=...) for a byte-identical replay. Exit status is
+// non-zero when any invariant was violated.
 package main
 
 import (
@@ -36,7 +39,6 @@ func main() {
 	maxStuck := flag.Int("max-stuck", -1, "fail when more than this many plans end up stuck (-1: no gate); CI runs the fault-free sweep with -max-stuck 0")
 	peersN := flag.Int("peers", 0, "large worlds: number of seller peers (0: original small-world generator)")
 	churn := flag.Bool("churn", false, "large worlds: mid-run joins, leaves, crash windows and replica promotion")
-	zipf := flag.Float64("zipf", 0, "large worlds: specialty/query skew exponent (0: seed-derived)")
 	oracleSample := flag.Float64("oracle-sample", 0, "large worlds: fraction of queries given full reference-oracle verification (0: default 0.15)")
 	learn := flag.Bool("learn", false, "enable learned routing shortcuts on every peer (trail mining, learned-tier routing, catalog absorption)")
 	blobs := flag.Bool("blobs", false, "enable the content-addressed payload store on every peer (dedup at rest, by-reference freight, fetch-on-miss)")
@@ -60,7 +62,7 @@ func main() {
 	began := time.Now()
 	for _, s := range seeds {
 		rep, err := chaos.Run(chaos.Config{Seed: s, Level: level,
-			Peers: *peersN, Churn: *churn, Zipf: *zipf, OracleSample: *oracleSample,
+			Peers: *peersN, Churn: *churn, OracleSample: *oracleSample,
 			Learn: *learn, Blobs: *blobs})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: seed %d: harness error: %v\n", s, err)

@@ -7,8 +7,10 @@
 // a <registration> or <deregister> for the catalog; and the calls <fetch> (a
 // collection's items) and <export> (this peer's registration); any other
 // call, <subcats> among them, is refused as a kind the daemon does not know.
-// A -collection file is an XML document whose root's child elements are the
-// items.
+// Flags: -addr is the listen address, -alias binds a URN to a target
+// (repeatable), and -collection serves a file under a path (repeatable). A
+// -collection file is an XML document whose root's child elements are the
+// items. The prepared-plan cache holds 128 plans.
 //
 // Example (three shells):
 //
@@ -37,6 +39,9 @@ import (
 	"repro/internal/xmltree"
 )
 
+// planCacheSize is the daemon's prepared-plan cache capacity, in entries.
+const planCacheSize = 128
+
 type aliasFlags []string
 
 func (a *aliasFlags) String() string     { return strings.Join(*a, ",") }
@@ -44,7 +49,6 @@ func (a *aliasFlags) Set(v string) error { *a = append(*a, v); return nil }
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9020", "listen address (host:port)")
-	planCache := flag.Int("plan-cache", 128, "prepared-plan cache entries (0 disables)")
 	var aliases, collections aliasFlags
 	flag.Var(&aliases, "alias", "URN alias mapping urn=target (repeatable)")
 	flag.Var(&collections, "collection", "collection mapping pathExp=items.xml (repeatable)")
@@ -55,7 +59,7 @@ func main() {
 	net := peer.NewTCP()
 	p, err := peer.New(peer.Config{
 		Addr: *addr, Net: net, NS: workload.GarageSaleNamespace(),
-		PushSelect: true, Key: []byte("mqpd-" + *addr), PlanCacheSize: *planCache,
+		PushSelect: true, Key: []byte("mqpd-" + *addr), PlanCacheSize: planCacheSize,
 	})
 	if err != nil {
 		log.Fatalf("mqpd: %v", err)

@@ -22,7 +22,7 @@ func stagedMarshal(p *Plan) *xmltree.Node {
 	if p.Original != nil {
 		doc.Add(xmltree.Elem("original", marshalNode(p.Original)))
 	}
-	if p.Visited != nil && (p.Visited.Len() > 0 || p.Visited.Budget > 0) {
+	if p.Visited != nil && p.Visited.Len() > 0 {
 		doc.Add(p.Visited.Marshal())
 	}
 	keys := make([]string, 0, len(p.Extra))

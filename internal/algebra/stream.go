@@ -59,9 +59,7 @@ func EncodeFrameRefs(p *Plan, enc *xmltree.FrameEncoder, ref func(doc *xmltree.N
 		encodeFrameNode(p.Original, enc, refs)
 		enc.Raw("</original>")
 	}
-	if p.Visited != nil && (p.Visited.Len() > 0 || p.Visited.Budget > 0) {
-		// Emitted whenever there is state to carry — visit records, or just
-		// a per-plan budget override set before the first hop.
+	if p.Visited != nil && p.Visited.Len() > 0 {
 		enc.Node(p.Visited.Marshal())
 	}
 	if len(p.Extra) > 0 {

@@ -37,7 +37,6 @@ func streamPlans(t *testing.T) map[string]*Plan {
 
 	traveled := fig3Plan()
 	traveled.RetainOriginal()
-	traveled.VisitedMemory().Budget = 4
 	traveled.VisitedMemory().Mark("a:1", 0xfeed)
 	traveled.VisitedMemory().Mark("b:1", 0xbeef)
 	traveled.Extra = map[string]*xmltree.Node{

@@ -68,16 +68,10 @@ type VisitRecord struct {
 // Visited is a plan's visited-server memory. The zero value is not usable;
 // construct with NewVisited (or Plan.VisitedMemory).
 type Visited struct {
-	// Budget, when positive, overrides the router's default revisit budget
-	// for this plan: the number of revisits a server may receive beyond its
-	// first visit.
-	Budget  int
 	records map[string]*VisitRecord
 	// elem caches the marshaled <visited> element, frozen so every hop that
-	// serializes the plan between mutations aliases it. Invalidated by Mark;
-	// elemBudget guards against direct writes to the exported Budget field.
-	elem       *xmltree.Node
-	elemBudget int
+	// serializes the plan between mutations aliases it. Invalidated by Mark.
+	elem *xmltree.Node
 }
 
 // NewVisited creates an empty visited memory.
@@ -134,8 +128,7 @@ func (v *Visited) Clone() *Visited {
 	if v == nil {
 		return nil
 	}
-	cp := &Visited{Budget: v.Budget, records: make(map[string]*VisitRecord, len(v.records)),
-		elem: v.elem, elemBudget: v.elemBudget}
+	cp := &Visited{records: make(map[string]*VisitRecord, len(v.records)), elem: v.elem}
 	for s, r := range v.records {
 		rc := *r
 		cp.records[s] = &rc
@@ -150,20 +143,17 @@ func (v *Visited) Clone() *Visited {
 // The wire form is one text run packing every record, fingerprints in
 // unpadded base64url —
 //
-//	<visited b="3">meta:9020 2 FnYrjV5vcIE;s1:9020 Cg4iPbzW_yQ</visited>
+//	<visited>meta:9020 2 FnYrjV5vcIE;s1:9020 Cg4iPbzW_yQ</visited>
 //
 // Records are ';'-separated; fields are server, optional decimal count
 // (omitted when 1, the overwhelmingly common case), and fingerprint. A
 // server name therefore holds no ';' and no Unicode space: the only name a
 // processor marks is its own address, which mqp.New checks.
 func (v *Visited) Marshal() *xmltree.Node {
-	if v.elem != nil && v.elemBudget == v.Budget {
+	if v.elem != nil {
 		return v.elem
 	}
 	e := xmltree.Elem(visitedElem)
-	if v.Budget > 0 {
-		e.SetAttr("b", strconv.Itoa(v.Budget))
-	}
 	var sb strings.Builder
 	var fp [8]byte
 	for i, s := range v.Servers() {
@@ -182,7 +172,6 @@ func (v *Visited) Marshal() *xmltree.Node {
 	}
 	e.Text = sb.String()
 	v.elem = e.Freeze()
-	v.elemBudget = v.Budget
 	return v.elem
 }
 
@@ -191,25 +180,13 @@ const visitedElem = "visited"
 
 // UnmarshalVisited parses a <visited> section in the form Marshal writes. An
 // element inside the section, or a record it cannot read, is an error: a
-// section that decayed into empty memory would reopen livelocks.
+// section that decayed into empty memory would reopen livelocks. Attributes
+// are ignored: the revisit bound is the router's, not the sender's.
 func UnmarshalVisited(e *xmltree.Node) (*Visited, error) {
 	if e.Name != visitedElem {
 		return nil, fmt.Errorf("algebra: expected <%s>, got <%s>", visitedElem, e.Name)
 	}
 	v := NewVisited()
-	if b := e.AttrDefault("b", ""); b != "" {
-		n, err := strconv.Atoi(b)
-		if err != nil {
-			return nil, fmt.Errorf("algebra: bad visited budget %q", b)
-		}
-		// A budget attr that parses to <=0 means "no override", not "never
-		// revisit": leave Budget at zero so the router's default applies
-		// (route.DefaultRevisitBudget). Treating 0 or a negative as a hard
-		// zero would make every revisit unproductive and strand the plan.
-		if n > 0 {
-			v.Budget = n
-		}
-	}
 	for _, c := range e.Children {
 		if !c.IsText() {
 			return nil, fmt.Errorf("algebra: <%s> inside <%s>", c.Name, visitedElem)

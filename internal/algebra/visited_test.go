@@ -23,11 +23,10 @@ func visitedTestPlan() *Plan {
 }
 
 // TestVisitedWireRoundTrip: the <visited> section survives Marshal/Unmarshal
-// with counts, fingerprints and budget intact.
+// with counts and fingerprints intact.
 func TestVisitedWireRoundTrip(t *testing.T) {
 	p := visitedTestPlan()
 	v := p.VisitedMemory()
-	v.Budget = 4
 	v.Mark("a:1", Fingerprint(p.Root))
 	v.Mark("a:1", 0xdeadbeef)
 	v.Mark("b:1", 42)
@@ -38,9 +37,6 @@ func TestVisitedWireRoundTrip(t *testing.T) {
 	}
 	if rt.Visited == nil {
 		t.Fatal("visited section lost on the wire")
-	}
-	if rt.Visited.Budget != 4 {
-		t.Fatalf("budget = %d, want 4", rt.Visited.Budget)
 	}
 	if got := rt.Visited.Servers(); len(got) != 2 || got[0] != "a:1" || got[1] != "b:1" {
 		t.Fatalf("servers = %v", got)
@@ -62,17 +58,6 @@ func TestVisitedWireRoundTrip(t *testing.T) {
 	}
 	if rt2.Visited != nil {
 		t.Fatal("empty visited memory must not travel")
-	}
-	// ... but a budget override set before the first hop must: it is the
-	// client's per-plan revisit knob.
-	p3 := visitedTestPlan()
-	p3.VisitedMemory().Budget = 1
-	rt3, err := Unmarshal(Marshal(p3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt3.Visited == nil || rt3.Visited.Budget != 1 {
-		t.Fatalf("budget-only visited memory lost on the wire: %+v", rt3.Visited)
 	}
 }
 
@@ -152,34 +137,26 @@ func TestVisitedMarshalFrozenAndCached(t *testing.T) {
 	if rt, err := UnmarshalVisited(e3); err != nil || rt.Len() != 2 {
 		t.Fatalf("marshal = %s (err %v)", e3, err)
 	}
-	// Direct writes to the exported Budget field must not serve a stale
-	// cached budget.
-	v.Budget = 9
-	if got := v.Marshal().AttrDefault("b", ""); got != "9" {
-		t.Fatalf("budget attr = %q after direct Budget write, want 9", got)
-	}
 }
 
 // TestVisitedCompactWireForm pins the compact encoding: one packed text
-// run, count omitted when 1, budget in the short attr — and verifies it
-// survives a full string serialization round trip through the zero-copy
-// decoder.
+// run, count omitted when 1, no attributes — and verifies it survives a full
+// string serialization round trip through the zero-copy decoder.
 func TestVisitedCompactWireForm(t *testing.T) {
 	v := NewVisited()
-	v.Budget = 3
 	v.Mark("meta:9020", 0x1a2b3c4d5e6f7081)
 	v.Mark("meta:9020", 0x1a2b3c4d5e6f7081)
 	v.Mark("s1:9020", 1)
 	e := v.Marshal()
-	if got, want := e.AttrDefault("b", ""), "3"; got != want {
-		t.Fatalf("budget attr = %q, want %q", got, want)
+	if len(e.Attrs) != 0 {
+		t.Fatalf("compact form must carry no attributes: %s", e)
 	}
 	if len(e.Elements()) != 0 {
 		t.Fatalf("compact form must carry no per-record elements: %s", e)
 	}
 	// The compact form must be meaningfully smaller than an
 	// element-per-record encoding of the same records.
-	legacySize := len(`<visited budget="3">` +
+	legacySize := len(`<visited>` +
 		`<v fp="1a2b3c4d5e6f7081" n="2" s="meta:9020"/>` +
 		`<v fp="1" n="1" s="s1:9020"/>` + `</visited>`)
 	if e.ByteSize() >= legacySize*3/4 {
@@ -193,9 +170,6 @@ func TestVisitedCompactWireForm(t *testing.T) {
 	rt, err := UnmarshalVisited(doc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rt.Budget != 3 {
-		t.Fatalf("budget = %d", rt.Budget)
 	}
 	if r, ok := rt.Lookup("meta:9020"); !ok || r.Count != 2 || r.Fingerprint != 0x1a2b3c4d5e6f7081 {
 		t.Fatalf("meta record = %+v ok=%v", r, ok)
@@ -213,12 +187,9 @@ func TestVisitedLegacyWireForm(t *testing.T) {
 		`<visited budget="3"><v fp="deadbeef42" n="2" s="meta:9020"/></visited>`)); err == nil {
 		t.Fatal("per-record element form accepted")
 	}
-	rt, err := UnmarshalVisited(xmltree.MustParse(`<visited b="3">meta:9020 2 AAAA3q2-70I</visited>`))
+	rt, err := UnmarshalVisited(xmltree.MustParse(`<visited>meta:9020 2 AAAA3q2-70I</visited>`))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rt.Budget != 3 {
-		t.Fatalf("budget = %d", rt.Budget)
 	}
 	if r, ok := rt.Lookup("meta:9020"); !ok || r.Count != 2 || r.Fingerprint != 0xdeadbeef42 {
 		t.Fatalf("record = %+v ok=%v", r, ok)
@@ -233,7 +204,6 @@ func TestVisitedCompactRejectsGarbage(t *testing.T) {
 		`<visited>a:1 x AAAAAAAAAAE</visited>`,       // bad count
 		`<visited>a:1 2 zz</visited>`,                // bad fingerprint
 		`<visited>a:1 2 AAAAAAAAAAE extra</visited>`, // too many fields
-		`<visited b="x">a:1 AAAAAAAAAAE</visited>`,   // bad budget
 	} {
 		if _, err := UnmarshalVisited(xmltree.MustParse(src)); err == nil {
 			t.Errorf("no error for %s", src)
@@ -284,39 +254,31 @@ func TestUnmarshalVisitedRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestUnmarshalVisitedBudgetEdge: a budget attr that parses to zero or a
-// negative number means "no override" — the record decodes with Budget 0 so
-// the router falls back to its default, instead of treating the plan as
-// "never revisit" (which stranded plans whose client zeroed the knob).
-// Regression for the revisit-budget edge fixed alongside learned routing.
+// TestUnmarshalVisitedBudgetEdge: a b attribute, which once overrode the
+// router's revisit budget for the plan, is ignored like any other unknown
+// attribute, whatever its value: the records read back exactly, and the
+// memory re-marshals without it.
 func TestUnmarshalVisitedBudgetEdge(t *testing.T) {
-	for _, src := range []string{
-		`<visited b="0">a:1 AAAAAAAAAAE</visited>`,
-		`<visited b="-3">a:1 AAAAAAAAAAE</visited>`,
-		`<visited b="0"/>`,
-	} {
+	want := `<visited>a:1 AAAAAAAAAAE</visited>`
+	for _, b := range []string{"0", "-3", "7", "100", "x"} {
+		src := `<visited b="` + b + `">a:1 AAAAAAAAAAE</visited>`
 		v, err := UnmarshalVisited(xmltree.MustParse(src))
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if v.Budget != 0 {
-			t.Errorf("%s: Budget = %d, want 0 (router default applies)", src, v.Budget)
+		if r, ok := v.Lookup("a:1"); !ok || r.Count != 1 || r.Fingerprint != 1 || v.Len() != 1 {
+			t.Fatalf("%s: a:1 record = %+v ok=%v", src, r, ok)
 		}
-		// Round trip: Budget 0 must not re-emit a budget attr at all.
-		if got := v.Marshal().AttrDefault("b", ""); got != "" {
-			t.Errorf("%s: re-marshal emitted b=%q, want no attr", src, got)
+		if got := v.Marshal().String(); got != want {
+			t.Errorf("%s: re-marshal = %s, want %s", src, got, want)
 		}
 	}
-	// A positive attr still round-trips exactly.
-	v, err := UnmarshalVisited(xmltree.MustParse(`<visited b="7">a:1 AAAAAAAAAAE</visited>`))
+	v, err := UnmarshalVisited(xmltree.MustParse(`<visited b="0"/>`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Budget != 7 {
-		t.Fatalf("Budget = %d, want 7", v.Budget)
-	}
-	if got := v.Marshal().AttrDefault("b", ""); got != "7" {
-		t.Fatalf("re-marshal b=%q, want 7", got)
+	if v.Len() != 0 {
+		t.Fatalf(`<visited b="0"/> read %v, want empty memory`, v.Servers())
 	}
 }
 
@@ -326,7 +288,6 @@ func TestUnmarshalVisitedBudgetEdge(t *testing.T) {
 // refused whole, while the same section without it still reads back exactly.
 func TestVisitedIgnoresAnsweredRecords(t *testing.T) {
 	v := NewVisited()
-	v.Budget = 3
 	v.Mark("idx-OR:9020", 42)
 	v.Mark("idx-OR:9020", 43)
 	v.Mark("s1:9020", 7)
@@ -345,9 +306,6 @@ func TestVisitedIgnoresAnsweredRecords(t *testing.T) {
 	got, err := UnmarshalVisited(xmltree.MustParse(want))
 	if err != nil {
 		t.Fatalf("%s: %v", want, err)
-	}
-	if got.Budget != 3 {
-		t.Fatalf("Budget = %d, want 3", got.Budget)
 	}
 	if r, ok := got.Lookup("idx-OR:9020"); !ok || r.Count != 2 || r.Fingerprint != 43 {
 		t.Fatalf("idx-OR:9020 record = %+v ok=%v, want count 2 fp 43", r, ok)

@@ -120,9 +120,6 @@ type Config struct {
 	// leaves (crash with no restart), crash/restart windows, and replica
 	// promotion on the leavers.
 	Churn bool
-	// Zipf skews the large-world specialty and query distribution
-	// (1.2–2.0 realistic); 0 derives it from the seed like small worlds do.
-	Zipf float64
 	// OracleSample is the fraction of large-world queries that get full
 	// reference-oracle verification on top of the cheap incremental checks
 	// every query gets; 0 defaults to 0.15, >= 1 verifies everything.
@@ -514,12 +511,12 @@ func (w *scenario) execute() (outcome, error) {
 		}
 		oracleTime = time.Since(began)
 	}()
-	stats, err := w.Net.Run()
+	events, err := w.Net.Run()
 	if err != nil {
 		rep.violate("scheduler: %v", err)
 	}
 	wg.Wait()
-	rep.Events = stats.Events
+	rep.Events = events
 	rep.OracleTime = oracleTime
 	rep.Messages = w.Net.Metrics().Messages
 	for _, err := range errs {

@@ -74,10 +74,7 @@ func genLarge(cfg Config) (*scenario, error) {
 	w := newScenario(cfg, ns)
 	rep := w.rep
 
-	zipf := cfg.Zipf
-	if zipf <= 1 {
-		zipf = 1.2 + rng.Float64()*0.8
-	}
+	zipf := 1.2 + rng.Float64()*0.8
 	sample := cfg.OracleSample
 	if sample <= 0 {
 		sample = 0.15

@@ -173,7 +173,7 @@ func TestNaNReadsAsText(t *testing.T) {
 	if s := ids(got); s != "five none nan" {
 		t.Errorf("TopN ascending: %q, want the number first, then text in text order", s)
 	}
-	if h := stats.Collect(items(in[:2]...), nil, "p", 4).Hist; h != nil {
+	if h := stats.Collect(items(in[:2]...), nil, "p").Hist; h != nil {
 		t.Errorf("histogram %s published over a NaN value", h.Encode())
 	}
 }

@@ -298,44 +298,33 @@ func (h *Hierarchy) Generalize(p Path) Path {
 // generators draw most-specific categories from this set.
 func (h *Hierarchy) Leaves() []Path {
 	var out []Path
-	var walk func(n *node, p Path)
-	walk = func(n *node, p Path) {
+	walkSorted(h.root, Top, func(n *node, p Path) {
 		if len(n.children) == 0 {
-			if !p.IsTop() {
-				out = append(out, p)
-			}
-			return
+			out = append(out, p)
 		}
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			walk(n.children[name], p.Child(name))
-		}
-	}
-	walk(h.root, Top)
+	})
 	return out
 }
 
 // All returns every category in the hierarchy (excluding Top), sorted.
 func (h *Hierarchy) All() []Path {
 	var out []Path
-	var walk func(n *node, p Path)
-	walk = func(n *node, p Path) {
-		if !p.IsTop() {
-			out = append(out, p)
-		}
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			walk(n.children[name], p.Child(name))
-		}
-	}
-	walk(h.root, Top)
+	walkSorted(h.root, Top, func(_ *node, p Path) { out = append(out, p) })
 	return out
+}
+
+// walkSorted visits every category below n (excluding n when it is Top) in
+// sorted depth-first order: a parent before its children, siblings by name.
+func walkSorted(n *node, p Path, visit func(n *node, p Path)) {
+	if !p.IsTop() {
+		visit(n, p)
+	}
+	names := make([]string, 0, len(n.children))
+	for name := range n.children {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		walkSorted(n.children[name], p.Child(name), visit)
+	}
 }

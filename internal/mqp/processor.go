@@ -104,20 +104,17 @@ func GetPrefs(p *algebra.Plan) Prefs {
 // DefaultPolicy implements Policy with the simple scheme the paper sketches:
 // evaluate everything up to a cardinality ceiling, choose alternatives by
 // the complete-vs-current preference under the time budget, and always pull
-// data (set FetchCeiling to bound pulls).
+// data.
 type DefaultPolicy struct {
 	// MaxReduceCard declines evaluation of sub-plans whose estimated output
 	// exceeds it (§5.1: "S may decline to evaluate B at this point, because
 	// of the size of res(B)"). Zero means no ceiling.
 	MaxReduceCard int
-	// FetchCeiling declines pulling URLs whose annotated cardinality
-	// exceeds it; the plan travels to the data instead. Zero means always
-	// fetch.
-	FetchCeiling int
-	// HopCostMS estimates per-site latency when checking alternatives
-	// against the budget. Zero defaults to 50.
-	HopCostMS int
 }
+
+// hopCostMS estimates per-site latency when ChooseOr checks an alternative
+// against the query's time budget.
+const hopCostMS = 50
 
 // ShouldReduce implements Policy.
 func (d DefaultPolicy) ShouldReduce(_ *algebra.Node, estCard int) bool {
@@ -128,15 +125,11 @@ func (d DefaultPolicy) ShouldReduce(_ *algebra.Node, estCard int) bool {
 // allows when the query prefers currency, otherwise the fewest-sites
 // alternative.
 func (d DefaultPolicy) ChooseOr(alts []*algebra.Node, prefs Prefs) int {
-	hop := d.HopCostMS
-	if hop <= 0 {
-		hop = 50
-	}
 	if prefs.PreferCurrent {
 		idx := algebra.PickMostCurrent(alts)
 		if idx >= 0 && prefs.BudgetMS > 0 {
 			sites := len(alts[idx].URLs()) + len(alts[idx].URNs())
-			if sites*hop > prefs.BudgetMS {
+			if sites*hopCostMS > prefs.BudgetMS {
 				// The current alternative does not fit the budget; fall
 				// back to the cheapest one.
 				return algebra.PickFewestSites(alts)
@@ -148,9 +141,7 @@ func (d DefaultPolicy) ChooseOr(alts []*algebra.Node, prefs Prefs) int {
 }
 
 // ShouldFetch implements Policy.
-func (d DefaultPolicy) ShouldFetch(_, _ string, estCard int) bool {
-	return d.FetchCeiling <= 0 || estCard < 0 || estCard <= d.FetchCeiling
-}
+func (DefaultPolicy) ShouldFetch(_, _ string, _ int) bool { return true }
 
 // ForwardOnlyPolicy never pulls remote data: plans always travel to the
 // data, the purest form of mutant query evaluation.
@@ -173,7 +164,8 @@ type Config struct {
 	// FetchRemote pulls data from another server, or nil when the
 	// deployment forwards plans instead of pulling data.
 	FetchRemote Fetcher
-	// Policy defaults to DefaultPolicy{}.
+	// Policy defaults to ForwardOnlyPolicy{}: plans travel to the data.
+	// DefaultPolicy pulls data through FetchRemote instead.
 	Policy Policy
 	// PushSelect enables the select-through-union rewrite (Fig. 4a);
 	// the E1/E5 ablation toggles it.
@@ -244,7 +236,7 @@ func New(cfg Config) (*Processor, error) {
 		return nil, fmt.Errorf("mqp: config needs a Catalog")
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = DefaultPolicy{}
+		cfg.Policy = ForwardOnlyPolicy{}
 	}
 	p := &Processor{cfg: cfg}
 	if cfg.PlanCacheSize > 0 {

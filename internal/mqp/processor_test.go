@@ -335,7 +335,7 @@ func TestPrefsRoundTrip(t *testing.T) {
 }
 
 func TestChooseOrBudget(t *testing.T) {
-	pol := DefaultPolicy{HopCostMS: 100}
+	var pol DefaultPolicy
 	stale := algebra.URL("r:1", "")
 	stale.SetStaleness(30)
 	current := algebra.Union(algebra.URL("r:1", ""), algebra.URL("s:1", ""))
@@ -346,8 +346,12 @@ func TestChooseOrBudget(t *testing.T) {
 	if got := pol.ChooseOr(alts, Prefs{PreferCurrent: true, BudgetMS: 1000}); got != 1 {
 		t.Fatalf("generous budget pick = %d", got)
 	}
+	// Prefer current with a budget that just fits two hops of hopCostMS.
+	if got := pol.ChooseOr(alts, Prefs{PreferCurrent: true, BudgetMS: 2 * hopCostMS}); got != 1 {
+		t.Fatalf("exact budget pick = %d", got)
+	}
 	// Prefer current with a tight budget: falls back to one site.
-	if got := pol.ChooseOr(alts, Prefs{PreferCurrent: true, BudgetMS: 150}); got != 0 {
+	if got := pol.ChooseOr(alts, Prefs{PreferCurrent: true, BudgetMS: 2*hopCostMS - 1}); got != 0 {
 		t.Fatalf("tight budget pick = %d", got)
 	}
 	// No currency preference: fewest sites.

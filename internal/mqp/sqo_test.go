@@ -109,7 +109,7 @@ func TestPruneByStatsKeepsNonNumericMatches(t *testing.T) {
 			xmltree.MustParse(`<item><price>20</price></item>`),
 			xmltree.MustParse(odd),
 		}
-		s := stats.Collect(items, nil, "price", 4)
+		s := stats.Collect(items, nil, "price")
 		for _, pred := range []string{"price < 5", "price > 1000", "price >= 1000", "price = 1000"} {
 			selected := func(prune bool) int {
 				u := algebra.URL("a:1", "/d")

@@ -105,8 +105,8 @@ type Config struct {
 	// Authoritative marks the peer's registrations as authoritative for
 	// its area (§3.3).
 	Authoritative bool
-	// Policy defaults to mqp.DefaultPolicy{}. Use mqp.ForwardOnlyPolicy to
-	// disable data pulls.
+	// Policy defaults to mqp.ForwardOnlyPolicy{}, as in mqp.Config: plans
+	// travel to the data. mqp.DefaultPolicy pulls data instead.
 	Policy mqp.Policy
 	// PushSelect enables the Fig. 4(a) rewrite, which pushes a select
 	// through a union; the zero value leaves it off.
@@ -212,11 +212,6 @@ type Peer struct {
 func New(cfg Config) (*Peer, error) {
 	if cfg.Addr == "" || cfg.Net == nil || cfg.NS == nil {
 		return nil, fmt.Errorf("peer: config needs Addr, Net and NS")
-	}
-	if cfg.Policy == nil {
-		// Plans travel to the data by default — the paper's signature
-		// behavior. Pass mqp.DefaultPolicy to enable data pulls instead.
-		cfg.Policy = mqp.ForwardOnlyPolicy{}
 	}
 	p := &Peer{
 		addr:  cfg.Addr,
@@ -360,15 +355,8 @@ func (p *Peer) Registration(role catalog.Role) catalog.Registration {
 		coll := catalog.Collection{Name: c.Name, PathExp: c.PathExp, Area: c.Area}
 		// Publish attribute indices (§3.2) when stats are configured.
 		if p.cfg.StatsHistPath != "" {
-			s := stats.Collect(c.Items, p.cfg.StatsKeyPaths, p.cfg.StatsHistPath, 8)
-			coll.Annotations = map[string]string{}
-			coll.Annotations[algebra.AnnotCard] = strconv.Itoa(s.Card)
-			if s.Hist != nil {
-				coll.Annotations[algebra.AnnotHistogram] = s.Hist.Encode()
-			}
-			if len(s.Distinct) > 0 {
-				coll.Annotations[algebra.AnnotDistinct] = stats.EncodeDistinct(s.Distinct)
-			}
+			coll.Annotations = p.statsAnnotations(c.Items)
+			coll.Annotations[algebra.AnnotCard] = strconv.Itoa(len(c.Items))
 		}
 		reg.Collections = append(reg.Collections, coll)
 	}
@@ -894,7 +882,13 @@ func (p *Peer) statsFor(pathExp string) map[string]string {
 	if c == nil {
 		return nil
 	}
-	s := stats.Collect(c.Items, p.cfg.StatsKeyPaths, p.cfg.StatsHistPath, 8)
+	return p.statsAnnotations(c.Items)
+}
+
+// statsAnnotations encodes the histogram and distinct counts of items, under
+// the configured stats paths, as plan annotations.
+func (p *Peer) statsAnnotations(items []*xmltree.Node) map[string]string {
+	s := stats.Collect(items, p.cfg.StatsKeyPaths, p.cfg.StatsHistPath)
 	out := map[string]string{}
 	if len(s.Distinct) > 0 {
 		out[algebra.AnnotDistinct] = stats.EncodeDistinct(s.Distinct)

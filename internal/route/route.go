@@ -29,7 +29,8 @@ import (
 )
 
 // DefaultRevisitBudget is the number of times a plan may return to a server
-// it has already visited, when no plan-level budget is set. Pure ping-pong
+// it has already visited. Every server enforces it: the plan carries visit
+// counts, not its own bound, so a sender cannot raise it. Pure ping-pong
 // is filtered by the fingerprint rule regardless; the budget bounds cycles
 // that keep mutating the plan (and legitimate multi-pass itineraries, e.g. a
 // remainder URN chaining through a meta-index once per covered sub-area).
@@ -210,10 +211,6 @@ func filterByVisited(p *algebra.Plan, hops []string, fp uint64) (keep, filtered 
 	if v == nil || v.Len() == 0 {
 		return hops, nil
 	}
-	budget := v.Budget
-	if budget <= 0 {
-		budget = DefaultRevisitBudget
-	}
 	for _, h := range hops {
 		rec, seen := v.Lookup(h)
 		switch {
@@ -223,7 +220,7 @@ func filterByVisited(p *algebra.Plan, hops []string, fp uint64) (keep, filtered 
 			// The plan has not mutated since h last processed it: h would
 			// do exactly what it did before. Pure ping-pong.
 			filtered = append(filtered, h)
-		case rec.Count > budget:
+		case rec.Count > DefaultRevisitBudget:
 			filtered = append(filtered, h)
 		default:
 			keep = append(keep, h)

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -113,23 +115,56 @@ func TestSelectExhausted(t *testing.T) {
 	}
 }
 
-// TestRevisitBudget: even productive revisits are bounded.
+// TestRevisitBudget: even productive revisits are bounded by
+// DefaultRevisitBudget.
 func TestRevisitBudget(t *testing.T) {
 	p := urlPlan("t:1", "a:1")
-	p.VisitedMemory().Budget = 2
-	for visit := 1; visit <= 3; visit++ {
+	for visit := 1; visit <= DefaultRevisitBudget; visit++ {
 		markVisited(p, "a:1")
-		p.Root.Annotate("card", string(rune('0'+visit))) // progress every round
+		p.Root.Annotate("card", strconv.Itoa(visit)) // progress every round
 	}
-	// a:1 has been visited 3 times with budget 2: no fourth visit, even
+	// a:1 has used its revisits, but none past the budget: it may see the
+	// mutated plan once more.
+	if dec := Select(p, "self:1", nil); dec.Reason != Forward {
+		t.Fatalf("decision = %+v, want Forward with budget to spare", dec)
+	}
+	// One more productive visit spends the budget: no further visit, even
 	// though the plan mutated.
+	markVisited(p, "a:1")
+	p.Root.Annotate("card", "progress")
 	if dec := Select(p, "self:1", nil); dec.Reason != Exhausted {
 		t.Fatalf("decision = %+v, want Exhausted after the revisit budget is spent", dec)
 	}
-	// The same history under a looser budget still forwards.
-	p.VisitedMemory().Budget = 5
-	if dec := Select(p, "self:1", nil); dec.Reason != Forward {
-		t.Fatalf("decision = %+v, want Forward with budget to spare", dec)
+}
+
+// TestSenderCannotRaiseRevisitBudget: a plan off the wire whose <visited>
+// section carries a b attribute (once a per-plan budget override) is held to
+// DefaultRevisitBudget like any other. Candidate s:1 has been visited one
+// time more than the budget allows, under a different fingerprint, so the
+// only reason it could be forwarded to is the b="100" the sender wrote.
+func TestSenderCannotRaiseRevisitBudget(t *testing.T) {
+	wire := algebra.EncodeString(urlPlan("t:1", "s:1"))
+	visited := `<visited b="100">s:1 ` + strconv.Itoa(DefaultRevisitBudget+1) + ` AAAAAAAAAAE</visited>`
+	if !strings.HasSuffix(wire, "</mqp>") {
+		t.Fatalf("no closing tag to splice into: %s", wire)
+	}
+	p, err := algebra.DecodeString(strings.TrimSuffix(wire, "</mqp>") + visited + "</mqp>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := p.Visited.Lookup("s:1"); !ok || rec.Count != DefaultRevisitBudget+1 || rec.Fingerprint == algebra.Fingerprint(p.Root) {
+		t.Fatalf("s:1 record = %+v ok=%v, want count %d under another fingerprint", rec, ok, DefaultRevisitBudget+1)
+	}
+	dec := Select(p, "self:1", nil)
+	if dec.Reason != Exhausted || len(dec.Hops) != 0 {
+		t.Fatalf("decision = %+v, want Exhausted: the sender's b must not raise the budget", dec)
+	}
+	if len(dec.Filtered) != 1 || dec.Filtered[0] != "s:1" {
+		t.Fatalf("filtered = %v, want [s:1]", dec.Filtered)
+	}
+	// Re-encoding the plan drops the attribute: no later server reads it.
+	if enc := algebra.EncodeString(p); strings.Contains(enc, `b="`) {
+		t.Fatalf("re-encoded plan still carries the budget attribute: %s", enc)
 	}
 }
 

@@ -97,11 +97,6 @@ type scheduler struct {
 	// restart cannot revive a peer still inside another window (or one that
 	// crashed with no restart).
 	crashed map[string]int
-	// droppedMark/lostMark are the trace lengths when the previous Run
-	// finished, so RunStats can report per-round counts (drops happen at
-	// send time, which may precede the Run call) while the trace stays
-	// cumulative.
-	droppedMark, lostMark int
 
 	// trace holds one record per message; no body outlives its delivery.
 	// traceKey, when set, names each record (see SetTraceKey).
@@ -248,7 +243,7 @@ func (s *scheduler) enqueueSendLocked(n *Network, msg *Message, wireBody *xmltre
 	if window <= 0 {
 		window = 75 * time.Millisecond
 	}
-	n.account([2]string{msg.From, msg.To}, msg.Kind, size, false)
+	n.account([2]string{msg.From, msg.To}, size, false)
 	if f.Drop > 0 && s.rng.Float64() < f.Drop {
 		s.recordLocked(&s.trace.Dropped, &Message{
 			From: msg.From, To: msg.To, Kind: msg.Kind, Body: wireBody, At: msg.At,
@@ -268,7 +263,7 @@ func (s *scheduler) enqueueSendLocked(n *Network, msg *Message, wireBody *xmltre
 	s.pushLocked(&event{at: at, msg: deliver(at)})
 	if f.Duplicate > 0 && s.rng.Float64() < f.Duplicate {
 		// The duplicate rides the already-open link: frame cost, no setup.
-		n.account([2]string{msg.From, msg.To}, msg.Kind, size, false)
+		n.account([2]string{msg.From, msg.To}, size, false)
 		dupAt := msg.At + transit + s.jitterLocked(window)
 		s.pushLocked(&event{at: dupAt, msg: deliver(dupAt)})
 	}
@@ -286,25 +281,6 @@ func (s *scheduler) dropRequestLocked(from, to, kind string, at time.Duration) b
 	return false
 }
 
-// RunStats summarizes one scheduling round: deliveries made during the Run
-// call, messages removed by faults since the previous Run finished (a drop
-// is recorded at send time, which may precede the call; SchedTrace, by
-// contrast, is cumulative), and the errors Deliver handlers returned (in
-// delivery order).
-type RunStats struct {
-	Delivered int
-	Dropped   int
-	Lost      int
-	// Events counts every event the pump popped, deliveries and control
-	// events alike — the raw event volume of the round.
-	Events int
-	// ByKind batches the round's deliveries per message kind, so a harness
-	// can report e.g. plan traffic vs registration churn without retaining
-	// per-message traces.
-	ByKind map[string]int
-	Errors []error
-}
-
 // maxRunEvents bounds one Run; exceeding it means a runaway loop the
 // depth guard did not catch (e.g. a handler that re-submits forever).
 const maxRunEvents = 1 << 20
@@ -313,21 +289,23 @@ const maxRunEvents = 1 << 20
 // sequence) order and deliveries invoke the destination's Deliver inline,
 // which may enqueue further sends. A destination that is down, partitioned
 // away or unregistered at delivery time loses the message (recorded in the
-// trace). Deliver errors are collected, not fatal — a stuck plan must not
-// stop the rest of the network.
+// trace). Run discards what Deliver returns, since a stuck plan must not stop
+// the rest of the network: a harness reads what happened from the trace
+// (SchedTrace) and the peers' own stuck records.
 //
-// Run returns when the queue is empty. It must not be called concurrently
+// Run returns when the queue is empty, with the number of events it popped,
+// deliveries and control events alike. It must not be called concurrently
 // with itself; handlers run on the calling goroutine.
-func (n *Network) Run() (RunStats, error) {
+func (n *Network) Run() (int, error) {
 	n.mu.Lock()
 	s := n.sched
 	if s == nil {
 		n.mu.Unlock()
-		return RunStats{}, fmt.Errorf("simnet: Run requires UseScheduler")
+		return 0, fmt.Errorf("simnet: Run requires UseScheduler")
 	}
 	if s.running {
 		n.mu.Unlock()
-		return RunStats{}, fmt.Errorf("simnet: concurrent Run")
+		return 0, fmt.Errorf("simnet: concurrent Run")
 	}
 	s.running = true
 	n.mu.Unlock()
@@ -337,23 +315,18 @@ func (n *Network) Run() (RunStats, error) {
 		n.mu.Unlock()
 	}()
 
-	stats := RunStats{ByKind: map[string]int{}}
+	events := 0
 	for {
 		n.mu.Lock()
 		if len(s.queue) == 0 {
-			dropped, lost := len(s.trace.Dropped), len(s.trace.Lost)
-			stats.Dropped = dropped - s.droppedMark
-			stats.Lost = lost - s.lostMark
-			s.droppedMark = dropped
-			s.lostMark = lost
 			n.mu.Unlock()
-			return stats, nil
+			return events, nil
 		}
 		ev := heap.Pop(&s.queue).(*event)
-		stats.Events++
-		if stats.Events > maxRunEvents {
+		events++
+		if events > maxRunEvents {
 			n.mu.Unlock()
-			return stats, fmt.Errorf("simnet: scheduler exceeded %d events; runaway loop?", maxRunEvents)
+			return events, fmt.Errorf("simnet: scheduler exceeded %d events; runaway loop?", maxRunEvents)
 		}
 		if ev.ctl != nil {
 			ev.ctl(n)
@@ -375,11 +348,7 @@ func (n *Network) Run() (RunStats, error) {
 		s.recordLocked(&s.trace.Delivered, msg)
 		n.mu.Unlock()
 
-		stats.Delivered++
-		stats.ByKind[msg.Kind]++
-		if err := p.Deliver(n, msg); err != nil {
-			stats.Errors = append(stats.Errors, err)
-		}
+		_ = p.Deliver(n, msg) // stops nothing: see the trace and the stuck records
 	}
 }
 

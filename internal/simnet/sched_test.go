@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -100,7 +101,7 @@ func TestDepthLimitStillTrips(t *testing.T) {
 
 // runScenario drives a fixed workload through a scheduled network and
 // returns a reproducible digest of what happened.
-func runScenario(t *testing.T, seed int64, f Faults) (string, RunStats) {
+func runScenario(t *testing.T, seed int64, f Faults) (string, Trace) {
 	t.Helper()
 	n := New()
 	n.UseScheduler(seed)
@@ -120,15 +121,15 @@ func runScenario(t *testing.T, seed int64, f Faults) (string, RunStats) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := n.Run()
-	if err != nil {
+	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
+	tr := n.SchedTrace()
 	digest := ""
-	for _, r := range n.SchedTrace().Delivered {
+	for _, r := range tr.Delivered {
 		digest += fmt.Sprintf("%s@%v;", r.Key, r.At)
 	}
-	return digest, stats
+	return digest, tr
 }
 
 func TestSchedulerDeterministicPerSeed(t *testing.T) {
@@ -170,12 +171,11 @@ func TestSchedulerFaultFreeMatchesInlineTiming(t *testing.T) {
 	if err := queued.Send(&Message{From: "x", To: "b:1", Kind: "k"}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := queued.Run()
-	if err != nil {
+	if _, err := queued.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Delivered != 2 || stats.Dropped != 0 || stats.Lost != 0 {
-		t.Fatalf("stats = %+v", stats)
+	if tr := queued.SchedTrace(); len(tr.Delivered) != 2 || len(tr.Dropped) != 0 || len(tr.Lost) != 0 {
+		t.Fatalf("trace = %+v", tr)
 	}
 	if cInline.reached != cQueued.reached {
 		t.Fatalf("hops differ: inline %d, queued %d", cInline.reached, cQueued.reached)
@@ -195,12 +195,11 @@ func TestSchedulerDropAndDuplicate(t *testing.T) {
 	if err := n.Send(&Message{From: "x", To: "sink:1", Kind: "k", Body: xmltree.Elem("b")}); err != nil {
 		t.Fatalf("a dropped message must look sent: %v", err)
 	}
-	stats, err := n.Run()
-	if err != nil {
+	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Delivered != 0 || stats.Dropped != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if tr := n.SchedTrace(); len(tr.Delivered) != 0 || len(tr.Dropped) != 1 {
+		t.Fatalf("trace = %+v", tr)
 	}
 	// Bytes were still spent on the wire.
 	if n.Metrics().Messages != 1 {
@@ -215,12 +214,11 @@ func TestSchedulerDropAndDuplicate(t *testing.T) {
 	if err := n2.Send(&Message{From: "x", To: "sink:1", Kind: "k"}); err != nil {
 		t.Fatal(err)
 	}
-	stats2, err := n2.Run()
-	if err != nil {
+	if _, err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats2.Delivered != 2 {
-		t.Fatalf("duplicate not delivered twice: %+v", stats2)
+	if tr := n2.SchedTrace(); len(tr.Delivered) != 2 {
+		t.Fatalf("duplicate not delivered twice: %+v", tr)
 	}
 	if n2.Metrics().Messages != 2 {
 		t.Fatalf("duplicate must be accounted: %+v", n2.Metrics())
@@ -244,12 +242,11 @@ func TestSchedulerCrashWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := n.Run()
-	if err != nil {
+	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Delivered != 2 || stats.Lost != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if tr := n.SchedTrace(); len(tr.Delivered) != 2 || len(tr.Lost) != 1 {
+		t.Fatalf("trace = %+v", tr)
 	}
 	want := TraceRec{From: "x", To: "sink:1", Kind: "k", At: 20 * time.Millisecond}
 	if tr := n.SchedTrace(); len(tr.Lost) != 1 || tr.Lost[0] != want {
@@ -261,7 +258,7 @@ func TestSchedulerCrashWindow(t *testing.T) {
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	err = n.Send(&Message{From: "x", To: "sink:1", Kind: "k", At: 60 * time.Millisecond})
+	err := n.Send(&Message{From: "x", To: "sink:1", Kind: "k", At: 60 * time.Millisecond})
 	var ue ErrUnreachable
 	if !errors.As(err, &ue) {
 		t.Fatalf("send to crashed peer = %v, want ErrUnreachable", err)
@@ -298,12 +295,11 @@ func TestPartitionWindow(t *testing.T) {
 	if err := n.Send(&Message{From: "x", To: "a:1", Kind: "k", At: 15 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := n.Run()
-	if err != nil {
+	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Delivered != 2 || stats.Lost != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if tr := n.SchedTrace(); len(tr.Delivered) != 2 || len(tr.Lost) != 1 {
+		t.Fatalf("trace = %+v", tr)
 	}
 }
 
@@ -325,12 +321,11 @@ func TestOverlappingCrashWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := n.Run()
-	if err != nil {
+	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Delivered != 1 || stats.Lost != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if tr := n.SchedTrace(); len(tr.Delivered) != 1 || len(tr.Lost) != 1 {
+		t.Fatalf("trace = %+v", tr)
 	}
 
 	// A crash with no restart stays down past any later window's restart.
@@ -345,17 +340,17 @@ func TestOverlappingCrashWindows(t *testing.T) {
 	if err := n2.Send(&Message{From: "x", To: "sink:1", Kind: "k", At: 30 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	stats2, err := n2.Run()
-	if err != nil {
+	if _, err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats2.Delivered != 0 || stats2.Lost != 1 {
-		t.Fatalf("no-restart crash was undone: %+v", stats2)
+	if tr := n2.SchedTrace(); len(tr.Delivered) != 0 || len(tr.Lost) != 1 {
+		t.Fatalf("no-restart crash was undone: %+v", tr)
 	}
 }
 
-// TestRunStatsPerRun: Dropped/Lost in RunStats cover only that Run call,
-// while SchedTrace stays cumulative.
+// TestRunStatsPerRun: the event count Run returns covers only that call (a
+// message dropped at send time never reaches the queue), while SchedTrace
+// stays cumulative.
 func TestRunStatsPerRun(t *testing.T) {
 	n := New()
 	n.UseScheduler(19)
@@ -366,12 +361,12 @@ func TestRunStatsPerRun(t *testing.T) {
 		if err := n.Send(&Message{From: "x", To: "sink:1", Kind: "k"}); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := n.Run()
+		events, err := n.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Dropped != 1 {
-			t.Fatalf("round %d: stats.Dropped = %d, want 1", round, stats.Dropped)
+		if events != 0 {
+			t.Fatalf("round %d: Run popped %d events, want 0", round, events)
 		}
 		dropped := n.SchedTrace().Dropped
 		if len(dropped) != round {
@@ -394,12 +389,11 @@ func TestSubMicrosecondReorderWindow(t *testing.T) {
 	if err := n.Send(&Message{From: "x", To: "sink:1", Kind: "k"}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := n.Run()
-	if err != nil {
+	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Delivered != 2 {
-		t.Fatalf("stats = %+v", stats)
+	if tr := n.SchedTrace(); len(tr.Delivered) != 2 {
+		t.Fatalf("trace = %+v", tr)
 	}
 }
 
@@ -445,21 +439,23 @@ func TestScheduleFunc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := n.Run()
+	events, err := n.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"fn5", "fn20"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("callback order = %v, want %v", order, want)
 	}
-	if stats.Delivered != 2 {
-		t.Fatalf("stats.Delivered = %d, want the scheduled send and the callback's", stats.Delivered)
+	if events < 4 {
+		t.Fatalf("Run popped %d events, want >= 4 (2 fns + 2 deliveries)", events)
 	}
-	if stats.Events < 4 {
-		t.Fatalf("stats.Events = %d, want >= 4 (2 fns + 2 deliveries)", stats.Events)
+	var kinds []string
+	for _, r := range n.SchedTrace().Delivered {
+		kinds = append(kinds, r.Kind)
 	}
-	if stats.ByKind["k"] != 1 || stats.ByKind["from-fn"] != 1 {
-		t.Fatalf("stats.ByKind = %v", stats.ByKind)
+	sort.Strings(kinds)
+	if want := []string{"from-fn", "k"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("delivered kinds = %v, want the scheduled send and the callback's %v", kinds, want)
 	}
 }
 

@@ -82,7 +82,6 @@ type Metrics struct {
 	// traffic after recovery pays setup again — E4/E9-scale sweeps and chaos
 	// runs price the reused-link path the real transport now takes.
 	LinksOpened int64
-	PerKind     map[string]int64
 }
 
 // headerOverhead approximates connection-establishment cost in bytes (TCP
@@ -163,7 +162,6 @@ func New() *Network {
 		peers:     map[string]Peer{},
 		down:      map[string]bool{},
 		caps:      map[string]byte{},
-		metrics:   Metrics{PerKind: map[string]int64{}},
 		links:     map[[2]string]bool{},
 		latency:   DefaultLatency,
 		procDelay: 2 * time.Millisecond,
@@ -329,7 +327,7 @@ func (n *Network) reachLocked(from, to string, at time.Duration) (Peer, time.Dur
 // by the caller (outside any lock) so that serialization cost is never paid
 // while holding a mutex. Safe to call with or without mu held (see metricsMu
 // ordering).
-func (n *Network) account(link [2]string, kind string, size int, isRequest bool) {
+func (n *Network) account(link [2]string, size int, isRequest bool) {
 	n.metricsMu.Lock()
 	defer n.metricsMu.Unlock()
 	if link != ([2]string{}) && !n.links[link] {
@@ -342,7 +340,6 @@ func (n *Network) account(link [2]string, kind string, size int, isRequest bool)
 		n.metrics.Requests++
 	}
 	n.metrics.Bytes += int64(size)
-	n.metrics.PerKind[kind]++
 }
 
 // severLinks drops all persistent-link pricing state involving addr, in both
@@ -451,7 +448,7 @@ func (n *Network) send(msg *Message, body *xmltree.Node, size int) error {
 	if err != nil {
 		return err
 	}
-	n.account([2]string{msg.From, msg.To}, msg.Kind, size, false)
+	n.account([2]string{msg.From, msg.To}, size, false)
 	return p.Deliver(n, &Message{From: msg.From, To: msg.To, Kind: msg.Kind, Body: body,
 		At: msg.At + transit, Hops: msg.Hops + 1})
 }
@@ -482,7 +479,7 @@ func (n *Network) Request(msg *Message, stage func(*xmltree.FrameEncoder)) (*xml
 	if err != nil {
 		return nil, msg.At, err
 	}
-	n.account([2]string{msg.From, msg.To}, msg.Kind, size, true)
+	n.account([2]string{msg.From, msg.To}, size, true)
 	if dropped {
 		return nil, at, ErrUnreachable{Addr: msg.To}
 	}
@@ -497,7 +494,7 @@ func (n *Network) Request(msg *Message, stage func(*xmltree.FrameEncoder)) (*xml
 		return nil, at, fmt.Errorf("simnet: request %s to %s: %w", msg.Kind, msg.To, err)
 	}
 	// The reply rides the request's connection: frame cost only, no link.
-	n.account([2]string{}, msg.Kind+"-reply", size, false)
+	n.account([2]string{}, size, false)
 	return reply, at + lat, nil
 }
 
@@ -505,17 +502,7 @@ func (n *Network) Request(msg *Message, stage func(*xmltree.FrameEncoder)) (*xml
 func (n *Network) Metrics() Metrics {
 	n.metricsMu.Lock()
 	defer n.metricsMu.Unlock()
-	m := Metrics{
-		Messages:    n.metrics.Messages,
-		Requests:    n.metrics.Requests,
-		Bytes:       n.metrics.Bytes,
-		LinksOpened: n.metrics.LinksOpened,
-		PerKind:     make(map[string]int64, len(n.metrics.PerKind)),
-	}
-	for k, v := range n.metrics.PerKind {
-		m.PerKind[k] = v
-	}
-	return m
+	return n.metrics
 }
 
 // ResetMetrics zeroes the counters and forgets open links, so each measured
@@ -524,6 +511,6 @@ func (n *Network) Metrics() Metrics {
 func (n *Network) ResetMetrics() {
 	n.metricsMu.Lock()
 	defer n.metricsMu.Unlock()
-	n.metrics = Metrics{PerKind: map[string]int64{}}
+	n.metrics = Metrics{}
 	clear(n.links)
 }

@@ -50,7 +50,7 @@ func TestSendAccountsAndDelivers(t *testing.T) {
 		t.Fatalf("hops=%d at=%v", got.Hops, got.At)
 	}
 	m := n.Metrics()
-	if m.Messages != 1 || m.Bytes <= int64(body.ByteSize()) || m.PerKind["mqp"] != 1 {
+	if m.Messages != 1 || m.Bytes <= int64(body.ByteSize()) {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
@@ -219,7 +219,7 @@ func TestResetMetricsAndAddrs(t *testing.T) {
 	_ = n.Send(&Message{From: "p0:1", To: "p1:1", Kind: "x"})
 	n.ResetMetrics()
 	m := n.Metrics()
-	if m.Messages != 0 || m.Bytes != 0 || len(m.PerKind) != 0 {
+	if m != (Metrics{}) {
 		t.Fatalf("metrics after reset = %+v", m)
 	}
 	if n.Peer("p0:1") == nil || n.Peer("zz") != nil {
@@ -275,7 +275,7 @@ func TestConcurrentInlineSends(t *testing.T) {
 		t.Fatalf("delivered = %d, want %d", got, senders*sendsEach)
 	}
 	m := n.Metrics()
-	if m.Messages != senders*sendsEach || m.PerKind["mqp"] != senders*sendsEach {
+	if m.Messages != senders*sendsEach || m.LinksOpened != senders {
 		t.Fatalf("metrics = %+v", m)
 	}
 }

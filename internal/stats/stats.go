@@ -25,14 +25,17 @@ type Summary struct {
 	Hist *Histogram
 }
 
+// histBuckets is the bucket count of every histogram Collect builds.
+const histBuckets = 8
+
 // Collect computes a Summary for a collection: cardinality, distinct counts
 // for the given key paths, and (when histPath is non-empty) a histogram of
-// that numeric field with the given number of buckets. The histogram is
+// that numeric field in histBuckets buckets. The histogram is
 // published only when every item's value at histPath reads as a number
 // under xmltree.Number: a select compares any other value (a missing field,
 // "N/A", "NaN") as text, so it can match outside the histogram's range, and
 // pruning by that range would drop it.
-func Collect(items []*xmltree.Node, keyPaths []string, histPath string, buckets int) Summary {
+func Collect(items []*xmltree.Node, keyPaths []string, histPath string) Summary {
 	s := Summary{Card: len(items), Distinct: map[string]int{}}
 	for _, p := range keyPaths {
 		path := xmltree.ParsePath(p)
@@ -45,7 +48,7 @@ func Collect(items []*xmltree.Node, keyPaths []string, histPath string, buckets 
 		}
 		s.Distinct[p] = len(seen)
 	}
-	if histPath != "" && buckets > 0 {
+	if histPath != "" {
 		path := xmltree.ParsePath(histPath)
 		var vals []float64
 		for _, it := range items {
@@ -57,7 +60,7 @@ func Collect(items []*xmltree.Node, keyPaths []string, histPath string, buckets 
 			vals = append(vals, f)
 		}
 		if len(vals) > 0 {
-			s.Hist = NewHistogram(histPath, vals, buckets)
+			s.Hist = NewHistogram(histPath, vals, histBuckets)
 		}
 	}
 	return s

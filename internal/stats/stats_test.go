@@ -30,7 +30,7 @@ func total(h *Histogram) int {
 
 func TestCollect(t *testing.T) {
 	items := genItems(200, 1)
-	s := Collect(items, []string{"title"}, "price", 10)
+	s := Collect(items, []string{"title"}, "price")
 	if s.Card != 200 {
 		t.Fatalf("card = %d", s.Card)
 	}
@@ -43,25 +43,25 @@ func TestCollect(t *testing.T) {
 }
 
 func TestCollectEmptyAndMissing(t *testing.T) {
-	s := Collect(nil, []string{"title"}, "price", 10)
+	s := Collect(nil, []string{"title"}, "price")
 	if s.Card != 0 || s.Distinct["title"] != 0 || s.Hist != nil {
 		t.Fatalf("empty collect = %+v", s)
 	}
 	// Items missing the histogram field are skipped.
 	items := []*xmltree.Node{xmltree.MustParse(`<i><x>1</x></i>`)}
-	s2 := Collect(items, nil, "price", 4)
+	s2 := Collect(items, nil, "price")
 	if s2.Hist != nil {
 		t.Fatal("histogram over missing field must be nil")
 	}
 	// One item whose value is missing, not a number, or NaN withholds the
 	// histogram; the counts are kept.
 	numeric := []*xmltree.Node{xmltree.MustParse(`<i><price>10</price></i>`), xmltree.MustParse(`<i><price> 20 </price></i>`)}
-	if s := Collect(numeric, nil, "price", 4); s.Hist == nil || s.Hist.Lo != 10 || s.Hist.Hi != 20 {
+	if s := Collect(numeric, nil, "price"); s.Hist == nil || s.Hist.Lo != 10 || s.Hist.Hi != 20 {
 		t.Fatalf("all-numeric collect = %+v", s.Hist)
 	}
 	for _, odd := range []string{`<i><x>1</x></i>`, `<i><price>N/A</price></i>`, `<i><price>NaN</price></i>`} {
 		items := append(numeric[:2:2], xmltree.MustParse(odd))
-		if s := Collect(items, nil, "price", 4); s.Hist != nil || s.Card != 3 {
+		if s := Collect(items, nil, "price"); s.Hist != nil || s.Card != 3 {
 			t.Fatalf("%s: collect = %+v, want no histogram", odd, s)
 		}
 	}
