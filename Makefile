@@ -28,8 +28,10 @@ test-short: build
 # (with the predicate and fingerprint benches of internal/algebra and the
 # selection and Fig. 3 join-reduce benches of internal/engine, which sit on
 # the same hop path), BENCH_decode.json
-# (zero-copy BenchmarkDecode on a payload-heavy frame and BenchmarkDecodePlan
-# on an attribute-heavy plan frame, and internal/xmltree's BenchmarkParse —
+# (zero-copy BenchmarkDecode on a payload-heavy frame, BenchmarkDecodePlan
+# on an attribute-heavy plan frame and BenchmarkDecodeFreight on an
+# area_fanout-shaped one, whose payload items decode sealed, and
+# internal/xmltree's BenchmarkParse —
 # ParseString, decode plus clone — against BenchmarkParseLegacy, the
 # encoding/xml reference parser on the same bytes, so decode-path wins and
 # regressions are visible on their own) and BENCH_wire.json (warm codec hop,
@@ -40,7 +42,7 @@ bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(PlanHop$$|PlanClone|Micro|Canonical|ByteSize|Fingerprint$$|ParsePredicate$$|PredicateString$$|SelectEval$$|JoinReduce$$)' \
 		-benchmem -json . ./internal/algebra ./internal/engine \
 		| $(GO) run ./cmd/benchjson -out BENCH_plan_hop.json
-	$(GO) test -run '^$$' -bench '^Benchmark(Decode|DecodePlan|Parse|ParseLegacy)$$' -benchmem -json . ./internal/xmltree \
+	$(GO) test -run '^$$' -bench '^Benchmark(Decode|DecodePlan|DecodeFreight|Parse|ParseLegacy)$$' -benchmem -json . ./internal/xmltree \
 		| $(GO) run ./cmd/benchjson -out BENCH_decode.json
 	$(GO) test -run '^$$' -bench '^Benchmark(PlanHopWire$$|PlanHopWireReused$$|StreamEncode$$)' -benchmem -json . \
 		| $(GO) run ./cmd/benchjson -out BENCH_wire.json

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/blobstore"
@@ -31,9 +32,11 @@ const (
 	// per-node allocation, and this plan escapes nothing.
 	warmDecodeAllocBudget = 4
 	// decodedTreeByteBudget bounds what those slabs weigh: the bytes one
-	// cold decode of the same plan allocates. Measured: 123.9 KB — one node
+	// cold decode of the same plan allocates. Measured: 124.0 KB — one node
 	// per element, a field's text held in the element (238.6 KB while every
-	// <name>text</name> cost a second node and a child slot).
+	// <name>text</name> cost a second node and a child slot). Its payloads
+	// are a join's inputs, so they decode eagerly: the join reads them all
+	// (TestDecodedBytesPerFreightItem bounds sealed freight).
 	decodedTreeByteBudget = 130_000
 	// planHopAllocBudget bounds the document-level hop: Marshal (the
 	// streamed frame, decoded — an identical-frame cache hit, as a
@@ -137,7 +140,70 @@ func TestWarmDecodeAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > decodedTreeByteBudget {
-		t.Fatalf("decoded tree weighs %d bytes; budget is %d — text nodes are being built again", perOp, decodedTreeByteBudget)
+		t.Fatalf("decoded tree weighs %d bytes; budget is %d — text nodes or payload fields are being built again", perOp, decodedTreeByteBudget)
+	}
+}
+
+// freightWire is an area_fanout-shaped frame: a union of the <data> leaves of
+// sellers sellers, items six-field sale items each, beside the selections of
+// the sellers still to visit, with the retained original, a visited section
+// and a provenance trail of two visits a seller.
+func freightWire(sellers, items int) string {
+	var b strings.Builder
+	b.WriteString(`<mqp id="area_fanout-1-2" target="buyer:9020"><plan><display><union>`)
+	for s := 0; s < sellers; s++ {
+		fmt.Fprintf(&b, `<data><annotations><annot k="card" v="%d"/></annotations>`, items)
+		for i := 0; i < items; i++ {
+			fmt.Fprintf(&b, `<item id="s%d-i%d"><name>Tables #%d</name><category>Furniture/Tables</category>`+
+				`<city>USA/OR/Eugene</city><price>%d</price><condition>good</condition><qty>2</qty></item>`, s, i, i, 1+i%200)
+		}
+		b.WriteString(`</data>`)
+	}
+	for s := sellers; s < sellers+4; s++ {
+		fmt.Fprintf(&b, `<select pred="price &lt; 21"><url href="seller%03d:9020" path="/data[id=%d]">`+
+			`<annotations><annot k="source" v="seller%03d:9020"/></annotations></url></select>`, s, s, s)
+	}
+	b.WriteString(`</union></display></plan><original><display><select pred="price &lt; 21">` +
+		`<urn name="urn:InterestArea:(USA.OR,Furniture.Tables)"/></select></display></original>` +
+		`<visited>idx-USA-OR:9020 GWB3pzcqIDU;meta:9020 673XUOYSJCc</visited><provenance>`)
+	for s := 0; s < sellers; s++ {
+		for _, action := range []string{"data", "reduce"} {
+			fmt.Fprintf(&b, `<visit action="%s" at="%d" server="seller%03d:9020" sig="%064x"/>`, action, 1000*s, s, s)
+		}
+	}
+	b.WriteString(`</provenance></mqp>`)
+	return b.String()
+}
+
+// decodedBytes is what one cold decode of frame allocates, averaged.
+func decodedBytes(t *testing.T, frame string) uint64 {
+	t.Helper()
+	const runs = 20
+	if _, err := xmltree.DecodeString(frame); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := xmltree.DecodeString(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// A payload item costs the decoder one node, not one per element: between
+// frames of k and 2k six-field items, the decoded bytes grow by less than two
+// nodes per extra item (one node, its child slot and its id attribute, where
+// building the fields took seven nodes and as many slots).
+func TestDecodedBytesPerFreightItem(t *testing.T) {
+	defer xmltree.SetFrameCacheLimit(xmltree.SetFrameCacheLimit(0))
+	const k = 64
+	grow := decodedBytes(t, freightWire(1, 2*k)) - decodedBytes(t, freightWire(1, k))
+	perItem := float64(grow) / k
+	if node := float64(unsafe.Sizeof(xmltree.Node{})); perItem > 2*node {
+		t.Fatalf("decoded bytes grow by %.0f per item; budget is two nodes (%.0f)", perItem, 2*node)
 	}
 }
 

@@ -336,6 +336,27 @@ func BenchmarkDecodePlan(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeFreight decodes an area_fanout-shaped frame (freightWire:
+// eight sellers' <data> leaves of 16 six-field items, a trail of 16 visits),
+// the identical-frame cache off. Payload items are most of its bytes and,
+// sealed, one node each.
+func BenchmarkDecodeFreight(b *testing.B) {
+	wire := []byte(freightWire(8, 16))
+	defer xmltree.SetFrameCacheLimit(xmltree.SetFrameCacheLimit(0))
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc, err := xmltree.Decode(wire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if doc.Name != "mqp" {
+			b.Fatal("bad decode")
+		}
+	}
+}
+
 // planHopWireFixture is planHopFixture in its on-the-wire byte form.
 func planHopWireFixture(b testing.TB) (*algebra.Plan, []byte) {
 	b.Helper()

@@ -40,7 +40,7 @@ const (
 // children, and returns its fp value: one fingerprint or a space-separated
 // run of them.
 func IsBlobRef(n *xmltree.Node) (string, bool) {
-	if n == nil || n.Name != blobElem || n.Text != "" || len(n.Children) > 0 ||
+	if n == nil || n.Name != blobElem || n.Text != "" || len(n.Kids()) > 0 ||
 		len(n.Attrs) != 1 || n.Attrs[0].Name != blobFPAttr {
 		return "", false
 	}
@@ -85,7 +85,7 @@ func ResolveBlobs(body *xmltree.Node, resolve func(fp string) (*xmltree.Node, er
 			return out
 		}
 		var out *xmltree.Node
-		for i, c := range e.Children {
+		for i, c := range e.Kids() {
 			if c.IsText() || c.Name == annotationsElem {
 				continue
 			}
@@ -103,12 +103,12 @@ func ResolveBlobs(body *xmltree.Node, resolve func(fp string) (*xmltree.Node, er
 	}
 
 	var root *xmltree.Node
-	for si, sec := range body.Children {
+	for si, sec := range body.Kids() {
 		if sec.IsText() || (sec.Name != "plan" && sec.Name != "original") {
 			continue
 		}
 		var secOut *xmltree.Node
-		for i, c := range sec.Children {
+		for i, c := range sec.Kids() {
 			if c.IsText() {
 				continue
 			}
@@ -140,8 +140,9 @@ func ResolveBlobs(body *xmltree.Node, resolve func(fp string) (*xmltree.Node, er
 // every run it expands.
 func resolveData(e *xmltree.Node, resolve func(fp string) (*xmltree.Node, error),
 	intern func(doc *xmltree.Node) *xmltree.Node) (*xmltree.Node, error) {
+	in := e.Kids()
 	var kids []*xmltree.Node // nil until the first payload changes
-	for i, c := range e.Children {
+	for i, c := range in {
 		switch {
 		case c.IsText() || c.Name == annotationsElem:
 		case c.Name == blobElem:
@@ -150,7 +151,7 @@ func resolveData(e *xmltree.Node, resolve func(fp string) (*xmltree.Node, error)
 				return e, err
 			}
 			if kids == nil {
-				kids = expandedKids(e.Children, i)
+				kids = expandedKids(in, i)
 			}
 			for run != "" {
 				var fp string
@@ -165,7 +166,7 @@ func resolveData(e *xmltree.Node, resolve func(fp string) (*xmltree.Node, error)
 		case intern != nil:
 			if repl := intern(c); repl != c {
 				if kids == nil {
-					kids = expandedKids(e.Children, i)
+					kids = expandedKids(in, i)
 				}
 				kids = append(kids, repl)
 				continue
@@ -203,7 +204,7 @@ func refRun(c *xmltree.Node) (string, error) {
 	switch {
 	case !hasFP:
 		return "", fmt.Errorf("algebra: <blob> reference without fp")
-	case c.Text != "" || len(c.Children) > 0:
+	case c.Text != "" || len(c.Kids()) > 0:
 		return "", fmt.Errorf("algebra: <blob fp=%q> carries inline content: reference/inline conflict", fp)
 	case !ok:
 		return "", fmt.Errorf("algebra: <blob fp=%q> carries attributes besides fp", fp)

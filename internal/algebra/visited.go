@@ -187,7 +187,7 @@ func UnmarshalVisited(e *xmltree.Node) (*Visited, error) {
 		return nil, fmt.Errorf("algebra: expected <%s>, got <%s>", visitedElem, e.Name)
 	}
 	v := NewVisited()
-	for _, c := range e.Children {
+	for _, c := range e.Kids() {
 		if !c.IsText() {
 			return nil, fmt.Errorf("algebra: <%s> inside <%s>", c.Name, visitedElem)
 		}

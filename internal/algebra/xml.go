@@ -78,7 +78,7 @@ func countOps(e *xmltree.Node) int {
 	if e.Name == "data" {
 		return n
 	}
-	for _, c := range e.Children {
+	for _, c := range e.Kids() {
 		if !c.IsText() && c.Name != annotationsElem {
 			n += countOps(c)
 		}
@@ -155,7 +155,8 @@ func unmarshalNode(e *xmltree.Node, ar *nodeArena) (*Node, error) {
 	default:
 		return nil, fmt.Errorf("algebra: unknown operator element <%s>", e.Name)
 	}
-	for i, c := range e.Children {
+	kids := e.Kids()
+	for i, c := range kids {
 		if c.IsText() {
 			continue
 		}
@@ -174,7 +175,7 @@ func unmarshalNode(e *xmltree.Node, ar *nodeArena) (*Node, error) {
 				// Everything from here on is payload: size the slice once
 				// instead of growing it through appends (payloads routinely
 				// carry dozens of items).
-				n.Docs = make([]*xmltree.Node, 0, len(e.Children)-i)
+				n.Docs = make([]*xmltree.Node, 0, len(kids)-i)
 			}
 			// The receiver owns the decoded document, so payload items are
 			// frozen in place and aliased instead of deep-cloned; every
@@ -188,7 +189,7 @@ func unmarshalNode(e *xmltree.Node, ar *nodeArena) (*Node, error) {
 			return nil, err
 		}
 		if n.Children == nil {
-			n.Children = make([]*Node, 0, len(e.Children)-i)
+			n.Children = make([]*Node, 0, len(kids)-i)
 		}
 		n.Children = append(n.Children, child)
 	}
@@ -202,7 +203,7 @@ func unmarshalNode(e *xmltree.Node, ar *nodeArena) (*Node, error) {
 // soleElement returns the first element child of c and how many it has,
 // without building the slice Elements would.
 func soleElement(c *xmltree.Node) (first *xmltree.Node, n int) {
-	for _, e := range c.Children {
+	for _, e := range c.Kids() {
 		if !e.IsText() {
 			if n == 0 {
 				first = e
@@ -256,7 +257,7 @@ func UnmarshalEnvelope(doc *xmltree.Node) (*Plan, error) {
 		ID:     doc.AttrDefault("id", ""),
 		Target: doc.AttrDefault("target", ""),
 	}
-	for _, c := range doc.Children {
+	for _, c := range doc.Kids() {
 		if c.IsText() {
 			continue
 		}
@@ -355,7 +356,7 @@ func hasDocs(root *Node) (found bool) {
 // carriesDocs is hasDocs on an operator element not yet unmarshaled: whether
 // a <data> in it holds an element that unmarshalNode would take as payload.
 func carriesDocs(e *xmltree.Node) bool {
-	for _, c := range e.Children {
+	for _, c := range e.Kids() {
 		if c.IsText() || c.Name == annotationsElem {
 			continue
 		}

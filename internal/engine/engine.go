@@ -190,12 +190,13 @@ func newTuple(leftName string, l *xmltree.Node, rightName string, r *xmltree.Nod
 // item's fields are Shared.
 func component(c *xmltree.Node, name string, it *xmltree.Node) {
 	c.Name, c.Text = name, it.Text
+	kids := it.Kids()
 	if it.Frozen() {
-		c.Children = it.Children[:len(it.Children):len(it.Children)]
+		c.Children = kids[:len(kids):len(kids)]
 		return
 	}
-	c.Children = make([]*xmltree.Node, len(it.Children))
-	for i, f := range it.Children {
+	c.Children = make([]*xmltree.Node, len(kids))
+	for i, f := range kids {
 		c.Children[i] = f.Share()
 	}
 }

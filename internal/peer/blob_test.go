@@ -475,3 +475,37 @@ func TestBlobFetchRetryUnderDrops(t *testing.T) {
 	}
 	t.Fatal("no seed in 1..64 produced a dropped-then-retried fetch; widen the scan")
 }
+
+// TestBlobStoredDocBuiltOnce: payloads arrive sealed and are stored so; the
+// repeat query's results are the stored documents, resolved by reference.
+// Reading inside one builds it, once: a second read of the stored document
+// returns the same children and allocates nothing.
+func TestBlobStoredDocBuiltOnce(t *testing.T) {
+	_, client, stores, _ := blobWorld(t)
+	runBlobQuery(t, client, "q1")
+	second := runBlobQuery(t, client, "q2")
+	if len(second) != 2 {
+		t.Fatalf("second query: %d results, want 2", len(second))
+	}
+	pricePath := xmltree.ParsePath("price")
+	for _, doc := range second {
+		fp, _ := blobstore.Fingerprint(doc)
+		if stored, ok := stores["client:9020"].Get(fp); !ok || stored != doc {
+			t.Fatalf("result %s is not the client's stored document", doc)
+		}
+		if doc.Children != nil {
+			t.Fatalf("stored document arrived built: %s", doc)
+		}
+		price := pricePath.First(doc)
+		if price == nil {
+			t.Fatalf("no price in %s", doc)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if pricePath.First(doc) != price {
+				t.Fatal("second read built the stored document again")
+			}
+		}); allocs != 0 {
+			t.Fatalf("reading a built stored document allocates %.0f/op", allocs)
+		}
+	}
+}

@@ -58,6 +58,11 @@ func TestIncrementalMarshalMatchesRebuild(t *testing.T) {
 		if next.ByteSize() != len(next.String()) {
 			t.Fatal("incremental element size memo wrong")
 		}
+		// Only the new visit was serialized: the grown element is frozen
+		// with sizes alone, not re-memoized with every earlier visit's bytes.
+		if _, memo := next.FrozenSerialization(); memo {
+			t.Fatal("Append re-serialized the whole trail into a memo")
+		}
 		cur = next
 	}
 

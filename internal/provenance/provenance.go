@@ -80,7 +80,9 @@ type Keyring func(server string) []byte
 // Append signs a visit with the server's key and adds it to the trail. When
 // the trail carries a marshaled element (it arrived inside a plan), the
 // element grows by one <visit> child copy-on-write instead of being marked
-// for a rebuild.
+// for a rebuild. Only the new visit is serialized: the grown element is
+// frozen with sizes alone, so the earlier visits' bytes are not copied into
+// a memo the next hop would discard.
 func (t *Trail) Append(v Visit, key []byte) {
 	prev := ""
 	if len(t.Visits) > 0 {
@@ -90,8 +92,8 @@ func (t *Trail) Append(v Visit, key []byte) {
 	mac.Write(v.content(prev))
 	v.Sig = hex.EncodeToString(mac.Sum(nil))
 	t.Visits = append(t.Visits, v)
-	if t.elem != nil && len(t.elem.Children) == len(t.Visits)-1 {
-		t.elem = t.elem.CloneShallow().Add(marshalVisit(v)).Freeze()
+	if t.elem != nil && len(t.elem.Kids()) == len(t.Visits)-1 {
+		t.elem = t.elem.CloneShallow().Add(marshalVisit(v)).FreezeSizes()
 	} else {
 		t.elem = nil
 	}
@@ -177,7 +179,7 @@ func marshalVisit(v Visit) *xmltree.Node {
 // mutate it — and cached: a trail that arrived marshaled and grew by one
 // visit reuses every existing <visit> element.
 func (t *Trail) Marshal() *xmltree.Node {
-	if t.elem != nil && len(t.elem.Children) == len(t.Visits) {
+	if t.elem != nil && len(t.elem.Kids()) == len(t.Visits) {
 		return t.elem
 	}
 	visits := make([]*xmltree.Node, len(t.Visits))
@@ -217,7 +219,7 @@ func Unmarshal(e *xmltree.Node) (*Trail, error) {
 			Sig:          ve.AttrDefault("sig", ""),
 		})
 	}
-	if t.elem != nil && len(t.elem.Children) != len(t.Visits) {
+	if t.elem != nil && len(t.elem.Kids()) != len(t.Visits) {
 		t.elem = nil
 	}
 	return t, nil

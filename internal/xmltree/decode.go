@@ -29,6 +29,20 @@
 // machinery is dropped, and a prefix bound to the URI "xmlns" hides its
 // attributes exactly as encoding/xml's namespace translation does.
 //
+// Sealed payload items: a plan carries the items its <data> leaves gathered
+// from hop to hop, and most hops forward them unread. So every element child
+// of a <data> but <annotations> is sealed: its bytes are scanned and
+// validated exactly as an eager decode would (every error still fails the
+// frame here, none is deferred), and sized for the clean-span check, but no
+// node is built below it. What the tree holds is one frozen node with the
+// item's name, attributes, leading text and clean span as its serialization
+// memo; Node.Kids builds its children from that span the first time anything
+// reads inside it, and keeps them. The serializers, FrameEncoder and content
+// fingerprints read the memo, so forwarded freight is never built. An item
+// whose span is not clean (an entity, a comment, non-canonical layout) has no
+// memo to build from: the scan rewinds to its start and decodes it eagerly.
+// So do the items of a join's <data> inputs, which the join reads.
+//
 // How often a byte is read: once, on the frames the wire carries. A text run
 // or attribute value opens with a table scan (byteClass) over plain bytes —
 // valid XML chars that decoding leaves alone and canonical emission does not
@@ -83,18 +97,57 @@ func DecodeString(s string) (*Node, error) {
 	if hit != nil {
 		return hit, nil
 	}
-	d := decPool.Get().(*decoder)
-	d.s = s
-	d.sizeSlabs()
-	root, err := d.run()
-	// The whole input is cacheable when the root's clean span covers every
-	// byte of s: no declaration, no surrounding whitespace, canonical body.
-	whole := err == nil && root.memoStr != "" && d.rootSpan[0] == 0 && d.rootSpan[1] == len(s)
-	d.release()
+	root, whole, err := decode(s, true)
 	if whole && cacheOn {
 		frameCachePut(key, s, root)
 	}
 	return root, err
+}
+
+// decode runs a pooled decoder over the frame s, sealing its payload items
+// when seal is set (see sealParent). whole reports that the root's clean span
+// covers every byte of s (no declaration, no surrounding whitespace,
+// canonical body), which is when the frame cache may keep the tree.
+func decode(s string, seal bool) (root *Node, whole bool, err error) {
+	d := decPool.Get().(*decoder)
+	d.s, d.seal = s, seal
+	d.sizeSlabs()
+	root, err = d.run()
+	whole = err == nil && root.memoStr != "" && d.rootSpan[0] == 0 && d.rootSpan[1] == len(s)
+	d.release(&decPool)
+	return root, whole, err
+}
+
+// joinsData reports whether s holds a <join> whose first child is a <data>:
+// a frame whose payload items decode eagerly (see eagerOp), which sizeSlabs
+// must count. It looks for the name and then for the '<' before it: a search
+// for "<join" would stop at every tag of a frame, one for a 'j' far less
+// often.
+func joinsData(s string) bool {
+	for i := strings.Index(s, eagerOp); i >= 0; i = strings.Index(s, eagerOp) {
+		if i > 0 && s[i-1] == '<' {
+			if gt := strings.IndexByte(s[i:], '>'); gt >= 0 && strings.HasPrefix(s[i+gt+1:], "<"+sealParent) {
+				return true
+			}
+		}
+		s = s[i+len(eagerOp):]
+	}
+	return false
+}
+
+// decodeKids builds the children of a sealed node from its memo s: the node
+// itself is not rebuilt, and nodes, the count the sealing scan took, sizes
+// the slabs (an attribute slab only if a child has attributes). The decoder
+// comes from itemPool.
+func decodeKids(s string, nodes int) ([]*Node, error) {
+	d := itemPool.Get().(*decoder)
+	d.s, d.item = s, true
+	d.nodeNext = max(nodes, 1)
+	d.kidNext, d.attrNext = d.nodeNext, d.nodeNext
+	_, err := d.run()
+	kids := d.rootKids
+	d.release(&itemPool)
+	return kids, err
 }
 
 // --- Name interning ----------------------------------------------------
@@ -192,6 +245,25 @@ func (d *decoder) intern(name string) string {
 // that outgrows a slab gets the next one at twice the size.
 const slabMax = 4096
 
+// leafSlack is how many text leaves outside payload items a sealing decode
+// sizes its first slabs for (see sizeSlabs).
+const leafSlack = 4
+
+// The seal rule: every element child of a sealParent element, except a
+// sealSkip block, is decoded sealed (see decoder.sealDepth). These are the
+// verbatim payload items of a plan's <data> leaves; annotations are the
+// operator's own statistics.
+//
+// Except under a join: the next server to evaluate the join reads every item
+// of its <data> inputs, and building a sealed item costs a decoder run of its
+// own, more than sealing it saved. So the items of a <data> whose parent is
+// an eagerOp element decode eagerly.
+const (
+	sealParent = "data"
+	sealSkip   = "annotations"
+	eagerOp    = "join"
+)
+
 // MaxDepth is the deepest element nesting the decoder accepts: a start tag
 // that would open element MaxDepth+1 fails the decode. Every tree walk
 // downstream (Freeze, the serializers, algebra's unmarshal, Fingerprint and
@@ -207,15 +279,19 @@ const MaxDepth = 1024
 const scratchMax = 1 << 16
 
 type openElem struct {
-	n       *Node
+	n       *Node  // nil inside a sealed item and for a build's root (decodeKids)
 	rawName string // prefixed name as written, for end-tag matching
 	kidMark int    // kidStk length when the element opened
 	nsMark  int    // nsUndo length when the element opened
-	size    int    // canonical bytes of the start tag and the element's own Text so far
+	// size is the canonical bytes of the start tag, the element's text and
+	// its completed children so far; text and kids say whether there are any
+	// (the element then closes as </name>, not />).
+	size       int
+	text, kids bool
 
 	// Clean-span tracking (see finishSpan): where the element's '<' sits in
-	// the input, the transform counter at open, and whether the start tag
-	// itself already deviated from canonical form.
+	// the input, the transform counter at open, and whether the start tag or
+	// a completed child already deviated from canonical form.
 	start    int
 	mutsMark int
 	dirty    bool
@@ -270,13 +346,39 @@ type decoder struct {
 	// rootSpan is the input span [start, end) of the root element, for the
 	// whole-frame decode cache.
 	rootSpan [2]int
+
+	// seal is whether this decode seals payload items (see sealParent), and
+	// sealDepth the open-stack depth of the item being sealed, 0 when none
+	// is: the item's descendants are scanned and validated as always, and
+	// sized for its clean check, but no node, name or slice is made for
+	// them. eagerAt is where an item starts that failed its clean check and
+	// is being decoded again, eagerly.
+	seal      bool
+	sealDepth int
+	eagerAt   int
+	// sealNodes counts the nodes a build of the item being sealed will make
+	// (an upper bound: mixed-content text runs may merge).
+	sealNodes int
+
+	// item is set while building a sealed node's children (decodeKids): the
+	// root, the sealed node itself, gets no node, and its children end up in
+	// rootKids.
+	item     bool
+	rootKids []*Node
 }
 
-var decPool = sync.Pool{New: func() interface{} {
-	return &decoder{ns: make(map[string]string)}
-}}
+// decPool holds the decoders of frames and itemPool those of sealed items'
+// builds. Releasing a decoder clears each of its stacks to its capacity,
+// which frames grow to their size; an item's build, a few fields, would pay
+// for a frame's stacks if the two shared a pool.
+var (
+	decPool  = sync.Pool{New: newDecoder}
+	itemPool = sync.Pool{New: newDecoder}
+)
 
-func (d *decoder) release() {
+func newDecoder() any { return &decoder{ns: make(map[string]string), eagerAt: -1} }
+
+func (d *decoder) release(pool *sync.Pool) {
 	d.s = ""
 	d.pos = 0
 	d.root = nil
@@ -290,7 +392,9 @@ func (d *decoder) release() {
 	d.scratch = resetStack(d.scratch)
 	d.muts = 0
 	d.rootSpan = [2]int{}
-	decPool.Put(d)
+	d.seal, d.sealDepth, d.eagerAt, d.sealNodes = false, 0, -1, 0
+	d.item, d.rootKids = false, nil
+	pool.Put(d)
 }
 
 // resetStack empties a pooled stack for the next decode, or drops it when it
@@ -307,28 +411,57 @@ func resetStack[T any](s []T) []T {
 }
 
 // sizeSlabs sets the first slab sizes from the input (see slabMax). Child
-// pointers number one less than nodes, so the two share an estimate.
+// pointers number one less than nodes, so the two share an estimate: one
+// node per element. A sealed payload item costs one node however many fields
+// it holds, so when the decode seals, text leaves (the fields) are not
+// counted, and leafSlack covers the few a plan frame holds outside its
+// payloads (the packed <visited> section), unless a join's inputs will
+// decode eagerly; a frame that seals nothing and holds more fills the slab
+// and the doubled ones after it.
 func (d *decoder) sizeSlabs() {
-	d.nodeNext = min(max(strings.Count(d.s, "<")-countCloseTags(d.s), 1), slabMax)
+	closes, leaves := countCloseTags(d.s)
+	est := strings.Count(d.s, "<") - closes
+	if d.seal && !joinsData(d.s) {
+		est = min(est, est-leaves+leafSlack)
+	}
+	d.nodeNext = min(max(est, 1), slabMax)
 	d.kidNext = d.nodeNext
 	d.attrNext = min(max(strings.Count(d.s, "="), 1), slabMax)
 }
 
-// countCloseTags is strings.Count(s, "</") eight bytes at a time: unlike the
-// single-byte counts, a two-byte needle gets no SIMD path.
-func countCloseTags(s string) int {
+// countCloseTags counts the end tags "</" in s, and among them the leaves:
+// those not right after a '>', which close a run of character data. It reads
+// eight bytes at a time: unlike the single-byte counts, a two-byte needle
+// gets no SIMD path.
+func countCloseTags(s string) (closes, leaves int) {
 	const ones, low7 = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
-	n := 0
+	// zeros marks the zero bytes of y with their top bit: the sum leaves a
+	// lane's top bit clear only there, and no carry crosses a lane (each
+	// sums to at most 0xfe).
+	zeros := func(y uint64) uint64 { return ^((y&low7 + low7) | y | low7) }
+	var prev byte // the byte before s
 	for ; len(s) > 8; s = s[8:] {
 		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-		// Byte j of y is zero exactly when s[j] is '<' and s[j+1] is '/'.
+		// Byte j of y is zero exactly when s[j] is '<' and s[j+1] is '/', and
+		// byte j of z when the byte before s[j] is '>'.
 		y := (w ^ ones*'<') | ((w>>8 | uint64(s[8])<<56) ^ ones*'/')
-		// Count the zero bytes: the sum leaves a lane's top bit clear only
-		// there, and no carry crosses a lane (each sums to at most 0xfe).
-		n += bits.OnesCount64(^((y&low7 + low7) | y | low7))
+		z := (w<<8 | uint64(prev)) ^ ones*'>'
+		ends := zeros(y)
+		closes += bits.OnesCount64(ends)
+		leaves += bits.OnesCount64(ends &^ zeros(z))
+		prev = s[7]
 	}
-	return n + strings.Count(s, "</")
+	for i := 0; i+1 < len(s); i++ {
+		if s[i] == '<' && s[i+1] == '/' {
+			closes++
+			if prev != '>' {
+				leaves++
+			}
+		}
+		prev = s[i]
+	}
+	return closes, leaves
 }
 
 func (d *decoder) newNode() *Node {
@@ -419,9 +552,10 @@ func (d *decoder) run() (*Node, error) {
 		}
 	}
 	if len(d.open) > 0 {
-		return nil, d.err("unterminated element <" + d.open[len(d.open)-1].n.Name + ">")
+		_, local, _ := splitName(d.open[len(d.open)-1].rawName)
+		return nil, d.err("unterminated element <" + local + ">")
 	}
-	if d.root == nil {
+	if d.rootSpan[1] == 0 {
 		return nil, d.err("no root element")
 	}
 	return d.root, nil
@@ -600,9 +734,12 @@ func (d *decoder) startElement() error {
 			return d.err("element name " + local + " invalid after dropping namespace prefix")
 		}
 	}
-	if len(d.open) == 0 && d.root != nil {
+	if len(d.open) == 0 && d.rootSpan[1] != 0 {
 		return d.err("multiple root elements")
 	}
+	k := len(d.open)
+	seal := d.seal && d.sealDepth == 0 && start != d.eagerAt && k > 0 && local != sealSkip &&
+		d.open[k-1].n.Name == sealParent && (k == 1 || d.open[k-2].n.Name != eagerOp)
 
 	// dirty accumulates every way the start tag can deviate from canonical
 	// form without the byte-size check noticing: a stripped name prefix
@@ -710,8 +847,11 @@ func (d *decoder) startElement() error {
 	// translation would give those attrs Space "xmlns"), invalid stripped
 	// locals dropped, duplicate locals first-wins. size accumulates the
 	// canonical start tag as the attributes are kept.
-	n := d.newNode()
-	n.Name = d.intern(local)
+	var n *Node
+	if d.sealDepth == 0 && !(d.item && len(d.open) == 0) {
+		n = d.newNode()
+		n.Name = d.intern(local)
+	}
 	size := len("<") + len(local)
 	kept := rawAttrs[:0]
 	for _, a := range rawAttrs {
@@ -744,7 +884,10 @@ func (d *decoder) startElement() error {
 		if prefix != "" {
 			dirty = true // prefix stripped from an emitted attribute
 		}
-		kept = append(kept, Attr{Name: d.intern(alocal), Value: a.Value})
+		if n != nil {
+			alocal = d.intern(alocal)
+		}
+		kept = append(kept, Attr{Name: alocal, Value: a.Value})
 		size += len(` ="`) + len(alocal) + len(a.Value) + len(`"`)
 	}
 	if len(kept) != len(rawAttrs) || !attrsSorted(kept) {
@@ -755,12 +898,15 @@ func (d *decoder) startElement() error {
 		}
 	}
 	size += valExtra
-	n.Attrs = d.attrSlice(kept)
+	if n != nil {
+		n.Attrs = d.attrSlice(kept)
+	}
 	d.attrStk = d.attrStk[:attrMark]
 
 	if empty {
 		d.undoNs(nsMark)
-		d.finishSpan(n, start, size, !dirty && d.muts == mutsMark)
+		size, clean := d.spanSize(len(local), start, size, false, !dirty && d.muts == mutsMark)
+		d.finishSpan(n, start, size, clean)
 		return nil
 	}
 	// Fast path for the dominant wire shape, <name>text</name>: scan the
@@ -779,21 +925,27 @@ func (d *decoder) startElement() error {
 			d.pos = end
 			if d.wsOnly {
 				dirty = true // whitespace-only content dropped
-			} else {
+			} else if size += len(text) + d.escExtra; n != nil {
 				n.Text = text
-				size += len(text) + d.escExtra
 			}
 			d.undoNs(nsMark)
-			d.finishSpan(n, start, size, endClean && !dirty && d.muts == mutsMark)
+			size, clean := d.spanSize(len(local), start, size, !d.wsOnly, endClean && !dirty && d.muts == mutsMark)
+			d.finishSpan(n, start, size, clean)
 			return nil
 		}
 		d.open = append(d.open, openElem{n: n, rawName: raw, kidMark: len(d.kidStk), nsMark: nsMark,
 			size: size, start: start, mutsMark: mutsMark, dirty: dirty})
+		if seal {
+			d.sealDepth = len(d.open)
+		}
 		d.addText(text)
 		return nil
 	}
 	d.open = append(d.open, openElem{n: n, rawName: raw, kidMark: len(d.kidStk), nsMark: nsMark,
 		size: size, start: start, mutsMark: mutsMark, dirty: dirty})
+	if seal {
+		d.sealDepth = len(d.open) // its descendants are scanned sealed
+	}
 	return nil
 }
 
@@ -859,57 +1011,95 @@ func (d *decoder) endElement() error {
 // closeTop completes the innermost open element. endClean reports that the
 // end tag was exactly "</name>" — no trailing whitespace canonical emission
 // would drop.
+//
+// Closing a sealed item seals it: the node keeps its memo and no children.
+// An item whose span failed the clean check has no memo to build children
+// from, so the scan rewinds to its start and decodes it again, eagerly.
 func (d *decoder) closeTop(endClean bool) error {
-	oe := d.open[len(d.open)-1]
+	oe := &d.open[len(d.open)-1] // valid until the next push
+	sealRoot := d.sealDepth == len(d.open)
 	d.open = d.open[:len(d.open)-1]
-	n := oe.n
-	n.Children = d.kidSlice(d.kidStk[oe.kidMark:])
-	d.kidStk = d.kidStk[:oe.kidMark]
 	d.undoNs(oe.nsMark)
-	d.finishSpan(n, oe.start, oe.size, endClean && !oe.dirty && d.muts == oe.mutsMark)
+	// Without a node, the name as written stands in for the local name: they
+	// differ only by a prefix, which made the element dirty, and the size of
+	// a dirty element inside a sealed item is never used.
+	nameLen := len(oe.rawName)
+	if oe.n != nil {
+		nameLen = len(oe.n.Name)
+	}
+	size, clean := d.spanSize(nameLen, oe.start, oe.size, oe.text || oe.kids,
+		endClean && !oe.dirty && d.muts == oe.mutsMark)
+	if sealRoot {
+		d.sealDepth = 0
+		nodes := d.sealNodes
+		d.sealNodes = 0
+		if !clean {
+			d.pos, d.eagerAt = oe.start, oe.start
+			return nil
+		}
+		oe.n.sealed.Store(uint32(1 + min(nodes, slabMax)))
+	}
+	kids := d.kidSlice(d.kidStk[oe.kidMark:])
+	d.kidStk = d.kidStk[:oe.kidMark]
+	if oe.n != nil {
+		oe.n.Children = kids
+	} else if len(d.open) == 0 {
+		d.rootKids = kids
+	}
+	d.finishSpan(oe.n, oe.start, size, clean)
 	return nil
 }
 
-// finishSpan freezes a completed node, attaches it to its parent (or makes
-// it the root), and — when the element's input span is provably canonical —
-// memoizes the span as the node's serialization, so re-emitting a received
-// subtree is a memcpy instead of a re-walk.
+// spanSize completes an element's canonical size — size holds its start
+// tag, text and children, summed while they were scanned — with the closing
+// form, which content decides, and settles the clean check: the element's
+// input span [start, d.pos) is its canonical form.
 //
-// size arrives holding the canonical start tag and the element's own escaped
-// Text, summed while they were scanned; with the children's memos and the
-// closing form it is the size memo, and no string is read again for it.
-//
-// Soundness of the clean check: clean means no byte-transforming event fired
-// inside the span (d.muts), the start and end tags have canonical layout,
-// attributes were kept verbatim in sorted order, and every element child
-// proved itself clean (its own memoStr is set, so its bytes are exactly its
-// canonical form; a child that failed its check — <a></a>, whose canonical
-// form is <a/> — poisons the parent's span even when sizes happen to agree).
-// Under those conditions the only ways the span can still differ from the
-// canonical serialization are escaping expansions — a raw '>' in text, a raw
-// tab in an attribute value — which strictly increase the canonical length.
-// memoSize == span length therefore forces the two byte strings to be
-// identical.
-func (d *decoder) finishSpan(n *Node, start, size int, clean bool) {
-	for _, c := range n.Children {
-		size += c.memoSize
-		clean = clean && (c.Name == "" || c.memoStr != "")
-	}
-	if n.Text == "" && len(n.Children) == 0 {
-		size += len("/>")
+// Soundness of the check: clean arrives meaning that no byte-transforming
+// event fired inside the span (d.muts), the start and end tags have
+// canonical layout, attributes were kept verbatim in sorted order, and every
+// element child passed its own check (a child that failed — <a></a>, whose
+// canonical form is <a/> — poisons the parent's span even when sizes happen
+// to agree). Under those conditions the only ways the span can still differ
+// from the canonical serialization are escaping expansions — a raw '>' in
+// text, a raw tab in an attribute value — which strictly increase the
+// canonical length. A size equal to the span's length therefore forces the
+// two byte strings to be identical.
+func (d *decoder) spanSize(nameLen, start, size int, content, clean bool) (int, bool) {
+	if content {
+		size += len("></>") + nameLen
 	} else {
-		size += len("></>") + len(n.Name)
+		size += len("/>")
 	}
-	n.memoSize, n.frozen = size, true
-	if clean && size == d.pos-start {
-		n.memoStr = d.s[start:d.pos]
+	return size, clean && size == d.pos-start
+}
+
+// finishSpan freezes a completed node of the given canonical size, memoizes
+// its input span as its serialization when the span is clean (so re-emitting
+// a received subtree is a memcpy instead of a re-walk), and attaches it to
+// its parent or makes it the root. Inside a sealed item n is nil: the parent
+// takes the size and the verdict, and no node.
+func (d *decoder) finishSpan(n *Node, start, size int, clean bool) {
+	if n != nil {
+		n.memoSize, n.frozen = size, true
+		if clean {
+			n.memoStr = d.s[start:d.pos]
+		}
+	} else if d.sealDepth != 0 {
+		d.sealNodes++
 	}
 	if len(d.open) == 0 {
 		d.root = n
 		d.rootSpan = [2]int{start, d.pos}
 		return
 	}
-	d.kidStk = append(d.kidStk, n)
+	p := &d.open[len(d.open)-1]
+	p.size += size
+	p.kids = true
+	p.dirty = p.dirty || !clean
+	if n != nil {
+		d.kidStk = append(d.kidStk, n)
+	}
 }
 
 // addText applies Parse's text policy to one decoded run: dropped outside
@@ -919,7 +1109,8 @@ func (d *decoder) finishSpan(n *Node, start, size int, clean bool) {
 // born frozen like every decoded node, yet keeps growing here, its size memo
 // with it, until the parent closes. Whether the run is whitespace-only and
 // what escaping adds to it were settled by scanText (d.wsOnly, d.escExtra),
-// so no re-scan happens here.
+// so no re-scan happens here. Inside a sealed item only the size is kept,
+// and the item itself keeps only its leading text.
 func (d *decoder) addText(text string) {
 	if len(d.open) == 0 {
 		// Outside the root element: dropped, and outside every span.
@@ -933,12 +1124,21 @@ func (d *decoder) addText(text string) {
 	}
 	top := &d.open[len(d.open)-1]
 	size := len(text) + d.escExtra
-	k := len(d.kidStk)
-	if k == top.kidMark {
-		top.n.Text += text // still aliases the input when Text was empty
-		top.size += size
+	top.size += size
+	top.text = true
+	switch {
+	case d.sealDepth != 0 && (top.kids || len(d.open) > d.sealDepth):
+		if top.kids {
+			d.sealNodes++ // a text node, once built
+		}
+		return
+	case !top.kids:
+		if top.n != nil { // a build's root is the sealed node: its Text is set
+			top.n.Text += text // still aliases the input when Text was empty
+		}
 		return
 	}
+	k := len(d.kidStk)
 	n := d.kidStk[k-1]
 	if !n.IsText() {
 		n = d.newNode()

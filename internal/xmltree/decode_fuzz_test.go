@@ -16,6 +16,10 @@ func unsafeStringData(s string) *byte { return unsafe.StringData(s) }
 // rewriting, comments, directives, xml declarations, namespace stripping);
 // regression entries found by fuzzing live in
 // testdata/fuzz/FuzzDecodeEquivalence.
+//
+// The sealed arm holds DecodeString's sealed payload items to an eager
+// decode of the same input: the same error or none, and once every sealed
+// item is built, an equal tree with the same serialization.
 func FuzzDecodeEquivalence(f *testing.F) {
 	for _, s := range decodeCases {
 		f.Add(s)
@@ -24,6 +28,9 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		`<visited b="3">m:9020 2 q29tcGFjdA;s:1 1 AAAAAAAB</visited><provenance algo="hmac-sha256"><visit at="1000" server="a:1"/></provenance></mqp>`)
 	f.Add(`<mqp id="q" target="c:1"><plan><data/></plan><visited b="6">m:9020 2 q29tcGFjdA` +
 		`<a s="s1:9020" u="urn:InterestArea:(USA.OR.Portland,Music.CDs)"/><a s="s2:9020" u="urn:InterestArea:(*,Furniture.Chairs)"/></visited></mqp>`)
+	for _, s := range sealedCases {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		if len(s) > 1<<16 {
 			t.Skip("oversized input")
@@ -33,6 +40,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("accept/reject disagreement:\ninput: %q\nParse err:  %v\nDecode err: %v", s, refErr, gotErr)
 		}
+		checkSealed(t, s)
 		if refErr != nil {
 			return
 		}
@@ -99,5 +107,48 @@ func assertSizedBounded(t *testing.T, n *Node, input string) {
 	t.Helper()
 	if len(input) <= 1<<12 {
 		assertSized(t, n, input)
+	}
+}
+
+// sealedCases seed the sealed arm: payload items with entities (which fail
+// the clean check and decode eagerly), <a></a>, deep nesting, unsorted
+// attributes, mixed content, a nested <data>, and errors inside an item.
+var sealedCases = []string{
+	`<mqp><plan><data><item id="1"><name>A &amp; B</name><price>3</price></item><item id="2"><name>C</name></item></data></plan></mqp>`,
+	`<data><item><a></a><b>x</b></item><item><c/></item></data>`,
+	`<data><i><a><b><c><d><e><f>x</f></e></d></c></b></a></i><i><a>y</a></i></data>`,
+	`<data><item z="1" a="2"><f>x</f></item><item a="1" z="2"><f y="2" b="1">t</f></item></data>`,
+	`<data><data><x><y/></x></data><annotations><annot k="a" v="b"/></annotations><i>t<j/>u</i></data>`,
+	`<data><i>lead<j/>tail<!--c--></i><i><j> </j></i><i x='1'><j/></i></data>`,
+	`<data><i><j></i></data>`,
+	`<data><i><j>&bogus;</j></i></data>`,
+	`<data><i><j>x</j>`,
+}
+
+// checkSealed is the sealed arm of FuzzDecodeEquivalence.
+func checkSealed(t *testing.T, s string) {
+	t.Helper()
+	eager, _, eagerErr := decode(s, false)
+	sealed, _, sealedErr := decode(s, true)
+	if (eagerErr == nil) != (sealedErr == nil) || eagerErr != nil && eagerErr.Error() != sealedErr.Error() {
+		t.Fatalf("sealed and eager decodes disagree:\ninput: %q\neager err:  %v\nsealed err: %v", s, eagerErr, sealedErr)
+	}
+	if eagerErr != nil {
+		return
+	}
+	buildAll(sealed)
+	if !Equal(eager, sealed) {
+		t.Fatalf("sealed tree, built, differs from the eager one:\ninput: %q\neager:  %q\nsealed: %q", s, eager.String(), sealed.String())
+	}
+	if es, ss := eager.String(), sealed.String(); es != ss {
+		t.Fatalf("sealed and eager serializations differ:\ninput: %q\neager:  %q\nsealed: %q", s, es, ss)
+	}
+	assertSizedBounded(t, sealed, s)
+}
+
+// buildAll builds every sealed node of the tree.
+func buildAll(n *Node) {
+	for _, c := range n.Kids() {
+		buildAll(c)
 	}
 }

@@ -187,17 +187,20 @@ func TestDecodeEveryByte(t *testing.T) {
 }
 
 // TestCountCloseTags holds the word-at-a-time counter to strings.Count on
-// every length around its word boundaries, '<' as the last byte included.
+// every length around its word boundaries, '<' as the last byte included,
+// and its leaf count to the end tags not right after a '>'.
 func TestCountCloseTags(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 40; n++ {
 		for trial := 0; trial < 400; trial++ {
 			buf := make([]byte, n)
 			for i := range buf {
-				buf[i] = "</<a/"[rng.Intn(5)]
+				buf[i] = "</<a/>"[rng.Intn(6)]
 			}
-			if s := string(buf); countCloseTags(s) != strings.Count(s, "</") {
-				t.Fatalf("countCloseTags(%q) = %d, want %d", s, countCloseTags(s), strings.Count(s, "</"))
+			s := string(buf)
+			wantLeaves := strings.Count(s, "</") - strings.Count(s, "></")
+			if closes, leaves := countCloseTags(s); closes != strings.Count(s, "</") || leaves != wantLeaves {
+				t.Fatalf("countCloseTags(%q) = %d, %d; want %d, %d", s, closes, leaves, strings.Count(s, "</"), wantLeaves)
 			}
 		}
 	}

@@ -93,7 +93,7 @@ func (p Path) First(n *Node) *Node {
 
 func firstPlain(n *Node, steps []pathStep) *Node {
 	name := steps[0].name
-	for _, c := range n.Children {
+	for _, c := range n.Kids() {
 		if c.Name != name {
 			continue
 		}
@@ -117,7 +117,7 @@ func first(n *Node, steps []pathStep) *Node {
 		return nil
 	}
 	pos := 0
-	for _, c := range n.Children {
+	for _, c := range n.Kids() {
 		if c.IsText() || (st.name != "*" && c.Name != st.name) {
 			continue
 		}

@@ -82,19 +82,20 @@ func TestPooledDecoderStacksBounded(t *testing.T) {
 		fmt.Fprintf(&decls, ` xmlns:p%d="u"`, i)
 	}
 	for name, doc := range map[string]string{
-		"wide":  "<r>" + strings.Repeat("<a/>", n) + "</r>",
-		"deep":  strings.Repeat("<a>", MaxDepth) + strings.Repeat("</a>", MaxDepth),
-		"attrs": "<r" + attrs.String() + "/>",
-		"xmlns": "<r" + decls.String() + "><a/></r>",
-		"plain": `<r><a b="1">x</a><a b="2">y</a></r>`,
+		"wide":   "<r>" + strings.Repeat("<a/>", n) + "</r>",
+		"deep":   strings.Repeat("<a>", MaxDepth) + strings.Repeat("</a>", MaxDepth),
+		"attrs":  "<r" + attrs.String() + "/>",
+		"xmlns":  "<r" + decls.String() + "><a/></r>",
+		"plain":  `<r><a b="1">x</a><a b="2">y</a></r>`,
+		"sealed": "<data><i>" + strings.Repeat("<a/>", n) + "</i></data>",
 	} {
 		d := decPool.Get().(*decoder)
-		d.s = doc
+		d.s, d.seal = doc, true
 		d.sizeSlabs()
 		if _, err := d.run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		d.release() // d is pooled again; nothing else decodes while we look
+		d.release(&decPool) // d is pooled again; nothing else decodes while we look
 		for stack, bytes := range map[string]int{
 			"open": stackBytes(d.open), "kidStk": stackBytes(d.kidStk),
 			"attrStk": stackBytes(d.attrStk), "nsUndo": stackBytes(d.nsUndo),

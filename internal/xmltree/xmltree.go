@@ -40,6 +40,16 @@
 // they are reads like any other. Mutating a frozen node through SetAttr/Add
 // panics; writing its exported fields directly is undetected and breaks the
 // contract.
+//
+// # Sealed nodes: children built on first read
+//
+// The decoder seals the payload items of a <data> element (decode.go): such
+// a node is frozen with its name, attributes, leading text and serialization
+// memo, and its children are built from the memo the first time something
+// asks for them. Kids is that question, and every reader in this package asks
+// it. Outside the package, read a decoded node's children through Kids (or
+// Child, ChildrenNamed, Elements, paths); the Children field is safe to read
+// directly only on a tree the reader built itself.
 package xmltree
 
 import (
@@ -49,6 +59,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -83,6 +95,42 @@ type Node struct {
 	memoSize int
 	memoStr  string
 	frozen   bool
+	// sealed is non-zero while a decoded payload item's children are still
+	// unbuilt (see Kids): one more than the number of nodes the build makes.
+	// It is atomic, since frozen nodes are read concurrently.
+	sealed atomic.Uint32
+}
+
+// Kids returns the node's children, building them first when the node is
+// sealed. It is how code outside the package reads the children of a node it
+// did not build; the built list is kept, so a node is built at most once.
+func (n *Node) Kids() []*Node {
+	if n.sealed.Load() != 0 {
+		n.unseal()
+	}
+	return n.Children
+}
+
+// unsealMu serializes builds, so that concurrent first reads of one sealed
+// node build it once.
+var unsealMu sync.Mutex
+
+// unseal builds a sealed node's children by decoding its serialization memo,
+// a clean span the frame's decode already validated, and publishes them
+// before clearing the seal.
+func (n *Node) unseal() {
+	unsealMu.Lock()
+	defer unsealMu.Unlock()
+	nodes := int(n.sealed.Load()) - 1
+	if nodes < 0 {
+		return
+	}
+	kids, err := decodeKids(n.memoStr, nodes)
+	if err != nil {
+		panic("xmltree: sealed span does not decode: " + err.Error())
+	}
+	n.Children = kids
+	n.sealed.Store(0)
 }
 
 // mustBeMutable is the mutators' ownership check: frozen nodes may be aliased
@@ -178,7 +226,7 @@ func (n *Node) Add(children ...*Node) *Node {
 
 // Child returns the first child element with the given name, or nil.
 func (n *Node) Child(name string) *Node {
-	for _, c := range n.Children {
+	for _, c := range n.Kids() {
 		if c.Name == name {
 			return c
 		}
@@ -189,7 +237,7 @@ func (n *Node) Child(name string) *Node {
 // ChildrenNamed returns all child elements with the given name.
 func (n *Node) ChildrenNamed(name string) []*Node {
 	var out []*Node
-	for _, c := range n.Children {
+	for _, c := range n.Kids() {
 		if c.Name == name {
 			out = append(out, c)
 		}
@@ -200,7 +248,7 @@ func (n *Node) ChildrenNamed(name string) []*Node {
 // Elements returns all element (non-text) children.
 func (n *Node) Elements() []*Node {
 	var out []*Node
-	for _, c := range n.Children {
+	for _, c := range n.Kids() {
 		if !c.IsText() {
 			out = append(out, c)
 		}
@@ -210,7 +258,7 @@ func (n *Node) Elements() []*Node {
 
 // InnerText returns the concatenation of all text beneath the node.
 func (n *Node) InnerText() string {
-	if len(n.Children) == 0 {
+	if len(n.Kids()) == 0 {
 		// A text node, or <name>text</name>, the shape of nearly every
 		// field: no copy.
 		return n.Text
@@ -222,7 +270,7 @@ func (n *Node) InnerText() string {
 
 func (n *Node) innerText(b *strings.Builder) {
 	b.WriteString(n.Text)
-	for _, c := range n.Children {
+	for _, c := range n.Kids() {
 		c.innerText(b)
 	}
 }
@@ -239,9 +287,9 @@ func (n *Node) Clone() *Node {
 		cp.Attrs = make([]Attr, len(n.Attrs))
 		copy(cp.Attrs, n.Attrs)
 	}
-	if len(n.Children) > 0 {
-		cp.Children = make([]*Node, len(n.Children))
-		for i, c := range n.Children {
+	if kids := n.Kids(); len(kids) > 0 {
+		cp.Children = make([]*Node, len(kids))
+		for i, c := range kids {
 			cp.Children[i] = c.Clone()
 		}
 	}
@@ -270,6 +318,19 @@ func (n *Node) Freeze() *Node {
 	// byte once.
 	b := n.appendTo(make([]byte, 0, n.byteSize(true)))
 	n.memoStr = unsafe.String(unsafe.SliceData(b), len(b)) // b is nobody else's
+	return n
+}
+
+// FreezeSizes is Freeze without the serialization memo: it marks the
+// subtree frozen and memoizes sizes only, copying no bytes. It suits a node
+// that is serialized about once, whose children already carry their own
+// memos: a provenance element grown by one frozen <visit> per hop is
+// replaced by the next hop's, so memoizing it would re-serialize every
+// earlier visit on every hop. FrozenSerialization reports false for it.
+func (n *Node) FreezeSizes() *Node {
+	if n != nil && !n.frozen {
+		n.byteSize(true)
+	}
 	return n
 }
 
@@ -312,8 +373,8 @@ func (n *Node) CloneShallow() *Node {
 	if len(n.Attrs) > 0 {
 		cp.Attrs = append([]Attr(nil), n.Attrs...)
 	}
-	if len(n.Children) > 0 {
-		cp.Children = append([]*Node(nil), n.Children...)
+	if kids := n.Kids(); len(kids) > 0 {
+		cp.Children = append([]*Node(nil), kids...)
 	}
 	return cp
 }
@@ -326,7 +387,8 @@ func Equal(a, b *Node) bool {
 	if a.Name != b.Name || a.Text != b.Text {
 		return false
 	}
-	if len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
+	ak, bk := a.Kids(), b.Kids()
+	if len(a.Attrs) != len(b.Attrs) || len(ak) != len(bk) {
 		return false
 	}
 	for _, attr := range a.Attrs {
@@ -335,8 +397,8 @@ func Equal(a, b *Node) bool {
 			return false
 		}
 	}
-	for i := range a.Children {
-		if !Equal(a.Children[i], b.Children[i]) {
+	for i := range ak {
+		if !Equal(ak[i], bk[i]) {
 			return false
 		}
 	}
@@ -375,7 +437,7 @@ func (n *Node) String() string {
 // serializer: String, Freeze and FrameEncoder.Node all write through it and
 // its primitives.
 func (n *Node) appendTo(b []byte) []byte {
-	if n.memoStr != "" {
+	if n.memoStr != "" { // always, for a sealed node: the walk below reads Children
 		return append(b, n.memoStr...)
 	}
 	if n.IsText() {
@@ -573,10 +635,11 @@ func appendIndent(b []byte, n *Node, depth int) []byte {
 		return append(appendEscaped(b, strings.TrimSpace(n.Text), false), '\n')
 	}
 	b = appendAttrs(append(append(b, '<'), n.Name...), n.Attrs)
+	kids := n.Kids()
 	switch {
-	case n.Text == "" && len(n.Children) == 0:
+	case n.Text == "" && len(kids) == 0:
 		return append(b, "/>\n"...)
-	case len(n.Children) == 0:
+	case len(kids) == 0:
 		b = appendEscaped(append(b, '>'), n.Text, false)
 		return append(append(append(b, "</"...), n.Name...), ">\n"...)
 	}
@@ -585,7 +648,7 @@ func appendIndent(b []byte, n *Node, depth int) []byte {
 		b = append(append(b, pad...), "  "...)
 		b = append(appendEscaped(b, strings.TrimSpace(n.Text), false), '\n')
 	}
-	for _, c := range n.Children {
+	for _, c := range kids {
 		b = appendIndent(b, c, depth+1)
 	}
 	return append(append(append(append(b, pad...), "</"...), n.Name...), ">\n"...)
