@@ -40,8 +40,9 @@
 // reads inside it, and keeps them. The serializers, FrameEncoder and content
 // fingerprints read the memo, so forwarded freight is never built. An item
 // whose span is not clean (an entity, a comment, non-canonical layout) has no
-// memo to build from: the scan rewinds to its start and decodes it eagerly.
-// So do the items of a join's <data> inputs, which the join reads.
+// memo to build from: the scan rewinds to its start and decodes it eagerly,
+// sealing nothing inside it, so no byte is scanned more than twice. The
+// items of a join's <data> inputs, which the join reads, decode eagerly too.
 //
 // How often a byte is read: once, on the frames the wire carries. A text run
 // or attribute value opens with a table scan (byteClass) over plain bytes —
@@ -108,13 +109,20 @@ func DecodeString(s string) (*Node, error) {
 // when seal is set (see sealParent). whole reports that the root's clean span
 // covers every byte of s (no declaration, no surrounding whitespace,
 // canonical body), which is when the frame cache may keep the tree.
+//
+// A decode that seals nothing is the build of one sealed item (decodeKids),
+// and takes its decoder from itemPool.
 func decode(s string, seal bool) (root *Node, whole bool, err error) {
-	d := decPool.Get().(*decoder)
+	pool := &itemPool
+	if seal {
+		pool = &decPool
+	}
+	d := pool.Get().(*decoder)
 	d.s, d.seal = s, seal
 	d.sizeSlabs()
 	root, err = d.run()
 	whole = err == nil && root.memoStr != "" && d.rootSpan[0] == 0 && d.rootSpan[1] == len(s)
-	d.release(&decPool)
+	d.release(pool)
 	return root, whole, err
 }
 
@@ -135,19 +143,14 @@ func joinsData(s string) bool {
 	return false
 }
 
-// decodeKids builds the children of a sealed node from its memo s: the node
-// itself is not rebuilt, and nodes, the count the sealing scan took, sizes
-// the slabs (an attribute slab only if a child has attributes). The decoder
-// comes from itemPool.
-func decodeKids(s string, nodes int) ([]*Node, error) {
-	d := itemPool.Get().(*decoder)
-	d.s, d.item = s, true
-	d.nodeNext = max(nodes, 1)
-	d.kidNext, d.attrNext = d.nodeNext, d.nodeNext
-	_, err := d.run()
-	kids := d.rootKids
-	d.release(&itemPool)
-	return kids, err
+// decodeKids builds the children of a sealed node from its memo s, a clean
+// span: it decodes the span as a document and keeps the root's children.
+func decodeKids(s string) ([]*Node, error) {
+	root, _, err := decode(s, false)
+	if err != nil {
+		return nil, err
+	}
+	return root.Children, nil
 }
 
 // --- Name interning ----------------------------------------------------
@@ -279,7 +282,7 @@ const MaxDepth = 1024
 const scratchMax = 1 << 16
 
 type openElem struct {
-	n       *Node  // nil inside a sealed item and for a build's root (decodeKids)
+	n       *Node  // nil inside a sealed item
 	rawName string // prefixed name as written, for end-tag matching
 	kidMark int    // kidStk length when the element opened
 	nsMark  int    // nsUndo length when the element opened
@@ -351,20 +354,13 @@ type decoder struct {
 	// sealDepth the open-stack depth of the item being sealed, 0 when none
 	// is: the item's descendants are scanned and validated as always, and
 	// sized for its clean check, but no node, name or slice is made for
-	// them. eagerAt is where an item starts that failed its clean check and
-	// is being decoded again, eagerly.
-	seal      bool
-	sealDepth int
-	eagerAt   int
-	// sealNodes counts the nodes a build of the item being sealed will make
-	// (an upper bound: mixed-content text runs may merge).
-	sealNodes int
-
-	// item is set while building a sealed node's children (decodeKids): the
-	// root, the sealed node itself, gets no node, and its children end up in
-	// rootKids.
-	item     bool
-	rootKids []*Node
+	// them. eagerDepth is the depth of an item that failed its clean check
+	// and is being decoded again, eagerly, 0 when none is: nothing inside it
+	// is sealed, so that no byte is scanned more than twice however deep
+	// <data> elements nest in items.
+	seal       bool
+	sealDepth  int
+	eagerDepth int
 }
 
 // decPool holds the decoders of frames and itemPool those of sealed items'
@@ -376,7 +372,7 @@ var (
 	itemPool = sync.Pool{New: newDecoder}
 )
 
-func newDecoder() any { return &decoder{ns: make(map[string]string), eagerAt: -1} }
+func newDecoder() any { return &decoder{ns: make(map[string]string)} }
 
 func (d *decoder) release(pool *sync.Pool) {
 	d.s = ""
@@ -392,8 +388,7 @@ func (d *decoder) release(pool *sync.Pool) {
 	d.scratch = resetStack(d.scratch)
 	d.muts = 0
 	d.rootSpan = [2]int{}
-	d.seal, d.sealDepth, d.eagerAt, d.sealNodes = false, 0, -1, 0
-	d.item, d.rootKids = false, nil
+	d.seal, d.sealDepth, d.eagerDepth = false, 0, 0
 	pool.Put(d)
 }
 
@@ -419,9 +414,10 @@ func resetStack[T any](s []T) []T {
 // decode eagerly; a frame that seals nothing and holds more fills the slab
 // and the doubled ones after it.
 func (d *decoder) sizeSlabs() {
-	closes, leaves := countCloseTags(d.s)
+	sealing := d.seal && !joinsData(d.s)
+	closes, leaves := countCloseTags(d.s, sealing)
 	est := strings.Count(d.s, "<") - closes
-	if d.seal && !joinsData(d.s) {
+	if sealing {
 		est = min(est, est-leaves+leafSlack)
 	}
 	d.nodeNext = min(max(est, 1), slabMax)
@@ -429,11 +425,11 @@ func (d *decoder) sizeSlabs() {
 	d.attrNext = min(max(strings.Count(d.s, "="), 1), slabMax)
 }
 
-// countCloseTags counts the end tags "</" in s, and among them the leaves:
-// those not right after a '>', which close a run of character data. It reads
-// eight bytes at a time: unlike the single-byte counts, a two-byte needle
-// gets no SIMD path.
-func countCloseTags(s string) (closes, leaves int) {
+// countCloseTags counts the end tags "</" in s, and among them, when
+// countLeaves is set, the leaves: those not right after a '>', which close a
+// run of character data. It reads eight bytes at a time: unlike the
+// single-byte counts, a two-byte needle gets no SIMD path.
+func countCloseTags(s string, countLeaves bool) (closes, leaves int) {
 	const ones, low7 = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
 	// zeros marks the zero bytes of y with their top bit: the sum leaves a
 	// lane's top bit clear only there, and no carry crosses a lane (each
@@ -446,16 +442,18 @@ func countCloseTags(s string) (closes, leaves int) {
 		// Byte j of y is zero exactly when s[j] is '<' and s[j+1] is '/', and
 		// byte j of z when the byte before s[j] is '>'.
 		y := (w ^ ones*'<') | ((w>>8 | uint64(s[8])<<56) ^ ones*'/')
-		z := (w<<8 | uint64(prev)) ^ ones*'>'
 		ends := zeros(y)
 		closes += bits.OnesCount64(ends)
-		leaves += bits.OnesCount64(ends &^ zeros(z))
+		if countLeaves {
+			z := (w<<8 | uint64(prev)) ^ ones*'>'
+			leaves += bits.OnesCount64(ends &^ zeros(z))
+		}
 		prev = s[7]
 	}
 	for i := 0; i+1 < len(s); i++ {
 		if s[i] == '<' && s[i+1] == '/' {
 			closes++
-			if prev != '>' {
+			if countLeaves && prev != '>' {
 				leaves++
 			}
 		}
@@ -555,7 +553,7 @@ func (d *decoder) run() (*Node, error) {
 		_, local, _ := splitName(d.open[len(d.open)-1].rawName)
 		return nil, d.err("unterminated element <" + local + ">")
 	}
-	if d.rootSpan[1] == 0 {
+	if d.root == nil {
 		return nil, d.err("no root element")
 	}
 	return d.root, nil
@@ -734,11 +732,11 @@ func (d *decoder) startElement() error {
 			return d.err("element name " + local + " invalid after dropping namespace prefix")
 		}
 	}
-	if len(d.open) == 0 && d.rootSpan[1] != 0 {
+	if len(d.open) == 0 && d.root != nil {
 		return d.err("multiple root elements")
 	}
 	k := len(d.open)
-	seal := d.seal && d.sealDepth == 0 && start != d.eagerAt && k > 0 && local != sealSkip &&
+	seal := d.seal && d.sealDepth == 0 && d.eagerDepth == 0 && k > 0 && local != sealSkip &&
 		d.open[k-1].n.Name == sealParent && (k == 1 || d.open[k-2].n.Name != eagerOp)
 
 	// dirty accumulates every way the start tag can deviate from canonical
@@ -848,7 +846,7 @@ func (d *decoder) startElement() error {
 	// locals dropped, duplicate locals first-wins. size accumulates the
 	// canonical start tag as the attributes are kept.
 	var n *Node
-	if d.sealDepth == 0 && !(d.item && len(d.open) == 0) {
+	if d.sealDepth == 0 {
 		n = d.newNode()
 		n.Name = d.intern(local)
 	}
@@ -1014,10 +1012,14 @@ func (d *decoder) endElement() error {
 //
 // Closing a sealed item seals it: the node keeps its memo and no children.
 // An item whose span failed the clean check has no memo to build children
-// from, so the scan rewinds to its start and decodes it again, eagerly.
+// from, so the scan rewinds to its start and decodes it again, eagerly
+// (eagerDepth).
 func (d *decoder) closeTop(endClean bool) error {
 	oe := &d.open[len(d.open)-1] // valid until the next push
 	sealRoot := d.sealDepth == len(d.open)
+	if d.eagerDepth == len(d.open) {
+		d.eagerDepth = 0
+	}
 	d.open = d.open[:len(d.open)-1]
 	d.undoNs(oe.nsMark)
 	// Without a node, the name as written stands in for the local name: they
@@ -1031,20 +1033,15 @@ func (d *decoder) closeTop(endClean bool) error {
 		endClean && !oe.dirty && d.muts == oe.mutsMark)
 	if sealRoot {
 		d.sealDepth = 0
-		nodes := d.sealNodes
-		d.sealNodes = 0
 		if !clean {
-			d.pos, d.eagerAt = oe.start, oe.start
+			d.pos, d.eagerDepth = oe.start, len(d.open)+1
 			return nil
 		}
-		oe.n.sealed.Store(uint32(1 + min(nodes, slabMax)))
+		oe.n.sealed.Store(true)
 	}
-	kids := d.kidSlice(d.kidStk[oe.kidMark:])
-	d.kidStk = d.kidStk[:oe.kidMark]
 	if oe.n != nil {
-		oe.n.Children = kids
-	} else if len(d.open) == 0 {
-		d.rootKids = kids
+		oe.n.Children = d.kidSlice(d.kidStk[oe.kidMark:])
+		d.kidStk = d.kidStk[:oe.kidMark]
 	}
 	d.finishSpan(oe.n, oe.start, size, clean)
 	return nil
@@ -1085,8 +1082,6 @@ func (d *decoder) finishSpan(n *Node, start, size int, clean bool) {
 		if clean {
 			n.memoStr = d.s[start:d.pos]
 		}
-	} else if d.sealDepth != 0 {
-		d.sealNodes++
 	}
 	if len(d.open) == 0 {
 		d.root = n
@@ -1128,14 +1123,9 @@ func (d *decoder) addText(text string) {
 	top.text = true
 	switch {
 	case d.sealDepth != 0 && (top.kids || len(d.open) > d.sealDepth):
-		if top.kids {
-			d.sealNodes++ // a text node, once built
-		}
 		return
 	case !top.kids:
-		if top.n != nil { // a build's root is the sealed node: its Text is set
-			top.n.Text += text // still aliases the input when Text was empty
-		}
+		top.n.Text += text // still aliases the input when Text was empty
 		return
 	}
 	k := len(d.kidStk)

@@ -112,7 +112,8 @@ func assertSizedBounded(t *testing.T, n *Node, input string) {
 
 // sealedCases seed the sealed arm: payload items with entities (which fail
 // the clean check and decode eagerly), <a></a>, deep nesting, unsorted
-// attributes, mixed content, a nested <data>, and errors inside an item.
+// attributes, mixed content, a nested <data>, errors inside an item, and
+// unclean items nested in unclean items, beside clean ones.
 var sealedCases = []string{
 	`<mqp><plan><data><item id="1"><name>A &amp; B</name><price>3</price></item><item id="2"><name>C</name></item></data></plan></mqp>`,
 	`<data><item><a></a><b>x</b></item><item><c/></item></data>`,
@@ -123,6 +124,7 @@ var sealedCases = []string{
 	`<data><i><j></i></data>`,
 	`<data><i><j>&bogus;</j></i></data>`,
 	`<data><i><j>x</j>`,
+	`<data><i><data><i><j>&amp;</j></i><i><j>k</j></i></data></i><i><j>x</j></i></data>`,
 }
 
 // checkSealed is the sealed arm of FuzzDecodeEquivalence.

@@ -188,7 +188,7 @@ func TestDecodeEveryByte(t *testing.T) {
 
 // TestCountCloseTags holds the word-at-a-time counter to strings.Count on
 // every length around its word boundaries, '<' as the last byte included,
-// and its leaf count to the end tags not right after a '>'.
+// and its leaf count, when asked for, to the end tags not right after a '>'.
 func TestCountCloseTags(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 40; n++ {
@@ -199,8 +199,14 @@ func TestCountCloseTags(t *testing.T) {
 			}
 			s := string(buf)
 			wantLeaves := strings.Count(s, "</") - strings.Count(s, "></")
-			if closes, leaves := countCloseTags(s); closes != strings.Count(s, "</") || leaves != wantLeaves {
-				t.Fatalf("countCloseTags(%q) = %d, %d; want %d, %d", s, closes, leaves, strings.Count(s, "</"), wantLeaves)
+			for _, countLeaves := range []bool{false, true} {
+				want := 0
+				if countLeaves {
+					want = wantLeaves
+				}
+				if closes, leaves := countCloseTags(s, countLeaves); closes != strings.Count(s, "</") || leaves != want {
+					t.Fatalf("countCloseTags(%q, %v) = %d, %d; want %d, %d", s, countLeaves, closes, leaves, strings.Count(s, "</"), want)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -12,7 +13,7 @@ const sealFrame = `<mqp id="q"><plan><union><data><annotations><annot k="card" v
 	`<item id="3">lead<name>Giant Steps</name>tail</item>` +
 	`</data><url href="s:1" path="/d"/></union></plan></mqp>`
 
-func isSealed(n *Node) bool { return n.sealed.Load() != 0 }
+func isSealed(n *Node) bool { return n.sealed.Load() }
 
 // sealedData decodes sealFrame without the frame cache and returns its
 // <data> element.
@@ -79,6 +80,35 @@ func TestJoinInputDecodesEagerly(t *testing.T) {
 	}
 	if tuple := doc.Find("plan/display/union/data/tuple"); tuple == nil || !isSealed(tuple) {
 		t.Fatal("an item beside the join was not sealed")
+	}
+}
+
+// An item that fails its clean check is scanned sealed, then again eagerly,
+// and nothing inside that second scan is sealed: however deep <data> and
+// items nest, each byte is scanned at most twice. The entity at the bottom
+// counts the scans, once per expansion (muts); if every nested item were
+// sealed and rewound in turn, it would be expanded once per level.
+func TestNestedDirtyItemsScanTwice(t *testing.T) {
+	const levels = (MaxDepth - 2) / 2
+	frame := "<r>" + strings.Repeat("<data><i>", levels) + "<x>a&amp;b</x>" +
+		strings.Repeat("</i></data>", levels) + "</r>"
+	run := func(seal bool) (*Node, int) {
+		d := newDecoder().(*decoder)
+		d.s, d.seal = frame, seal
+		d.sizeSlabs()
+		root, err := d.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root, d.muts
+	}
+	eager, eagerMuts := run(false)
+	sealed, sealedMuts := run(true)
+	if sealedMuts > 2*eagerMuts {
+		t.Fatalf("sealing decode expanded the entity %d times, the eager one %d", sealedMuts, eagerMuts)
+	}
+	if !Equal(eager, sealed) || sealed.String() != eager.String() {
+		t.Fatal("sealed decode of nested dirty items differs from the eager one")
 	}
 }
 
@@ -156,7 +186,7 @@ func TestFreezeSizes(t *testing.T) {
 	}
 }
 
-// Sealing costs a node no space: the build count lives in padding the node
+// Sealing costs a node no space: the seal flag lives in padding the node
 // already had (fourteen words on a 64-bit platform).
 func TestNodeSizeUnchanged(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {

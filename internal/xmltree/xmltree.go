@@ -95,42 +95,43 @@ type Node struct {
 	memoSize int
 	memoStr  string
 	frozen   bool
-	// sealed is non-zero while a decoded payload item's children are still
-	// unbuilt (see Kids): one more than the number of nodes the build makes.
-	// It is atomic, since frozen nodes are read concurrently.
-	sealed atomic.Uint32
+	// sealed is set while a decoded payload item's children are still
+	// unbuilt (see Kids). It is atomic, since frozen nodes are read
+	// concurrently.
+	sealed atomic.Bool
 }
 
 // Kids returns the node's children, building them first when the node is
 // sealed. It is how code outside the package reads the children of a node it
 // did not build; the built list is kept, so a node is built at most once.
 func (n *Node) Kids() []*Node {
-	if n.sealed.Load() != 0 {
+	if n.sealed.Load() {
 		n.unseal()
 	}
 	return n.Children
 }
 
 // unsealMu serializes builds, so that concurrent first reads of one sealed
-// node build it once.
-var unsealMu sync.Mutex
+// node build it once. A node's lock is picked by its address, so builds of
+// different nodes seldom wait on each other.
+var unsealMu [64]sync.Mutex
 
 // unseal builds a sealed node's children by decoding its serialization memo,
 // a clean span the frame's decode already validated, and publishes them
 // before clearing the seal.
 func (n *Node) unseal() {
-	unsealMu.Lock()
-	defer unsealMu.Unlock()
-	nodes := int(n.sealed.Load()) - 1
-	if nodes < 0 {
+	mu := &unsealMu[uintptr(unsafe.Pointer(n))/unsafe.Sizeof(*n)%uintptr(len(unsealMu))]
+	mu.Lock()
+	defer mu.Unlock()
+	if !n.sealed.Load() {
 		return
 	}
-	kids, err := decodeKids(n.memoStr, nodes)
+	kids, err := decodeKids(n.memoStr)
 	if err != nil {
 		panic("xmltree: sealed span does not decode: " + err.Error())
 	}
 	n.Children = kids
-	n.sealed.Store(0)
+	n.sealed.Store(false)
 }
 
 // mustBeMutable is the mutators' ownership check: frozen nodes may be aliased
