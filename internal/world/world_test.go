@@ -14,19 +14,27 @@ import (
 	"repro/internal/xmltree"
 )
 
-// TestWorldAnswers wires a meta-index, one base server under it and a client
-// that knows the meta-index, and asks for everything in the seller's area.
-func TestWorldAnswers(t *testing.T) {
+// sellerWorld wires a meta-index, one base server under it and a client
+// that knows the meta-index. pdxPlan asks for everything in the seller's
+// area.
+func sellerWorld() (w *world.World, client *peer.Peer, pdxPlan func(id string) *algebra.Plan) {
 	ns := workload.GarageSaleNamespace()
-	w := world.New(ns)
+	w = world.New(ns)
 	pdx := ns.MustParseArea("[USA/OR/Portland, *]")
 	w.Peer(peer.Config{Addr: "meta:1", Area: ns.Everything(), Authoritative: true})
 	w.Base(peer.Config{Addr: "seller:1", Area: pdx}, peer.Collection{Name: "items", PathExp: "/d", Area: pdx,
 		Items: []*xmltree.Node{xmltree.MustParse("<item><price>3</price></item>")}}, "meta:1")
-	client := w.Peer(peer.Config{Addr: "client:1"})
+	client = w.Peer(peer.Config{Addr: "client:1"})
 	w.Knows(client, "meta:1", ns.Everything())
-	res, items := w.Ask(client, "meta:1",
-		algebra.NewPlan("q", "client:1", algebra.Display(algebra.URN(namespace.EncodeURN(pdx)))))
+	return w, client, func(id string) *algebra.Plan {
+		return algebra.NewPlan(id, "client:1", algebra.Display(algebra.URN(namespace.EncodeURN(pdx))))
+	}
+}
+
+// TestWorldAnswers asks sellerWorld's meta-index for the seller's area.
+func TestWorldAnswers(t *testing.T) {
+	w, client, pdxPlan := sellerWorld()
+	res, items := w.Ask(client, "meta:1", pdxPlan("q"))
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,5 +93,35 @@ func TestAskWithoutResult(t *testing.T) {
 	plan := algebra.NewPlan("elsewhere", "other:1", algebra.Display(algebra.Data()))
 	if _, _, err := world.Ask(client, "client:1", plan); err == nil {
 		t.Fatal("Ask returned no error for a result delivered elsewhere")
+	}
+}
+
+// TestAskUnknownFirstServer: asking a first server that no peer holds is an
+// error the network reports as unreachable.
+func TestAskUnknownFirstServer(t *testing.T) {
+	w, client, pdxPlan := sellerWorld()
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var unreachable simnet.ErrUnreachable
+	if _, _, err := world.Ask(client, "ghost:1", pdxPlan("ghost")); !errors.As(err, &unreachable) {
+		t.Fatalf("Ask of a first server no peer holds: %v, want ErrUnreachable", err)
+	}
+}
+
+// TestAskBaseServerDown: asking for an area whose one base server is down is
+// an error; once that server is up again, the same question is answered.
+func TestAskBaseServerDown(t *testing.T) {
+	w, client, pdxPlan := sellerWorld()
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	w.Net.SetDown("seller:1", true)
+	if _, _, err := world.Ask(client, "meta:1", pdxPlan("down")); err == nil {
+		t.Fatal("Ask with the only base server down returned no error")
+	}
+	w.Net.SetDown("seller:1", false)
+	if _, items, err := world.Ask(client, "meta:1", pdxPlan("up")); err != nil || len(items) != 1 {
+		t.Fatalf("Ask after the base server came back: %v, %v; want its one item", items, err)
 	}
 }

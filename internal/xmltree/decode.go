@@ -109,20 +109,13 @@ func DecodeString(s string) (*Node, error) {
 // when seal is set (see sealParent). whole reports that the root's clean span
 // covers every byte of s (no declaration, no surrounding whitespace,
 // canonical body), which is when the frame cache may keep the tree.
-//
-// A decode that seals nothing is the build of one sealed item (decodeKids),
-// and takes its decoder from itemPool.
 func decode(s string, seal bool) (root *Node, whole bool, err error) {
-	pool := &itemPool
-	if seal {
-		pool = &decPool
-	}
-	d := pool.Get().(*decoder)
+	d := decPool.Get().(*decoder)
 	d.s, d.seal = s, seal
 	d.sizeSlabs()
 	root, err = d.run()
 	whole = err == nil && root.memoStr != "" && d.rootSpan[0] == 0 && d.rootSpan[1] == len(s)
-	d.release(pool)
+	d.release()
 	return root, whole, err
 }
 
@@ -363,18 +356,12 @@ type decoder struct {
 	eagerDepth int
 }
 
-// decPool holds the decoders of frames and itemPool those of sealed items'
-// builds. Releasing a decoder clears each of its stacks to its capacity,
-// which frames grow to their size; an item's build, a few fields, would pay
-// for a frame's stacks if the two shared a pool.
-var (
-	decPool  = sync.Pool{New: newDecoder}
-	itemPool = sync.Pool{New: newDecoder}
-)
+// decPool holds the decoders of frames and of sealed items' builds alike.
+var decPool = sync.Pool{New: newDecoder}
 
 func newDecoder() any { return &decoder{ns: make(map[string]string)} }
 
-func (d *decoder) release(pool *sync.Pool) {
+func (d *decoder) release() {
 	d.s = ""
 	d.pos = 0
 	d.root = nil
@@ -385,23 +372,35 @@ func (d *decoder) release(pool *sync.Pool) {
 	d.attrStk = resetStack(d.attrStk)
 	clear(d.ns)
 	d.nsUndo = resetStack(d.nsUndo)
-	d.scratch = resetStack(d.scratch)
+	if cap(d.scratch) > scratchMax {
+		d.scratch = nil // bytes only: nothing of the frame to clear
+	}
 	d.muts = 0
 	d.rootSpan = [2]int{}
 	d.seal, d.sealDepth, d.eagerDepth = false, 0, 0
-	pool.Put(d)
+	decPool.Put(d)
 }
 
 // resetStack empties a pooled stack for the next decode, or drops it when it
-// grew past scratchMax. The whole backing array is zeroed, not just the live
-// prefix: popped entries still hold nodes and substrings of the frame just
-// decoded, and would keep it alive from the pool.
-func resetStack[T any](s []T) []T {
+// grew past scratchMax. Its entries hold nodes and substrings of the frame
+// just decoded, which would keep the frame alive from the pool, so it clears
+// the live prefix (what a failed decode leaves) and the popped entries past
+// it, up to the first zero entry. Nothing past that was written since the
+// last release, which left it zero, so a decode pays for the depth it used,
+// not for the capacity an earlier frame grew. Every entry pushed on open,
+// kidStk and attrStk is nonzero (a name, a node); an nsUndo entry can be zero
+// (a first default-namespace binding), so undoNs clears the entries it pops.
+func resetStack[T comparable](s []T) []T {
 	var zero T
 	if cap(s)*int(unsafe.Sizeof(zero)) > scratchMax {
 		return nil
 	}
-	clear(s[:cap(s)])
+	n := len(s)
+	s = s[:cap(s)]
+	for n < len(s) && s[n] != zero {
+		n++
+	}
+	clear(s[:n])
 	return s[:0]
 }
 
@@ -1156,6 +1155,7 @@ func (d *decoder) undoNs(mark int) {
 			delete(d.ns, u.prefix)
 		}
 	}
+	clear(d.nsUndo[mark:]) // see resetStack
 	d.nsUndo = d.nsUndo[:mark]
 }
 

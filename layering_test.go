@@ -39,7 +39,6 @@ var layerRank = map[string]int{
 	"internal/chaos":       7,
 	"internal/experiments": 8,
 
-	"pkg":      9,
 	"cmd":      9,
 	"examples": 10,
 }
@@ -52,7 +51,7 @@ var harnesses = []string{"internal/world", "internal/chaos", "internal/experimen
 var transports = map[string]bool{"internal/wire": true, "internal/simnet": true}
 
 // rankOf ranks an internal package by its own entry and the trees ranked as
-// a whole (pkg, cmd, examples) by their top directory.
+// a whole (cmd, examples) by their top directory.
 func rankOf(pkg string) (int, bool) {
 	if top, _, _ := strings.Cut(pkg, "/"); top != "internal" {
 		pkg = top
