@@ -122,13 +122,16 @@ chaos-nofault:
 # Large worlds (TESTING.md "Large worlds"): 1000-peer churn-enabled
 # zipf-loaded scenarios with replica promotion, checked by the incremental
 # oracle with sampled full verification. The acceptance sweep is 50 seeds;
-# chaos-large-ci is the -short form wired into `make ci`. Replay a failure
-# with the printed seed: go run ./cmd/chaos -seed N -peers 1000 -churn.
+# chaos-large-ci is the -short form wired into `make ci`, plus 8 seeds with
+# learned routing: under churn, supersede invalidation and several learned
+# edges per area meet. Replay a failure with the printed seed:
+# go run ./cmd/chaos -seed N -peers 1000 -churn (add -learn for the second).
 chaos-large:
 	$(GO) run ./cmd/chaos -n 50 -peers 1000 -churn
 
 chaos-large-ci:
 	$(GO) run ./cmd/chaos -n 16 -peers 1000 -churn
+	$(GO) run ./cmd/chaos -n 8 -peers 1000 -churn -learn
 
 # Fuzz smoke: 10s per target (canonical-XML parse fixpoint, zero-copy
 # decoder vs reference-parser differential, the decoder's []byte entry point

@@ -22,22 +22,21 @@ var mineSeed = flag.Int64("mine-seed", 1, "seed of TestMineTrailEquivalence's ra
 // mineTrailFullPass is mineTrail as it was before the absorb step was made to
 // cost what the trail taught: after every trail, absorb the table's whole
 // Confirmed list again. It is the reference the equivalence test holds the
-// stamped pass to.
+// stamped pass to. Its learning half is mineTrail's: each (area, server) a
+// verified bind visit names, once per trail, in trail order.
 func mineTrailFullPass(p *Peer, plan *algebra.Plan, at time.Duration) {
 	t, err := provenance.FromPlan(plan)
 	if err != nil || t == nil || len(t.Visits) == 0 {
 		return
 	}
 	gen := p.cat.Generation()
+	seen := map[[2]string]bool{}
 	for _, v := range t.Visits {
+		edge := [2]string{v.Detail, v.Server}
 		if v.Action == provenance.ActionBind && v.Server != p.addr &&
-			namespace.IsAreaURN(v.Detail) {
+			namespace.IsAreaURN(v.Detail) && !seen[edge] {
+			seen[edge] = true
 			p.shortcuts.Learn(v.Detail, v.Server, gen, at)
-		}
-	}
-	for _, s := range provenance.SuggestShortcuts(t) {
-		if s.Direct != p.addr && namespace.IsAreaURN(s.Detail) {
-			p.shortcuts.Learn(s.Detail, s.Direct, gen, at)
 		}
 	}
 	edges, _ := p.shortcuts.Confirmed(absorbThreshold, gen, at, nil)
@@ -166,6 +165,52 @@ func driveMineTrail(t *testing.T) {
 	}
 	if got.cat.Generation() < 100 {
 		t.Fatalf("the drive absorbed almost nothing (generation %d): it tests nothing", got.cat.Generation())
+	}
+}
+
+// TestMineTrailCountsTrails: an edge's hit count is the number of trails that
+// confirmed it. A detour trail (forward, forward, then the bind) confirms its
+// edge once, so it takes a second trail to absorb it; a trail that names one
+// bind twice still confirms it once.
+func TestMineTrailCountsTrails(t *testing.T) {
+	p := learner(t)
+	at := time.Second
+	orCDs := namespace.EncodeURN(p.ns.MustParseArea("[USA/OR, Music/CDs]"))
+	waCDs := namespace.EncodeURN(p.ns.MustParseArea("[USA/WA/Seattle, Music/CDs]"))
+	hits := func(area, server string) int {
+		edges, _ := p.shortcuts.Confirmed(1, p.cat.Generation(), at, nil)
+		for _, e := range edges {
+			if e.Area == area && e.Server == server {
+				return e.Hits
+			}
+		}
+		return 0
+	}
+	absorbed := func(server string) bool {
+		for _, r := range p.cat.Registrations() {
+			if r.Addr == server {
+				return true
+			}
+		}
+		return false
+	}
+	forward := func(server string) provenance.Visit {
+		return provenance.Visit{Server: server, Action: provenance.ActionForward}
+	}
+
+	detour := trailPlan("detour", p.addr, forward(p.addr), forward("meta:1"), bind("idx:1", orCDs))
+	p.mineTrail(detour, at)
+	if n := hits(orCDs, "idx:1"); n != 1 || absorbed("idx:1") {
+		t.Fatalf("after one detour trail: hits %d, absorbed %v; want 1, false", n, absorbed("idx:1"))
+	}
+	p.mineTrail(detour, at)
+	if n := hits(orCDs, "idx:1"); n != 2 || !absorbed("idx:1") {
+		t.Fatalf("after two detour trails: hits %d, absorbed %v; want 2, true", n, absorbed("idx:1"))
+	}
+
+	p.mineTrail(trailPlan("twice", p.addr, bind("idx:2", waCDs), forward("meta:1"), bind("idx:2", waCDs)), at)
+	if n := hits(waCDs, "idx:2"); n != 1 || absorbed("idx:2") {
+		t.Fatalf("after one trail naming a bind twice: hits %d, absorbed %v; want 1, false", n, absorbed("idx:2"))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -163,8 +164,8 @@ type Peer struct {
 	proc *mqp.Processor
 	cfg  Config
 
-	// store holds the peer's collections: sharded and read-mostly, so
-	// concurrent plan steps fetch local data without contending (see
+	// store holds the peer's collections: read-mostly immutable snapshots,
+	// so concurrent plan steps fetch local data under a read lock (see
 	// store.go). Per-step state (the processing clock, pull-delay
 	// accounting) lives in an mqp.StepContext owned by the step, not on the
 	// peer, so any number of steps run independently.
@@ -523,20 +524,18 @@ func (p *Peer) recordResult(plan *algebra.Plan, at time.Duration, hops int) {
 const absorbThreshold = 2
 
 // mineTrail extracts learned routing shortcuts from a plan's provenance
-// trail — the tentpole of learned routing. Two classes of edges are mined:
+// trail — the tentpole of learned routing. The evidence is one kind: a
+// verified ActionBind visit whose detail is an area URN, by a server other
+// than this one, says "that server binds that resource area". A trail
+// confirms each such (area, server) edge once, however many of its visits
+// name it, so an edge's hit count is the number of trails that confirmed it.
 //
-//   - every verified ActionBind visit whose detail is an area URN says
-//     "that server binds that resource area" — the direct evidence;
-//   - provenance.SuggestShortcuts distills forward-only detours into
-//     teach-the-shortcut edges (the trail walked Via to reach Direct, so
-//     next time skip Via).
-//
-// Shortcuts whose hit count reaches absorbThreshold are absorbed into the
-// local catalog as real index registrations (catalog.AbsorbLearned), so the
-// learning survives table expiry and outlives this peer's shortcut table —
-// the paper's meta-index maintenance loop, automated. Mining is message-free:
-// it reads trails already in hand, so enabling it never perturbs network
-// traffic by itself.
+// Shortcuts whose hit count reaches absorbThreshold — two trails — are
+// absorbed into the local catalog as real index registrations
+// (catalog.AbsorbLearned), so the learning survives table expiry and outlives
+// this peer's shortcut table — the paper's meta-index maintenance loop,
+// automated. Mining is message-free: it reads trails already in hand, so
+// enabling it never perturbs network traffic by itself.
 //
 // Absorbing costs what the trail taught, not what the table holds. An edge is
 // absorbed by the trail that first confirms it, absorbing only ever widens a
@@ -568,16 +567,12 @@ func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 	gen := p.cat.Generation()
 	taught := make([]route.ShortcutEntry, 0, 8)
 	for _, v := range t.Visits {
-		if v.Action == provenance.ActionBind && v.Server != p.addr &&
-			namespace.IsAreaURN(v.Detail) {
-			p.shortcuts.Learn(v.Detail, v.Server, gen, at)
-			taught = append(taught, route.ShortcutEntry{Area: v.Detail, Server: v.Server})
+		if v.Action != provenance.ActionBind || v.Server == p.addr || !namespace.IsAreaURN(v.Detail) {
+			continue
 		}
-	}
-	for _, s := range provenance.SuggestShortcuts(t) {
-		if s.Direct != p.addr && namespace.IsAreaURN(s.Detail) {
-			p.shortcuts.Learn(s.Detail, s.Direct, gen, at)
-			taught = append(taught, route.ShortcutEntry{Area: s.Detail, Server: s.Direct})
+		if e := (route.ShortcutEntry{Area: v.Detail, Server: v.Server}); !slices.Contains(taught, e) {
+			p.shortcuts.Learn(v.Detail, v.Server, gen, at)
+			taught = append(taught, e)
 		}
 	}
 	p.absorbMu.Lock()
@@ -615,19 +610,22 @@ const maxStuck = 1024
 
 // StuckErrors returns errors from plans that could make no progress here:
 // processor failures, plans with every next hop unreachable, results that
-// could not be delivered, and forwarding-loop trips. Each error message
+// could not be delivered, and forwarding-loop trips. Each such error message
 // carries the plan id (quoted), so a harness can attribute every submitted
-// plan to a result, a stuck error, or an injected network fault.
+// plan to a result, a stuck error, or an injected network fault. Frames this
+// peer refused (a malformed registration or deregistration, an unknown kind,
+// a plan or result that does not unmarshal) are recorded here too.
 func (p *Peer) StuckErrors() []error {
 	p.resMu.Lock()
 	defer p.resMu.Unlock()
 	return append([]error(nil), p.stuck...)
 }
 
-// noteStuck records an error that terminated a plan at this peer. Every
-// terminal-failure path routes through here; repeated identical entries
-// (same plan, same failure — e.g. a duplicated delivery of a doomed plan)
-// are recorded once, and past maxStuck the oldest entry makes room.
+// noteStuck records an error that terminated a plan at this peer, or a frame
+// it refused. Every terminal-failure path routes through here; repeated
+// identical entries (same plan, same failure — e.g. a duplicated delivery of
+// a doomed plan) are recorded once, and past maxStuck the oldest entry makes
+// room.
 func (p *Peer) noteStuck(err error) error {
 	p.resMu.Lock()
 	defer p.resMu.Unlock()
@@ -664,7 +662,9 @@ func (p *Peer) frame(plan *algebra.Plan, to string) func(*xmltree.FrameEncoder) 
 // --- simnet.Peer implementation ---------------------------------------
 
 // Deliver implements simnet.Peer: handles plans in flight, results, and
-// registration pushes.
+// registration pushes. A frame it refuses is recorded here (noteStuck) as well
+// as returned, since not every path hands the error back to anyone: the
+// scheduler discards it.
 func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 	switch msg.Kind {
 	case KindMQP:
@@ -678,7 +678,7 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 	case KindRegister:
 		reg, err := catalog.UnmarshalRegistration(p.ns, msg.Body)
 		if err != nil {
-			return fmt.Errorf("peer %s: bad registration: %w", p.addr, err)
+			return p.noteStuck(fmt.Errorf("peer %s: bad registration: %w", p.addr, err))
 		}
 		if reg.Supersedes != "" && p.shortcuts != nil {
 			// A replacement registration (replica promotion) retires the
@@ -686,11 +686,14 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 			// plans to a corpse until they expired on their own.
 			p.shortcuts.Invalidate(reg.Supersedes)
 		}
-		return p.cat.Register(reg)
+		if err := p.cat.Register(reg); err != nil {
+			return p.noteStuck(fmt.Errorf("peer %s: %w", p.addr, err))
+		}
+		return nil
 	case KindDeregister:
 		addr := msg.Body.AttrDefault("addr", "")
 		if addr == "" {
-			return fmt.Errorf("peer %s: deregister without addr", p.addr)
+			return p.noteStuck(fmt.Errorf("peer %s: deregister without addr", p.addr))
 		}
 		p.cat.Deregister(addr)
 		if p.shortcuts != nil {
@@ -698,7 +701,7 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("peer %s: unknown message kind %q", p.addr, msg.Kind)
+		return p.noteStuck(fmt.Errorf("peer %s: unknown message kind %q", p.addr, msg.Kind))
 	}
 }
 
@@ -731,9 +734,10 @@ func (p *Peer) arrive(msg *simnet.Message) (*algebra.Plan, time.Duration, error)
 	return plan, fdelay, nil
 }
 
-// badFrame reports a plan or result whose frame does not unmarshal.
+// badFrame records and reports a plan or result whose frame does not
+// unmarshal.
 func (p *Peer) badFrame(msg *simnet.Message, err error) error {
-	return fmt.Errorf("peer %s: bad %s: %w", p.addr, msg.Kind, err)
+	return p.noteStuck(fmt.Errorf("peer %s: bad %s: %w", p.addr, msg.Kind, err))
 }
 
 // processMQP runs one plan step and routes the outcome: a result home, the

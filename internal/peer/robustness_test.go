@@ -219,6 +219,40 @@ func TestStuckRecordBounded(t *testing.T) {
 	}
 }
 
+// TestRefusedFramesRecorded: on a scheduled network the sender never sees what
+// Deliver returns, so every frame a peer refuses must leave its own record.
+func TestRefusedFramesRecorded(t *testing.T) {
+	net := simnet.New()
+	net.UseScheduler(1)
+	p := mustPeer(t, Config{Addr: "p:1", Net: net, NS: testNS()})
+	mustPeer(t, Config{Addr: "snd:1", Net: net, NS: testNS()})
+	refused := []struct{ kind, body, want string }{
+		{KindRegister, `<registration/>`, "bad registration"},
+		{KindDeregister, `<deregister/>`, "deregister without addr"},
+		{"gossip", `<gossip/>`, "unknown message kind"},
+		{KindMQP, `<notaplan/>`, "bad mqp"},
+		{KindResult, `<notaplan/>`, "bad result"},
+	}
+	for _, r := range refused {
+		if err := net.Send(&simnet.Message{From: "snd:1", To: p.addr, Kind: r.kind,
+			Body: xmltree.MustParse(r.body)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := p.StuckErrors()
+	if len(got) != len(refused) {
+		t.Fatalf("stuck record = %v, want one entry per refused frame (%d)", got, len(refused))
+	}
+	for i, r := range refused {
+		if !strings.Contains(got[i].Error(), r.want) {
+			t.Errorf("entry %d = %v, want it to name %q", i, got[i], r.want)
+		}
+	}
+}
+
 // TestResultsBounded: results nobody takes (a daemon is sent them and never
 // calls TakeResult) keep the newest maxResults, count what was dropped, and
 // still pop oldest first.

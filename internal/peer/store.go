@@ -6,63 +6,34 @@ import (
 	"sync/atomic"
 )
 
-// collStore is the peer's collection store, built for the concurrent
-// runtime: many workers read collections on every plan step (fetchLocal,
-// sizeOf, statsFor), while installs and replication refreshes are rare,
-// driver-phase events.
+// collStore is the peer's collection store: plan steps read collections on
+// every hop (fetchLocal, sizeOf, statsFor), while installs and replication
+// refreshes are rare, driver-phase events. One RWMutex guards one map.
 //
-// Two mechanisms keep the read path near-free:
-//
-//   - Sharding: paths hash onto storeShards independent RWMutex-guarded
-//     maps, so concurrent readers of different collections never touch the
-//     same lock word.
-//   - Immutable snapshots: an installed *Collection is never mutated in
-//     place — SetItems publishes a fresh value (RCU-style), so a reader
-//     holds its snapshot lock-free after the map lookup. The items inside
-//     are frozen xmltree subtrees, already safe to share.
+// An installed *Collection is never mutated in place — SetItems publishes a
+// fresh value (RCU-style), so a reader holds its snapshot lock-free after the
+// map lookup. The items inside are frozen xmltree subtrees, already safe to
+// share.
 //
 // gen counts publishes; the processor's prepared-plan cache folds it into
 // its invalidation epoch, so cached bindings of local data never outlive the
 // data they materialized.
 type collStore struct {
-	gen    atomic.Uint64
-	shards [storeShards]struct {
-		mu sync.RWMutex
-		m  map[string]*Collection
-	}
+	gen atomic.Uint64
+	mu  sync.RWMutex
+	m   map[string]*Collection
 }
-
-const storeShards = 16
 
 func newCollStore() *collStore {
-	s := &collStore{}
-	for i := range s.shards {
-		s.shards[i].m = map[string]*Collection{}
-	}
-	return s
-}
-
-// shardOf hashes a collection path (FNV-1a) onto a shard index.
-func shardOf(pathExp string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(pathExp); i++ {
-		h ^= uint32(pathExp[i])
-		h *= prime32
-	}
-	return int(h % storeShards)
+	return &collStore{m: map[string]*Collection{}}
 }
 
 // get returns the current snapshot of the collection, or nil. The returned
 // value is immutable — callers read it without further synchronization.
 func (s *collStore) get(pathExp string) *Collection {
-	sh := &s.shards[shardOf(pathExp)]
-	sh.mu.RLock()
-	c := sh.m[pathExp]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	c := s.m[pathExp]
+	s.mu.RUnlock()
 	return c
 }
 
@@ -70,24 +41,20 @@ func (s *collStore) get(pathExp string) *Collection {
 // store generation. The caller hands over ownership: the snapshot must not
 // be mutated after publishing.
 func (s *collStore) put(c *Collection) {
-	sh := &s.shards[shardOf(c.PathExp)]
-	sh.mu.Lock()
-	sh.m[c.PathExp] = c
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.m[c.PathExp] = c
+	s.mu.Unlock()
 	s.gen.Add(1)
 }
 
 // paths returns all collection paths, sorted.
 func (s *collStore) paths() []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for pe := range sh.m {
-			out = append(out, pe)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	out := make([]string, 0, len(s.m))
+	for pe := range s.m {
+		out = append(out, pe)
 	}
+	s.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }

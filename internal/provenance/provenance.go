@@ -274,74 +274,6 @@ func VerificationQuery(id, target, urn string, pred algebra.Predicate) *algebra.
 	return algebra.NewPlan(id, target, algebra.Display(algebra.Count(body)))
 }
 
-// Shortcut is a routing suggestion derived from a trail (§5.1 "meta-index
-// updating"): Teach should learn to route plans matching the detail
-// directly to Direct, skipping Via.
-type Shortcut struct {
-	Teach  string // server that forwarded blindly
-	Via    string // intermediate that only forwarded
-	Direct string // server that did the real work
-	Detail string // the resource bound there
-}
-
-// SuggestShortcuts inspects a trail for the §5.1 pattern "server S is
-// getting a lot of MQPs forwarded from server T that it just ends up
-// forwarding to server R": whenever a server's only recorded action is a
-// forward and the next server bound a resource, the forwarder's upstream
-// peer could be taught to route directly. Visits are examined in order; a
-// suggestion is emitted per (via, direct) pair.
-func SuggestShortcuts(t *Trail) []Shortcut {
-	var out []Shortcut
-	// Group consecutive visits by server.
-	type seg struct {
-		server  string
-		actions []Visit
-	}
-	var segs []seg
-	for _, v := range t.Visits {
-		if len(segs) > 0 && segs[len(segs)-1].server == v.Server {
-			segs[len(segs)-1].actions = append(segs[len(segs)-1].actions, v)
-			continue
-		}
-		segs = append(segs, seg{server: v.Server, actions: []Visit{v}})
-	}
-	onlyForwarded := func(s seg) bool {
-		for _, v := range s.actions {
-			if v.Action != ActionForward {
-				return false
-			}
-		}
-		return true
-	}
-	firstBind := func(s seg) (string, bool) {
-		for _, v := range s.actions {
-			if v.Action == ActionBind || v.Action == ActionData {
-				return v.Detail, true
-			}
-		}
-		return "", false
-	}
-	for i := 1; i+1 < len(segs)+1 && i < len(segs); i++ {
-		if !onlyForwarded(segs[i]) {
-			continue
-		}
-		if i+1 >= len(segs) {
-			continue
-		}
-		detail, ok := firstBind(segs[i+1])
-		if !ok {
-			continue
-		}
-		out = append(out, Shortcut{
-			Teach:  segs[i-1].server,
-			Via:    segs[i].server,
-			Direct: segs[i+1].server,
-			Detail: detail,
-		})
-	}
-	return out
-}
-
 // SuspectMissingSource inspects a finished plan: for every URN in the
 // retained original query, if no trail visit bound or reduced it and no
 // visited server recorded data for it, that URN is returned as suspect —

@@ -2,7 +2,6 @@ package route
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,8 +52,13 @@ const (
 	// use: suspicion, not trust, after churn.
 	shortcutStaleAge = 5 * time.Minute
 	// shortcutMaxPerArea caps the edges kept per area; the lowest-scored
-	// entry is evicted first. The number of areas is not bounded.
+	// entry is evicted first.
 	shortcutMaxPerArea = 4
+	// shortcutMaxAreas caps the areas the table holds, so trails naming ever
+	// new areas cannot grow it without bound. Past the cap, Learn evicts the
+	// area whose newest confirmation is oldest. No chaos, experiment or bench
+	// world comes near it.
+	shortcutMaxAreas = 1 << 13
 	// shortcutHalfLife is the decay horizon of an edge's confirmation
 	// weight: an entry's score is its hit count discounted by
 	// 2^(-(now-LearnedAt)/shortcutHalfLife), so a recently confirmed edge
@@ -69,7 +73,7 @@ type ShortcutStats struct {
 	Hits        uint64 // Lookup calls that returned at least one live edge
 	Misses      uint64 // Lookup calls that returned none
 	Learned     uint64 // Learn calls (new edges and re-confirmations)
-	Expired     uint64 // entries dropped for age
+	Expired     uint64 // entries dropped for age or to a cap
 	Invalidated uint64 // entries dropped by Invalidate
 	Entries     int    // live edges currently held
 }
@@ -120,6 +124,23 @@ func (s *Shortcuts) Learn(area, server string, gen uint64, at time.Duration) {
 	if len(entries) > 0 {
 		area = entries[0].Area
 	} else {
+		if len(s.byArea) >= shortcutMaxAreas {
+			// Evict the area whose newest confirmation is oldest, ties to the
+			// smallest name for determinism. The walk is over every area, but
+			// only once the table is full and a trail names a new one.
+			victim, newest := "", time.Duration(0)
+			for a, es := range s.byArea {
+				last := es[0].LearnedAt
+				for _, e := range es[1:] {
+					last = max(last, e.LearnedAt)
+				}
+				if victim == "" || last < newest || last == newest && a < victim {
+					victim, newest = a, last
+				}
+			}
+			s.stats.Expired += uint64(len(s.byArea[victim]))
+			delete(s.byArea, victim)
+		}
 		area = strings.Clone(area)
 	}
 	entries = append(entries, &ShortcutEntry{
@@ -224,15 +245,15 @@ func (s *Shortcuts) Candidates(root *algebra.Node, self string, gen uint64, at t
 
 // Confirmed returns the live entries with at least minHits confirmations —
 // the edges solid enough to absorb into a real catalog registration so the
-// learning survives this peer — ordered by area, then server, each once.
+// learning survives this peer — ordered by area, then server.
 //
 // A nil among asks about the whole table: the full pass, O(table), which
 // peer.mineTrail makes only when its catalog's generation is not the one its
-// last pass ended at. Otherwise among names (by Area and Server) the edges
-// one trail just taught, and only those are looked at, so what a trail costs
-// is what it touched. Asking again about a just-learned edge instead of
-// trusting Learn's moment matters: a later Learn of the same trail may have
-// evicted it.
+// last pass ended at. Otherwise among names (by Area and Server), each once,
+// the edges one trail just taught, and only those are looked at, so what a
+// trail costs is what it touched. Asking again about a just-learned edge
+// instead of trusting Learn's moment matters: a later Learn of the same trail
+// may have evicted it.
 //
 // revive is the latest virtual time at which an entry skipped for age alone
 // would still have been live (math.MinInt64 when none was skipped). Virtual
@@ -272,10 +293,6 @@ func (s *Shortcuts) Confirmed(minHits int, gen uint64, at time.Duration, among [
 			return live[i].Area < live[j].Area
 		}
 		return live[i].Server < live[j].Server
-	})
-	// A trail can teach one edge twice (a bind visit and a detour to it).
-	live = slices.CompactFunc(live, func(a, b ShortcutEntry) bool {
-		return a.Area == b.Area && a.Server == b.Server
 	})
 	return live, revive
 }

@@ -87,6 +87,46 @@ func TestShortcutsMaxPerArea(t *testing.T) {
 	}
 }
 
+// TestShortcutTableBounded: trails naming ever new areas cannot grow the table
+// past shortcutMaxAreas. The area evicted is the one whose newest confirmation
+// is oldest, which need not be its best-scored edge's.
+func TestShortcutTableBounded(t *testing.T) {
+	s := NewShortcuts()
+	area := func(i int) string { return fmt.Sprintf("urn:L:Town%d", i) }
+	ms := func(i int) time.Duration { return time.Duration(i) * time.Millisecond }
+	for i := 0; i < shortcutMaxAreas; i++ {
+		s.Learn(area(i), "idx:1", 1, ms(i))
+	}
+	late := ms(shortcutMaxAreas)
+	s.Learn(area(0), "idx:1", 1, late) // the oldest area, confirmed again
+	// Area 1's old edge outscores its new one, so it sorts first.
+	s.Learn(area(1), "idx:1", 1, ms(1))
+	s.Learn(area(1), "idx:1", 1, ms(1))
+	s.Learn(area(1), "idx:2", 1, late)
+	if got := s.Lookup(area(1), 1, late); len(got) != 2 || got[0] != "idx:1" {
+		t.Fatalf("area 1 = %v, want idx:1 ahead of idx:2", got)
+	}
+
+	s.Learn("urn:L:New", "idx:3", 1, late) // one area past the cap: area 2 goes
+	for _, a := range []string{area(0), area(1), area(3), "urn:L:New"} {
+		if got := s.Lookup(a, 1, late); len(got) == 0 {
+			t.Fatalf("%s was evicted", a)
+		}
+	}
+	if got := s.Lookup(area(2), 1, late); len(got) != 0 {
+		t.Fatalf("area 2 = %v, want it evicted", got)
+	}
+	if st := s.Stats(); st.Entries != shortcutMaxAreas+1 || st.Expired != 1 {
+		t.Fatalf("stats = %+v, want %d entries and 1 eviction", st, shortcutMaxAreas+1)
+	}
+	for i := 0; i < 100; i++ {
+		s.Learn(fmt.Sprintf("urn:L:More%d", i), "idx:4", 1, late+ms(i))
+	}
+	if n := len(s.byArea); n != shortcutMaxAreas {
+		t.Fatalf("table holds %d areas, want the cap %d", n, shortcutMaxAreas)
+	}
+}
+
 func TestShortcutsInvalidate(t *testing.T) {
 	s := NewShortcuts()
 	s.Learn("urn:L:USA/OR", "dead:1", 1, 0)
@@ -119,17 +159,16 @@ func TestShortcutsConfirmed(t *testing.T) {
 		t.Fatalf("revive = %v with nothing skipped for age", revive)
 	}
 
-	// Restricted to the edges a trail names: the same filter and order, each
-	// edge once however often it was named, nothing else looked at.
+	// Restricted to the edges a trail names: the same filter and order,
+	// nothing else looked at.
 	s.Learn("urn:L:USA/WA", "idx-WA:9020", 1, time.Minute)
 	among := []ShortcutEntry{
-		{Area: "urn:L:USA/WA", Server: "idx-WA:9020"},
 		{Area: "urn:L:USA/WA", Server: "idx-WA:9020"},
 		{Area: "urn:L:USA/CA", Server: "nobody:1"},
 	}
 	got, _ = s.Confirmed(2, 1, 2*time.Minute, among)
 	if len(got) != 1 || got[0].Server != "idx-WA:9020" || got[0].Hits != 2 {
-		t.Fatalf("confirmed among = %+v, want the WA edge once", got)
+		t.Fatalf("confirmed among = %+v, want the WA edge", got)
 	}
 	if got, _ := s.Confirmed(2, 1, 2*time.Minute, []ShortcutEntry{}); len(got) != 0 {
 		t.Fatalf("confirmed among nothing = %+v", got)
