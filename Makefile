@@ -140,7 +140,8 @@ chaos-large-ci:
 # staged-tree encoder differential, predicate render/parse round trip,
 # prepared predicate evaluator vs the reference evaluator, blob reference
 # resolution, packed reference runs staged then resolved vs the plain
-# frame) — ten targets.
+# frame, a reduced join's sealed tuples vs the tuple trees an evaluated join
+# builds) — eleven targets.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEquivalence$$' -fuzztime 10s ./internal/xmltree
@@ -152,6 +153,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPredicateEval$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveBlobs$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzRefRuns$$' -fuzztime 10s ./internal/algebra
+	$(GO) test -run '^$$' -fuzz '^FuzzJoinTuple$$' -fuzztime 10s ./internal/engine
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

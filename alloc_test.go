@@ -74,12 +74,18 @@ const (
 	// a buffer of exactly that size. Measured: 1 alloc, the memo string.
 	freezeAllocBudget = 2
 	// joinReduceAllocBudget bounds engine.Reduce of the decoded Fig. 3 join
-	// (100 CDs, 300 listings, 300 tuples), per tuple: one block holding the
-	// tuple, its two components and its child array, Freeze's serialization
-	// memo, and shares of the hash table and the output slice. Measured: 2.4
-	// (7.4 while a tuple was an Elem of two component wrappers, each with its
-	// own child list).
+	// (100 CDs, 300 listings, 300 tuples), per tuple: the tuple's one node,
+	// its serialization, and shares of the hash table and the output slice.
+	// Measured: 2.4 (also 2.4 while a tuple was one block holding the tuple,
+	// its two components and its child array, plus Freeze's memo; 7.4 while
+	// it was an Elem of two component wrappers, each with its own child
+	// list).
 	joinReduceAllocBudget = 4.5
+	// joinReduceByteBudget bounds the bytes the same Reduce allocates per
+	// tuple. Measured: 310 B, a sealed tuple written straight into its
+	// serialization (550 B while every tuple was built as a tree of three
+	// nodes and then frozen into its memo).
+	joinReduceByteBudget = 400
 	// largeFrameAllocBudget bounds staging that join's result frame (39 KB,
 	// the size of the track server's reply in tcp_chain) a second time on
 	// one encoder: Reset keeps the sealed chunks and the frame reuses them.
@@ -374,6 +380,28 @@ func TestJoinReduceAllocBudget(t *testing.T) {
 	}
 	if perTuple := allocs / float64(tuples); perTuple > joinReduceAllocBudget {
 		t.Fatalf("join Reduce allocates %.2f per tuple; budget is %.1f", perTuple, joinReduceAllocBudget)
+	}
+}
+
+func TestJoinReduceBytesPerTuple(t *testing.T) {
+	join := fig3JoinFixture(t, 100)
+	const runs = 20
+	tuples := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		out, err := engine.Reduce(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = len(out.Docs)
+	}
+	runtime.ReadMemStats(&after)
+	if tuples != 300 {
+		t.Fatalf("join produced %d tuples, want 300", tuples)
+	}
+	if perTuple := (after.TotalAlloc - before.TotalAlloc) / runs / uint64(tuples); perTuple > joinReduceByteBudget {
+		t.Fatalf("join Reduce allocates %d bytes per tuple; budget is %d", perTuple, joinReduceByteBudget)
 	}
 }
 

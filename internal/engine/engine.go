@@ -38,7 +38,7 @@ func Evaluate(n *algebra.Node) ([]*xmltree.Node, error) {
 	case algebra.KindProject:
 		return evalProject(n)
 	case algebra.KindJoin:
-		return evalJoin(n)
+		return evalJoin(n, newTuple)
 	case algebra.KindUnion:
 		return evalUnion(n)
 	case algebra.KindOr:
@@ -93,13 +93,26 @@ func LocallyEvaluable(n *algebra.Node) bool {
 // gets its own serialization memo: the one serialization it ever has, which
 // the frame encoder copies and blobstore.Fingerprint hashes.
 //
+// When the sub-plan is a join, nothing in this evaluation reads its tuples,
+// so each is written straight into that memo (xmltree.SealedPair): born
+// frozen and sealed, built into a tree only if a later reader asks Kids.
+// A join that another operator reads (a nested join's input, a selection
+// over a join) still builds its tuples as trees: building sealed bytes back
+// into a tree costs a decoder run.
+//
 // Because pass-through items are aliases of the input's Docs, Reduce
 // freezes those input documents in place — a sub-plan handed to Reduce is
 // consumed. On the hop path inputs always arrive frozen (wire decode,
 // catalog materialization); code evaluating an ad-hoc tree whose documents
 // it wants to keep mutating should use Evaluate, which freezes nothing.
 func Reduce(n *algebra.Node) (*algebra.Node, error) {
-	items, err := Evaluate(n)
+	var items []*xmltree.Node
+	var err error
+	if n.Kind == algebra.KindJoin {
+		items, err = evalJoin(n, sealedTuple)
+	} else {
+		items, err = Evaluate(n)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +214,17 @@ func component(c *xmltree.Node, name string, it *xmltree.Node) {
 	}
 }
 
-func evalJoin(n *algebra.Node) ([]*xmltree.Node, error) {
+// sealedTuple is a join tuple as its serialization: the same bytes as
+// newTuple's tree, in one frozen, sealed node that aliases no input. The
+// component names are element names (algebra.Validate holds plans to them),
+// so Kids can build the tuple from its bytes.
+func sealedTuple(leftName string, l *xmltree.Node, rightName string, r *xmltree.Node) *xmltree.Node {
+	return xmltree.SealedPair("tuple", leftName, l, rightName, r)
+}
+
+// evalJoin joins its two inputs, making each output with tuple (newTuple or
+// sealedTuple).
+func evalJoin(n *algebra.Node, tuple func(string, *xmltree.Node, string, *xmltree.Node) *xmltree.Node) ([]*xmltree.Node, error) {
 	left, err := Evaluate(n.Children[0])
 	if err != nil {
 		return nil, err
@@ -238,7 +261,7 @@ func evalJoin(n *algebra.Node) ([]*xmltree.Node, error) {
 			if swapped {
 				l, r = p, b
 			}
-			out = append(out, newTuple(n.LeftName, l, n.RightName, r))
+			out = append(out, tuple(n.LeftName, l, n.RightName, r))
 		}
 	}
 	return out, nil

@@ -415,7 +415,7 @@ func BenchmarkHashJoin(b *testing.B) {
 
 // decodedFig3 is the Fig. 3 catalog of n CDs as a peer holds it: each
 // collection decoded from one frame, so items are frozen and slab-backed.
-func decodedFig3(b *testing.B, n int) (sales, listings []*xmltree.Node) {
+func decodedFig3(b testing.TB, n int) (sales, listings []*xmltree.Node) {
 	decode := func(items []*xmltree.Node) []*xmltree.Node {
 		frame := "<items>"
 		for _, it := range items {
@@ -454,6 +454,34 @@ func BenchmarkJoinReduce(b *testing.B) {
 				enc.Release()
 			}
 		})
+	}
+}
+
+// BenchmarkJoinNested is E1's song join on the same decoded catalog: one
+// favorite song per four of 100 kept CDs, joined on listing/song over the CD
+// join, reduced and staged. Only the outer join is the reduced root, so the
+// inner join, whose tuples the outer one reads, builds them as trees.
+func BenchmarkJoinNested(b *testing.B) {
+	sales, listings := decodedFig3(b, 200)
+	var favorites []*xmltree.Node
+	for i := 0; i < 100; i += 4 {
+		favorites = append(favorites, xmltree.Elem("song", xmltree.ElemText("title", fmt.Sprintf("Track 1 of Album %03d", i))).Freeze())
+	}
+	cdJoin := algebra.JoinNamed("cd", "cd", "sale", "listing",
+		algebra.Data(sales[:100]...), algebra.Data(listings...))
+	songJoin := algebra.JoinNamed("title", "listing/song", "fav", "match",
+		algebra.Data(favorites...), cdJoin)
+	b.ReportAllocs()
+	for b.Loop() {
+		out, err := Reduce(songJoin)
+		if err != nil || len(out.Docs) != len(favorites) {
+			b.Fatalf("song join = %d tuples, %v", len(out.Docs), err)
+		}
+		enc := xmltree.GetFrameEncoder()
+		for _, d := range out.Docs {
+			enc.Node(d)
+		}
+		enc.Release()
 	}
 }
 

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,8 +52,12 @@ const (
 	// the local catalog has moved past — the staleness discipline replicas
 	// use: suspicion, not trust, after churn.
 	shortcutStaleAge = 5 * time.Minute
-	// shortcutMaxPerArea caps the edges kept per area; the lowest-scored
-	// entry is evicted first.
+	// shortcutMaxPerArea caps the edges kept per area. Past it the
+	// lowest-scored expired entry is evicted, and the lowest-scored entry
+	// only when every one is live: edges that piled up hits before the
+	// catalog changed must not crowd out a live one. Expired entries are not
+	// reaped otherwise, since virtual time can run backwards between plans
+	// and an entry expired now may be live for an earlier clock.
 	shortcutMaxPerArea = 4
 	// shortcutMaxAreas caps the areas the table holds, so trails naming ever
 	// new areas cannot grow it without bound. Past the cap, Learn evicts the
@@ -148,7 +153,14 @@ func (s *Shortcuts) Learn(area, server string, gen uint64, at time.Duration) {
 	})
 	s.sortLocked(entries, at)
 	if len(entries) > shortcutMaxPerArea {
-		entries = entries[:shortcutMaxPerArea]
+		victim := len(entries) - 1
+		for i := victim; i >= 0; i-- {
+			if at > s.liveUntilLocked(entries[i], gen) {
+				victim = i
+				break
+			}
+		}
+		entries = slices.Delete(entries, victim, victim+1)
 		s.stats.Expired++
 	}
 	s.byArea[area] = entries

@@ -339,6 +339,33 @@ func TestShortcutsDecayEviction(t *testing.T) {
 	}
 }
 
+// TestShortcutCapKeepsLiveEdge: after the catalog generation moves, four
+// edges confirmed 20 times each are expired at 6 virtual minutes yet still
+// outscore a new live edge (20×2^-0.6 ≈ 13 against 1). Eviction past the cap
+// drops an expired edge, not the live one, so the area keeps a live route.
+func TestShortcutCapKeepsLiveEdge(t *testing.T) {
+	s := NewShortcuts()
+	const area = "urn:L:USA"
+	for _, srv := range []string{"old1:1", "old2:1", "old3:1", "old4:1"} {
+		for i := 0; i < 20; i++ {
+			s.Learn(area, srv, 1, 0)
+		}
+	}
+	now := 6 * time.Minute // past shortcutStaleAge for generation-1 edges
+	s.Learn(area, "new:1", 2, now)
+	if got := s.Lookup(area, 2, now); !slices.Equal(got, []string{"new:1"}) {
+		t.Fatalf("lookup = %v, want the live edge [new:1]", got)
+	}
+	if st := s.Stats(); st.Entries != shortcutMaxPerArea || st.Expired != 1 {
+		t.Fatalf("stats = %+v, want %d entries and 1 eviction", st, shortcutMaxPerArea)
+	}
+	// With every entry live, the lowest-scored one goes, as before.
+	s.Learn(area, "newer:1", 1, 0)
+	if got := s.Lookup(area, 1, 0); len(got) != shortcutMaxPerArea || slices.Contains(got, "newer:1") {
+		t.Fatalf("lookup = %v, want %d edges without newer:1", got, shortcutMaxPerArea)
+	}
+}
+
 // TestShortcutsOwnTheirStrings: Learn is handed substrings of a provenance
 // trail, which alias the frame the trail was decoded from. The table keeps
 // copies — one per area, shared by the map key and every edge of the area,

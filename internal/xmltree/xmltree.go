@@ -47,8 +47,10 @@
 // a node is frozen with its name, attributes, leading text and serialization
 // memo, and its children are built from the memo the first time something
 // asks for them. Kids is that question, and every reader in this package asks
-// it. Outside the package, read a decoded node's children through Kids (or
-// Child, ChildrenNamed, Elements, paths); the Children field is safe to read
+// it. SealedPair makes the same kind of node from its inputs' bytes, for a
+// join tuple that is serialized far more often than read. Outside the
+// package, read a decoded node's children through Kids (or Child,
+// ChildrenNamed, Elements, paths); the Children field is safe to read
 // directly only on a tree the reader built itself.
 package xmltree
 
@@ -88,16 +90,16 @@ type Node struct {
 
 	// memoSize is the canonical serialization length, valid only on a frozen
 	// node. memoStr is the serialization itself, written once by Freeze at
-	// the freeze root (or by the decoder for a clean span) while the subtree
-	// is still exclusively owned, and read-only forever after — so
-	// serializing a frozen payload into an outgoing message is one copy, not
-	// a re-walk. Clone and CloneShallow produce mutable copies without either.
+	// the freeze root (or by the decoder for a clean span, or by SealedPair)
+	// while the subtree is still exclusively owned, and read-only forever
+	// after — so serializing a frozen payload into an outgoing message is one
+	// copy, not a re-walk. Clone and CloneShallow produce mutable copies
+	// without either.
 	memoSize int
 	memoStr  string
 	frozen   bool
-	// sealed is set while a decoded payload item's children are still
-	// unbuilt (see Kids). It is atomic, since frozen nodes are read
-	// concurrently.
+	// sealed is set while a sealed node's children are still unbuilt (see
+	// Kids). It is atomic, since frozen nodes are read concurrently.
 	sealed atomic.Bool
 }
 
@@ -116,9 +118,9 @@ func (n *Node) Kids() []*Node {
 // different nodes seldom wait on each other.
 var unsealMu [64]sync.Mutex
 
-// unseal builds a sealed node's children by decoding its serialization memo,
-// a clean span the frame's decode already validated, and publishes them
-// before clearing the seal.
+// unseal builds a sealed node's children by decoding its serialization memo
+// (a clean span the frame's decode already validated, or a SealedPair's
+// canonical bytes) and publishes them before clearing the seal.
 func (n *Node) unseal() {
 	mu := &unsealMu[uintptr(unsafe.Pointer(n))/unsafe.Sizeof(*n)%uintptr(len(unsealMu))]
 	mu.Lock()
@@ -378,6 +380,67 @@ func (n *Node) CloneShallow() *Node {
 		cp.Children = append([]*Node(nil), kids...)
 	}
 	return cp
+}
+
+// SealedPair returns <name><leftName>…</leftName><rightName>…</rightName></name>
+// as one frozen, sealed node written straight into its serialization: each
+// component element holds its item's content (leading text and children,
+// not the item's name or attributes), and Kids builds the two components on
+// first read. It equals the tree that wraps each item's content in a new
+// element, but builds no node under the pair and aliases no input node: the
+// pair holds only its own bytes. The names must be element names, so the
+// bytes decode.
+func SealedPair(name, leftName string, left *Node, rightName string, right *Node) *Node {
+	size := 2*len(name) + len("<></>") + componentSize(leftName, left) + componentSize(rightName, right)
+	b := append(append(append(make([]byte, 0, size), '<'), name...), '>')
+	b = appendComponent(appendComponent(b, leftName, left), rightName, right)
+	b = append(append(append(b, "</"...), name...), '>')
+	n := &Node{Name: name, memoSize: len(b), memoStr: unsafe.String(unsafe.SliceData(b), len(b)), frozen: true}
+	n.sealed.Store(true)
+	return n
+}
+
+// memoContent returns the canonical form of the item's content as a span of
+// its memo, when it has one and no attributes to skip: the bytes between the
+// start tag and the end tag, or "" for <name/>.
+func memoContent(it *Node) (string, bool) {
+	m := it.memoStr
+	if m == "" || it.IsText() || len(it.Attrs) > 0 {
+		return "", false
+	}
+	if m[len(m)-2] == '/' {
+		return "", true
+	}
+	return m[len(it.Name)+2 : len(m)-len(it.Name)-3], true
+}
+
+// componentSize is the length appendComponent writes.
+func componentSize(name string, it *Node) int {
+	span, inMemo := memoContent(it)
+	switch {
+	case !inMemo:
+		c := Node{Name: name, Text: it.Text, Children: it.Kids()}
+		return c.ByteSize()
+	case span == "":
+		return len("<") + len(name) + len("/>")
+	}
+	return 2*len(name) + len("<></>") + len(span)
+}
+
+// appendComponent appends the element name holding the item's content: one
+// copy of its memo's span when there is one, else its text and children
+// through the serializer.
+func appendComponent(b []byte, name string, it *Node) []byte {
+	span, inMemo := memoContent(it)
+	if !inMemo {
+		c := Node{Name: name, Text: it.Text, Children: it.Kids()}
+		return c.appendTo(b)
+	}
+	b = append(append(b, '<'), name...)
+	if span == "" {
+		return append(b, "/>"...)
+	}
+	return append(append(append(append(append(b, '>'), span...), "</"...), name...), '>')
 }
 
 // Equal reports deep structural equality, ignoring attribute order.
