@@ -165,9 +165,10 @@ vet:
 
 # Root non-test Go lines, one line per package directory and the total last:
 # the number every PR reports its delta of in CHANGES.md (ROADMAP standing
-# rules). bench/ is a module of its own.
+# rules). bench/ is a module of its own, and testdata/ holds test fixtures
+# that the go tool never builds.
 lines:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 

@@ -172,16 +172,7 @@ func (c *Catalog) Register(reg Registration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if reg.Supersedes != "" && reg.Supersedes != reg.Addr {
-		kept := c.regs[:0]
-		for _, r := range c.regs {
-			if r.Addr != reg.Supersedes {
-				kept = append(kept, r)
-			}
-		}
-		for i := len(kept); i < len(c.regs); i++ {
-			c.regs[i] = Registration{}
-		}
-		c.regs = kept
+		c.dropLocked(reg.Supersedes)
 	}
 	replaced := false
 	for i := range c.regs {
@@ -212,6 +203,17 @@ func (c *Catalog) Deregister(addr string) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	removed := c.dropLocked(addr)
+	if removed > 0 {
+		c.invalidateLocked()
+	}
+	return removed
+}
+
+// dropLocked removes every registration from addr, zeroing the freed tail
+// so it pins nothing, and returns how many went. The caller holds c.mu and
+// advances the generation.
+func (c *Catalog) dropLocked(addr string) int {
 	kept := c.regs[:0]
 	for _, r := range c.regs {
 		if r.Addr != addr {
@@ -219,13 +221,8 @@ func (c *Catalog) Deregister(addr string) int {
 		}
 	}
 	removed := len(c.regs) - len(kept)
-	for i := len(kept); i < len(c.regs); i++ {
-		c.regs[i] = Registration{}
-	}
+	clear(c.regs[len(kept):])
 	c.regs = kept
-	if removed > 0 {
-		c.invalidateLocked()
-	}
 	return removed
 }
 

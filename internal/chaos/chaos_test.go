@@ -117,6 +117,34 @@ func TestMultisetEqual(t *testing.T) {
 	if ok, _ := MultisetEqual(Multiset(a), Multiset(a[:1])); ok {
 		t.Fatal("extra item not detected")
 	}
+
+	// A frozen item is keyed by its memo, read in place; the keys must be
+	// the String() bytes for every shape of item a result can hold.
+	const item = `<item><title>A B</title><price>8</price></item>`
+	sealed, err := xmltree.DecodeString(`<data>` + item + item + `</data>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := xmltree.DecodeString(item)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen := xmltree.MustParse(`<r>` + item + `</r>`).Freeze()
+	shapes := []*xmltree.Node{
+		sealed.Kids()[0], sealed.Kids()[1], eager,
+		xmltree.SealedPair("cd", "l", eager, "r", sealed.Kids()[0]),
+		frozen, frozen.Kids()[0], xmltree.MustParse(item),
+	}
+	byString := map[string]int{}
+	for i, it := range shapes {
+		if _, memo := it.FrozenSerialization(); memo != (i < 5) {
+			t.Fatalf("shape %d: memo %v; the case needs five items with a memo and two without", i, memo)
+		}
+		byString[it.String()]++
+	}
+	if ok, diff := MultisetEqual(Multiset(shapes), byString); !ok {
+		t.Fatalf("memo-keyed multiset differs from the String()-keyed one: %s", diff)
+	}
 }
 
 func TestMultisetSubset(t *testing.T) {

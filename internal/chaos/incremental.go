@@ -102,7 +102,7 @@ func (o *IncOracle) Install(pathExp string, area namespace.Area, items []*xmltre
 		}
 	}
 	for _, it := range items {
-		o.union[it.String()]++
+		o.union[itemKey(it)]++
 	}
 	if joined {
 		o.hasJoined = true

@@ -105,9 +105,19 @@ func (o *Oracle) Evaluate(plan *algebra.Plan) ([]*xmltree.Node, error) {
 func Multiset(items []*xmltree.Node) map[string]int {
 	m := make(map[string]int, len(items))
 	for _, it := range items {
-		m[it.String()]++
+		m[itemKey(it)]++
 	}
 	return m
+}
+
+// itemKey is an item's canonical XML: a frozen item's memo, read in place
+// as blobstore.Fingerprint reads it, and String() only for an item without
+// one. The two are byte-identical.
+func itemKey(it *xmltree.Node) string {
+	if s, ok := it.FrozenSerialization(); ok {
+		return s
+	}
+	return it.String()
 }
 
 // MultisetSubset reports whether sub ⊆ super (as multisets), and when it is

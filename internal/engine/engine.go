@@ -242,24 +242,48 @@ func evalJoin(n *algebra.Node, tuple func(string, *xmltree.Node, string, *xmltre
 		buildKey, probeKey = probeKey, buildKey
 		swapped = true
 	}
-	table := make(map[string][]*xmltree.Node, len(build))
-	for _, it := range build {
-		if k, ok := keyOf(it, buildKey); ok {
-			table[k] = append(table[k], it)
-		}
-	}
-	var out []*xmltree.Node
-	for _, p := range probe {
-		k, ok := keyOf(p, probeKey)
+	// chains maps a key to its first build item and the number of build
+	// items with it; next chains the rest in build order (built back to
+	// front), so there is no slice per distinct key.
+	type chain struct{ first, count int32 }
+	chains := make(map[string]chain, len(build))
+	next := make([]int32, len(build))
+	for i := len(build) - 1; i >= 0; i-- {
+		k, ok := keyOf(build[i], buildKey)
 		if !ok {
 			continue
 		}
-		for _, b := range table[k] {
+		c, ok := chains[k]
+		if !ok {
+			c.first = -1
+		}
+		next[i] = c.first
+		chains[k] = chain{first: int32(i), count: c.count + 1}
+	}
+	// A first pass over the probe side finds each item's chain and sums
+	// the tuple count, so the output is allocated once at its exact size.
+	heads := make([]int32, len(probe))
+	total := 0
+	for j, p := range probe {
+		heads[j] = -1
+		if k, ok := keyOf(p, probeKey); ok {
+			if c, ok := chains[k]; ok {
+				heads[j] = c.first
+				total += int(c.count)
+			}
+		}
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]*xmltree.Node, 0, total)
+	for j, p := range probe {
+		for i := heads[j]; i >= 0; i = next[i] {
 			// Restore left/right orientation: the build side is the left
 			// input unless the inputs were swapped above.
-			l, r := b, p
+			l, r := build[i], p
 			if swapped {
-				l, r = p, b
+				l, r = p, build[i]
 			}
 			out = append(out, tuple(n.LeftName, l, n.RightName, r))
 		}

@@ -16,12 +16,12 @@ import (
 // The dialing end of the protocol (see the package comment): Link is one
 // connection, LinkPool keeps one Link per peer address.
 
-// IdleTimeout is how long a pooled link may sit unused before the pool's
+// idleTimeout is how long a pooled link may sit unused before the pool's
 // opportunistic reaping closes it. The server closes its side of an idle link
-// after ReadTimeout; the client bound is slightly longer so the common case
+// after readTimeout; the client bound is slightly longer so the common case
 // is the server closing cleanly at a frame boundary first. A variable so
 // tests can shorten it.
-var IdleTimeout = 45 * time.Second
+var idleTimeout = 45 * time.Second
 
 // ErrRemote reports that the remote handler failed on a Call frame. The link
 // itself is healthy: a remote failure is never grounds for a redial.
@@ -73,9 +73,9 @@ func dialLink(addr string) (*Link, error) {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	var reply [1]byte
-	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err = conn.Write(append([]byte(linkMagic), 0)); err == nil {
-		_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
 		_, err = io.ReadFull(conn, reply[:])
 	}
 	if err != nil {
@@ -186,7 +186,7 @@ func (l *Link) call(enc *xmltree.FrameEncoder) (*xmltree.Node, []byte, error) {
 		l.mu.Unlock()
 		return nil, nil, err
 	}
-	timer := time.NewTimer(ReadTimeout)
+	timer := time.NewTimer(readTimeout)
 	defer timer.Stop()
 	select {
 	case payload, ok := <-ch:
@@ -205,7 +205,7 @@ func (l *Link) call(enc *xmltree.FrameEncoder) (*xmltree.Node, []byte, error) {
 		l.mu.Lock()
 		delete(l.pending, corr)
 		l.mu.Unlock()
-		return nil, nil, fmt.Errorf("wire: call to %s: no reply within %v", l.addr, ReadTimeout)
+		return nil, nil, fmt.Errorf("wire: call to %s: no reply within %v", l.addr, readTimeout)
 	}
 }
 
@@ -250,7 +250,7 @@ func (p *LinkPool) PeerCaps(addr string) (byte, error) {
 func (p *LinkPool) get(addr string) (l *Link, cached bool, err error) {
 	now := time.Now()
 	p.mu.Lock()
-	p.reapLocked(now.Add(-IdleTimeout))
+	p.reapLocked(now.Add(-idleTimeout))
 	if l := p.links[addr]; l != nil && !l.isBroken() {
 		l.touch()
 		p.mu.Unlock()
@@ -297,7 +297,7 @@ func (p *LinkPool) drop(l *Link) {
 }
 
 // withLink runs op on a link to addr. If a cached link fails — stale links
-// are expected: the peer idle-closes its side after ReadTimeout — the pool
+// are expected: the peer idle-closes its side after readTimeout — the pool
 // redials once and retries. A fresh dial's failure, or a remote handler
 // error (the link is healthy), is returned as-is.
 func (p *LinkPool) withLink(addr string, op func(*Link) error) error {

@@ -225,7 +225,7 @@ func TestLinkMidFrameCrashReported(t *testing.T) {
 }
 
 // TestLinkIdleReapReestablish: every use of the pool reaps links idle past
-// IdleTimeout, and the send that reaped one dials a new connection
+// idleTimeout, and the send that reaped one dials a new connection
 // transparently.
 func TestLinkIdleReapReestablish(t *testing.T) {
 	got := make(chan string, 16)
@@ -235,8 +235,8 @@ func TestLinkIdleReapReestablish(t *testing.T) {
 	})
 	pool := NewLinkPool()
 	defer pool.Close()
-	defer func(d time.Duration) { IdleTimeout = d }(IdleTimeout)
-	IdleTimeout = 0
+	defer func(d time.Duration) { idleTimeout = d }(idleTimeout)
+	idleTimeout = 0
 
 	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "a"}))); err != nil {
 		t.Fatal(err)
@@ -333,14 +333,14 @@ func TestLinkTooDeepFramePoisonsFrameOnly(t *testing.T) {
 }
 
 // TestLinkWriteDeadlinePerFrame: the write deadline is armed per frame, not
-// per connection. A link older than WriteTimeout must still send instantly
+// per connection. A link older than writeTimeout must still send instantly
 // (the old per-connection deadline would fail here), and a genuinely
-// stalling reader must surface a timeout error in ~WriteTimeout rather than
+// stalling reader must surface a timeout error in ~writeTimeout rather than
 // blocking forever.
 func TestLinkWriteDeadlinePerFrame(t *testing.T) {
-	oldW := WriteTimeout
-	WriteTimeout = 500 * time.Millisecond
-	defer func() { WriteTimeout = oldW }()
+	oldW := writeTimeout
+	writeTimeout = 500 * time.Millisecond
+	defer func() { writeTimeout = oldW }()
 
 	got := make(chan string, 16)
 	srv, _ := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) {
@@ -356,7 +356,7 @@ func TestLinkWriteDeadlinePerFrame(t *testing.T) {
 	<-got
 	// Outlive the deadline that was armed for the first frame; the next
 	// frame must re-arm rather than inherit an expired deadline.
-	time.Sleep(WriteTimeout + 200*time.Millisecond)
+	time.Sleep(writeTimeout + 200*time.Millisecond)
 	if err := pool.SendFrame(srv.Addr(), node(xmltree.ElemAttrs("mqp", xmltree.Attr{Name: "id", Value: "b"}))); err != nil {
 		t.Fatalf("send on aged link hit a stale deadline: %v", err)
 	}
@@ -399,8 +399,8 @@ func TestLinkWriteDeadlinePerFrame(t *testing.T) {
 	if err == nil {
 		t.Fatal("writes to a stalling reader never failed")
 	}
-	if elapsed := time.Since(start); elapsed > 10*WriteTimeout {
-		t.Fatalf("stalled write took %v, want ~%v", elapsed, WriteTimeout)
+	if elapsed := time.Since(start); elapsed > 10*writeTimeout {
+		t.Fatalf("stalled write took %v, want ~%v", elapsed, writeTimeout)
 	}
 }
 
@@ -470,9 +470,9 @@ func TestMux2CapabilityNegotiation(t *testing.T) {
 // the handshake fails the send with the read deadline's own error after one
 // dial — no second attempt, no lost cause.
 func TestLinkHandshakeStallIsOneDial(t *testing.T) {
-	old := ReadTimeout
-	ReadTimeout = 100 * time.Millisecond
-	defer func() { ReadTimeout = old }()
+	old := readTimeout
+	readTimeout = 100 * time.Millisecond
+	defer func() { readTimeout = old }()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -13,11 +13,11 @@ import (
 // but the handshake — the framings this package once accepted, junk, a
 // handshake cut short, or nothing at all — and then stalls is one reported
 // error naming the remote. The handler never sees a document, no goroutine
-// stays pinned past ReadTimeout, and the server answers the next dialer.
+// stays pinned past readTimeout, and the server answers the next dialer.
 func TestServerHandlesSilentConnection(t *testing.T) {
-	old := ReadTimeout
-	ReadTimeout = 100 * time.Millisecond
-	defer func() { ReadTimeout = old }()
+	old := readTimeout
+	readTimeout = 100 * time.Millisecond
+	defer func() { readTimeout = old }()
 
 	served := make(chan string, 16)
 	srv, err := Listen("127.0.0.1:0", func(doc *xmltree.Node) (*xmltree.Node, error) {

@@ -15,7 +15,7 @@
 // A frame with correlation id 0 is fire-and-forget; a nonzero id requests a
 // reply frame carrying the same id, where a zero-length reply payload reports
 // a remote handler failure. Concurrent senders share one link: writes are
-// serialized per frame (each under its own WriteTimeout), replies are matched
+// serialized per frame (each under its own writeTimeout), replies are matched
 // to waiters by correlation id. A connection that opens with anything but
 // the handshake is reported on Server.Errors and closed. Both ends read
 // frames with readLinkFrame and write them with writeLinkFrame.
@@ -37,19 +37,19 @@ import (
 // DialTimeout bounds connection establishment.
 const DialTimeout = 5 * time.Second
 
-// WriteTimeout bounds how long one frame write may block. The deadline is
+// writeTimeout bounds how long one frame write may block. The deadline is
 // re-armed per frame — a connection that has been open for minutes still gets
 // the full budget for each new frame, and one stalling reader cannot charge
 // its delay to a later sender's frame. A variable (not a const) so tests can
 // shorten it.
-var WriteTimeout = 30 * time.Second
+var writeTimeout = 30 * time.Second
 
-// ReadTimeout bounds each blocking read a peer can stall: the handshake on
+// readTimeout bounds each blocking read a peer can stall: the handshake on
 // either end, one frame on the server, and the wait for a Call's reply — so
 // a peer that connects and then goes silent cannot pin a goroutine forever.
 // A link idle past it at a frame boundary is closed by the server. A
 // variable (not a const) so tests can shorten it.
-var ReadTimeout = 30 * time.Second
+var readTimeout = 30 * time.Second
 
 // MaxFrameBytes bounds a framed document: a peer cannot commit the receiver
 // to an arbitrarily large allocation by lying in the length prefix.
@@ -112,7 +112,7 @@ func readLinkFrame(br *bufio.Reader) (corr uint64, payload []byte, err error) {
 
 // writeLinkFrame writes one frame — the header plus the encoder's segments,
 // or the header alone for a zero-length payload when enc is nil — as a
-// single vectored write under a fresh WriteTimeout. It is the only assembler
+// single vectored write under a fresh writeTimeout. It is the only assembler
 // of the link header. The caller has bounded enc.Len() by MaxFrameBytes and
 // serializes writers on conn.
 func writeLinkFrame(conn net.Conn, corr uint64, enc *xmltree.FrameEncoder) error {
@@ -125,7 +125,7 @@ func writeLinkFrame(conn net.Conn, corr uint64, enc *xmltree.FrameEncoder) error
 	binary.BigEndian.PutUint64(hdr[4:12], corr)
 	bufs := make(net.Buffers, 0, len(segs)+1)
 	bufs = append(append(bufs, hdr[:]), segs...)
-	_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := bufs.WriteTo(conn)
 	return err
 }
@@ -283,7 +283,7 @@ func (s *Server) loop(h Handler) {
 // on — and so does a payload that does not decode (nested past
 // xmltree.MaxDepth, say), reported as ErrFrame. Anything that is not the
 // handshake, and a death mid-frame, is reported and closes the connection;
-// the client going away or idling past ReadTimeout at a frame boundary is the
+// the client going away or idling past readTimeout at a frame boundary is the
 // clean end of a link.
 func (s *Server) serveLink(conn net.Conn, h Handler) {
 	defer conn.Close()
@@ -294,10 +294,10 @@ func (s *Server) serveLink(conn net.Conn, h Handler) {
 		}
 	}
 	br := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
 	err := readHandshake(br)
 	if err == nil {
-		_ = conn.SetWriteDeadline(time.Now().Add(WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_, err = conn.Write([]byte{s.Caps()})
 	}
 	if err != nil {
@@ -305,15 +305,15 @@ func (s *Server) serveLink(conn net.Conn, h Handler) {
 		return
 	}
 	for {
-		// Waiting for the next frame is bounded by ReadTimeout; reaching it
+		// Waiting for the next frame is bounded by readTimeout; reaching it
 		// (or EOF) between frames is the normal end of an idle link.
-		_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
 		if _, err := br.Peek(1); err != nil {
 			return
 		}
 		// A frame has begun: give its header and payload a fresh budget so a
 		// frame that arrives just before the idle deadline is not truncated.
-		_ = conn.SetReadDeadline(time.Now().Add(ReadTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
 		corr, payload, err := readLinkFrame(br)
 		if err == nil && len(payload) == 0 {
 			err = errEmptyFrame

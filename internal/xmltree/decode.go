@@ -1,12 +1,14 @@
 // Zero-copy receive-side decoder.
 //
 // Decode and DecodeString build an xmltree document directly from the wire
-// buffer: element and attribute names are interned in a package-level table,
-// and text runs and attribute values that need no unescaping alias the input
-// instead of being copied. The produced subtree is **born frozen** — every
-// node's canonical byte size is computed incrementally as its element closes,
-// and the node is marked frozen — so decoder output obeys the package
-// ownership rule with no post-parse Freeze walk.
+// buffer: element and attribute names, and text runs and attribute values
+// that need no unescaping, alias the input instead of being copied. There is
+// no intern table: a name is a substring of its frame like everything else a
+// decoded tree holds, so a kept node keeps its frame either way. The
+// produced subtree is **born frozen** — every node's canonical byte size is
+// computed incrementally as its element closes, and the node is marked
+// frozen — so decoder output obeys the package ownership rule with no
+// post-parse Freeze walk.
 //
 // Ownership: because decoded nodes alias the input, the buffer handed to
 // Decode (or the string handed to DecodeString) must stay immutable for the
@@ -55,10 +57,8 @@
 // escape-sized. '>' is not plain because emission writes "&gt;"; ']' is not
 // plain in character data so that the general loop can start where the scan
 // stopped without remembering a half-seen "]]>". Names: rawName notes a colon
-// or non-ASCII byte as it scans, a name with neither skips the namespace
-// split, and interning goes through a per-decoder cache that may hold only
-// interned strings — it outlives the decode in the pool, and a substring of
-// the frame would pin the frame there.
+// or non-ASCII byte as it scans, and a name with neither skips the namespace
+// split.
 package xmltree
 
 import (
@@ -68,7 +68,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
@@ -144,84 +143,6 @@ func decodeKids(s string) ([]*Node, error) {
 		return nil, err
 	}
 	return root.Children, nil
-}
-
-// --- Name interning ----------------------------------------------------
-
-// internMax bounds the intern table so adversarial inputs (fuzzing, hostile
-// peers) cannot grow it without bound; past the cap names are still copied
-// out of the buffer, just not remembered.
-const internMax = 4096
-
-// internTab is a copy-on-write map: reads are plain lock-free lookups (one
-// per decoded name — the hottest lookup in the decoder), and the rare
-// insertion of a new name clones the table under internMu.
-var (
-	internMu  sync.Mutex
-	internTab atomic.Pointer[map[string]string]
-)
-
-func init() {
-	// Seed with the wire vocabulary so steady-state decodes never clone:
-	// plan structure, operator elements, their attributes, and the
-	// provenance/visited sections.
-	tab := make(map[string]string, 128)
-	for _, s := range []string{
-		"mqp", "plan", "original", "visited", "provenance", "visit",
-		"data", "url", "urn", "select", "project", "join", "union", "or",
-		"difference", "count", "topn", "display", "annotations", "annot",
-		"id", "target", "href", "path", "name", "pred", "as", "fields",
-		"leftkey", "rightkey", "leftname", "rightname", "n", "by", "order",
-		"k", "v", "s", "fp", "budget", "b", "server", "action", "at",
-		"resource", "sig", "stop", "hops", "item", "title", "price",
-		"seller", "cd", "song", "artist", "zip", "condition", "staleness",
-		"partial", "result", "register", "fetch", "export", "category",
-		"categories", "collection", "statement", "area", "registration",
-	} {
-		tab[s] = s
-	}
-	internTab.Store(&tab)
-}
-
-// intern returns a stable copy of name. The argument may alias a decode
-// buffer; the returned string never does, so interned names do not pin
-// frames alive.
-func intern(name string) string {
-	if v, ok := (*internTab.Load())[name]; ok {
-		return v
-	}
-	c := strings.Clone(name)
-	internMu.Lock()
-	defer internMu.Unlock()
-	old := *internTab.Load()
-	if v, ok := old[c]; ok {
-		return v
-	}
-	if len(old) >= internMax {
-		return c
-	}
-	tab := make(map[string]string, len(old)+1)
-	for k, v := range old {
-		tab[k] = v
-	}
-	tab[c] = c
-	internTab.Store(&tab)
-	return c
-}
-
-// nameCacheSize is several times the vocabulary one frame uses.
-const nameCacheSize = 128
-
-// intern is the package-level intern behind a direct-mapped cache, so a
-// record-shaped document pays the map hash once per distinct name, not once
-// per element. A slot is verified by string equality and refilled from the
-// global table: it never holds a substring of a frame.
-func (d *decoder) intern(name string) string {
-	slot := &d.names[(uint(len(name))*31+uint(name[0])*7+uint(name[len(name)-1]))%nameCacheSize]
-	if *slot != name {
-		*slot = intern(name)
-	}
-	return *slot
 }
 
 // --- Decoder state ------------------------------------------------------
@@ -322,8 +243,6 @@ type decoder struct {
 	attrChunk []Attr
 	attrUsed  int
 	attrNext  int
-
-	names [nameCacheSize]string // see intern; kept across release
 
 	scratch []byte // unescape staging for values that cannot alias s
 	// wsOnly reports whether the last scanText run was entirely whitespace
@@ -847,7 +766,7 @@ func (d *decoder) startElement() error {
 	var n *Node
 	if d.sealDepth == 0 {
 		n = d.newNode()
-		n.Name = d.intern(local)
+		n.Name = local
 	}
 	size := len("<") + len(local)
 	kept := rawAttrs[:0]
@@ -880,9 +799,6 @@ func (d *decoder) startElement() error {
 		}
 		if prefix != "" {
 			dirty = true // prefix stripped from an emitted attribute
-		}
-		if n != nil {
-			alocal = d.intern(alocal)
 		}
 		kept = append(kept, Attr{Name: alocal, Value: a.Value})
 		size += len(` ="`) + len(alocal) + len(a.Value) + len(`"`)

@@ -1,12 +1,10 @@
 package xmltree
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
 // decodeCases are inputs with known-interesting tokenizer behavior; each is
@@ -290,60 +288,6 @@ func TestDecodeConcurrentFrozenReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestDecodeInterning verifies repeated names across separate decodes share
-// one string, so decoded documents do not pin frames through their names.
-func TestDecodeInterning(t *testing.T) {
-	a, err := DecodeString(`<somename attrname="1"/>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DecodeString(`<somename attrname="2"/>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unsafeStringData(a.Name) != unsafeStringData(b.Name) {
-		t.Fatal("element names not interned across decodes")
-	}
-	if unsafeStringData(a.Attrs[0].Name) != unsafeStringData(b.Attrs[0].Name) {
-		t.Fatal("attribute names not interned across decodes")
-	}
-}
-
-// TestInternTableBounded: decoding more distinct element names than the
-// intern table holds stops the table at internMax, and every name past the
-// cap still decodes to its input as a copy that does not alias the frame.
-func TestInternTableBounded(t *testing.T) {
-	defer internTab.Store(internTab.Load()) // leave the table as other tests found it
-	defer SetFrameCacheLimit(SetFrameCacheLimit(0))
-	const perFrame = 512
-	total := internMax + perFrame
-	for start := 0; start < total; start += perFrame {
-		var b strings.Builder
-		b.WriteString("<r>")
-		for i := start; i < start+perFrame; i++ {
-			fmt.Fprintf(&b, "<capname%05d/>", i)
-		}
-		b.WriteString("</r>")
-		buf := []byte(b.String())
-		n, err := Decode(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&buf[len(buf)-1]))
-		for i, c := range n.Children {
-			if want := fmt.Sprintf("capname%05d", start+i); c.Name != want {
-				t.Fatalf("name %q decoded as %q", want, c.Name)
-			}
-			if p := uintptr(unsafe.Pointer(unsafeStringData(c.Name))); p >= lo && p <= hi {
-				t.Fatalf("name %q aliases its frame", c.Name)
-			}
-		}
-	}
-	if got := len(*internTab.Load()); got != internMax {
-		t.Fatalf("intern table holds %d names; cap is %d", got, internMax)
-	}
 }
 
 // TestElementNameOKMatchesDecoder: ElementNameOK accepts exactly the names

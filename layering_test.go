@@ -2,10 +2,6 @@ package repro_test
 
 import (
 	"go/parser"
-	"go/token"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,35 +62,19 @@ func rankOf(pkg string) (int, bool) {
 // that to harnesses.
 func TestImportLayering(t *testing.T) {
 	const module = "repro/"
-	fset := token.NewFileSet()
 	imports := map[string][]string{} // package -> module packages it imports
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "." {
-				return nil
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		pkg := filepath.ToSlash(filepath.Dir(path))
-		if pkg == "." || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+	_, files := moduleSources(t, ".", parser.ImportsOnly)
+	for _, sf := range files {
+		pkg := sf.pkg
+		if pkg == "." {
+			continue
 		}
 		from, ok := rankOf(pkg)
 		if !ok {
-			t.Errorf("%s: package %s has no rank in layerRank", path, pkg)
-			return nil
+			t.Errorf("%s: package %s has no rank in layerRank", sf.path, pkg)
+			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, spec := range f.Imports {
+		for _, spec := range sf.f.Imports {
 			imp, _ := strconv.Unquote(spec.Path.Value)
 			if !strings.HasPrefix(imp, module) {
 				continue
@@ -102,18 +82,14 @@ func TestImportLayering(t *testing.T) {
 			imp = strings.TrimPrefix(imp, module)
 			imports[pkg] = append(imports[pkg], imp)
 			if to, ok := rankOf(imp); !ok {
-				t.Errorf("%s imports %s, which has no rank in layerRank", path, imp)
+				t.Errorf("%s imports %s, which has no rank in layerRank", sf.path, imp)
 			} else if to >= from {
-				t.Errorf("%s: %s (rank %d) imports %s (rank %d); imports must go strictly down", path, pkg, from, imp, to)
+				t.Errorf("%s: %s (rank %d) imports %s (rank %d); imports must go strictly down", sf.path, pkg, from, imp, to)
 			}
 			if transports[pkg] && imp != "internal/xmltree" {
-				t.Errorf("%s: transport %s imports %s; it may import only xmltree", path, pkg, imp)
+				t.Errorf("%s: transport %s imports %s; it may import only xmltree", sf.path, pkg, imp)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	linked := map[string]bool{}

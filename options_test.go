@@ -4,12 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,34 +42,10 @@ func isOptionStruct(pkg, name string) bool {
 // is rewritten (go test -run TestOptionsInventory . -update), so it shows
 // up as a golden diff in review.
 func TestOptionsInventory(t *testing.T) {
-	fset := token.NewFileSet()
+	_, files := moduleSources(t, ".", 0)
 	var lines []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "." {
-				return nil
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
-				strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		lines = append(lines, fileOptions(filepath.ToSlash(filepath.Dir(path)), f)...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, sf := range files {
+		lines = append(lines, fileOptions(sf.pkg, sf.f)...)
 	}
 	sort.Strings(lines)
 	got := "# Every setting a caller can vary without changing code (TestOptionsInventory).\n" +
