@@ -134,7 +134,9 @@ chaos-large-ci:
 	$(GO) run ./cmd/chaos -n 8 -peers 1000 -churn -learn
 
 # Fuzz smoke: 10s per target (canonical-XML parse fixpoint, zero-copy
-# decoder vs reference-parser differential, the decoder's []byte entry point
+# decoder vs reference-parser differential — both refuse namespaces,
+# directives and every processing instruction but a leading <?xml?>
+# declaration, and agree on the rest — the decoder's []byte entry point
 # the wire uses, compiled item paths vs the breadth-wise reference evaluator,
 # the link handshake and frame header, streaming frame encoder vs
 # staged-tree encoder differential, predicate render/parse round trip,

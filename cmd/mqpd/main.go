@@ -10,7 +10,11 @@
 // Flags: -addr is the listen address, -alias binds a URN to a target
 // (repeatable), and -collection serves a file under a path (repeatable). A
 // -collection file is an XML document whose root's child elements are the
-// items. The prepared-plan cache holds 128 plans.
+// items. It may open with an <?xml?> declaration (version 1.0, UTF-8) and
+// hold comments and CDATA sections; a name with a colon (a namespace prefix),
+// an xmlns attribute, a <!DOCTYPE> and any other processing instruction fail
+// start-up (xmltree.Decode reads the file). The prepared-plan cache holds 128
+// plans.
 //
 // Example (three shells):
 //

@@ -16,7 +16,9 @@ const (
 <sale><cd>Kind of Blue</cd><price>15</price></sale>
 <sale><cd>Giant Steps</cd><price>9</price></sale>
 </items>`
-	tracksXML = `<items>
+	tracksXML = `<?xml version="1.0" encoding="UTF-8"?>
+<!-- One item per song. -->
+<items>
 <listing><cd>Blue Train</cd><song>Locomotion</song></listing>
 <listing><cd>Blue Train</cd><song>Moment's Notice</song></listing>
 <listing><cd>Giant Steps</cd><song>Naima</song></listing>
@@ -33,7 +35,8 @@ const (
 // TestDaemonsAnswerJoin runs the doc comment's example as written: three
 // mqpd processes started with only the documented flags, one mqpquery against
 // the alias server, and the Fig. 3 join comes back whole. It is what makes
-// `go test ./...` execute main().
+// `go test ./...` execute main(). The tracks file opens with an XML
+// declaration and a comment, which a collection file may hold.
 func TestDaemonsAnswerJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns mqpd and mqpquery")

@@ -4,7 +4,10 @@
 //	mqpquery -server 127.0.0.1:9020 -plan query.xml [-listen 127.0.0.1:0] [-timeout 30s]
 //
 // The plan file is an <mqp> document; its target attribute is overwritten
-// with this client's listen address. The plan leaves as one frame on a link
+// with this client's listen address. Like an mqpd collection file, it may
+// open with an <?xml?> declaration (version 1.0, UTF-8) and hold comments and
+// CDATA sections, and it may not hold a name with a colon, an xmlns
+// attribute, a <!DOCTYPE> or any other processing instruction. The plan leaves as one frame on a link
 // to the server (internal/wire), and the result arrives the same way on a
 // link the last server dials back.
 package main

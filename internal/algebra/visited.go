@@ -41,9 +41,10 @@ func (p *Plan) MarkPartialResult() { p.Root.Annotate(AnnotPartial, "true") }
 
 // AnnotPartialReason says why a partial result was emitted instead of a
 // complete one: "exhausted" (routing ran out of productive hops), "admission"
-// (a peer's frame queue rejected the plan under overload) or "shutdown" (the
-// serving peer drained its queue while closing). Absent on pre-runtime
-// partials.
+// (a peer's frame queue rejected the plan under overload), "shutdown" (the
+// serving peer drained its queue while closing) or "budget" (a join's output
+// would have exceeded the step budget, engine.ErrBudget). Absent on
+// pre-runtime partials.
 const AnnotPartialReason = "partial-reason"
 
 // SetPartialReason records why the plan came back partial.

@@ -13,6 +13,7 @@ package engine
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -21,6 +22,18 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/xmltree"
 )
+
+// ErrBudget is returned for a join whose output would exceed the step budget
+// (maxJoinTuples). Nothing is built for its tuples: the join is refused once
+// its size is known, before its output is allocated.
+var ErrBudget = errors.New("engine: join output exceeds the step budget")
+
+// maxJoinTuples is the step budget: the most tuples one join may emit. A hash
+// join has no bound of its own, so a skewed key gives |L|×|R| tuples — two
+// inline lists of 1000 items sharing one key are a 15 KB frame and a million
+// tuples (160 MB). The largest join the experiments, the chaos worlds and the
+// benchmark workloads run is 456 tuples.
+const maxJoinTuples = 1 << 16
 
 // Evaluate computes the result collection of a locally-evaluable sub-plan.
 // It returns an error if the subtree contains URL or URN leaves (those must
@@ -275,6 +288,9 @@ func evalJoin(n *algebra.Node, tuple func(string, *xmltree.Node, string, *xmltre
 	}
 	if total == 0 {
 		return nil, nil
+	}
+	if total > maxJoinTuples {
+		return nil, fmt.Errorf("%w: %d tuples", ErrBudget, total)
 	}
 	out := make([]*xmltree.Node, 0, total)
 	for j, p := range probe {

@@ -20,7 +20,7 @@ func FuzzJoinTuple(f *testing.F) {
 		{`<x>a &lt; b &amp; c<k>v</k>tail</x>`, `<y>lead only &gt;</y>`},
 		{`<x/>`, `<y></y>`},
 		{`<x><k/><k>v</k><m><n>deep</n></m></x>`, `<y>pre<![CDATA[<raw> & bits]]>post<z/></y>`},
-		{"<x>cr\r<k>tab\tnl\n</k></x>", `<p:y xmlns:p="u"><p:k>v</p:k></p:y>`},
+		{"<x>cr\r<k>tab\tnl\n</k></x>", `<y b='2' a="1" ><k >v</k ></y >`},
 	} {
 		f.Add(seed[0], seed[1])
 	}

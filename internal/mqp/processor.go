@@ -17,6 +17,7 @@
 package mqp
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -251,10 +252,15 @@ type Outcome struct {
 	Done bool
 	// Partial means the plan is not constant but no productive hop remains:
 	// every forwarding candidate has already seen the plan in its current
-	// state, or has exhausted its revisit budget (internal/route). The
-	// transport should deliver an explicit partial result (route.Partial) to
-	// plan.Target instead of forwarding.
+	// state, or has exhausted its revisit budget (internal/route), or this
+	// step refused a reduction (PartialReason). The transport should deliver
+	// an explicit partial result (route.Partial) to plan.Target instead of
+	// forwarding.
 	Partial bool
+	// PartialReason, when set with Partial, is the algebra.AnnotPartialReason
+	// the partial result carries: "budget" when a join exceeded the step
+	// budget (engine.ErrBudget) and the step ended there.
+	PartialReason string
 	// NextHop is the preferred server to forward the plan to when not done.
 	NextHop string
 	// NextHops lists every forwarding candidate in preference order
@@ -288,6 +294,9 @@ type step struct {
 	// collect accumulates provenance actions for a prospective cache entry.
 	collect bool
 	actions []provAction
+	// overBudget notes that engine.Reduce refused a sub-plan with
+	// engine.ErrBudget: the step ends as a "budget" partial (see refused).
+	overBudget bool
 }
 
 // record appends one provenance visit (and collects it for the plan cache
@@ -463,6 +472,9 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 		if err := st.materializeAndReduce(plan, false, &out, &routeCandidates); err != nil {
 			return Outcome{}, err
 		}
+		if st.overBudget {
+			return st.refused(plan, out), nil
+		}
 
 		idle := out.Bound+out.Fetched+out.Reduced+out.Rewrites == 0
 		if idle {
@@ -515,6 +527,9 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 		if err := st.materializeAndReduce(plan, true, &out, &routeCandidates); err != nil {
 			return Outcome{}, err
 		}
+		if st.overBudget {
+			return st.refused(plan, out), nil
+		}
 		if st.trail != nil {
 			provenance.ToPlan(plan, st.trail)
 		}
@@ -537,6 +552,17 @@ func (p *Processor) StepCtx(sc *StepContext, plan *algebra.Plan) (Outcome, error
 	out.NextHops = dec.Hops
 	out.NextHop = out.NextHops[0]
 	return out, nil
+}
+
+// refused ends a step whose reduction engine.ErrBudget refused: the plan
+// leaves as an explicit "budget" partial, neither cached nor routed on, so no
+// later hop builds the refused join either.
+func (st *step) refused(plan *algebra.Plan, out Outcome) Outcome {
+	if st.trail != nil {
+		provenance.ToPlan(plan, st.trail)
+	}
+	out.Partial, out.PartialReason = true, "budget"
+	return out
 }
 
 // learned returns the shortcut-table routing candidates for the plan's
@@ -801,6 +827,10 @@ func (st *step) reduce(n *algebra.Node, isRoot bool, out *Outcome) *algebra.Node
 				out.Reduced++
 				st.record(provenance.ActionReduce, n.Kind.String(), maxStaleness(n))
 				return d
+			}
+			if errors.Is(err, engine.ErrBudget) {
+				st.overBudget = true
+				return n
 			}
 		} else {
 			// Decline, but leave statistics behind for later servers

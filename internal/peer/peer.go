@@ -771,6 +771,9 @@ func (p *Peer) processMQP(msg *simnet.Message) error {
 			// the depth guard, return an explicit partial result carrying
 			// what was already reduced (a sub-multiset of the full answer).
 			result = route.Partial(plan)
+			if out.PartialReason != "" {
+				result.SetPartialReason(out.PartialReason)
+			}
 		}
 		err := p.net.SendFrame(&simnet.Message{
 			From: p.addr, To: result.Target, Kind: KindResult, At: at, Hops: msg.Hops,

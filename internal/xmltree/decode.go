@@ -18,18 +18,23 @@
 // tree's slabs and the input — and nothing of any other decode (see the slab
 // sizing note below).
 //
-// Compatibility: Decode is a behavioral mirror of the encoding/xml tokenizer
-// loop it replaced (parseReference in reference_test.go; the product keeps
-// only the name-class probes ElementNameOK and exoticNameOK): on any input the
-// two either produce structurally equal trees or both reject, and
+// Compatibility: Decode reads the XML the system writes — elements,
+// attributes, character data, entity and character references, CDATA
+// sections, comments and an <?xml?> declaration before the root element — and
+// refuses the rest of XML with an error: a name holding a colon (a namespace
+// prefix, xml:lang), an xmlns attribute, a <!DOCTYPE> or any other directive,
+// and any other processing instruction. No serializer, frame encoder or
+// collection file emits those. On everything else Decode is a behavioral
+// mirror of the encoding/xml tokenizer loop it replaced (parseReference in
+// reference_test.go, which refuses the same constructs; the product keeps only
+// the name-class probes ElementNameOK and exoticNameOK): on any input the two
+// either produce structurally equal trees or both reject, and
 // FuzzDecodeEquivalence enforces it over the shared fuzz corpus. The mirrored
 // quirks worth knowing: \r and \r\n in text and attribute values become \n
 // while &#xD; survives; text runs merge across comments and CDATA boundaries;
 // whitespace-only runs are dropped; "]]>" is an error outside CDATA;
-// comments may not contain "--"; an <?xml?> declaration is validated for
-// version and encoding; namespace prefixes are stripped from names, xmlns
-// machinery is dropped, and a prefix bound to the URI "xmlns" hides its
-// attributes exactly as encoding/xml's namespace translation does.
+// comments may not contain "--"; a repeated attribute keeps its first value;
+// an <?xml?> declaration is validated for version and encoding.
 //
 // Sealed payload items: a plan carries the items its <data> leaves gathered
 // from hop to hop, and most hops forward them unread. So every element child
@@ -56,9 +61,9 @@
 // control and non-ASCII characters; only that tail is validated and
 // escape-sized. '>' is not plain because emission writes "&gt;"; ']' is not
 // plain in character data so that the general loop can start where the scan
-// stopped without remembering a half-seen "]]>". Names: rawName notes a colon
-// or non-ASCII byte as it scans, and a name with neither skips the namespace
-// split.
+// stopped without remembering a half-seen "]]>". Names: rawName ORs the
+// classes of a name's bytes as it scans, so a colon or a non-ASCII byte is
+// known without a second pass, and only a non-ASCII name asks the tokenizer.
 package xmltree
 
 import (
@@ -190,16 +195,15 @@ const (
 // the benchmark workloads decode is 10 levels.
 const MaxDepth = 1024
 
-// scratchMax caps, in bytes, what each pooled buffer (scratch and the four
+// scratchMax caps, in bytes, what each pooled buffer (scratch and the three
 // parse stacks) may keep between decodes, so one pathological document does
 // not pin large buffers in the pool.
 const scratchMax = 1 << 16
 
 type openElem struct {
 	n       *Node  // nil inside a sealed item
-	rawName string // prefixed name as written, for end-tag matching
+	name    string // for end-tag matching, and the size of a sealed element
 	kidMark int    // kidStk length when the element opened
-	nsMark  int    // nsUndo length when the element opened
 	// size is the canonical bytes of the start tag, the element's text and
 	// its completed children so far; text and kids say whether there are any
 	// (the element then closes as </name>, not />).
@@ -214,12 +218,6 @@ type openElem struct {
 	dirty    bool
 }
 
-type nsUndo struct {
-	prefix string
-	old    string
-	had    bool
-}
-
 type decoder struct {
 	s    string
 	pos  int
@@ -227,10 +225,7 @@ type decoder struct {
 
 	open    []openElem
 	kidStk  []*Node // flattened children of all open elements
-	attrStk []Attr  // raw attributes of the element being parsed
-
-	ns     map[string]string // live prefix -> URI bindings (xmlns tracking)
-	nsUndo []nsUndo
+	attrStk []Attr  // attributes of the element being parsed
 
 	// This decode's current slabs, how much of each is handed out, and the
 	// size of the next slab of each kind (see slabMax).
@@ -253,7 +248,7 @@ type decoder struct {
 	escExtra int
 
 	// muts counts byte-transforming events — entity expansion, \r rewriting,
-	// CDATA sections, comments, processing instructions, directives, dropped
+	// CDATA sections, comments, an <?xml?> declaration, dropped
 	// whitespace-only runs — since the decode started. An element whose
 	// [open, close] window saw none of them is a candidate for clean-span
 	// memoization (finishSpan).
@@ -278,7 +273,7 @@ type decoder struct {
 // decPool holds the decoders of frames and of sealed items' builds alike.
 var decPool = sync.Pool{New: newDecoder}
 
-func newDecoder() any { return &decoder{ns: make(map[string]string)} }
+func newDecoder() any { return &decoder{} }
 
 func (d *decoder) release() {
 	d.s = ""
@@ -289,8 +284,6 @@ func (d *decoder) release() {
 	d.open = resetStack(d.open)
 	d.kidStk = resetStack(d.kidStk)
 	d.attrStk = resetStack(d.attrStk)
-	clear(d.ns)
-	d.nsUndo = resetStack(d.nsUndo)
 	if cap(d.scratch) > scratchMax {
 		d.scratch = nil // bytes only: nothing of the frame to clear
 	}
@@ -306,9 +299,8 @@ func (d *decoder) release() {
 // the live prefix (what a failed decode leaves) and the popped entries past
 // it, up to the first zero entry. Nothing past that was written since the
 // last release, which left it zero, so a decode pays for the depth it used,
-// not for the capacity an earlier frame grew. Every entry pushed on open,
-// kidStk and attrStk is nonzero (a name, a node); an nsUndo entry can be zero
-// (a first default-namespace binding), so undoNs clears the entries it pops.
+// not for the capacity an earlier frame grew. Every entry pushed is nonzero
+// (a name, a node).
 func resetStack[T comparable](s []T) []T {
 	var zero T
 	if cap(s)*int(unsafe.Sizeof(zero)) > scratchMax {
@@ -468,8 +460,7 @@ func (d *decoder) run() (*Node, error) {
 		}
 	}
 	if len(d.open) > 0 {
-		_, local, _ := splitName(d.open[len(d.open)-1].rawName)
-		return nil, d.err("unterminated element <" + local + ">")
+		return nil, d.err("unterminated element <" + d.open[len(d.open)-1].name + ">")
 	}
 	if d.root == nil {
 		return nil, d.err("no root element")
@@ -530,12 +521,10 @@ var byteClass = func() (t [256]uint8) {
 	return t
 }()
 
-// rawName reads one XML name (prefix included) and reports whether it is
-// plain — ASCII with no colon, like all of the wire vocabulary. It mirrors
-// readName + the isName character-class check; names containing non-ASCII
-// runes are settled by probing encoding/xml itself, so the exotic cases
-// cannot drift.
-func (d *decoder) rawName() (name string, plain bool, err error) {
+// rawName reads one name at d.pos and holds it to nameOK, reading what
+// encoding/xml's readName reads: a name running into EOF is an unexpected-EOF
+// error, since the tokenizer reads the byte after a name before returning it.
+func (d *decoder) rawName() (string, error) {
 	s := d.s
 	start := d.pos
 	i := start
@@ -545,49 +534,54 @@ func (d *decoder) rawName() (name string, plain bool, err error) {
 		i++
 	}
 	if i >= len(s) {
-		// The byte after a name is read by the tokenizer before the name is
-		// returned, so a name running into EOF is an unexpected-EOF error.
-		return "", false, d.eof()
+		return "", d.eof()
 	}
 	if i == start {
-		return "", false, d.err("expected name")
+		return "", d.err("expected name")
 	}
-	name = s[start:i]
-	if seen&clsHigh == 0 {
-		// ASCII fast path of encoding/xml's name start class: letters,
-		// underscore, or colon. Digits, '.' and '-' may only continue.
-		if c := name[0]; !('A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' || c == ':') {
-			return "", false, d.err("invalid XML name: " + name)
+	name := s[start:i]
+	if !nameOK(name, seen) {
+		if seen&clsColon != 0 {
+			return "", d.err("namespace prefix in name " + name)
 		}
-	} else if !exoticNameOK(name) {
-		return "", false, d.err("invalid XML name: " + name)
+		return "", d.err("invalid XML name: " + name)
 	}
 	d.pos = i
-	return name, seen&(clsColon|clsHigh) == 0, nil
+	return name, nil
 }
 
-// exoticNameOK validates a name containing non-ASCII bytes by asking the
-// reference tokenizer. The probe is a processing instruction, not an
-// element, because PI targets take the raw name character class with no
-// namespace split — names with colons must stay valid here and be judged by
-// splitName separately.
+// nameOK is the one name rule, for element and attribute names and PI
+// targets alike: an XML name (encoding/xml's isName) with no colon. seen is
+// the OR of the byteClass entries of name's bytes, every one of them clsName.
+// A name with a non-ASCII byte is settled by the tokenizer itself
+// (exoticNameOK), so the exotic cases cannot drift.
+func nameOK(name string, seen uint8) bool {
+	switch {
+	case seen&clsColon != 0:
+		return false
+	case seen&clsHigh != 0:
+		return exoticNameOK(name)
+	}
+	// encoding/xml's name start class over ASCII, colon aside: letters and
+	// underscore. Digits, '.' and '-' may only continue a name.
+	c := name[0]
+	return 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_'
+}
+
+// exoticNameOK validates a colon-free name containing non-ASCII bytes by
+// asking the reference tokenizer. The probe is a processing instruction, not
+// an element, so that no namespace handling takes part in the verdict.
 func exoticNameOK(name string) bool {
 	dec := xml.NewDecoder(strings.NewReader("<?" + name + " ?>"))
 	_, err := dec.Token()
 	return err == nil
 }
 
-// ElementNameOK reports whether name is a well-formed XML name with no
-// colon: one that, written as an element or attribute name, decodes back as
-// itself. The decoder holds a namespace-stripped local name to it, since
-// stripping a prefix can expose an invalid start character (the tokenizer
-// accepts y:0="..." as prefix "y", local "0") or a residual colon (a:b:c
-// splits at the first colon only), and serializing either would produce an
-// unparseable or differently-splitting canonical form. algebra.Validate holds
-// the names a plan has the engine write as elements (a join's component
-// names, a projection's wrapper) to it on the way in. The byte classes are
-// the decoder's own; a non-ASCII name is settled by the tokenizer, as in
-// rawName.
+// ElementNameOK reports whether name decodes as itself when written as an
+// element or attribute name: whether <name/> decodes to an element named
+// name. It is the decoder's own rule (nameOK). algebra.Validate holds the
+// names a plan has the engine write as elements (a join's component names, a
+// projection's wrapper) to it on the way in.
 func ElementNameOK(name string) bool {
 	if name == "" {
 		return false
@@ -600,32 +594,7 @@ func ElementNameOK(name string) bool {
 		}
 		seen |= c
 	}
-	switch {
-	case seen&clsColon != 0:
-		return false
-	case seen&clsHigh != 0:
-		return exoticNameOK(name)
-	}
-	c := name[0]
-	return 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_'
-}
-
-// splitName applies encoding/xml's namespace split: more than one colon is
-// a tokenizer error; exactly one colon with non-empty halves splits into
-// (prefix, local); a leading or trailing colon keeps the whole name as the
-// local (which the localName check then rejects or the attr filter drops).
-func splitName(raw string) (prefix, local string, ok bool) {
-	c := strings.IndexByte(raw, ':')
-	if c < 0 {
-		return "", raw, true
-	}
-	if strings.IndexByte(raw[c+1:], ':') >= 0 {
-		return "", "", false
-	}
-	if c == 0 || c == len(raw)-1 {
-		return "", raw, true
-	}
-	return raw[:c], raw[c+1:], true
+	return nameOK(name, seen)
 }
 
 // --- Elements -----------------------------------------------------------
@@ -636,41 +605,34 @@ func (d *decoder) startElement() error {
 		return d.err("element nested deeper than " + strconv.Itoa(MaxDepth) + " levels")
 	}
 	mutsMark := d.muts
-	raw, plain, err := d.rawName()
+	name, err := d.rawName()
 	if err != nil {
 		return err
-	}
-	local := raw // a plain name is its own valid local name
-	if !plain {
-		var ok bool
-		if _, local, ok = splitName(raw); !ok {
-			return d.err("element name " + raw + " has multiple colons")
-		}
-		if !ElementNameOK(local) {
-			return d.err("element name " + local + " invalid after dropping namespace prefix")
-		}
 	}
 	if len(d.open) == 0 && d.root != nil {
 		return d.err("multiple root elements")
 	}
 	k := len(d.open)
-	seal := d.seal && d.sealDepth == 0 && d.eagerDepth == 0 && k > 0 && local != sealSkip &&
+	seal := d.seal && d.sealDepth == 0 && d.eagerDepth == 0 && k > 0 && name != sealSkip &&
 		d.open[k-1].n.Name == sealParent && (k == 1 || d.open[k-2].n.Name != eagerOp)
 
 	// dirty accumulates every way the start tag can deviate from canonical
-	// form without the byte-size check noticing: a stripped name prefix
-	// (local is then a proper suffix of raw), markup whitespace that is not
+	// form without the byte-size check noticing: markup whitespace that is not
 	// exactly one space per attribute, '=' padding, single-quoted values,
 	// dropped or reordered attributes. Clean spans (finishSpan) must rule all
 	// of these out.
-	dirty := len(raw) != len(local)
+	dirty := false
 
+	var n *Node
+	if d.sealDepth == 0 {
+		n = d.newNode()
+		n.Name = name
+	}
+	// size accumulates the canonical start tag as attributes are kept, and
+	// valExtra what escaping adds to their values.
+	size, valExtra := len("<")+len(name), 0
 	attrMark := len(d.attrStk)
-	nsMark := len(d.nsUndo)
 	empty := false
-	// attrsPlain holds while no attribute can involve namespace machinery;
-	// valExtra sums what escaping adds to the attribute values.
-	attrsPlain, valExtra := true, 0
 	for {
 		ws := d.pos
 		d.space()
@@ -703,11 +665,13 @@ func (d *decoder) startElement() error {
 		if d.pos != ws+1 || d.s[ws] != ' ' {
 			dirty = true // exactly one plain space precedes each attribute
 		}
-		araw, aplain, err := d.rawName()
+		aname, err := d.rawName()
 		if err != nil {
 			return err
 		}
-		attrsPlain = attrsPlain && aplain && araw != "xmlns"
+		if aname == "xmlns" {
+			return d.err("xmlns attribute in element " + name)
+		}
 		eq := d.pos
 		d.space()
 		if d.pos >= len(d.s) {
@@ -737,88 +701,26 @@ func (d *decoder) startElement() error {
 		if err != nil {
 			return err
 		}
-		valExtra += d.escExtra
-		d.attrStk = append(d.attrStk, Attr{Name: araw, Value: val})
-	}
-
-	// Namespace-declaration pass, in document order, before any attribute
-	// is filtered: later attributes of this element see earlier bindings.
-	rawAttrs := d.attrStk[attrMark:]
-	if !attrsPlain {
-		for _, a := range rawAttrs {
-			prefix, local, ok := splitName(a.Name)
-			if !ok {
-				return d.err("attribute name " + a.Name + " has multiple colons")
-			}
-			if prefix == "xmlns" {
-				d.setNs(local, a.Value)
-			} else if prefix == "" && local == "xmlns" {
-				d.setNs("", a.Value)
-			}
-		}
-	}
-
-	// Filter-and-strip pass, mirroring Parse: xmlns machinery dropped, a
-	// prefix whose bound URI is the literal "xmlns" dropped (encoding/xml's
-	// translation would give those attrs Space "xmlns"), invalid stripped
-	// locals dropped, duplicate locals first-wins. size accumulates the
-	// canonical start tag as the attributes are kept.
-	var n *Node
-	if d.sealDepth == 0 {
-		n = d.newNode()
-		n.Name = local
-	}
-	size := len("<") + len(local)
-	kept := rawAttrs[:0]
-	for _, a := range rawAttrs {
-		prefix, alocal := "", a.Name
-		if !attrsPlain {
-			prefix, alocal, _ = splitName(a.Name)
-			// Any attribute whose stripped local is "xmlns" is namespace
-			// machinery — prefixed or not (Parse checks the local name after
-			// prefix stripping, so x:xmlns goes too).
-			if prefix == "xmlns" || alocal == "xmlns" {
-				continue
-			}
-			if prefix != "" && prefix != "xml" && d.ns[prefix] == "xmlns" {
-				continue
-			}
-			if !ElementNameOK(alocal) {
-				continue
-			}
-		}
-		dup := false
-		for _, k := range kept {
-			if k.Name == alocal {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if hasAttr(d.attrStk[attrMark:], aname) {
+			dirty = true // a repeated attribute is dropped: the first wins
 			continue
 		}
-		if prefix != "" {
-			dirty = true // prefix stripped from an emitted attribute
-		}
-		kept = append(kept, Attr{Name: alocal, Value: a.Value})
-		size += len(` ="`) + len(alocal) + len(a.Value) + len(`"`)
+		valExtra += d.escExtra
+		size += len(` ="`) + len(aname) + len(val) + len(`"`)
+		d.attrStk = append(d.attrStk, Attr{Name: aname, Value: val})
 	}
-	if len(kept) != len(rawAttrs) || !attrsSorted(kept) {
-		dirty = true // attributes dropped, or canonical emission reorders
-		valExtra = 0 // what was summed may include a dropped value
-		for _, a := range kept {
-			valExtra += escapeExtra(a.Value, true)
-		}
+	attrs := d.attrStk[attrMark:]
+	if !attrsSorted(attrs) {
+		dirty = true // canonical emission reorders
 	}
 	size += valExtra
 	if n != nil {
-		n.Attrs = d.attrSlice(kept)
+		n.Attrs = d.attrSlice(attrs)
 	}
 	d.attrStk = d.attrStk[:attrMark]
 
 	if empty {
-		d.undoNs(nsMark)
-		size, clean := d.spanSize(len(local), start, size, false, !dirty && d.muts == mutsMark)
+		size, clean := d.spanSize(len(name), start, size, false, !dirty && d.muts == mutsMark)
 		d.finishSpan(n, start, size, clean)
 		return nil
 	}
@@ -832,21 +734,20 @@ func (d *decoder) startElement() error {
 		if err != nil {
 			return err
 		}
-		if end, ok := d.matchEnd(d.pos+2, raw); d.pos+1 < len(d.s) && d.s[d.pos] == '<' && d.s[d.pos+1] == '/' && ok {
-			// Clean end tag: exactly "</raw>" with no trailing whitespace.
-			endClean := end == d.pos+2+len(raw)+1
+		if end, ok := d.matchEnd(d.pos+2, name); d.pos+1 < len(d.s) && d.s[d.pos] == '<' && d.s[d.pos+1] == '/' && ok {
+			// Clean end tag: exactly "</name>" with no trailing whitespace.
+			endClean := end == d.pos+2+len(name)+1
 			d.pos = end
 			if d.wsOnly {
 				dirty = true // whitespace-only content dropped
 			} else if size += len(text) + d.escExtra; n != nil {
 				n.Text = text
 			}
-			d.undoNs(nsMark)
-			size, clean := d.spanSize(len(local), start, size, !d.wsOnly, endClean && !dirty && d.muts == mutsMark)
+			size, clean := d.spanSize(len(name), start, size, !d.wsOnly, endClean && !dirty && d.muts == mutsMark)
 			d.finishSpan(n, start, size, clean)
 			return nil
 		}
-		d.open = append(d.open, openElem{n: n, rawName: raw, kidMark: len(d.kidStk), nsMark: nsMark,
+		d.open = append(d.open, openElem{n: n, name: name, kidMark: len(d.kidStk),
 			size: size, start: start, mutsMark: mutsMark, dirty: dirty})
 		if seal {
 			d.sealDepth = len(d.open)
@@ -854,12 +755,22 @@ func (d *decoder) startElement() error {
 		d.addText(text)
 		return nil
 	}
-	d.open = append(d.open, openElem{n: n, rawName: raw, kidMark: len(d.kidStk), nsMark: nsMark,
+	d.open = append(d.open, openElem{n: n, name: name, kidMark: len(d.kidStk),
 		size: size, start: start, mutsMark: mutsMark, dirty: dirty})
 	if seal {
 		d.sealDepth = len(d.open) // its descendants are scanned sealed
 	}
 	return nil
+}
+
+// hasAttr reports whether attrs holds an attribute named name.
+func hasAttr(attrs []Attr, name string) bool {
+	for _, a := range attrs {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // matchEnd reports whether the bytes at i (positioned just after "</") are
@@ -891,13 +802,13 @@ func (d *decoder) endElement() error {
 	// opened, so no re-scan is needed. Anything that does not match falls
 	// to the slow path, which produces the precise accept/reject behavior.
 	if k := len(d.open); k > 0 {
-		if end, ok := d.matchEnd(d.pos, d.open[k-1].rawName); ok {
-			endClean := end == d.pos+len(d.open[k-1].rawName)+1
+		if end, ok := d.matchEnd(d.pos, d.open[k-1].name); ok {
+			endClean := end == d.pos+len(d.open[k-1].name)+1
 			d.pos = end
 			return d.closeTop(endClean)
 		}
 	}
-	raw, _, err := d.rawName()
+	name, err := d.rawName()
 	if err != nil {
 		return err
 	}
@@ -907,16 +818,15 @@ func (d *decoder) endElement() error {
 		return d.eof()
 	}
 	if d.s[d.pos] != '>' {
-		return d.err("invalid characters between </" + raw + " and >")
+		return d.err("invalid characters between </" + name + " and >")
 	}
 	endClean := d.pos == ws
 	d.pos++
 	if len(d.open) == 0 {
-		return d.err("unbalanced end element " + raw)
+		return d.err("unbalanced end element " + name)
 	}
-	oe := d.open[len(d.open)-1]
-	if oe.rawName != raw {
-		return d.err("element <" + oe.rawName + "> closed by </" + raw + ">")
+	if oe := d.open[len(d.open)-1]; oe.name != name {
+		return d.err("element <" + oe.name + "> closed by </" + name + ">")
 	}
 	return d.closeTop(endClean)
 }
@@ -936,15 +846,7 @@ func (d *decoder) closeTop(endClean bool) error {
 		d.eagerDepth = 0
 	}
 	d.open = d.open[:len(d.open)-1]
-	d.undoNs(oe.nsMark)
-	// Without a node, the name as written stands in for the local name: they
-	// differ only by a prefix, which made the element dirty, and the size of
-	// a dirty element inside a sealed item is never used.
-	nameLen := len(oe.rawName)
-	if oe.n != nil {
-		nameLen = len(oe.n.Name)
-	}
-	size, clean := d.spanSize(nameLen, oe.start, oe.size, oe.text || oe.kids,
+	size, clean := d.spanSize(len(oe.name), oe.start, oe.size, oe.text || oe.kids,
 		endClean && !oe.dirty && d.muts == oe.mutsMark)
 	if sealRoot {
 		d.sealDepth = 0
@@ -1052,27 +954,6 @@ func (d *decoder) addText(text string) {
 	}
 	n.Text += text
 	n.memoSize += size
-}
-
-// --- Namespace bindings -------------------------------------------------
-
-func (d *decoder) setNs(prefix, url string) {
-	old, had := d.ns[prefix]
-	d.nsUndo = append(d.nsUndo, nsUndo{prefix: prefix, old: old, had: had})
-	d.ns[prefix] = url
-}
-
-func (d *decoder) undoNs(mark int) {
-	for i := len(d.nsUndo) - 1; i >= mark; i-- {
-		u := d.nsUndo[i]
-		if u.had {
-			d.ns[u.prefix] = u.old
-		} else {
-			delete(d.ns, u.prefix)
-		}
-	}
-	clear(d.nsUndo[mark:]) // see resetStack
-	d.nsUndo = d.nsUndo[:mark]
 }
 
 // --- Text ---------------------------------------------------------------
@@ -1320,17 +1201,17 @@ func digitOK(c byte, base int) bool {
 	return base == 16 && ('a' <= c && c <= 'f' || 'A' <= c && c <= 'F')
 }
 
-// --- Comments, CDATA, PIs, directives -----------------------------------
+// --- Comments, CDATA, the declaration ----------------------------------
 
-// bang dispatches the constructs behind "<!": comments, CDATA sections,
-// and directives. Comment and directive content is consumed (with the
-// reference tokenizer's exact accept/reject behavior) and discarded;
-// CDATA content feeds the enclosing element as an ordinary text run.
+// bang dispatches the constructs behind "<!": comments and CDATA sections.
+// Comment content is consumed (with the reference tokenizer's exact
+// accept/reject behavior) and discarded; CDATA content feeds the enclosing
+// element as an ordinary text run. A directive (<!DOCTYPE ...>) is refused.
 func (d *decoder) bang() error {
 	if d.pos >= len(d.s) {
 		return d.eof()
 	}
-	d.muts++ // comments, CDATA and directives never serialize verbatim
+	d.muts++ // comments and CDATA never serialize verbatim
 	switch d.s[d.pos] {
 	case '-':
 		d.pos++
@@ -1361,7 +1242,7 @@ func (d *decoder) bang() error {
 		d.addText(text)
 		return nil
 	default:
-		return d.directive()
+		return d.err("directives (<!DOCTYPE ...>) are not allowed")
 	}
 }
 
@@ -1390,17 +1271,18 @@ func (d *decoder) comment() error {
 	}
 }
 
-// procInst consumes a processing instruction. The target must be a valid
-// XML name; an xml declaration additionally has its version and encoding
-// validated, mirroring the reference tokenizer (which would need a charset
-// reader for any encoding other than UTF-8).
+// procInst consumes the one processing instruction the decoder accepts: an
+// <?xml?> declaration before the root element opens. Its version and encoding
+// are validated as the reference tokenizer validates them (it would need a
+// charset reader for any encoding other than UTF-8).
 func (d *decoder) procInst() error {
 	d.muts++ // dropped from the canonical form
-	// PI targets take the raw name class with no namespace split: colons
-	// are unrestricted here, unlike element and attribute names.
-	target, _, err := d.rawName()
+	target, err := d.rawName()
 	if err != nil {
 		return err
+	}
+	if target != "xml" || d.root != nil || len(d.open) > 0 {
+		return d.err("processing instruction <?" + target + " not allowed here")
 	}
 	d.space()
 	s := d.s
@@ -1410,13 +1292,11 @@ func (d *decoder) procInst() error {
 	}
 	inst := s[d.pos : d.pos+rel]
 	d.pos += rel + 2
-	if target == "xml" {
-		if ver := piParam("version", inst); ver != "" && ver != "1.0" {
-			return d.err("unsupported XML version " + ver)
-		}
-		if enc := piParam("encoding", inst); enc != "" && !strings.EqualFold(enc, "utf-8") {
-			return d.err("unsupported document encoding " + enc)
-		}
+	if ver := piParam("version", inst); ver != "" && ver != "1.0" {
+		return d.err("unsupported XML version " + ver)
+	}
+	if enc := piParam("encoding", inst); enc != "" && !strings.EqualFold(enc, "utf-8") {
+		return d.err("unsupported document encoding " + enc)
 	}
 	return nil
 }
@@ -1449,69 +1329,4 @@ func piParam(param, s string) string {
 		return ""
 	}
 	return s[i : i+j]
-}
-
-// directive consumes a <!DIRECTIVE ...> through its closing '>' with the
-// reference tokenizer's exact nesting rules: quoted spans protect angle
-// brackets, bare angle brackets nest, and embedded comments are skipped
-// (without the "--" restriction that applies to free-standing comments).
-// Content is discarded — the document model has no use for doctypes.
-func (d *decoder) directive() error {
-	s := d.s
-	i := d.pos + 1 // the first byte after <! was inspected by bang
-	var inquote byte
-	depth := 0
-	for {
-		if i >= len(s) {
-			return d.eof()
-		}
-		b := s[i]
-		i++
-		if inquote == 0 && b == '>' && depth == 0 {
-			d.pos = i
-			return nil
-		}
-	handleB:
-		switch {
-		case b == inquote:
-			// Covers the closing quote and, vacuously, a NUL byte while
-			// unquoted — the reference tokenizer shares the quirk.
-			inquote = 0
-		case inquote != 0:
-			// Quoted content is opaque.
-		case b == '\'' || b == '"':
-			inquote = b
-		case b == '>':
-			depth--
-		case b == '<':
-			// A "<!--" here starts an embedded comment; any shorter match
-			// pushes the mismatching byte back through the state machine
-			// with one extra nesting level, exactly as the reference does.
-			const pat = "!--"
-			for k := 0; k < len(pat); k++ {
-				if i >= len(s) {
-					return d.eof()
-				}
-				nb := s[i]
-				i++
-				if nb != pat[k] {
-					depth++
-					b = nb
-					goto handleB
-				}
-			}
-			var c0, c1 byte
-			for {
-				if i >= len(s) {
-					return d.eof()
-				}
-				cb := s[i]
-				i++
-				if c0 == '-' && c1 == '-' && cb == '>' {
-					break
-				}
-				c0, c1 = c1, cb
-			}
-		}
-	}
 }

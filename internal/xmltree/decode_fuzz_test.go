@@ -9,12 +9,13 @@ import (
 func unsafeStringData(s string) *byte { return unsafe.StringData(s) }
 
 // FuzzDecodeEquivalence is the differential oracle for the zero-copy
-// decoder: on every input, Decode and the encoding/xml-based Parse must
-// agree — both reject, or both accept with structurally equal trees and
-// identical canonical serializations. The seeds cover the wire vocabulary
-// plus every tokenizer quirk the decoder mirrors (entities, CDATA, CR/LF
-// rewriting, comments, directives, xml declarations, namespace stripping);
-// regression entries found by fuzzing live in
+// decoder: on every input, Decode and the encoding/xml-based parseReference
+// must agree — both reject, or both accept with structurally equal trees and
+// identical canonical serializations. The seeds cover the wire vocabulary,
+// every tokenizer quirk the decoder mirrors (entities, CDATA, CR/LF
+// rewriting, comments, xml declarations) and the constructs both refuse
+// (namespace prefixes and declarations, directives, other processing
+// instructions); regression entries found by fuzzing live in
 // testdata/fuzz/FuzzDecodeEquivalence.
 //
 // The sealed arm holds DecodeString's sealed payload items to an eager

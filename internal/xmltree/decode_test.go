@@ -93,6 +93,50 @@ var decodeCases = []string{
 	"<!DOCTYPE \x01\xff><a/>",
 }
 
+// TestDecodeRefusesForeignXML: the decoder reads the XML the system writes
+// and refuses the rest of XML — namespaces, directives and processing
+// instructions other than a leading declaration — through both entry points,
+// while a leading declaration, a comment and a CDATA section still decode.
+func TestDecodeRefusesForeignXML(t *testing.T) {
+	for _, doc := range []string{
+		`<p:a/>`,
+		`<r><p:a>x</p:a></r>`,
+		`<a p:b="1"/>`,
+		`<a xmlns="u"/>`,
+		`<a xmlns:p="u"/>`,
+		`<a b="1" xmlns:p="u" c="2"><b/></a>`,
+		`<a xml:lang="en"/>`,
+		`<!DOCTYPE a><a/>`,
+		`<a><!X></a>`,
+		`<a><?php echo 1 ?></a>`,
+		`<a/><?xml version="1.0"?>`,
+		`<a><?xml version="1.0"?></a>`,
+		`<?xml-stylesheet href="s"?><a/>`,
+	} {
+		if n, err := DecodeString(doc); err == nil {
+			t.Errorf("DecodeString(%q) = %s, want an error", doc, n)
+		}
+		if n, err := Decode([]byte(doc)); err == nil {
+			t.Errorf("Decode(%q) = %s, want an error", doc, n)
+		}
+	}
+	for doc, want := range map[string]string{
+		`<?xml version="1.0" encoding="UTF-8"?>` + "\n<a>x</a>": `<a>x</a>`,
+		`<!-- items --><a>x<!-- c -->y</a>`:                     `<a>xy</a>`,
+		`<a><![CDATA[<b> & c]]></a>`:                            `<a>&lt;b&gt; &amp; c</a>`,
+	} {
+		for _, decode := range []func(string) (*Node, error){DecodeString, func(s string) (*Node, error) { return Decode([]byte(s)) }} {
+			n, err := decode(doc)
+			if err != nil {
+				t.Fatalf("%q: %v", doc, err)
+			}
+			if got := n.String(); got != want {
+				t.Errorf("%q decoded to %s, want %s", doc, got, want)
+			}
+		}
+	}
+}
+
 // TestDecodeMatchesParse pins the decoder to the reference implementation
 // on the hand-picked corpus; FuzzDecodeEquivalence explores beyond it.
 func TestDecodeMatchesParse(t *testing.T) {

@@ -214,7 +214,6 @@ func TestDecodeCleanSpanMemo(t *testing.T) {
 		`<a><![CDATA[x]]></a>`, // CDATA re-escaped
 		`<a>  </a>`,            // whitespace-only content dropped
 		`<p><a></a>></p>`,      // size-neutral composite: dirty child + text escape
-		`<x:a xmlns:x="u"/>`,   // prefix stripped
 	}
 	for _, s := range dirty {
 		n, err := DecodeString(s)

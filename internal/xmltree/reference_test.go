@@ -11,8 +11,10 @@ import (
 // before Decode: the reference the decoder's accept/reject behaviour and trees
 // are held to (FuzzDecodeEquivalence, TestDecodeMatchesParse) and the baseline
 // BenchmarkParseLegacy times. Whitespace-only text between elements is
-// dropped; other text is kept. Nesting past MaxDepth is refused, as Decode
-// refuses it.
+// dropped; other text is kept. It refuses what Decode refuses: nesting past
+// MaxDepth, a name with a namespace prefix or any other colon, an xmlns
+// attribute, a directive, and a processing instruction other than an <?xml?>
+// declaration before the root element.
 func parseReference(s string) (*Node, error) {
 	dec := xml.NewDecoder(strings.NewReader(s))
 	var stack []*Node
@@ -27,25 +29,22 @@ func parseReference(s string) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if !ElementNameOK(t.Name.Local) {
-				return nil, fmt.Errorf("xmltree: parse: element name %q invalid after dropping namespace prefix", t.Name.Local)
+			if err := refName(t.Name); err != nil {
+				return nil, err
 			}
 			if len(stack) == MaxDepth {
 				return nil, fmt.Errorf("xmltree: parse: element nested deeper than %d levels", MaxDepth)
 			}
 			n := &Node{Name: t.Name.Local}
 			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
+				if err := refName(a.Name); err != nil {
+					return nil, err
 				}
-				if !ElementNameOK(a.Name.Local) {
-					continue
+				if a.Name.Local == "xmlns" {
+					return nil, fmt.Errorf("xmltree: parse: xmlns attribute")
 				}
 				if _, dup := n.Attr(a.Name.Local); dup {
-					// Distinct namespace prefixes can collapse to the same
-					// local name once prefixes are stripped; first wins, so
-					// the tree never carries duplicate attribute names.
-					continue
+					continue // first wins: the tree never carries duplicate names
 				}
 				n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
 			}
@@ -64,6 +63,12 @@ func parseReference(s string) (*Node, error) {
 				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
 			}
 			stack = stack[:len(stack)-1]
+		case xml.ProcInst:
+			if t.Target != "xml" || root != nil || len(stack) != 0 {
+				return nil, fmt.Errorf("xmltree: parse: processing instruction %q", t.Target)
+			}
+		case xml.Directive:
+			return nil, fmt.Errorf("xmltree: parse: directive")
 		case xml.CharData:
 			if len(stack) == 0 {
 				continue
@@ -90,4 +95,14 @@ func parseReference(s string) (*Node, error) {
 		return nil, fmt.Errorf("xmltree: parse: unterminated element %q", stack[len(stack)-1].Name)
 	}
 	return root, nil
+}
+
+// refName refuses a name with a colon: a namespace prefix, or a colon
+// encoding/xml leaves in the local part (":a", "a:"). The tokenizer holds the
+// rest of the name to its own name class, independently of the decoder's.
+func refName(name xml.Name) error {
+	if name.Space != "" || strings.Contains(name.Local, ":") {
+		return fmt.Errorf("xmltree: parse: name %q", name.Space+":"+name.Local)
+	}
+	return nil
 }

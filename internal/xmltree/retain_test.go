@@ -71,28 +71,24 @@ func stackBytes[T any](s []T) int {
 	return cap(s) * int(unsafe.Sizeof(zero))
 }
 
-// One hostile document — very wide, as deep as MaxDepth allows, attribute- or
-// xmlns-heavy — must not leave the pooled decoder holding the stacks it grew,
-// and a decoder back in the pool must hold nothing of the frame it decoded:
-// neither the entries it popped nor, when the frame fails mid-decode, the
-// ones still live on every stack. A first default-namespace binding undoes
-// to a zero nsUndo entry, popped in "defaultns" and live in "failed".
+// One hostile document — very wide, as deep as MaxDepth allows, or
+// attribute-heavy — must not leave the pooled decoder holding the stacks it
+// grew, and a decoder back in the pool must hold nothing of the frame it
+// decoded: neither the entries it popped nor, when the frame fails
+// mid-decode, the ones still live on every stack.
 func TestPooledDecoderStacksBounded(t *testing.T) {
 	const n = 100_000
-	var attrs, decls strings.Builder
+	var attrs strings.Builder
 	for i := 0; i < n/10; i++ {
 		fmt.Fprintf(&attrs, ` a%d="v"`, i)
-		fmt.Fprintf(&decls, ` xmlns:p%d="u"`, i)
 	}
 	for name, doc := range map[string]string{
-		"wide":      "<r>" + strings.Repeat("<a/>", n) + "</r>",
-		"deep":      strings.Repeat("<a>", MaxDepth) + strings.Repeat("</a>", MaxDepth),
-		"attrs":     "<r" + attrs.String() + "/>",
-		"xmlns":     "<r" + decls.String() + "><a/></r>",
-		"plain":     `<r><a b="1">x</a><a b="2">y</a></r>`,
-		"sealed":    "<data><i>" + strings.Repeat("<a/>", n) + "</i></data>",
-		"failed":    `<r xmlns="u" xmlns:p="u"><a xmlns:q="v" k="1"><b/></a><p:a x="1"><b/><c y="2" z="3"`,
-		"defaultns": `<r><a xmlns="u" xmlns:p="v"/><b/></r>`,
+		"wide":   "<r>" + strings.Repeat("<a/>", n) + "</r>",
+		"deep":   strings.Repeat("<a>", MaxDepth) + strings.Repeat("</a>", MaxDepth),
+		"attrs":  "<r" + attrs.String() + "/>",
+		"plain":  `<r><a b="1">x</a><a b="2">y</a></r>`,
+		"sealed": "<data><i>" + strings.Repeat("<a/>", n) + "</i></data>",
+		"failed": `<r k="u"><a k="1"><b/></a><a x="1"><b/><c y="2" z="3"`,
 	} {
 		d := decPool.Get().(*decoder)
 		d.s, d.seal = doc, true
@@ -103,8 +99,7 @@ func TestPooledDecoderStacksBounded(t *testing.T) {
 		d.release() // d is pooled again; nothing else decodes while we look
 		for stack, bytes := range map[string]int{
 			"open": stackBytes(d.open), "kidStk": stackBytes(d.kidStk),
-			"attrStk": stackBytes(d.attrStk), "nsUndo": stackBytes(d.nsUndo),
-			"scratch": stackBytes(d.scratch),
+			"attrStk": stackBytes(d.attrStk), "scratch": stackBytes(d.scratch),
 		} {
 			if bytes > scratchMax {
 				t.Errorf("%s: pooled decoder keeps %d bytes of %s, cap is %d", name, bytes, stack, scratchMax)
@@ -126,11 +121,6 @@ func TestPooledDecoderStacksBounded(t *testing.T) {
 		for _, a := range d.attrStk[:cap(d.attrStk)] {
 			if a != (Attr{}) {
 				t.Fatalf("%s: pooled decoder's attribute stack still holds %+v", name, a)
-			}
-		}
-		for _, u := range d.nsUndo[:cap(d.nsUndo)] {
-			if u != (nsUndo{}) {
-				t.Fatalf("%s: pooled decoder's namespace undo stack still holds %+v", name, u)
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-var updateOptions = flag.Bool("update", false, "rewrite testdata/options.golden from this tree")
+var update = flag.Bool("update", false, "rewrite testdata/options.golden and testdata/bench_surface.golden from this tree")
 
 const optionsGolden = "testdata/options.golden"
 
@@ -51,7 +51,7 @@ func TestOptionsInventory(t *testing.T) {
 	got := "# Every setting a caller can vary without changing code (TestOptionsInventory).\n" +
 		"# Rewrite with: go test -run TestOptionsInventory . -update\n" +
 		strings.Join(lines, "\n") + "\n"
-	if *updateOptions {
+	if *update {
 		if err := os.WriteFile(optionsGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
