@@ -35,8 +35,9 @@ test-short: build
 # ParseString, decode plus clone — against BenchmarkParseLegacy, the
 # encoding/xml reference parser on the same bytes, so decode-path wins and
 # regressions are visible on their own) and BENCH_wire.json (warm codec hop,
-# streaming frame encoder, reused persistent link over real TCP — the numbers
-# behind the "wire hop within ~3x of the tree hop" acceptance bar). The
+# the frame encoder staging a plan into one buffer, reused persistent link
+# over real TCP, each frame one vectored write of header and buffer — the
+# numbers behind the "wire hop within ~3x of the tree hop" acceptance bar). The
 # benchmark lines still echo to the console.
 bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(PlanHop$$|PlanClone|Micro|Canonical|ByteSize|Fingerprint$$|ParsePredicate$$|PredicateString$$|SelectEval$$|JoinReduce$$)' \

@@ -2,19 +2,24 @@ package repro_test
 
 import (
 	"fmt"
+	"io"
+	"log"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/blobstore"
 	"repro/internal/engine"
+	"repro/internal/peer"
 	"repro/internal/provenance"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
-	"time"
 )
 
 // Allocation budgets for the hot paths of a hop. These are regression
@@ -88,10 +93,17 @@ const (
 	joinReduceByteBudget = 400
 	// largeFrameAllocBudget bounds staging that join's result frame (39 KB,
 	// the size of the track server's reply in tcp_chain) a second time on
-	// one encoder: Reset keeps the sealed chunks and the frame reuses them.
+	// one encoder: Reset keeps the buffer and the frame reuses it.
 	// Measured: 1 alloc, the sorted annotation keys of the <data>, and no
-	// chunk (10 while Reset dropped the chunks, nine of them 4 KB ones).
+	// buffer growth.
 	largeFrameAllocBudget = 1
+	// shippedJoinByteBudget bounds the heap bytes one Fig. 3 join query
+	// allocates in all its peers on the shipped path (TestShippedJoinBytes):
+	// peer.TCP over loopback links, every frame staged, written, read and
+	// decoded. Measured: 322 KB (319–326 over six runs; 324 while the frame
+	// encoder staged segment lists), and 375 KB with one extra copy of each
+	// frame on the send path, which this budget must catch.
+	shippedJoinByteBudget = 345 << 10
 )
 
 // A run of payload references costs no allocation per reference: staging a
@@ -280,7 +292,7 @@ func TestSelectHopAllocBudget(t *testing.T) {
 		if algebra.Fingerprint(p.Root) != algebra.Fingerprint(cached.Root) {
 			t.Fatal("decoded plan differs from its twin")
 		}
-		if n, err := streamed(p); err != nil || n != int64(len(wire)) {
+		if n, err := streamed(p); err != nil || n != len(wire) {
 			t.Fatalf("streamed %d bytes: %v", n, err)
 		}
 	}
@@ -349,6 +361,91 @@ func TestSendFrameAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, send); allocs > sendFrameAllocBudget {
 		t.Fatalf("simnet.SendFrame allocates %.0f/op; budget is %d", allocs, sendFrameAllocBudget)
 	}
+}
+
+// TestShippedJoinBytes runs bulk_join's query, the Fig. 3 CD x
+// track-listing join over two alias URNs, through peer.TCP on loopback: a
+// client, an alias server and the two base servers, as cmd/mqpd's doc
+// comment wires them. It reads the process's heap allocation around a warm
+// batch and holds bytes per query to shippedJoinByteBudget.
+func TestShippedJoinBytes(t *testing.T) {
+	logs := log.Writer()
+	log.SetOutput(io.Discard) // peer.TCP logs one line per plan
+	t.Cleanup(func() { log.SetOutput(logs) })
+	ns := workload.GarageSaleNamespace()
+	join := func(name string, cfg peer.Config) *peer.Peer {
+		tcp := peer.NewTCP()
+		if err := tcp.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tcp.Close() })
+		cfg.Net, cfg.Addr, cfg.NS, cfg.Key = tcp, tcp.Addr(), ns, []byte("k-"+name)
+		cfg.PlanCacheSize, cfg.Blobs = 128, blobstore.New()
+		p, err := peer.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	alias := join("alias", peer.Config{PushSelect: true})
+	sales, listings := workload.CDCatalog(1, 200)
+	for _, b := range []struct {
+		name, urn string
+		items     []*xmltree.Node
+	}{{"cds", "urn:Demo:CDs", sales}, {"tracks", "urn:Demo:Tracks", listings}} {
+		for _, it := range b.items {
+			it.Freeze()
+		}
+		bp := join(b.name, peer.Config{PushSelect: true})
+		bp.AddCollection(peer.Collection{Name: b.name, PathExp: "/data", Items: b.items})
+		alias.Catalog().AddAlias(b.urn, "http://"+bp.Addr()+"/data")
+	}
+	client := join("client", peer.Config{})
+
+	seq := 0
+	query := func() {
+		seq++
+		plan := algebra.NewPlan(fmt.Sprintf("join-%d", seq), client.Addr(), algebra.Display(
+			algebra.JoinNamed("cd", "cd", "sale", "listing",
+				algebra.Select(algebra.MustParsePredicate(fmt.Sprintf("price < %d", 8+2*(seq%8))), algebra.URN("urn:Demo:CDs")),
+				algebra.URN("urn:Demo:Tracks"))))
+		plan.RetainOriginal()
+		if err := client.Submit(alias.Addr(), plan); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+			if res, ok := client.TakeResult(); ok {
+				if items, err := res.Plan.Results(); err != nil || res.Partial || len(items) == 0 {
+					t.Fatalf("query %d: %d items, partial %v, %v", seq, len(items), res.Partial, err)
+				}
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("query %d: no result; stuck %v", seq, client.StuckErrors())
+			}
+		}
+	}
+	allocated := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	const warm, batch = 16, 64
+	for i := 0; i < warm; i++ {
+		query()
+	}
+	// No collection during the batch: one would empty the pools the warm
+	// queries filled, and what refills them would count as noise.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := allocated()
+	for i := 0; i < batch; i++ {
+		query()
+	}
+	perQuery := (allocated() - before) / batch
+	if perQuery > shippedJoinByteBudget {
+		t.Fatalf("a join query allocates %d KB on the shipped path; budget is %d KB", perQuery>>10, shippedJoinByteBudget>>10)
+	}
+	t.Logf("%d KB per query", perQuery>>10)
 }
 
 // fig3JoinFixture is the Fig. 3 join over n CDs and their 3n listings the way

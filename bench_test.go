@@ -405,18 +405,18 @@ func BenchmarkPlanHopWire(b *testing.B) {
 }
 
 // streamed writes p's frame out the way a link does: EncodeFrame into a pooled
-// encoder, then one gather write.
-func streamed(p *algebra.Plan) (int64, error) {
+// encoder, then one write of its buffer.
+func streamed(p *algebra.Plan) (int, error) {
 	enc := xmltree.GetFrameEncoder()
 	defer enc.Release()
 	algebra.EncodeFrame(p, enc)
-	return enc.WriteTo(io.Discard)
+	return io.Discard.Write(enc.Bytes())
 }
 
 // BenchmarkStreamEncode isolates the streaming frame encoder: canonical
-// bytes from the plan tree straight to a writer, frozen payload sections
-// riding as zero-copy segments of their memoized serializations. Compare
-// the EncodeString column of BenchmarkMicroPlanEncodeDecode for the staged
+// bytes from the plan tree into one buffer and out to a writer, frozen
+// payload sections copied from their memoized serializations. Compare the
+// EncodeString column of BenchmarkMicroPlanEncodeDecode for the staged
 // path.
 func BenchmarkStreamEncode(b *testing.B) {
 	plan, _ := planHopFixture(b)
@@ -432,9 +432,9 @@ func BenchmarkStreamEncode(b *testing.B) {
 
 // BenchmarkPlanHopWireReused measures forwarding over the real transport on
 // a warm persistent link: stage the plan with the streaming encoder and ship
-// it to a sink peer as one vectored write on the pooled connection — the
-// dial-per-hop cost the LinkPool removed is visible by comparison with a
-// cold Send.
+// it to a sink peer as one vectored write (header and frame) on the pooled
+// connection — the dial-per-hop cost the LinkPool removed is visible by
+// comparison with a cold Send.
 func BenchmarkPlanHopWireReused(b *testing.B) {
 	received := make(chan struct{}, 1024)
 	srv, err := wire.Listen("127.0.0.1:0", func(doc *xmltree.Node) (*xmltree.Node, error) {

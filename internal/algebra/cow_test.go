@@ -88,25 +88,26 @@ func TestPlanCloneSharesFrozenPayloads(t *testing.T) {
 	}
 }
 
-// TestMarshalAliasesFrozenDocs verifies the wire encoder shares a frozen
-// payload instead of copying it: one past the inline limit is staged as its
-// own segment, which is the payload's memoized serialization itself. A
-// mutable payload, by contrast, is walked live and left mutable.
+// TestMarshalAliasesFrozenDocs verifies the wire encoder stages a frozen
+// payload from its memoized serialization: the frame holds the memo's bytes,
+// copied, so the staged frame keeps nothing of the plan alive. A mutable
+// payload, by contrast, is walked live and left mutable.
 func TestMarshalAliasesFrozenDocs(t *testing.T) {
 	big := xmltree.Elem("item", xmltree.ElemText("notes", strings.Repeat("liner notes ", 64))).Freeze()
 	memo, ok := big.FrozenSerialization()
 	if !ok || len(memo) <= 512 {
-		t.Fatalf("fixture payload is %d bytes, memoized %v; want a frozen one past the inline limit", len(memo), ok)
+		t.Fatalf("fixture payload is %d bytes, memoized %v; want a large frozen one", len(memo), ok)
 	}
 	enc := xmltree.GetFrameEncoder()
 	defer enc.Release()
 	EncodeFrame(NewPlan("big", "c:1", Display(Data(big))), enc)
-	aliased := false
-	for _, seg := range enc.Segments() {
-		aliased = aliased || len(seg) == len(memo) && unsafe.SliceData(seg) == unsafe.StringData(memo)
+	frame := enc.Bytes()
+	at := strings.Index(string(frame), memo)
+	if at < 0 {
+		t.Fatal("EncodeFrame must stage a frozen payload's memoized serialization")
 	}
-	if !aliased {
-		t.Fatal("EncodeFrame must stage a frozen payload as its memoized serialization, not a copy")
+	if unsafe.SliceData(frame[at:]) == unsafe.StringData(memo) {
+		t.Fatal("the staged frame aliases the payload's memo instead of holding a copy")
 	}
 
 	mutable := xmltree.MustParse(`<item/>`)

@@ -12,13 +12,13 @@ import (
 //
 // EncodeFrame walks the plan directly, emitting canonical markup for the
 // mutable operator shell and handing frozen freight — data payloads, the
-// visited section, extra sections like provenance — to the FrameEncoder as
-// memoized-serialization segments. It is the one encoder a plan has: peers
-// send through it, Marshal decodes its bytes, and the staging-tree reference
-// it replaced survives only in the tests (FuzzStreamEncodeEquivalence holds
-// the two to the same bytes). A forwarded plan materializes no staging tree,
-// and payloads that crossed the wire before are never re-walked or copied:
-// they ride to the socket as zero-copy segments of one vectored write.
+// visited section, extra sections like provenance — to the FrameEncoder,
+// which copies each from its memoized serialization. It is the one encoder a
+// plan has: peers send through it, Marshal decodes its bytes, and the
+// staging-tree reference it replaced survives only in the tests
+// (FuzzStreamEncodeEquivalence holds the two to the same bytes). A forwarded
+// plan materializes no staging tree, and payloads that crossed the wire
+// before are never re-walked: each is one copy of its memo into the frame.
 //
 // Attribute emission must match the canonical serializer's sorted order, so
 // each operator lists its attributes alphabetically here (join emits
@@ -27,8 +27,8 @@ import (
 
 // EncodeFrame stages the plan's canonical wire form into enc: what peers ship
 // each other, whose size the paper's optimization discussion (partial-result
-// size) is about. Payloads are shared rather than copied, so the staged frame
-// must be written out before the plan is mutated again.
+// size) is about. The staged frame is enc's own copy: the plan may be mutated
+// as soon as EncodeFrame returns.
 func EncodeFrame(p *Plan, enc *xmltree.FrameEncoder) { EncodeFrameRefs(p, enc, nil) }
 
 // EncodeFrameRefs is EncodeFrame for a payload-by-reference sender. The root

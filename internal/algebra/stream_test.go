@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -72,12 +71,8 @@ func TestStreamEncodeMatchesStaged(t *testing.T) {
 		if got := enc.String(); got != want {
 			t.Errorf("%s: streamed bytes diverge\n got %q\nwant %q", name, got, want)
 		}
-		var buf bytes.Buffer
-		if _, err := enc.WriteTo(&buf); err != nil {
-			t.Fatalf("%s: WriteTo: %v", name, err)
-		}
-		if buf.String() != want {
-			t.Errorf("%s: WriteTo bytes diverge", name)
+		if string(enc.Bytes()) != want {
+			t.Errorf("%s: Bytes diverge", name)
 		}
 		if doc := Marshal(p); !doc.Frozen() || doc.String() != want {
 			t.Errorf("%s: Marshal is %q (frozen %v), want the frame %q", name, doc.String(), doc.Frozen(), want)
@@ -89,17 +84,12 @@ func TestStreamEncodeMatchesStaged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		buf.Reset()
 		enc.Reset()
 		EncodeFrame(back, enc)
-		n, err := enc.WriteTo(&buf)
-		if err != nil {
-			t.Fatalf("%s: WriteTo: %v", name, err)
-		}
-		if staged := stagedMarshal(back).String(); buf.String() != staged {
-			t.Errorf("%s: decoded plan streams %q, stages %q", name, buf.String(), staged)
-		} else if n != int64(len(staged)) || enc.Len() != len(staged) {
-			t.Errorf("%s: WriteTo reported %d bytes, Len %d, wrote %d", name, n, enc.Len(), len(staged))
+		if got, staged := string(enc.Bytes()), stagedMarshal(back).String(); got != staged {
+			t.Errorf("%s: decoded plan streams %q, stages %q", name, got, staged)
+		} else if enc.Len() != len(staged) {
+			t.Errorf("%s: Len %d, staged %d", name, enc.Len(), len(staged))
 		}
 		enc.Release()
 	}
@@ -128,7 +118,7 @@ var streamFuzzSeeds = []string{
 // FuzzStreamEncodeEquivalence: for any decodable <mqp> frame, the streamed
 // frame bytes must be byte-identical to the staging-tree reference's
 // serialization, stagedMarshal(p).String() —
-// both for the decoded plan (frozen payloads ride as zero-copy segments) and
+// both for the decoded plan (frozen payloads staged from their memos) and
 // for a fully mutable reconstruction of the same plan.
 func FuzzStreamEncodeEquivalence(f *testing.F) {
 	for _, seed := range streamFuzzSeeds {

@@ -40,11 +40,11 @@ func (p *Plan) PartialResult() bool {
 func (p *Plan) MarkPartialResult() { p.Root.Annotate(AnnotPartial, "true") }
 
 // AnnotPartialReason says why a partial result was emitted instead of a
-// complete one: "exhausted" (routing ran out of productive hops), "admission"
-// (a peer's frame queue rejected the plan under overload), "shutdown" (the
-// serving peer drained its queue while closing) or "budget" (a join's output
-// would have exceeded the step budget, engine.ErrBudget). Absent on
-// pre-runtime partials.
+// complete one: "admission" (a peer's frame queue rejected the plan under
+// overload), "shutdown" (the serving peer drained its queue while closing)
+// or "budget" (a join's output would have exceeded the step budget,
+// engine.ErrBudget). Absent on a partial whose routing ran out of productive
+// hops, and on pre-runtime partials, so the two cannot be told apart.
 const AnnotPartialReason = "partial-reason"
 
 // SetPartialReason records why the plan came back partial.

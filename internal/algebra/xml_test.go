@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -161,10 +160,8 @@ func TestWireSize(t *testing.T) {
 	enc := xmltree.GetFrameEncoder()
 	defer enc.Release()
 	EncodeFrame(p, enc)
-	var sb strings.Builder
-	n, err := enc.WriteTo(&sb)
-	if err != nil || int(n) != len(want) || sb.String() != want {
-		t.Fatalf("WriteTo wrote %d, err %v", n, err)
+	if got := string(enc.Bytes()); enc.Len() != len(want) || got != want {
+		t.Fatalf("staged %d bytes, Len %d; want %d", len(got), enc.Len(), len(want))
 	}
 }
 

@@ -1,9 +1,14 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 
+	"repro/internal/algebra"
+	"repro/internal/engine"
+	"repro/internal/workload"
 	"repro/internal/xmltree"
 )
 
@@ -193,5 +198,28 @@ func BenchmarkScenario(b *testing.B) {
 		b.ReportMetric(float64(partial)/float64(plans), "partial/plan")
 		b.ReportMetric(float64(stuck)/float64(plans), "stuck/plan")
 		b.ReportMetric(float64(lost)/float64(plans), "lost/plan")
+	}
+}
+
+// TestOracleEndsOnBudgetPartial: a join of two inline lists of 1000 items
+// sharing one key is refused by the oracle's first step as a "budget"
+// partial. Evaluate reports that at once, wrapping engine.ErrBudget, instead
+// of stepping the partial plan again until it gives up.
+func TestOracleEndsOnBudgetPartial(t *testing.T) {
+	o, err := NewOracle(workload.GarageSaleNamespace(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := func(name string) *algebra.Node {
+		docs := make([]*xmltree.Node, 1000)
+		for i := range docs {
+			docs[i] = xmltree.Elem(name, xmltree.ElemText("k", "x"), xmltree.ElemText("v", strconv.Itoa(i)))
+		}
+		return algebra.Data(docs...)
+	}
+	plan := algebra.NewPlan("skew", "client:1",
+		algebra.Display(algebra.JoinNamed("k", "k", "l", "r", side("a"), side("b"))))
+	if items, err := o.Evaluate(plan); !errors.Is(err, engine.ErrBudget) {
+		t.Fatalf("Evaluate = %d items, %v; want an error wrapping engine.ErrBudget", len(items), err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
+	"repro/internal/engine"
 	"repro/internal/mqp"
 	"repro/internal/namespace"
 	"repro/internal/xmltree"
@@ -84,7 +85,9 @@ func NewOracle(ns *namespace.Namespace, colls []Collection) (*Oracle, error) {
 
 // Evaluate computes the reference answer for a plan. The plan is cloned
 // first — Step mutates and freezes in place — so the caller's copy is
-// untouched and reusable.
+// untouched and reusable. A plan the processor ends as a partial has no
+// reference answer: its error names the reason, and a "budget" partial's
+// wraps engine.ErrBudget.
 func (o *Oracle) Evaluate(plan *algebra.Plan) ([]*xmltree.Node, error) {
 	p := plan.Clone()
 	p.Target = oracleAddr
@@ -93,8 +96,13 @@ func (o *Oracle) Evaluate(plan *algebra.Plan) ([]*xmltree.Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: oracle step on plan %q: %w", p.ID, err)
 		}
-		if out.Done {
+		switch {
+		case out.Done:
 			return p.Results()
+		case out.Partial && out.PartialReason == "budget":
+			return nil, fmt.Errorf("chaos: oracle ended plan %q as a budget partial: %w", p.ID, engine.ErrBudget)
+		case out.Partial:
+			return nil, fmt.Errorf("chaos: oracle ended plan %q as a partial, reason %q", p.ID, out.PartialReason)
 		}
 	}
 	return nil, fmt.Errorf("chaos: oracle did not converge on plan %q", p.ID)

@@ -31,6 +31,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
@@ -800,9 +801,10 @@ func (p *Peer) processMQP(msg *simnet.Message) error {
 		}
 		lastErr = err
 		if _, unreachable := err.(simnet.ErrUnreachable); !unreachable {
-			if errors.Is(err, simnet.ErrDepthExceeded) {
-				// A forwarding loop ends the plan here; record it so the
-				// plan is accounted for.
+			if errors.Is(err, simnet.ErrDepthExceeded) || errors.Is(err, wire.ErrFrame) {
+				// A forwarding loop, or a frame past the link's limit (the
+				// same size for every candidate), ends the plan here; record
+				// it so the plan is accounted for.
 				return p.noteStuck(fmt.Errorf("peer %s: plan %q: %w", p.addr, plan.ID, err))
 			}
 			return err

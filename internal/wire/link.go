@@ -334,10 +334,9 @@ func stage(fill func(*xmltree.FrameEncoder)) (*xmltree.FrameEncoder, error) {
 	return enc, nil
 }
 
-// SendFrame streams one fire-and-forget document to addr over the pooled
-// link: fill stages the frame (typically algebra.EncodeFrame), and the bytes
-// leave in a single vectored write — frozen payload segments go from their
-// memoized serializations to the socket with no intermediate copy.
+// SendFrame sends one fire-and-forget document to addr over the pooled link:
+// fill stages the frame (typically algebra.EncodeFrame) into one buffer, and
+// the header and that buffer leave in one vectored write.
 func (p *LinkPool) SendFrame(addr string, fill func(*xmltree.FrameEncoder)) error {
 	enc, err := stage(fill)
 	if err != nil {

@@ -18,7 +18,8 @@
 // serialized per frame (each under its own writeTimeout), replies are matched
 // to waiters by correlation id. A connection that opens with anything but
 // the handshake is reported on Server.Errors and closed. Both ends read
-// frames with readLinkFrame and write them with writeLinkFrame.
+// frames with readLinkFrame and write them with writeLinkFrame: the header
+// and the FrameEncoder's one buffer, in one vectored write.
 package wire
 
 import (
@@ -110,21 +111,19 @@ func readLinkFrame(br *bufio.Reader) (corr uint64, payload []byte, err error) {
 	return corr, payload, err
 }
 
-// writeLinkFrame writes one frame — the header plus the encoder's segments,
-// or the header alone for a zero-length payload when enc is nil — as a
-// single vectored write under a fresh writeTimeout. It is the only assembler
-// of the link header. The caller has bounded enc.Len() by MaxFrameBytes and
-// serializes writers on conn.
+// writeLinkFrame writes one frame — the header plus the encoder's staged
+// bytes, or the header alone for a zero-length payload when enc is nil — as
+// one vectored write of the two under a fresh writeTimeout. It is the only
+// assembler of the link header. The caller has bounded enc.Len() by
+// MaxFrameBytes and serializes writers on conn.
 func writeLinkFrame(conn net.Conn, corr uint64, enc *xmltree.FrameEncoder) error {
 	var hdr [12]byte
-	var segs [][]byte
+	bufs := net.Buffers{hdr[:], nil}
 	if enc != nil {
 		binary.BigEndian.PutUint32(hdr[0:4], uint32(enc.Len()))
-		segs = enc.Segments()
+		bufs[1] = enc.Bytes()
 	}
 	binary.BigEndian.PutUint64(hdr[4:12], corr)
-	bufs := make(net.Buffers, 0, len(segs)+1)
-	bufs = append(append(bufs, hdr[:]), segs...)
 	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := bufs.WriteTo(conn)
 	return err

@@ -846,8 +846,11 @@ func (d *decoder) closeTop(endClean bool) error {
 		d.eagerDepth = 0
 	}
 	d.open = d.open[:len(d.open)-1]
-	size, clean := d.spanSize(len(oe.name), oe.start, oe.size, oe.text || oe.kids,
-		endClean && !oe.dirty && d.muts == oe.mutsMark)
+	// An element with no content closed by an end tag (<a></a>) is never
+	// canonical: its canonical form is <a/>.
+	content := oe.text || oe.kids
+	size, clean := d.spanSize(len(oe.name), oe.start, oe.size, content,
+		content && endClean && !oe.dirty && d.muts == oe.mutsMark)
 	if sealRoot {
 		d.sealDepth = 0
 		if !clean {
@@ -871,14 +874,15 @@ func (d *decoder) closeTop(endClean bool) error {
 //
 // Soundness of the check: clean arrives meaning that no byte-transforming
 // event fired inside the span (d.muts), the start and end tags have
-// canonical layout, attributes were kept verbatim in sorted order, and every
-// element child passed its own check (a child that failed — <a></a>, whose
-// canonical form is <a/> — poisons the parent's span even when sizes happen
-// to agree). Under those conditions the only ways the span can still differ
-// from the canonical serialization are escaping expansions — a raw '>' in
-// text, a raw tab in an attribute value — which strictly increase the
-// canonical length. A size equal to the span's length therefore forces the
-// two byte strings to be identical.
+// canonical layout (an element without content is self-closed: <a></a>,
+// whose canonical form is <a/>, fails even when an escaping expansion makes
+// the sizes agree), attributes were kept verbatim in sorted order, and every
+// element child passed its own check (a child that failed poisons the
+// parent's span even when sizes happen to agree). Under those conditions the
+// only ways the span can still differ from the canonical serialization are
+// escaping expansions — a raw '>' in text, a raw tab in an attribute value —
+// which strictly increase the canonical length. A size equal to the span's
+// length therefore forces the two byte strings to be identical.
 func (d *decoder) spanSize(nameLen, start, size int, content, clean bool) (int, bool) {
 	if content {
 		size += len("></>") + nameLen

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,7 +10,7 @@ import (
 // serializer: escaping in text and attributes (CR, tab and newline included),
 // empty elements, deep nesting, unsorted attribute lists on both sides of the
 // 64-attribute min-scan limit, and live markup on both sides of a large
-// memoized child and of a chunk boundary.
+// memoized child.
 var frameDocs = []string{
 	`<a/>`,
 	`<a b="1"/>`,
@@ -83,12 +82,8 @@ func TestFrameEncoderMatchesString(t *testing.T) {
 			if e.Len() != len(want) {
 				t.Errorf("%s %q: Len %d != %d", kind, s, e.Len(), len(want))
 			}
-			var buf bytes.Buffer
-			if _, err := e.WriteTo(&buf); err != nil {
-				t.Fatalf("WriteTo: %v", err)
-			}
-			if buf.String() != want {
-				t.Errorf("%s %q: WriteTo %q != %q", kind, s, buf.String(), want)
+			if got := string(e.Bytes()); got != want {
+				t.Errorf("%s %q: Bytes %q != %q", kind, s, got, want)
 			}
 			e.Release()
 		}
@@ -96,7 +91,8 @@ func TestFrameEncoderMatchesString(t *testing.T) {
 }
 
 // TestFrameEncoderMixedSegments checks the raw/attr/text primitives compose
-// with zero-copy subtree segments across chunk boundaries.
+// with a large memoized subtree, and that the frame holds a copy of the
+// memo's bytes: an encoder aliases nothing it was handed.
 func TestFrameEncoderMixedSegments(t *testing.T) {
 	big := "<data>" + strings.Repeat("<item><title>xyzzy</title></item>", 200) + "</data>"
 	payload, err := DecodeString(big)
@@ -118,16 +114,12 @@ func TestFrameEncoderMixedSegments(t *testing.T) {
 	if got := e.String(); got != want {
 		t.Fatalf("streamed %q != %q", got, want)
 	}
-	// The payload must have landed as its own segment, aliasing the memo —
-	// not a copy through scratch.
-	found := false
-	for _, seg := range e.Segments() {
-		if len(seg) == len(big) && &seg[0] == unsafeStringData(big) {
-			found = true
+	frame := e.Bytes()
+	memo := unsafeStringData(payload.memoStr)
+	for i := range frame {
+		if &frame[i] == memo {
+			t.Fatalf("staged frame aliases the payload's memo at offset %d", i)
 		}
-	}
-	if !found {
-		t.Fatalf("large frozen payload was copied instead of aliased")
 	}
 }
 
@@ -136,12 +128,12 @@ func TestFrameEncoderMixedSegments(t *testing.T) {
 func TestFrameEncoderReuse(t *testing.T) {
 	e := GetFrameEncoder()
 	defer e.Release()
-	e.Raw(strings.Repeat("x", 3*frameChunkSize))
-	if got := e.Len(); got != 3*frameChunkSize {
+	e.Raw(strings.Repeat("x", 12<<10))
+	if got := e.Len(); got != 12<<10 {
 		t.Fatalf("Len %d", got)
 	}
 	e.Reset()
-	if e.Len() != 0 || len(e.Segments()) != 0 {
+	if e.Len() != 0 || len(e.Bytes()) != 0 {
 		t.Fatalf("Reset left state behind")
 	}
 	e.Raw("<a/>")
@@ -151,14 +143,14 @@ func TestFrameEncoderReuse(t *testing.T) {
 }
 
 // TestFrameEncoderFreeChunksBounded: Reset (which Release calls before
-// pooling the encoder) keeps the sealed chunks of a frame for the next one,
-// but never more than scratchMax bytes of them, however large the frame;
-// and a frame staged over kept chunks comes out byte for byte.
+// pooling the encoder) keeps the buffer of a frame for the next one, but
+// never one larger than frameKeepMax, however large the frame; and a frame
+// staged after either comes out byte for byte.
 func TestFrameEncoderFreeChunksBounded(t *testing.T) {
 	e := NewFrameEncoder()
-	stage := func(piece string) {
+	stage := func(piece string, size int) {
 		var want strings.Builder
-		for want.Len() < 4*scratchMax {
+		for want.Len() < size {
 			e.Raw(piece)
 			want.WriteString(piece)
 		}
@@ -166,19 +158,18 @@ func TestFrameEncoderFreeChunksBounded(t *testing.T) {
 			t.Fatalf("staged %d bytes differ from the %d written", len(got), want.Len())
 		}
 	}
-	stage(strings.Repeat("x", 100))
+	stage(strings.Repeat("x", 100), frameKeepMax/2)
+	kept := cap(e.buf)
 	e.Reset()
-	spare := 0
-	for _, c := range e.free {
-		spare += cap(c)
+	if cap(e.buf) != kept {
+		t.Fatalf("Reset dropped a %d-byte buffer under the %d-byte cap", kept, frameKeepMax)
 	}
-	if spare > scratchMax || cap(e.cur) > scratchMax {
-		t.Fatalf("encoder keeps %d bytes of spare chunks and a %d-byte current one; cap is %d", spare, cap(e.cur), scratchMax)
+	stage(strings.Repeat("y", 99), 4*frameKeepMax)
+	e.Reset()
+	if cap(e.buf) > frameKeepMax {
+		t.Fatalf("encoder keeps a %d-byte buffer; cap is %d", cap(e.buf), frameKeepMax)
 	}
-	if spare != scratchMax {
-		t.Fatalf("encoder keeps %d bytes of spare chunks, want the cap, %d", spare, scratchMax)
-	}
-	stage(strings.Repeat("y", 99))
+	stage(strings.Repeat("z", 98), frameKeepMax/2)
 }
 
 // TestDecodeCleanSpanMemo: canonical input spans become serialization memos;
@@ -214,6 +205,7 @@ func TestDecodeCleanSpanMemo(t *testing.T) {
 		`<a><![CDATA[x]]></a>`, // CDATA re-escaped
 		`<a>  </a>`,            // whitespace-only content dropped
 		`<p><a></a>></p>`,      // size-neutral composite: dirty child + text escape
+		`<a A="0>"></a>`,       // size-neutral: long empty form + attribute escape
 	}
 	for _, s := range dirty {
 		n, err := DecodeString(s)
