@@ -124,8 +124,11 @@ chaos-nofault:
 # zipf-loaded scenarios with replica promotion, checked by the incremental
 # oracle with sampled full verification. The acceptance sweep is 50 seeds;
 # chaos-large-ci is the -short form wired into `make ci`, plus 8 seeds with
-# learned routing: under churn, supersede invalidation and several learned
-# edges per area meet. Replay a failure with the printed seed:
+# learned routing. Those check that mining trails, absorbing confirmed edges
+# into catalogs that churn keeps moving, and invalidating on supersede keep 0
+# violations. They do not route by a shortcut: no lookup in these worlds
+# finds a live edge (E15, churn_mixed and unit tests exercise the learned
+# tier). Replay a failure with the printed seed:
 # go run ./cmd/chaos -seed N -peers 1000 -churn (add -learn for the second).
 chaos-large:
 	$(GO) run ./cmd/chaos -n 50 -peers 1000 -churn
@@ -179,7 +182,8 @@ lines:
 # runs. Builds the experiments, chaos, the four examples and the bench binary
 # with coverage over every root package, runs each the way its own docs and
 # BENCHMARK.json run it (experiments -short; chaos plain, -learn, -blobs and
-# a 1000-peer churn sweep; each example; each bench workload for 1 s,
+# 1000-peer churn sweeps without and with -learn, as chaos-large-ci runs
+# them; each example; each bench workload for 1 s,
 # untraced), then lists the functions at 0.0%. bench/'s own lines are dropped:
 # go tool cover cannot resolve that module from here. The mqpd daemons the
 # bench spawns are not instrumented, so the daemon side of tcp_chain is not
@@ -195,6 +199,7 @@ census:
 	"$$b/chaos" -n 100 -learn >/dev/null; \
 	"$$b/chaos" -n 100 -blobs >/dev/null; \
 	"$$b/chaos" -n 8 -peers 1000 -churn >/dev/null; \
+	"$$b/chaos" -n 8 -peers 1000 -churn -learn >/dev/null; \
 	for e in garagesale geneexpression privatejoin quickstart; do "$$b/$$e" >/dev/null; done; \
 	for w in point_hot area_fanout bulk_join tcp_chain churn_mixed; do \
 		"$$b/bench" -workload $$w -seconds 1 -trace 0 >/dev/null; done; \

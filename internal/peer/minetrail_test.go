@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,37 +14,12 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/namespace"
 	"repro/internal/provenance"
+	"repro/internal/route"
 	"repro/internal/simnet"
 	"repro/internal/xmltree"
 )
 
 var mineSeed = flag.Int64("mine-seed", 1, "seed of TestMineTrailEquivalence's random drive")
-
-// mineTrailFullPass is mineTrail as it was before the absorb step was made to
-// cost what the trail taught: after every trail, absorb the table's whole
-// Confirmed list again. It is the reference the equivalence test holds the
-// stamped pass to. Its learning half is mineTrail's: each (area, server) a
-// verified bind visit names, once per trail, in trail order.
-func mineTrailFullPass(p *Peer, plan *algebra.Plan, at time.Duration) {
-	t, err := provenance.FromPlan(plan)
-	if err != nil || t == nil || len(t.Visits) == 0 {
-		return
-	}
-	gen := p.cat.Generation()
-	seen := map[[2]string]bool{}
-	for _, v := range t.Visits {
-		edge := [2]string{v.Detail, v.Server}
-		if v.Action == provenance.ActionBind && v.Server != p.addr &&
-			namespace.IsAreaURN(v.Detail) && !seen[edge] {
-			seen[edge] = true
-			p.shortcuts.Learn(v.Detail, v.Server, gen, at)
-		}
-	}
-	edges, _ := p.shortcuts.Confirmed(absorbThreshold, gen, at, nil)
-	for _, e := range edges {
-		_, _ = p.cat.AbsorbLearned(e.Server, e.Area)
-	}
-}
 
 // trailPlan is a finished plan addressed to target whose provenance trail
 // holds the given visits, signed in order.
@@ -72,23 +48,27 @@ func townURN(i int) string {
 	return fmt.Sprintf("urn:InterestArea:(USA.OR.Town%d,Music.CDs)", i)
 }
 
-// TestMineTrailEquivalence drives one learning peer and a twin that runs the
-// full-table reference through the same 10 000 random steps — trails that
-// confirm, re-confirm and cross the threshold, over few enough areas that the
-// per-area cap evicts; the catalog and the table mutated from outside in every
-// way a peer can hear of; plan clocks that jump hours either way, so edges
-// expire and come back — and requires the two catalogs to be equal, in order,
-// after every step, at the absorb threshold. Replay a failure with -mine-seed.
+// TestMineTrailEquivalence holds mineTrail to the one-pass rule. It drives one
+// learning peer through 10 000 random steps —
+// trails that confirm, re-confirm and cross the threshold, over few enough
+// areas that servers replace each other's edges; the catalog and the table
+// mutated from outside in every way a peer can hear of; plan clocks that jump
+// hours either way — and holds every trail to the one-pass rule. After each
+// trail, every edge it confirmed to absorbThreshold is covered by an index
+// registration, and the catalog is what a twin that hears the same outside
+// mutations makes of it by absorbing exactly those edges: nothing the trail
+// did not name moved it. Replay a failure with -mine-seed.
 func TestMineTrailEquivalence(t *testing.T) {
 	t.Run(fmt.Sprintf("threshold=%d", absorbThreshold), driveMineTrail)
 }
 
 func driveMineTrail(t *testing.T) {
-	got, ref := learner(t), learner(t)
-	ns := got.ns
+	p := learner(t)
+	ns := p.ns
+	twin := catalog.New(ns, p.addr)
 	rng := rand.New(rand.NewSource(*mineSeed))
 
-	servers := []string{got.addr}
+	servers := []string{p.addr}
 	for i := 0; i < 10; i++ {
 		servers = append(servers, fmt.Sprintf("s%d:1", i))
 	}
@@ -107,6 +87,25 @@ func driveMineTrail(t *testing.T) {
 	pick := func(ss []string) string { return ss[rng.Intn(len(ss))] }
 	actions := []provenance.Action{provenance.ActionBind, provenance.ActionBind,
 		provenance.ActionBind, provenance.ActionForward, provenance.ActionData}
+	// covered reports whether an index registration of e.Server covers the
+	// area e names, as AbsorbLearned generalizes it; ok is false for an area
+	// AbsorbLearned refuses.
+	covered := func(e route.ShortcutEntry) (cov, ok bool) {
+		area, err := namespace.DecodeURN(e.Area)
+		if err != nil {
+			return false, false
+		}
+		if ns.Validate(area) != nil {
+			area = ns.Generalize(area)
+		}
+		if area.Empty() {
+			return false, false
+		}
+		for _, r := range p.cat.Registrations() {
+			cov = cov || r.Addr == e.Server && r.Role == catalog.RoleIndex && r.Area.Covers(area)
+		}
+		return cov, true
+	}
 
 	var clock time.Duration
 	for step := 0; step < 10000; step++ {
@@ -121,24 +120,33 @@ func driveMineTrail(t *testing.T) {
 				clock += time.Duration(rng.Int63n(int64(2 * time.Minute)))
 			}
 			visits := make([]provenance.Visit, 1+rng.Intn(7))
+			var taught []route.ShortcutEntry
 			for i := range visits {
 				visits[i] = provenance.Visit{Server: pick(servers),
 					Action: actions[rng.Intn(len(actions))], Detail: pick(urns)}
-				if rng.Intn(4) == 0 { // many servers on one area: the cap evicts
+				if rng.Intn(4) == 0 { // many servers on one area: edges replace each other
 					visits[i].Detail = visits[0].Detail
 				}
+				e := route.ShortcutEntry{Area: visits[i].Detail, Server: visits[i].Server}
+				if visits[i].Action == provenance.ActionBind && e.Server != p.addr &&
+					namespace.IsAreaURN(e.Area) && !slices.Contains(taught, e) {
+					taught = append(taught, e)
+				}
 			}
-			plan := trailPlan(fmt.Sprint("q", step), got.addr, visits...)
-			got.mineTrail(plan, clock)
-			mineTrailFullPass(ref, plan, clock)
+			p.mineTrail(trailPlan(fmt.Sprint("q", step), p.addr, visits...), clock)
+			for _, e := range p.shortcuts.Confirmed(absorbThreshold, taught) {
+				if cov, ok := covered(e); ok && !cov {
+					t.Fatalf("-mine-seed %d, step %d: confirmed edge %s -> %s (%d hits) is in no registration: %+v",
+						*mineSeed, step, e.Area, e.Server, e.Hits, p.cat.Registrations())
+				}
+				_, _ = twin.AbsorbLearned(e.Server, e.Area)
+			}
 		case r < 85:
-			srv := pick(servers)
-			got.shortcuts.Invalidate(srv)
-			ref.shortcuts.Invalidate(srv)
+			p.shortcuts.Invalidate(pick(servers))
 		case r < 90:
 			srv := pick(servers)
-			got.cat.Deregister(srv)
-			ref.cat.Deregister(srv)
+			p.cat.Deregister(srv)
+			twin.Deregister(srv)
 		default:
 			// A registration heard from outside: a base server superseding
 			// another, or an index server's own, which replaces whatever
@@ -148,23 +156,21 @@ func driveMineTrail(t *testing.T) {
 			if r >= 95 {
 				reg.Role, reg.Supersedes = catalog.RoleIndex, ""
 			}
-			if err := got.cat.Register(reg); err != nil {
+			if err := p.cat.Register(reg); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.cat.Register(reg); err != nil {
+			if err := twin.Register(reg); err != nil {
 				t.Fatal(err)
 			}
 		}
-		gr, rr := got.cat.Registrations(), ref.cat.Registrations()
-		if !reflect.DeepEqual(gr, rr) || got.cat.Generation() != ref.cat.Generation() ||
-			got.shortcuts.Stats() != ref.shortcuts.Stats() {
-			t.Fatalf("-mine-seed %d, step %d (clock %v): catalogs diverge\n got (gen %d, table %+v): %+v\nwant (gen %d, table %+v): %+v",
-				*mineSeed, step, clock, got.cat.Generation(), got.shortcuts.Stats(), gr,
-				ref.cat.Generation(), ref.shortcuts.Stats(), rr)
+		if gr, wr := p.cat.Registrations(), twin.Registrations(); !reflect.DeepEqual(gr, wr) ||
+			p.cat.Generation() != twin.Generation() {
+			t.Fatalf("-mine-seed %d, step %d (clock %v): the catalog moved beyond the trail's own absorbs\n got (gen %d): %+v\nwant (gen %d): %+v",
+				*mineSeed, step, clock, p.cat.Generation(), gr, twin.Generation(), wr)
 		}
 	}
-	if got.cat.Generation() < 100 {
-		t.Fatalf("the drive absorbed almost nothing (generation %d): it tests nothing", got.cat.Generation())
+	if p.cat.Generation() < 100 {
+		t.Fatalf("the drive absorbed almost nothing (generation %d): it tests nothing", p.cat.Generation())
 	}
 }
 
@@ -178,11 +184,8 @@ func TestMineTrailCountsTrails(t *testing.T) {
 	orCDs := namespace.EncodeURN(p.ns.MustParseArea("[USA/OR, Music/CDs]"))
 	waCDs := namespace.EncodeURN(p.ns.MustParseArea("[USA/WA/Seattle, Music/CDs]"))
 	hits := func(area, server string) int {
-		edges, _ := p.shortcuts.Confirmed(1, p.cat.Generation(), at, nil)
-		for _, e := range edges {
-			if e.Area == area && e.Server == server {
-				return e.Hits
-			}
+		for _, e := range p.shortcuts.Confirmed(1, []route.ShortcutEntry{{Area: area, Server: server}}) {
+			return e.Hits
 		}
 		return 0
 	}
@@ -214,9 +217,9 @@ func TestMineTrailCountsTrails(t *testing.T) {
 	}
 }
 
-// TestMineTrailCostsWhatItTeaches: with 1000 confirmed edges in the table and
-// the generation standing, a mined trail asks the catalog about its own edges
-// and no others; a generation bump buys exactly one pass over the table.
+// TestMineTrailCostsWhatItTeaches: with 1000 confirmed edges in the table, a
+// mined trail asks the catalog about its own edges and no others, before and
+// after someone else's mutation moves the generation.
 //
 // The 1000 edges are tripwires: put into the table behind mineTrail's back,
 // confirmed but not absorbed, each to a server of its own, so an
@@ -251,36 +254,37 @@ func TestMineTrailCostsWhatItTeaches(t *testing.T) {
 	}
 
 	// Five visits: one edge re-confirmed over the threshold (already
-	// covered), one crossing it now, three below it. One call can land.
+	// covered), one crossing it now, three new ones below it. One call can
+	// land.
 	mine(bind("idx:2", waCDs))
-	if n := mine(bind("idx:1", orCDs), bind("idx:2", waCDs), bind("idx:3", orCDs),
-		bind("idx:4", waCDs), bind("idx:5", townURN(5000))); n != 1 {
+	if n := mine(bind("idx:1", orCDs), bind("idx:2", waCDs), bind("idx:3", townURN(5001)),
+		bind("idx:4", townURN(5002)), bind("idx:5", townURN(5000))); n != 1 {
 		t.Fatalf("a trail with one newly confirmed edge absorbed %d, want 1 (the table's 1000 are not its business)", n)
 	}
 	if n := mine(bind("idx:1", orCDs), bind("idx:2", waCDs)); n != 0 {
 		t.Fatalf("a trail re-confirming covered edges absorbed %d, want 0", n)
 	}
 
-	// Someone else's mutation: the next trail, whatever it teaches, goes over
-	// the whole table once — every tripwire fires — and re-stamps.
+	// Someone else's mutation moves the generation. The next trail still
+	// hands in only what it teaches: no tripwire fires.
 	if err := p.cat.Register(catalog.Registration{Addr: "base:1", Role: catalog.RoleBase,
 		Area: p.ns.MustParseArea("[USA/WA/Seattle, Furniture/Chairs]")}); err != nil {
 		t.Fatal(err)
 	}
-	if n := mine(provenance.Visit{Server: "idx:1", Action: provenance.ActionForward}); n != 1000 {
-		t.Fatalf("the pass after a generation bump absorbed %d, want all 1000 tripwires", n)
+	if n := mine(provenance.Visit{Server: "idx:1", Action: provenance.ActionForward}); n != 0 {
+		t.Fatalf("the trail after a generation bump absorbed %d, want 0 of the 1000 tripwires", n)
 	}
-	tripwires(1000, 1001)
 	if n := mine(bind("idx:1", orCDs)); n != 0 {
-		t.Fatalf("the pass after the full pass absorbed %d: it went over the table again", n)
+		t.Fatalf("a trail re-confirming a covered edge after the bump absorbed %d, want 0", n)
 	}
 }
 
 // TestMineTrailConcurrentWorkers: four workers of one peer mine trails at
 // once while registrations arrive and leave. Under -race this is the check
-// on the absorb mutex; the assertion is the invariant the stamp stands for —
-// once things are quiet, one more trail leaves every live confirmed edge
-// covered by the catalog, whether or not a mutation slipped in mid-pass.
+// that workers absorb into the catalog without a lock of their own; the
+// assertion is the one-pass rule once things are quiet — one more trail
+// re-confirming the table's confirmed edges leaves every one of them covered
+// by the catalog, whatever mutations slipped in between.
 func TestMineTrailConcurrentWorkers(t *testing.T) {
 	const senders, plansEach = 4, 150
 	p := learner(t)
@@ -331,11 +335,21 @@ func TestMineTrailConcurrentWorkers(t *testing.T) {
 	close(quiet)
 	mutatorWG.Wait()
 
-	p.mineTrail(trailPlan("last", p.addr, provenance.Visit{Server: "s0:1", Action: provenance.ActionForward}), at)
-	edges, _ := p.shortcuts.Confirmed(absorbThreshold, p.cat.Generation(), at, nil)
+	var held []route.ShortcutEntry
+	for i := 0; i < 40; i++ {
+		if srv, ok := p.shortcuts.Lookup(townURN(i), p.cat.Generation(), at); ok {
+			held = append(held, route.ShortcutEntry{Area: townURN(i), Server: srv})
+		}
+	}
+	edges := p.shortcuts.Confirmed(absorbThreshold, held)
 	if len(edges) == 0 {
 		t.Fatal("nothing was confirmed: the test tests nothing")
 	}
+	var last []provenance.Visit
+	for _, e := range edges {
+		last = append(last, bind(e.Server, e.Area))
+	}
+	p.mineTrail(trailPlan("last", p.addr, last...), at)
 	want := p.ns.MustParseArea("[USA/OR, Music/CDs]") // what every town generalizes to
 	for _, e := range edges {
 		covered := false

@@ -15,7 +15,6 @@ package peer
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/route"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
@@ -197,14 +195,6 @@ type Peer struct {
 
 	// shortcuts is the learned routing table, nil unless Config.LearnShortcuts.
 	shortcuts *route.Shortcuts
-	// absorbMu serializes mineTrail's absorb step and guards the stamp its
-	// last full pass left: while the catalog is still at absorbedGen, and for
-	// any plan clock later than absorbRevive, every live confirmed edge of the
-	// table is already covered by the catalog, bar the ones a trail has just
-	// taught and is about to hand in itself.
-	absorbMu     sync.Mutex
-	absorbedGen  uint64
-	absorbRevive time.Duration
 
 	// blobs is the payload-by-reference runtime, nil unless Config.Blobs.
 	blobs *blobState
@@ -242,7 +232,6 @@ func New(cfg Config) (*Peer, error) {
 	}
 	if cfg.LearnShortcuts {
 		p.shortcuts = route.NewShortcuts()
-		p.absorbRevive = math.MaxInt64 // no full pass yet: every clock needs one
 		pcfg.Shortcuts = p.shortcuts
 	}
 	if cfg.Blobs != nil {
@@ -531,27 +520,16 @@ const absorbThreshold = 2
 // confirms each such (area, server) edge once, however many of its visits
 // name it, so an edge's hit count is the number of trails that confirmed it.
 //
-// Shortcuts whose hit count reaches absorbThreshold — two trails — are
-// absorbed into the local catalog as real index registrations
-// (catalog.AbsorbLearned), so the learning survives table expiry and outlives
-// this peer's shortcut table — the paper's meta-index maintenance loop,
-// automated. Mining is message-free: it reads trails already in hand, so
-// enabling it never perturbs network traffic by itself.
-//
-// Absorbing costs what the trail taught, not what the table holds. An edge is
-// absorbed by the trail that first confirms it, absorbing only ever widens a
-// registration, and nothing but another catalog mutation — which moves the
-// generation — can take coverage away. So while the generation stands where
-// the last pass left it, AbsorbLearned on an edge this trail did not touch
-// would change nothing, and only the touched edges are handed to
-// Shortcuts.Confirmed. The full-table pass is made exactly when that argument
-// does not hold: the first time, after any mutation that was not this loop's
-// own (a registration or deregistration heard, a supersede, direct seeding
-// through Catalog()), and when the plan's clock is early enough to bring back
-// an edge the last full pass skipped as expired (plans carry their own
-// clocks, so at can run backwards). Edges put into the table behind
-// mineTrail's back (Shortcuts().Learn) wait for their next confirmation or
-// the next full pass.
+// The edges this trail named whose hit count has reached absorbThreshold —
+// two trails — are absorbed into the local catalog as real index
+// registrations (catalog.AbsorbLearned), so the learning survives table
+// expiry and outlives this peer's shortcut table — the paper's meta-index
+// maintenance loop, automated. One pass, over the trail's own edges: the
+// table is never walked, so what a trail costs is what it taught. An edge
+// absorbed once and later narrowed by another registration is widened back
+// by the next trail that confirms it. Mining is message-free: it reads
+// trails already in hand, so enabling it never perturbs network traffic by
+// itself.
 func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 	if p.shortcuts == nil {
 		return
@@ -576,33 +554,13 @@ func (p *Peer) mineTrail(plan *algebra.Plan, at time.Duration) {
 			taught = append(taught, e)
 		}
 	}
-	p.absorbMu.Lock()
-	defer p.absorbMu.Unlock()
-	// Read again under the lock: another worker's pass may have widened the
-	// catalog, and moved the stamp with it, since the Learns above.
-	gen = p.cat.Generation()
-	full := gen != p.absorbedGen || at <= p.absorbRevive
-	if full {
-		taught = nil // the whole table
-	} else if len(taught) == 0 {
-		return
+	// AbsorbLearned is idempotent for already-covered edges, so repeated
+	// confirmation does not churn the catalog generation (which would
+	// needlessly invalidate the prepared-plan cache). An edge it refuses, an
+	// area this namespace cannot place, stays a shortcut only.
+	for _, e := range p.shortcuts.Confirmed(absorbThreshold, taught) {
+		_, _ = p.cat.AbsorbLearned(e.Server, e.Area)
 	}
-	edges, revive := p.shortcuts.Confirmed(absorbThreshold, gen, at, taught)
-	if full {
-		p.absorbRevive = revive
-	}
-	for _, e := range edges {
-		// AbsorbLearned is idempotent for already-covered edges, so repeated
-		// confirmation does not churn the catalog generation (which would
-		// needlessly invalidate the prepared-plan cache). One past gen is this
-		// loop's own widening; any other answer means someone else moved the
-		// catalog meanwhile, and leaving the stamp behind makes the next pass
-		// a full one.
-		if g, _ := p.cat.AbsorbLearned(e.Server, e.Area); g == gen+1 {
-			gen = g
-		}
-	}
-	p.absorbedGen = gen
 }
 
 // maxStuck bounds the stuck record, which must not grow with a daemon's
@@ -801,7 +759,7 @@ func (p *Peer) processMQP(msg *simnet.Message) error {
 		}
 		lastErr = err
 		if _, unreachable := err.(simnet.ErrUnreachable); !unreachable {
-			if errors.Is(err, simnet.ErrDepthExceeded) || errors.Is(err, wire.ErrFrame) {
+			if errors.Is(err, simnet.ErrDepthExceeded) || errors.Is(err, xmltree.ErrFrame) {
 				// A forwarding loop, or a frame past the link's limit (the
 				// same size for every candidate), ends the plan here; record
 				// it so the plan is accounted for.

@@ -74,15 +74,8 @@ func TestPeerMinesShortcutsAndAbsorbs(t *testing.T) {
 		t.Fatalf("nothing mined from the trail: %+v", st)
 	}
 	gen := client.Catalog().Generation()
-	got := client.Shortcuts().Lookup(urn, gen, time.Minute)
-	found := false
-	for _, s := range got {
-		if s == "idx:9020" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("lookup(%s) = %v, want the binding index idx:9020", urn, got)
+	if srv, ok := client.Shortcuts().Lookup(urn, gen, time.Minute); !ok || srv != "idx:9020" {
+		t.Fatalf("lookup(%s) = %q, %v; want the binding index idx:9020", urn, srv, ok)
 	}
 	// One confirmation is below the threshold: no catalog mutation yet.
 	for _, r := range client.Catalog().Registrations() {
@@ -155,8 +148,8 @@ func TestDeregisterFromInvalidatesShortcutsAndCatalog(t *testing.T) {
 			t.Fatalf("deregistered peer still in the catalog: %+v", r)
 		}
 	}
-	if got := idx.Shortcuts().Lookup(urn, idx.Catalog().Generation(), time.Millisecond); got != nil {
-		t.Fatalf("shortcut to the departed peer survived the leave: %v", got)
+	if srv, ok := idx.Shortcuts().Lookup(urn, idx.Catalog().Generation(), time.Millisecond); ok {
+		t.Fatalf("shortcut to the departed peer survived the leave: %q", srv)
 	}
 	// The leaver also forgot the server as a cached index.
 	for _, r := range s1.Catalog().Registrations() {
@@ -186,8 +179,8 @@ func TestSupersedeInvalidatesShortcuts(t *testing.T) {
 	if err := rep.Promote("/d", "src:1", "M:1", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := meta.Shortcuts().Lookup(urn, meta.Catalog().Generation(), time.Millisecond); got != nil {
-		t.Fatalf("shortcut to the superseded source survived promotion: %v", got)
+	if srv, ok := meta.Shortcuts().Lookup(urn, meta.Catalog().Generation(), time.Millisecond); ok {
+		t.Fatalf("shortcut to the superseded source survived promotion: %q", srv)
 	}
 	if st := meta.Shortcuts().Stats(); st.Invalidated == 0 {
 		t.Fatalf("supersede did not count an invalidation: %+v", st)

@@ -87,7 +87,7 @@ func (t *TCP) PeerCaps(to string) (byte, error) { return t.pool.PeerCaps(to) }
 // one piece of code. A failed remote handler (the link is healthy) and an
 // unframable document (nothing touched a link) stay what they are.
 func linkErr(to string, err error) error {
-	if err == nil || errors.Is(err, wire.ErrRemote) || errors.Is(err, wire.ErrFrame) {
+	if err == nil || errors.Is(err, wire.ErrRemote) || errors.Is(err, xmltree.ErrFrame) {
 		return err
 	}
 	return simnet.ErrUnreachable{Addr: to}

@@ -17,6 +17,10 @@
 // an explicit partial result — the best-effort evaluation of what the plan
 // already holds, guaranteed to be a sub-multiset of the complete answer —
 // for the transport to deliver to the plan's target.
+//
+// Shortcuts is the learned tier Select consults ahead of the catalog: one
+// (area → server) edge per resource area, mined from provenance trails and
+// expiring on a virtual-time TTL (shortcuts.go).
 package route
 
 import (

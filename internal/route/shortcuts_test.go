@@ -2,8 +2,6 @@ package route
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,23 +11,36 @@ import (
 	"repro/internal/algebra"
 )
 
+// TestShortcutsLearnLookupOrdering: Lookup answers the server that last
+// answered the area. The same server re-confirming its edge bumps its hits; a
+// second server answering the area replaces the edge, with one hit, and
+// Lookup answers the new server alone.
 func TestShortcutsLearnLookupOrdering(t *testing.T) {
 	s := NewShortcuts()
 	const area = "urn:L:USA/OR"
 	s.Learn(area, "idx-OR:9020", 1, 1*time.Minute)
-	s.Learn(area, "s7:9020", 1, 2*time.Minute)
-	s.Learn(area, "idx-OR:9020", 1, 3*time.Minute) // re-confirm → 2 hits
-
-	got := s.Lookup(area, 1, 4*time.Minute)
-	if len(got) != 2 || got[0] != "idx-OR:9020" || got[1] != "s7:9020" {
-		t.Fatalf("lookup = %v, want [idx-OR:9020 s7:9020] (hits desc)", got)
+	s.Learn(area, "idx-OR:9020", 1, 2*time.Minute) // re-confirm → 2 hits
+	if srv, ok := s.Lookup(area, 1, 3*time.Minute); !ok || srv != "idx-OR:9020" {
+		t.Fatalf("lookup = %q, %v; want idx-OR:9020", srv, ok)
 	}
-	if got := s.Lookup("urn:L:USA/WA", 1, 4*time.Minute); got != nil {
-		t.Fatalf("unknown area lookup = %v, want nil", got)
+	if got := s.Confirmed(1, []ShortcutEntry{{Area: area, Server: "idx-OR:9020"}}); len(got) != 1 || got[0].Hits != 2 {
+		t.Fatalf("re-confirmed edge = %+v, want 2 hits", got)
+	}
+
+	s.Learn(area, "s7:9020", 1, 4*time.Minute)
+	if srv, ok := s.Lookup(area, 1, 5*time.Minute); !ok || srv != "s7:9020" {
+		t.Fatalf("lookup = %q, %v; want the replacing server s7:9020", srv, ok)
+	}
+	got := s.Confirmed(1, []ShortcutEntry{{Area: area, Server: "idx-OR:9020"}, {Area: area, Server: "s7:9020"}})
+	if len(got) != 1 || got[0].Server != "s7:9020" || got[0].Hits != 1 || got[0].LearnedAt != 4*time.Minute {
+		t.Fatalf("edges = %+v, want s7:9020 alone with 1 hit learned at 4m", got)
+	}
+	if srv, ok := s.Lookup("urn:L:USA/WA", 1, 5*time.Minute); ok || srv != "" {
+		t.Fatalf("unknown area lookup = %q, %v; want none", srv, ok)
 	}
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Learned != 3 || st.Entries != 2 {
-		t.Fatalf("stats = %+v", st)
+	if st.Hits != 2 || st.Misses != 1 || st.Learned != 3 || st.Entries != 1 || st.Expired != 1 {
+		t.Fatalf("stats = %+v, want 1 entry and 1 replacement", st)
 	}
 }
 
@@ -39,28 +50,28 @@ func TestShortcutsExpiry(t *testing.T) {
 	s.Learn(area, "idx-OR:9020", 5, 0)
 
 	// Same generation: alive until shortcutMaxAge (30m), gone after.
-	if got := s.Lookup(area, 5, 30*time.Minute); len(got) != 1 {
-		t.Fatalf("entry expired before shortcutMaxAge: %v", got)
+	if _, ok := s.Lookup(area, 5, 30*time.Minute); !ok {
+		t.Fatal("entry expired before shortcutMaxAge")
 	}
-	if got := s.Lookup(area, 5, 31*time.Minute); got != nil {
-		t.Fatalf("entry outlived shortcutMaxAge: %v", got)
+	if _, ok := s.Lookup(area, 5, 31*time.Minute); ok {
+		t.Fatal("entry outlived shortcutMaxAge")
 	}
 
 	// Catalog moved on (churn): the short staleness TTL (5m) governs instead.
-	if got := s.Lookup(area, 6, 5*time.Minute); len(got) != 1 {
-		t.Fatalf("stale-generation entry expired before shortcutStaleAge: %v", got)
+	if _, ok := s.Lookup(area, 6, 5*time.Minute); !ok {
+		t.Fatal("stale-generation entry expired before shortcutStaleAge")
 	}
-	if got := s.Lookup(area, 6, 6*time.Minute); got != nil {
-		t.Fatalf("stale-generation entry outlived shortcutStaleAge: %v", got)
+	if _, ok := s.Lookup(area, 6, 6*time.Minute); ok {
+		t.Fatal("stale-generation entry outlived shortcutStaleAge")
 	}
 
 	// A re-confirmation under the new generation restores the full TTL.
 	s.Learn(area, "idx-OR:9020", 6, 7*time.Minute)
-	if got := s.Lookup(area, 6, 37*time.Minute); len(got) != 1 {
-		t.Fatalf("re-confirmed entry expired early: %v", got)
+	if _, ok := s.Lookup(area, 6, 37*time.Minute); !ok {
+		t.Fatal("re-confirmed entry expired early")
 	}
-	if got := s.Lookup(area, 6, 38*time.Minute); got != nil {
-		t.Fatalf("re-confirmed entry outlived shortcutMaxAge: %v", got)
+	if _, ok := s.Lookup(area, 6, 38*time.Minute); ok {
+		t.Fatal("re-confirmed entry outlived shortcutMaxAge")
 	}
 
 	// Expiry hides an entry from answers; it does not reap it.
@@ -69,27 +80,45 @@ func TestShortcutsExpiry(t *testing.T) {
 	}
 }
 
+// TestShortcutsMaxPerArea: an area holds one edge. Five servers answering it
+// in turn leave the last one, and each replacement counts as expired.
 func TestShortcutsMaxPerArea(t *testing.T) {
 	s := NewShortcuts()
 	const area = "urn:L:USA"
-	s.Learn(area, "a:1", 1, 1*time.Minute)
-	s.Learn(area, "a:1", 1, 2*time.Minute)
-	s.Learn(area, "b:1", 1, 3*time.Minute)
-	s.Learn(area, "c:1", 1, 4*time.Minute)
-	s.Learn(area, "d:1", 1, 5*time.Minute)
-	s.Learn(area, "e:1", 1, 6*time.Minute) // over shortcutMaxPerArea: evicts the lowest-scored, b
-	got := s.Lookup(area, 1, 7*time.Minute)
-	if len(got) != shortcutMaxPerArea || got[0] != "a:1" || slices.Contains(got, "b:1") {
-		t.Fatalf("lookup = %v, want %d entries led by a:1, without b:1", got, shortcutMaxPerArea)
+	for i, srv := range []string{"a:1", "a:1", "b:1", "c:1", "d:1", "e:1"} {
+		s.Learn(area, srv, 1, time.Duration(i)*time.Minute)
 	}
-	if st := s.Stats(); st.Entries != shortcutMaxPerArea || st.Expired != 1 {
-		t.Fatalf("stats = %+v, want %d entries and 1 eviction", st, shortcutMaxPerArea)
+	if srv, ok := s.Lookup(area, 1, 7*time.Minute); !ok || srv != "e:1" {
+		t.Fatalf("lookup = %q, %v; want e:1", srv, ok)
+	}
+	if st := s.Stats(); st.Entries != 1 || st.Expired != 4 {
+		t.Fatalf("stats = %+v, want 1 entry and 4 replacements", st)
+	}
+}
+
+// TestShortcutCapKeepsLiveEdge: after the catalog generation moves, an edge
+// confirmed 20 times is expired at 6 virtual minutes. A new server's live
+// edge replaces it, however many hits the old one piled up, so the area keeps
+// a live route.
+func TestShortcutCapKeepsLiveEdge(t *testing.T) {
+	s := NewShortcuts()
+	const area = "urn:L:USA"
+	for i := 0; i < 20; i++ {
+		s.Learn(area, "old:1", 1, 0)
+	}
+	now := 6 * time.Minute // past shortcutStaleAge for generation-1 edges
+	if _, ok := s.Lookup(area, 2, now); ok {
+		t.Fatal("the old edge is still live under generation 2")
+	}
+	s.Learn(area, "new:1", 2, now)
+	if srv, ok := s.Lookup(area, 2, now); !ok || srv != "new:1" {
+		t.Fatalf("lookup = %q, %v; want the live edge new:1", srv, ok)
 	}
 }
 
 // TestShortcutTableBounded: trails naming ever new areas cannot grow the table
-// past shortcutMaxAreas. The area evicted is the one whose newest confirmation
-// is oldest, which need not be its best-scored edge's.
+// past shortcutMaxAreas. The area evicted is the one whose confirmation is
+// oldest; replacing an area's server makes no room and takes none.
 func TestShortcutTableBounded(t *testing.T) {
 	s := NewShortcuts()
 	area := func(i int) string { return fmt.Sprintf("urn:L:Town%d", i) }
@@ -99,25 +128,22 @@ func TestShortcutTableBounded(t *testing.T) {
 	}
 	late := ms(shortcutMaxAreas)
 	s.Learn(area(0), "idx:1", 1, late) // the oldest area, confirmed again
-	// Area 1's old edge outscores its new one, so it sorts first.
-	s.Learn(area(1), "idx:1", 1, ms(1))
-	s.Learn(area(1), "idx:1", 1, ms(1))
-	s.Learn(area(1), "idx:2", 1, late)
-	if got := s.Lookup(area(1), 1, late); len(got) != 2 || got[0] != "idx:1" {
-		t.Fatalf("area 1 = %v, want idx:1 ahead of idx:2", got)
+	s.Learn(area(1), "idx:2", 1, late) // the next oldest, replaced
+	if srv, ok := s.Lookup(area(1), 1, late); !ok || srv != "idx:2" {
+		t.Fatalf("area 1 = %q, %v; want idx:2", srv, ok)
 	}
 
 	s.Learn("urn:L:New", "idx:3", 1, late) // one area past the cap: area 2 goes
 	for _, a := range []string{area(0), area(1), area(3), "urn:L:New"} {
-		if got := s.Lookup(a, 1, late); len(got) == 0 {
+		if _, ok := s.Lookup(a, 1, late); !ok {
 			t.Fatalf("%s was evicted", a)
 		}
 	}
-	if got := s.Lookup(area(2), 1, late); len(got) != 0 {
-		t.Fatalf("area 2 = %v, want it evicted", got)
+	if _, ok := s.Lookup(area(2), 1, late); ok {
+		t.Fatal("area 2 is still held, want it evicted")
 	}
-	if st := s.Stats(); st.Entries != shortcutMaxAreas+1 || st.Expired != 1 {
-		t.Fatalf("stats = %+v, want %d entries and 1 eviction", st, shortcutMaxAreas+1)
+	if st := s.Stats(); st.Entries != shortcutMaxAreas || st.Expired != 2 {
+		t.Fatalf("stats = %+v, want %d entries, 1 replacement and 1 eviction", st, shortcutMaxAreas)
 	}
 	for i := 0; i < 100; i++ {
 		s.Learn(fmt.Sprintf("urn:L:More%d", i), "idx:4", 1, late+ms(i))
@@ -131,75 +157,63 @@ func TestShortcutsInvalidate(t *testing.T) {
 	s := NewShortcuts()
 	s.Learn("urn:L:USA/OR", "dead:1", 1, 0)
 	s.Learn("urn:L:USA/WA", "dead:1", 1, 0)
-	s.Learn("urn:L:USA/WA", "alive:1", 1, 0)
+	s.Learn("urn:L:USA/CA", "alive:1", 1, 0)
 	if n := s.Invalidate("dead:1"); n != 2 {
 		t.Fatalf("invalidated %d, want 2", n)
 	}
-	if got := s.Lookup("urn:L:USA/OR", 1, 0); got != nil {
-		t.Fatalf("invalidated server still returned: %v", got)
+	if srv, ok := s.Lookup("urn:L:USA/OR", 1, 0); ok {
+		t.Fatalf("invalidated server still returned: %q", srv)
 	}
-	if got := s.Lookup("urn:L:USA/WA", 1, 0); len(got) != 1 || got[0] != "alive:1" {
-		t.Fatalf("lookup = %v, want [alive:1]", got)
+	if srv, ok := s.Lookup("urn:L:USA/CA", 1, 0); !ok || srv != "alive:1" {
+		t.Fatalf("lookup = %q, %v; want alive:1", srv, ok)
 	}
-	if st := s.Stats(); st.Invalidated != 2 {
+	if st := s.Stats(); st.Invalidated != 2 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestShortcutsConfirmed: only the edges named are looked at, each listed
+// once it holds minHits confirmations, in (area, server) order.
 func TestShortcutsConfirmed(t *testing.T) {
 	s := NewShortcuts()
+	s.Learn("urn:L:USA/WA", "idx-WA:9020", 1, time.Minute)
+	s.Learn("urn:L:USA/WA", "idx-WA:9020", 1, time.Minute)
 	s.Learn("urn:L:USA/OR", "idx-OR:9020", 1, 0)
 	s.Learn("urn:L:USA/OR", "idx-OR:9020", 1, time.Minute)
-	s.Learn("urn:L:USA/WA", "idx-WA:9020", 1, time.Minute)
-	got, revive := s.Confirmed(2, 1, 2*time.Minute, nil)
-	if len(got) != 1 || got[0].Server != "idx-OR:9020" || got[0].Hits != 2 {
-		t.Fatalf("confirmed = %+v, want the 2-hit OR edge only", got)
-	}
-	if revive != math.MinInt64 {
-		t.Fatalf("revive = %v with nothing skipped for age", revive)
-	}
-
-	// Restricted to the edges a trail names: the same filter and order,
-	// nothing else looked at.
-	s.Learn("urn:L:USA/WA", "idx-WA:9020", 1, time.Minute)
+	s.Learn("urn:L:USA/ID", "idx-ID:9020", 1, time.Minute) // one hit only
+	s.Learn("urn:L:USA/NV", "idx-NV:9020", 1, time.Minute) // confirmed, not named
+	s.Learn("urn:L:USA/NV", "idx-NV:9020", 1, time.Minute)
 	among := []ShortcutEntry{
 		{Area: "urn:L:USA/WA", Server: "idx-WA:9020"},
+		{Area: "urn:L:USA/OR", Server: "idx-OR:9020"},
+		{Area: "urn:L:USA/ID", Server: "idx-ID:9020"},
+		{Area: "urn:L:USA/OR", Server: "nobody:1"},
 		{Area: "urn:L:USA/CA", Server: "nobody:1"},
 	}
-	got, _ = s.Confirmed(2, 1, 2*time.Minute, among)
-	if len(got) != 1 || got[0].Server != "idx-WA:9020" || got[0].Hits != 2 {
-		t.Fatalf("confirmed among = %+v, want the WA edge", got)
+	got := s.Confirmed(2, among)
+	if len(got) != 2 || got[0].Server != "idx-OR:9020" || got[1].Server != "idx-WA:9020" ||
+		got[0].Hits != 2 || got[1].Hits != 2 {
+		t.Fatalf("confirmed = %+v, want the 2-hit OR and WA edges, in area order", got)
 	}
-	if got, _ := s.Confirmed(2, 1, 2*time.Minute, []ShortcutEntry{}); len(got) != 0 {
+	if got := s.Confirmed(2, nil); len(got) != 0 {
 		t.Fatalf("confirmed among nothing = %+v", got)
-	}
-
-	// A confirmed edge too old to list is reported through revive: at or
-	// before that clock it would be listed again. Under generation 2 both
-	// edges are on the stale TTL, last live at 1m + 5m.
-	got, revive = s.Confirmed(2, 2, 7*time.Minute, nil)
-	if len(got) != 0 || revive != 6*time.Minute {
-		t.Fatalf("confirmed = %+v, revive = %v; want none, 6m", got, revive)
-	}
-	if got, _ := s.Confirmed(2, 2, revive, nil); len(got) != 2 {
-		t.Fatalf("confirmed at revive = %+v, want both edges back", got)
 	}
 }
 
 // TestShortcutsConfirmedAfterEviction: an edge a trail taught can be gone
-// again before the trail is done — a fifth server for the same area at the
-// same instant evicts the one that sorts last — and Confirmed must not
+// again before the trail is done — replaced within one trail by another
+// server for the same area at the same instant — and Confirmed must not
 // resurrect it from the caller's list.
 func TestShortcutsConfirmedAfterEviction(t *testing.T) {
 	s := NewShortcuts()
 	var among []ShortcutEntry
-	for _, srv := range []string{"z:1", "a:1", "b:1", "c:1", "d:1"} {
+	for _, srv := range []string{"z:1", "a:1", "b:1"} {
 		s.Learn("urn:L:USA/OR", srv, 1, 0)
 		among = append(among, ShortcutEntry{Area: "urn:L:USA/OR", Server: srv})
 	}
-	got, _ := s.Confirmed(1, 1, 0, among)
-	if len(got) != 4 || got[3].Server != "d:1" {
-		t.Fatalf("confirmed among = %+v, want a,b,c,d (z evicted)", got)
+	got := s.Confirmed(1, among)
+	if len(got) != 1 || got[0].Server != "b:1" {
+		t.Fatalf("confirmed among = %+v, want b:1 alone (z and a replaced)", got)
 	}
 }
 
@@ -209,10 +223,11 @@ func TestShortcutsCandidates(t *testing.T) {
 	s := NewShortcuts()
 	s.Learn("urn:L:USA/OR", "idx-OR:9020", 1, 0)
 	s.Learn("urn:L:USA/WA", "idx-OR:9020", 1, 0) // dup server across areas
-	s.Learn("urn:L:USA/WA", "self:9020", 1, 0)   // self must be dropped
+	s.Learn("urn:L:USA/ID", "self:9020", 1, 0)   // self must be dropped
 	root := algebra.Display(algebra.Union(
 		algebra.URN("urn:L:USA/OR"),
 		algebra.URN("urn:L:USA/WA"),
+		algebra.URN("urn:L:USA/ID"),
 		algebra.URN("urn:L:USA/CA"), // no shortcut
 	))
 	got := s.Candidates(root, "self:9020", 1, 0)
@@ -268,7 +283,7 @@ func TestShortcutsConcurrent(t *testing.T) {
 					s.Lookup("urn:L:USA/OR", uint64(i%3), at)
 					s.Candidates(root, "self:1", uint64(i%3), at)
 				case 3:
-					s.Confirmed(2, uint64(i%3), at, nil)
+					s.Confirmed(2, []ShortcutEntry{{Area: "urn:L:USA/WA", Server: fmt.Sprintf("s%d:1", i%8)}})
 					s.Stats()
 				}
 			}
@@ -277,99 +292,10 @@ func TestShortcutsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShortcutsDecayOrdering pins the decay-weighted ranking: an edge that
-// piled up hits long ago and went quiet is outranked by a recently
-// confirmed edge with fewer hits, both at Learn-time re-sorting and at
-// Lookup time as decay keeps shifting the balance between confirmations.
-func TestShortcutsDecayOrdering(t *testing.T) {
-	s := NewShortcuts() // shortcutHalfLife 10m; every lookup below is inside shortcutMaxAge
-	const area = "urn:L:USA/OR"
-	// old:1 earns 10 confirmations in the first minute; new:1 earns 3
-	// around the 29-minute mark.
-	for i := 0; i < 10; i++ {
-		s.Learn(area, "old:1", 1, 1*time.Minute)
-	}
-	for i := 0; i < 3; i++ {
-		s.Learn(area, "new:1", 1, 29*time.Minute)
-	}
-
-	// Immediately after the burst both raw orderings agree (3 fresh hits
-	// beat 10 decayed to 10×2^-2.8 ≈ 1.4).
-	if got := s.Lookup(area, 1, 30*time.Minute); got[0] != "new:1" {
-		t.Fatalf("at 30m lookup = %v, want new:1 first (recent confirmations outrank stale bulk)", got)
-	}
-
-	// The same table, read shortly after the old edge's burst, ranks the
-	// other way — 9 minutes in, old:1 still scores 10×2^-0.8 ≈ 5.7 against
-	// a not-yet-confirmed new:1 (score 0 hits... it has 3 hits learned at
-	// 29m, in the future relative to 9m: future stamps clamp to age 0, so
-	// 3). Decay is a function of the lookup clock, not of table state.
-	if got := s.Lookup(area, 1, 9*time.Minute); got[0] != "old:1" {
-		t.Fatalf("at 9m lookup = %v, want old:1 first", got)
-	}
-
-	// One fresh confirmation for the quiet edge restores it: 11 hits
-	// re-stamped now beats 3 hits a half-life old.
-	s.Learn(area, "old:1", 1, 40*time.Minute)
-	if got := s.Lookup(area, 1, 40*time.Minute); got[0] != "old:1" {
-		t.Fatalf("after re-confirmation lookup = %v, want old:1 first", got)
-	}
-}
-
-// TestShortcutsDecayEviction: with decay, shortcutMaxPerArea eviction drops
-// the stalest edge, not the newest — a table full of dead weight makes room
-// for the edge the workload is proving right now.
-func TestShortcutsDecayEviction(t *testing.T) {
-	s := NewShortcuts()
-	const area = "urn:L:USA"
-	for i := 0; i < 8; i++ {
-		s.Learn(area, "stale:1", 1, 0) // 8 hits, ancient
-	}
-	s.Learn(area, "w1:1", 1, 57*time.Minute)
-	s.Learn(area, "w2:1", 1, 58*time.Minute)
-	s.Learn(area, "w3:1", 1, 59*time.Minute)
-	s.Learn(area, "fresh:1", 1, 60*time.Minute) // table over cap: stale:1 scores 8×2^-6 = 0.125 and is evicted
-	got := s.Lookup(area, 1, 60*time.Minute)
-	if len(got) != 4 || got[0] != "fresh:1" || got[1] != "w3:1" || got[2] != "w2:1" || got[3] != "w1:1" {
-		t.Fatalf("lookup = %v, want [fresh:1 w3:1 w2:1 w1:1]", got)
-	}
-	// stale:1 left the table rather than merely expiring out of answers.
-	if st := s.Stats(); st.Entries != 4 {
-		t.Fatalf("entries = %d, want 4 with stale:1 evicted", st.Entries)
-	}
-}
-
-// TestShortcutCapKeepsLiveEdge: after the catalog generation moves, four
-// edges confirmed 20 times each are expired at 6 virtual minutes yet still
-// outscore a new live edge (20×2^-0.6 ≈ 13 against 1). Eviction past the cap
-// drops an expired edge, not the live one, so the area keeps a live route.
-func TestShortcutCapKeepsLiveEdge(t *testing.T) {
-	s := NewShortcuts()
-	const area = "urn:L:USA"
-	for _, srv := range []string{"old1:1", "old2:1", "old3:1", "old4:1"} {
-		for i := 0; i < 20; i++ {
-			s.Learn(area, srv, 1, 0)
-		}
-	}
-	now := 6 * time.Minute // past shortcutStaleAge for generation-1 edges
-	s.Learn(area, "new:1", 2, now)
-	if got := s.Lookup(area, 2, now); !slices.Equal(got, []string{"new:1"}) {
-		t.Fatalf("lookup = %v, want the live edge [new:1]", got)
-	}
-	if st := s.Stats(); st.Entries != shortcutMaxPerArea || st.Expired != 1 {
-		t.Fatalf("stats = %+v, want %d entries and 1 eviction", st, shortcutMaxPerArea)
-	}
-	// With every entry live, the lowest-scored one goes, as before.
-	s.Learn(area, "newer:1", 1, 0)
-	if got := s.Lookup(area, 1, 0); len(got) != shortcutMaxPerArea || slices.Contains(got, "newer:1") {
-		t.Fatalf("lookup = %v, want %d edges without newer:1", got, shortcutMaxPerArea)
-	}
-}
-
 // TestShortcutsOwnTheirStrings: Learn is handed substrings of a provenance
 // trail, which alias the frame the trail was decoded from. The table keeps
-// copies — one per area, shared by the map key and every edge of the area,
-// and one per server — so no learned edge pins the frame it was mined from.
+// copies — one per area, shared by the map key and the area's edge, and one
+// per server — so no learned edge pins the frame it was mined from.
 func TestShortcutsOwnTheirStrings(t *testing.T) {
 	const area, s1, s2 = "urn:InterestArea:(USA.OR.Portland,Music.CDs)", "s1:9020", "s2:9020"
 	frame := strings.Repeat("<visit/>", 8) + area + s1 + s2 + strings.Repeat("<visit/>", 8)
@@ -381,28 +307,22 @@ func TestShortcutsOwnTheirStrings(t *testing.T) {
 	}
 
 	s := NewShortcuts()
-	s.Learn(sub(at, len(area)), sub(at+len(area), len(s1)), 1, 0)
-	s.Learn(sub(at, len(area)), sub(at+len(area)+len(s1), len(s2)), 1, time.Second)
-	s.Learn(sub(at, len(area)), sub(at+len(area), len(s1)), 1, 2*time.Second) // re-confirmation
-
-	if len(s.byArea) != 1 || len(s.byArea[area]) != 2 {
-		t.Fatalf("table = %v, want one area with two edges", s.byArea)
-	}
-	for key, entries := range s.byArea {
-		if inFrame(key) {
-			t.Error("the table's key for the area points into the frame")
+	for i, srv := range []string{sub(at+len(area), len(s1)), sub(at+len(area), len(s1)), sub(at+len(area)+len(s1), len(s2))} {
+		s.Learn(sub(at, len(area)), srv, 1, time.Duration(i)*time.Second) // learn, re-confirm, replace
+		if len(s.byArea) != 1 {
+			t.Fatalf("table = %v, want one area", s.byArea)
 		}
-		for _, e := range entries {
-			if inFrame(e.Area) || inFrame(e.Server) {
-				t.Errorf("edge %s → %s points into the frame", e.Area, e.Server)
+		for key, e := range s.byArea {
+			if inFrame(key) || inFrame(e.Area) || inFrame(e.Server) {
+				t.Errorf("step %d: edge %s → %s points into the frame", i, e.Area, e.Server)
 			}
 			if unsafe.StringData(e.Area) != unsafe.StringData(key) {
-				t.Errorf("edge %s → %s holds its own copy of the area", e.Area, e.Server)
+				t.Errorf("step %d: edge %s → %s holds its own copy of the area", i, e.Area, e.Server)
 			}
 		}
 	}
-	live, _ := s.Confirmed(1, 1, 2*time.Second, nil)
-	if len(live) != 2 || live[0].Server != s1 || live[1].Server != s2 {
-		t.Fatalf("confirmed = %+v", live)
+	got := s.Confirmed(1, []ShortcutEntry{{Area: area, Server: s2}})
+	if len(got) != 1 || got[0].Server != s2 || got[0].Hits != 1 {
+		t.Fatalf("confirmed = %+v", got)
 	}
 }

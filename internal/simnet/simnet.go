@@ -410,7 +410,9 @@ func (n *Network) SendFrame(msg *Message, stage func(*xmltree.FrameEncoder)) err
 // receiver's side, so every simulated frame exercises the decoder the TCP
 // transport uses (and chaos sweeps and the experiment tables inherit that
 // coverage). The decoded document aliases the string and is born frozen, and
-// the frame is priced at the mux header plus its length.
+// the frame is priced at the mux header plus its length. A frame the socket
+// would refuse, empty or past xmltree.MaxFrameBytes, is refused here with the
+// same xmltree.ErrFrame.
 //
 // Staging runs first, outside every lock, before the destination is looked
 // up: it is the analog of the sender writing its frame, and whatever stage
@@ -419,6 +421,10 @@ func (n *Network) SendFrame(msg *Message, stage func(*xmltree.FrameEncoder)) err
 func carry(kind string, stage func(*xmltree.FrameEncoder)) (*xmltree.Node, int, error) {
 	enc := xmltree.GetFrameEncoder()
 	stage(enc)
+	if err := enc.Framable(); err != nil {
+		enc.Release()
+		return nil, 0, fmt.Errorf("simnet: %s: %w", kind, err)
+	}
 	frame := enc.String()
 	enc.Release()
 	body, err := xmltree.DecodeString(frame)

@@ -93,7 +93,7 @@ func FuzzRecv(f *testing.F) {
 		if !doc.Frozen() {
 			t.Fatal("received document not frozen at birth")
 		}
-		if doc.ByteSize() > MaxFrameBytes {
+		if doc.ByteSize() > xmltree.MaxFrameBytes {
 			// Escaping can make the canonical form larger than the accepted
 			// raw bytes; such a document legitimately cannot be re-framed.
 			return

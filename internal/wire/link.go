@@ -27,12 +27,6 @@ var idleTimeout = 45 * time.Second
 // itself is healthy: a remote failure is never grounds for a redial.
 var ErrRemote = errors.New("wire: remote handler failed")
 
-// ErrFrame reports a document that cannot be framed, empty or beyond
-// MaxFrameBytes: the sender's fault, found before anything touched a link. A
-// server reports a received payload that does not decode as ErrFrame too,
-// and serves the link's next frame.
-var ErrFrame = errors.New("wire: unframable document")
-
 // errLinkBroken marks a link whose connection already failed; callers inside
 // the pool redial instead of surfacing it.
 var errLinkBroken = errors.New("wire: link broken")
@@ -327,9 +321,9 @@ func (p *LinkPool) withLink(addr string, op func(*Link) error) error {
 func stage(fill func(*xmltree.FrameEncoder)) (*xmltree.FrameEncoder, error) {
 	enc := xmltree.GetFrameEncoder()
 	fill(enc)
-	if n := enc.Len(); n == 0 || n > MaxFrameBytes {
+	if err := enc.Framable(); err != nil {
 		enc.Release()
-		return nil, fmt.Errorf("%w: %d bytes, frame limit %d", ErrFrame, n, MaxFrameBytes)
+		return nil, err
 	}
 	return enc, nil
 }

@@ -260,8 +260,9 @@ func TestLinkIdleReapReestablish(t *testing.T) {
 	}
 }
 
-// TestLinkOversizeFramePoisonsFrameOnly: a document exceeding MaxFrameBytes
-// fails before touching the wire; the link keeps carrying other frames.
+// TestLinkOversizeFramePoisonsFrameOnly: a document exceeding
+// xmltree.MaxFrameBytes fails before touching the wire; the link keeps
+// carrying other frames.
 func TestLinkOversizeFramePoisonsFrameOnly(t *testing.T) {
 	got := make(chan string, 16)
 	srv, cl := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) {
@@ -276,7 +277,7 @@ func TestLinkOversizeFramePoisonsFrameOnly(t *testing.T) {
 	}
 	<-got
 
-	huge := xmltree.Elem("mqp", xmltree.ElemText("t", strings.Repeat("x", MaxFrameBytes+1)))
+	huge := xmltree.Elem("mqp", xmltree.ElemText("t", strings.Repeat("x", xmltree.MaxFrameBytes+1)))
 	if err := pool.SendFrame(srv.Addr(), node(huge)); err == nil {
 		t.Fatal("oversized frame accepted")
 	} else if !strings.Contains(err.Error(), "frame limit") {
@@ -294,8 +295,8 @@ func TestLinkOversizeFramePoisonsFrameOnly(t *testing.T) {
 
 // TestLinkTooDeepFramePoisonsFrameOnly: a frame nested one level past
 // xmltree.MaxDepth reaches the server (the sender does not look at depth), is
-// refused there and reported as ErrFrame, never reaches the handler, and the
-// next frame on the same link is served.
+// refused there and reported as xmltree.ErrFrame, never reaches the handler,
+// and the next frame on the same link is served.
 func TestLinkTooDeepFramePoisonsFrameOnly(t *testing.T) {
 	got := make(chan string, 16)
 	srv, cl := listenCounting(t, func(doc *xmltree.Node) (*xmltree.Node, error) {
@@ -314,8 +315,8 @@ func TestLinkTooDeepFramePoisonsFrameOnly(t *testing.T) {
 	}
 	select {
 	case err := <-srv.Errors():
-		if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "nested deeper than") {
-			t.Fatalf("too-deep frame reported as %v, want ErrFrame", err)
+		if !errors.Is(err, xmltree.ErrFrame) || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Fatalf("too-deep frame reported as %v, want xmltree.ErrFrame", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("too-deep frame not reported")

@@ -11,8 +11,8 @@
 //
 //	4-byte big-endian payload length | 8-byte big-endian correlation id | payload
 //
-// where the payload is one canonical XML document of at most MaxFrameBytes.
-// A frame with correlation id 0 is fire-and-forget; a nonzero id requests a
+// where the payload is one canonical XML document of at most
+// xmltree.MaxFrameBytes. A frame with correlation id 0 is fire-and-forget; a nonzero id requests a
 // reply frame carrying the same id, where a zero-length reply payload reports
 // a remote handler failure. Concurrent senders share one link: writes are
 // serialized per frame (each under its own writeTimeout), replies are matched
@@ -52,10 +52,6 @@ var writeTimeout = 30 * time.Second
 // variable (not a const) so tests can shorten it.
 var readTimeout = 30 * time.Second
 
-// MaxFrameBytes bounds a framed document: a peer cannot commit the receiver
-// to an arbitrarily large allocation by lying in the length prefix.
-const MaxFrameBytes = 8 << 20
-
 // linkMagic opens every connection; the dialer's reserved byte follows it and
 // the server answers with its capability byte before the first frame.
 const linkMagic = "MUX2"
@@ -80,11 +76,11 @@ func readHandshake(r io.Reader) error {
 }
 
 // readPayload reads exactly n payload bytes, refusing a length beyond
-// MaxFrameBytes before allocating for it. A stream that ends early is an
-// error (io.ErrUnexpectedEOF), never a hang on bytes that will not come.
+// xmltree.MaxFrameBytes before allocating for it. A stream that ends early is
+// an error (io.ErrUnexpectedEOF), never a hang on bytes that will not come.
 func readPayload(r io.Reader, n uint32) ([]byte, error) {
-	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+	if n > xmltree.MaxFrameBytes {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, xmltree.MaxFrameBytes)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -115,7 +111,7 @@ func readLinkFrame(br *bufio.Reader) (corr uint64, payload []byte, err error) {
 // bytes, or the header alone for a zero-length payload when enc is nil — as
 // one vectored write of the two under a fresh writeTimeout. It is the only
 // assembler of the link header. The caller has bounded enc.Len() by
-// MaxFrameBytes and serializes writers on conn.
+// xmltree.MaxFrameBytes and serializes writers on conn.
 func writeLinkFrame(conn net.Conn, corr uint64, enc *xmltree.FrameEncoder) error {
 	var hdr [12]byte
 	bufs := net.Buffers{hdr[:], nil}
@@ -280,8 +276,8 @@ func (s *Server) loop(h Handler) {
 // when it carries a nonzero correlation id. A handler failure poisons only
 // its frame — a zero-length reply reports it to a caller, and the loop reads
 // on — and so does a payload that does not decode (nested past
-// xmltree.MaxDepth, say), reported as ErrFrame. Anything that is not the
-// handshake, and a death mid-frame, is reported and closes the connection;
+// xmltree.MaxDepth, say), reported as xmltree.ErrFrame. Anything that is not
+// the handshake, and a death mid-frame, is reported and closes the connection;
 // the client going away or idling past readTimeout at a frame boundary is the
 // clean end of a link.
 func (s *Server) serveLink(conn net.Conn, h Handler) {
@@ -324,7 +320,7 @@ func (s *Server) serveLink(conn net.Conn, h Handler) {
 		doc, err := xmltree.Decode(payload)
 		var reply *xmltree.Node
 		if err != nil {
-			err = fmt.Errorf("wire: link from %s: %w: %w", conn.RemoteAddr(), ErrFrame, err)
+			err = fmt.Errorf("wire: link from %s: %w: %w", conn.RemoteAddr(), xmltree.ErrFrame, err)
 		} else {
 			reply, err = h(doc)
 		}
@@ -351,7 +347,7 @@ func writeLinkReply(conn net.Conn, corr uint64, reply *xmltree.Node, herr error)
 	enc := xmltree.GetFrameEncoder()
 	defer enc.Release()
 	enc.Node(reply)
-	if enc.Len() > MaxFrameBytes {
+	if enc.Framable() != nil {
 		return writeLinkFrame(conn, corr, nil)
 	}
 	return writeLinkFrame(conn, corr, enc)

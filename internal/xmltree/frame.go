@@ -9,7 +9,22 @@
 // pins no memo, and no frame a memo slices, between sends.
 package xmltree
 
-import "sync"
+import (
+	"errors"
+	"fmt"
+	"sync"
+)
+
+// MaxFrameBytes bounds a framed document on every transport: a peer cannot
+// commit the receiver to an arbitrarily large allocation by lying in a
+// length prefix, and a simulated link carries no frame a socket would refuse.
+const MaxFrameBytes = 8 << 20
+
+// ErrFrame reports a document that cannot be framed, empty or beyond
+// MaxFrameBytes: the sender's fault, found before anything touched a link.
+// The wire server reports a received payload that does not decode as ErrFrame
+// too, and serves the link's next frame.
+var ErrFrame = errors.New("xmltree: unframable document")
 
 // FrameEncoder stages one frame's bytes. Use NewFrameEncoder or
 // GetFrameEncoder.
@@ -53,6 +68,15 @@ func (e *FrameEncoder) Reset() {
 	} else {
 		e.buf = e.buf[:0]
 	}
+}
+
+// Framable refuses, with ErrFrame, a staged frame no transport carries: an
+// empty one or one past MaxFrameBytes.
+func (e *FrameEncoder) Framable() error {
+	if n := len(e.buf); n == 0 || n > MaxFrameBytes {
+		return fmt.Errorf("%w: %d bytes, frame limit %d", ErrFrame, n, MaxFrameBytes)
+	}
+	return nil
 }
 
 // Raw appends verbatim canonical bytes (markup the caller constructs).
