@@ -108,34 +108,40 @@ chaos:
 
 # CI smoke: 200 seeded scenarios, mixed fault intensity; then 200 with
 # learned routing and 200 with payload stores, the two modes whose peers keep
-# a shortcut table and a blob store (outcomes.golden pins 25 seeds of each).
+# a shortcut table and a blob store (outcomes.golden pins 25 seeds of each),
+# and 200 with both on the same peers.
 chaos-ci:
 	$(GO) run ./cmd/chaos -n 200
 	$(GO) run ./cmd/chaos -n 200 -learn
 	$(GO) run ./cmd/chaos -n 200 -blobs
+	$(GO) run ./cmd/chaos -n 200 -learn -blobs
 
 # Liveness gate: a fault-free sweep must strand zero plans — every plan
 # completes or returns an explicit partial result (visited-server routing
-# memory, internal/route).
+# memory, internal/route) — plain, and with learned routing and payload
+# stores on the same peers.
 chaos-nofault:
 	$(GO) run ./cmd/chaos -n 500 -level none -max-stuck 0
+	$(GO) run ./cmd/chaos -n 500 -level none -learn -blobs -max-stuck 0
 
 # Large worlds (TESTING.md "Large worlds"): 1000-peer churn-enabled
 # zipf-loaded scenarios with replica promotion, checked by the incremental
 # oracle with sampled full verification. The acceptance sweep is 50 seeds;
 # chaos-large-ci is the -short form wired into `make ci`, plus 8 seeds with
-# learned routing. Those check that mining trails, absorbing confirmed edges
-# into catalogs that churn keeps moving, and invalidating on supersede keep 0
-# violations. They do not route by a shortcut: no lookup in these worlds
-# finds a live edge (E15, churn_mixed and unit tests exercise the learned
-# tier). Replay a failure with the printed seed:
-# go run ./cmd/chaos -seed N -peers 1000 -churn (add -learn for the second).
+# learned routing and 8 with learned routing and payload stores together.
+# Those check that mining trails, absorbing confirmed edges into catalogs
+# that churn keeps moving, and invalidating on supersede keep 0 violations.
+# They do not route by a shortcut: no lookup in these worlds finds a live
+# edge (E15, churn_mixed and unit tests exercise the learned tier). Replay a
+# failure with the printed seed: go run ./cmd/chaos -seed N -peers 1000
+# -churn (add -learn, or -learn -blobs, for the others).
 chaos-large:
 	$(GO) run ./cmd/chaos -n 50 -peers 1000 -churn
 
 chaos-large-ci:
 	$(GO) run ./cmd/chaos -n 16 -peers 1000 -churn
 	$(GO) run ./cmd/chaos -n 8 -peers 1000 -churn -learn
+	$(GO) run ./cmd/chaos -n 8 -peers 1000 -churn -learn -blobs
 
 # Fuzz smoke: 10s per target (canonical-XML parse fixpoint, zero-copy
 # decoder vs reference-parser differential — both refuse namespaces,

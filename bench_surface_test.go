@@ -20,6 +20,7 @@ const benchSurfaceGolden = "testdata/bench_surface.golden"
 // identifier. An identifier bench/ uses that is not listed blocks nothing.
 var benchBlocks = map[string]string{
 	"internal/peer.Config":                    "10 (its Workers field)",
+	"internal/peer.KindResult":                "15 (no peer sends it)",
 	"internal/simnet.Message":                 "3",
 	"internal/simnet.Network":                 "3 (Serve's and Deliver's *Network parameter)",
 	"internal/simnet.Peer":                    "3, 15",

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -226,6 +227,10 @@ func (c *Catalog) dropLocked(addr string) int {
 	return removed
 }
 
+// maxAbsorbedCells bounds an absorbed registration, which every trail naming
+// a new area widens. No workload comes near it (15 cells at most).
+const maxAbsorbedCells = 1024
+
 // AbsorbLearned folds a confirmed learned shortcut — server answered the
 // resource area named by areaURN — into the catalog as a real,
 // non-authoritative index registration: the §5.1 meta-index update that
@@ -234,13 +239,11 @@ func (c *Catalog) dropLocked(addr string) int {
 // know are generalized to their deepest known ancestors first (§3.5:
 // precision may be lost, recall is not). Absorbing an area the catalog
 // already covers for that server is a no-op, so repeated confirmation does
-// not churn the catalog generation.
+// not churn the catalog generation. A widening past maxAbsorbedCells is
+// refused: the edge stays a shortcut only.
 //
 // The returned generation is the one this call's own widening produced, read
-// under the same lock, or zero when the call changed nothing. A caller that
-// remembers the generation it last absorbed under (peer.mineTrail) can so
-// tell its own step from anyone else's mutation: only the latter can have
-// taken coverage away.
+// under the same lock, or zero when the call changed nothing.
 func (c *Catalog) AbsorbLearned(server, areaURN string) (uint64, error) {
 	if server == "" || server == c.self {
 		return 0, fmt.Errorf("catalog: cannot absorb shortcut to %q", server)
@@ -257,18 +260,21 @@ func (c *Catalog) AbsorbLearned(server, areaURN string) (uint64, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.regs {
-		if c.regs[i].Addr == server && c.regs[i].Role == RoleIndex {
-			if c.regs[i].Area.Covers(area) {
-				return 0, nil
-			}
-			cells := append(append([]namespace.Cell(nil), c.regs[i].Area.Cells...), area.Cells...)
-			c.regs[i].Area = namespace.NewArea(cells...)
-			c.invalidateLocked()
-			return c.gen.Load(), nil
+	i := slices.IndexFunc(c.regs, func(r Registration) bool { return r.Addr == server && r.Role == RoleIndex })
+	if i >= 0 {
+		if c.regs[i].Area.Covers(area) {
+			return 0, nil
 		}
+		area = namespace.NewArea(append(append([]namespace.Cell(nil), c.regs[i].Area.Cells...), area.Cells...)...)
 	}
-	c.regs = append(c.regs, Registration{Addr: server, Role: RoleIndex, Area: area})
+	if len(area.Cells) > maxAbsorbedCells {
+		return 0, fmt.Errorf("catalog: absorb %s: %d cells exceed the cap of %d", server, len(area.Cells), maxAbsorbedCells)
+	}
+	if i >= 0 {
+		c.regs[i].Area = area
+	} else {
+		c.regs = append(c.regs, Registration{Addr: server, Role: RoleIndex, Area: area})
+	}
 	c.invalidateLocked()
 	return c.gen.Load(), nil
 }

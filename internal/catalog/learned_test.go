@@ -1,7 +1,12 @@
 package catalog
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/hierarchy"
+	"repro/internal/namespace"
 )
 
 // Tests for the learned-routing catalog surface: Deregister (graceful
@@ -130,5 +135,50 @@ func TestAbsorbLearnedGeneralizesUnknownArea(t *testing.T) {
 	want := ns.MustParseArea("[USA/OR, Music/CDs]")
 	if !regs[0].Area.Covers(want) {
 		t.Fatalf("generalized area %v does not cover %v", regs[0].Area, want)
+	}
+}
+
+// TestAbsorbLearnedCapsCells: an absorbed registration holds at most
+// maxAbsorbedCells cells. A widening past the cap, or a first learned area
+// wider than it, is refused with an error and changes nothing; an area the
+// registration already covers is still the no-op it always was.
+func TestAbsorbLearnedCapsCells(t *testing.T) {
+	// 33 × 32 leaf cells, none covering another.
+	loc, merch := hierarchy.New("Location"), hierarchy.New("Merchandise")
+	for i := 0; i < 33; i++ {
+		loc.MustAdd(fmt.Sprintf("L%d", i))
+	}
+	for j := 0; j < 32; j++ {
+		merch.MustAdd(fmt.Sprintf("M%d", j))
+	}
+	ns := namespace.MustNew(loc, merch)
+	cells := func(from, to int) string {
+		parts := make([]string, 0, to-from)
+		for k := from; k < to; k++ {
+			parts = append(parts, fmt.Sprintf("(L%d,M%d)", k/32, k%32))
+		}
+		return namespace.URNPrefix + strings.Join(parts, "+")
+	}
+
+	c := New(ns, "me:1")
+	if _, err := c.AbsorbLearned("wide:1", cells(0, maxAbsorbedCells+1)); err == nil {
+		t.Fatalf("a first learned area of %d cells was absorbed", maxAbsorbedCells+1)
+	}
+	if regs := c.Registrations(); len(regs) != 0 {
+		t.Fatalf("a refused absorption left %+v", regs)
+	}
+
+	if _, err := c.AbsorbLearned("idx:1", cells(0, maxAbsorbedCells)); err != nil {
+		t.Fatalf("absorbing exactly the cap: %v", err)
+	}
+	gen := c.Generation()
+	if _, err := c.AbsorbLearned("idx:1", cells(maxAbsorbedCells, maxAbsorbedCells+1)); err == nil {
+		t.Fatal("a widening past the cap was absorbed")
+	}
+	if g, err := c.AbsorbLearned("idx:1", cells(5, 6)); err != nil || g != 0 {
+		t.Fatalf("re-absorbing a covered cell at the cap = generation %d, %v; want 0, nil", g, err)
+	}
+	if regs := c.Registrations(); len(regs) != 1 || len(regs[0].Area.Cells) != maxAbsorbedCells || c.Generation() != gen {
+		t.Fatalf("after the refused widening: %+v at generation %d (was %d)", regs, c.Generation(), gen)
 	}
 }

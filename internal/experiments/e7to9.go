@@ -216,7 +216,7 @@ func E9CatalogScaling(short bool) (*Table, error) {
 					algebra.Display(algebra.Count(algebra.URN(namespace.EncodeURN(q.Area)))))
 				plan.RetainOriginal()
 				if err := w.client.Submit("client:9020", plan); err != nil {
-					continue // area with no coverage
+					return 0, 0, err
 				}
 				res, ok := w.client.TakeResult()
 				if !ok {

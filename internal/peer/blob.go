@@ -337,7 +337,7 @@ func (b *blobState) fetchMissing(p *Peer, from string, fp blobstore.FP, at time.
 	b.stats.Fetches++
 	b.mu.Unlock()
 
-	req := xmltree.ElemAttrs("blobfetch", xmltree.Attr{Name: "fp", Value: fp.String()})
+	req := xmltree.ElemAttrs(KindBlobFetch, xmltree.Attr{Name: "fp", Value: fp.String()})
 	var delay time.Duration
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {

@@ -281,7 +281,7 @@ func TestBlobFetchFailureIsStuckNotWrong(t *testing.T) {
 		`<mqp id="orphan" target="client:9020" blobs="1"><plan><display><data><blob fp="%s"/></data></display></plan></mqp>`,
 		fp))
 	if err := client.Deliver(nil, &simnet.Message{
-		From: "s2:9020", To: "client:9020", Kind: KindResult,
+		From: "s2:9020", To: "client:9020", Kind: KindMQP,
 		Body: body.Freeze(), At: time.Second,
 	}); err == nil {
 		t.Fatal("unresolvable result delivered without error")
@@ -326,7 +326,7 @@ func TestBlobFetchRejectsForgedPayload(t *testing.T) {
 		`<mqp id="forged" target="client:9020" blobs="1"><plan><display><data><blob fp="%s"/></data></display></plan></mqp>`,
 		fp))
 	if err := client.Deliver(nil, &simnet.Message{
-		From: "forger:9020", To: "client:9020", Kind: KindResult,
+		From: "forger:9020", To: "client:9020", Kind: KindMQP,
 		Body: body.Freeze(), At: time.Second,
 	}); err == nil {
 		t.Fatal("result with a forged payload delivered without error")

@@ -33,15 +33,18 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Message kinds on the wire.
+// Message kinds on the wire. Each is the root name of the document it
+// carries, on every transport.
 const (
-	KindMQP        = "mqp"        // a mutant query plan in flight
-	KindResult     = "result"     // a fully evaluated plan arriving at its target
-	KindRegister   = "register"   // a registration push (§3.3)
-	KindDeregister = "deregister" // a graceful-leave un-registration
-	KindFetch      = "fetch"      // data pull: request a collection's items
-	KindExport     = "export"     // harvest: request a peer's registration
-	KindBlobFetch  = "blobfetch"  // payload fetch-on-miss (see blob.go)
+	KindMQP        = "mqp"          // a mutant query plan in flight, or a result at its target
+	KindRegister   = "registration" // a registration push (§3.3)
+	KindDeregister = "deregister"   // a graceful-leave un-registration
+	KindFetch      = "fetch"        // data pull: request a collection's items
+	KindExport     = "export"       // harvest: request a peer's registration
+	KindBlobFetch  = "blobfetch"    // payload fetch-on-miss (see blob.go)
+	// KindResult names no frame a peer sends (a result travels as the <mqp>
+	// it is); it stays because the benchmark's stage replay names it.
+	KindResult = "result"
 )
 
 // Collection is a named collection a base server exports, with the XPath
@@ -83,11 +86,13 @@ type Result struct {
 // *simnet.Network is one; NewTCP makes the other. SendFrame ships the document
 // stage writes to msg.To, and Request ships it and returns the reply with the
 // virtual time it arrives; msg is the envelope (From, To, Kind, At, Hops) and
-// its Body is not read. Every plan and result a peer sends is staged by frame,
-// every registration and request by its document, and every document a peer
-// receives — a reply too — is a decoded frame, born frozen. PeerCaps is the
-// one way a peer learns whether a neighbor holds a payload store
-// (wire.CapBlobRef).
+// its Body is not read; Kind is the document's root name. SendFrame reports
+// only transport failure (simnet.ErrUnreachable, ErrDepthExceeded,
+// xmltree.ErrFrame): what the receiver made of the frame is its StuckErrors.
+// Every plan and result a peer sends is staged by frame, every registration
+// and request by its document, and every document a peer receives — a reply
+// too — is a decoded frame, born frozen. PeerCaps is the one way a peer
+// learns whether a neighbor holds a payload store (wire.CapBlobRef).
 type Transport interface {
 	Add(simnet.Peer)
 	SendFrame(msg *simnet.Message, stage func(*xmltree.FrameEncoder)) error
@@ -391,7 +396,7 @@ func (p *Peer) registerWith(addr string, role catalog.Role, at time.Duration, su
 // catalog also forgets addr as a cached index server.
 func (p *Peer) DeregisterFrom(addr string, at time.Duration) error {
 	if err := p.net.SendFrame(&simnet.Message{From: p.addr, To: addr, Kind: KindDeregister, At: at},
-		xmltree.ElemAttrs("deregister", xmltree.Attr{Name: "addr", Value: p.addr}).Stage); err != nil {
+		xmltree.ElemAttrs(KindDeregister, xmltree.Attr{Name: "addr", Value: p.addr}).Stage); err != nil {
 		return err
 	}
 	p.cat.Deregister(addr)
@@ -403,7 +408,7 @@ func (p *Peer) DeregisterFrom(addr string, at time.Duration) error {
 // their data, to build more detailed indices").
 func (p *Peer) Harvest(addr string) error {
 	reply, _, err := p.net.Request(&simnet.Message{From: p.addr, To: addr, Kind: KindExport, At: p.virtualNow()},
-		xmltree.Elem("export").Stage)
+		xmltree.Elem(KindExport).Stage)
 	if err != nil {
 		return err
 	}
@@ -418,7 +423,7 @@ func (p *Peer) Harvest(addr string) error {
 // replica with the given staleness bound — the §4.3 delayed-replication
 // model. The experiment driver calls it again to refresh the snapshot.
 func (p *Peer) ReplicateFrom(srcAddr, pathExp string, as Collection, stalenessMin int) error {
-	req := xmltree.ElemAttrs("fetch", xmltree.Attr{Name: "path", Value: pathExp})
+	req := xmltree.ElemAttrs(KindFetch, xmltree.Attr{Name: "path", Value: pathExp})
 	reply, at, err := p.net.Request(&simnet.Message{From: p.addr, To: srcAddr, Kind: KindFetch, At: p.virtualNow()}, req.Stage)
 	if err != nil {
 		return err
@@ -621,9 +626,9 @@ func (p *Peer) frame(plan *algebra.Plan, to string) func(*xmltree.FrameEncoder) 
 // --- simnet.Peer implementation ---------------------------------------
 
 // Deliver implements simnet.Peer: handles plans in flight, results, and
-// registration pushes. A frame it refuses is recorded here (noteStuck) as well
-// as returned, since not every path hands the error back to anyone: the
-// scheduler discards it.
+// registration pushes. No transport hands what it returns to the sender, so
+// whatever it refuses or strands is recorded here (noteStuck); over TCP the
+// returned error is also the server's (wire.Server.Errors).
 func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 	switch msg.Kind {
 	case KindMQP:
@@ -631,9 +636,6 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 			return p.rt.enqueue(msg) // onto the worker pool
 		}
 		return p.processMQP(msg)
-	case KindResult:
-		_, _, err := p.arrive(msg)
-		return err
 	case KindRegister:
 		reg, err := catalog.UnmarshalRegistration(p.ns, msg.Body)
 		if err != nil {
@@ -667,9 +669,9 @@ func (p *Peer) Deliver(net *simnet.Network, msg *simnet.Message) error {
 // arrive opens a delivered plan or result. Payload references are resolved
 // before anything interprets the body (an unresolved <blob> under <data> would
 // be mistaken for payload data); a failed resolution (fetch-on-miss exhausted,
-// only possible under faults) ends the plan here, attributably. A result —
-// which a constant plan addressed to this peer also is, and on TCP the only
-// form one takes — is recorded, and no plan comes back. A plan comes back
+// only possible under faults) ends the plan here, attributably. A result — a
+// constant plan addressed to this peer, the one form a result takes on either
+// transport — is recorded, and no plan comes back. A plan comes back
 // with its envelope read and its operator tree unbuilt (Root nil): StepCtx
 // builds it only when the plan cache does not know its bytes, and any other
 // reader opens it first.
@@ -680,13 +682,13 @@ func (p *Peer) arrive(msg *simnet.Message) (*algebra.Plan, time.Duration, error)
 			p.addr, msg.Kind, msg.Body.AttrDefault("id", ""), err))
 	}
 	plan, err := algebra.UnmarshalEnvelope(body)
-	if err == nil && (msg.Kind == KindResult || plan.Target == p.addr) {
+	if err == nil && plan.Target == p.addr {
 		err = plan.Open()
 	}
 	if err != nil {
 		return nil, 0, p.badFrame(msg, err)
 	}
-	if msg.Kind == KindResult || plan.Target == p.addr && plan.IsConstant() {
+	if plan.Target == p.addr && plan.IsConstant() {
 		p.recordResult(plan, msg.At+fdelay, msg.Hops)
 		return nil, 0, nil
 	}
@@ -735,7 +737,7 @@ func (p *Peer) processMQP(msg *simnet.Message) error {
 			}
 		}
 		err := p.net.SendFrame(&simnet.Message{
-			From: p.addr, To: result.Target, Kind: KindResult, At: at, Hops: msg.Hops,
+			From: p.addr, To: result.Target, Kind: KindMQP, At: at, Hops: msg.Hops,
 		}, p.frame(result, result.Target))
 		if err != nil {
 			// The answer exists but its owner is unreachable: surface the
@@ -748,7 +750,9 @@ func (p *Peer) processMQP(msg *simnet.Message) error {
 	// Fault tolerance (§1): try forwarding candidates in preference order;
 	// an unreachable next hop falls through to the next candidate. Each
 	// candidate gets its own frame: with a payload store, which payloads go
-	// by reference depends on what that candidate was taught.
+	// by reference depends on what that candidate was taught. Any other send
+	// error — a forwarding loop, a frame past the link's limit (the same size
+	// for every candidate) — ends the plan here.
 	var lastErr error
 	for _, hop := range out.NextHops {
 		err := p.net.SendFrame(&simnet.Message{
@@ -759,13 +763,7 @@ func (p *Peer) processMQP(msg *simnet.Message) error {
 		}
 		lastErr = err
 		if _, unreachable := err.(simnet.ErrUnreachable); !unreachable {
-			if errors.Is(err, simnet.ErrDepthExceeded) || errors.Is(err, xmltree.ErrFrame) {
-				// A forwarding loop, or a frame past the link's limit (the
-				// same size for every candidate), ends the plan here; record
-				// it so the plan is accounted for.
-				return p.noteStuck(fmt.Errorf("peer %s: plan %q: %w", p.addr, plan.ID, err))
-			}
-			return err
+			return p.noteStuck(fmt.Errorf("peer %s: plan %q: %w", p.addr, plan.ID, err))
 		}
 	}
 	return p.noteStuck(fmt.Errorf("peer %s: all %d next hops unreachable for plan %q: %w",
@@ -778,7 +776,7 @@ func (p *Peer) processMQP(msg *simnet.Message) error {
 // accounted for — as a partial at its owner, or as a stuck record here if
 // even the partial cannot be delivered.
 func (p *Peer) rejectMQP(msg *simnet.Message, reason string) error {
-	// A result routed as an MQP costs nothing to accept: arrive never sheds it.
+	// A result costs nothing to accept: arrive records it, never sheds it.
 	plan, _, err := p.arrive(msg)
 	if plan == nil {
 		return err
@@ -789,7 +787,7 @@ func (p *Peer) rejectMQP(msg *simnet.Message, reason string) error {
 	res := route.Partial(plan)
 	res.SetPartialReason(reason)
 	if err := p.net.SendFrame(&simnet.Message{
-		From: p.addr, To: res.Target, Kind: KindResult, At: msg.At, Hops: msg.Hops,
+		From: p.addr, To: res.Target, Kind: KindMQP, At: msg.At, Hops: msg.Hops,
 	}, p.frame(res, res.Target)); err != nil {
 		return p.noteStuck(fmt.Errorf("peer %s: %s partial for plan %q undeliverable to %s: %w",
 			p.addr, reason, plan.ID, plan.Target, err))
@@ -869,7 +867,7 @@ func (p *Peer) statsAnnotations(items []*xmltree.Node) map[string]string {
 // fetchRemote pulls a collection from another peer, charging the RTT to the
 // in-flight plan's virtual time through its StepContext.
 func (p *Peer) fetchRemote(sc *mqp.StepContext, addr, pathExp string) ([]*xmltree.Node, int, error) {
-	req := xmltree.ElemAttrs("fetch", xmltree.Attr{Name: "path", Value: pathExp})
+	req := xmltree.ElemAttrs(KindFetch, xmltree.Attr{Name: "path", Value: pathExp})
 	start := sc.Now
 	reply, at, err := p.net.Request(&simnet.Message{From: p.addr, To: addr, Kind: KindFetch, At: start}, req.Stage)
 	if err != nil {

@@ -292,12 +292,15 @@ func TestStuckPlanSurfacesError(t *testing.T) {
 	client := mustPeer(t, Config{Addr: "c:1", Net: net, NS: ns})
 	lonely := mustPeer(t, Config{Addr: "l:1", Net: net, NS: ns})
 	plan := algebra.NewPlan("q", "c:1", algebra.Display(algebra.URN("urn:No:Such")))
-	err := client.Submit("l:1", plan)
-	if err == nil || !strings.Contains(err.Error(), "stuck") {
-		t.Fatalf("want stuck error, got %v", err)
+	if err := client.Submit("l:1", plan); err != nil {
+		t.Fatalf("Submit = %v: a sender learns only transport failure", err)
 	}
-	if len(lonely.StuckErrors()) != 1 {
-		t.Fatal("stuck error not recorded")
+	stuck := lonely.StuckErrors()
+	if len(stuck) != 1 || !strings.Contains(stuck[0].Error(), "stuck") || !strings.Contains(stuck[0].Error(), `"q"`) {
+		t.Fatalf("stuck record = %v, want one stuck error naming the plan", stuck)
+	}
+	if got := client.StuckErrors(); len(got) != 0 {
+		t.Fatalf("the client recorded %v", got)
 	}
 }
 

@@ -69,16 +69,22 @@ func TestFallbackRoutingSurvivesDownIndex(t *testing.T) {
 	}
 }
 
-// TestAllHopsDownSurfacesError: when every candidate is unreachable the
-// submitter learns about it.
+// TestAllHopsDownSurfacesError: when every candidate is unreachable the peer
+// that tried them records the plan as stuck. Here that is the submitter, which
+// sent the plan to itself first; its Submit, a send that reached its
+// receiver, reports nothing.
 func TestAllHopsDownSurfacesError(t *testing.T) {
 	net, client, ns := cdWorld(t)
 	net.SetDown("M:9020", true)
 	plan := algebra.NewPlan("q", "client:9020",
 		algebra.Display(algebra.Count(algebra.URN(namespace.EncodeURN(
 			ns.MustParseArea("[USA/OR/Portland, Music/CDs]"))))))
-	if err := client.Submit("client:9020", plan); err == nil {
-		t.Fatal("expected error when the only route is down")
+	if err := client.Submit("client:9020", plan); err != nil {
+		t.Fatalf("Submit = %v: a sender learns only transport failure", err)
+	}
+	stuck := client.StuckErrors()
+	if len(stuck) != 1 || !strings.Contains(stuck[0].Error(), `next hops unreachable for plan "q"`) {
+		t.Fatalf("stuck record = %v, want the plan stuck with every next hop unreachable", stuck)
 	}
 }
 
@@ -93,22 +99,22 @@ func TestUndeliverableResultSurfacesAsStuck(t *testing.T) {
 		algebra.Display(algebra.Count(algebra.URN(namespace.EncodeURN(
 			ns.MustParseArea("[USA/OR/Portland, Music/CDs]"))))))
 	// Submit from the meta server's side: the client being down must not
-	// stop the query from being evaluated, only the result delivery.
-	err := net.Send(&simnet.Message{From: "x", To: "M:9020", Kind: KindMQP, Body: algebra.Marshal(plan)})
-	if err == nil {
-		t.Fatal("expected the undeliverable result to propagate an error")
+	// stop the query from being evaluated, only the result delivery. The
+	// sender reached M, so it learns nothing of what happened downstream.
+	if err := net.Send(&simnet.Message{From: "x", To: "M:9020", Kind: KindMQP, Body: algebra.Marshal(plan)}); err != nil {
+		t.Fatalf("Send = %v: a sender learns only transport failure", err)
 	}
-	stuck := false
+	stuck := 0
 	for _, p := range []string{"M:9020", "s1:9020", "s2:9020"} {
 		sp, _ := net.Peer(p).(*Peer)
 		for _, serr := range sp.StuckErrors() {
-			if strings.Contains(serr.Error(), `"orphan-q"`) {
-				stuck = true
+			if strings.Contains(serr.Error(), `result for plan "orphan-q" undeliverable`) {
+				stuck++
 			}
 		}
 	}
-	if !stuck {
-		t.Fatal("undeliverable result not recorded in any StuckErrors")
+	if stuck != 1 {
+		t.Fatalf("undeliverable result recorded %d times in StuckErrors, want once", stuck)
 	}
 	_ = client
 }
@@ -231,7 +237,9 @@ func TestRefusedFramesRecorded(t *testing.T) {
 		{KindDeregister, `<deregister/>`, "deregister without addr"},
 		{"gossip", `<gossip/>`, "unknown message kind"},
 		{KindMQP, `<notaplan/>`, "bad mqp"},
-		{KindResult, `<notaplan/>`, "bad result"},
+		// A result is the <mqp> it is: one addressed here whose plan does
+		// not build is refused as a bad mqp too.
+		{KindMQP, `<mqp id="r" target="p:1"><plan><nosuchop/></plan></mqp>`, `bad mqp`},
 	}
 	for _, r := range refused {
 		if err := net.Send(&simnet.Message{From: "snd:1", To: p.addr, Kind: r.kind,
@@ -263,7 +271,7 @@ func TestResultsBounded(t *testing.T) {
 	for i := 0; i < maxResults+over; i++ {
 		res := algebra.NewPlan(fmt.Sprintf("r%d", i), "p:1", algebra.Display(algebra.Data()))
 		body := xmltree.MustParse(algebra.EncodeString(res)).Freeze()
-		if err := p.Deliver(net, &simnet.Message{From: "s:1", To: "p:1", Kind: KindResult, Body: body}); err != nil {
+		if err := p.Deliver(net, &simnet.Message{From: "s:1", To: "p:1", Kind: KindMQP, Body: body}); err != nil {
 			t.Fatal(err)
 		}
 	}

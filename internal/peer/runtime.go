@@ -72,13 +72,7 @@ func (rt *runtime) worker() {
 		case <-rt.ctx.Done():
 			return
 		case msg := <-rt.queue:
-			if err := rt.p.processMQP(msg); err != nil {
-				// Inline delivery returns errors to the sender's Deliver call;
-				// a worker has no caller, so terminal failures are recorded
-				// here. noteStuck dedupes, so paths that already recorded stay
-				// recorded once.
-				rt.p.noteStuck(err)
-			}
+			_ = rt.p.processMQP(msg) // which records what it strands
 		}
 	}
 }

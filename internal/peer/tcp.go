@@ -15,10 +15,10 @@ import (
 // TCP is the Transport over real sockets: a wire.LinkPool outbound and, once
 // Listen has run, a wire.Server inbound, whose Addr and Errors (accept and
 // link errors, hostile frames, every error the peer's Deliver or Serve
-// returned) are this transport's. A frame's document name is its message kind,
-// and a result travels as the <mqp> it is, addressed to its target; each <mqp>
-// that arrives is logged as `plan <id>`, and a request's reply comes back as a
-// decoded frame, as on simnet. A link has no virtual clock and names no
+// returned) are this transport's. A frame's document name is its message kind
+// and a result travels as the <mqp> it is, addressed to its target, both as on
+// simnet; each <mqp> that arrives is logged as `plan <id>`, and a request's
+// reply comes back as a decoded frame. A link has no virtual clock and names no
 // sender: a message's At, Hops and From are zero. A reference that misses
 // is fetched back from From (blob.go), so this transport advertises no
 // capability byte, and a neighbor ships it every payload inline.
@@ -57,9 +57,7 @@ func (t *TCP) handle(doc *xmltree.Node) (*xmltree.Node, error) {
 	switch doc.Name {
 	case KindMQP:
 		log.Printf("plan %s", doc.AttrDefault("id", ""))
-	case "registration":
-		msg.Kind = KindRegister
-	case KindDeregister:
+	case KindRegister, KindDeregister:
 	default:
 		return p.Serve(nil, msg) // which refuses a kind it does not know
 	}

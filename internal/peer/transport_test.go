@@ -327,13 +327,15 @@ func TestFallbackOnBothTransports(t *testing.T) {
 					algebra.Count(algebra.URN(namespace.EncodeURN(pdxCDs)))))
 			}
 
-			// Every candidate dead: on simnet the submitter hears it at once,
-			// on TCP the frame was written and the failure is the peer's
-			// record. Either way it is recorded once, under the plan's id.
+			// Every candidate dead: the submission reached the client itself,
+			// so Submit reports nothing, and the failure is the client's
+			// record, once, under the plan's id.
 			dead1, dead2 := f.nobody(t, "dead1"), f.nobody(t, "dead2")
 			knows(dead1)
 			knows(dead2)
-			_ = client.Submit(client.Addr(), count("doomed-q"))
+			if err := client.Submit(client.Addr(), count("doomed-q")); err != nil {
+				t.Fatal(err)
+			}
 			eventually(t, "the stuck record", func() bool { return len(client.StuckErrors()) > 0 })
 			stuck := client.StuckErrors()
 			if len(stuck) != 1 || !strings.Contains(stuck[0].Error(), `"doomed-q"`) ||
@@ -370,6 +372,150 @@ func TestFallbackOnBothTransports(t *testing.T) {
 	}
 }
 
+// TestSenderLearnsOnlyTransportFailure: a plan that reaches its second server
+// and finds no route there is that server's record, on both transports. The
+// submitter's frame reached the first server, so Submit reports nothing, and
+// nothing downstream comes back to the client: it records nothing either.
+func TestSenderLearnsOnlyTransportFailure(t *testing.T) {
+	for _, f := range fabrics() {
+		t.Run(f.name, func(t *testing.T) {
+			w := world{t, f, testNS()}
+			client := w.peer("client", Config{})
+			relay := w.peer("relay", Config{})
+			end := w.peer("end", Config{})
+			// The relay knows the end as an index server for everything, so it
+			// forwards a URN it cannot bind there; the end knows nobody.
+			if err := relay.Catalog().Register(catalog.Registration{
+				Addr: end.Addr(), Role: catalog.RoleIndex, Area: w.ns.Everything(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			plan := algebra.NewPlan("nowhere-q", client.Addr(), algebra.Display(algebra.URN("urn:No:Such")))
+			if err := client.Submit(relay.Addr(), plan); err != nil {
+				t.Fatalf("Submit = %v, want nil: the frame reached the relay", err)
+			}
+			eventually(t, "the stuck record", func() bool { return len(end.StuckErrors()) > 0 })
+			stuck := end.StuckErrors()
+			if len(stuck) != 1 || !strings.Contains(stuck[0].Error(), `"nowhere-q"`) ||
+				!strings.Contains(stuck[0].Error(), "no route") {
+				t.Fatalf("the end recorded %v, want one no-route entry naming \"nowhere-q\"", stuck)
+			}
+			for _, p := range []*Peer{client, relay} {
+				if got := p.StuckErrors(); len(got) != 0 {
+					t.Fatalf("%s recorded %v, want nothing", p.Addr(), got)
+				}
+			}
+			if res, ok := client.TakeResult(); ok {
+				t.Fatalf("the client holds a result: %s", algebra.EncodeString(res.Plan))
+			}
+		})
+	}
+}
+
+// kindCheck stands in front of a peer on simnet and notes what it is handed:
+// each frame's document, by what it is, and an error for any frame whose
+// envelope Kind is not the document's root name. It declares no capability
+// byte, so the peer behind it keeps its own.
+type kindCheck struct {
+	simnet.Peer
+	t    *testing.T
+	seen map[string]bool
+}
+
+func (k kindCheck) note(msg *simnet.Message) {
+	what := msg.Body.Name
+	if msg.Kind != what {
+		k.t.Errorf("a <%s> frame to %s travels as kind %q", what, msg.To, msg.Kind)
+	}
+	if what == KindMQP {
+		switch plan, err := algebra.Unmarshal(msg.Body); {
+		case err != nil:
+			k.t.Errorf("an <mqp> frame to %s does not unmarshal: %v", msg.To, err)
+		case plan.PartialResult():
+			what = "partial"
+		case plan.Target == msg.To && plan.IsConstant():
+			what = "result"
+		}
+	}
+	k.seen[what] = true
+}
+
+func (k kindCheck) Deliver(net *simnet.Network, msg *simnet.Message) error {
+	k.note(msg)
+	return k.Peer.Deliver(net, msg)
+}
+
+func (k kindCheck) Serve(net *simnet.Network, req *simnet.Message) (*xmltree.Node, error) {
+	k.note(req)
+	return k.Peer.Serve(net, req)
+}
+
+// TestKindIsDocumentName: every frame a peer sends — a plan, a result, a
+// partial, a registration, a deregistration and the fetch, blobfetch and
+// export calls — travels under its document's root name, as a socket, which
+// carries no kind, delivers it.
+func TestKindIsDocumentName(t *testing.T) {
+	net, client, _, ns := blobWorld(t)
+	seen := map[string]bool{}
+	for _, addr := range net.Addrs() {
+		net.Add(kindCheck{net.Peer(addr), t, seen})
+	}
+	peerAt := func(addr string) *Peer { return net.Peer(addr).(kindCheck).Peer.(*Peer) }
+	meta, s1, s2 := peerAt("M:9020"), peerAt("s1:9020"), peerAt("s2:9020")
+
+	// A plan, its result, and (s2 sure the client holds a payload it does
+	// not) a blobfetch back to s2.
+	payload := xmltree.MustParse(bigSale("Giant Steps", 9))
+	fp, _ := blobstore.Fingerprint(payload)
+	s2.blobs.teach(client.Addr(), fp, payload)
+	runBlobQuery(t, client, "kinds-q")
+	if client.BlobNetStats().Fetches == 0 {
+		t.Fatal("no blobfetch: the client held every payload")
+	}
+
+	// A partial: an index authoritative under M but ignorant of the queried
+	// cell, and M always seeing the overlapping index, end the plan as the
+	// ping-pong partial of TestEmptyAreaPingPongReturnsPartial.
+	idx := mustPeer(t, Config{Addr: "idx:9020", Net: net, NS: ns, Key: []byte("kI"),
+		Area: ns.MustParseArea("[USA/OR, *]"), Authoritative: true})
+	net.Add(kindCheck{idx, t, seen})
+	if err := idx.RegisterWith(meta.Addr(), catalog.RoleIndex); err != nil {
+		t.Fatal(err)
+	}
+	chairs := namespace.EncodeURN(ns.MustParseArea("[USA/OR/Portland, Furniture/Chairs]"))
+	if err := client.Submit(meta.Addr(), algebra.NewPlan("empty-q", client.Addr(), algebra.Display(algebra.URN(chairs)))); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := client.TakeResult(); !ok || !res.Partial {
+		t.Fatalf("the empty-area query ended as %+v, %v; want a partial", res, ok)
+	}
+
+	if err := idx.DeregisterFrom(meta.Addr(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := meta.Harvest(s1.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.ReplicateFrom(s1.Addr(), "/data[id=1]", Collection{Name: "copy", PathExp: "/copy"}, 30); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []string{KindMQP, "result", "partial", KindRegister, KindDeregister, KindFetch, KindBlobFetch, KindExport}
+	for _, k := range want {
+		if !seen[k] {
+			t.Errorf("no %s frame seen", k)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("saw %v, want exactly %v", seen, want)
+	}
+	for _, p := range []*Peer{client, meta, s1, s2, idx} {
+		if got := p.StuckErrors(); len(got) != 0 {
+			t.Errorf("%s refused or stranded %v", p.Addr(), got)
+		}
+	}
+}
+
 // TestOversizedForwardIsStuck: on both transports, a plan that materialized a
 // local collection past xmltree.MaxFrameBytes and must still travel for the
 // rest cannot be framed for any next hop. The forwarding peer records it as
@@ -390,9 +536,7 @@ func TestOversizedForwardIsStuck(t *testing.T) {
 
 			plan := algebra.NewPlan("oversized-q", big.Addr(), algebra.Display(algebra.Union(
 				algebra.URL(big.Addr(), "/data"), algebra.URL(rest.Addr(), "/data"))))
-			// simnet delivers inline, so the forward's failure also comes back
-			// to the submitter.
-			if err := big.Submit(big.Addr(), plan); err != nil && !errors.Is(err, xmltree.ErrFrame) {
+			if err := big.Submit(big.Addr(), plan); err != nil {
 				t.Fatal(err)
 			}
 			eventually(t, "the stuck record", func() bool { return len(big.StuckErrors()) > 0 })

@@ -13,25 +13,30 @@ import (
 )
 
 // chainPeer forwards deliveries onward until the chain reaches length hops,
-// then (optionally) starts a brand-new activity with fresh Hops.
+// then (optionally) starts a brand-new activity with fresh Hops. A send of its
+// own that fails is its record (err): no sender upstream learns of it.
 type chainPeer struct {
 	addr    string
 	hops    int                      // forward to self until the delivered Hops reaches this
 	then    func(net *Network) error // run when the chain completes
 	reached int
+	err     error
 }
 
 func (p *chainPeer) Addr() string { return p.addr }
 
 func (p *chainPeer) Deliver(net *Network, msg *Message) error {
 	p.reached = msg.Hops
+	var err error
 	if msg.Hops < p.hops {
-		return net.Send(&Message{From: p.addr, To: p.addr, Kind: msg.Kind, Body: msg.Body, At: msg.At, Hops: msg.Hops})
+		err = net.Send(&Message{From: p.addr, To: p.addr, Kind: msg.Kind, Body: msg.Body, At: msg.At, Hops: msg.Hops})
+	} else if p.then != nil {
+		err = p.then(net)
 	}
-	if p.then != nil {
-		return p.then(net)
+	if err != nil {
+		p.err = err
 	}
-	return nil
+	return err
 }
 
 func (p *chainPeer) Serve(net *Network, req *Message) (*xmltree.Node, error) {
@@ -52,7 +57,10 @@ func TestDepthIsPerDeliveryChain(t *testing.T) {
 	n.Add(inner)
 	n.Add(outer)
 	if err := n.Send(&Message{From: "x", To: "outer:1", Kind: "deep"}); err != nil {
-		t.Fatalf("nested activities must not share depth: %v", err)
+		t.Fatal(err)
+	}
+	if outer.err != nil || inner.err != nil {
+		t.Fatalf("nested activities must not share depth: %v, %v", outer.err, inner.err)
 	}
 	if inner.reached != 200 {
 		t.Fatalf("inner chain reached %d hops, want 200", inner.reached)
@@ -82,20 +90,28 @@ func TestDepthConcurrentSubmissions(t *testing.T) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("interleaved submission %d tripped the loop guard: %v", i, err)
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	for _, p := range []*chainPeer{a, b} {
+		if p.err != nil || p.reached != 200 {
+			t.Fatalf("%s reached %d hops, error %v: interleaved chains tripped the loop guard", p.addr, p.reached, p.err)
 		}
 	}
 }
 
 // TestDepthLimitStillTrips: an actual forwarding loop must still be caught,
-// and the error must carry the sentinel.
+// and the error must carry the sentinel. It reaches the hop whose send hit the
+// limit, not the submitter.
 func TestDepthLimitStillTrips(t *testing.T) {
 	n := New()
 	p := &chainPeer{addr: "loop:1", hops: 1 << 30}
 	n.Add(p)
-	err := n.Send(&Message{From: "x", To: "loop:1", Kind: "loop"})
-	if !errors.Is(err, ErrDepthExceeded) {
-		t.Fatalf("err = %v, want ErrDepthExceeded", err)
+	if err := n.Send(&Message{From: "x", To: "loop:1", Kind: "loop"}); err != nil {
+		t.Fatalf("the submitter saw %v, want nil", err)
+	}
+	if !errors.Is(p.err, ErrDepthExceeded) || p.reached != 256 {
+		t.Fatalf("the looping hop recorded %v at %d hops, want ErrDepthExceeded at 256", p.err, p.reached)
 	}
 }
 

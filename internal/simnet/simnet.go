@@ -24,7 +24,9 @@
 // the sender, priced at the frame's length, and decoded on the receiver's
 // side — a one-way frame (SendFrame), a request and its reply (Request) alike
 // — so what a peer receives is a decoded, born-frozen tree. The one document
-// still aliased is a frozen body handed to Send.
+// still aliased is a frozen body handed to Send. In both modes a sender learns
+// only what a socket tells it (unreachable, depth bound hit, frame refused):
+// what a receiver makes of a message is the receiver's to record.
 package simnet
 
 import (
@@ -51,8 +53,9 @@ type Message struct {
 }
 
 // Peer is a network participant. Deliver handles one-way messages (e.g. an
-// MQP in flight, a registration). Serve handles request/response calls
-// (catalog lookups, data fetches) and returns the reply body.
+// MQP in flight, a registration); its error reaches no sender. Serve handles
+// request/response calls (catalog lookups, data fetches) and returns the reply
+// body.
 //
 // Ownership: every body a peer is handed is frozen — a decoded frame, or the
 // sender's own frozen body on Send's alias path — so a receiver aliases what
@@ -199,10 +202,10 @@ func (n *Network) SetProcDelay(d time.Duration) {
 }
 
 // SetMaxDepth bounds the number of hops a single delivery chain may take
-// before Send fails with ErrDepthExceeded (default 256). Call it during
-// setup, before traffic flows — harnesses with known-shallow routing use a
-// tight bound so pathological forwarding cycles surface fast instead of
-// riding out hundreds of hops.
+// before Send fails with ErrDepthExceeded (default 256), at the hop that hit
+// the limit. Call it during setup, before traffic flows — harnesses with
+// known-shallow routing use a tight bound so pathological forwarding cycles
+// surface fast instead of riding out hundreds of hops.
 func (n *Network) SetMaxDepth(d int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -362,16 +365,18 @@ func (n *Network) severLink(from, to string) {
 	n.metricsMu.Unlock()
 }
 
-// ErrDepthExceeded is wrapped by the error Send returns when a delivery
-// chain exceeds the forwarding-depth limit — almost always a routing loop.
+// ErrDepthExceeded is wrapped by the error Send returns to the last hop of a
+// delivery chain past the forwarding-depth limit — almost always a routing
+// loop. The submitter never sees it.
 var ErrDepthExceeded = errors.New("forwarding depth limit exceeded; routing loop?")
 
 // Send delivers a one-way message from msg.From to msg.To. In inline mode
 // the destination's Deliver runs before Send returns; in scheduled mode the
 // delivery is enqueued for the Run pump (and may be dropped, duplicated or
 // delayed by injected faults). Either way the delivered message's At is
-// msg.At plus link latency plus the processing delay, and Hops is
-// incremented.
+// msg.At plus link latency plus the processing delay, Hops is incremented,
+// and Send reports only transport failure (ErrUnreachable, ErrDepthExceeded,
+// xmltree.ErrFrame), never what Deliver returned.
 //
 // A mutable body crosses the link as SendFrame carries a frame. A frozen body
 // is the codec's fixpoint already — immutable, its canonical serialization
@@ -455,8 +460,9 @@ func (n *Network) send(msg *Message, body *xmltree.Node, size int) error {
 		return err
 	}
 	n.account([2]string{msg.From, msg.To}, size, false)
-	return p.Deliver(n, &Message{From: msg.From, To: msg.To, Kind: msg.Kind, Body: body,
-		At: msg.At + transit, Hops: msg.Hops + 1})
+	_ = p.Deliver(n, &Message{From: msg.From, To: msg.To, Kind: msg.Kind, Body: body,
+		At: msg.At + transit, Hops: msg.Hops + 1}) // the receiver's to record, as on a socket
+	return nil
 }
 
 // Request performs a synchronous request/response exchange: the document

@@ -11,21 +11,28 @@ import (
 	"repro/internal/xmltree"
 )
 
-// echoPeer records deliveries and serves requests by echoing the body.
+// echoPeer records deliveries and serves requests by echoing the body. A
+// forward that fails is its own record (err), as no sender upstream learns of
+// it.
 type echoPeer struct {
 	addr      string
 	delivered []*Message
 	forwardTo string // when set, Deliver forwards the message onward
+	err       error
 }
 
 func (p *echoPeer) Addr() string { return p.addr }
 
 func (p *echoPeer) Deliver(net *Network, msg *Message) error {
 	p.delivered = append(p.delivered, msg)
-	if p.forwardTo != "" {
-		return net.Send(&Message{From: p.addr, To: p.forwardTo, Kind: msg.Kind, Body: msg.Body, At: msg.At, Hops: msg.Hops})
+	if p.forwardTo == "" {
+		return nil
 	}
-	return nil
+	err := net.Send(&Message{From: p.addr, To: p.forwardTo, Kind: msg.Kind, Body: msg.Body, At: msg.At, Hops: msg.Hops})
+	if err != nil {
+		p.err = err
+	}
+	return err
 }
 
 func (p *echoPeer) Serve(net *Network, req *Message) (*xmltree.Node, error) {
@@ -188,9 +195,11 @@ func TestDepthLimit(t *testing.T) {
 	// a forwards to itself forever.
 	a := &echoPeer{addr: "a:1", forwardTo: "a:1"}
 	n.Add(a)
-	err := n.Send(&Message{From: "x", To: "a:1", Kind: "loop"})
-	if err == nil {
-		t.Fatal("routing loop must be detected")
+	if err := n.Send(&Message{From: "x", To: "a:1", Kind: "loop"}); err != nil {
+		t.Fatalf("the submitter saw %v: a sender learns only transport failure", err)
+	}
+	if !errors.Is(a.err, ErrDepthExceeded) {
+		t.Fatalf("routing loop must be detected at the looping hop, got %v", a.err)
 	}
 }
 
